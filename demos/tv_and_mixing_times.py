@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from kmmix import (ChainParams, bound_coefficients, spectral_integral, t_mix,
-                   tv_exact, tv_lower, tv_oracle, tv_upper)
+                   tv_curve, tv_exact, tv_lower, tv_oracle, tv_upper)
 
 chain = ChainParams(1 / 11, 9 / 11, 1 / 11)
 co = bound_coefficients(chain)
@@ -31,7 +31,7 @@ for t in (0, 1, 2, 5, 10, 20, 40, 60, 80, 100):
 
 print("\n== decay rate from the exact curve ==")
 ts = np.arange(30, 81)
-slope = np.polyfit(ts, [math.log(tv_exact(chain, int(t))) for t in ts], 1)[0]
+slope = np.polyfit(ts, np.log(tv_curve(chain, ts)), 1)[0]
 print(f"log-slope over t in [30, 80]: {slope:.8f}   log(alpha) = {math.log(co.alpha):.8f}")
 
 print("\n== mixing times ==")

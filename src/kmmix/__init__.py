@@ -16,6 +16,7 @@ from .chain import (
     evolve,
     reversibility,
     tv_oracle,
+    tv_oracle_curve,
 )
 from .orthopoly import (
     CharRoots,
@@ -27,6 +28,7 @@ from .orthopoly import (
 from .spectral import (
     QuadratureConfig,
     QuadratureError,
+    RegimeError,
     SpectralMeasure,
     build_measure,
     integrate_psi,
@@ -43,6 +45,7 @@ from .mixing import (
     kernel_spectral,
     spectral_integral,
     t_mix,
+    tv_curve,
     tv_exact,
     tv_lower,
     tv_upper,
@@ -63,13 +66,13 @@ from .coupling import (
 __all__ = [
     "__version__",
     "ChainParams", "DistributionVector", "Reversibility",
-    "reversibility", "evolve", "tv_oracle", "drift_identity_residual",
+    "reversibility", "evolve", "tv_oracle", "tv_oracle_curve", "drift_identity_residual",
     "CharRoots", "char_roots", "q_eval", "q_values", "point_mass_summability",
-    "SpectralMeasure", "QuadratureConfig", "QuadratureError",
+    "SpectralMeasure", "QuadratureConfig", "QuadratureError", "RegimeError",
     "build_measure", "integrate_psi", "resolvent_a0", "residue_check",
     "BoundCoefficients", "TailControl", "ConvergenceError", "RouteDisagreement",
     "bound_coefficients", "contour_envelope", "spectral_integral",
-    "tv_exact", "tv_upper", "tv_lower", "t_mix", "kernel_spectral",
+    "tv_curve", "tv_exact", "tv_upper", "tv_lower", "t_mix", "kernel_spectral",
     "SurvivalCurve", "RateFit", "simulate_classical", "simulate_modified",
     "rate_fit", "hitting_pmf_multinomial", "hitting_pmf_exact",
     "hitting_pmf_exact_curve", "hitting_tail_asymptote",

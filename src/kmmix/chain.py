@@ -20,6 +20,7 @@ __all__ = [
     "reversibility",
     "evolve",
     "tv_oracle",
+    "tv_oracle_curve",
     "drift_identity_residual",
 ]
 
@@ -163,17 +164,40 @@ def evolve(chain: ChainParams, start: DistributionVector, t: int) -> Distributio
     return DistributionVector(offset=lo, mass=mass)
 
 
-def tv_oracle(chain: ChainParams, t: int) -> float:
-    """Exact total variation distance between the law at time t (started at
-    the origin) and the stationary law.
-
-    The carried support after t steps is {0,...,t}; the stationary mass above
-    it enters through the closed geometric tail, so the value is exact."""
-    mu = evolve(chain, DistributionVector.point(0), t)
-    rev = reversibility(chain)
+def _tv_to_stationary(rev: Reversibility, mu: DistributionVector) -> float:
+    """TV distance between an exactly carried law and the stationary law; the
+    stationary mass above the carried block enters through its closed tail."""
     states = mu.states
     diff = float(np.abs(mu.mass - rev.nu(states)).sum())
     return 0.5 * (diff + rev.nu_tail(int(states[-1])))
+
+
+def tv_oracle(chain: ChainParams, t: int) -> float:
+    """Total variation distance between the law at time t (started at the
+    origin) and the stationary law, by dynamic programming.
+
+    The carried support after t steps is {0,...,t} and the stationary mass
+    above it enters through the closed geometric tail, so there is no
+    truncation error.  There is float64 roundoff: a few ulp of the unit mass
+    per step, which levels off near 6e-15 absolute.  Once the true distance
+    falls below that floor (t of about 300 on the worked example) the value
+    is roundoff, overstating the distance by up to 1e9 times at t = 500."""
+    return _tv_to_stationary(reversibility(chain), evolve(chain, DistributionVector.point(0), t))
+
+
+def tv_oracle_curve(chain: ChainParams, t_max: int) -> list:
+    """tv_oracle(chain, t) for t = 0..t_max from one forward sweep of
+    one-step evolves: O(t_max^2) in all instead of O(t_max^3), and bit for
+    bit the same values, because evolve steps one at a time either way."""
+    if t_max < 0:
+        raise ValueError("t_max must be nonnegative")
+    rev = reversibility(chain)
+    mu = DistributionVector.point(0)
+    values = [_tv_to_stationary(rev, mu)]
+    for _ in range(t_max):
+        mu = evolve(chain, mu, 1)
+        values.append(_tv_to_stationary(rev, mu))
+    return values
 
 
 def drift_identity_residual(chain: ChainParams, x: int) -> float:

@@ -15,15 +15,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .chain import ChainParams, DistributionVector, evolve, reversibility, tv_oracle, \
+from .chain import ChainParams, DistributionVector, evolve, reversibility, tv_oracle_curve, \
     drift_identity_residual
 from .coupling import rate_fit, simulate_classical, simulate_modified
 from .mixing import ConvergenceError, RouteDisagreement, TailControl, \
-    bound_coefficients, kernel_spectral, spectral_integral, t_mix, tv_exact, \
+    bound_coefficients, kernel_spectral, spectral_integral, t_mix, tv_curve, \
     tv_lower, tv_upper
 from .orthopoly import point_mass_summability, q_values
-from .spectral import QuadratureConfig, QuadratureError, build_measure, integrate_psi, \
-    residue_check, resolvent_a0
+from .spectral import QuadratureConfig, QuadratureError, RegimeError, build_measure, \
+    integrate_psi, residue_check, resolvent_a0
 
 # fixed default seed for reproducible simulation output
 DEFAULT_SEED = 11
@@ -75,12 +75,19 @@ def _emit_doc(args, chain, results, csv_lines):
         _emit("\n".join(csv_lines) + "\n", args.output)
 
 
+def _nonnegative(flag: str, value: int) -> int:
+    if value < 0:
+        raise ValueError(f"{flag} must be nonnegative, got {value}")
+    return value
+
+
 def _quad_cfg(args) -> QuadratureConfig:
     return QuadratureConfig(node_count=args.quad_nodes)
 
 
 def _cmd_analyze(args):
     chain = _chain_from_args(args)
+    _nonnegative("--states", args.states)
     rev = reversibility(chain)
     measure = build_measure(chain)
     co = bound_coefficients(chain)
@@ -119,15 +126,19 @@ def _cmd_analyze(args):
 
 def _cmd_tv(args):
     chain = _chain_from_args(args)
+    t_max = _nonnegative("--t-max", args.t_max)
     ctl = TailControl(series_tol=args.series_tol)
     cfg = _quad_cfg(args)
+    ts = range(t_max + 1)
+    exact = tv_curve(chain, ts, ctl=ctl, cfg=cfg)
+    oracle = tv_oracle_curve(chain, t_max)
     rows = []
-    for t in range(args.t_max + 1):
+    for t in ts:
         lower, valid = tv_lower(chain, t)
         rows.append({
             "t": t,
-            "tv_exact": tv_exact(chain, t, ctl=ctl, cfg=cfg),
-            "tv_oracle": tv_oracle(chain, t),
+            "tv_exact": exact[t],
+            "tv_oracle": oracle[t],
             "tv_upper": tv_upper(chain, t),
             "tv_lower": lower,
             "lower_valid": bool(valid),
@@ -158,7 +169,7 @@ def _cmd_kernel(args):
     cfg = _quad_cfg(args)
     mu = DistributionVector.point(args.i)
     rows = []
-    for t in range(args.t_max + 1):
+    for t in range(_nonnegative("--t-max", args.t_max) + 1):
         if t > 0:
             mu = evolve(chain, mu, 1)
         oracle = mu.prob(args.j)
@@ -221,7 +232,7 @@ def _verify_checks(chain, cfg):
     total = evolve(chain, DistributionVector.point(0), 300).total()
     yield "evolve_mass_conservation_t300", abs(total - 1.0) <= 1e-12, abs(total - 1.0)
 
-    tvs = [tv_oracle(chain, t) for t in range(121)]
+    tvs = tv_oracle_curve(chain, 120)
     mono = max(b - a for a, b in zip(tvs, tvs[1:]))
     yield "tv_oracle_nonincreasing_t120", mono <= 1e-15, mono
 
@@ -252,12 +263,12 @@ def _verify_checks(chain, cfg):
                 worst = max(worst, abs(kernel_spectral(chain, t, i, j, cfg=cfg) - mu.prob(j)))
     yield "kernel_vs_oracle_t20", worst <= 1e-9, worst
 
-    worst = max(abs(tv_exact(chain, t) - tv_oracle(chain, t)) for t in range(41))
+    exact = tv_curve(chain, range(61))
+    worst = max(abs(x - o) for x, o in zip(exact[:41], tvs))
     yield "tv_exact_vs_oracle_t40", worst <= 1e-8, worst
 
     ok = True
-    for t in range(61):
-        tvx = tv_exact(chain, t)
+    for t, tvx in enumerate(exact):
         upper = tv_upper(chain, t)
         lower, valid = tv_lower(chain, t)
         # the envelope gap 2 B beta^t can sit below double roundoff of the
@@ -376,7 +387,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"kmmix: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, ConvergenceError, RouteDisagreement) as exc:
+    except (QuadratureError, ConvergenceError, RouteDisagreement, RegimeError) as exc:
         print(f"kmmix: {exc}", file=sys.stderr)
         return 1
 

@@ -43,7 +43,8 @@ import numpy as np
 
 from .chain import ChainParams, reversibility
 from .orthopoly import q_bracket_matrix, q_values
-from .spectral import QuadratureConfig, QuadratureError, build_measure, integrate_psi
+from .spectral import QuadratureConfig, QuadratureError, build_measure, integrate_psi, \
+    negative_atom, theta_nodes
 
 __all__ = [
     "BoundCoefficients",
@@ -53,6 +54,7 @@ __all__ = [
     "bound_coefficients",
     "contour_envelope",
     "spectral_integral",
+    "tv_curve",
     "tv_exact",
     "tv_upper",
     "tv_lower",
@@ -128,9 +130,8 @@ def bound_coefficients(chain: ChainParams) -> BoundCoefficients:
 
 
 def _atom2_term(chain: ChainParams, t: int, n: int) -> float:
-    q, r = chain.q, chain.r
-    w2 = ((1.0 + q - chain.p) * (q + r) - q) / ((1.0 + q - chain.p) * (q + r))
-    return w2 * (-q / (q + r)) ** (t + n)
+    loc2, w2 = negative_atom(chain)
+    return w2 * loc2 ** (t + n)
 
 
 def _contour_part(chain: ChainParams, t: int, n: int, n_nodes: int) -> float:
@@ -191,6 +192,16 @@ def spectral_integral(chain: ChainParams, t: int, n: int, route: str = "interval
     return interval_val
 
 
+def _geometric_depth(amp: float, ratio: float, log_tol: float) -> float:
+    """Least n >= 0 with amp ratio^(n+1) <= exp(log_tol), up to rounding of
+    the logarithms (inf when ratio has rounded to 1)."""
+    if amp <= 0.0 or math.log(amp) + math.log(ratio) <= log_tol:
+        return 0
+    if ratio >= 1.0:
+        return math.inf
+    return math.ceil((log_tol - math.log(amp)) / math.log(ratio)) - 1
+
+
 def _series_cutoff(chain: ChainParams, co: BoundCoefficients, t: int, ctl: TailControl):
     """Smallest N whose certified series tail is below the working tolerance.
 
@@ -199,77 +210,134 @@ def _series_cutoff(chain: ChainParams, co: BoundCoefficients, t: int, ctl: TailC
     additionally pinned under the beta^t scale of the TV envelope's width:
     the sandwich A alpha^t - B beta^t <= TV <= A alpha^t + B beta^t leaves
     only O(beta^t) of slack, and a truncation deficit above that scale would
-    poke out of it."""
+    poke out of it.
+
+    The tail bound is nonincreasing in N.  Each geometric term alone reaching
+    the tolerance is necessary and both reaching half of it is sufficient;
+    these closed forms bracket N, and bisection on the exact tail expression
+    pins it, so N and its tail are those of a scan upward from N = 0."""
     p, q, r = chain.p, chain.q, chain.r
     x = p / (q + r)
     y = math.sqrt(p / q)
-    w2 = ((1.0 + q - p) * (q + r) - q) / ((1.0 + q - p) * (q + r))
+    w2 = negative_atom(chain)[1]
     amp_atom = 0.5 * w2 * co.alpha ** t / p / (1.0 - x)
     amp_cont = 0.5 * contour_envelope(chain) * x * co.beta ** t / p / (1.0 - y)
     tol = max(min(ctl.series_tol, 0.05 * co.B * co.beta ** t), 5e-324)
-    n_cut = 0
-    while True:
-        tail = amp_atom * x ** (n_cut + 1) + amp_cont * y ** (n_cut + 1)
-        if tail <= tol:
-            return n_cut, tail
-        n_cut += 1
-        if n_cut > ctl.n_cap:
+
+    def tail(n):
+        return amp_atom * x ** (n + 1) + amp_cont * y ** (n + 1)
+
+    log_tol = math.log(tol)
+    need = max(_geometric_depth(amp_atom, x, log_tol), _geometric_depth(amp_cont, y, log_tol))
+    log_half = log_tol - math.log(2.0)
+    enough = max(_geometric_depth(amp_atom, x, log_half), _geometric_depth(amp_cont, y, log_half))
+    # tail(lo) > tol >= tail(hi), with lo = -1 standing for "no N below hi"
+    lo = max(min(need - 2, ctl.n_cap - 1), -1)
+    while lo >= 0 and tail(lo) <= tol:
+        lo = lo // 2 - 1
+    hi = max(min(enough + 1, ctl.n_cap), lo + 1)
+    while tail(hi) > tol:
+        if hi == ctl.n_cap:
             raise ConvergenceError(
-                f"series cutoff exceeded n_cap={ctl.n_cap} at t={t}", tail
+                f"series cutoff exceeded n_cap={ctl.n_cap} at t={t}", tail(hi)
             )
+        lo, hi = hi, min(2 * hi + 1, ctl.n_cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail(mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi, tail(hi)
 
 
-def _tv_series_fixed(chain: ChainParams, t: int, n_cut: int, pi_vals, n_nodes: int) -> float:
+def _tv_series_fixed(chain: ChainParams, t: int, n_cut: int, pi_vals, n_nodes: int,
+                     q_rows, xt) -> float:
     """(1/2) sum_{n <= n_cut} pi_n |I_t(n)| with the AC parts of every degree
-    evaluated on one shared node set."""
-    p, q, r = _LD(chain.p), _LD(chain.q), _LD(chain.r)
-    theta = np.pi * np.arange(1, n_nodes, dtype=_LD) / _LD(n_nodes)
-    x = r + 2.0 * np.sqrt(p * q) * np.cos(theta)
-    w = 4.0 * p * q * np.sin(theta) ** 2 / (
-        (2.0 * _LD(np.pi)) * ((r + q) * x + q) * (1.0 - x)
-    ) * (_LD(np.pi) / _LD(n_nodes))
-    wxt = w * np.power(x, t)
-    brackets = q_bracket_matrix(chain, n_cut, x)  # Q_n = (q/p)^(n/2) B_n
-    s = np.sqrt(q / p)
-    lam2 = -chain.q / (chain.q + chain.r)
-    w2 = ((1.0 + chain.q - chain.p) * (chain.q + chain.r) - chain.q) / (
-        (1.0 + chain.q - chain.p) * (chain.q + chain.r)
-    )
-    terms = []
-    for n in range(n_cut + 1):
-        ac = float(s ** _LD(n) * np.sum(wxt * brackets[n]))
-        i_tn = w2 * lam2 ** (t + n) + ac
-        terms.append(0.5 * pi_vals[n] * abs(i_tn))
-    return math.fsum(terms)
+    evaluated on the shared n_nodes-panel node set.
+
+    q_rows holds Q_n at those nodes in rows 0..n_cut (further rows are
+    ignored) and xt holds x^t there, so the AC parts are one
+    extended-precision matrix-vector product."""
+    _, w = theta_nodes(chain, n_nodes)
+    wxt = w * xt * (_LD(np.pi) / _LD(n_nodes))
+    # np.dot, not @: numpy's matmul loop for longdouble is about 2.5x slower
+    ac = np.dot(q_rows[: n_cut + 1], wxt).astype(float)
+    loc2, w2 = negative_atom(chain)
+    i_tn = w2 * loc2 ** (t + np.arange(n_cut + 1)) + ac
+    return math.fsum(0.5 * pi_vals[: n_cut + 1] * np.abs(i_tn))
 
 
-def tv_exact(chain: ChainParams, t: int, ctl: TailControl = None,
-             cfg: QuadratureConfig = None) -> float:
-    """TV distance at time t by summing the spectral series.
+def _tv_pass(chain: ChainParams, ts, cuts: dict, pi_vals, n_nodes: int) -> dict:
+    """The truncated series at every t of ts (ascending) on one node set.
 
-    The degree cutoff N is certified by the closed geometric tail bounds (the
-    returned value is the partial sum; the discarded tail is provably below
-    the working tolerance of _series_cutoff).  The shared-node quadrature is
-    refined by doubling until the aggregate stabilizes."""
-    if t < 0:
+    The Q_n matrix is built once, to the largest cutoff, from the bracket
+    recursion (Q_n = (q/p)^(n/2) B_n), and released on return, so a curve
+    holds one at a time; x^t is carried forward from one t to the next
+    instead of being tabulated."""
+    x, _ = theta_nodes(chain, n_nodes)
+    n_max = max(cuts[t] for t in ts)
+    q_rows = q_bracket_matrix(chain, n_max, x)
+    q_rows *= (np.sqrt(_LD(chain.q) / _LD(chain.p)) ** np.arange(n_max + 1, dtype=_LD))[:, None]
+    values, xt, t_prev = {}, None, 0
+    for t in ts:
+        if xt is None:
+            xt = np.power(x, t)
+        else:
+            xt = xt * (x if t - t_prev == 1 else np.power(x, t - t_prev))
+        t_prev = t
+        values[t] = _tv_series_fixed(chain, t, cuts[t], pi_vals, n_nodes, q_rows, xt)
+    return values
+
+
+def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
+             cfg: QuadratureConfig = None) -> list:
+    """TV distance at every time in ts (in the given order) by summing the
+    spectral series.
+
+    Each t gets its own degree cutoff N_t, certified by the closed geometric
+    tail bounds (the returned value is the partial sum; the discarded tail is
+    provably below the working tolerance of _series_cutoff).  At each node
+    count the bracket matrix is built once for all t; the shared-node
+    quadrature is refined by doubling, and a t leaves the refinement as soon
+    as its value stabilizes.  Raises ConvergenceError when some N_t exceeds
+    ctl.n_cap and QuadratureError when some t does not stabilize within
+    cfg.max_doublings."""
+    ts = list(ts)
+    if not ts:
+        raise ValueError("ts must hold at least one time")
+    if min(ts) < 0:
         raise ValueError("t must be nonnegative")
     ctl = ctl or TailControl()
     cfg = cfg or QuadratureConfig()
     co = bound_coefficients(chain)
-    n_cut, _ = _series_cutoff(chain, co, t, ctl)
-    pi_vals = reversibility(chain).pi(np.arange(n_cut + 1))
-    pi_vals = np.atleast_1d(pi_vals)
+    pending = sorted(set(ts))
+    cuts = {t: _series_cutoff(chain, co, t, ctl)[0] for t in pending}
+    pi_vals = np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
     nodes = cfg.node_count
-    prev = _tv_series_fixed(chain, t, n_cut, pi_vals, nodes)
+    cur = _tv_pass(chain, pending, cuts, pi_vals, nodes)
+    if cfg.max_doublings == 0:
+        return [cur[t] for t in ts]
+    done = {}
     for _ in range(cfg.max_doublings):
-        nodes *= 2
-        cur = _tv_series_fixed(chain, t, n_cut, pi_vals, nodes)
-        if abs(cur - prev) <= cfg.tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
+        prev, nodes = cur, 2 * nodes
+        cur = _tv_pass(chain, pending, cuts, pi_vals, nodes)
+        for t in pending:
+            if abs(cur[t] - prev[t]) <= cfg.tol * max(1.0, abs(cur[t])):
+                done[t] = cur[t]
+        pending = [t for t in pending if t not in done]
+        if not pending:
+            return [done[t] for t in ts]
+    t = pending[0]
     raise QuadratureError(
-        f"tv_exact quadrature did not stabilize at t={t} ({nodes} nodes)", (prev, cur)
+        f"tv_exact quadrature did not stabilize at t={t} ({nodes} nodes)", (prev[t], cur[t])
     )
+
+
+def tv_exact(chain: ChainParams, t: int, ctl: TailControl = None,
+             cfg: QuadratureConfig = None) -> float:
+    """TV distance at time t by summing the spectral series; see tv_curve."""
+    return tv_curve(chain, [t], ctl=ctl, cfg=cfg)[0]
 
 
 def tv_upper(chain: ChainParams, t: int) -> float:

@@ -18,6 +18,7 @@ near 1e-8.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +28,10 @@ __all__ = [
     "SpectralMeasure",
     "QuadratureConfig",
     "QuadratureError",
+    "RegimeError",
     "build_measure",
+    "negative_atom",
+    "theta_nodes",
     "integrate_psi",
     "resolvent_a0",
     "residue_check",
@@ -42,6 +46,12 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, estimates):
         super().__init__(f"{message}: last two estimates {estimates[0]!r}, {estimates[1]!r}")
         self.estimates = estimates
+
+
+class RegimeError(RuntimeError):
+    """The chain's spectral measure is outside the regime the quadrature is
+    validated for: in floating point a density pole touches the AC interval
+    or the negative atom leaves (-1, 0)."""
 
 
 @dataclass(frozen=True)
@@ -80,38 +90,60 @@ class SpectralMeasure:
         return val if val.ndim else float(val)
 
 
+def negative_atom(chain: ChainParams) -> tuple:
+    """Location -q/(q+r) and weight w2 of the atom of psi below the AC part."""
+    p, q, r = chain.p, chain.q, chain.r
+    return -q / (q + r), ((1.0 + q - p) * (q + r) - q) / ((1.0 + q - p) * (q + r))
+
+
 def build_measure(chain: ChainParams) -> SpectralMeasure:
     """Assemble psi and check that the density's two apparent poles (at 1 and
-    at the negative atom) sit strictly outside the closed AC interval."""
+    at the negative atom) sit strictly outside the closed AC interval.
+
+    In exact arithmetic they always do; in floating point the AC edge
+    r + 2 sqrt(pq) rounds to 1 when q - p is below about 1e-8, and then
+    RegimeError is raised."""
     p, q, r = chain.p, chain.q, chain.r
     w1 = (q - p) / (1.0 + q - p)
-    w2 = ((1.0 + q - p) * (q + r) - q) / ((1.0 + q - p) * (q + r))
-    loc2 = -q / (q + r)
+    loc2, w2 = negative_atom(chain)
     lo, hi = chain.support
     if not (loc2 < lo and hi < 1.0):
-        raise RuntimeError(
+        raise RegimeError(
             "spectral measure is outside its validated regime: a density pole "
             f"touches the AC interval ({lo}, {hi}) for p={p}, q={q}, r={r}"
         )
     if not (-1.0 < loc2 < 0.0):
-        raise RuntimeError(f"negative atom location {loc2} escaped (-1, 0)")
+        raise RegimeError(f"negative atom location {loc2} escaped (-1, 0)")
     return SpectralMeasure(chain=chain, atom1=(1.0, w1), atom2=(loc2, w2), ac_interval=(lo, hi))
 
 
-def _ac_fixed(measure: SpectralMeasure, f, n_nodes: int):
-    """One pass of the theta-substituted trapezoid rule with n_nodes panels.
+@lru_cache(maxsize=32)
+def theta_nodes(chain: ChainParams, n_nodes: int) -> tuple:
+    """Interior nodes x and weights w of the theta-substituted trapezoid rule
+    with n_nodes panels, in extended precision and read-only.
 
-    The transformed integrand 4pq sin^2(theta) f(x(theta)) /
-    (2 pi ((r+q)x+q)(1-x)) vanishes at theta = 0, pi, so the interior sum is
-    the full trapezoid value.  Returns the integral and the L1 size of the
-    integrand, which sets the roundoff floor of the estimate."""
-    c = measure.chain
-    p, q, r = _LD(c.p), _LD(c.q), _LD(c.r)
+    x = r + 2 sqrt(pq) cos(theta) at theta = k pi / n_nodes, k = 1..n_nodes-1,
+    and w = 4pq sin^2(theta) / (2 pi ((r+q)x+q)(1-x)) is the density's
+    Jacobian-weighted value there; the integral of f against phi is
+    (pi / n_nodes) sum w f(x).  The transformed integrand vanishes at
+    theta = 0, pi, so the interior sum is the full trapezoid value."""
+    p, q, r = _LD(chain.p), _LD(chain.q), _LD(chain.r)
     theta = np.pi * np.arange(1, n_nodes, dtype=_LD) / _LD(n_nodes)
     x = r + 2.0 * np.sqrt(p * q) * np.cos(theta)
     w = 4.0 * p * q * np.sin(theta) ** 2 / (
         (2.0 * _LD(np.pi)) * ((r + q) * x + q) * (1.0 - x)
     )
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _ac_fixed(measure: SpectralMeasure, f, n_nodes: int):
+    """One pass of the theta-substituted trapezoid rule with n_nodes panels.
+
+    Returns the integral and the L1 size of the integrand, which sets the
+    roundoff floor of the estimate."""
+    x, w = theta_nodes(measure.chain, n_nodes)
     vals = np.asarray(f(x))
     total = np.sum(vals * w) * (_LD(np.pi) / _LD(n_nodes))
     l1 = float(np.sum(np.abs(vals) * w) * (_LD(np.pi) / _LD(n_nodes)))

@@ -196,7 +196,7 @@ def test_c10b_stationary_tail_slope():
            f"rel dev {rel:.4f} (slope {slope:.6f} vs {math.log(7/11):.6f})")
     assert passed, (
         f"relative deviation {rel:.4f} exceeds 0.02: exact DP slope includes the "
-        "t^(-3/2) first-passage prefactor; see decisions ledger")
+        "t^(-3/2) first-passage prefactor; see this test's docstring")
 
 
 def test_c11a_coupling_inequality(classical_curve, modified_curve):
@@ -231,7 +231,7 @@ def test_c11b_modified_rate_ci(modified_curve):
            f"rate {fit.rate:.5f} +- {fit.stderr:.5f}")
     assert passed, (
         f"fitted rate {fit.rate:.5f} (95% CI +-{ci:.5f}) excludes 0.9: the "
-        "coupling's true decay rate is q(q+p-r)/(q-r) = 81/88; see decisions ledger")
+        "coupling's true decay rate is q(q+p-r)/(q-r) = 81/88; see this test's docstring")
 
 
 def test_c12_cli_determinism(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kmmix import ChainParams, DistributionVector, drift_identity_residual, evolve, \
-    reversibility, tv_oracle
+    reversibility, tv_oracle, tv_oracle_curve
 
 import oracles
 
@@ -140,6 +140,14 @@ class TestTvOracle:
 
     def test_bounded_by_one(self, chain_grid):
         assert all(0.0 <= tv_oracle(c, 0) <= 1.0 for c in chain_grid)
+
+    def test_sweep_is_bit_identical_to_per_t_oracle(self, example_chain):
+        swept = tv_oracle_curve(example_chain, 200)
+        assert swept == [tv_oracle(example_chain, t) for t in range(201)]
+
+    def test_sweep_rejects_negative_horizon(self, example_chain):
+        with pytest.raises(ValueError):
+            tv_oracle_curve(example_chain, -1)
 
 
 class TestDriftIdentity:

@@ -44,6 +44,23 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--p", "one/11", "--q", "9/11")
         assert code == 2
 
+    def test_regime_error_exit_1(self, capsys):
+        # the AC edge r + 2 sqrt(pq) rounds to 1.0 and meets the pole there
+        code, out, err = run_cli(capsys, "analyze", "--p", "0.49", "--q", "0.4900000001")
+        assert code == 1 and out == ""
+        assert err.startswith("kmmix: ") and "validated regime" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--states", "-1"),
+    ("tv", "--t-max", "-1"),
+    ("kernel", "--t-max", "-2"),
+])
+def test_negative_count_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--p", "1/11", "--q", "9/11", *argv[1:])
+    assert code == 2 and out == ""
+    assert "must be nonnegative" in err
+
 
 class TestTv:
     def test_csv_header_fixed(self, capsys):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from kmmix import ChainParams, ConvergenceError, TailControl, bound_coefficients, \
-    build_measure, contour_envelope, kernel_spectral, reversibility, spectral_integral, \
-    t_mix, tv_exact, tv_lower, tv_oracle, tv_upper
+from kmmix import ChainParams, ConvergenceError, QuadratureConfig, TailControl, \
+    bound_coefficients, build_measure, contour_envelope, kernel_spectral, reversibility, \
+    spectral_integral, t_mix, tv_curve, tv_exact, tv_lower, tv_oracle, tv_oracle_curve, \
+    tv_upper
 from kmmix.chain import DistributionVector, evolve
-from kmmix.mixing import _pole_pair
+from kmmix.mixing import _pole_pair, _series_cutoff
 
 import oracles
 
@@ -109,9 +110,87 @@ class TestTvExact:
                 assert lower <= val
 
     def test_series_cap_diagnostic(self, example_chain):
+        ctl = TailControl(series_tol=1e-300, n_cap=3)
         with pytest.raises(ConvergenceError) as info:
-            tv_exact(example_chain, 0, ctl=TailControl(series_tol=1e-300, n_cap=3))
+            tv_exact(example_chain, 0, ctl=ctl)
         assert info.value.achieved_bound > 0.0
+        with pytest.raises(ConvergenceError) as info:
+            tv_curve(example_chain, [4, 0, 9], ctl=ctl)
+        assert info.value.achieved_bound > 0.0
+
+    def test_single_pass_without_doublings(self, example_chain):
+        cfg = QuadratureConfig(max_doublings=0)
+        assert tv_exact(example_chain, 7, cfg=cfg) == pytest.approx(
+            tv_oracle(example_chain, 7), abs=1e-8)
+
+
+NEAR_CRITICAL = ChainParams(0.3, 0.32, 0.38)
+
+
+def _series_cutoff_scan(chain, co, t, ctl):
+    """The cutoff by scanning N upward from 0, one tail evaluation per step."""
+    p, q, r = chain.p, chain.q, chain.r
+    x = p / (q + r)
+    y = math.sqrt(p / q)
+    w2 = ((1.0 + q - p) * (q + r) - q) / ((1.0 + q - p) * (q + r))
+    amp_atom = 0.5 * w2 * co.alpha ** t / p / (1.0 - x)
+    amp_cont = 0.5 * contour_envelope(chain) * x * co.beta ** t / p / (1.0 - y)
+    tol = max(min(ctl.series_tol, 0.05 * co.B * co.beta ** t), 5e-324)
+    n_cut = 0
+    while True:
+        tail = amp_atom * x ** (n_cut + 1) + amp_cont * y ** (n_cut + 1)
+        if tail <= tol:
+            return n_cut, tail
+        n_cut += 1
+        if n_cut > ctl.n_cap:
+            raise ConvergenceError(f"series cutoff exceeded n_cap={ctl.n_cap} at t={t}", tail)
+
+
+def _cutoff_or_error(chain, co, t, ctl, cutoff):
+    try:
+        return cutoff(chain, co, t, ctl)
+    except ConvergenceError as exc:
+        return str(exc), exc.achieved_bound
+
+
+class TestSeriesCutoff:
+    def test_matches_scan(self, chain_grid):
+        for c in chain_grid + [NEAR_CRITICAL]:
+            co = bound_coefficients(c)
+            for t in (0, 1, 7, 40, 300, 5000):
+                for tol in (1e-6, 1e-12, 1e-20, 1e-300):
+                    for n_cap in (100_000, 25, 1):
+                        ctl = TailControl(series_tol=tol, n_cap=n_cap)
+                        got = _cutoff_or_error(c, co, t, ctl, _series_cutoff)
+                        want = _cutoff_or_error(c, co, t, ctl, _series_cutoff_scan)
+                        assert got == want, (c, t, tol, n_cap)
+
+    def test_cap_error_carries_scan_bound(self):
+        # q - p = 1e-5: the sqrt(p/q) series needs more than n_cap = 1e5 terms
+        c = ChainParams(0.3, 0.30001, 0.39999)
+        co, ctl = bound_coefficients(c), TailControl()
+        got = _cutoff_or_error(c, co, 20, ctl, _series_cutoff)
+        assert isinstance(got[0], str) and "n_cap=100000" in got[0]
+        assert got == _cutoff_or_error(c, co, 20, ctl, _series_cutoff_scan)
+
+
+class TestTvCurve:
+    def test_matches_oracle_on_grid(self, chain_grid):
+        for c in chain_grid + [NEAR_CRITICAL]:
+            for t, (exact, oracle) in enumerate(zip(tv_curve(c, range(41)),
+                                                    tv_oracle_curve(c, 40))):
+                assert abs(exact - oracle) <= 1e-8, (c, t)
+
+    def test_unsorted_and_duplicate_times(self, example_chain):
+        for c in (example_chain, NEAR_CRITICAL):
+            ts = [17, 3, 40, 3, 0, 17, 25, 120]
+            for t, value in zip(ts, tv_curve(c, ts)):
+                assert value == pytest.approx(tv_exact(c, t), rel=1e-12, abs=0.0)
+
+    def test_rejects_empty_and_negative_times(self, example_chain):
+        for ts in ([], [3, -1]):
+            with pytest.raises(ValueError):
+                tv_curve(example_chain, ts)
 
 
 class TestEnvelopes:
