@@ -39,11 +39,18 @@ def _parse_real(text: str) -> Fraction:
         raise ValueError(f"cannot parse number {text!r}: {exc}") from None
 
 
+def _to_float(name: str, value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is outside the float range") from None
+
+
 def _chain_from_args(args) -> ChainParams:
     p = _parse_real(args.p)
     q = _parse_real(args.q)
     r = _parse_real(args.r) if args.r is not None else Fraction(1) - p - q
-    return ChainParams(p=float(p), q=float(q), r=float(r))
+    return ChainParams(p=_to_float("p", p), q=_to_float("q", q), r=_to_float("r", r))
 
 
 def _fmt(value) -> str:

@@ -103,7 +103,7 @@ class TailControl:
     n_cap: int = 100_000
 
     def __post_init__(self):
-        if self.series_tol <= 0.0 or self.n_cap < 1:
+        if not self.series_tol > 0.0 or self.n_cap < 1:
             raise ValueError("series_tol must be positive and n_cap >= 1")
 
 
@@ -271,14 +271,12 @@ def _tv_series_fixed(chain: ChainParams, t: int, n_cut: int, pi_vals, n_nodes: i
 def _tv_pass(chain: ChainParams, ts, cuts: dict, pi_vals, n_nodes: int) -> dict:
     """The truncated series at every t of ts (ascending) on one node set.
 
-    The Q_n matrix is built once, to the largest cutoff, from the bracket
-    recursion (Q_n = (q/p)^(n/2) B_n), and released on return, so a curve
-    holds one at a time; x^t is carried forward from one t to the next
-    instead of being tabulated."""
+    The Q_n matrix is built once, to the largest cutoff, and released on
+    return, so a curve holds one at a time; x^t is carried forward from one t
+    to the next instead of being tabulated."""
     x, _ = theta_nodes(chain, n_nodes)
     n_max = max(cuts[t] for t in ts)
     q_rows = q_bracket_matrix(chain, n_max, x)
-    q_rows *= (np.sqrt(_LD(chain.q) / _LD(chain.p)) ** np.arange(n_max + 1, dtype=_LD))[:, None]
     values, xt, t_prev = {}, None, 0
     for t in ts:
         if xt is None:

@@ -4,208 +4,98 @@ Q_0 = 1, Q_1 = lambda, and the transition rows give the three-term recursion
 
     lambda Q_n = q Q_{n-1} + r Q_n + p Q_{n+1}        (n >= 1).
 
-Solving it with the characteristic roots rho_{1,2}(lambda) of
-p x^2 + (r - lambda) x + q = 0 yields
+Its two characteristic roots have product q/p.  Dividing out that scale,
+B_n = Q_n / (q/p)^(n/2) obeys the bracket recursion
 
-    Q_n = c1 rho1^n + c2 rho2^n,
-    c1 = (rho2 - lambda)/(rho2 - rho1),  c2 = (lambda - rho1)/(rho2 - rho1).
+    B_0 = 1,  B_1 = x / sqrt(q/p),  B_{n+1} = ((x - r)/sqrt(pq)) B_n - B_{n-1},
 
-On the spectral support lambda = r + 2 sqrt(pq) cos(theta) the roots are the
-conjugate pair sqrt(q/p) e^{+-i theta} and the closed form collapses to
+whose coefficient is 2 cos(theta) at x = r + 2 sqrt(pq) cos(theta).  On the
+spectral support both of its modes have modulus one, so it is neutrally
+stable: roundoff grows at most polynomially in n, the edges r +- 2 sqrt(pq)
+(where the roots merge) included.  Off the support it follows the dominant
+root, which carries Q_n there.  It is the only way Q_n is computed here.
 
-    Q_n = (q/p)^(n/2) [cos(n theta) + (lambda/sqrt(q/p) - cos theta)
-                                      * sin(n theta)/sin(theta)],
-
-which is the numerically stable route there.  Each evaluation method loses
-accuracy somewhere (the recursion divides by p every step, the closed form is
-singular at the double roots r +- 2 sqrt(pq)), so the default dispatch picks
-per point.
+The one exception is the pair of atoms of the spectral measure, 1 and
+-q/(q+r), where the growing root's coefficient vanishes and Q_n = lambda^n
+exactly.  Any recursion in floating point re-excites that mode with
+roundoff, and its n-th power swamps the true value, so there the closed form
+is returned instead.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainParams, reversibility
+from .spectral import negative_atom
 
-__all__ = [
-    "CharRoots",
-    "char_roots",
-    "q_eval",
-    "q_values",
-    "q_bracket_matrix",
-    "point_mass_summability",
-    "DOUBLE_ROOT_MARGIN",
-]
-
-# within this distance of r +- 2 sqrt(pq) the closed form is refused and the
-# dispatcher falls back to the recursion
-DOUBLE_ROOT_MARGIN = 1e-9
-
-_METHODS = ("auto", "recursion", "closed_form", "trig_on_support")
+__all__ = ["q_values", "q_bracket_matrix", "point_mass_summability"]
 
 
-@dataclass(frozen=True)
-class CharRoots:
-    """Roots of p x^2 + (r - lambda) x + q; rho1 carries the + square root."""
-
-    rho1: complex
-    rho2: complex
-
-    @property
-    def is_real(self) -> bool:
-        return self.rho1.imag == 0.0 and self.rho2.imag == 0.0
-
-
-def char_roots(chain: ChainParams, lam: float) -> CharRoots:
-    """Characteristic roots at lambda; a conjugate pair strictly inside the
-    spectral support, a real pair outside it.
-
-    In the real case the plus-branch formula for the smaller-magnitude root
-    subtracts nearly equal quantities, so that root is recovered from the
-    product rho1 rho2 = q/p instead."""
-    p, q, r = chain.p, chain.q, chain.r
-    b = lam - r
-    disc = b * b - 4.0 * p * q
-    if disc < 0.0:
-        sd = complex(0.0, math.sqrt(-disc))
-        return CharRoots(rho1=(b + sd) / (2.0 * p), rho2=(b - sd) / (2.0 * p))
-    if b >= 0.0:
-        big = (b + math.sqrt(disc)) / (2.0 * p)
-        return CharRoots(rho1=complex(big), rho2=complex(q / (p * big)))
-    big = (b - math.sqrt(disc)) / (2.0 * p)
-    return CharRoots(rho1=complex(q / (p * big)), rho2=complex(big))
+def _brackets(chain: ChainParams, n_max: int, x):
+    """B_0, ..., B_{n_max} at x in x's dtype, one row at a time."""
+    dt = x.dtype.type
+    p, q, r = dt(chain.p), dt(chain.q), dt(chain.r)
+    two_cos = (x - r) / np.sqrt(p * q)
+    b_prev = np.ones_like(x)
+    yield b_prev
+    if n_max >= 1:
+        b_cur = x / np.sqrt(q / p)
+        yield b_cur
+        for _ in range(n_max - 1):
+            b_prev, b_cur = b_cur, two_cos * b_cur - b_prev
+            yield b_cur
 
 
-def _q_recursion(chain: ChainParams, n: int, lam):
-    p, q, r = chain.p, chain.q, chain.r
-    q_prev = np.ones_like(np.asarray(lam, dtype=float))
-    if n == 0:
-        return q_prev
-    q_cur = np.asarray(lam, dtype=float).copy()
-    for _ in range(n - 1):
-        q_prev, q_cur = q_cur, ((lam - r) * q_cur - q * q_prev) / p
-    return q_cur
-
-
-def _atom_locations(chain: ChainParams):
-    return (1.0, -chain.q / (chain.q + chain.r))
-
-
-def _q_closed(chain: ChainParams, n: int, lam: float) -> float:
-    # at the spectral atoms the growing root's coefficient vanishes
-    # analytically; computing it generically leaves ~1e-17 of it, whose n-th
-    # power dwarfs the true geometric value, so those points are dispatched
-    # to the eigenvalue form Q_n = lam^n
-    for atom in _atom_locations(chain):
-        if abs(lam - atom) <= 1e-13 * max(1.0, abs(atom)):
-            return atom ** n
-    roots = char_roots(chain, lam)
-    r1, r2 = roots.rho1, roots.rho2
-    denom = r2 - r1
-    c1 = (r2 - lam) / denom
-    c2 = (lam - r1) / denom
-    return (c1 * r1 ** n + c2 * r2 ** n).real
-
-
-def _q_trig(chain: ChainParams, n: int, lam):
-    lam = np.asarray(lam)
-    dt = lam.dtype if lam.dtype == np.dtype(np.longdouble) else np.dtype(np.float64)
-    p, q, r = dt.type(chain.p), dt.type(chain.q), dt.type(chain.r)
-    s = np.sqrt(q / p)
-    theta = np.arccos((lam.astype(dt) - r) / (2.0 * np.sqrt(p * q)))
-    sin_t = np.sin(theta)
-    slope = (lam.astype(dt) / s - np.cos(theta)) / sin_t
-    return s ** dt.type(n) * (np.cos(n * theta) + slope * np.sin(n * theta))
-
-
-def q_eval(chain: ChainParams, n: int, lam: float, method: str = "auto") -> float:
-    """Q_n(lambda) for a scalar lambda in [-1, 1].
-
-    method: 'recursion', 'closed_form', 'trig_on_support' or 'auto'.  The
-    closed form raises within DOUBLE_ROOT_MARGIN of the double roots; the
-    trig form only accepts points strictly inside the support interval."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    lo, hi = chain.support
-    if method == "auto":
-        if lo + DOUBLE_ROOT_MARGIN < lam < hi - DOUBLE_ROOT_MARGIN:
-            method = "trig_on_support"
-        elif abs(lam - lo) <= DOUBLE_ROOT_MARGIN or abs(lam - hi) <= DOUBLE_ROOT_MARGIN:
-            method = "recursion"
-        else:
-            method = "closed_form"
-    if method == "recursion":
-        return float(_q_recursion(chain, n, float(lam)))
-    if method == "closed_form":
-        if abs(lam - lo) <= DOUBLE_ROOT_MARGIN or abs(lam - hi) <= DOUBLE_ROOT_MARGIN:
-            raise ValueError(
-                "closed_form is singular at the double roots "
-                f"r +- 2 sqrt(pq); lambda={lam} is within {DOUBLE_ROOT_MARGIN}"
-            )
-        return float(_q_closed(chain, n, float(lam)))
-    if not lo < lam < hi:
-        raise ValueError(f"trig_on_support needs lambda strictly inside {chain.support}")
-    return float(_q_trig(chain, n, lam))
+def _scale(chain: ChainParams, dt, n):
+    """(q/p)^(n/2) in dtype dt, for a degree or an array of degrees."""
+    return np.sqrt(dt(chain.q) / dt(chain.p)) ** n
 
 
 def q_values(chain: ChainParams, n: int, x):
-    """Vectorized Q_n over an array of points in [-1, 1], dispatching per
-    point exactly like q_eval(..., method='auto').  Preserves longdouble
-    input dtype on the trig branch."""
+    """Q_n over an array of points in [-1, 1]: the bracket recursion, except
+    at the two atoms (matched to 1e-13 relative), where Q_n = x^n.  Holds two
+    rows at a time; longdouble input stays longdouble."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     x = np.atleast_1d(np.asarray(x))
-    lo, hi = chain.support
-    out = np.zeros(x.shape, dtype=x.dtype if x.dtype == np.dtype(np.longdouble) else np.float64)
-    inside = (x > lo + DOUBLE_ROOT_MARGIN) & (x < hi - DOUBLE_ROOT_MARGIN)
-    near = (np.abs(x - lo) <= DOUBLE_ROOT_MARGIN) | (np.abs(x - hi) <= DOUBLE_ROOT_MARGIN)
-    other = ~(inside | near)
-    if inside.any():
-        out[inside] = _q_trig(chain, n, x[inside])
-    if near.any():
-        out[near] = _q_recursion(chain, n, x[near].astype(float))
-    if other.any():
-        out[other] = [_q_closed(chain, n, float(v)) for v in x[other]]
+    if x.dtype != np.dtype(np.longdouble):
+        x = x.astype(np.float64)
+    dt = x.dtype.type
+    atom = np.zeros(x.shape, dtype=bool)
+    for loc in (1.0, negative_atom(chain)[0]):
+        atom |= np.abs(x - loc) <= 1e-13 * max(1.0, abs(loc))
+    out = np.empty_like(x)
+    out[atom] = x[atom] ** n
+    if not atom.all():
+        for b_n in _brackets(chain, n, x[~atom]):
+            pass
+        out[~atom] = _scale(chain, dt, dt(n)) * b_n
     return out
 
 
 def q_bracket_matrix(chain: ChainParams, n_max: int, x):
-    """Scaled values B_n(x) = Q_n(x) / (q/p)^(n/2) on support points, for all
-    n = 0..n_max at once, via the neutrally stable bracket recursion
-    B_{n+1} = ((x - r)/sqrt(pq)) B_n - B_{n-1}.  Shape (n_max+1, len(x))."""
+    """Q_n(x) for all n = 0..n_max at once, by the bracket recursion times
+    (q/p)^(n/2).  Meant for quadrature nodes: unlike q_values it has no atom
+    override.  Shape (n_max+1, len(x)), in x's dtype."""
     x = np.asarray(x)
     dt = x.dtype.type
-    p, q, r = dt(chain.p), dt(chain.q), dt(chain.r)
-    two_cos = (x - r) / np.sqrt(p * q)
     out = np.empty((n_max + 1, x.size), dtype=x.dtype)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = x / np.sqrt(q / p)
-    for n in range(1, n_max):
-        out[n + 1] = two_cos * out[n] - out[n - 1]
+    for n, b_n in enumerate(_brackets(chain, n_max, x)):
+        out[n] = b_n
+    out *= _scale(chain, dt, np.arange(n_max + 1, dtype=dt))[:, None]
     return out
 
 
 def point_mass_summability(chain: ChainParams, lam: float, n_trunc: int) -> float:
     """Partial sum sum_{k <= n_trunc} pi_k Q_k(lambda)^2 at an atom of the
     spectral measure (lambda = 1 or -q/(q+r)); its limit is the reciprocal of
-    the atom's weight.
-
-    The atom condition is precisely that the coefficient of the growing
-    characteristic root vanishes, leaving Q_k(lambda) = rho^k for the root of
-    magnitude below sqrt(q/p).  Evaluation goes through that form: generic
-    closed-form or recursion roundoff re-excites the discarded mode, whose
-    k-th power swamps the series tail beyond k of about 15 in doubles."""
-    atoms = (1.0, -chain.q / (chain.q + chain.r))
+    the atom's weight.  At an atom Q_k(lambda) = lambda^k, so the terms are
+    pi_k lambda^(2k)."""
+    atoms = (1.0, negative_atom(chain)[0])
     if not any(abs(lam - a) <= 1e-12 for a in atoms):
         raise ValueError(f"lambda must be an atom location (one of {atoms}), got {lam}")
     if n_trunc < 0:
         raise ValueError("n_trunc must be nonnegative")
-    roots = char_roots(chain, lam)
-    rho = roots.rho1 if abs(roots.rho1) < abs(roots.rho2) else roots.rho2
-    rho = rho.real
     rev = reversibility(chain)
-    terms = [float(rev.pi(k)) * rho ** (2 * k) for k in range(n_trunc + 1)]
-    return math.fsum(terms)
+    return math.fsum(float(rev.pi(k)) * lam ** (2 * k) for k in range(n_trunc + 1))

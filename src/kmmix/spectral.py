@@ -63,7 +63,7 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.node_count < 16:
             raise ValueError("node_count must be at least 16")
-        if self.max_doublings < 0 or self.tol <= 0.0:
+        if self.max_doublings < 0 or not self.tol > 0.0:
             raise ValueError("max_doublings must be >= 0 and tol positive")
 
 
@@ -216,7 +216,7 @@ def residue_check(chain: ChainParams, radius_scale: float = 0.25, n_nodes: int =
     (w1, w2) of the spectral measure."""
     p, q, r = chain.p, chain.q, chain.r
     lo, hi = chain.support
-    loc2 = -q / (q + r)
+    loc2 = negative_atom(chain)[0]
 
     def g(z):
         return np.sqrt((z - r) ** 2 - 4.0 * p * q) / (((r + q) * z + q) * (1.0 - z))

@@ -5,6 +5,8 @@ path enumeration, and exact pair-chain dynamic programming.  These share no
 code with the package internals they are checking.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from kmmix import ChainParams, reversibility
@@ -30,6 +32,19 @@ def law_after(chain: ChainParams, start: int, t: int, size: int) -> np.ndarray:
     for _ in range(t):
         mu = mu @ P
     return mu
+
+
+def q_exact(chain: ChainParams, n: int, lam) -> Fraction:
+    """Q_n(lam) from Q_0 = 1, Q_1 = lam and lam Q_k = q Q_{k-1} + r Q_k +
+    p Q_{k+1}, in exact rational arithmetic on the exact binary values of the
+    float parameters and of lam."""
+    p, q, r, x = (Fraction(*v.as_integer_ratio()) for v in (chain.p, chain.q, chain.r, lam))
+    prev, cur = Fraction(1), x
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, ((x - r) * cur - q * prev) / p
+    return cur
 
 
 def tv_by_matrix(chain: ChainParams, t: int, size: int = 400) -> float:

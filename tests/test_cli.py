@@ -44,6 +44,11 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--p", "one/11", "--q", "9/11")
         assert code == 2
 
+    def test_overflowing_parameter_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "--p", "1e400", "--q", "0.5")
+        assert code == 2 and out == ""
+        assert err.startswith("kmmix: ") and "outside the float range" in err
+
     def test_regime_error_exit_1(self, capsys):
         # the AC edge r + 2 sqrt(pq) rounds to 1.0 and meets the pole there
         code, out, err = run_cli(capsys, "analyze", "--p", "0.49", "--q", "0.4900000001")
@@ -83,6 +88,12 @@ class TestTv:
             assert row["tv_exact"] <= row["tv_upper"]
             if row["lower_valid"]:
                 assert row["tv_lower"] <= row["tv_exact"]
+
+    def test_nan_series_tol_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "tv", "--p", "1/11", "--q", "9/11",
+                                 "--t-max", "2", "--series-tol", "nan")
+        assert code == 2 and out == ""
+        assert err.startswith("kmmix: ") and "series_tol must be positive" in err
 
 
 class TestTmix:

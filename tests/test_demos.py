@@ -1,0 +1,18 @@
+"""Smoke test: each script under demos/ runs to completion and prints."""
+
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) == 3
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -174,6 +174,13 @@ class TestSeriesCutoff:
         assert got == _cutoff_or_error(c, co, 20, ctl, _series_cutoff_scan)
 
 
+class TestTailControl:
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+    def test_series_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="series_tol must be positive"):
+            TailControl(series_tol=tol)
+
+
 class TestTvCurve:
     def test_matches_oracle_on_grid(self, chain_grid):
         for c in chain_grid + [NEAR_CRITICAL]:

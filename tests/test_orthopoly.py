@@ -3,162 +3,175 @@ import math
 import numpy as np
 import pytest
 
-from kmmix import ChainParams, char_roots, point_mass_summability, q_eval, q_values
-from kmmix.orthopoly import DOUBLE_ROOT_MARGIN, q_bracket_matrix
+from kmmix import point_mass_summability, q_values
+from kmmix.orthopoly import q_bracket_matrix
+from kmmix.spectral import negative_atom
+
+from oracles import q_exact
 
 
 def lambda_grid(chain, count=60):
     """Points in [-1, 1] avoiding the double roots and the two atoms, where
     the degenerate-coefficient structure makes generic evaluation ill-posed."""
     lo, hi = chain.support
-    special = [lo, hi, 1.0, -chain.q / (chain.q + chain.r)]
+    special = [lo, hi, 1.0, negative_atom(chain)[0]]
     pts = [x for x in np.linspace(-0.999, 0.999, count)
            if all(abs(x - s) > 1e-3 for s in special)]
     return pts
 
 
-class TestCharRoots:
-    def test_negative_atom_is_a_root(self, example_chain):
-        lam = -example_chain.q / (example_chain.q + example_chain.r)
-        roots = char_roots(example_chain, lam)
-        assert roots.rho1.real == pytest.approx(lam, abs=1e-14)
-        assert roots.rho1.imag == 0.0
+def q1(chain, n, lam):
+    return q_values(chain, n, lam)[0]
 
-    def test_vieta_product_everywhere(self, chain_grid):
-        for c in chain_grid[::3]:
-            for lam in lambda_grid(c, 25):
-                roots = char_roots(c, lam)
-                prod = roots.rho1 * roots.rho2
-                assert prod.real == pytest.approx(c.q / c.p, rel=1e-10)
-                assert abs(prod.imag) <= 1e-10 * c.q / c.p
 
-    def test_vieta_sum(self, example_chain):
-        for lam in lambda_grid(example_chain, 25):
-            roots = char_roots(example_chain, lam)
-            assert (roots.rho1 + roots.rho2).real == pytest.approx(
-                (lam - example_chain.r) / example_chain.p, rel=1e-10)
+def q_trig(chain, n, lam):
+    """The closed form on the support: at lam = r + 2 sqrt(pq) cos(theta),
+    Q_n = (q/p)^(n/2) [cos(n theta)
+                       + (lam/sqrt(q/p) - cos(theta)) sin(n theta)/sin(theta)]."""
+    s = math.sqrt(chain.q / chain.p)
+    theta = math.acos((lam - chain.r) / (2.0 * chain.sqrt_pq))
+    slope = (lam / s - math.cos(theta)) / math.sin(theta)
+    return s ** n * (math.cos(n * theta) + slope * math.sin(n * theta))
 
-    def test_conjugate_modulus_on_support(self, example_chain):
-        lo, hi = example_chain.support
-        s = math.sqrt(example_chain.q / example_chain.p)
-        for lam in np.linspace(lo + 1e-6, hi - 1e-6, 50):
-            roots = char_roots(example_chain, lam)
-            assert abs(roots.rho2) == pytest.approx(s, rel=1e-12)
-            assert not roots.is_real
 
-    def test_center_of_support_pure_imaginary(self, example_chain):
-        roots = char_roots(example_chain, example_chain.r)
-        s = math.sqrt(example_chain.q / example_chain.p)
-        assert roots.rho1 == pytest.approx(1j * s, abs=1e-12)
-        assert roots.rho2 == pytest.approx(-1j * s, abs=1e-12)
+def support_scale(chain, n):
+    """The natural size (q/p)^(n/2) of Q_n on the spectral support."""
+    return max(1.0, (chain.q / chain.p) ** (n / 2.0))
 
 
 class TestQEval:
+    """Q_n through q_values, against the exact rational recursion."""
+
     def test_q0_q1(self, example_chain):
         for lam in (-0.7, 0.1, 0.9):
-            assert q_eval(example_chain, 0, lam) == 1.0
-            assert q_eval(example_chain, 1, lam) == pytest.approx(lam, rel=1e-14)
+            assert q1(example_chain, 0, lam) == 1.0
+            assert q1(example_chain, 1, lam) == pytest.approx(lam, rel=1e-14)
 
     def test_q2_closed_expression(self, chain_grid):
         # one recursion step: Q_2 = (lambda^2 - r lambda - q)/p
         for c in chain_grid[::5]:
             for lam in lambda_grid(c, 15):
                 expect = (lam * lam - c.r * lam - c.q) / c.p
-                assert q_eval(c, 2, lam) == pytest.approx(expect, rel=1e-10, abs=1e-12)
+                assert q1(c, 2, lam) == pytest.approx(expect, rel=1e-10, abs=1e-12)
 
     def test_q2_at_negative_atom(self, example_chain):
-        assert q_eval(example_chain, 2, -0.9) == pytest.approx(0.81, abs=1e-13)
+        assert q1(example_chain, 2, -0.9) == pytest.approx(0.81, abs=1e-13)
 
-    def test_value_one_at_lambda_one(self, example_chain):
-        for n in (0, 1, 2, 5, 17, 40):
-            assert q_eval(example_chain, n, 1.0, method="closed_form") == 1.0
+    def test_value_one_at_lambda_one(self, chain_grid):
+        for c in chain_grid[::3]:
+            for n in range(41):
+                assert q1(c, n, 1.0) == 1.0
 
-    def test_eigen_geometric_at_negative_atom(self, example_chain):
-        lam = -0.9
-        for n in (1, 2, 3, 7, 25):
-            assert q_eval(example_chain, n, lam, method="closed_form") == pytest.approx(
-                lam ** n, rel=1e-12)
+    def test_eigen_geometric_at_negative_atom(self, chain_grid):
+        for c in chain_grid[::3]:
+            lam = negative_atom(c)[0]
+            for n in range(41):
+                assert q1(c, n, lam) == pytest.approx(lam ** n, rel=1e-14, abs=0.0)
 
     def test_eigen_values_cross_checked_by_recursion(self, example_chain):
-        # the pure recursion re-excites the discarded growing mode at the
-        # atoms, so the honest comparison stops at moderate degree
-        for lam in (1.0, -0.9):
+        # the exact recursion at the float atom carries the ~1e-17 offset of
+        # the float from the true atom, which the growing mode amplifies, so
+        # the honest comparison stops at moderate degree
+        for lam in (1.0, negative_atom(example_chain)[0]):
             for n in range(9):
-                rec = q_eval(example_chain, n, lam, method="recursion")
-                assert rec == pytest.approx(lam ** n, abs=5e-9)
+                exact = float(q_exact(example_chain, n, lam))
+                assert q1(example_chain, n, lam) == pytest.approx(exact, abs=5e-9)
 
     def test_methods_agree_off_support(self, chain_grid):
+        # the float bracket recursion follows the dominant root off the
+        # support; it matches the exact recursion relative to Q_n itself
         for c in chain_grid[::6]:
-            for lam in lambda_grid(c, 30):
+            lo, hi = c.support
+            off = [lam for lam in lambda_grid(c, 30) if not lo < lam < hi]
+            assert off
+            for lam in off:
                 for n in (0, 1, 2, 5, 11, 19, 30):
-                    rec = q_eval(c, n, lam, method="recursion")
-                    if not (c.support[0] < lam < c.support[1]):
-                        other = q_eval(c, n, lam, method="closed_form")
-                    else:
-                        other = q_eval(c, n, lam, method="trig_on_support")
-                    assert abs(rec - other) <= 1e-9 * max(1.0, abs(rec))
+                    exact = float(q_exact(c, n, lam))
+                    assert abs(q1(c, n, lam) - exact) <= 1e-9 * abs(exact), (c, lam, n)
 
     def test_trig_agrees_on_100_interior_points(self, example_chain):
         lo, hi = example_chain.support
-        scale = math.sqrt(example_chain.q / example_chain.p)
-        for lam in np.linspace(lo + 1e-4, hi - 1e-4, 100):
-            for n in (3, 12, 30):
-                rec = q_eval(example_chain, n, lam, method="recursion")
-                trig = q_eval(example_chain, n, lam, method="trig_on_support")
-                assert abs(rec - trig) <= 1e-9 * max(1.0, scale ** n)
+        lams = np.linspace(lo + 1e-4, hi - 1e-4, 100)
+        for n in (3, 12, 30):
+            tol = 1e-9 * support_scale(example_chain, n)
+            vals = q_values(example_chain, n, lams)
+            for lam, val in zip(lams, vals):
+                assert abs(val - float(q_exact(example_chain, n, lam))) <= tol
+                assert abs(val - q_trig(example_chain, n, lam)) <= tol
+
+    def test_exact_edges_match_exact_recursion(self, chain_grid):
+        # at r +- 2 sqrt(pq) the characteristic roots merge; the bracket
+        # recursion needs no special case there
+        for c in chain_grid[::4]:
+            for edge in c.support:
+                for n in range(31):
+                    exact = float(q_exact(c, n, edge))
+                    assert abs(q1(c, n, edge) - exact) <= 1e-9 * support_scale(c, n)
+
+    def test_longdouble_input_preserved(self, chain_grid):
+        for c in chain_grid[::6]:
+            lo, hi = c.support
+            x = np.array([lo, 0.5 * (lo + hi), hi, -0.99, 1.0, negative_atom(c)[0]],
+                         dtype=np.longdouble)
+            for n in (0, 7, 30):
+                vals = q_values(c, n, x)
+                assert vals.dtype == np.longdouble
+                assert np.allclose(vals.astype(float), q_values(c, n, x.astype(float)),
+                                   rtol=1e-12, atol=1e-12 * support_scale(c, n))
 
     def test_recursion_residual_all_methods(self, example_chain):
-        # on the support the natural magnitude is (q/p)^(n/2); off it the
+        # both entry points, q_values and the rows of q_bracket_matrix.  On
+        # the support the natural magnitude is (q/p)^(n/2); off it the
         # dominant root outgrows that scale, so the residual is measured
         # against the solution's own size there
         c = example_chain
         pts = list(np.linspace(c.support[0] + 1e-3, c.support[1] - 1e-3, 9))
         pts += [-0.99, -0.6, 0.8, 0.99]
-        for lam in pts:
+        rows = q_bracket_matrix(c, 25, np.array(pts))
+        for k, lam in enumerate(pts):
             inside = c.support[0] < lam < c.support[1]
-            method = "trig_on_support" if inside else "closed_form"
-            for n in range(1, 25):
-                q_nm1 = q_eval(c, n - 1, lam, method=method)
-                q_n = q_eval(c, n, lam, method=method)
-                q_np1 = q_eval(c, n + 1, lam, method=method)
-                resid = lam * q_n - c.q * q_nm1 - c.r * q_n - c.p * q_np1
-                scale = (c.q / c.p) ** (n / 2.0)
-                if not inside:
-                    scale = max(scale, abs(q_np1))
-                assert abs(resid) <= 1e-9 * scale
-
-    def test_closed_form_refuses_double_roots(self, example_chain):
-        lo, hi = example_chain.support
-        for lam in (lo, hi, hi - 0.5 * DOUBLE_ROOT_MARGIN):
-            with pytest.raises(ValueError, match="double root"):
-                q_eval(example_chain, 4, lam, method="closed_form")
-
-    def test_trig_refuses_outside(self, example_chain):
-        with pytest.raises(ValueError, match="strictly inside"):
-            q_eval(example_chain, 4, 0.99, method="trig_on_support")
-
-    def test_auto_dispatch_recovers_endpoint(self, example_chain):
-        # at the double root the dispatcher must fall back to the recursion
-        hi = example_chain.support[1]
-        val = q_eval(example_chain, 6, hi)
-        rec = q_eval(example_chain, 6, hi, method="recursion")
-        assert val == rec
+            vals = [q1(c, n, lam) for n in range(26)]
+            for qs in (vals, rows[:, k]):
+                for n in range(1, 25):
+                    q_nm1, q_n, q_np1 = qs[n - 1], qs[n], qs[n + 1]
+                    resid = lam * q_n - c.q * q_nm1 - c.r * q_n - c.p * q_np1
+                    scale = (c.q / c.p) ** (n / 2.0)
+                    if not inside:
+                        scale = max(scale, abs(q_np1))
+                    assert abs(resid) <= 1e-9 * scale
 
     def test_q_values_matches_scalar_dispatch(self, example_chain):
-        xs = np.array([-0.99, -0.9, -0.2, 0.3, example_chain.support[1] + 1e-12, 0.9, 1.0])
-        for n in (0, 3, 9):
-            vec = q_values(example_chain, n, xs)
-            scal = [q_eval(example_chain, n, float(x)) for x in xs]
-            assert np.allclose(vec, scal, rtol=1e-12, atol=1e-12)
+        # an array mixing atoms, an edge and ordinary points gives, point by
+        # point, what a scalar call gives: x^n at the atoms, the recursion
+        # elsewhere
+        c = example_chain
+        loc2 = negative_atom(c)[0]
+        xs = np.array([-0.99, loc2, -0.2, 0.3, c.support[1] + 1e-12, 0.9, 1.0])
+        for n in (0, 3, 9, 40):
+            vals = q_values(c, n, xs)
+            assert list(vals) == [q1(c, n, x) for x in xs]
+            assert vals[1] == pytest.approx(loc2 ** n, rel=1e-14, abs=0.0)
+            assert vals[-1] == 1.0
+            for lam, val in zip(xs[[0, 2, 3, 4, 5]], vals[[0, 2, 3, 4, 5]]):
+                exact = float(q_exact(c, n, lam))
+                assert abs(val - exact) <= 1e-9 * max(support_scale(c, n), abs(exact))
 
     def test_bracket_matrix_consistent_with_trig(self, example_chain):
+        # its rows equal q_values bit for bit and match the closed form
         lo, hi = example_chain.support
-        x = np.linspace(lo + 1e-3, hi - 1e-3, 40).astype(np.longdouble)
-        mat = q_bracket_matrix(example_chain, 12, x)
-        s = math.sqrt(example_chain.q / example_chain.p)
-        for n in (0, 1, 5, 12):
-            direct = np.array([q_eval(example_chain, n, float(v)) for v in x])
-            assert np.allclose(s ** n * mat[n].astype(float), direct, rtol=1e-9)
+        for dt in (np.float64, np.longdouble):
+            x = np.linspace(lo + 1e-3, hi - 1e-3, 40).astype(dt)
+            mat = q_bracket_matrix(example_chain, 30, x)
+            assert mat.shape == (31, 40) and mat.dtype == dt
+            for n in range(31):
+                np.testing.assert_array_equal(mat[n], q_values(example_chain, n, x))
+                trig = [q_trig(example_chain, n, float(v)) for v in x]
+                assert np.allclose(mat[n].astype(float), trig, rtol=0.0,
+                                   atol=1e-9 * support_scale(example_chain, n))
+
+    def test_rejects_negative_degree(self, example_chain):
+        with pytest.raises(ValueError, match="nonnegative"):
+            q_values(example_chain, -1, [0.1])
 
 
 class TestPointMassSummability:
@@ -175,18 +188,18 @@ class TestPointMassSummability:
 
     def test_closed_form_limit_general(self, chain_grid):
         for c in chain_grid[::4]:
-            lam = -c.q / (c.q + c.r)
+            lam = negative_atom(c)[0]
             expect = ((1 + c.q - c.p) * (c.q + c.r)) / ((1 + c.q - c.p) * (c.q + c.r) - c.q)
             assert point_mass_summability(c, lam, 400) == pytest.approx(expect, rel=1e-10)
 
     def test_partial_sums_match_recursion_evaluation(self, example_chain):
-        # independent check of the geometric shortcut against raw Q values
+        # independent check of the geometric form against the exact recursion
         from kmmix import reversibility
         rev = reversibility(example_chain)
-        for lam in (1.0, -0.9):
+        for lam in (1.0, negative_atom(example_chain)[0]):
             for n_trunc in (0, 1, 4, 9):
                 direct = math.fsum(
-                    float(rev.pi(k)) * q_eval(example_chain, k, lam, method="recursion") ** 2
+                    float(rev.pi(k)) * float(q_exact(example_chain, k, lam)) ** 2
                     for k in range(n_trunc + 1))
                 assert point_mass_summability(example_chain, lam, n_trunc) == pytest.approx(
                     direct, rel=1e-8)

@@ -111,6 +111,11 @@ class TestIntegratePsi:
         with pytest.raises(ValueError):
             QuadratureConfig(node_count=8)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol positive"):
+            QuadratureConfig(tol=tol)
+
 
 class TestResolvent:
     def test_cross_check_at_2i(self, example_chain):
