@@ -36,6 +36,7 @@ from .mixing import (
     TailControl,
     bound_coefficients,
     contour_envelope,
+    kernel_matrix,
     kernel_spectral,
     spectral_integral,
     t_mix,
@@ -66,7 +67,8 @@ __all__ = [
     "build_measure", "integrate_psi", "resolvent_a0", "residue_check",
     "BoundCoefficients", "TailControl", "ConvergenceError", "RouteDisagreement",
     "bound_coefficients", "contour_envelope", "spectral_integral",
-    "tv_curve", "tv_exact", "tv_upper", "tv_lower", "t_mix", "kernel_spectral",
+    "tv_curve", "tv_exact", "tv_upper", "tv_lower", "t_mix",
+    "kernel_matrix", "kernel_spectral",
     "SurvivalCurve", "RateFit", "simulate_classical", "simulate_modified",
     "rate_fit", "hitting_pmf_multinomial", "hitting_pmf_exact",
     "hitting_pmf_exact_curve", "hitting_tail_asymptote",

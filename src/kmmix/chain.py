@@ -37,8 +37,9 @@ class ChainParams:
 
     def __post_init__(self):
         p, q, r = self.p, self.q, self.r
-        if not p > 0.0:
-            raise ValueError(f"p must be positive, got p={p}")
+        # a subnormal p carries fewer than 53 bits, and 1/p overflows
+        if not p >= np.finfo(float).tiny:
+            raise ValueError(f"p must be positive and a normal float, got p={p!r}")
         if not r > 0.0:
             raise ValueError(f"r must be positive, got r={r}")
         if abs(p + q + r - 1.0) > STOCHASTIC_TOL:

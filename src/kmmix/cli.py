@@ -19,9 +19,9 @@ from .chain import ChainParams, DistributionVector, evolve, reversibility, tv_or
     drift_identity_residual
 from .coupling import rate_fit, simulate_classical, simulate_modified
 from .mixing import ConvergenceError, RouteDisagreement, TailControl, \
-    bound_coefficients, kernel_spectral, spectral_integral, t_mix, tv_curve, \
+    bound_coefficients, kernel_matrix, spectral_integral, t_mix, tv_curve, \
     tv_lower, tv_upper
-from .orthopoly import point_mass_summability, q_values
+from .orthopoly import point_mass_summability
 from .spectral import QuadratureConfig, QuadratureError, RegimeError, build_measure, \
     integrate_psi, residue_check, resolvent_a0
 
@@ -54,6 +54,8 @@ def _chain_from_args(args) -> ChainParams:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -69,13 +71,21 @@ def _emit(text: str, output: str):
             fh.write(text)
 
 
+def _csv(table) -> list:
+    """CSV lines of a key/value dict, or of a list of row dicts with the
+    header taken from the first row's keys."""
+    if isinstance(table, dict):
+        return ["key,value"] + [f"{key},{_fmt(value)}" for key, value in table.items()]
+    return [",".join(table[0])] + [",".join(map(_fmt, row.values())) for row in table]
+
+
 def _emit_doc(args, chain, results, csv_lines):
     if args.format == "json":
         doc = {
             "params": {"p": chain.p, "q": chain.q, "r": chain.r},
             "results": results,
             "meta": {"version": __version__, "seed": args.seed,
-                     "quad_nodes": args.quad_nodes},
+                     "quad_nodes": _quad_cfg(args).node_count},
         }
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
     else:
@@ -89,7 +99,8 @@ def _nonnegative(flag: str, value: int) -> int:
 
 
 def _quad_cfg(args) -> QuadratureConfig:
-    return QuadratureConfig(node_count=args.quad_nodes)
+    """The node count of --quad-nodes, or the default where it is not offered."""
+    return QuadratureConfig(node_count=getattr(args, "quad_nodes", QuadratureConfig.node_count))
 
 
 def _cmd_analyze(args):
@@ -102,32 +113,16 @@ def _cmd_analyze(args):
     int_phi = integrate_psi(measure, lambda x: np.ones_like(x),
                             include_atoms=(False, False), cfg=cfg)
     nu = [float(rev.nu(n)) for n in range(args.states + 1)]
-    results = {
-        "rho": rev.rho,
-        "nu": nu,
-        "atom1": {"location": measure.atom1[0], "weight": measure.atom1[1]},
-        "atom2": {"location": measure.atom2[0], "weight": measure.atom2[1]},
-        "ac_interval": list(measure.ac_interval),
-        "int_phi": int_phi,
-        "int_phi_closed": chain.p / (chain.q + chain.r),
-        "A": co.A, "B": co.B, "alpha": co.alpha, "beta": co.beta, "m": co.m,
-    }
-    lines = ["key,value"]
-    lines += [f"rho,{_fmt(rev.rho)}"]
-    lines += [f"nu_{n},{_fmt(v)}" for n, v in enumerate(nu)]
-    lines += [
-        f"atom1_location,{_fmt(measure.atom1[0])}",
-        f"atom1_weight,{_fmt(measure.atom1[1])}",
-        f"atom2_location,{_fmt(measure.atom2[0])}",
-        f"atom2_weight,{_fmt(measure.atom2[1])}",
-        f"ac_lo,{_fmt(measure.ac_interval[0])}",
-        f"ac_hi,{_fmt(measure.ac_interval[1])}",
-        f"int_phi,{_fmt(int_phi)}",
-        f"int_phi_closed,{_fmt(chain.p / (chain.q + chain.r))}",
-        f"A,{_fmt(co.A)}", f"B,{_fmt(co.B)}", f"alpha,{_fmt(co.alpha)}",
-        f"beta,{_fmt(co.beta)}", f"m,{_fmt(co.m)}",
-    ]
-    _emit_doc(args, chain, results, lines)
+    atoms = {"atom1": {"location": measure.atom1[0], "weight": measure.atom1[1]},
+             "atom2": {"location": measure.atom2[0], "weight": measure.atom2[1]}}
+    rest = {"int_phi": int_phi, "int_phi_closed": chain.p / (chain.q + chain.r),
+            "A": co.A, "B": co.B, "alpha": co.alpha, "beta": co.beta, "m": co.m}
+    results = {"rho": rev.rho, "nu": nu, **atoms, "ac_interval": list(measure.ac_interval),
+               **rest}
+    flat = {"rho": rev.rho, **{f"nu_{n}": v for n, v in enumerate(nu)},
+            **{f"{atom}_{key}": v for atom, d in atoms.items() for key, v in d.items()},
+            "ac_lo": measure.ac_interval[0], "ac_hi": measure.ac_interval[1], **rest}
+    _emit_doc(args, chain, results, _csv(flat))
     return 0
 
 
@@ -150,13 +145,7 @@ def _cmd_tv(args):
             "tv_lower": lower,
             "lower_valid": bool(valid),
         })
-    lines = ["t,tv_exact,tv_oracle,tv_upper,tv_lower,lower_valid"]
-    lines += [
-        ",".join([str(r["t"]), _fmt(r["tv_exact"]), _fmt(r["tv_oracle"]),
-                  _fmt(r["tv_upper"]), _fmt(r["tv_lower"]), _fmt(r["lower_valid"])])
-        for r in rows
-    ]
-    _emit_doc(args, chain, {"rows": rows}, lines)
+    _emit_doc(args, chain, {"rows": rows}, _csv(rows))
     return 0
 
 
@@ -165,28 +154,28 @@ def _cmd_tmix(args):
     exact = t_mix(chain, args.eps, method="exact")
     bound = t_mix(chain, args.eps, method="bound")
     results = {"eps": args.eps, "t_mix_exact": exact, "t_mix_bound": bound}
-    lines = ["key,value", f"eps,{_fmt(args.eps)}", f"t_mix_exact,{exact}",
-             f"t_mix_bound,{bound}"]
-    _emit_doc(args, chain, results, lines)
+    _emit_doc(args, chain, results, _csv(results))
     return 0
 
 
 def _cmd_kernel(args):
     chain = _chain_from_args(args)
-    cfg = _quad_cfg(args)
-    mu = DistributionVector.point(args.i)
+    t_max = _nonnegative("--t-max", args.t_max)
+    i, j = _nonnegative("--i", args.i), _nonnegative("--j", args.j)
+    kernel = kernel_matrix(chain, range(t_max + 1), max(i, j), cfg=_quad_cfg(args))
+    if np.isnan(kernel[:, i, j]).any():
+        raise RegimeError(f"p_t({i}, {j}) cannot be certified: its roundoff floor "
+                          "exceeds the quadrature tolerance")
+    mu = DistributionVector.point(i)
     rows = []
-    for t in range(_nonnegative("--t-max", args.t_max) + 1):
+    for t in range(t_max + 1):
         if t > 0:
             mu = evolve(chain, mu, 1)
-        oracle = mu.prob(args.j)
-        spectral = kernel_spectral(chain, t, args.i, args.j, cfg=cfg)
+        oracle = mu.prob(j)
+        spectral = float(kernel[t, i, j])
         rows.append({"t": t, "p_spectral": spectral, "p_oracle": oracle,
                      "abs_diff": abs(spectral - oracle)})
-    lines = ["t,p_spectral,p_oracle,abs_diff"]
-    lines += [",".join([str(r["t"]), _fmt(r["p_spectral"]), _fmt(r["p_oracle"]),
-                        _fmt(r["abs_diff"])]) for r in rows]
-    _emit_doc(args, chain, {"i": args.i, "j": args.j, "rows": rows}, lines)
+    _emit_doc(args, chain, {"i": args.i, "j": args.j, "rows": rows}, _csv(rows))
     return 0
 
 
@@ -218,9 +207,8 @@ def _cmd_couple(args):
     else:
         lines.append(f"# fitted_rate={_fmt(rate)} stderr={_fmt(rate_se)} "
                      f"window={window[0]}..{window[1]}")
-    lines.append("t,survival,stderr")
-    lines += [f"{t},{_fmt(curve.survival[t])},{_fmt(curve.stderr[t])}"
-              for t in range(args.horizon + 1)]
+    lines += _csv([{"t": t, "survival": curve.survival[t], "stderr": curve.stderr[t]}
+                   for t in range(args.horizon + 1)])
     _emit_doc(args, chain, results, lines)
     return 0
 
@@ -250,27 +238,22 @@ def _verify_checks(chain, cfg):
     err = abs(ac - chain.p / (chain.q + chain.r))
     yield "ac_mass_p_over_q_plus_r", err <= 1e-10, err
 
-    worst = 0.0
-    for m in range(9):
-        for nn in range(9):
-            val = integrate_psi(
-                measure,
-                lambda x, m=m, nn=nn: q_values(chain, m, x) * q_values(chain, nn, x),
-                cfg=cfg)
-            worst = max(worst, abs(float(rev.pi(nn)) * val - (1.0 if m == nn else 0.0)))
+    # p_0(m, n) = pi_n integral of Q_m Q_n dpsi, the orthonormality relations
+    worst = float(np.max(np.abs(kernel_matrix(chain, [0], 8, cfg=cfg)[0] - np.eye(9))))
     yield "orthogonality_deg_le_8", worst <= 1e-8, worst
 
-    worst = 0.0
+    dp = np.empty((21, 5, 5))
     for i in range(5):
         mu = DistributionVector.point(i)
         for t in range(21):
             if t > 0:
                 mu = evolve(chain, mu, 1)
-            for j in range(5):
-                worst = max(worst, abs(kernel_spectral(chain, t, i, j, cfg=cfg) - mu.prob(j)))
+            dp[t, i] = [mu.prob(j) for j in range(5)]
+    # np.max, not max: a NaN (uncertified) entry must fail the check
+    worst = float(np.max(np.abs(kernel_matrix(chain, range(21), 4, cfg=cfg) - dp)))
     yield "kernel_vs_oracle_t20", worst <= 1e-9, worst
 
-    exact = tv_curve(chain, range(61))
+    exact = tv_curve(chain, range(61), cfg=cfg)
     worst = max(abs(x - o) for x, o in zip(exact[:41], tvs))
     yield "tv_exact_vs_oracle_t40", worst <= 1e-8, worst
 
@@ -325,9 +308,7 @@ def _cmd_verify(args):
     checks = [{"name": name, "passed": bool(passed), "worst": float(worst)}
               for name, passed, worst in _verify_checks(chain, cfg)]
     all_passed = all(c["passed"] for c in checks)
-    lines = ["name,passed,worst"]
-    lines += [f"{c['name']},{_fmt(c['passed'])},{_fmt(c['worst'])}" for c in checks]
-    _emit_doc(args, chain, {"checks": checks, "all_passed": all_passed}, lines)
+    _emit_doc(args, chain, {"checks": checks, "all_passed": all_passed}, _csv(checks))
     return 0 if all_passed else 1
 
 
@@ -344,8 +325,6 @@ def _build_parser():
         sp.add_argument("--r", default=None, help="hold probability; 1-p-q when omitted")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--output", default="-", help="output path, - for stdout")
-        sp.add_argument("--quad-nodes", type=int, default=512, dest="quad_nodes")
-        sp.add_argument("--series-tol", type=float, default=1e-12, dest="series_tol")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sp = sub.add_parser("analyze", help="stationary law, spectral measure, bound constants")
@@ -355,6 +334,7 @@ def _build_parser():
 
     sp = sub.add_parser("tv", help="TV distance table: exact, oracle and bounds")
     common(sp)
+    sp.add_argument("--series-tol", type=float, default=1e-12, dest="series_tol")
     sp.add_argument("--t-max", type=int, default=60, dest="t_max")
     sp.set_defaults(func=_cmd_tv)
 
@@ -383,6 +363,10 @@ def _build_parser():
     common(sp)
     sp.set_defaults(func=_cmd_verify)
 
+    # only the commands that integrate against psi read the node count
+    for name in ("analyze", "tv", "kernel", "verify"):
+        sub.choices[name].add_argument("--quad-nodes", type=int, dest="quad_nodes",
+                                       default=QuadratureConfig.node_count)
     return parser
 
 

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainParams, reversibility
-from .orthopoly import q_bracket_matrix, q_values
-from .spectral import QuadratureConfig, QuadratureError, build_measure, integrate_psi, \
-    negative_atom, theta_nodes
+from .orthopoly import q_bracket_matrix
+from .spectral import EPS_FLOOR, QuadratureConfig, RegimeError, build_measure, negative_atom, \
+    refine, theta_nodes
 
 __all__ = [
     "BoundCoefficients",
@@ -59,6 +59,7 @@ __all__ = [
     "tv_upper",
     "tv_lower",
     "t_mix",
+    "kernel_matrix",
     "kernel_spectral",
 ]
 
@@ -145,16 +146,13 @@ def _contour_part(chain: ChainParams, t: int, n: int, n_nodes: int) -> float:
     return (q / p) ** (n / 2.0) * (p / (q + r)) * integral
 
 
-def contour_nodes_default(t: int, n: int, chain: ChainParams = None) -> int:
+def contour_nodes_default(t: int, n: int, chain: ChainParams) -> int:
     """Node count resolving the degree-(t+n+1) outer Laurent part, plus
     enough nodes for the inner aliases (geometric in the largest pole
     modulus, which approaches the circle as q approaches p)."""
-    base = 2 * (t + n) + 64
-    if chain is None:
-        return base
     za, zb = _pole_pair(chain)
     decay = -math.log(max(abs(za), abs(zb)))
-    return base + min(int(math.ceil(28.0 / decay)), 1_000_000)
+    return 2 * (t + n) + 64 + min(int(math.ceil(28.0 / decay)), 1_000_000)
 
 
 def spectral_integral(chain: ChainParams, t: int, n: int, route: str = "interval",
@@ -170,19 +168,23 @@ def spectral_integral(chain: ChainParams, t: int, n: int, route: str = "interval
         raise ValueError("t and n must be nonnegative")
     if route not in ("interval", "contour", "both"):
         raise ValueError(f"unknown route {route!r}")
-    atom = _atom2_term(chain, t, n)
     if route in ("interval", "both"):
-        measure = build_measure(chain)
+        build_measure(chain)  # RegimeError outside the validated regime
 
-        def f(x):
-            return np.power(x, t) * q_values(chain, n, x)
+        def moment_pass(n_nodes, keys):
+            _, w = theta_nodes(chain, n_nodes)
 
-        interval_val = atom + integrate_psi(measure, f, include_atoms=(False, False),
-                                            cfg=cfg or QuadratureConfig())
+            def each(t, q_rows, xt):
+                l1 = np.dot(np.abs(q_rows[n]), w * np.abs(xt)) * (_LD(np.pi) / _LD(n_nodes))
+                return float(_moments(chain, t, n, n_nodes, q_rows, xt)[n]), float(l1)
+            return _node_pass(chain, keys, n_nodes, n, each)
+
+        interval_val = refine(moment_pass, [t], cfg or QuadratureConfig(),
+                              "spectral_integral")[t]
         if route == "interval":
             return interval_val
     nodes = contour_node_count or contour_nodes_default(t, n, chain)
-    contour_val = atom + _contour_part(chain, t, n, nodes)
+    contour_val = _atom2_term(chain, t, n) + _contour_part(chain, t, n, nodes)
     if route == "contour":
         return contour_val
     beta = chain.support[1]
@@ -251,41 +253,46 @@ def _series_cutoff(chain: ChainParams, co: BoundCoefficients, t: int, ctl: TailC
     return hi, tail(hi)
 
 
-def _tv_series_fixed(chain: ChainParams, t: int, n_cut: int, pi_vals, n_nodes: int,
-                     q_rows, xt) -> float:
-    """(1/2) sum_{n <= n_cut} pi_n |I_t(n)| with the AC parts of every degree
-    evaluated on the shared n_nodes-panel node set.
-
-    q_rows holds Q_n at those nodes in rows 0..n_cut (further rows are
-    ignored) and xt holds x^t there, so the AC parts are one
-    extended-precision matrix-vector product."""
+def _moments(chain: ChainParams, t: int, n_cut: int, n_nodes: int, q_rows, xt):
+    """I_t(n) for n = 0..n_cut on the n_nodes-panel node set, where q_rows
+    holds Q_n (rows past n_cut are ignored) and xt holds x^t: the AC parts are
+    one extended-precision matrix-vector product."""
     _, w = theta_nodes(chain, n_nodes)
     wxt = w * xt * (_LD(np.pi) / _LD(n_nodes))
     # np.dot, not @: numpy's matmul loop for longdouble is about 2.5x slower
     ac = np.dot(q_rows[: n_cut + 1], wxt).astype(float)
     loc2, w2 = negative_atom(chain)
-    i_tn = w2 * loc2 ** (t + np.arange(n_cut + 1)) + ac
+    return w2 * loc2 ** (t + np.arange(n_cut + 1)) + ac
+
+
+def _tv_series_fixed(chain: ChainParams, t: int, n_cut: int, pi_vals, n_nodes: int,
+                     q_rows, xt) -> float:
+    """(1/2) sum_{n <= n_cut} pi_n |I_t(n)| on the n_nodes-panel node set."""
+    i_tn = _moments(chain, t, n_cut, n_nodes, q_rows, xt)
     return math.fsum(0.5 * pi_vals[: n_cut + 1] * np.abs(i_tn))
 
 
-def _tv_pass(chain: ChainParams, ts, cuts: dict, pi_vals, n_nodes: int) -> dict:
-    """The truncated series at every t of ts (ascending) on one node set.
-
-    The Q_n matrix is built once, to the largest cutoff, and released on
-    return, so a curve holds one at a time; x^t is carried forward from one t
-    to the next instead of being tabulated."""
+def _node_pass(chain: ChainParams, ts, n_nodes: int, n_max: int, each) -> dict:
+    """{t: each(t, q_rows, xt)} for the ascending ts on the n_nodes-panel node
+    set: q_rows is Q_0..Q_{n_max} there, built once and released on return,
+    and xt the nodes' t-th power, carried forward from one t to the next."""
     x, _ = theta_nodes(chain, n_nodes)
-    n_max = max(cuts[t] for t in ts)
     q_rows = q_bracket_matrix(chain, n_max, x)
-    values, xt, t_prev = {}, None, 0
+    values, xt, t_prev = {}, np.ones_like(x), 0
     for t in ts:
-        if xt is None:
-            xt = np.power(x, t)
-        else:
-            xt = xt * (x if t - t_prev == 1 else np.power(x, t - t_prev))
+        xt = xt * (x if t - t_prev == 1 else np.power(x, t - t_prev))
         t_prev = t
-        values[t] = _tv_series_fixed(chain, t, cuts[t], pi_vals, n_nodes, q_rows, xt)
+        values[t] = each(t, q_rows, xt)
     return values
+
+
+def _times(ts) -> list:
+    ts = list(ts)
+    if not ts:
+        raise ValueError("ts must hold at least one time")
+    if min(ts) < 0:
+        raise ValueError("t must be nonnegative")
+    return ts
 
 
 def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
@@ -296,40 +303,23 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     Each t gets its own degree cutoff N_t, certified by the closed geometric
     tail bounds (the returned value is the partial sum; the discarded tail is
     provably below the working tolerance of _series_cutoff).  At each node
-    count the bracket matrix is built once for all t; the shared-node
-    quadrature is refined by doubling, and a t leaves the refinement as soon
-    as its value stabilizes.  Raises ConvergenceError when some N_t exceeds
-    ctl.n_cap and QuadratureError when some t does not stabilize within
-    cfg.max_doublings."""
-    ts = list(ts)
-    if not ts:
-        raise ValueError("ts must hold at least one time")
-    if min(ts) < 0:
-        raise ValueError("t must be nonnegative")
+    count the bracket matrix is built once for all t, and a t leaves the
+    doubling loop (with no roundoff floor) once its value stabilizes.  Raises
+    ConvergenceError when some N_t exceeds ctl.n_cap and QuadratureError when
+    some t does not stabilize within cfg.max_doublings."""
+    ts = _times(ts)
     ctl = ctl or TailControl()
-    cfg = cfg or QuadratureConfig()
     co = bound_coefficients(chain)
-    pending = sorted(set(ts))
-    cuts = {t: _series_cutoff(chain, co, t, ctl)[0] for t in pending}
+    cuts = {t: _series_cutoff(chain, co, t, ctl)[0] for t in sorted(set(ts))}
     pi_vals = np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
-    nodes = cfg.node_count
-    cur = _tv_pass(chain, pending, cuts, pi_vals, nodes)
-    if cfg.max_doublings == 0:
-        return [cur[t] for t in ts]
-    done = {}
-    for _ in range(cfg.max_doublings):
-        prev, nodes = cur, 2 * nodes
-        cur = _tv_pass(chain, pending, cuts, pi_vals, nodes)
-        for t in pending:
-            if abs(cur[t] - prev[t]) <= cfg.tol * max(1.0, abs(cur[t])):
-                done[t] = cur[t]
-        pending = [t for t in pending if t not in done]
-        if not pending:
-            return [done[t] for t in ts]
-    t = pending[0]
-    raise QuadratureError(
-        f"tv_exact quadrature did not stabilize at t={t} ({nodes} nodes)", (prev[t], cur[t])
-    )
+
+    def tv_pass(n_nodes, pending):
+        def each(t, q_rows, xt):
+            return _tv_series_fixed(chain, t, cuts[t], pi_vals, n_nodes, q_rows, xt), 0.0
+        return _node_pass(chain, pending, n_nodes, max(cuts[t] for t in pending), each)
+
+    values = refine(tv_pass, list(cuts), cfg or QuadratureConfig(), "tv_curve")
+    return [values[t] for t in ts]
 
 
 def tv_exact(chain: ChainParams, t: int, ctl: TailControl = None,
@@ -385,17 +375,54 @@ def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
     return hi
 
 
+def kernel_matrix(chain: ChainParams, ts, n_max: int,
+                  cfg: QuadratureConfig = None) -> np.ndarray:
+    """p_t(i, j) = pi_j * integral of lambda^t Q_i Q_j dpsi for every t of ts
+    (in the given order) and i, j <= n_max: shape (len(ts), n_max+1, n_max+1).
+
+    Per node count one Q_n matrix serves every t, the AC parts are one
+    product (Q w x^t) Q^T per t, and a t leaves the doubling loop once its
+    matrix has converged.  The atoms add w1 and w2 loc2^(t+i+j).  An entry
+    whose roundoff floor pi_j EPS_FLOOR L1 misses cfg.tol is NaN: far below
+    the diagonal (pi_j Q_i Q_j grows like (q/p)^((i-j)/2)), and as p -> 0,
+    where the AC interval narrows and the integrals cancel past extended
+    precision."""
+    ts = _times(ts)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    measure = build_measure(chain)
+    cfg = cfg or QuadratureConfig()
+    k = np.arange(n_max + 1)
+    pi = np.atleast_1d(reversibility(chain).pi(k))
+
+    uncertified = {}  # t -> mask of the entries its last pass cannot certify
+
+    def kernel_pass(n_nodes, pending):
+        _, w = theta_nodes(chain, n_nodes)
+
+        def each(t, q_rows, xt):
+            wxt = w * xt * (_LD(np.pi) / _LD(n_nodes))
+            ac = np.dot(q_rows * wxt, q_rows.T).astype(float)
+            l1 = np.dot(np.abs(q_rows) * np.abs(wxt), np.abs(q_rows).T).astype(float)
+            uncertified[t] = pi * EPS_FLOOR * l1 > cfg.tol
+            return ac, l1
+        return _node_pass(chain, pending, n_nodes, n_max, each)
+
+    ac = refine(kernel_pass, sorted(set(ts)), cfg, "kernel_matrix")
+    (_, w1), (loc2, w2) = measure.atom1, measure.atom2
+    return np.array([np.where(uncertified[t], np.nan,
+                              (ac[t] + w1 + w2 * loc2 ** (t + np.add.outer(k, k))) * pi)
+                     for t in ts])
+
+
 def kernel_spectral(chain: ChainParams, t: int, i: int, j: int,
                     cfg: QuadratureConfig = None) -> float:
-    """Transition probability p_t(i, j) via the full spectral representation
-    pi_j * integral of lambda^t Q_i Q_j dpsi (both atoms included)."""
+    """Transition probability p_t(i, j); the one-entry slice of kernel_matrix.
+    Raises RegimeError where that entry is NaN (not certified)."""
     if t < 0 or i < 0 or j < 0:
         raise ValueError("t, i, j must be nonnegative")
-    measure = build_measure(chain)
-
-    def f(x):
-        return np.power(x, t) * q_values(chain, i, x) * q_values(chain, j, x)
-
-    integral = integrate_psi(measure, f, include_atoms=(True, True),
-                             cfg=cfg or QuadratureConfig())
-    return float(reversibility(chain).pi(j) * integral)
+    value = float(kernel_matrix(chain, [t], max(i, j), cfg=cfg)[0, i, j])
+    if math.isnan(value):
+        raise RegimeError(f"p_{t}({i}, {j}) cannot be certified: its roundoff floor "
+                          "exceeds the quadrature tolerance")
+    return value

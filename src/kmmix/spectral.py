@@ -32,12 +32,17 @@ __all__ = [
     "build_measure",
     "negative_atom",
     "theta_nodes",
+    "refine",
     "integrate_psi",
     "resolvent_a0",
     "residue_check",
 ]
 
 _LD = np.longdouble
+# spectral convergence puts the truncation error below roundoff almost at once;
+# estimates of violently cancelling integrands then wander at this floor per
+# unit of integrand L1 size, which a stopping rule must accept
+EPS_FLOOR = 32.0 * float(np.finfo(_LD).eps)
 
 
 class QuadratureError(RuntimeError):
@@ -152,26 +157,42 @@ def _ac_fixed(measure: SpectralMeasure, f, n_nodes: int):
     return float(total), l1
 
 
-def _ac_adaptive(measure: SpectralMeasure, f, cfg: QuadratureConfig):
-    # spectral convergence puts the truncation error below roundoff almost
-    # immediately; successive estimates of violently cancelling integrands
-    # then wander at the eps * L1 floor, which the stopping rule must accept
-    eps_floor = 32.0 * float(np.finfo(_LD).eps)
+def refine(node_pass, keys, cfg: QuadratureConfig, name: str) -> dict:
+    """The package's one node-doubling loop.  node_pass(n_nodes, keys) returns
+    {key: (estimate, l1)}, an estimate being a scalar or an array and l1 its
+    integrand's L1 size (0 for no roundoff floor).  From cfg.node_count the
+    node count doubles up to cfg.max_doublings times; a key leaves once two
+    successive estimates agree entrywise within cfg.tol relative or
+    EPS_FLOOR * l1.  QuadratureError carries the last two estimates of the
+    worst entry of the first key left over."""
     n = cfg.node_count
+    cur = node_pass(n, keys)
     if cfg.max_doublings == 0:
-        return _ac_fixed(measure, f, n)[0]
-    history = [_ac_fixed(measure, f, n)[0]]
+        return {k: est for k, (est, _) in cur.items()}
+    done, pending = {}, list(keys)
     for _ in range(cfg.max_doublings):
-        n *= 2
-        cur, l1 = _ac_fixed(measure, f, n)
-        history.append(cur)
-        if abs(cur - history[-2]) <= max(cfg.tol * max(1.0, abs(cur)), eps_floor * l1):
-            return cur
-    raise QuadratureError(
-        f"density quadrature did not converge within {cfg.max_doublings} doublings "
-        f"(final node count {n})",
-        tuple(history[-2:]),
-    )
+        prev, n = cur, 2 * n
+        cur = node_pass(n, pending)
+        for k in pending:
+            (old, _), (new, l1) = prev[k], cur[k]
+            # gap <= max(tol * max(1, |new|), EPS_FLOOR * l1): a bool for
+            # scalar estimates, which skip numpy, an array otherwise
+            gap = abs(new - old)
+            settled = (gap <= cfg.tol) | (gap <= cfg.tol * abs(new)) | (gap <= EPS_FLOOR * l1)
+            if settled is True or np.all(settled):
+                done[k] = new
+        pending = [k for k in pending if k not in done]
+        if not pending:
+            return done
+    k = pending[0]
+    (old, _), (new, l1) = prev[k], cur[k]
+    old, new = np.asarray(old), np.asarray(new)
+    at = np.argmax(abs(new - old) / np.maximum(cfg.tol * np.maximum(1.0, abs(new)),
+                                               EPS_FLOOR * l1))
+    where = "" if k is None else f" at t={k}"
+    raise QuadratureError(f"{name} quadrature did not converge{where} within "
+                          f"{cfg.max_doublings} doublings (final node count {n})",
+                          (old.flat[at].item(), new.flat[at].item()))
 
 
 def integrate_psi(measure: SpectralMeasure, f, include_atoms=(True, True), cfg=None):
@@ -180,8 +201,8 @@ def integrate_psi(measure: SpectralMeasure, f, include_atoms=(True, True), cfg=N
     f must accept an ndarray of points in [-1, 1] and evaluate elementwise;
     complex-valued integrands are supported.  Raises QuadratureError when the
     doubling refinement fails to meet cfg.tol."""
-    cfg = cfg or QuadratureConfig()
-    total = _ac_adaptive(measure, f, cfg)
+    total = refine(lambda n, _: {None: _ac_fixed(measure, f, n)}, [None],
+                   cfg or QuadratureConfig(), "density")[None]
     for flag, (loc, weight) in zip(include_atoms, (measure.atom1, measure.atom2)):
         if flag:
             total += weight * np.asarray(f(np.array([loc]))).reshape(-1)[0]

@@ -26,6 +26,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="p must be positive"):
             ChainParams(0.0, 0.6, 0.4)
 
+    def test_subnormal_p_rejected(self):
+        # 1/p would overflow in the series cutoff (an OverflowError traceback)
+        with pytest.raises(ValueError, match="normal float"):
+            ChainParams(1e-320, 0.5, 0.5 - 1e-320)
+        assert ChainParams(2.3e-308, 0.5, 0.5).p == 2.3e-308
+
     def test_zero_r_rejected(self):
         with pytest.raises(ValueError, match="r must be positive"):
             ChainParams(0.2, 0.8, 0.0)

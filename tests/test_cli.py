@@ -49,6 +49,11 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.startswith("kmmix: ") and "outside the float range" in err
 
+    def test_subnormal_p_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "tv", "--p", "1e-320", "--q", "0.5", "--t-max", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("kmmix: ") and "normal float" in err
+
     def test_regime_error_exit_1(self, capsys):
         # the AC edge r + 2 sqrt(pq) rounds to 1.0 and meets the pole there
         code, out, err = run_cli(capsys, "analyze", "--p", "0.49", "--q", "0.4900000001")
@@ -60,11 +65,39 @@ class TestAnalyze:
     ("analyze", "--states", "-1"),
     ("tv", "--t-max", "-1"),
     ("kernel", "--t-max", "-2"),
+    ("kernel", "--i", "-1"),
+    ("kernel", "--j", "-1"),
 ])
 def test_negative_count_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, argv[0], "--p", "1/11", "--q", "9/11", *argv[1:])
     assert code == 2 and out == ""
     assert "must be nonnegative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tmix", "--eps", "1e-3", "--quad-nodes", "8"),
+    ("tmix", "--eps", "1e-3", "--series-tol", "1e-6"),
+    ("kernel", "--series-tol", "-1"),
+    ("analyze", "--series-tol", "1e-6"),
+    ("verify", "--series-tol", "1e-6"),
+    ("couple", "--quad-nodes", "1024"),
+])
+def test_flag_the_command_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], "--p", "1/11", "--q", "9/11", *argv[1:]])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, nodes", [
+    (("tmix", "--eps", "1e-3"), 512),
+    (("tv", "--t-max", "2", "--quad-nodes", "1024"), 1024),
+    (("kernel", "--t-max", "2", "--quad-nodes", "64"), 64),
+])
+def test_meta_reports_the_node_count_used(capsys, argv, nodes):
+    code, out, _ = run_cli(capsys, argv[0], "--p", "1/11", "--q", "9/11", *argv[1:])
+    assert code == 0
+    assert json.loads(out)["meta"]["quad_nodes"] == nodes
 
 
 class TestTv:
@@ -110,6 +143,12 @@ class TestTmix:
 
 
 class TestKernel:
+    def test_uncertified_entry_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "kernel", "--p", "1/11", "--q", "9/11",
+                                 "--i", "29", "--j", "0", "--t-max", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("kmmix: ") and "cannot be certified" in err
+
     def test_rows_match_oracle(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "--p", "1/11", "--q", "9/11",
                                "--i", "2", "--j", "3", "--t-max", "12")

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from kmmix import ChainParams, ConvergenceError, QuadratureConfig, TailControl, \
-    bound_coefficients, build_measure, contour_envelope, kernel_spectral, reversibility, \
-    spectral_integral, t_mix, tv_curve, tv_exact, tv_lower, tv_oracle, tv_oracle_curve, \
-    tv_upper
+from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureError, \
+    RegimeError, TailControl, bound_coefficients, build_measure, contour_envelope, integrate_psi, \
+    kernel_matrix, kernel_spectral, reversibility, spectral_integral, t_mix, tv_curve, \
+    tv_exact, tv_lower, tv_oracle, tv_oracle_curve, tv_upper
 from kmmix.chain import DistributionVector, evolve
 from kmmix.mixing import _pole_pair, _series_cutoff
 
@@ -290,6 +290,92 @@ class TestKernelSpectral:
     def test_row_sums_to_one(self, example_chain):
         total = sum(kernel_spectral(example_chain, 7, 2, j) for j in range(30))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestKernelMatrix:
+    def test_c04_set_matches_dp(self, example_chain):
+        kernel = kernel_matrix(example_chain, range(61), 12)
+        assert kernel.shape == (61, 13, 13)
+        for i in range(13):
+            mu = DistributionVector.point(i)
+            for t in range(61):
+                if t:
+                    mu = evolve(example_chain, mu, 1)
+                dp = np.array([mu.prob(j) for j in range(13)])
+                assert np.max(np.abs(kernel[t, i] - dp)) <= 1e-9, (t, i)
+
+    def test_identity_at_t0(self, chain_grid):
+        for c in chain_grid[::3] + [NEAR_CRITICAL]:
+            kernel = kernel_matrix(c, [0], 12)[0]
+            assert np.max(np.abs(kernel - np.eye(13))) <= 1e-10, c
+
+    def test_unsorted_and_duplicate_times(self, example_chain):
+        for c in (example_chain, NEAR_CRITICAL):
+            ts = [17, 3, 40, 3, 0, 17, 25]
+            kernel = kernel_matrix(c, ts, 5)
+            for t, block in zip(ts, kernel):
+                np.testing.assert_allclose(block, kernel_matrix(c, [t], 5)[0],
+                                           rtol=0.0, atol=1e-14)
+
+    def test_single_pass_without_doublings(self, example_chain):
+        cfg = QuadratureConfig(max_doublings=0)
+        kernel = kernel_matrix(example_chain, range(11), 3, cfg=cfg)
+        for i in range(4):
+            mu = DistributionVector.point(i)
+            for t in range(11):
+                if t:
+                    mu = evolve(example_chain, mu, 1)
+                for j in range(4):
+                    assert abs(kernel[t, i, j] - mu.prob(j)) <= 1e-9
+
+    def test_slice_is_kernel_spectral(self, example_chain):
+        for c in (example_chain, NEAR_CRITICAL):
+            for t in (0, 1, 17, 60):
+                kernel = kernel_matrix(c, [t], 6)[0]
+                for i in range(7):
+                    for j in range(7):
+                        assert kernel[i, j] == kernel_spectral(c, t, i, j), (c, t, i, j)
+
+    def test_uncertified_entry_is_nan(self, example_chain):
+        # pi_0 Q_29 grows like 3^29, so p_7(29, 0) = 0 cancels past extended
+        # precision; the entries of row 2 stay certified
+        kernel = kernel_matrix(example_chain, [7], 29)[0]
+        assert np.isnan(kernel[29, 0]) and not np.isnan(kernel[2]).any()
+        with pytest.raises(RegimeError, match="cannot be certified"):
+            kernel_spectral(example_chain, 7, 29, 0)
+
+    def test_no_silent_error_as_p_vanishes(self):
+        # the per-entry quadrature this replaces returned entries 1.2e-7 off
+        # here: the L1 floor let roundoff-level estimates through unchecked
+        p = 10 ** -10.25
+        c = ChainParams(p, 0.95 - p, 0.05)
+        kernel = kernel_matrix(c, range(21), 4)
+        assert np.isnan(kernel).any()
+        for i in range(5):
+            mu = DistributionVector.point(i)
+            for t in range(21):
+                if t:
+                    mu = evolve(c, mu, 1)
+                for j in range(5):
+                    assert np.isnan(kernel[t, i, j]) or abs(kernel[t, i, j] - mu.prob(j)) <= 1e-9
+
+    def test_rejects_bad_arguments(self, example_chain):
+        for ts, n_max in (([], 3), ([2, -1], 3), ([2], -1)):
+            with pytest.raises(ValueError):
+                kernel_matrix(example_chain, ts, n_max)
+
+
+@pytest.mark.parametrize("compute", [
+    lambda c, cfg: kernel_matrix(c, [40], 12, cfg=cfg),
+    lambda c, cfg: tv_curve(c, [0, 40], cfg=cfg),
+    lambda c, cfg: integrate_psi(build_measure(c), lambda x: x ** 80, cfg=cfg),
+], ids=["kernel_matrix", "tv_curve", "integrate_psi"])
+def test_forced_nonconvergence_carries_two_estimates(example_chain, compute):
+    cfg = QuadratureConfig(node_count=16, max_doublings=1, tol=1e-300)
+    with pytest.raises(QuadratureError) as info:
+        compute(example_chain, cfg)
+    old, new = info.value.estimates
+    assert isinstance(old, float) and isinstance(new, float) and old != new
 
 
 class TestDecayRate:
