@@ -62,19 +62,18 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class DistributionVector:
-    """Probability mass on a contiguous block of states, plus a certified
-    bound on whatever mass lives above the carried support."""
+    """Probability mass on a contiguous block of states; nothing lives outside
+    it."""
 
     offset: int
     mass: np.ndarray
-    tail_bound: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "mass", np.asarray(self.mass, dtype=float))
         if self.offset < 0:
             raise ValueError("offset must be a state, got %d" % self.offset)
-        if self.tail_bound < 0.0 or np.any(self.mass < 0.0):
-            raise ValueError("mass entries and tail_bound must be nonnegative")
+        if np.any(self.mass < 0.0):
+            raise ValueError("mass entries must be nonnegative")
 
     @classmethod
     def point(cls, state: int) -> "DistributionVector":
@@ -85,7 +84,7 @@ class DistributionVector:
         return np.arange(self.offset, self.offset + self.mass.size)
 
     def total(self) -> float:
-        return float(self.mass.sum() + self.tail_bound)
+        return float(self.mass.sum())
 
     def prob(self, n: int) -> float:
         """Carried mass at state n (0 outside the carried block)."""
@@ -138,12 +137,10 @@ def evolve(chain: ChainParams, start: DistributionVector, t: int) -> Distributio
     """Exact t-step evolution of a finitely supported distribution.
 
     Support grows by at most one state per side per step, so from a point
-    mass the cost is O(t^2) and the result is exact (tail_bound stays 0).
+    mass the cost is O(t^2) and the result is exact.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if start.tail_bound != 0.0:
-        raise ValueError("evolve requires an exactly carried start (tail_bound == 0)")
     p, q, r = chain.p, chain.q, chain.r
     lo = start.offset
     mass = start.mass.copy()

@@ -9,13 +9,19 @@ simulated:
     at 0.  Meetings then happen only through the boundary.
 
 P(coupling time > t) upper-bounds the TV distance at time t, which is the
-inequality the simulations are checked against.
+inequality the simulations are checked against.  The reported stderr is the
+plug-in binomial sqrt(s(1-s)/replicas), 0 when no replica survives: compare
+with TV through a Wilson score bound instead.
 
 Randomness is counter based: the draw for (replica, step, channel) is a
 splitmix64-style finalizer of seed + GOLDEN * counter with
 counter = replica * 2^32 + 4 * step + channel.  Each replica owns a fixed
-counter block, so its stream never depends on the replica count, the horizon
-or any scheduling, and runs are bit-identical for a fixed configuration.
+counter block (disjoint while horizon < 2^30 and replicas <= 2^32, the
+simulations' limits), so its stream never depends on the replica count, the
+horizon, which replicas are still uncoupled, or any scheduling.  The
+simulations step only the live (uncoupled) replicas and draw each channel
+only at the live indices that read it; runs are bit-identical for a fixed
+configuration.
 """
 
 import math
@@ -44,24 +50,24 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _CHANNELS = 4  # 0 shared move, 1 X move, 2 Y move, 3 stationary start
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = z.copy()
+def _uniforms(seed: int, step: int, channel: int, replicas: int,
+              index: np.ndarray = None) -> np.ndarray:
+    """`replicas` uniforms in [0, 1) for (step, channel), one per uint64 replica
+    number in `index` (np.arange(replicas) by default)."""
+    if index is None:
+        index = np.arange(replicas, dtype=np.uint64)
+    # in place on one fresh array: each large temporary costs an allocation and page faults
+    z = index << np.uint64(32)
+    z += np.uint64(_CHANNELS * step + channel)
+    z *= _GOLDEN
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)  # seeds are 64-bit unsigned
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)
     z *= _MIX2
     z ^= z >> np.uint64(31)
-    return z
-
-
-def _uniforms(seed: int, step: int, channel: int, replicas: int) -> np.ndarray:
-    """One uniform in [0, 1) per replica for the given (step, channel)."""
-    ctr = (np.arange(replicas, dtype=np.uint64) << np.uint64(32)) + np.uint64(
-        _CHANNELS * step + channel
-    )
-    key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)  # seeds are 64-bit unsigned
-    bits = _mix64(key + _GOLDEN * ctr)
-    return (bits >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    z >>= np.uint64(11)
+    return z.astype(np.float64) / float(1 << 53)
 
 
 @dataclass(frozen=True)
@@ -85,38 +91,46 @@ class RateFit:
 
 def _step(state: np.ndarray, u: np.ndarray, p: float, r: float) -> np.ndarray:
     """One chain move per replica driven by one uniform (0 is reflecting)."""
-    moved = state + (u < p).astype(np.int64) - (u >= p + r).astype(np.int64)
-    return np.where(state == 0, 1, moved)
+    moved = state + (u < p) - (u >= p + r)
+    moved[state == 0] = 1
+    return moved
 
 
 def _simulate(chain: ChainParams, horizon: int, replicas: int, seed: int,
               synchronized: bool) -> SurvivalCurve:
+    if horizon >= 2 ** 30 or replicas > 2 ** 32:
+        raise ValueError("need horizon < 2^30 and replicas <= 2^32 (disjoint counter blocks)")
     if replicas < 1:
         raise ValueError("replicas must be at least 1")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     p, r = chain.p, chain.r
-    rev = reversibility(chain)
-    y = rev.sample_stationary(_uniforms(seed, 0, 3, replicas))
-    x = np.zeros(replicas, dtype=np.int64)
-    coupled = x == y
+    y = reversibility(chain).sample_stationary(_uniforms(seed, 0, 3, replicas))
+    # the live set: replica numbers and states of the pairs still apart
+    live = np.flatnonzero(y).astype(np.uint64)
+    y = y[y != 0]
+    x = np.zeros(live.size, dtype=np.int64)
     counts = np.zeros(horizon + 1, dtype=np.int64)
-    counts[0] = replicas - int(coupled.sum())
+    counts[0] = live.size
     for t in range(1, horizon + 1):
-        u_shared = _uniforms(seed, t, 0, replicas)
-        u_x = _uniforms(seed, t, 1, replicas)
-        u_y = _uniforms(seed, t, 2, replicas)
+        if not live.size:
+            break
         if synchronized:
             both_positive = (x > 0) & (y > 0)
-            x_new = _step(x, np.where(both_positive, u_shared, u_x), p, r)
-            y_new = _step(y, np.where(both_positive, u_shared, u_y), p, r)
+            shared, edge = np.flatnonzero(both_positive), np.flatnonzero(~both_positive)
+            both, apart = live[shared], live[edge]  # edge: one walker at 0
+            u_x = np.empty(live.size)
+            u_x[shared] = _uniforms(seed, t, 0, both.size, both)
+            u_y = u_x.copy()
+            u_x[edge] = _uniforms(seed, t, 1, apart.size, apart)
+            u_y[edge] = _uniforms(seed, t, 2, apart.size, apart)
         else:
-            x_new = _step(x, u_x, p, r)
-            y_new = _step(y, u_y, p, r)
-        x = np.where(coupled, x, x_new)
-        y = np.where(coupled, y, y_new)
-        coupled |= x == y
-        counts[t] = replicas - int(coupled.sum())
+            u_x = _uniforms(seed, t, 1, live.size, live)
+            u_y = _uniforms(seed, t, 2, live.size, live)
+        x, y = _step(x, u_x, p, r), _step(y, u_y, p, r)
+        keep = x != y
+        live, x, y = live[keep], x[keep], y[keep]
+        counts[t] = live.size
     survival = counts / float(replicas)
     stderr = np.sqrt(survival * (1.0 - survival) / replicas)
     return SurvivalCurve(horizon=horizon, survival=survival, stderr=stderr,

@@ -74,25 +74,13 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """The measure psi: atom locations/weights, the AC interval and density."""
+    """The measure psi: atom locations/weights and the AC interval (the density
+    on it is carried by theta_nodes' weights)."""
 
     chain: ChainParams
     atom1: tuple  # (1.0, w1)
     atom2: tuple  # (-q/(q+r), w2)
     ac_interval: tuple
-
-    def density(self, x):
-        """phi on the open AC interval, 0 elsewhere (vectorized)."""
-        c = self.chain
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.ac_interval
-        inside = (x > lo) & (x < hi)
-        val = np.zeros_like(x)
-        xs = x[inside]
-        val[inside] = np.sqrt(4.0 * c.p * c.q - (xs - c.r) ** 2) / (
-            2.0 * np.pi * ((c.r + c.q) * xs + c.q) * (1.0 - xs)
-        )
-        return val if val.ndim else float(val)
 
 
 def negative_atom(chain: ChainParams) -> tuple:

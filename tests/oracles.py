@@ -113,6 +113,50 @@ def coupling_survival_dp(chain: ChainParams, horizon: int, synchronized: bool,
     return surv
 
 
+def counter_uniforms(seed: int, step: int, channel: int, replicas: int) -> np.ndarray:
+    """The counter-based draws of replicas 0..replicas-1 at (step, channel):
+    splitmix64's finalizer of seed + GOLDEN * (replica * 2^32 + 4 step +
+    channel), top 53 bits over 2^53."""
+    ctr = (np.arange(replicas, dtype=np.uint64) << np.uint64(32)) + np.uint64(4 * step + channel)
+    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + np.uint64(0x9E3779B97F4A7C15) * ctr
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
+def coupling_survival_full(chain: ChainParams, horizon: int, replicas: int, seed: int,
+                           synchronized: bool):
+    """(survival, stderr) of the coupling simulation with every replica
+    stepped on every step: all three move channels drawn for all replicas,
+    and coupled pairs held in place by masking."""
+    p, r = chain.p, chain.r
+
+    def step(state, u):
+        moved = state + (u < p).astype(np.int64) - (u >= p + r).astype(np.int64)
+        return np.where(state == 0, 1, moved)
+
+    y = reversibility(chain).sample_stationary(counter_uniforms(seed, 0, 3, replicas))
+    x = np.zeros(replicas, dtype=np.int64)
+    coupled = x == y
+    counts = np.zeros(horizon + 1, dtype=np.int64)
+    counts[0] = replicas - int(coupled.sum())
+    for t in range(1, horizon + 1):
+        u_shared, u_x, u_y = (counter_uniforms(seed, t, c, replicas) for c in (0, 1, 2))
+        if synchronized:
+            both_positive = (x > 0) & (y > 0)
+            u_x = np.where(both_positive, u_shared, u_x)
+            u_y = np.where(both_positive, u_shared, u_y)
+        x = np.where(coupled, x, step(x, u_x))
+        y = np.where(coupled, y, step(y, u_y))
+        coupled |= x == y
+        counts[t] = replicas - int(coupled.sum())
+    survival = counts / float(replicas)
+    return survival, np.sqrt(survival * (1.0 - survival) / replicas)
+
+
 def log_slope(values: np.ndarray, t_lo: int, t_hi: int) -> float:
     """Least-squares slope of log(values[t]) over t_lo..t_hi."""
     t = np.arange(t_lo, t_hi + 1, dtype=float)

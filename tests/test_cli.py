@@ -179,6 +179,13 @@ class TestCouple:
         _, out2, _ = run_cli(capsys, *self.ARGS, "--seed", "2")
         assert out1 != out2
 
+    @pytest.mark.parametrize("flags", [("--horizon", str(2 ** 30), "--replicas", "1"),
+                                       ("--horizon", "0", "--replicas", str(2 ** 32 + 1))])
+    def test_overlapping_counter_blocks_exit_2(self, capsys, flags):
+        code, out, err = run_cli(capsys, "couple", "--p", "1/11", "--q", "9/11", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("kmmix: ") and "2^30" in err
+
     def test_classical_mode(self, capsys):
         code, out, _ = run_cli(capsys, "couple", "--p", "1/11", "--q", "9/11",
                                "--mode", "classical", "--horizon", "30",

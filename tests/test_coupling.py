@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from kmmix import SurvivalCurve, hitting_pmf_exact, hitting_pmf_exact_curve, \
+from kmmix import ChainParams, SurvivalCurve, hitting_pmf_exact, hitting_pmf_exact_curve, \
     hitting_pmf_multinomial, hitting_tail_asymptote, rate_fit, reversibility, \
     simulate_classical, simulate_modified, stationary_hitting_survival, tv_oracle
+from kmmix import coupling
 from kmmix.cli import DEFAULT_SEED
 from kmmix.coupling import _uniforms
 
@@ -13,6 +14,8 @@ import oracles
 
 REPLICAS = 100_000
 HORIZON = 100
+ORACLE_CHAINS = [(1 / 11, 9 / 11, 1 / 11), (0.3, 0.32, 0.38), (0.1, 0.7, 0.2)]
+SIMULATORS = {False: simulate_classical, True: simulate_modified}
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +172,75 @@ class TestSimulations:
             dp = oracles.coupling_survival_dp(example_chain, 120, synchronized=sync, cap=300)
             rate = math.exp(oracles.log_slope(dp, 80, 120))
             assert rate >= 0.9 - 1e-3
+
+
+def assert_matches_full_loop(chain, horizon, replicas, seed, sync):
+    curve = SIMULATORS[sync](chain, horizon, replicas, seed)
+    survival, stderr = oracles.coupling_survival_full(chain, horizon, replicas, seed, sync)
+    assert np.array_equal(curve.survival, survival)
+    assert np.array_equal(curve.stderr, stderr)
+    return curve
+
+
+class TestLiveSet:
+    """The live-set simulation steps only uncoupled replicas; the full-array
+    loop in oracles steps them all.  Their outputs must agree bit for bit."""
+
+    @pytest.mark.parametrize("sync", (False, True))
+    @pytest.mark.parametrize("seed", (0, 11, 2 ** 64 - 1, -1))
+    @pytest.mark.parametrize("pqr", ORACLE_CHAINS)
+    def test_bit_identical_to_full_array_loop(self, pqr, seed, sync):
+        chain = ChainParams(*pqr)
+        for horizon in (0, 1, 100):
+            for replicas in (1, 20_000):
+                assert_matches_full_loop(chain, horizon, replicas, seed, sync)
+
+    @pytest.mark.parametrize("sync", (False, True))
+    def test_live_set_empties_before_horizon(self, example_chain, sync):
+        curve = assert_matches_full_loop(example_chain, 200, 2000, 0, sync)
+        assert curve.survival[-1] == 0.0 and curve.survival[50] > 0.0
+
+    @pytest.mark.parametrize("sync", (False, True))
+    def test_every_replica_starts_coupled(self, example_chain, sync):
+        curve = assert_matches_full_loop(example_chain, 5, 3, 6, sync)
+        assert np.all(curve.survival == 0.0)
+
+    def test_index_draws_are_full_draws_at_those_indices(self):
+        rng = np.random.default_rng(5)
+        total = 5000
+        for seed, step, channel in ((0, 1, 0), (11, 37, 2), (2 ** 64 - 1, 99, 1), (-1, 0, 3)):
+            full = _uniforms(seed, step, channel, total)
+            assert np.array_equal(full, oracles.counter_uniforms(seed, step, channel, total))
+            for k in (0, 1, 17, 2500, total):
+                idx = np.sort(rng.choice(total, size=k, replace=False)).astype(np.uint64)
+                assert np.array_equal(_uniforms(seed, step, channel, k, idx), full[idx])
+
+    @pytest.mark.parametrize("sync", (False, True))
+    def test_every_draw_call_reports_an_int_count(self, example_chain, monkeypatch, sync):
+        # the benchmark's tracer counts draws from the `replicas` argument
+        calls = []
+
+        def recording(seed, step, channel, replicas, index=None):
+            u = _uniforms(seed, step, channel, replicas, index)
+            calls.append((replicas, u.size))
+            return u
+
+        monkeypatch.setattr(coupling, "_uniforms", recording)
+        SIMULATORS[sync](example_chain, 30, 500, DEFAULT_SEED)
+        assert len(calls) > 30
+        for replicas, size in calls:
+            assert type(replicas) is int and replicas == size
+
+    @pytest.mark.parametrize("horizon, replicas", [(2 ** 30, 1), (0, 2 ** 32 + 1)])
+    def test_counter_fields_guarded(self, example_chain, monkeypatch, horizon, replicas):
+        # the guard must fire before anything is drawn or allocated
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before the counter guard")
+
+        monkeypatch.setattr(coupling, "_uniforms", no_draws)
+        for simulate in SIMULATORS.values():
+            with pytest.raises(ValueError, match="2\\^30"):
+                simulate(example_chain, horizon, replicas, 0)
 
 
 class TestRateFit:

@@ -31,16 +31,6 @@ class TestBuildMeasure:
             loc = build_measure(c).atom2[0]
             assert -1.0 < loc < 0.0
 
-    def test_density_nonnegative_and_vanishing_at_edges(self, chain_grid):
-        for c in chain_grid[::4]:
-            m = build_measure(c)
-            lo, hi = m.ac_interval
-            x = np.linspace(lo + 1e-12, hi - 1e-12, 301)
-            phi = m.density(x)
-            assert np.all(phi >= 0.0)
-            assert phi[0] <= 1e-4 and phi[-1] <= 1e-4
-            assert m.density(lo - 1e-6) == 0.0 and m.density(hi + 1e-6) == 0.0
-
     def test_density_poles_outside_interval(self, chain_grid, random_chains):
         for c in chain_grid + random_chains:
             m = build_measure(c)
