@@ -32,8 +32,8 @@ n (ratios p/(q+r) and sqrt(p/q)) gives the closed-form envelope
     B = (p/(q+r)) (1 + 1/(sqrt(pq) - p)) / ((1 - z_a)(1 + z_b)),
 
 and, when alpha > beta, the matching lower envelope A alpha^t - B beta^t.
-The mixing time is the first t at which TV drops to the target; TV is
-non-increasing in t, so geometric bracketing plus bisection finds it.
+The mixing time is the first t at which TV drops to the target, searched for
+in rounds of batched evaluations inside a bracket set by the envelope.
 """
 
 import math
@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _LD = np.longdouble
+_PROBES = 15  # evaluations per round of _first_below
 
 
 class ConvergenceError(RuntimeError):
@@ -130,11 +131,6 @@ def bound_coefficients(chain: ChainParams) -> BoundCoefficients:
     return BoundCoefficients(A=A, B=B, alpha=alpha, beta=beta, m=max(alpha, beta))
 
 
-def _atom2_term(chain: ChainParams, t: int, n: int) -> float:
-    loc2, w2 = negative_atom(chain)
-    return w2 * loc2 ** (t + n)
-
-
 def _contour_part(chain: ChainParams, t: int, n: int, n_nodes: int) -> float:
     """(q/p)^(n/2) (p/(q+r)) times the uniform-rule unit-circle integral."""
     p, q, r = chain.p, chain.q, chain.r
@@ -184,7 +180,8 @@ def spectral_integral(chain: ChainParams, t: int, n: int, route: str = "interval
         if route == "interval":
             return interval_val
     nodes = contour_node_count or contour_nodes_default(t, n, chain)
-    contour_val = _atom2_term(chain, t, n) + _contour_part(chain, t, n, nodes)
+    loc2, w2 = negative_atom(chain)
+    contour_val = w2 * loc2 ** (t + n) + _contour_part(chain, t, n, nodes)
     if route == "contour":
         return contour_val
     beta = chain.support[1]
@@ -341,38 +338,39 @@ def tv_lower(chain: ChainParams, t: int):
     return value, (co.alpha > co.beta and value > 0.0)
 
 
+def _first_below(values, limit: float, lo: int, hi: int) -> int:
+    """Least t in (lo, hi] with values([t])[0] <= limit, for values non-increasing
+    in t and at or below limit at hi (not evaluated): rounds of one values(ts)
+    call at _PROBES evenly spaced times, each keeping the gap where they cross."""
+    while hi - lo > 1:
+        ts = sorted({lo + k * (hi - lo) // (_PROBES + 1) for k in range(1, _PROBES + 1)} - {lo})
+        hi = min((t for t, v in zip(ts, values(ts)) if v <= limit), default=hi)
+        lo = max((t for t in ts if t < hi), default=lo)
+    return hi
+
+
 def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
-    """Least t with TV(t) <= eps (method 'exact') or with the closed-form
-    upper envelope below eps (method 'bound', an upper bound on the exact
-    answer).  Uses doubling to bracket and bisection inside, which is valid
-    because TV is non-increasing in t."""
+    """Least t with TV(t) <= eps (method 'exact') or with the envelope
+    A alpha^t + B beta^t <= eps (method 'bound', an upper bound on the exact
+    answer), by _first_below.  Its bracket ends a step (for roundoff) past the
+    closed-form time where each envelope term is below eps/2, or past the
+    envelope's answer for TV (TV <= envelope); ConvergenceError past t = 1e7."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if method not in ("exact", "bound"):
         raise ValueError(f"unknown method {method!r}")
+    co = bound_coefficients(chain)
+    hi = max(_geometric_depth(2.0 * co.A, co.alpha, math.log(eps)),
+             _geometric_depth(2.0 * co.B, co.beta, math.log(eps))) + 2
+    if hi > 10 ** 7:
+        raise ConvergenceError(f"t_mix bracket exceeded 1e7 for eps={eps}", tv_upper(chain, 1e7))
+    if eps * (1.0 - co.m) < 2.0 ** -1064:  # a step's decrement must span 2^10 subnormals
+        raise ValueError(f"eps={eps} is too small for floats to resolve one step of TV")
+    bound = _first_below(lambda ts: [tv_upper(chain, t) for t in ts], eps, -1, hi)
     if method == "bound":
-        def tv_at(t):
-            return tv_upper(chain, t)
-    else:
-        ctl = TailControl(series_tol=min(1e-12, eps * 1e-3))
-
-        def tv_at(t):
-            return tv_exact(chain, t, ctl=ctl)
-
-    if tv_at(0) <= eps:
-        return 0
-    lo, hi = 0, 1
-    while tv_at(hi) > eps:
-        lo, hi = hi, hi * 2
-        if hi > 10 ** 7:
-            raise ConvergenceError(f"t_mix bracket exceeded 1e7 for eps={eps}", tv_at(lo))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tv_at(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        return bound
+    ctl = TailControl(series_tol=min(1e-12, eps * 1e-3))
+    return _first_below(lambda ts: tv_curve(chain, ts, ctl=ctl), eps, -1, bound + 1)
 
 
 def kernel_matrix(chain: ChainParams, ts, n_max: int,

@@ -199,6 +199,15 @@ def test_c10b_stationary_tail_slope():
         "t^(-3/2) first-passage prefactor; see this test's docstring")
 
 
+def test_c10b_true_slope_carries_the_edge_prefactor():
+    """The value behind c10b: the exact slope is log(7/11) plus the
+    least-squares slope of the -1.5 log t prefactor over the same window."""
+    slope = oracles.log_slope(stationary_hitting_survival(EXAMPLE, 100), 40, 100)
+    t = np.arange(40, 101, dtype=float)
+    target = math.log(7 / 11) + float(np.polyfit(t, -1.5 * np.log(t), 1)[0])
+    assert abs(slope - target) <= 0.005 * abs(target)
+
+
 def test_c11a_coupling_inequality(classical_curve, modified_curve):
     ok = True
     worst_margin = math.inf
@@ -232,6 +241,12 @@ def test_c11b_modified_rate_ci(modified_curve):
     assert passed, (
         f"fitted rate {fit.rate:.5f} (95% CI +-{ci:.5f}) excludes 0.9: the "
         "coupling's true decay rate is q(q+p-r)/(q-r) = 81/88; see this test's docstring")
+
+
+def test_c11b_true_rate_is_81_over_88():
+    """The value behind c11b: the exact pair-process DP decays at 81/88."""
+    surv = oracles.coupling_survival_dp(EXAMPLE, HORIZON, synchronized=True)
+    assert math.exp(oracles.log_slope(surv, 20, HORIZON)) == pytest.approx(81 / 88, abs=1e-8)
 
 
 def test_c12_cli_determinism(capsys):

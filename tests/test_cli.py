@@ -141,6 +141,25 @@ class TestTmix:
         code, _, err = run_cli(capsys, "tmix", "--p", "1/11", "--q", "9/11", "--eps", "2.0")
         assert code == 2
 
+    @pytest.mark.parametrize("eps, expect", [("1e-300", 6551), ("1e-310", 6769)])
+    def test_tiny_eps(self, capsys, eps, expect):
+        code, out, _ = run_cli(capsys, "tmix", "--p", "1/11", "--q", "9/11", "--eps", eps)
+        res = json.loads(out)["results"]
+        assert code == 0
+        assert res["t_mix_exact"] == res["t_mix_bound"] == expect
+
+    def test_unresolvable_eps_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "tmix", "--p", "1/11", "--q", "9/11",
+                                 "--eps", "5e-324")
+        assert code == 2 and out == ""
+        assert err.startswith("kmmix: ") and "eps=5e-324" in err
+
+    def test_beta_rounding_to_one_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "tmix", "--p", "0.3", "--q", "0.3000000001",
+                                 "--r", "0.3999999999", "--eps", "0.1")
+        assert code == 1 and out == ""
+        assert err.startswith("kmmix: ") and "bracket exceeded 1e7" in err
+
 
 class TestKernel:
     def test_uncertified_entry_exit_1(self, capsys):

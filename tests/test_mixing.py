@@ -7,6 +7,7 @@ from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureErr
     RegimeError, TailControl, bound_coefficients, build_measure, contour_envelope, integrate_psi, \
     kernel_matrix, kernel_spectral, reversibility, spectral_integral, t_mix, tv_curve, \
     tv_exact, tv_lower, tv_oracle, tv_oracle_curve, tv_upper
+from kmmix import mixing
 from kmmix.chain import DistributionVector, evolve
 from kmmix.mixing import _pole_pair, _series_cutoff
 
@@ -253,9 +254,38 @@ class TestTMix:
         assert abs(t2 / t1 - 2.0) <= 0.2
 
     def test_eps_domain(self, example_chain):
-        for eps in (0.0, 1.0, -0.5, 2.0):
+        # near 5e-324 one step of TV spans half a subnormal unit
+        for eps in (0.0, 1.0, -0.5, 2.0, 5e-324):
             with pytest.raises(ValueError):
                 t_mix(example_chain, eps)
+
+    @pytest.mark.parametrize("chain", [ChainParams(0.3, 0.3000000001, 0.3999999999),
+                                       ChainParams(0.3, 0.30001, 0.39999)])
+    def test_bracket_past_cap_is_typed(self, chain):
+        # beta rounds to 1.0 on the first chain and is 1 - 8e-11 on the second
+        for method in ("exact", "bound"):
+            with pytest.raises(ConvergenceError, match="bracket exceeded 1e7"):
+                t_mix(chain, 0.1, method=method)
+
+    @pytest.mark.parametrize("eps, exact, bound", [(1e-3, 8392, 45632), (0.1, 837, 31362)])
+    def test_near_critical_search_is_batched(self, monkeypatch, eps, exact, bound):
+        chain = ChainParams(0.3, 0.32, 0.38)
+        calls = []
+
+        def counting_tv_curve(*args, **kwargs):
+            calls.append(args[1])
+            return tv_curve(*args, **kwargs)
+
+        def no_tv_exact(*args, **kwargs):
+            raise AssertionError("t_mix evaluates TV through tv_curve batches only")
+
+        monkeypatch.setattr(mixing, "tv_curve", counting_tv_curve)
+        monkeypatch.setattr(mixing, "tv_exact", no_tv_exact)
+        assert t_mix(chain, eps) == exact
+        assert 1 <= len(calls) <= 5
+        assert t_mix(chain, eps, method="bound") == bound
+        before, at = tv_curve(chain, [exact - 1, exact])
+        assert before > eps >= at
 
 
 class TestKernelSpectral:
