@@ -162,8 +162,9 @@ def _cmd_kernel(args):
     chain = _chain_from_args(args)
     t_max = _nonnegative("--t-max", args.t_max)
     i, j = _nonnegative("--i", args.i), _nonnegative("--j", args.j)
-    kernel = kernel_matrix(chain, range(t_max + 1), max(i, j), cfg=_quad_cfg(args))
-    if np.isnan(kernel[:, i, j]).any():
+    kernel = kernel_matrix(chain, range(t_max + 1), max(i, j), cfg=_quad_cfg(args),
+                           rows=[i], cols=[j])[:, 0, 0]
+    if np.isnan(kernel).any():
         raise RegimeError(f"p_t({i}, {j}) cannot be certified: its roundoff floor "
                           "exceeds the quadrature tolerance")
     mu = DistributionVector.point(i)
@@ -172,7 +173,7 @@ def _cmd_kernel(args):
         if t > 0:
             mu = evolve(chain, mu, 1)
         oracle = mu.prob(j)
-        spectral = float(kernel[t, i, j])
+        spectral = float(kernel[t])
         rows.append({"t": t, "p_spectral": spectral, "p_oracle": oracle,
                      "abs_diff": abs(spectral - oracle)})
     _emit_doc(args, chain, {"i": args.i, "j": args.j, "rows": rows}, _csv(rows))

@@ -32,8 +32,11 @@ n (ratios p/(q+r) and sqrt(p/q)) gives the closed-form envelope
     B = (p/(q+r)) (1 + 1/(sqrt(pq) - p)) / ((1 - z_a)(1 + z_b)),
 
 and, when alpha > beta, the matching lower envelope A alpha^t - B beta^t.
-The mixing time is the first t at which TV drops to the target, searched for
-in rounds of batched evaluations inside a bracket set by the envelope.
+The series takes the interval route, I_t(0..N) at once per t: one sine
+transform over the nodes (orthopoly.q_node_sums), or one bracket-matrix
+product where N is short.  The mixing time is the first t at which TV drops
+to the target, searched for in rounds of batched evaluations inside a
+bracket set by the envelope.
 """
 
 import math
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainParams, reversibility
-from .orthopoly import q_bracket_matrix
+from .orthopoly import q_bracket_matrix, q_node_sums
 from .spectral import EPS_FLOOR, QuadratureConfig, RegimeError, build_measure, negative_atom, \
     refine, theta_nodes
 
@@ -65,6 +68,11 @@ __all__ = [
 
 _LD = np.longdouble
 _PROBES = 15  # evaluations per round of _first_below
+_BLOCK = 8  # times per batch of tv_curve's node pass (bounds the FFT's memory)
+# A sine transform of length 2K costs about this many bracket-matrix rows per
+# log2(2K) (measured 5.6 to 6.4 at K = 512..4096, longdouble, with the matrix
+# shared by a pass): past that the series is summed by q_node_sums.
+_SINE_ROWS_PER_LOG2 = 6.0
 
 
 class ConvergenceError(RuntimeError):
@@ -172,7 +180,8 @@ def spectral_integral(chain: ChainParams, t: int, n: int, route: str = "interval
 
             def each(t, q_rows, xt):
                 l1 = np.dot(np.abs(q_rows[n]), w * np.abs(xt)) * (_LD(np.pi) / _LD(n_nodes))
-                return float(_moments(chain, t, n, n_nodes, q_rows, xt)[n]), float(l1)
+                ac = np.dot(q_rows, w * xt * (_LD(np.pi) / _LD(n_nodes))).astype(float)
+                return float(_moments(chain, t, ac)[n]), float(l1)
             return _node_pass(chain, keys, n_nodes, n, each)
 
         interval_val = refine(moment_pass, [t], cfg or QuadratureConfig(),
@@ -250,37 +259,34 @@ def _series_cutoff(chain: ChainParams, co: BoundCoefficients, t: int, ctl: TailC
     return hi, tail(hi)
 
 
-def _moments(chain: ChainParams, t: int, n_cut: int, n_nodes: int, q_rows, xt):
-    """I_t(n) for n = 0..n_cut on the n_nodes-panel node set, where q_rows
-    holds Q_n (rows past n_cut are ignored) and xt holds x^t: the AC parts are
-    one extended-precision matrix-vector product."""
-    _, w = theta_nodes(chain, n_nodes)
-    wxt = w * xt * (_LD(np.pi) / _LD(n_nodes))
-    # np.dot, not @: numpy's matmul loop for longdouble is about 2.5x slower
-    ac = np.dot(q_rows[: n_cut + 1], wxt).astype(float)
+def _moments(chain: ChainParams, t: int, ac):
+    """I_t(n) for n = 0..len(ac)-1 from its AC parts ac (floats): adds the
+    negative atom's w2 loc2^(t+n)."""
     loc2, w2 = negative_atom(chain)
-    return w2 * loc2 ** (t + np.arange(n_cut + 1)) + ac
+    return w2 * loc2 ** (t + np.arange(len(ac))) + ac
 
 
-def _tv_series_fixed(chain: ChainParams, t: int, n_cut: int, pi_vals, n_nodes: int,
-                     q_rows, xt) -> float:
-    """(1/2) sum_{n <= n_cut} pi_n |I_t(n)| on the n_nodes-panel node set."""
-    i_tn = _moments(chain, t, n_cut, n_nodes, q_rows, xt)
-    return math.fsum(0.5 * pi_vals[: n_cut + 1] * np.abs(i_tn))
+def _sine_transform_pays(n_cut: int, n_nodes: int) -> bool:
+    """Whether q_node_sums beats the bracket-matrix product for I_t(0..n_cut)."""
+    return n_cut + 1 > _SINE_ROWS_PER_LOG2 * math.log2(2 * n_nodes)
+
+
+def _powers(x, ts):
+    """(t, x^t) for the ascending ts, each power carried forward from the last."""
+    xt, t_prev = np.ones_like(x), 0
+    for t in ts:
+        xt = xt * (x if t - t_prev == 1 else np.power(x, t - t_prev))
+        t_prev = t
+        yield t, xt
 
 
 def _node_pass(chain: ChainParams, ts, n_nodes: int, n_max: int, each) -> dict:
     """{t: each(t, q_rows, xt)} for the ascending ts on the n_nodes-panel node
     set: q_rows is Q_0..Q_{n_max} there, built once and released on return,
-    and xt the nodes' t-th power, carried forward from one t to the next."""
+    and xt the nodes' t-th power."""
     x, _ = theta_nodes(chain, n_nodes)
     q_rows = q_bracket_matrix(chain, n_max, x)
-    values, xt, t_prev = {}, np.ones_like(x), 0
-    for t in ts:
-        xt = xt * (x if t - t_prev == 1 else np.power(x, t - t_prev))
-        t_prev = t
-        values[t] = each(t, q_rows, xt)
-    return values
+    return {t: each(t, q_rows, xt) for t, xt in _powers(x, ts)}
 
 
 def _times(ts) -> list:
@@ -300,7 +306,10 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     Each t gets its own degree cutoff N_t, certified by the closed geometric
     tail bounds (the returned value is the partial sum; the discarded tail is
     provably below the working tolerance of _series_cutoff).  At each node
-    count the bracket matrix is built once for all t, and a t leaves the
+    count the AC parts of I_t(0..N_t) come, per batch of _BLOCK ascending
+    times, from a sine transform per t (orthopoly.q_node_sums) or, where the
+    batch's series is short, from one bracket matrix shared by the pass; the
+    cost rule _sine_transform_pays picks.  A t leaves the
     doubling loop (with no roundoff floor) once its value stabilizes.  Raises
     ConvergenceError when some N_t exceeds ctl.n_cap and QuadratureError when
     some t does not stabilize within cfg.max_doublings."""
@@ -311,9 +320,22 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     pi_vals = np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
 
     def tv_pass(n_nodes, pending):
-        def each(t, q_rows, xt):
-            return _tv_series_fixed(chain, t, cuts[t], pi_vals, n_nodes, q_rows, xt), 0.0
-        return _node_pass(chain, pending, n_nodes, max(cuts[t] for t in pending), each)
+        x, w = theta_nodes(chain, n_nodes)
+        short = [cuts[t] for t in pending if not _sine_transform_pays(cuts[t], n_nodes)]
+        q_rows = q_bracket_matrix(chain, max(short), x) if short else None
+        powers, values = _powers(x, pending), {}
+        for start in range(0, len(pending), _BLOCK):
+            block = [next(powers) for _ in pending[start:start + _BLOCK]]
+            n_cut = max(cuts[t] for t, _ in block)
+            wxt = [w * xt * (_LD(np.pi) / _LD(n_nodes)) for _, xt in block]
+            if _sine_transform_pays(n_cut, n_nodes):
+                acs = q_node_sums(chain, n_cut, np.array(wxt))
+            else:  # np.dot, not @: numpy's matmul loop for longdouble is about 2.5x slower
+                acs = [np.dot(q_rows[: cuts[t] + 1], v) for (t, _), v in zip(block, wxt)]
+            for (t, _), ac in zip(block, acs):
+                i_tn = _moments(chain, t, ac[: cuts[t] + 1].astype(float))
+                values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn)), 0.0
+        return values
 
     values = refine(tv_pass, list(cuts), cfg or QuadratureConfig(), "tv_curve")
     return [values[t] for t in ts]
@@ -363,7 +385,8 @@ def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
     hi = max(_geometric_depth(2.0 * co.A, co.alpha, math.log(eps)),
              _geometric_depth(2.0 * co.B, co.beta, math.log(eps))) + 2
     if hi > 10 ** 7:
-        raise ConvergenceError(f"t_mix bracket exceeded 1e7 for eps={eps}", tv_upper(chain, 1e7))
+        raise ConvergenceError(f"t_mix bracket exceeded 1e7 for eps={eps}; the bound below is "
+                               "min(1, envelope) at t = 1e7", min(1.0, tv_upper(chain, 1e7)))
     if eps * (1.0 - co.m) < 2.0 ** -1064:  # a step's decrement must span 2^10 subnormals
         raise ValueError(f"eps={eps} is too small for floats to resolve one step of TV")
     bound = _first_below(lambda ts: [tv_upper(chain, t) for t in ts], eps, -1, hi)
@@ -373,25 +396,31 @@ def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
     return _first_below(lambda ts: tv_curve(chain, ts, ctl=ctl), eps, -1, bound + 1)
 
 
-def kernel_matrix(chain: ChainParams, ts, n_max: int,
-                  cfg: QuadratureConfig = None) -> np.ndarray:
+def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = None,
+                  rows=None, cols=None) -> np.ndarray:
     """p_t(i, j) = pi_j * integral of lambda^t Q_i Q_j dpsi for every t of ts
-    (in the given order) and i, j <= n_max: shape (len(ts), n_max+1, n_max+1).
+    (in the given order), i in rows and j in cols, index sets in 0..n_max
+    (each all of 0..n_max by default): shape (len(ts), len(rows), len(cols)).
 
     Per node count one Q_n matrix serves every t, the AC parts are one
-    product (Q w x^t) Q^T per t, and a t leaves the doubling loop once its
-    matrix has converged.  The atoms add w1 and w2 loc2^(t+i+j).  An entry
-    whose roundoff floor pi_j EPS_FLOOR L1 misses cfg.tol is NaN: far below
-    the diagonal (pi_j Q_i Q_j grows like (q/p)^((i-j)/2)), and as p -> 0,
-    where the AC interval narrows and the integrals cancel past extended
-    precision."""
+    product (Q[rows] w x^t) Q[cols]^T per t, and a t leaves the doubling loop
+    once those entries have converged.  The atoms add w1 and w2 loc2^(t+i+j).
+    An entry whose roundoff floor pi_j EPS_FLOOR L1 misses cfg.tol is NaN:
+    far below the diagonal (pi_j Q_i Q_j grows like (q/p)^((i-j)/2)), and as
+    p -> 0, where the AC interval narrows and the integrals cancel past
+    extended precision."""
     ts = _times(ts)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    every = np.arange(n_max + 1)
+    rows = every if rows is None else np.atleast_1d(np.asarray(rows, dtype=int))
+    cols = every if cols is None else np.atleast_1d(np.asarray(cols, dtype=int))
+    if not (rows.size and cols.size and 0 <= min(rows.min(), cols.min())
+            and max(rows.max(), cols.max()) <= n_max):
+        raise ValueError(f"rows and cols must be nonempty index sets in 0..{n_max}")
     measure = build_measure(chain)
     cfg = cfg or QuadratureConfig()
-    k = np.arange(n_max + 1)
-    pi = np.atleast_1d(reversibility(chain).pi(k))
+    pi = np.atleast_1d(reversibility(chain).pi(cols))
 
     uncertified = {}  # t -> mask of the entries its last pass cannot certify
 
@@ -400,8 +429,9 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int,
 
         def each(t, q_rows, xt):
             wxt = w * xt * (_LD(np.pi) / _LD(n_nodes))
-            ac = np.dot(q_rows * wxt, q_rows.T).astype(float)
-            l1 = np.dot(np.abs(q_rows) * np.abs(wxt), np.abs(q_rows).T).astype(float)
+            left, right = q_rows[rows], q_rows[cols]
+            ac = np.dot(left * wxt, right.T).astype(float)
+            l1 = np.dot(np.abs(left) * np.abs(wxt), np.abs(right).T).astype(float)
             uncertified[t] = pi * EPS_FLOOR * l1 > cfg.tol
             return ac, l1
         return _node_pass(chain, pending, n_nodes, n_max, each)
@@ -409,17 +439,17 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int,
     ac = refine(kernel_pass, sorted(set(ts)), cfg, "kernel_matrix")
     (_, w1), (loc2, w2) = measure.atom1, measure.atom2
     return np.array([np.where(uncertified[t], np.nan,
-                              (ac[t] + w1 + w2 * loc2 ** (t + np.add.outer(k, k))) * pi)
+                              (ac[t] + w1 + w2 * loc2 ** (t + np.add.outer(rows, cols))) * pi)
                      for t in ts])
 
 
 def kernel_spectral(chain: ChainParams, t: int, i: int, j: int,
                     cfg: QuadratureConfig = None) -> float:
-    """Transition probability p_t(i, j); the one-entry slice of kernel_matrix.
-    Raises RegimeError where that entry is NaN (not certified)."""
+    """Transition probability p_t(i, j): kernel_matrix on the one entry
+    (rows [i], cols [j]).  Raises RegimeError where it is NaN (not certified)."""
     if t < 0 or i < 0 or j < 0:
         raise ValueError("t, i, j must be nonnegative")
-    value = float(kernel_matrix(chain, [t], max(i, j), cfg=cfg)[0, i, j])
+    value = float(kernel_matrix(chain, [t], max(i, j), cfg=cfg, rows=[i], cols=[j])[0, 0, 0])
     if math.isnan(value):
         raise RegimeError(f"p_{t}({i}, {j}) cannot be certified: its roundoff floor "
                           "exceeds the quadrature tolerance")

@@ -13,13 +13,27 @@ whose coefficient is 2 cos(theta) at x = r + 2 sqrt(pq) cos(theta).  On the
 spectral support both of its modes have modulus one, so it is neutrally
 stable: roundoff grows at most polynomially in n, the edges r +- 2 sqrt(pq)
 (where the roots merge) included.  Off the support it follows the dominant
-root, which carries Q_n there.  It is the only way Q_n is computed here.
+root, which carries Q_n there.  It is the only way values of Q_n are
+computed here.
 
 The one exception is the pair of atoms of the spectral measure, 1 and
 -q/(q+r), where the growing root's coefficient vanishes and Q_n = lambda^n
 exactly.  Any recursion in floating point re-excites that mode with
 roundoff, and its n-th power swamps the true value, so there the closed form
 is returned instead.
+
+Sums of Q_n against weights g_k on the theta quadrature nodes, for every
+degree up to some N at once, use the brackets in Chebyshev-U form instead.
+With U_n = sin((n+1) theta)/sin(theta), U_{-1} = 0 and U_{-2} = -1, at
+x = r + 2 sqrt(pq) cos(theta)
+
+    B_n = p U_n + r sqrt(p/q) U_{n-1} - (1-p) U_{n-2}
+
+exactly (it holds at n = 0, 1 and each U_n obeys the same recursion), so
+sum_k B_n(theta_k) g_k needs only the sine sums
+D[m] = sum_k sin(m theta_k) g_k / sin(theta_k).  At theta_k = k pi / K these
+are one real FFT of length 2K per weight row, O(K log K) for all N degrees
+against O(N K) for the bracket-matrix product.
 """
 
 import math
@@ -29,7 +43,7 @@ import numpy as np
 from .chain import ChainParams, reversibility
 from .spectral import negative_atom
 
-__all__ = ["q_values", "q_bracket_matrix", "point_mass_summability"]
+__all__ = ["q_values", "q_bracket_matrix", "q_node_sums", "point_mass_summability"]
 
 
 def _brackets(chain: ChainParams, n_max: int, x):
@@ -45,6 +59,30 @@ def _brackets(chain: ChainParams, n_max: int, x):
         for _ in range(n_max - 1):
             b_prev, b_cur = b_cur, two_cos * b_cur - b_prev
             yield b_cur
+
+
+def _sine_brackets(chain: ChainParams, s):
+    """The U-form of the brackets: from s[..., m] = S_m, m = 0..N+1, the image
+    of sin(m theta) under a map linear in it (so S_{-1} = -S_1), return
+    p S_{n+1} + r sqrt(p/q) S_n - (1-p) S_{n-1} for n = 0..N.  With
+    S_m = sin(m theta)/sin(theta) that is B_n(cos theta)."""
+    dt = s.dtype.type
+    p, q, r = dt(chain.p), dt(chain.q), dt(chain.r)
+    below = np.concatenate([-s[..., 1:2], s[..., :-2]], axis=-1)
+    return p * s[..., 1:] + r * np.sqrt(p / q) * s[..., :-1] - (1 - p) * below
+
+
+def _sine_sums(h, m_max: int):
+    """D[..., m] = sum_{k=1}^{K-1} sin(m k pi/K) h[..., k-1] for m = 0..m_max,
+    where K - 1 = h.shape[-1]: D = -Im of one real FFT of length 2K per row,
+    read past m = K through D's period 2K and its fold D[2K-m] = -D[m]."""
+    n_panels = h.shape[-1] + 1
+    padded = np.zeros(h.shape[:-1] + (n_panels,), dtype=h.dtype)
+    padded[..., 1:] = h
+    half = -np.fft.rfft(padded, n=2 * n_panels).imag  # m = 0..K
+    if m_max > n_panels:
+        half = np.concatenate([half, -half[..., -2:0:-1]], axis=-1)  # m = 0..2K-1
+    return half[..., np.arange(m_max + 1) % (2 * n_panels)]
 
 
 def _scale(chain: ChainParams, dt, n):
@@ -85,6 +123,19 @@ def q_bracket_matrix(chain: ChainParams, n_max: int, x):
         out[n] = b_n
     out *= _scale(chain, dt, np.arange(n_max + 1, dtype=dt))[:, None]
     return out
+
+
+def q_node_sums(chain: ChainParams, n_max: int, g):
+    """sum_k Q_n(x_k) g[..., k] for n = 0..n_max, for each row of g, where x_k
+    are the K - 1 = g.shape[-1] interior nodes of spectral.theta_nodes(chain,
+    K): the sine transform of the U-form, one real FFT of length 2K per row.
+    Shape (..., n_max+1), in g's dtype."""
+    g = np.asarray(g)
+    n_nodes = g.shape[-1] + 1
+    dt = g.dtype.type
+    sines = np.sin(np.pi * np.arange(1, n_nodes, dtype=dt) / dt(n_nodes))
+    brackets = _sine_brackets(chain, _sine_sums(g / sines, n_max + 1))
+    return brackets * _scale(chain, dt, np.arange(n_max + 1, dtype=dt))
 
 
 def point_mass_summability(chain: ChainParams, lam: float, n_trunc: int) -> float:

@@ -159,6 +159,10 @@ class TestTmix:
                                  "--r", "0.3999999999", "--eps", "0.1")
         assert code == 1 and out == ""
         assert err.startswith("kmmix: ") and "bracket exceeded 1e7" in err
+        # the envelope at t = 1e7 reads 9e19 here; TV <= 1 caps the bound
+        assert "min(1, envelope)" in err
+        bound = float(err.rsplit("achieved tail bound ", 1)[1].rstrip(")\n"))
+        assert 0.0 < bound <= 1.0
 
 
 class TestKernel:

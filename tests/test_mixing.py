@@ -189,6 +189,24 @@ class TestTvCurve:
                                                     tv_oracle_curve(c, 40))):
                 assert abs(exact - oracle) <= 1e-8, (c, t)
 
+    def test_matches_oracle_past_twice_the_nodes(self):
+        # N is about 4600 here, past 2K at every node count up to 2048, so the
+        # sine sums are read through their fold and period
+        c = ChainParams(0.3, 0.305, 0.395)
+        ts = list(range(41)) + [300]
+        oracle = tv_oracle_curve(c, 300)
+        for t, exact in zip(ts, tv_curve(c, ts)):
+            assert abs(exact - oracle[t]) <= 1e-8, t
+
+    @pytest.mark.parametrize("chain", [ChainParams(1 / 11, 9 / 11, 1 / 11), NEAR_CRITICAL])
+    def test_sine_transform_and_bracket_matrix_agree(self, monkeypatch, chain):
+        ts = list(range(0, 61, 3)) + [200]
+        routes = []
+        for rows_per_log2 in (0.0, math.inf):  # always, never the sine transform
+            monkeypatch.setattr(mixing, "_SINE_ROWS_PER_LOG2", rows_per_log2)
+            routes.append(tv_curve(chain, ts))
+        np.testing.assert_allclose(*routes, rtol=0.0, atol=1e-15)
+
     def test_unsorted_and_duplicate_times(self, example_chain):
         for c in (example_chain, NEAR_CRITICAL):
             ts = [17, 3, 40, 3, 0, 17, 25, 120]
@@ -264,12 +282,16 @@ class TestTMix:
     def test_bracket_past_cap_is_typed(self, chain):
         # beta rounds to 1.0 on the first chain and is 1 - 8e-11 on the second
         for method in ("exact", "bound"):
-            with pytest.raises(ConvergenceError, match="bracket exceeded 1e7"):
+            with pytest.raises(ConvergenceError, match="bracket exceeded 1e7") as info:
                 t_mix(chain, 0.1, method=method)
+            assert 0.0 < info.value.achieved_bound <= 1.0  # TV <= 1
 
-    @pytest.mark.parametrize("eps, exact, bound", [(1e-3, 8392, 45632), (0.1, 837, 31362)])
-    def test_near_critical_search_is_batched(self, monkeypatch, eps, exact, bound):
-        chain = ChainParams(0.3, 0.32, 0.38)
+    @pytest.mark.parametrize("chain, eps, exact, bound", [
+        pytest.param(NEAR_CRITICAL, 1e-3, 8392, 45632, id="0.001-8392-45632"),
+        pytest.param(NEAR_CRITICAL, 0.1, 837, 31362, id="0.1-837-31362"),
+        pytest.param(ChainParams(0.3, 0.305, 0.395), 0.3, 2689, 567258, id="q0.305-0.3-2689"),
+    ])
+    def test_near_critical_search_is_batched(self, monkeypatch, chain, eps, exact, bound):
         calls = []
 
         def counting_tv_curve(*args, **kwargs):
@@ -286,6 +308,8 @@ class TestTMix:
         assert t_mix(chain, eps, method="bound") == bound
         before, at = tv_curve(chain, [exact - 1, exact])
         assert before > eps >= at
+        dp = tv_oracle_curve(chain, exact)
+        assert dp[exact - 1] > eps >= dp[exact]
 
 
 class TestKernelSpectral:
@@ -366,6 +390,15 @@ class TestKernelMatrix:
                     for j in range(7):
                         assert kernel[i, j] == kernel_spectral(c, t, i, j), (c, t, i, j)
 
+    def test_index_sets_slice_the_full_matrix(self, example_chain):
+        for c in (example_chain, NEAR_CRITICAL):
+            ts = [0, 1, 17, 60]
+            full = kernel_matrix(c, ts, 8)
+            for rows, cols in (([2], [3]), ([0, 8, 4], [5]), (range(3), [8, 1]), (None, [6])):
+                part = kernel_matrix(c, ts, 8, rows=rows, cols=cols)
+                want = full[:, list(range(9) if rows is None else rows)][:, :, cols]
+                np.testing.assert_allclose(part, want, rtol=0.0, atol=1e-15)
+
     def test_uncertified_entry_is_nan(self, example_chain):
         # pi_0 Q_29 grows like 3^29, so p_7(29, 0) = 0 cancels past extended
         # precision; the entries of row 2 stay certified
@@ -393,6 +426,9 @@ class TestKernelMatrix:
         for ts, n_max in (([], 3), ([2, -1], 3), ([2], -1)):
             with pytest.raises(ValueError):
                 kernel_matrix(example_chain, ts, n_max)
+        for rows, cols in (([4], None), (None, [-1]), ([], [0]), ([1], [])):
+            with pytest.raises(ValueError, match="index sets"):
+                kernel_matrix(example_chain, [2], 3, rows=rows, cols=cols)
 
 
 @pytest.mark.parametrize("compute", [

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kmmix import point_mass_summability, q_values
-from kmmix.orthopoly import q_bracket_matrix
-from kmmix.spectral import negative_atom
+from kmmix import ChainParams, point_mass_summability, q_values
+from kmmix.orthopoly import _brackets, _sine_brackets, _sine_sums, q_bracket_matrix, q_node_sums
+from kmmix.spectral import negative_atom, theta_nodes
 
 from oracles import q_exact
 
@@ -172,6 +172,91 @@ class TestQEval:
     def test_rejects_negative_degree(self, example_chain):
         with pytest.raises(ValueError, match="nonnegative"):
             q_values(example_chain, -1, [0.1])
+
+
+LD = np.longdouble
+LD_PI = np.arccos(LD(-1))
+
+
+def bracket_rows(chain, n_max, x):
+    """B_0..B_{n_max} at the points x, shape (len(x), n_max+1)."""
+    return np.stack(list(_brackets(chain, n_max, x)), axis=-1)
+
+
+class TestSineForm:
+    """The U-form B_n = p U_n + r sqrt(p/q) U_{n-1} - (1-p) U_{n-2} and the
+    sine transform that sums it over the theta nodes."""
+
+    CHAINS = [ChainParams(1 / 11, 9 / 11, 1 / 11), ChainParams(0.3, 0.32, 0.38),
+              ChainParams(0.02, 0.1, 0.88), ChainParams(0.3, 0.305, 0.395)]
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_u_identity_at_nodes(self, chain):
+        n_max, k = 60, 64
+        theta = np.arange(1, k, dtype=LD) * (LD_PI / k)
+        x = LD(chain.r) + 2 * np.sqrt(LD(chain.p) * LD(chain.q)) * np.cos(theta)
+        m = np.arange(n_max + 2, dtype=LD)
+        u_form = _sine_brackets(chain, np.sin(np.outer(theta, m)) / np.sin(theta)[:, None])
+        # |B_n| is O(n) on the support; the recursion's roundoff, O(n^2 eps)
+        np.testing.assert_allclose(u_form, bracket_rows(chain, n_max, x),
+                                   rtol=0, atol=1e-15 * (n_max + 1))
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_u_identity_at_the_edges(self, chain):
+        # theta -> 0 and pi, where U_n -> n + 1 and (-1)^n (n + 1), and just
+        # inside them
+        n_max = 40
+        m = np.arange(n_max + 2, dtype=LD)
+        edges = LD(chain.r) + np.array([2, -2], dtype=LD) * np.sqrt(LD(chain.p) * LD(chain.q))
+        limits = np.stack([m, (-1) ** (m + 1) * m])
+        np.testing.assert_allclose(_sine_brackets(chain, limits),
+                                   bracket_rows(chain, n_max, edges), rtol=0, atol=1e-15 * (n_max + 1))
+        theta = np.array([1e-6, LD_PI - LD(1e-6)], dtype=LD)
+        x = LD(chain.r) + 2 * np.sqrt(LD(chain.p) * LD(chain.q)) * np.cos(theta)
+        u_form = _sine_brackets(chain, np.sin(np.outer(theta, m)) / np.sin(theta)[:, None])
+        # sin(m theta) near m pi carries an absolute error of about m pi eps
+        np.testing.assert_allclose(u_form, bracket_rows(chain, n_max, x),
+                                   rtol=0, atol=1e-12 * (n_max + 1))
+
+    @pytest.mark.parametrize("n_nodes", [16, 64, 512])
+    def test_sine_sums_against_direct_product(self, n_nodes):
+        # m runs past 2K, through the fold D[2K - m] = -D[m] and the period 2K
+        rng = np.random.default_rng(n_nodes)
+        h = rng.standard_normal((3, n_nodes - 1)).astype(LD)
+        m_max = 2 * n_nodes + 37
+        k = np.arange(1, n_nodes)
+        # the exact angles m k pi / K, reduced mod 2 pi before scaling
+        sines = np.sin((np.outer(np.arange(m_max + 1), k) % (2 * n_nodes)) * (LD_PI / n_nodes))
+        direct = h @ sines.T
+        got = _sine_sums(h, m_max)
+        assert got.shape == (3, m_max + 1) and got.dtype == LD
+        scale = np.abs(h).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - direct) <= 1e-17 * scale)
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    @pytest.mark.parametrize("n_nodes, tol", [(512, 2e-16), (64, 1e-12)])
+    def test_node_sums_match_bracket_product(self, chain, n_nodes, tol):
+        # theta_nodes sits at k pi/K with pi rounded to a double, a relative
+        # offset of 4e-17 that the transform's exact angles do not share: the
+        # two agree to about that much of the integrand's L1 size while n < 2K
+        # (measured 6e-17), and to 2e-13 at 64 nodes, where n_max = 300 runs
+        # past 2K = 128 through the fold and the period
+        n_max = 300
+        x, w = theta_nodes(chain, n_nodes)
+        g = np.stack([w, w * x ** 40, w * x ** 7])
+        q_rows = q_bracket_matrix(chain, n_max, x)
+        got = q_node_sums(chain, n_max, g)
+        assert got.shape == (3, n_max + 1) and got.dtype == LD
+        scale = np.dot(np.abs(g), np.abs(q_rows).T)
+        assert np.all(np.abs(got - np.dot(g, q_rows.T)) <= tol * scale)
+
+    def test_fft_keeps_extended_precision(self):
+        # numpy < 2 transforms longdouble input in float64, which would cost
+        # the series about three digits wherever longdouble is wider
+        if np.finfo(LD).eps >= np.finfo(np.float64).eps:
+            pytest.skip("longdouble is float64 on this platform")
+        out = np.fft.rfft(np.ones(8, dtype=LD), n=16)
+        assert out.dtype == np.clongdouble
 
 
 class TestPointMassSummability:
