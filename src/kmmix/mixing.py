@@ -66,7 +66,6 @@ __all__ = [
     "kernel_spectral",
 ]
 
-_LD = np.longdouble
 _PROBES = 15  # evaluations per round of _first_below
 _BLOCK = 8  # times per batch of tv_curve's node pass (bounds the FFT's memory)
 # A sine transform of length 2K costs about this many bracket-matrix rows per
@@ -164,32 +163,25 @@ def spectral_integral(chain: ChainParams, t: int, n: int, route: str = "interval
     """I_t(n), the integral of lambda^t Q_n over (-1, 1) against psi (the atom
     at 1 excluded, the negative atom included).
 
-    route 'interval' integrates the density directly, 'contour' uses the
+    route 'interval' takes the AC part from the kernel's quadrature core
+    (entry (0, n), Q_0 = 1) and adds w2 loc2^(t+n), 'contour' uses the
     unit-circle representation, and 'both' evaluates the two and raises
     RouteDisagreement if they differ beyond
     1e-8 * max(1, beta^t (q/p)^(n/2))."""
-    if t < 0 or n < 0:
-        raise ValueError("t and n must be nonnegative")
+    t, n = _naturals([t, n], "t and n")
     if route not in ("interval", "contour", "both"):
         raise ValueError(f"unknown route {route!r}")
+    if contour_node_count is not None and contour_node_count < 1:
+        raise ValueError("contour_node_count must be at least 1")
+    loc2, w2 = negative_atom(chain)
     if route in ("interval", "both"):
         build_measure(chain)  # RegimeError outside the validated regime
-
-        def moment_pass(n_nodes, keys):
-            _, w = theta_nodes(chain, n_nodes)
-
-            def each(t, q_rows, xt):
-                l1 = np.dot(np.abs(q_rows[n]), w * np.abs(xt)) * (_LD(np.pi) / _LD(n_nodes))
-                ac = np.dot(q_rows, w * xt * (_LD(np.pi) / _LD(n_nodes))).astype(float)
-                return float(_moments(chain, t, ac)[n]), float(l1)
-            return _node_pass(chain, keys, n_nodes, n, each)
-
-        interval_val = refine(moment_pass, [t], cfg or QuadratureConfig(),
-                              "spectral_integral")[t]
+        ac, _ = _kernel_ac(chain, [t], n, [0], [n], cfg or QuadratureConfig(),
+                           "spectral_integral")
+        interval_val = w2 * loc2 ** (t + n) + float(ac[t][0, 0])
         if route == "interval":
             return interval_val
     nodes = contour_node_count or contour_nodes_default(t, n, chain)
-    loc2, w2 = negative_atom(chain)
     contour_val = w2 * loc2 ** (t + n) + _contour_part(chain, t, n, nodes)
     if route == "contour":
         return contour_val
@@ -259,13 +251,6 @@ def _series_cutoff(chain: ChainParams, co: BoundCoefficients, t: int, ctl: TailC
     return hi, tail(hi)
 
 
-def _moments(chain: ChainParams, t: int, ac):
-    """I_t(n) for n = 0..len(ac)-1 from its AC parts ac (floats): adds the
-    negative atom's w2 loc2^(t+n)."""
-    loc2, w2 = negative_atom(chain)
-    return w2 * loc2 ** (t + np.arange(len(ac))) + ac
-
-
 def _sine_transform_pays(n_cut: int, n_nodes: int) -> bool:
     """Whether q_node_sums beats the bracket-matrix product for I_t(0..n_cut)."""
     return n_cut + 1 > _SINE_ROWS_PER_LOG2 * math.log2(2 * n_nodes)
@@ -280,22 +265,19 @@ def _powers(x, ts):
         yield t, xt
 
 
-def _node_pass(chain: ChainParams, ts, n_nodes: int, n_max: int, each) -> dict:
-    """{t: each(t, q_rows, xt)} for the ascending ts on the n_nodes-panel node
-    set: q_rows is Q_0..Q_{n_max} there, built once and released on return,
-    and xt the nodes' t-th power."""
-    x, _ = theta_nodes(chain, n_nodes)
-    q_rows = q_bracket_matrix(chain, n_max, x)
-    return {t: each(t, q_rows, xt) for t, xt in _powers(x, ts)}
-
-
-def _times(ts) -> list:
-    ts = list(ts)
-    if not ts:
-        raise ValueError("ts must hold at least one time")
-    if min(ts) < 0:
-        raise ValueError("t must be nonnegative")
-    return ts
+def _naturals(values, what: str = "t") -> list:
+    """values, each a nonnegative integral number, as a nonempty list of ints;
+    else ValueError."""
+    values = list(values)
+    if not values:
+        raise ValueError(f"{what} must hold at least one value")
+    try:
+        ints = [int(v) for v in values]
+    except (OverflowError, ValueError):  # inf, nan
+        ints = []
+    if ints != values or min(ints) < 0:
+        raise ValueError(f"{what} must be nonnegative integers")
+    return ints
 
 
 def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
@@ -313,11 +295,12 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     doubling loop (with no roundoff floor) once its value stabilizes.  Raises
     ConvergenceError when some N_t exceeds ctl.n_cap and QuadratureError when
     some t does not stabilize within cfg.max_doublings."""
-    ts = _times(ts)
+    ts = _naturals(ts)
     ctl = ctl or TailControl()
     co = bound_coefficients(chain)
     cuts = {t: _series_cutoff(chain, co, t, ctl)[0] for t in sorted(set(ts))}
     pi_vals = np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
+    loc2, w2 = negative_atom(chain)
 
     def tv_pass(n_nodes, pending):
         x, w = theta_nodes(chain, n_nodes)
@@ -327,13 +310,13 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
         for start in range(0, len(pending), _BLOCK):
             block = [next(powers) for _ in pending[start:start + _BLOCK]]
             n_cut = max(cuts[t] for t, _ in block)
-            wxt = [w * xt * (_LD(np.pi) / _LD(n_nodes)) for _, xt in block]
+            wxt = [w * xt for _, xt in block]
             if _sine_transform_pays(n_cut, n_nodes):
                 acs = q_node_sums(chain, n_cut, np.array(wxt))
             else:  # np.dot, not @: numpy's matmul loop for longdouble is about 2.5x slower
                 acs = [np.dot(q_rows[: cuts[t] + 1], v) for (t, _), v in zip(block, wxt)]
             for (t, _), ac in zip(block, acs):
-                i_tn = _moments(chain, t, ac[: cuts[t] + 1].astype(float))
+                i_tn = w2 * loc2 ** (t + np.arange(cuts[t] + 1)) + ac[: cuts[t] + 1].astype(float)
                 values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn)), 0.0
         return values
 
@@ -348,6 +331,8 @@ def tv_exact(chain: ChainParams, t: int, ctl: TailControl = None,
 
 
 def tv_upper(chain: ChainParams, t: int) -> float:
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     co = bound_coefficients(chain)
     return co.A * co.alpha ** t + co.B * co.beta ** t
 
@@ -355,6 +340,8 @@ def tv_upper(chain: ChainParams, t: int) -> float:
 def tv_lower(chain: ChainParams, t: int):
     """Matching lower envelope A alpha^t - B beta^t; only meaningful (valid
     flag) when alpha > beta and the value is positive."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     co = bound_coefficients(chain)
     value = co.A * co.alpha ** t - co.B * co.beta ** t
     return value, (co.alpha > co.beta and value > 0.0)
@@ -409,46 +396,49 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
     far below the diagonal (pi_j Q_i Q_j grows like (q/p)^((i-j)/2)), and as
     p -> 0, where the AC interval narrows and the integrals cancel past
     extended precision."""
-    ts = _times(ts)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    ts = _naturals(ts)
+    n_max = _naturals([n_max], "n_max")[0]
     every = np.arange(n_max + 1)
-    rows = every if rows is None else np.atleast_1d(np.asarray(rows, dtype=int))
-    cols = every if cols is None else np.atleast_1d(np.asarray(cols, dtype=int))
-    if not (rows.size and cols.size and 0 <= min(rows.min(), cols.min())
-            and max(rows.max(), cols.max()) <= n_max):
+    rows, cols = (every if s is None else np.atleast_1d(np.asarray(s, dtype=float))
+                  for s in (rows, cols))
+    if not all(s.size and np.isin(s, every).all() for s in (rows, cols)):
         raise ValueError(f"rows and cols must be nonempty index sets in 0..{n_max}")
+    rows, cols = rows.astype(int), cols.astype(int)
     measure = build_measure(chain)
     cfg = cfg or QuadratureConfig()
     pi = np.atleast_1d(reversibility(chain).pi(cols))
-
-    uncertified = {}  # t -> mask of the entries its last pass cannot certify
-
-    def kernel_pass(n_nodes, pending):
-        _, w = theta_nodes(chain, n_nodes)
-
-        def each(t, q_rows, xt):
-            wxt = w * xt * (_LD(np.pi) / _LD(n_nodes))
-            left, right = q_rows[rows], q_rows[cols]
-            ac = np.dot(left * wxt, right.T).astype(float)
-            l1 = np.dot(np.abs(left) * np.abs(wxt), np.abs(right).T).astype(float)
-            uncertified[t] = pi * EPS_FLOOR * l1 > cfg.tol
-            return ac, l1
-        return _node_pass(chain, pending, n_nodes, n_max, each)
-
-    ac = refine(kernel_pass, sorted(set(ts)), cfg, "kernel_matrix")
+    ac, l1 = _kernel_ac(chain, ts, n_max, rows, cols, cfg, "kernel_matrix")
     (_, w1), (loc2, w2) = measure.atom1, measure.atom2
-    return np.array([np.where(uncertified[t], np.nan,
+    return np.array([np.where(pi * EPS_FLOOR * l1[t] > cfg.tol, np.nan,
                               (ac[t] + w1 + w2 * loc2 ** (t + np.add.outer(rows, cols))) * pi)
                      for t in ts])
+
+
+def _kernel_ac(chain: ChainParams, ts, n_max: int, rows, cols, cfg: QuadratureConfig,
+               name: str):
+    """The quadrature core of the kernel: the AC parts (Q[rows] w x^t) Q[cols]^T
+    for the ts, refined with one Q_0..Q_{n_max} matrix per node count serving
+    every t, and their L1 twins from each t's last pass: ({t: ac}, {t: l1})."""
+    l1 = {}
+
+    def kernel_pass(n_nodes, pending):
+        x, w = theta_nodes(chain, n_nodes)
+        q_rows = q_bracket_matrix(chain, n_max, x)
+        left, right = q_rows[rows], q_rows[cols]
+        out = {}
+        for t, xt in _powers(x, pending):
+            wxt = w * xt
+            l1[t] = np.dot(np.abs(left) * np.abs(wxt), np.abs(right).T).astype(float)
+            out[t] = np.dot(left * wxt, right.T).astype(float), l1[t]
+        return out
+    return refine(kernel_pass, sorted(set(ts)), cfg, name), l1
 
 
 def kernel_spectral(chain: ChainParams, t: int, i: int, j: int,
                     cfg: QuadratureConfig = None) -> float:
     """Transition probability p_t(i, j): kernel_matrix on the one entry
     (rows [i], cols [j]).  Raises RegimeError where it is NaN (not certified)."""
-    if t < 0 or i < 0 or j < 0:
-        raise ValueError("t, i, j must be nonnegative")
+    t, i, j = _naturals([t, i, j], "t, i, j")
     value = float(kernel_matrix(chain, [t], max(i, j), cfg=cfg, rows=[i], cols=[j])[0, 0, 0])
     if math.isnan(value):
         raise RegimeError(f"p_{t}({i}, {j}) cannot be certified: its roundoff floor "

@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .chain import ChainParams, reversibility
-from .spectral import negative_atom
+from .spectral import _theta_grid, negative_atom
 
 __all__ = ["q_values", "q_bracket_matrix", "q_node_sums", "point_mass_summability"]
 
@@ -128,12 +128,12 @@ def q_bracket_matrix(chain: ChainParams, n_max: int, x):
 def q_node_sums(chain: ChainParams, n_max: int, g):
     """sum_k Q_n(x_k) g[..., k] for n = 0..n_max, for each row of g, where x_k
     are the K - 1 = g.shape[-1] interior nodes of spectral.theta_nodes(chain,
-    K): the sine transform of the U-form, one real FFT of length 2K per row.
-    Shape (..., n_max+1), in g's dtype."""
+    K), at the angles k pi / K that the FFT's twiddles also take: the sine
+    transform of the U-form, one real FFT of length 2K per row.  Shape
+    (..., n_max+1), in g's dtype."""
     g = np.asarray(g)
-    n_nodes = g.shape[-1] + 1
     dt = g.dtype.type
-    sines = np.sin(np.pi * np.arange(1, n_nodes, dtype=dt) / dt(n_nodes))
+    sines = np.sin(_theta_grid(g.shape[-1] + 1)).astype(dt)
     brackets = _sine_brackets(chain, _sine_sums(g / sines, n_max + 1))
     return brackets * _scale(chain, dt, np.arange(n_max + 1, dtype=dt))
 

@@ -11,10 +11,11 @@ The measure psi on [-1, 1] consists of
 Quadrature against phi substitutes x = r + 2 sqrt(pq) cos(theta), under which
 phi(x) dx becomes a smooth periodic integrand in theta (the square-root
 endpoint vanishing is absorbed), so the uniform trapezoid rule converges
-spectrally.  Nodes and reductions are carried in extended precision where the
-platform provides it: high-degree polynomial integrands cancel by many orders
-of magnitude and double-precision roundoff would otherwise set a noise floor
-near 1e-8.
+spectrally.  Its nodes sit at theta_k = k pi / K and its weights carry the
+panel width pi / K, so an integral against phi is one weighted sum.  Nodes
+and reductions are carried in extended precision where the platform provides
+it: high-degree polynomial integrands cancel by many orders of magnitude and
+double-precision roundoff would otherwise set a noise floor near 1e-8.
 """
 
 from dataclasses import dataclass
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 _LD = np.longdouble
+_PI = np.arccos(_LD(-1))  # pi in extended precision; np.pi is a double
 # spectral convergence puts the truncation error below roundoff almost at once;
 # estimates of violently cancelling integrands then wander at this floor per
 # unit of integrand L1 size, which a stopping rule must accept
@@ -110,22 +112,26 @@ def build_measure(chain: ChainParams) -> SpectralMeasure:
     return SpectralMeasure(chain=chain, atom1=(1.0, w1), atom2=(loc2, w2), ac_interval=(lo, hi))
 
 
+def _theta_grid(n_nodes: int):
+    """The interior angles theta_k = k pi / n_nodes, k = 1..n_nodes-1, of the
+    theta trapezoid rule, in extended precision."""
+    return _PI * np.arange(1, n_nodes, dtype=_LD) / n_nodes
+
+
 @lru_cache(maxsize=32)
 def theta_nodes(chain: ChainParams, n_nodes: int) -> tuple:
     """Interior nodes x and weights w of the theta-substituted trapezoid rule
     with n_nodes panels, in extended precision and read-only.
 
     x = r + 2 sqrt(pq) cos(theta) at theta = k pi / n_nodes, k = 1..n_nodes-1,
-    and w = 4pq sin^2(theta) / (2 pi ((r+q)x+q)(1-x)) is the density's
-    Jacobian-weighted value there; the integral of f against phi is
-    (pi / n_nodes) sum w f(x).  The transformed integrand vanishes at
-    theta = 0, pi, so the interior sum is the full trapezoid value."""
+    and w = 2pq sin^2(theta) / (n_nodes ((r+q)x+q)(1-x)) is the density's
+    Jacobian-weighted value there times the panel width pi / n_nodes: the
+    integral of f against phi is sum w f(x).  The transformed integrand
+    vanishes at theta = 0, pi, so the interior sum is the full trapezoid value."""
     p, q, r = _LD(chain.p), _LD(chain.q), _LD(chain.r)
-    theta = np.pi * np.arange(1, n_nodes, dtype=_LD) / _LD(n_nodes)
+    theta = _theta_grid(n_nodes)
     x = r + 2.0 * np.sqrt(p * q) * np.cos(theta)
-    w = 4.0 * p * q * np.sin(theta) ** 2 / (
-        (2.0 * _LD(np.pi)) * ((r + q) * x + q) * (1.0 - x)
-    )
+    w = 2.0 * p * q * np.sin(theta) ** 2 / (n_nodes * ((r + q) * x + q) * (1.0 - x))
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -138,8 +144,8 @@ def _ac_fixed(measure: SpectralMeasure, f, n_nodes: int):
     roundoff floor of the estimate."""
     x, w = theta_nodes(measure.chain, n_nodes)
     vals = np.asarray(f(x))
-    total = np.sum(vals * w) * (_LD(np.pi) / _LD(n_nodes))
-    l1 = float(np.sum(np.abs(vals) * w) * (_LD(np.pi) / _LD(n_nodes)))
+    total = np.sum(vals * w)
+    l1 = float(np.sum(np.abs(vals) * w))
     if np.iscomplexobj(vals):
         return complex(total), l1
     return float(total), l1

@@ -80,6 +80,27 @@ class TestSpectralIntegral:
         with pytest.raises(ValueError, match="route"):
             spectral_integral(example_chain, 1, 1, route="spiral")
 
+    def test_rejects_bad_arguments(self, example_chain):
+        for t, n in ((2.5, 1), (2, 1.5), (-1, 0), (0, -2)):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                spectral_integral(example_chain, t, n)
+        for count in (0, -4):
+            with pytest.raises(ValueError, match="contour_node_count"):
+                spectral_integral(example_chain, 3, 2, route="contour", contour_node_count=count)
+
+    def test_interval_route_is_the_kernel_entry(self, example_chain):
+        # both read entry (0, n) of one quadrature core; the atoms are added
+        # in a different order, so they agree to a few ulps of the summands
+        for c in (example_chain, NEAR_CRITICAL):
+            w1 = build_measure(c).atom1[1]
+            for t in (0, 1, 7, 30):
+                for n in (0, 1, 4, 12):
+                    pi_n = reversibility(c).pi(n)
+                    value = spectral_integral(c, t, n, route="interval")
+                    want = kernel_matrix(c, [t], n, rows=[0], cols=[n])[0, 0, 0]
+                    ulp = np.spacing(pi_n * (w1 + abs(value)))
+                    assert abs(pi_n * (w1 + value) - want) <= 4 * ulp, (c, t, n)
+
     def test_routes_agree_with_poles_near_circle(self):
         # q barely above p pushes a contour pole to sqrt(p/q) ~ 1; the
         # default node count must grow to damp the inner aliases
@@ -214,9 +235,11 @@ class TestTvCurve:
                 assert value == pytest.approx(tv_exact(c, t), rel=1e-12, abs=0.0)
 
     def test_rejects_empty_and_negative_times(self, example_chain):
-        for ts in ([], [3, -1]):
+        for ts in ([], [3, -1], [2.5], [3, 0.5], [float("nan")], [float("inf")]):
             with pytest.raises(ValueError):
                 tv_curve(example_chain, ts)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            tv_exact(example_chain, 2.5)
 
 
 class TestEnvelopes:
@@ -237,6 +260,11 @@ class TestEnvelopes:
     def test_lower_validity_requires_positive_value(self, example_chain):
         value, valid = tv_lower(example_chain, 0)
         assert value < 0.0 and not valid
+
+    def test_rejects_negative_time(self, example_chain):
+        for envelope in (tv_upper, tv_lower):
+            with pytest.raises(ValueError, match="nonnegative"):
+                envelope(example_chain, -3)
 
 
 class TestTMix:
@@ -426,19 +454,27 @@ class TestKernelMatrix:
         for ts, n_max in (([], 3), ([2, -1], 3), ([2], -1)):
             with pytest.raises(ValueError):
                 kernel_matrix(example_chain, ts, n_max)
-        for rows, cols in (([4], None), (None, [-1]), ([], [0]), ([1], [])):
+        for rows, cols in (([4], None), (None, [-1]), ([], [0]), ([1], []), ([1.7], None),
+                           (None, [0, 2.5])):
             with pytest.raises(ValueError, match="index sets"):
                 kernel_matrix(example_chain, [2], 3, rows=rows, cols=cols)
+        for ts, n_max in (([2.5], 3), ([2], 1.5)):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                kernel_matrix(example_chain, ts, n_max)
+        for t, i, j in ((2.5, 1, 1), (2, 1.5, 1), (2, 1, -1)):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                kernel_spectral(example_chain, t, i, j)
 
 
-@pytest.mark.parametrize("compute", [
-    lambda c, cfg: kernel_matrix(c, [40], 12, cfg=cfg),
-    lambda c, cfg: tv_curve(c, [0, 40], cfg=cfg),
-    lambda c, cfg: integrate_psi(build_measure(c), lambda x: x ** 80, cfg=cfg),
-], ids=["kernel_matrix", "tv_curve", "integrate_psi"])
-def test_forced_nonconvergence_carries_two_estimates(example_chain, compute):
+@pytest.mark.parametrize("compute, name", [
+    (lambda c, cfg: kernel_matrix(c, [40], 12, cfg=cfg), "kernel_matrix"),
+    (lambda c, cfg: tv_curve(c, [0, 40], cfg=cfg), "tv_curve"),
+    (lambda c, cfg: integrate_psi(build_measure(c), lambda x: x ** 80, cfg=cfg), "density"),
+    (lambda c, cfg: spectral_integral(c, 40, 12, route="both", cfg=cfg), "spectral_integral"),
+], ids=["kernel_matrix", "tv_curve", "integrate_psi", "spectral_integral"])
+def test_forced_nonconvergence_carries_two_estimates(example_chain, compute, name):
     cfg = QuadratureConfig(node_count=16, max_doublings=1, tol=1e-300)
-    with pytest.raises(QuadratureError) as info:
+    with pytest.raises(QuadratureError, match=f"^{name} quadrature") as info:
         compute(example_chain, cfg)
     old, new = info.value.estimates
     assert isinstance(old, float) and isinstance(new, float) and old != new

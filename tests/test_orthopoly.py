@@ -234,13 +234,16 @@ class TestSineForm:
         assert np.all(np.abs(got - direct) <= 1e-17 * scale)
 
     @pytest.mark.parametrize("chain", CHAINS)
-    @pytest.mark.parametrize("n_nodes, tol", [(512, 2e-16), (64, 1e-12)])
-    def test_node_sums_match_bracket_product(self, chain, n_nodes, tol):
-        # theta_nodes sits at k pi/K with pi rounded to a double, a relative
-        # offset of 4e-17 that the transform's exact angles do not share: the
-        # two agree to about that much of the integrand's L1 size while n < 2K
-        # (measured 6e-17), and to 2e-13 at 64 nodes, where n_max = 300 runs
-        # past 2K = 128 through the fold and the period
+    @pytest.mark.parametrize("n_nodes, double_pi_tol", [(512, 2e-16), (64, 1e-12)])
+    def test_node_sums_match_bracket_product(self, chain, n_nodes, double_pi_tol):
+        # theta_nodes and the transform's twiddles share the angles k pi/K, pi
+        # in extended precision; what is left is the bracket recursion's own
+        # roundoff, O(n eps).  Measured: 4.1e-17 of the integrand's L1 size at
+        # 512 nodes, and 4.5e-16 at 64, where n_max = 300 runs past 2K = 128
+        # through the fold and the period.  The ids keep double_pi_tol, the
+        # bound a grid at a double pi (4e-17 relative low) needed: 7e-17 and
+        # 2.2e-13 measured there.
+        tol = {512: 1e-16, 64: 2e-15}[n_nodes]
         n_max = 300
         x, w = theta_nodes(chain, n_nodes)
         g = np.stack([w, w * x ** 40, w * x ** 7])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from kmmix import QuadratureConfig, QuadratureError, build_measure, integrate_psi, \
+from kmmix import ChainParams, QuadratureConfig, QuadratureError, build_measure, integrate_psi, \
     point_mass_summability, q_values, residue_check, resolvent_a0, reversibility
+from kmmix.spectral import theta_nodes
+
+LD = np.longdouble
 
 
 def one(x):
@@ -35,6 +38,28 @@ class TestBuildMeasure:
         for c in chain_grid + random_chains:
             m = build_measure(c)
             assert m.atom2[0] < m.ac_interval[0] and m.ac_interval[1] < 1.0
+
+
+class TestThetaNodes:
+    # p + q + r = 1 exactly in binary, so p/(q+r) is the AC mass to the last bit
+    DYADIC = [ChainParams(0.25, 0.5, 0.25), ChainParams(0.125, 0.625, 0.25),
+              ChainParams(0.0625, 0.75, 0.1875), ChainParams(0.25, 0.375, 0.375)]
+
+    @pytest.mark.parametrize("chain", DYADIC)
+    @pytest.mark.parametrize("n_nodes", [512, 1024])
+    def test_weights_carry_the_panel_width(self, chain, n_nodes):
+        # the weights sum to the density's mass with no pi / K factor left
+        # out, and pi is not rounded to a double (4e-17 relative)
+        mass = LD(chain.p) / (LD(chain.q) + LD(chain.r))
+        _, w = theta_nodes(chain, n_nodes)
+        assert abs(w.sum() - mass) <= 16 * np.finfo(LD).eps * mass
+
+    @pytest.mark.parametrize("n_nodes", [16, 64, 512])
+    def test_middle_node_is_r(self, example_chain, n_nodes):
+        # theta = pi/2 at k = K/2: cos vanishes to within the extended pi's
+        # rounding (a double pi put this node 3e-17 off)
+        x, _ = theta_nodes(example_chain, n_nodes)
+        assert abs(x[n_nodes // 2 - 1] - LD(example_chain.r)) <= 1e-18
 
 
 class TestIntegratePsi:
