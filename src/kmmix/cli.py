@@ -18,7 +18,7 @@ from . import __version__
 from .chain import ChainParams, DistributionVector, evolve, reversibility, tv_oracle_curve, \
     drift_identity_residual
 from .coupling import rate_fit, simulate_classical, simulate_modified
-from .mixing import ConvergenceError, RouteDisagreement, TailControl, \
+from .mixing import T_CAP, ConvergenceError, RouteDisagreement, TailControl, \
     bound_coefficients, kernel_matrix, spectral_integral, t_mix, tv_curve, \
     tv_lower, tv_upper
 from .orthopoly import point_mass_summability
@@ -98,6 +98,17 @@ def _nonnegative(flag: str, value: int) -> int:
     return value
 
 
+def _size(flag: str, value: int) -> int:
+    """A count that sizes a time or state list: nonnegative and at most
+    T_CAP, checked before the list is built."""
+    if _nonnegative(flag, value) > T_CAP:
+        raise ValueError(f"{flag} must be at most 1e7, the cap of the t_mix search")
+    return value
+
+
+_CAPPED = " (at most 1e7, the cap of the t_mix search)"  # help text of _size's flags
+
+
 def _quad_cfg(args) -> QuadratureConfig:
     """The node count of --quad-nodes, or the default where it is not offered."""
     return QuadratureConfig(node_count=getattr(args, "quad_nodes", QuadratureConfig.node_count))
@@ -105,7 +116,7 @@ def _quad_cfg(args) -> QuadratureConfig:
 
 def _cmd_analyze(args):
     chain = _chain_from_args(args)
-    _nonnegative("--states", args.states)
+    _size("--states", args.states)
     rev = reversibility(chain)
     measure = build_measure(chain)
     co = bound_coefficients(chain)
@@ -128,7 +139,7 @@ def _cmd_analyze(args):
 
 def _cmd_tv(args):
     chain = _chain_from_args(args)
-    t_max = _nonnegative("--t-max", args.t_max)
+    t_max = _size("--t-max", args.t_max)
     ctl = TailControl(series_tol=args.series_tol)
     cfg = _quad_cfg(args)
     ts = range(t_max + 1)
@@ -160,7 +171,7 @@ def _cmd_tmix(args):
 
 def _cmd_kernel(args):
     chain = _chain_from_args(args)
-    t_max = _nonnegative("--t-max", args.t_max)
+    t_max = _size("--t-max", args.t_max)
     i, j = _nonnegative("--i", args.i), _nonnegative("--j", args.j)
     kernel = kernel_matrix(chain, range(t_max + 1), max(i, j), cfg=_quad_cfg(args),
                            rows=[i], cols=[j])[:, 0, 0]
@@ -330,13 +341,15 @@ def _build_parser():
 
     sp = sub.add_parser("analyze", help="stationary law, spectral measure, bound constants")
     common(sp)
-    sp.add_argument("--states", type=int, default=10, help="emit nu_0..nu_states")
+    sp.add_argument("--states", type=int, default=10,
+                    help="emit nu_0..nu_states" + _CAPPED)
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("tv", help="TV distance table: exact, oracle and bounds")
     common(sp)
     sp.add_argument("--series-tol", type=float, default=1e-12, dest="series_tol")
-    sp.add_argument("--t-max", type=int, default=60, dest="t_max")
+    sp.add_argument("--t-max", type=int, default=60, dest="t_max",
+                    help="last time of the table" + _CAPPED)
     sp.set_defaults(func=_cmd_tv)
 
     sp = sub.add_parser("tmix", help="mixing time, exact and bound-based")
@@ -348,7 +361,8 @@ def _build_parser():
     common(sp)
     sp.add_argument("--i", type=int, default=0)
     sp.add_argument("--j", type=int, default=0)
-    sp.add_argument("--t-max", type=int, default=30, dest="t_max")
+    sp.add_argument("--t-max", type=int, default=30, dest="t_max",
+                    help="last time of the table" + _CAPPED)
     sp.set_defaults(func=_cmd_kernel)
 
     sp = sub.add_parser("couple", help="Monte Carlo coupling survival curve")

@@ -68,6 +68,8 @@ __all__ = [
 
 _PROBES = 15  # evaluations per round of _first_below
 _BLOCK = 8  # times per batch of tv_curve's node pass (bounds the FFT's memory)
+_GAP_MEMO = 4  # powers x^gap that one _powers call keeps for reuse
+T_CAP = 10 ** 7  # the largest time t_mix searches to
 # A sine transform of length 2K costs about this many bracket-matrix rows per
 # log2(2K) (measured 5.6 to 6.4 at K = 512..4096, longdouble, with the matrix
 # shared by a pass): past that the series is summed by q_node_sums.
@@ -257,11 +259,20 @@ def _sine_transform_pays(n_cut: int, n_nodes: int) -> bool:
 
 
 def _powers(x, ts):
-    """(t, x^t) for the ascending ts, each power carried forward from the last."""
-    xt, t_prev = np.ones_like(x), 0
+    """(t, x^t) for the ascending ts, each power carried forward from the last
+    as xt * x^gap.  Gap 1 multiplies by x; any other x^gap is one np.power
+    (powl per element, about 80 longdouble multiplies), kept for the rest of
+    the call, since _first_below's probe times repeat a few gaps (the first
+    jump, then d and d + 1).  At most _GAP_MEMO are kept, the oldest dropped
+    first; every x^t is bit for bit that of a fresh np.power per step."""
+    xt, t_prev, steps = np.ones_like(x), 0, {}
     for t in ts:
-        xt = xt * (x if t - t_prev == 1 else np.power(x, t - t_prev))
-        t_prev = t
+        gap, t_prev = t - t_prev, t
+        if gap != 1 and gap not in steps:
+            if len(steps) == _GAP_MEMO:
+                del steps[next(iter(steps))]
+            steps[gap] = np.power(x, gap)
+        xt = xt * (x if gap == 1 else steps[gap])
         yield t, xt
 
 
@@ -371,7 +382,7 @@ def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
     co = bound_coefficients(chain)
     hi = max(_geometric_depth(2.0 * co.A, co.alpha, math.log(eps)),
              _geometric_depth(2.0 * co.B, co.beta, math.log(eps))) + 2
-    if hi > 10 ** 7:
+    if hi > T_CAP:
         raise ConvergenceError(f"t_mix bracket exceeded 1e7 for eps={eps}; the bound below is "
                                "min(1, envelope) at t = 1e7", min(1.0, tv_upper(chain, 1e7)))
     if eps * (1.0 - co.m) < 2.0 ** -1064:  # a step's decrement must span 2^10 subnormals

@@ -37,6 +37,7 @@ against O(N K) for the bracket-matrix product.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,8 +87,24 @@ def _sine_sums(h, m_max: int):
 
 
 def _scale(chain: ChainParams, dt, n):
-    """(q/p)^(n/2) in dtype dt, for a degree or an array of degrees."""
+    """(q/p)^(n/2) in dtype dt, for a degree or an array of degrees (the
+    expression _scales' tables are built by)."""
     return np.sqrt(dt(chain.q) / dt(chain.p)) ** n
+
+
+def _scales(chain: ChainParams, dt, n_max: int):
+    """_scale at the degrees 0..n_max, read-only: a slice of one table per
+    (chain, dtype) and power-of-two size, so passes over the same chain do not
+    redo its powl per element.  The table is _scale of a degree array,
+    elementwise, so each entry is bit for bit that of a fresh call."""
+    return _scale_table(chain, dt, 1 << int(n_max).bit_length())[: n_max + 1]
+
+
+@lru_cache(maxsize=32)
+def _scale_table(chain: ChainParams, dt, size: int):
+    table = _scale(chain, dt, np.arange(size, dtype=dt))
+    table.flags.writeable = False
+    return table
 
 
 def q_values(chain: ChainParams, n: int, x):
@@ -114,14 +131,15 @@ def q_values(chain: ChainParams, n: int, x):
 
 def q_bracket_matrix(chain: ChainParams, n_max: int, x):
     """Q_n(x) for all n = 0..n_max at once, by the bracket recursion times
-    (q/p)^(n/2).  Meant for quadrature nodes: unlike q_values it has no atom
-    override.  Shape (n_max+1, len(x)), in x's dtype."""
+    (q/p)^(n/2) from the cached table of _scales.  Meant for quadrature
+    nodes: unlike q_values it has no atom override.  Shape (n_max+1, len(x)),
+    in x's dtype."""
     x = np.asarray(x)
     dt = x.dtype.type
     out = np.empty((n_max + 1, x.size), dtype=x.dtype)
     for n, b_n in enumerate(_brackets(chain, n_max, x)):
         out[n] = b_n
-    out *= _scale(chain, dt, np.arange(n_max + 1, dtype=dt))[:, None]
+    out *= _scales(chain, dt, n_max)[:, None]
     return out
 
 
@@ -129,13 +147,14 @@ def q_node_sums(chain: ChainParams, n_max: int, g):
     """sum_k Q_n(x_k) g[..., k] for n = 0..n_max, for each row of g, where x_k
     are the K - 1 = g.shape[-1] interior nodes of spectral.theta_nodes(chain,
     K), at the angles k pi / K that the FFT's twiddles also take: the sine
-    transform of the U-form, one real FFT of length 2K per row.  Shape
-    (..., n_max+1), in g's dtype."""
+    transform of the U-form, one real FFT of length 2K per row, times
+    (q/p)^(n/2) from the cached table of _scales.  Shape (..., n_max+1), in
+    g's dtype."""
     g = np.asarray(g)
     dt = g.dtype.type
     sines = np.sin(_theta_grid(g.shape[-1] + 1)).astype(dt)
     brackets = _sine_brackets(chain, _sine_sums(g / sines, n_max + 1))
-    return brackets * _scale(chain, dt, np.arange(n_max + 1, dtype=dt))
+    return brackets * _scales(chain, dt, n_max)
 
 
 def point_mass_summability(chain: ChainParams, lam: float, n_trunc: int) -> float:

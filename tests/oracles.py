@@ -162,3 +162,13 @@ def log_slope(values: np.ndarray, t_lo: int, t_hi: int) -> float:
     t = np.arange(t_lo, t_hi + 1, dtype=float)
     y = np.log(values[t_lo:t_hi + 1])
     return float(np.polyfit(t, y, 1)[0])
+
+
+def node_powers_stepwise(x: np.ndarray, ts):
+    """(t, x^t) for the ascending ts, each power carried forward from the last
+    by a fresh np.power per step (x itself for a step of 1), with no reuse."""
+    xt, t_prev = np.ones_like(x), 0
+    for t in ts:
+        xt = xt * (x if t - t_prev == 1 else np.power(x, t - t_prev))
+        t_prev = t
+        yield t, xt

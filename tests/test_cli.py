@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from kmmix.cli import main
@@ -72,6 +73,63 @@ def test_negative_count_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, argv[0], "--p", "1/11", "--q", "9/11", *argv[1:])
     assert code == 2 and out == ""
     assert "must be nonnegative" in err
+
+
+HUGE = "1" + "0" * 400  # a 401-digit count
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("tv", "--t-max", HUGE), "--t-max"),
+    (("kernel", "--t-max", HUGE), "--t-max"),
+    (("analyze", "--states", "100000000000"), "--states"),
+    (("tv", "--t-max", "10000001"), "--t-max"),
+    (("kernel", "--t-max", "10000001"), "--t-max"),
+    (("analyze", "--states", "10000001"), "--states"),
+])
+def test_count_past_the_cap_exit_2(capsys, argv, flag):
+    # refused before any time or state list is built: no traceback, no hang
+    code, out, err = run_cli(capsys, argv[0], "--p", "1/11", "--q", "9/11", *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith(f"kmmix: {flag} must be at most 1e7")
+
+
+@pytest.mark.parametrize("command", ["tv", "kernel", "analyze"])
+def test_help_states_the_cap(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "at most 1e7" in capsys.readouterr().out
+
+
+def test_cached_tables_do_not_leak_between_chains(capsys):
+    # theta_nodes and the degree-scale table are cached per chain (and dtype):
+    # each chain's output must be the same run cold and run after the other
+    # chain, or after the other dtype's tables of the same chains were built
+    from kmmix import ChainParams, orthopoly, spectral
+    chains = {"near": ("--p", "0.3", "--q", "0.32", "--r", "0.38"),
+              "worked": ("--p", "1/11", "--q", "9/11")}
+    jobs = {"near": [("tmix", "--eps", "1e-3"), ("kernel", "--i", "2", "--j", "3"),
+                     ("tv", "--t-max", "20")],
+            "worked": [("tv", "--t-max", "60"), ("tmix", "--eps", "1e-6"),
+                       ("kernel", "--i", "1", "--j", "2")]}
+
+    def run(name):
+        return [run_cli(capsys, argv[0], *chains[name], *argv[1:]) for argv in jobs[name]]
+
+    def clear():
+        spectral.theta_nodes.cache_clear()
+        orthopoly._scale_table.cache_clear()
+
+    clear()
+    first = {name: run(name) for name in ("near", "worked")}
+    clear()
+    for chain in (ChainParams(0.3, 0.32, 0.38), ChainParams(1 / 11, 9 / 11, 1 / 11)):
+        x = spectral.theta_nodes(chain, 512)[0].astype(float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n_max in (2 ** k for k in range(12)):
+                orthopoly.q_bracket_matrix(chain, n_max, x)
+    second = {name: run(name) for name in ("worked", "near")}
+    assert all(code == 0 for name in first for code, _, _ in first[name])
+    assert second == first
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureErr
 from kmmix import mixing
 from kmmix.chain import DistributionVector, evolve
 from kmmix.mixing import _pole_pair, _series_cutoff
+from kmmix.spectral import theta_nodes
 
 import oracles
 
@@ -338,6 +340,61 @@ class TestTMix:
         assert before > eps >= at
         dp = tv_oracle_curve(chain, exact)
         assert dp[exact - 1] > eps >= dp[exact]
+
+
+class TestNodePowers:
+    """_powers reuses x^gap within a call; every x^t must stay that of the
+    stepwise loop with one np.power per step, bit for bit."""
+
+    @staticmethod
+    def probe_times():
+        # the ascending times of every round of _first_below, as tv_curve sees them
+        rounds = []
+
+        def values(ts):
+            rounds.append(ts)
+            return [math.exp(-t / 1000.0) for t in ts]
+
+        mixing._first_below(values, math.exp(-8.392), -1, 45633)
+        assert len(rounds) > 1
+        return rounds
+
+    @pytest.mark.parametrize("chain", [ChainParams(1 / 11, 9 / 11, 1 / 11), NEAR_CRITICAL])
+    def test_matches_stepwise_powers(self, chain):
+        x = theta_nodes(chain, 64)[0]
+        gaps = [3, 5, 2, 7, 11, 3, 2, 5, 13, 3, 1, 2, 17, 7]  # 8 distinct gaps > 1
+        assert len(set(gaps) - {1}) > mixing._GAP_MEMO
+        sequences = [list(range(30)), list(range(5, 40)), [0, 517, 1034, 1035, 1552],
+                     [517, 1034, 1035, 1552], list(accumulate(gaps)),
+                     list(accumulate([0] + gaps + gaps[::-1])), *self.probe_times()]
+        for ts in sequences:
+            got = list(mixing._powers(x, ts))
+            expect = list(oracles.node_powers_stepwise(x, ts))
+            assert [t for t, _ in got] == [t for t, _ in expect] == ts
+            for (_, a), (_, b) in zip(got, expect):
+                assert a.dtype == b.dtype == np.longdouble
+                assert np.array_equal(a, b)
+
+    def test_t_mix_powers_once_per_gap(self, monkeypatch):
+        # a count, not a timing: each tv_curve node pass of the near-critical
+        # search raises the longdouble nodes to a power for at most 3 gaps
+        # (the first jump, then d and d + 1), not once per probe time
+        per_pass = []
+        power, nodes = np.power, mixing.theta_nodes
+
+        def counting_power(x, *args, **kwargs):
+            if isinstance(x, np.ndarray) and x.dtype == np.longdouble:
+                per_pass[-1] += 1
+            return power(x, *args, **kwargs)
+
+        def counting_nodes(*args):
+            per_pass.append(0)
+            return nodes(*args)
+
+        monkeypatch.setattr(np, "power", counting_power)
+        monkeypatch.setattr(mixing, "theta_nodes", counting_nodes)
+        assert t_mix(NEAR_CRITICAL, 1e-3) == 8392
+        assert per_pass and max(per_pass) <= 3
 
 
 class TestKernelSpectral:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from kmmix import ChainParams, point_mass_summability, q_values
-from kmmix.orthopoly import _brackets, _sine_brackets, _sine_sums, q_bracket_matrix, q_node_sums
-from kmmix.spectral import negative_atom, theta_nodes
+from kmmix.orthopoly import _brackets, _scales, _sine_brackets, _sine_sums, \
+    q_bracket_matrix, q_node_sums
+from kmmix.spectral import _theta_grid, negative_atom, theta_nodes
 
 from oracles import q_exact
 
@@ -260,6 +261,50 @@ class TestSineForm:
             pytest.skip("longdouble is float64 on this platform")
         out = np.fft.rfft(np.ones(8, dtype=LD), n=16)
         assert out.dtype == np.clongdouble
+
+
+class TestDegreeScales:
+    """q_bracket_matrix and q_node_sums read (q/p)^(n/2) from one cached table
+    per (chain, dtype) built at power-of-two sizes; every slice of it must be
+    the fresh elementwise power, bit for bit."""
+
+    CHAINS = [ChainParams(1 / 11, 9 / 11, 1 / 11), ChainParams(0.3, 0.32, 0.38)]
+    DEGREES = sorted({max(2 ** k + d, 0) for k in range(12) for d in (-1, 0, 1)})
+
+    @staticmethod
+    def fresh(chain, dt, n_max):
+        with np.errstate(over="ignore"):
+            return np.sqrt(dt(chain.q) / dt(chain.p)) ** np.arange(n_max + 1, dtype=dt)
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    @pytest.mark.parametrize("dt", [LD, np.float64])
+    def test_table_slices_are_fresh_powers(self, chain, dt):
+        for n_max in self.DEGREES:
+            with np.errstate(over="ignore"):
+                got = _scales(chain, dt, n_max)
+            assert got.dtype == dt and got.shape == (n_max + 1,)
+            assert np.array_equal(got, self.fresh(chain, dt, n_max))
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    @pytest.mark.parametrize("dt", [LD, np.float64])
+    def test_bracket_matrix_is_fresh_scale_times_brackets(self, chain, dt):
+        x = theta_nodes(chain, 64)[0].astype(dt)
+        for n_max in self.DEGREES:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = q_bracket_matrix(chain, n_max, x)
+                expect = bracket_rows(chain, n_max, x).T * self.fresh(chain, dt, n_max)[:, None]
+            assert got.dtype == dt
+            assert np.array_equal(got, expect, equal_nan=True)
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_node_sums_are_fresh_scale_times_sine_brackets(self, chain):
+        x, w = theta_nodes(chain, 64)
+        g = np.stack([w, w * x])
+        sines = np.sin(_theta_grid(64))
+        for n_max in self.DEGREES:
+            brackets = _sine_brackets(chain, _sine_sums(g / sines, n_max + 1))
+            assert np.array_equal(q_node_sums(chain, n_max, g),
+                                  brackets * self.fresh(chain, LD, n_max))
 
 
 class TestPointMassSummability:
