@@ -11,7 +11,7 @@ match.
 import numpy as np
 
 from kmmix import (ChainParams, build_measure, integrate_psi, point_mass_summability,
-                   q_values, residue_check, resolvent_a0, reversibility)
+                   q_log_sup, q_values, residue_check, resolvent_a0, reversibility)
 
 chain = ChainParams(1 / 11, 9 / 11, 1 / 11)
 rev = reversibility(chain)
@@ -41,12 +41,15 @@ print(f"contour residues: ({res1:.12f}, {res2:.12f})")
 
 print("\n== orthogonality spot check ==")
 for (m, n) in ((0, 0), (3, 3), (7, 7), (0, 5), (2, 9)):
-    val = integrate_psi(measure, lambda x: q_values(chain, m, x) * q_values(chain, n, x))
+    # the node count is certified for the integrand's growth off the real
+    # line, which q_log_sup bounds for a product of Q_n
+    val = integrate_psi(measure, lambda x: q_values(chain, m, x) * q_values(chain, n, x),
+                        log_sup=q_log_sup(chain, m, n))
     print(f"pi_{n} * int Q_{m} Q_{n} dpsi = {float(rev.pi(n)) * val: .2e}"
           f"   (target {1.0 if m == n else 0.0})")
 
 print("\n== resolvent corner entry vs Stieltjes transform ==")
 for s in (2j, 0.4 + 0.8j, -1.2 - 0.5j):
     direct = resolvent_a0(chain, s)
-    transform = integrate_psi(measure, lambda x: 1.0 / (x - s))
+    transform = integrate_psi(measure, lambda x: 1.0 / (x - s), poles=[s])
     print(f"s = {s}: |case formula - transform| = {abs(direct - transform):.2e}")

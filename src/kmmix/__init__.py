@@ -18,7 +18,7 @@ from .chain import (
     tv_oracle,
     tv_oracle_curve,
 )
-from .orthopoly import point_mass_summability, q_values
+from .orthopoly import point_mass_summability, q_log_sup, q_values
 from .spectral import (
     QuadratureConfig,
     QuadratureError,
@@ -62,7 +62,7 @@ __all__ = [
     "__version__",
     "ChainParams", "DistributionVector", "Reversibility",
     "reversibility", "evolve", "tv_oracle", "tv_oracle_curve", "drift_identity_residual",
-    "q_values", "point_mass_summability",
+    "q_values", "q_log_sup", "point_mass_summability",
     "SpectralMeasure", "QuadratureConfig", "QuadratureError", "RegimeError",
     "build_measure", "integrate_psi", "resolvent_a0", "residue_check",
     "BoundCoefficients", "TailControl", "ConvergenceError", "RouteDisagreement",

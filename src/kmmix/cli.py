@@ -20,7 +20,7 @@ from .chain import ChainParams, DistributionVector, evolve, reversibility, tv_or
 from .coupling import rate_fit, simulate_classical, simulate_modified
 from .mixing import T_CAP, ConvergenceError, RouteDisagreement, TailControl, \
     bound_coefficients, kernel_matrix, spectral_integral, t_mix, tv_curve, \
-    tv_lower, tv_upper
+    tv_lower, tv_quadrature, tv_upper
 from .orthopoly import point_mass_summability
 from .spectral import QuadratureConfig, QuadratureError, RegimeError, build_measure, \
     integrate_psi, residue_check, resolvent_a0
@@ -79,7 +79,8 @@ def _csv(table) -> list:
     return [",".join(table[0])] + [",".join(map(_fmt, row.values())) for row in table]
 
 
-def _emit_doc(args, chain, results, csv_lines):
+def _emit_doc(args, chain, results, table, comments=()):
+    """The JSON document of results, or comment lines and table as CSV."""
     if args.format == "json":
         doc = {
             "params": {"p": chain.p, "q": chain.q, "r": chain.r},
@@ -89,7 +90,7 @@ def _emit_doc(args, chain, results, csv_lines):
         }
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
     else:
-        _emit("\n".join(csv_lines) + "\n", args.output)
+        _emit("\n".join([*comments, *_csv(table)]) + "\n", args.output)
 
 
 def _nonnegative(flag: str, value: int) -> int:
@@ -110,8 +111,8 @@ _CAPPED = " (at most 1e7, the cap of the t_mix search)"  # help text of _size's 
 
 
 def _quad_cfg(args) -> QuadratureConfig:
-    """The node count of --quad-nodes, or the default where it is not offered."""
-    return QuadratureConfig(node_count=getattr(args, "quad_nodes", QuadratureConfig.node_count))
+    """The --quad-nodes override, or None (the bound picks each count)."""
+    return QuadratureConfig(node_count=getattr(args, "quad_nodes", None))
 
 
 def _cmd_analyze(args):
@@ -123,7 +124,7 @@ def _cmd_analyze(args):
     cfg = _quad_cfg(args)
     int_phi = integrate_psi(measure, lambda x: np.ones_like(x),
                             include_atoms=(False, False), cfg=cfg)
-    nu = [float(rev.nu(n)) for n in range(args.states + 1)]
+    nu = rev.nu(np.arange(args.states + 1)).tolist()
     atoms = {"atom1": {"location": measure.atom1[0], "weight": measure.atom1[1]},
              "atom2": {"location": measure.atom2[0], "weight": measure.atom2[1]}}
     rest = {"int_phi": int_phi, "int_phi_closed": chain.p / (chain.q + chain.r),
@@ -132,8 +133,9 @@ def _cmd_analyze(args):
                **rest}
     flat = {"rho": rev.rho, **{f"nu_{n}": v for n, v in enumerate(nu)},
             **{f"{atom}_{key}": v for atom, d in atoms.items() for key, v in d.items()},
-            "ac_lo": measure.ac_interval[0], "ac_hi": measure.ac_interval[1], **rest}
-    _emit_doc(args, chain, results, _csv(flat))
+            "ac_lo": measure.ac_interval[0], "ac_hi": measure.ac_interval[1],
+            **rest} if args.format == "csv" else None
+    _emit_doc(args, chain, results, flat)
     return 0
 
 
@@ -156,7 +158,7 @@ def _cmd_tv(args):
             "tv_lower": lower,
             "lower_valid": bool(valid),
         })
-    _emit_doc(args, chain, {"rows": rows}, _csv(rows))
+    _emit_doc(args, chain, {"rows": rows}, rows)
     return 0
 
 
@@ -165,7 +167,7 @@ def _cmd_tmix(args):
     exact = t_mix(chain, args.eps, method="exact")
     bound = t_mix(chain, args.eps, method="bound")
     results = {"eps": args.eps, "t_mix_exact": exact, "t_mix_bound": bound}
-    _emit_doc(args, chain, results, _csv(results))
+    _emit_doc(args, chain, results, results)
     return 0
 
 
@@ -187,7 +189,7 @@ def _cmd_kernel(args):
         spectral = float(kernel[t])
         rows.append({"t": t, "p_spectral": spectral, "p_oracle": oracle,
                      "abs_diff": abs(spectral - oracle)})
-    _emit_doc(args, chain, {"i": args.i, "j": args.j, "rows": rows}, _csv(rows))
+    _emit_doc(args, chain, {"i": args.i, "j": args.j, "rows": rows}, rows)
     return 0
 
 
@@ -219,9 +221,9 @@ def _cmd_couple(args):
     else:
         lines.append(f"# fitted_rate={_fmt(rate)} stderr={_fmt(rate_se)} "
                      f"window={window[0]}..{window[1]}")
-    lines += _csv([{"t": t, "survival": curve.survival[t], "stderr": curve.stderr[t]}
-                   for t in range(args.horizon + 1)])
-    _emit_doc(args, chain, results, lines)
+    table = [{"t": t, "survival": curve.survival[t], "stderr": curve.stderr[t]}
+             for t in range(args.horizon + 1)]
+    _emit_doc(args, chain, results, table, lines)
     return 0
 
 
@@ -269,6 +271,14 @@ def _verify_checks(chain, cfg):
     worst = max(abs(x - o) for x, o in zip(exact[:41], tvs))
     yield "tv_exact_vs_oracle_t40", worst <= 1e-8, worst
 
+    # the change from K to 2K nodes against the a-priori bounds at both, plus
+    # float64 roundoff of the partial sums
+    k, bound = tv_quadrature(chain, range(61), cfg=cfg)[1:]
+    wide = QuadratureConfig(node_count=2 * k, tol=cfg.tol)
+    bound += tv_quadrature(chain, range(61), cfg=wide)[2] + 1e-14
+    worst = max(abs(a - b) for a, b in zip(exact, tv_curve(chain, range(61), cfg=wide)))
+    yield "quadrature_bound_k_vs_2k", worst <= bound, worst
+
     ok = True
     for t, tvx in enumerate(exact):
         upper = tv_upper(chain, t)
@@ -291,7 +301,7 @@ def _verify_checks(chain, cfg):
     worst = 0.0
     for s in (2j, 0.5 + 0.7j, -0.3 - 1.1j, 3.0 + 0.25j):
         direct = resolvent_a0(chain, s)
-        transform = integrate_psi(measure, lambda x, s=s: 1.0 / (x - s), cfg=cfg)
+        transform = integrate_psi(measure, lambda x, s=s: 1.0 / (x - s), cfg=cfg, poles=[s])
         worst = max(worst, abs(direct - transform))
     yield "resolvent_stieltjes_consistency", worst <= 1e-8, worst
 
@@ -320,7 +330,7 @@ def _cmd_verify(args):
     checks = [{"name": name, "passed": bool(passed), "worst": float(worst)}
               for name, passed, worst in _verify_checks(chain, cfg)]
     all_passed = all(c["passed"] for c in checks)
-    _emit_doc(args, chain, {"checks": checks, "all_passed": all_passed}, _csv(checks))
+    _emit_doc(args, chain, {"checks": checks, "all_passed": all_passed}, checks)
     return 0 if all_passed else 1
 
 
@@ -380,8 +390,9 @@ def _build_parser():
 
     # only the commands that integrate against psi read the node count
     for name in ("analyze", "tv", "kernel", "verify"):
-        sub.choices[name].add_argument("--quad-nodes", type=int, dest="quad_nodes",
-                                       default=QuadratureConfig.node_count)
+        sub.choices[name].add_argument("--quad-nodes", type=int, dest="quad_nodes", help=(
+            "nodes of every quadrature pass (default: the least count whose bound meets "
+            "the tolerance); exit 1 where the bound at this count misses it"))
     return parser
 
 

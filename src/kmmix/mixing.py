@@ -34,9 +34,10 @@ n (ratios p/(q+r) and sqrt(p/q)) gives the closed-form envelope
 and, when alpha > beta, the matching lower envelope A alpha^t - B beta^t.
 The series takes the interval route, I_t(0..N) at once per t: one sine
 transform over the nodes (orthopoly.q_node_sums), or one bracket-matrix
-product where N is short.  The mixing time is the first t at which TV drops
-to the target, searched for in rounds of batched evaluations inside a
-bracket set by the envelope.
+product where N is short, in one pass at the node count spectral.node_count
+certifies beforehand.  The mixing time is the first t at which TV drops to
+the target, searched for in rounds of batched evaluations inside a bracket
+set by the envelope.
 """
 
 import math
@@ -45,9 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainParams, reversibility
-from .orthopoly import q_bracket_matrix, q_node_sums
+from .orthopoly import q_bracket_matrix, q_log_sup, q_node_sums
 from .spectral import EPS_FLOOR, QuadratureConfig, RegimeError, build_measure, negative_atom, \
-    refine, theta_nodes
+    node_count, theta_nodes
 
 __all__ = [
     "BoundCoefficients",
@@ -58,6 +59,7 @@ __all__ = [
     "contour_envelope",
     "spectral_integral",
     "tv_curve",
+    "tv_quadrature",
     "tv_exact",
     "tv_upper",
     "tv_lower",
@@ -204,8 +206,10 @@ def _geometric_depth(amp: float, ratio: float, log_tol: float) -> float:
     return math.ceil((log_tol - math.log(amp)) / math.log(ratio)) - 1
 
 
-def _series_cutoff(chain: ChainParams, co: BoundCoefficients, t: int, ctl: TailControl):
-    """Smallest N whose certified series tail is below the working tolerance.
+def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
+    """The function t -> (N, tail): the smallest N whose certified series tail
+    is below the working tolerance, and that tail.  The per-chain constants
+    are taken once, here.
 
     The tail of (1/2) sum_n pi_n |I_t(n)| is dominated termwise by two
     geometric series with ratios p/(q+r) and sqrt(p/q).  The tolerance is
@@ -221,36 +225,41 @@ def _series_cutoff(chain: ChainParams, co: BoundCoefficients, t: int, ctl: TailC
     p, q, r = chain.p, chain.q, chain.r
     x = p / (q + r)
     y = math.sqrt(p / q)
-    w2 = negative_atom(chain)[1]
-    amp_atom = 0.5 * w2 * co.alpha ** t / p / (1.0 - x)
-    amp_cont = 0.5 * contour_envelope(chain) * x * co.beta ** t / p / (1.0 - y)
-    tol = max(min(ctl.series_tol, 0.05 * co.B * co.beta ** t), 5e-324)
+    half_w2 = 0.5 * negative_atom(chain)[1]
+    half_env_x = 0.5 * contour_envelope(chain) * x
 
-    def tail(n):
-        return amp_atom * x ** (n + 1) + amp_cont * y ** (n + 1)
+    def cutoff(t):
+        amp_atom = half_w2 * co.alpha ** t / p / (1.0 - x)
+        amp_cont = half_env_x * co.beta ** t / p / (1.0 - y)
+        tol = max(min(ctl.series_tol, 0.05 * co.B * co.beta ** t), 5e-324)
 
-    log_tol = math.log(tol)
-    need = max(_geometric_depth(amp_atom, x, log_tol), _geometric_depth(amp_cont, y, log_tol))
-    log_half = log_tol - math.log(2.0)
-    enough = max(_geometric_depth(amp_atom, x, log_half), _geometric_depth(amp_cont, y, log_half))
-    # tail(lo) > tol >= tail(hi), with lo = -1 standing for "no N below hi"
-    lo = max(min(need - 2, ctl.n_cap - 1), -1)
-    while lo >= 0 and tail(lo) <= tol:
-        lo = lo // 2 - 1
-    hi = max(min(enough + 1, ctl.n_cap), lo + 1)
-    while tail(hi) > tol:
-        if hi == ctl.n_cap:
-            raise ConvergenceError(
-                f"series cutoff exceeded n_cap={ctl.n_cap} at t={t}", tail(hi)
-            )
-        lo, hi = hi, min(2 * hi + 1, ctl.n_cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tail(mid) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi, tail(hi)
+        def tail(n):
+            return amp_atom * x ** (n + 1) + amp_cont * y ** (n + 1)
+
+        log_tol = math.log(tol)
+        need = max(_geometric_depth(amp_atom, x, log_tol), _geometric_depth(amp_cont, y, log_tol))
+        log_half = log_tol - math.log(2.0)
+        enough = max(_geometric_depth(amp_atom, x, log_half),
+                     _geometric_depth(amp_cont, y, log_half))
+        # tail(lo) > tol >= tail(hi), with lo = -1 standing for "no N below hi"
+        lo = max(min(need - 2, ctl.n_cap - 1), -1)
+        while lo >= 0 and tail(lo) <= tol:
+            lo = lo // 2 - 1
+        hi = max(min(enough + 1, ctl.n_cap), lo + 1)
+        while tail(hi) > tol:
+            if hi == ctl.n_cap:
+                raise ConvergenceError(
+                    f"series cutoff exceeded n_cap={ctl.n_cap} at t={t}", tail(hi)
+                )
+            lo, hi = hi, min(2 * hi + 1, ctl.n_cap)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if tail(mid) <= tol:
+                hi = mid
+            else:
+                lo = mid
+        return hi, tail(hi)
+    return cutoff
 
 
 def _sine_transform_pays(n_cut: int, n_nodes: int) -> bool:
@@ -298,41 +307,53 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
 
     Each t gets its own degree cutoff N_t, certified by the closed geometric
     tail bounds (the returned value is the partial sum; the discarded tail is
-    provably below the working tolerance of _series_cutoff).  At each node
-    count the AC parts of I_t(0..N_t) come, per batch of _BLOCK ascending
-    times, from a sine transform per t (orthopoly.q_node_sums) or, where the
-    batch's series is short, from one bracket matrix shared by the pass; the
-    cost rule _sine_transform_pays picks.  A t leaves the
-    doubling loop (with no roundoff floor) once its value stabilizes.  Raises
-    ConvergenceError when some N_t exceeds ctl.n_cap and QuadratureError when
-    some t does not stabilize within cfg.max_doublings."""
+    provably below the working tolerance of _cutoff_rule).  One pass at
+    tv_quadrature's node count serves every t.  Per batch of _BLOCK ascending
+    times the AC parts of I_t(0..N_t) come from a sine transform per t
+    (orthopoly.q_node_sums) or, where the batch's series is short, from one
+    bracket matrix shared by the pass; the cost rule _sine_transform_pays
+    picks.  Raises ConvergenceError when some N_t exceeds ctl.n_cap and
+    QuadratureError when the node count passes spectral.NODE_CAP."""
     ts = _naturals(ts)
-    ctl = ctl or TailControl()
-    co = bound_coefficients(chain)
-    cuts = {t: _series_cutoff(chain, co, t, ctl)[0] for t in sorted(set(ts))}
+    cuts, n_nodes, _ = tv_quadrature(chain, ts, ctl, cfg)
     pi_vals = np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
     loc2, w2 = negative_atom(chain)
-
-    def tv_pass(n_nodes, pending):
-        x, w = theta_nodes(chain, n_nodes)
-        short = [cuts[t] for t in pending if not _sine_transform_pays(cuts[t], n_nodes)]
-        q_rows = q_bracket_matrix(chain, max(short), x) if short else None
-        powers, values = _powers(x, pending), {}
-        for start in range(0, len(pending), _BLOCK):
-            block = [next(powers) for _ in pending[start:start + _BLOCK]]
-            n_cut = max(cuts[t] for t, _ in block)
-            wxt = [w * xt for _, xt in block]
-            if _sine_transform_pays(n_cut, n_nodes):
-                acs = q_node_sums(chain, n_cut, np.array(wxt))
-            else:  # np.dot, not @: numpy's matmul loop for longdouble is about 2.5x slower
-                acs = [np.dot(q_rows[: cuts[t] + 1], v) for (t, _), v in zip(block, wxt)]
-            for (t, _), ac in zip(block, acs):
-                i_tn = w2 * loc2 ** (t + np.arange(cuts[t] + 1)) + ac[: cuts[t] + 1].astype(float)
-                values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn)), 0.0
-        return values
-
-    values = refine(tv_pass, list(cuts), cfg or QuadratureConfig(), "tv_curve")
+    x, w, two_cos = theta_nodes(chain, n_nodes)
+    short = [n for n in cuts.values() if not _sine_transform_pays(n, n_nodes)]
+    q_rows = q_bracket_matrix(chain, max(short), x, two_cos) if short else None
+    order = list(cuts)
+    powers, values = _powers(x, order), {}
+    for start in range(0, len(order), _BLOCK):
+        block = [next(powers) for _ in order[start:start + _BLOCK]]
+        n_cut = max(cuts[t] for t, _ in block)
+        wxt = [w * xt for _, xt in block]
+        if _sine_transform_pays(n_cut, n_nodes):
+            acs = q_node_sums(chain, n_cut, np.array(wxt))
+        else:  # np.dot, not @: numpy's matmul loop for longdouble is about 2.5x slower
+            acs = [np.dot(q_rows[: cuts[t] + 1], v) for (t, _), v in zip(block, wxt)]
+        for (t, _), ac in zip(block, acs):
+            i_tn = w2 * loc2 ** (t + np.arange(cuts[t] + 1)) + ac[: cuts[t] + 1].astype(float)
+            values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn))
     return [values[t] for t in ts]
+
+
+def tv_quadrature(chain: ChainParams, ts, ctl: TailControl = None,
+                  cfg: QuadratureConfig = None) -> tuple:
+    """(cuts, K, bound): tv_curve's cutoffs {t: N_t} over the ascending
+    distinct ts, the node count of its one pass, and there the certified bound
+    on each value's quadrature error.  By orthopoly.q_log_sup,
+    pi_n |Q_n| <= c z^n / p (n >= 1) on the strip: (1/2) sum_{n <= N} pi_n |Q_n|
+    is a geometric sum in z = sqrt(p/q) e^y < 1 (as y < a <= log sqrt(q/p))."""
+    cutoff = _cutoff_rule(chain, bound_coefficients(chain), ctl or TailControl())
+    cuts = {t: cutoff(t)[0] for t in sorted(set(_naturals(ts)))}
+    n_cut, log_c, log_p = max(cuts.values()), q_log_sup(chain, 0), math.log(chain.p)
+
+    def log_sup(y):
+        log_z = y - 0.5 * math.log(chain.q / chain.p)
+        with np.errstate(divide="ignore"):  # n_cut = 0: no terms past n = 0
+            terms = log_z - log_p + np.log(-np.expm1(n_cut * log_z)) - np.log(-np.expm1(log_z))
+        return math.log(0.5) + log_c(y) + np.logaddexp(0.0, terms)
+    return (cuts, *node_count(chain, cfg or QuadratureConfig(), "tv_curve", log_sup, min(cuts)))
 
 
 def tv_exact(chain: ChainParams, t: int, ctl: TailControl = None,
@@ -400,9 +421,9 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
     (in the given order), i in rows and j in cols, index sets in 0..n_max
     (each all of 0..n_max by default): shape (len(ts), len(rows), len(cols)).
 
-    Per node count one Q_n matrix serves every t, the AC parts are one
-    product (Q[rows] w x^t) Q[cols]^T per t, and a t leaves the doubling loop
-    once those entries have converged.  The atoms add w1 and w2 loc2^(t+i+j).
+    One pass, its node count certifying every AC part within cfg.tol, builds
+    one Q_n matrix for every t; the AC parts are one product
+    (Q[rows] w x^t) Q[cols]^T per t.  The atoms add w1 and w2 loc2^(t+i+j).
     An entry whose roundoff floor pi_j EPS_FLOOR L1 misses cfg.tol is NaN:
     far below the diagonal (pi_j Q_i Q_j grows like (q/p)^((i-j)/2)), and as
     p -> 0, where the AC interval narrows and the integrals cancel past
@@ -420,7 +441,8 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
     pi = np.atleast_1d(reversibility(chain).pi(cols))
     ac, l1 = _kernel_ac(chain, ts, n_max, rows, cols, cfg, "kernel_matrix")
     (_, w1), (loc2, w2) = measure.atom1, measure.atom2
-    return np.array([np.where(pi * EPS_FLOOR * l1[t] > cfg.tol, np.nan,
+    # not <=: a floor of 0 * inf (l1 past the double range, pi_j subnormal) is NaN
+    return np.array([np.where(~(pi * EPS_FLOOR * l1[t] <= cfg.tol), np.nan,
                               (ac[t] + w1 + w2 * loc2 ** (t + np.add.outer(rows, cols))) * pi)
                      for t in ts])
 
@@ -428,21 +450,22 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
 def _kernel_ac(chain: ChainParams, ts, n_max: int, rows, cols, cfg: QuadratureConfig,
                name: str):
     """The quadrature core of the kernel: the AC parts (Q[rows] w x^t) Q[cols]^T
-    for the ts, refined with one Q_0..Q_{n_max} matrix per node count serving
-    every t, and their L1 twins from each t's last pass: ({t: ac}, {t: l1})."""
-    l1 = {}
-
-    def kernel_pass(n_nodes, pending):
-        x, w = theta_nodes(chain, n_nodes)
-        q_rows = q_bracket_matrix(chain, n_max, x)
-        left, right = q_rows[rows], q_rows[cols]
-        out = {}
-        for t, xt in _powers(x, pending):
-            wxt = w * xt
-            l1[t] = np.dot(np.abs(left) * np.abs(wxt), np.abs(right).T).astype(float)
-            out[t] = np.dot(left * wxt, right.T).astype(float), l1[t]
-        return out
-    return refine(kernel_pass, sorted(set(ts)), cfg, name), l1
+    for the ts and their L1 twins, ({t: ac}, {t: l1}), from one Q_0..Q_{n_max}
+    matrix on the nodes of one pass.  Its node count certifies every entry
+    within cfg.tol by orthopoly.q_log_sup's bound on |Q_i Q_j|, taken at the
+    degree sum rounded up past a multiple of 16: a slice and a single entry
+    within one such block share the node count, and so their bits."""
+    block = (max(rows) + max(cols)) // 16 * 16 + 16
+    n_nodes = node_count(chain, cfg, name, q_log_sup(chain, block, 0), t=min(ts))[0]
+    x, w, two_cos = theta_nodes(chain, n_nodes)
+    q_rows = q_bracket_matrix(chain, n_max, x, two_cos)
+    left, right = q_rows[rows], q_rows[cols]
+    ac, l1 = {}, {}
+    for t, xt in _powers(x, sorted(set(ts))):
+        wxt = w * xt
+        l1[t] = np.dot(np.abs(left) * np.abs(wxt), np.abs(right).T).astype(float)
+        ac[t] = np.dot(left * wxt, right.T).astype(float)
+    return ac, l1
 
 
 def kernel_spectral(chain: ChainParams, t: int, i: int, j: int,

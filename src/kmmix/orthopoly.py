@@ -44,14 +44,15 @@ import numpy as np
 from .chain import ChainParams, reversibility
 from .spectral import _theta_grid, negative_atom
 
-__all__ = ["q_values", "q_bracket_matrix", "q_node_sums", "point_mass_summability"]
+__all__ = ["q_values", "q_bracket_matrix", "q_node_sums", "q_log_sup", "point_mass_summability"]
 
 
-def _brackets(chain: ChainParams, n_max: int, x):
-    """B_0, ..., B_{n_max} at x in x's dtype, one row at a time."""
+def _brackets(chain: ChainParams, n_max: int, x, two_cos=None):
+    """B_0, ..., B_{n_max} at x in x's dtype, one row at a time; two_cos is the
+    coefficient (x - r)/sqrt(pq), computed from x if not given."""
     dt = x.dtype.type
     p, q, r = dt(chain.p), dt(chain.q), dt(chain.r)
-    two_cos = (x - r) / np.sqrt(p * q)
+    two_cos = (x - r) / np.sqrt(p * q) if two_cos is None else two_cos
     b_prev = np.ones_like(x)
     yield b_prev
     if n_max >= 1:
@@ -129,15 +130,16 @@ def q_values(chain: ChainParams, n: int, x):
     return out
 
 
-def q_bracket_matrix(chain: ChainParams, n_max: int, x):
+def q_bracket_matrix(chain: ChainParams, n_max: int, x, two_cos=None):
     """Q_n(x) for all n = 0..n_max at once, by the bracket recursion times
     (q/p)^(n/2) from the cached table of _scales.  Meant for quadrature
-    nodes: unlike q_values it has no atom override.  Shape (n_max+1, len(x)),
-    in x's dtype."""
+    nodes, passed with their two_cos = 2 cos(theta) (theta_nodes): as p -> 0,
+    (x - r)/sqrt(pq) loses cos(theta) to the rounding of x.  Unlike q_values
+    it has no atom override.  Shape (n_max+1, len(x)), in x's dtype."""
     x = np.asarray(x)
     dt = x.dtype.type
     out = np.empty((n_max + 1, x.size), dtype=x.dtype)
-    for n, b_n in enumerate(_brackets(chain, n_max, x)):
+    for n, b_n in enumerate(_brackets(chain, n_max, x, two_cos)):
         out[n] = b_n
     out *= _scales(chain, dt, n_max)[:, None]
     return out
@@ -155,6 +157,17 @@ def q_node_sums(chain: ChainParams, n_max: int, g):
     sines = np.sin(_theta_grid(g.shape[-1] + 1)).astype(dt)
     brackets = _sine_brackets(chain, _sine_sums(g / sines, n_max + 1))
     return brackets * _scales(chain, dt, n_max)
+
+
+def q_log_sup(chain: ChainParams, *degrees):
+    """y -> log prod c g^n over degrees, bounding |prod Q_n| on |Im theta| <= y
+    for spectral.node_count: there the U-form's |U_m| <= cosh((m+1) y) / sinh y
+    and cosh((n+k) y) <= e^(ny) cosh(ky) give |Q_n| <= c g^n, with
+    c = (cosh y + r sqrt(p/q)) / sinh y and g = sqrt(q/p) e^y."""
+    half_log = 0.5 * math.log(chain.q / chain.p)
+    rs = chain.r * math.sqrt(chain.p / chain.q)
+    return lambda y: (len(degrees) * np.log((np.cosh(y) + rs) / np.sinh(y))
+                      + sum(degrees) * (half_log + y))
 
 
 def point_mass_summability(chain: ChainParams, lam: float, n_trunc: int) -> float:

@@ -12,14 +12,19 @@ Quadrature against phi substitutes x = r + 2 sqrt(pq) cos(theta), under which
 phi(x) dx becomes a smooth periodic integrand in theta (the square-root
 endpoint vanishing is absorbed), so the uniform trapezoid rule converges
 spectrally.  Its nodes sit at theta_k = k pi / K and its weights carry the
-panel width pi / K, so an integral against phi is one weighted sum.  Nodes
+panel width pi / K, so an integral against phi is one weighted sum.  The
+integrand is analytic in the strip |Im theta| < a left by the poles at 1 and
+-q/(q+r), so the error falls like e^(-2aK) with a closed-form constant:
+node_count picks K before the one pass, within NODE_CAP.  Nodes
 and reductions are carried in extended precision where the platform provides
 it: high-degree polynomial integrands cancel by many orders of magnitude and
 double-precision roundoff would otherwise set a noise floor near 1e-8.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +38,7 @@ __all__ = [
     "build_measure",
     "negative_atom",
     "theta_nodes",
-    "refine",
+    "node_count",
     "integrate_psi",
     "resolvent_a0",
     "residue_check",
@@ -41,18 +46,21 @@ __all__ = [
 
 _LD = np.longdouble
 _PI = np.arccos(_LD(-1))  # pi in extended precision; np.pi is a double
-# spectral convergence puts the truncation error below roundoff almost at once;
-# estimates of violently cancelling integrands then wander at this floor per
-# unit of integrand L1 size, which a stopping rule must accept
+# roundoff of a cancelling integrand's sum per unit of its L1 size; roundoff is
+# not truncation, and kernel_matrix returns NaN where this floor misses tol
 EPS_FLOOR = 32.0 * float(np.finfo(_LD).eps)
+NODE_CAP = 1 << 16  # the most panels one trapezoid pass may take
+_STRIP_STEPS = 64  # strip half-widths y a bound is minimised over
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to converge; carries the last two estimates."""
+    """The node count that certifies tol passes NODE_CAP or a node_count
+    override; carries both counts."""
 
-    def __init__(self, message, estimates):
-        super().__init__(f"{message}: last two estimates {estimates[0]!r}, {estimates[1]!r}")
-        self.estimates = estimates
+    def __init__(self, name, needed, allowed, what):
+        super().__init__(f"{name} quadrature needs {needed} nodes to certify its "
+                         f"tolerance, past {what} of {allowed}")
+        self.needed, self.allowed = needed, allowed
 
 
 class RegimeError(RuntimeError):
@@ -63,15 +71,16 @@ class RegimeError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    node_count: int = 512
-    max_doublings: int = 3
+    """tol bounds each quadrature's error, certified before the pass by
+    node_count's strip bound.  node_count None takes the least count that
+    meets tol; an int overrides it, QuadratureError where its bound misses tol."""
+
+    node_count: Optional[int] = None
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.node_count < 16:
-            raise ValueError("node_count must be at least 16")
-        if self.max_doublings < 0 or not self.tol > 0.0:
-            raise ValueError("max_doublings must be >= 0 and tol positive")
+        if not (self.node_count is None or self.node_count >= 16) or not self.tol > 0.0:
+            raise ValueError("node_count must be None or at least 16, and tol positive")
 
 
 @dataclass(frozen=True)
@@ -120,8 +129,8 @@ def _theta_grid(n_nodes: int):
 
 @lru_cache(maxsize=32)
 def theta_nodes(chain: ChainParams, n_nodes: int) -> tuple:
-    """Interior nodes x and weights w of the theta-substituted trapezoid rule
-    with n_nodes panels, in extended precision and read-only.
+    """Interior nodes x, weights w and 2 cos(theta) of the theta-substituted
+    trapezoid rule with n_nodes panels, in extended precision and read-only.
 
     x = r + 2 sqrt(pq) cos(theta) at theta = k pi / n_nodes, k = 1..n_nodes-1,
     and w = 2pq sin^2(theta) / (n_nodes ((r+q)x+q)(1-x)) is the density's
@@ -130,73 +139,73 @@ def theta_nodes(chain: ChainParams, n_nodes: int) -> tuple:
     vanishes at theta = 0, pi, so the interior sum is the full trapezoid value."""
     p, q, r = _LD(chain.p), _LD(chain.q), _LD(chain.r)
     theta = _theta_grid(n_nodes)
-    x = r + 2.0 * np.sqrt(p * q) * np.cos(theta)
+    two_cos = 2.0 * np.cos(theta)
+    x = r + np.sqrt(p * q) * two_cos  # = r + 2 sqrt(pq) cos(theta), bit for bit
     w = 2.0 * p * q * np.sin(theta) ** 2 / (n_nodes * ((r + q) * x + q) * (1.0 - x))
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    for a in (x, w, two_cos):
+        a.flags.writeable = False
+    return x, w, two_cos
 
 
-def _ac_fixed(measure: SpectralMeasure, f, n_nodes: int):
-    """One pass of the theta-substituted trapezoid rule with n_nodes panels.
+def node_count(chain: ChainParams, cfg: QuadratureConfig, name: str, log_sup=None, t: int = 0,
+               poles=()) -> tuple:
+    """(K, bound): the panels of the one trapezoid pass integrating x^t f
+    against phi within cfg.tol, and its error bound, for an f with
+    |f| <= exp(log_sup(y)) / prod |x - s| (s in poles) on |Im theta| <= y.
 
-    Returns the integral and the L1 size of the integrand, which sets the
-    roundoff floor of the estimate."""
-    x, w = theta_nodes(measure.chain, n_nodes)
-    vals = np.asarray(f(x))
-    total = np.sum(vals * w)
-    l1 = float(np.sum(np.abs(vals) * w))
-    if np.iscomplexobj(vals):
-        return complex(total), l1
-    return float(total), l1
-
-
-def refine(node_pass, keys, cfg: QuadratureConfig, name: str) -> dict:
-    """The package's one node-doubling loop.  node_pass(n_nodes, keys) returns
-    {key: (estimate, l1)}, an estimate being a scalar or an array and l1 its
-    integrand's L1 size (0 for no roundoff floor).  From cfg.node_count the
-    node count doubles up to cfg.max_doublings times; a key leaves once two
-    successive estimates agree entrywise within cfg.tol relative or
-    EPS_FLOOR * l1.  QuadratureError carries the last two estimates of the
-    worst entry of the first key left over."""
-    n = cfg.node_count
-    cur = node_pass(n, keys)
-    if cfg.max_doublings == 0:
-        return {k: est for k, (est, _) in cur.items()}
-    done, pending = {}, list(keys)
-    for _ in range(cfg.max_doublings):
-        prev, n = cur, 2 * n
-        cur = node_pass(n, pending)
-        for k in pending:
-            (old, _), (new, l1) = prev[k], cur[k]
-            # gap <= max(tol * max(1, |new|), EPS_FLOOR * l1): a bool for
-            # scalar estimates, which skip numpy, an array otherwise
-            gap = abs(new - old)
-            settled = (gap <= cfg.tol) | (gap <= cfg.tol * abs(new)) | (gap <= EPS_FLOOR * l1)
-            if settled is True or np.all(settled):
-                done[k] = new
-        pending = [k for k in pending if k not in done]
-        if not pending:
-            return done
-    k = pending[0]
-    (old, _), (new, l1) = prev[k], cur[k]
-    old, new = np.asarray(old), np.asarray(new)
-    at = np.argmax(abs(new - old) / np.maximum(cfg.tol * np.maximum(1.0, abs(new)),
-                                               EPS_FLOOR * l1))
-    where = "" if k is None else f" at t={k}"
-    raise QuadratureError(f"{name} quadrature did not converge{where} within "
-                          f"{cfg.max_doublings} doublings (final node count {n})",
-                          (old.flat[at].item(), new.flat[at].item()))
+    The theta integrand is even, 2 pi-periodic and analytic in |Im theta| < a,
+    a set by the nearest pole (1, -q/(q+r) or one of poles), so the K-panel
+    rule errs by at most exp(log_m(y)) / (e^(2yK) - 1) for y < a (Trefethen &
+    Weideman 2014, Thm 3.2, halved), log_m bounding the integrand through
+    |sin theta| <= cosh y and |Re x - r|, |Im x| <= 2 sqrt(pq) (cosh y, sinh y).
+    K is the least count meeting tol at some y of a grid in (0, a), rounded up
+    to 16 times a 5-smooth number, a fast FFT length; cfg.node_count overrides
+    it.  QuadratureError where K passes NODE_CAP or the override misses tol."""
+    p, q, r = chain.p, chain.q, chain.r
+    s2 = 2.0 * chain.sqrt_pq
+    points = [complex(z) for z in (1.0, negative_atom(chain)[0], *poles)]
+    a = min(max(math.acosh(max(1.0, abs(z.real - r) / s2)), math.asinh(abs(z.imag) / s2))
+            for z in points)
+    y = a * np.arange(1, _STRIP_STEPS + 1) / (_STRIP_STEPS + 1)
+    reach, height = s2 * np.cosh(y), s2 * np.sinh(y)
+    log_m = math.log(4.0 * p * q / (q + r)) + 2.0 * np.log(np.cosh(y)) + t * np.log(r + reach)
+    if log_sup is not None:
+        log_m = log_m + log_sup(y)
+    with np.errstate(divide="ignore"):  # a gap rounded to 0 bounds nothing: log_m = inf
+        for z in points:
+            log_m -= np.log(np.hypot(np.maximum(abs(z.real - r) - reach, 0.0),
+                                     np.maximum(abs(z.imag) - height, 0.0)))
+        need = float(np.min(np.logaddexp(0.0, log_m - math.log(cfg.tol)) / (2.0 * y)))
+    needed = math.ceil(need) if need < math.inf else need  # inf or nan as they are
+    if cfg.node_count is not None:
+        if not cfg.node_count >= need:
+            raise QuadratureError(name, needed, cfg.node_count, "the node_count override")
+        n_nodes = cfg.node_count
+    elif not need <= NODE_CAP:
+        raise QuadratureError(name, needed, NODE_CAP, "the cap")
+    else:
+        m = max(1, math.ceil(need / 16))
+        while 30 ** 12 % m:  # m <= 2^12 is 5-smooth iff it divides 30^12
+            m += 1
+        n_nodes = 16 * m
+    u = 2.0 * y * n_nodes  # log(e^u - 1) = u + log(1 - e^-u)
+    return n_nodes, float(np.exp(np.min(log_m - u - np.log(-np.expm1(-u)))))
 
 
-def integrate_psi(measure: SpectralMeasure, f, include_atoms=(True, True), cfg=None):
-    """Integral of f against psi: selected atoms plus the AC part.
+def integrate_psi(measure: SpectralMeasure, f, include_atoms=(True, True), cfg=None,
+                  log_sup=None, poles=()):
+    """Integral of f against psi: selected atoms plus the AC part, in one pass
+    of node_count panels.
 
     f must accept an ndarray of points in [-1, 1] and evaluate elementwise;
-    complex-valued integrands are supported.  Raises QuadratureError when the
-    doubling refinement fails to meet cfg.tol."""
-    total = refine(lambda n, _: {None: _ac_fixed(measure, f, n)}, [None],
-                   cfg or QuadratureConfig(), "density")[None]
+    complex-valued integrands are supported.  The pass is certified for f
+    bounded on the strip as node_count states: log_sup None covers powers of
+    x (|x| < 1 there), poles=[s] 1/(x - s), orthopoly.q_log_sup Q_n products."""
+    n_nodes = node_count(measure.chain, cfg or QuadratureConfig(), "density", log_sup,
+                         poles=poles)[0]
+    x, w, _ = theta_nodes(measure.chain, n_nodes)
+    total = np.sum(np.asarray(f(x)) * w)
+    total = complex(total) if np.iscomplexobj(total) else float(total)
     for flag, (loc, weight) in zip(include_atoms, (measure.atom1, measure.atom2)):
         if flag:
             total += weight * np.asarray(f(np.array([loc]))).reshape(-1)[0]

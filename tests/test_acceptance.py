@@ -15,7 +15,7 @@ import pytest
 
 from kmmix import DistributionVector, bound_coefficients, build_measure, evolve, \
     drift_identity_residual, hitting_pmf_exact_curve, hitting_pmf_multinomial, \
-    integrate_psi, kernel_spectral, q_values, rate_fit, reversibility, \
+    integrate_psi, kernel_spectral, q_log_sup, q_values, rate_fit, reversibility, \
     simulate_classical, simulate_modified, spectral_integral, stationary_hitting_survival, \
     t_mix, tv_exact, tv_lower, tv_oracle, tv_upper
 from kmmix.cli import DEFAULT_SEED, main
@@ -78,7 +78,8 @@ def test_c03_orthogonality():
         rev = reversibility(c)
         for mm in range(21):
             for nn in range(21):
-                val = integrate_psi(m, lambda x: q_values(c, mm, x) * q_values(c, nn, x))
+                val = integrate_psi(m, lambda x: q_values(c, mm, x) * q_values(c, nn, x),
+                                    log_sup=q_log_sup(c, mm, nn))
                 target = 1.0 if mm == nn else 0.0
                 worst = max(worst, abs(float(rev.pi(nn)) * val - target))
     passed = worst <= 1e-8

@@ -148,7 +148,7 @@ def test_flag_the_command_does_not_read_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, nodes", [
-    (("tmix", "--eps", "1e-3"), 512),
+    (("tmix", "--eps", "1e-3"), None),  # the bound chose each call's count
     (("tv", "--t-max", "2", "--quad-nodes", "1024"), 1024),
     (("kernel", "--t-max", "2", "--quad-nodes", "64"), 64),
 ])
@@ -156,6 +156,43 @@ def test_meta_reports_the_node_count_used(capsys, argv, nodes):
     code, out, _ = run_cli(capsys, argv[0], "--p", "1/11", "--q", "9/11", *argv[1:])
     assert code == 0
     assert json.loads(out)["meta"]["quad_nodes"] == nodes
+
+
+@pytest.mark.parametrize("command", ["analyze", "tv", "kernel", "verify"])
+def test_meta_is_null_where_the_bound_chose(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--p", "1/11", "--q", "9/11",
+                           *(("--t-max", "2") if command in ("tv", "kernel") else ()))
+    assert code == 0 and json.loads(out)["meta"]["quad_nodes"] is None
+
+
+def test_override_short_of_the_bound_exit_1(capsys):
+    code, out, err = run_cli(capsys, "tv", "--p", "0.3", "--q", "0.32", "--r", "0.38",
+                             "--t-max", "2", "--quad-nodes", "64")
+    assert code == 1 and out == ""
+    assert err.startswith("kmmix: tv_curve quadrature needs ")
+    assert "past the node_count override of 64" in err
+
+
+def test_count_past_the_cap_exit_1(capsys):
+    # q - p = 1e-4 narrows the strip to 1e-4: about 2.6e5 nodes, past 2^16
+    code, out, err = run_cli(capsys, "analyze", "--p", "0.49", "--q", "0.4901")
+    assert code == 1 and out == ""
+    assert err.startswith("kmmix: density quadrature needs ")
+    assert "past the cap of 65536" in err
+
+
+@pytest.mark.parametrize("states", [0, 100, 100_000])
+def test_analyze_nu_is_the_per_state_law(capsys, states):
+    # one vectorised call gives, bit for bit, the per-state nu(n) values
+    from kmmix import ChainParams, reversibility
+    chain = ("--p", "0.3", "--q", "0.32", "--r", "0.38")
+    rev = reversibility(ChainParams(0.3, 0.32, 0.38))
+    want = [float(rev.nu(n)) for n in range(states + 1)]
+    code, out, _ = run_cli(capsys, "analyze", *chain, "--states", str(states))
+    assert code == 0 and json.loads(out)["results"]["nu"] == want
+    code, out, _ = run_cli(capsys, "analyze", *chain, "--states", str(states), "--format", "csv")
+    rows = dict(line.split(",") for line in out.splitlines()[1:])
+    assert [rows[f"nu_{n}"] for n in range(states + 1)] == [repr(v) for v in want]
 
 
 class TestTv:
@@ -296,6 +333,16 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--p", "0.30", "--q", "0.38", "--r", "0.32")
         assert code == 0
         assert json.loads(out)["results"]["all_passed"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--p", "1/11", "--q", "9/11", "--quad-nodes", "512"),  # bounds round to 0.0
+        # TV moves by 1.1e-16 from K to 2K, above the bound at K alone (8.6e-19)
+        ("--p", "0.3", "--q", "0.32", "--r", "0.38", "--quad-nodes", "1024"),
+    ])
+    def test_passes_under_a_node_override(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        checks = {c["name"]: c["passed"] for c in json.loads(out)["results"]["checks"]}
+        assert code == 0 and checks["quadrature_bound_k_vs_2k"], checks
 
 
 class TestOutputFile:

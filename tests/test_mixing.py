@@ -10,8 +10,8 @@ from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureErr
     tv_exact, tv_lower, tv_oracle, tv_oracle_curve, tv_upper
 from kmmix import mixing
 from kmmix.chain import DistributionVector, evolve
-from kmmix.mixing import _pole_pair, _series_cutoff
-from kmmix.spectral import theta_nodes
+from kmmix.mixing import _cutoff_rule, _pole_pair, tv_quadrature
+from kmmix.spectral import NODE_CAP, theta_nodes
 
 import oracles
 
@@ -143,7 +143,7 @@ class TestTvExact:
         assert info.value.achieved_bound > 0.0
 
     def test_single_pass_without_doublings(self, example_chain):
-        cfg = QuadratureConfig(max_doublings=0)
+        cfg = QuadratureConfig(node_count=64)  # an override: one pass at 64 nodes
         assert tv_exact(example_chain, 7, cfg=cfg) == pytest.approx(
             tv_oracle(example_chain, 7), abs=1e-8)
 
@@ -168,6 +168,10 @@ def _series_cutoff_scan(chain, co, t, ctl):
         n_cut += 1
         if n_cut > ctl.n_cap:
             raise ConvergenceError(f"series cutoff exceeded n_cap={ctl.n_cap} at t={t}", tail)
+
+
+def _series_cutoff(chain, co, t, ctl):
+    return _cutoff_rule(chain, co, ctl)(t)
 
 
 def _cutoff_or_error(chain, co, t, ctl, cutoff):
@@ -457,7 +461,7 @@ class TestKernelMatrix:
                                            rtol=0.0, atol=1e-14)
 
     def test_single_pass_without_doublings(self, example_chain):
-        cfg = QuadratureConfig(max_doublings=0)
+        cfg = QuadratureConfig(node_count=64)  # an override: one pass at 64 nodes
         kernel = kernel_matrix(example_chain, range(11), 3, cfg=cfg)
         for i in range(4):
             mu = DistributionVector.point(i)
@@ -523,18 +527,74 @@ class TestKernelMatrix:
                 kernel_spectral(example_chain, t, i, j)
 
 
-@pytest.mark.parametrize("compute, name", [
+QUADRATURES = [
     (lambda c, cfg: kernel_matrix(c, [40], 12, cfg=cfg), "kernel_matrix"),
-    (lambda c, cfg: tv_curve(c, [0, 40], cfg=cfg), "tv_curve"),
+    # n_cap 1e6: near p = q the node count reaches the cap after the cutoff would
+    (lambda c, cfg: tv_curve(c, [0, 40], TailControl(n_cap=10 ** 6), cfg), "tv_curve"),
     (lambda c, cfg: integrate_psi(build_measure(c), lambda x: x ** 80, cfg=cfg), "density"),
     (lambda c, cfg: spectral_integral(c, 40, 12, route="both", cfg=cfg), "spectral_integral"),
-], ids=["kernel_matrix", "tv_curve", "integrate_psi", "spectral_integral"])
-def test_forced_nonconvergence_carries_two_estimates(example_chain, compute, name):
-    cfg = QuadratureConfig(node_count=16, max_doublings=1, tol=1e-300)
-    with pytest.raises(QuadratureError, match=f"^{name} quadrature") as info:
+]
+QUADRATURE_IDS = ["kernel_matrix", "tv_curve", "integrate_psi", "spectral_integral"]
+
+
+@pytest.mark.parametrize("compute, name", QUADRATURES, ids=QUADRATURE_IDS)
+def test_override_short_of_the_bound_raises(example_chain, compute, name):
+    cfg = QuadratureConfig(node_count=16, tol=1e-300)
+    with pytest.raises(QuadratureError, match=f"^{name} quadrature needs [0-9]+ nodes") as info:
         compute(example_chain, cfg)
-    old, new = info.value.estimates
-    assert isinstance(old, float) and isinstance(new, float) and old != new
+    assert "node_count override of 16" in str(info.value)
+    assert info.value.allowed == 16 and info.value.needed > 16
+
+
+@pytest.mark.parametrize("compute, name", QUADRATURES, ids=QUADRATURE_IDS)
+def test_count_past_the_cap_raises(compute, name):
+    # q - p = 1e-4: the strip half-width is log sqrt(q/p) = 1e-4, so K ~ 1e5
+    chain = ChainParams(0.49, 0.4901, 0.0199)
+    with pytest.raises(QuadratureError, match=f"^{name} quadrature needs [0-9]+ nodes") as info:
+        compute(chain, QuadratureConfig())
+    assert f"the cap of {NODE_CAP}" in str(info.value)
+    assert info.value.allowed == NODE_CAP < info.value.needed
+
+
+class TestNodeCount:
+    @pytest.mark.parametrize("chain, nodes", [
+        (ChainParams(1 / 11, 9 / 11, 1 / 11), 16),
+        (NEAR_CRITICAL, 768),
+        (ChainParams(0.3, 0.305, 0.395), 3200),
+        (ChainParams(0.33, 0.335, 0.335), 3600),
+    ])
+    def test_tv_curve_counts(self, chain, nodes):
+        _, k, bound = tv_quadrature(chain, range(61))
+        assert k == nodes and bound <= QuadratureConfig().tol
+
+    def test_sizes_are_16_times_5_smooth(self, chain_grid):
+        for c in chain_grid + [NEAR_CRITICAL]:
+            for ts in ([0], [40], range(61)):
+                m = tv_quadrature(c, ts)[1] // 16
+                for f in (2, 3, 5):
+                    while m % f == 0:
+                        m //= f
+                assert m == 1, (c, ts)
+
+    def test_override_is_run_as_given(self, example_chain):
+        _, k, bound = tv_quadrature(example_chain, range(61), cfg=QuadratureConfig(node_count=40))
+        assert k == 40 and bound < tv_quadrature(example_chain, range(61))[2]
+
+    def test_one_node_count_per_call(self, monkeypatch, example_chain):
+        asked = []
+
+        def recording(chain, n_nodes):
+            asked.append(n_nodes)
+            return theta_nodes(chain, n_nodes)
+        monkeypatch.setattr(mixing, "theta_nodes", recording)
+        for c in (example_chain, NEAR_CRITICAL):
+            for call in (lambda: tv_curve(c, [0, 7, 40, 3, 500]),
+                         lambda: tv_curve(c, range(0, 200, 3), ctl=TailControl(1e-14)),
+                         lambda: kernel_matrix(c, [17, 0, 60], 8),
+                         lambda: kernel_matrix(c, range(31), 3, rows=[2], cols=[3])):
+                asked.clear()
+                call()
+                assert len(asked) == 1, asked
 
 
 class TestDecayRate:

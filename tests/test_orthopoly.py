@@ -246,7 +246,7 @@ class TestSineForm:
         # 2.2e-13 measured there.
         tol = {512: 1e-16, 64: 2e-15}[n_nodes]
         n_max = 300
-        x, w = theta_nodes(chain, n_nodes)
+        x, w, _ = theta_nodes(chain, n_nodes)
         g = np.stack([w, w * x ** 40, w * x ** 7])
         q_rows = q_bracket_matrix(chain, n_max, x)
         got = q_node_sums(chain, n_max, g)
@@ -298,7 +298,7 @@ class TestDegreeScales:
 
     @pytest.mark.parametrize("chain", CHAINS)
     def test_node_sums_are_fresh_scale_times_sine_brackets(self, chain):
-        x, w = theta_nodes(chain, 64)
+        x, w, _ = theta_nodes(chain, 64)
         g = np.stack([w, w * x])
         sines = np.sin(_theta_grid(64))
         for n_max in self.DEGREES:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from kmmix import ChainParams, QuadratureConfig, QuadratureError, build_measure, integrate_psi, \
-    point_mass_summability, q_values, residue_check, resolvent_a0, reversibility
-from kmmix.spectral import theta_nodes
+    point_mass_summability, q_log_sup, q_values, residue_check, resolvent_a0, reversibility
+from kmmix.spectral import NODE_CAP, theta_nodes
 
 LD = np.longdouble
 
@@ -51,14 +51,14 @@ class TestThetaNodes:
         # the weights sum to the density's mass with no pi / K factor left
         # out, and pi is not rounded to a double (4e-17 relative)
         mass = LD(chain.p) / (LD(chain.q) + LD(chain.r))
-        _, w = theta_nodes(chain, n_nodes)
+        _, w, _ = theta_nodes(chain, n_nodes)
         assert abs(w.sum() - mass) <= 16 * np.finfo(LD).eps * mass
 
     @pytest.mark.parametrize("n_nodes", [16, 64, 512])
     def test_middle_node_is_r(self, example_chain, n_nodes):
         # theta = pi/2 at k = K/2: cos vanishes to within the extended pi's
         # rounding (a double pi put this node 3e-17 off)
-        x, _ = theta_nodes(example_chain, n_nodes)
+        x, _, _ = theta_nodes(example_chain, n_nodes)
         assert abs(x[n_nodes // 2 - 1] - LD(example_chain.r)) <= 1e-18
 
 
@@ -97,7 +97,8 @@ class TestIntegratePsi:
         for mm in range(13):
             for nn in range(13):
                 val = integrate_psi(
-                    m, lambda x: q_values(c, mm, x) * q_values(c, nn, x))
+                    m, lambda x: q_values(c, mm, x) * q_values(c, nn, x),
+                    log_sup=q_log_sup(c, mm, nn))
                 target = 1.0 if mm == nn else 0.0
                 assert float(rev.pi(nn)) * val == pytest.approx(target, abs=1e-8)
 
@@ -114,13 +115,12 @@ class TestIntegratePsi:
         im = integrate_psi(m, lambda x: np.sin(x))
         assert val == pytest.approx(re + 1j * im, abs=1e-12)
 
-    def test_nonconvergence_raises_with_estimates(self, example_chain):
+    def test_pole_near_the_axis_raises_past_the_cap(self, example_chain):
         m = build_measure(example_chain)
-        cfg = QuadratureConfig(node_count=16, max_doublings=1, tol=1e-300)
-        with pytest.raises(QuadratureError) as info:
-            # resolvent-type integrand near the axis needs far more nodes
-            integrate_psi(m, lambda x: 1.0 / (x - (0.1 + 1e-4j)), cfg=cfg)
-        assert len(info.value.estimates) == 2
+        s = 0.1 + 1e-4j  # its image narrows the strip to about 2e-4: K ~ 1e5
+        with pytest.raises(QuadratureError, match="^density quadrature needs") as info:
+            integrate_psi(m, lambda x: 1.0 / (x - s), poles=[s])
+        assert info.value.allowed == NODE_CAP < info.value.needed
 
     def test_node_floor_validation(self):
         with pytest.raises(ValueError):
@@ -137,7 +137,7 @@ class TestResolvent:
         m = build_measure(example_chain)
         s = 2j
         direct = resolvent_a0(example_chain, s)
-        transform = integrate_psi(m, lambda x: 1.0 / (x - s))
+        transform = integrate_psi(m, lambda x: 1.0 / (x - s), poles=[s])
         assert abs(direct - transform) <= 1e-8
 
     def test_cross_check_random_points(self, example_chain):
@@ -146,7 +146,7 @@ class TestResolvent:
         for _ in range(50):
             s = complex(rng.uniform(-3, 3), rng.choice([-1, 1]) * rng.uniform(0.1, 3))
             direct = resolvent_a0(example_chain, s)
-            transform = integrate_psi(m, lambda x: 1.0 / (x - s))
+            transform = integrate_psi(m, lambda x: 1.0 / (x - s), poles=[s])
             assert abs(direct - transform) <= 1e-8
 
     def test_total_mass_limit(self, chain_grid):
