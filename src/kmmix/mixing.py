@@ -33,11 +33,10 @@ n (ratios p/(q+r) and sqrt(p/q)) gives the closed-form envelope
 
 and, when alpha > beta, the matching lower envelope A alpha^t - B beta^t.
 The series takes the interval route, I_t(0..N) at once per t: one sine
-transform over the nodes (orthopoly.q_node_sums), or one bracket-matrix
-product where N is short, in one pass at the node count spectral.node_count
-certifies beforehand.  The mixing time is the first t at which TV drops to
-the target, searched for in rounds of batched evaluations inside a bracket
-set by the envelope.
+transform over the nodes (orthopoly.q_node_sums), in one pass at the node
+count spectral.node_count certifies beforehand.  The mixing time is the
+first t at which TV drops to the target, searched for in rounds of batched
+evaluations inside a bracket set by the envelope.
 """
 
 import math
@@ -60,7 +59,6 @@ __all__ = [
     "spectral_integral",
     "tv_curve",
     "tv_quadrature",
-    "tv_exact",
     "tv_upper",
     "tv_lower",
     "t_mix",
@@ -72,10 +70,6 @@ _PROBES = 15  # evaluations per round of _first_below
 _BLOCK = 8  # times per batch of tv_curve's node pass (bounds the FFT's memory)
 _GAP_MEMO = 4  # powers x^gap that one _powers call keeps for reuse
 T_CAP = 10 ** 7  # the largest time t_mix searches to
-# A sine transform of length 2K costs about this many bracket-matrix rows per
-# log2(2K) (measured 5.6 to 6.4 at K = 512..4096, longdouble, with the matrix
-# shared by a pass): past that the series is summed by q_node_sums.
-_SINE_ROWS_PER_LOG2 = 6.0
 
 
 class ConvergenceError(RuntimeError):
@@ -218,10 +212,10 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
     only O(beta^t) of slack, and a truncation deficit above that scale would
     poke out of it.
 
-    The tail bound is nonincreasing in N.  Each geometric term alone reaching
-    the tolerance is necessary and both reaching half of it is sufficient;
-    these closed forms bracket N, and bisection on the exact tail expression
-    pins it, so N and its tail are those of a scan upward from N = 0."""
+    The tail bound is nonincreasing in N.  Both geometric terms reaching half
+    the tolerance is sufficient; bisection on the exact tail expression below
+    that closed form pins N, so N and its tail are those of a scan upward
+    from N = 0."""
     p, q, r = chain.p, chain.q, chain.r
     x = p / (q + r)
     y = math.sqrt(p / q)
@@ -236,16 +230,11 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
         def tail(n):
             return amp_atom * x ** (n + 1) + amp_cont * y ** (n + 1)
 
-        log_tol = math.log(tol)
-        need = max(_geometric_depth(amp_atom, x, log_tol), _geometric_depth(amp_cont, y, log_tol))
-        log_half = log_tol - math.log(2.0)
+        log_half = math.log(tol) - math.log(2.0)
         enough = max(_geometric_depth(amp_atom, x, log_half),
                      _geometric_depth(amp_cont, y, log_half))
         # tail(lo) > tol >= tail(hi), with lo = -1 standing for "no N below hi"
-        lo = max(min(need - 2, ctl.n_cap - 1), -1)
-        while lo >= 0 and tail(lo) <= tol:
-            lo = lo // 2 - 1
-        hi = max(min(enough + 1, ctl.n_cap), lo + 1)
+        lo, hi = -1, min(enough + 1, ctl.n_cap)
         while tail(hi) > tol:
             if hi == ctl.n_cap:
                 raise ConvergenceError(
@@ -260,11 +249,6 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
                 lo = mid
         return hi, tail(hi)
     return cutoff
-
-
-def _sine_transform_pays(n_cut: int, n_nodes: int) -> bool:
-    """Whether q_node_sums beats the bracket-matrix product for I_t(0..n_cut)."""
-    return n_cut + 1 > _SINE_ROWS_PER_LOG2 * math.log2(2 * n_nodes)
 
 
 def _powers(x, ts):
@@ -309,28 +293,21 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     tail bounds (the returned value is the partial sum; the discarded tail is
     provably below the working tolerance of _cutoff_rule).  One pass at
     tv_quadrature's node count serves every t.  Per batch of _BLOCK ascending
-    times the AC parts of I_t(0..N_t) come from a sine transform per t
-    (orthopoly.q_node_sums) or, where the batch's series is short, from one
-    bracket matrix shared by the pass; the cost rule _sine_transform_pays
-    picks.  Raises ConvergenceError when some N_t exceeds ctl.n_cap and
-    QuadratureError when the node count passes spectral.NODE_CAP."""
+    times the AC parts of I_t(0..N_t) come from one sine transform per t
+    (orthopoly.q_node_sums).  Raises ConvergenceError when some N_t exceeds
+    ctl.n_cap and QuadratureError when the node count passes
+    spectral.NODE_CAP."""
     ts = _naturals(ts)
     cuts, n_nodes, _ = tv_quadrature(chain, ts, ctl, cfg)
     pi_vals = np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
     loc2, w2 = negative_atom(chain)
-    x, w, two_cos = theta_nodes(chain, n_nodes)
-    short = [n for n in cuts.values() if not _sine_transform_pays(n, n_nodes)]
-    q_rows = q_bracket_matrix(chain, max(short), x, two_cos) if short else None
+    x, w, _ = theta_nodes(chain, n_nodes)
     order = list(cuts)
     powers, values = _powers(x, order), {}
     for start in range(0, len(order), _BLOCK):
         block = [next(powers) for _ in order[start:start + _BLOCK]]
         n_cut = max(cuts[t] for t, _ in block)
-        wxt = [w * xt for _, xt in block]
-        if _sine_transform_pays(n_cut, n_nodes):
-            acs = q_node_sums(chain, n_cut, np.array(wxt))
-        else:  # np.dot, not @: numpy's matmul loop for longdouble is about 2.5x slower
-            acs = [np.dot(q_rows[: cuts[t] + 1], v) for (t, _), v in zip(block, wxt)]
+        acs = q_node_sums(chain, n_cut, np.array([w * xt for _, xt in block]))
         for (t, _), ac in zip(block, acs):
             i_tn = w2 * loc2 ** (t + np.arange(cuts[t] + 1)) + ac[: cuts[t] + 1].astype(float)
             values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn))
@@ -354,12 +331,6 @@ def tv_quadrature(chain: ChainParams, ts, ctl: TailControl = None,
             terms = log_z - log_p + np.log(-np.expm1(n_cut * log_z)) - np.log(-np.expm1(log_z))
         return math.log(0.5) + log_c(y) + np.logaddexp(0.0, terms)
     return (cuts, *node_count(chain, cfg or QuadratureConfig(), "tv_curve", log_sup, min(cuts)))
-
-
-def tv_exact(chain: ChainParams, t: int, ctl: TailControl = None,
-             cfg: QuadratureConfig = None) -> float:
-    """TV distance at time t by summing the spectral series; see tv_curve."""
-    return tv_curve(chain, [t], ctl=ctl, cfg=cfg)[0]
 
 
 def tv_upper(chain: ChainParams, t: int) -> float:

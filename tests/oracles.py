@@ -2,14 +2,19 @@
 
 Everything here is deliberately naive: truncated transition matrices, direct
 path enumeration, and exact pair-chain dynamic programming.  These share no
-code with the package internals they are checking.
+code with the package internals they are checking, except tv_by_bracket_matrix:
+it takes tv_curve's cutoffs and nodes and checks only how the series is summed.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from kmmix import ChainParams, reversibility
+from kmmix.mixing import tv_quadrature
+from kmmix.orthopoly import q_bracket_matrix
+from kmmix.spectral import negative_atom, theta_nodes
 
 
 def transition_matrix(chain: ChainParams, size: int) -> np.ndarray:
@@ -172,3 +177,20 @@ def node_powers_stepwise(x: np.ndarray, ts):
         xt = xt * (x if t - t_prev == 1 else np.power(x, t - t_prev))
         t_prev = t
         yield t, xt
+
+
+def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
+    """tv_curve's series at every t of ts, its AC parts (Q w x^t)_n, n <= N_t,
+    taken as one product with the Q_n bracket matrix instead of by the sine
+    transform: the same cutoffs N_t and node count, from tv_quadrature."""
+    cuts, n_nodes, _ = tv_quadrature(chain, ts)
+    x, w, two_cos = theta_nodes(chain, n_nodes)
+    q_rows = q_bracket_matrix(chain, max(cuts.values()), x, two_cos)
+    loc2, w2 = negative_atom(chain)
+    values = {}
+    for t, n_cut in cuts.items():
+        n = np.arange(n_cut + 1)
+        ac = np.dot(q_rows[: n_cut + 1], w * np.power(x, t)).astype(float)
+        pi_n = np.atleast_1d(reversibility(chain).pi(n))
+        values[t] = math.fsum(0.5 * pi_n * np.abs(w2 * loc2 ** (t + n) + ac))
+    return [values[t] for t in ts]

@@ -17,7 +17,7 @@ from kmmix import DistributionVector, bound_coefficients, build_measure, evolve,
     drift_identity_residual, hitting_pmf_exact_curve, hitting_pmf_multinomial, \
     integrate_psi, kernel_spectral, q_log_sup, q_values, rate_fit, reversibility, \
     simulate_classical, simulate_modified, spectral_integral, stationary_hitting_survival, \
-    t_mix, tv_exact, tv_lower, tv_oracle, tv_upper
+    t_mix, tv_curve, tv_lower, tv_oracle, tv_upper
 from kmmix.cli import DEFAULT_SEED, main
 
 import oracles
@@ -104,10 +104,10 @@ def test_c04_kernel_equivalence():
 
 
 def test_c05_tv_equivalence_and_sandwich():
-    worst_eq = max(abs(tv_exact(EXAMPLE, t) - tv_oracle(EXAMPLE, t)) for t in range(61))
+    worst_eq = max(abs(tv_curve(EXAMPLE, [t])[0] - tv_oracle(EXAMPLE, t)) for t in range(61))
     sandwich_ok = True
     for t in range(101):
-        val = tv_exact(EXAMPLE, t)
+        val = tv_curve(EXAMPLE, [t])[0]
         lower, valid = tv_lower(EXAMPLE, t)
         if val > tv_upper(EXAMPLE, t) or (valid and val < lower):
             sandwich_ok = False
@@ -118,7 +118,7 @@ def test_c05_tv_equivalence_and_sandwich():
 
 
 def test_c06_rate_recovery():
-    vals = np.array([tv_exact(EXAMPLE, t) for t in range(30, 81)])
+    vals = np.array([tv_curve(EXAMPLE, [t])[0] for t in range(30, 81)])
     slope = oracles.log_slope(vals, 0, 50)
     rel = abs(slope - math.log(0.9)) / abs(math.log(0.9))
     passed = rel <= 0.01

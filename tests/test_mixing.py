@@ -7,7 +7,7 @@ import pytest
 from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureError, \
     RegimeError, TailControl, bound_coefficients, build_measure, contour_envelope, integrate_psi, \
     kernel_matrix, kernel_spectral, reversibility, spectral_integral, t_mix, tv_curve, \
-    tv_exact, tv_lower, tv_oracle, tv_oracle_curve, tv_upper
+    tv_lower, tv_oracle, tv_oracle_curve, tv_upper
 from kmmix import mixing
 from kmmix.chain import DistributionVector, evolve
 from kmmix.mixing import _cutoff_rule, _pole_pair, tv_quadrature
@@ -113,21 +113,21 @@ class TestSpectralIntegral:
 
 class TestTvExact:
     def test_t0_worked_example(self, example_chain):
-        assert tv_exact(example_chain, 0) == pytest.approx(11 / 19, abs=1e-10)
+        assert tv_curve(example_chain, [0])[0] == pytest.approx(11 / 19, abs=1e-10)
 
     def test_matches_oracle_through_60(self, example_chain):
         for t in range(61):
-            assert tv_exact(example_chain, t) == pytest.approx(
+            assert tv_curve(example_chain, [t])[0] == pytest.approx(
                 tv_oracle(example_chain, t), abs=1e-8)
 
     def test_matches_oracle_other_chains(self, chain_grid):
         for c in chain_grid[::6]:
             for t in (0, 3, 17, 45):
-                assert tv_exact(c, t) == pytest.approx(tv_oracle(c, t), abs=1e-8)
+                assert tv_curve(c, [t])[0] == pytest.approx(tv_oracle(c, t), abs=1e-8)
 
     def test_sandwich_through_100(self, example_chain):
         for t in range(101):
-            val = tv_exact(example_chain, t)
+            val = tv_curve(example_chain, [t])[0]
             assert val <= tv_upper(example_chain, t)
             lower, valid = tv_lower(example_chain, t)
             if valid:
@@ -136,7 +136,7 @@ class TestTvExact:
     def test_series_cap_diagnostic(self, example_chain):
         ctl = TailControl(series_tol=1e-300, n_cap=3)
         with pytest.raises(ConvergenceError) as info:
-            tv_exact(example_chain, 0, ctl=ctl)
+            tv_curve(example_chain, [0], ctl=ctl)
         assert info.value.achieved_bound > 0.0
         with pytest.raises(ConvergenceError) as info:
             tv_curve(example_chain, [4, 0, 9], ctl=ctl)
@@ -144,7 +144,7 @@ class TestTvExact:
 
     def test_single_pass_without_doublings(self, example_chain):
         cfg = QuadratureConfig(node_count=64)  # an override: one pass at 64 nodes
-        assert tv_exact(example_chain, 7, cfg=cfg) == pytest.approx(
+        assert tv_curve(example_chain, [7], cfg=cfg)[0] == pytest.approx(
             tv_oracle(example_chain, 7), abs=1e-8)
 
 
@@ -226,26 +226,35 @@ class TestTvCurve:
             assert abs(exact - oracle[t]) <= 1e-8, t
 
     @pytest.mark.parametrize("chain", [ChainParams(1 / 11, 9 / 11, 1 / 11), NEAR_CRITICAL])
-    def test_sine_transform_and_bracket_matrix_agree(self, monkeypatch, chain):
+    def test_sine_transform_and_bracket_matrix_agree(self, chain):
         ts = list(range(0, 61, 3)) + [200]
-        routes = []
-        for rows_per_log2 in (0.0, math.inf):  # always, never the sine transform
-            monkeypatch.setattr(mixing, "_SINE_ROWS_PER_LOG2", rows_per_log2)
-            routes.append(tv_curve(chain, ts))
-        np.testing.assert_allclose(*routes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(tv_curve(chain, ts), oracles.tv_by_bracket_matrix(chain, ts),
+                                   rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("chain, ts", [(ChainParams(1 / 11, 9 / 11, 1 / 11), range(61)),
+                                           (NEAR_CRITICAL, range(21))])
+    def test_one_sine_transform_per_block(self, monkeypatch, chain, ts):
+        calls = []
+        for name in ("q_bracket_matrix", "q_node_sums"):
+            def counting(*args, _name=name, _inner=getattr(mixing, name)):
+                calls.append(_name)
+                return _inner(*args)
+            monkeypatch.setattr(mixing, name, counting)
+        tv_curve(chain, ts)
+        assert calls == ["q_node_sums"] * math.ceil(len(set(ts)) / mixing._BLOCK)
 
     def test_unsorted_and_duplicate_times(self, example_chain):
         for c in (example_chain, NEAR_CRITICAL):
             ts = [17, 3, 40, 3, 0, 17, 25, 120]
             for t, value in zip(ts, tv_curve(c, ts)):
-                assert value == pytest.approx(tv_exact(c, t), rel=1e-12, abs=0.0)
+                assert value == pytest.approx(tv_curve(c, [t])[0], rel=1e-12, abs=0.0)
 
     def test_rejects_empty_and_negative_times(self, example_chain):
         for ts in ([], [3, -1], [2.5], [3, 0.5], [float("nan")], [float("inf")]):
             with pytest.raises(ValueError):
                 tv_curve(example_chain, ts)
         with pytest.raises(ValueError, match="nonnegative integers"):
-            tv_exact(example_chain, 2.5)
+            tv_curve(example_chain, [2.5])
 
 
 class TestEnvelopes:
@@ -289,8 +298,8 @@ class TestTMix:
     def test_exact_is_first_crossing(self, example_chain):
         eps = 1e-3
         t = t_mix(example_chain, eps)
-        assert tv_exact(example_chain, t) <= eps
-        assert tv_exact(example_chain, t - 1) > eps
+        assert tv_curve(example_chain, [t])[0] <= eps
+        assert tv_curve(example_chain, [t - 1])[0] > eps
 
     def test_single_term_inversion_sanity(self, example_chain):
         # when the alpha term dominates, the bound crossing inverts one geometric
@@ -332,11 +341,7 @@ class TestTMix:
             calls.append(args[1])
             return tv_curve(*args, **kwargs)
 
-        def no_tv_exact(*args, **kwargs):
-            raise AssertionError("t_mix evaluates TV through tv_curve batches only")
-
         monkeypatch.setattr(mixing, "tv_curve", counting_tv_curve)
-        monkeypatch.setattr(mixing, "tv_exact", no_tv_exact)
         assert t_mix(chain, eps) == exact
         assert 1 <= len(calls) <= 5
         assert t_mix(chain, eps, method="bound") == bound
@@ -599,6 +604,6 @@ class TestNodeCount:
 
 class TestDecayRate:
     def test_log_slope_recovers_mixing_rate(self, example_chain):
-        vals = np.array([tv_exact(example_chain, t) for t in range(30, 81)])
+        vals = np.array([tv_curve(example_chain, [t])[0] for t in range(30, 81)])
         slope = oracles.log_slope(vals, 0, 50)
         assert abs(slope - math.log(0.9)) <= 0.01 * abs(math.log(0.9))
