@@ -145,56 +145,64 @@ def evolve(chain: ChainParams, start: DistributionVector, t: int) -> Distributio
     lo = start.offset
     mass = start.mass.copy()
     for _ in range(t):
-        hi = lo + mass.size - 1
         new_lo = max(lo - 1, 0)
-        new = np.zeros(hi + 2 - new_lo)
+        new = np.zeros(mass.size + lo - new_lo + 1)
+        body = mass
         if lo == 0:
-            new[1 - new_lo] += mass[0]  # reflecting row: 0 -> 1 surely
-            body, s0 = mass[1:], 1
-        else:
-            body, s0 = mass, lo
-        if body.size:
-            j = np.arange(s0, hi + 1) - new_lo
-            new[j + 1] += p * body
-            new[j] += r * body
-            new[j - 1] += q * body
+            new[1] += mass[0]  # reflecting row: 0 -> 1 surely
+            body = mass[1:]
+        # body's first state sits at index 1 of new either way
+        m = body.size
+        new[2:m + 2] += p * body
+        new[1:m + 1] += r * body
+        new[:m] += q * body
         lo, mass = new_lo, new
     return DistributionVector(offset=lo, mass=mass)
 
 
-def _tv_to_stationary(rev: Reversibility, mu: DistributionVector) -> float:
-    """TV distance between an exactly carried law and the stationary law; the
-    stationary mass above the carried block enters through its closed tail."""
-    states = mu.states
-    diff = float(np.abs(mu.mass - rev.nu(states)).sum())
-    return 0.5 * (diff + rev.nu_tail(int(states[-1])))
-
-
 def tv_oracle(chain: ChainParams, t: int) -> float:
     """Total variation distance between the law at time t (started at the
-    origin) and the stationary law, by dynamic programming.
-
-    The carried support after t steps is {0,...,t} and the stationary mass
-    above it enters through the closed geometric tail, so there is no
-    truncation error.  There is float64 roundoff: a few ulp of the unit mass
-    per step, which levels off near 6e-15 absolute.  Once the true distance
-    falls below that floor (t of about 300 on the worked example) the value
-    is roundoff, overstating the distance by up to 1e9 times at t = 500."""
-    return _tv_to_stationary(reversibility(chain), evolve(chain, DistributionVector.point(0), t))
+    origin) and the stationary law, by dynamic programming: the last value
+    of tv_oracle_curve(chain, t)."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return tv_oracle_curve(chain, t)[-1]
 
 
 def tv_oracle_curve(chain: ChainParams, t_max: int) -> list:
-    """tv_oracle(chain, t) for t = 0..t_max from one forward sweep of
-    one-step evolves: O(t_max^2) in all instead of O(t_max^3), and bit for
-    bit the same values, because evolve steps one at a time either way."""
+    """TV distance to stationarity at t = 0..t_max (started at the origin) by
+    dynamic programming on d_t = mu_t - nu, in one sweep: O(t_max^2) in all.
+
+    mu_t lives on 0..t.  Above it d_t = -nu, which the chain maps to itself
+    (detailed balance), so one step rewrites only the window 0..t+2 of a
+    buffer filled with -nu once.  Each step then removes d's drift along nu,
+    the one direction the chain never damps: s nu on the window, with s the
+    total mass of d (window sum minus nu_tail(t+2)), which is 0 exactly.
+    TV_t = (1/2)(sum_{j<=t} |d_j| + nu_tail(t)), with the stationary mass
+    above t in closed form, so there is no truncation error.  The roundoff
+    left lies off nu and decays with the chain: the values are accurate
+    relative to TV itself, not to the unit mass (on the worked example,
+    within 3e-15 relative of the series at t = 500, where TV is 7e-24)."""
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    p, q, r = chain.p, chain.q, chain.r
     rev = reversibility(chain)
-    mu = DistributionVector.point(0)
-    values = [_tv_to_stationary(rev, mu)]
-    for _ in range(t_max):
-        mu = evolve(chain, mu, 1)
-        values.append(_tv_to_stationary(rev, mu))
+    nu = np.atleast_1d(rev.nu(np.arange(t_max + 4)))
+    tails = [rev.nu_tail(n) for n in range(t_max + 3)]
+    d, new = -nu, -nu  # two buffers, swapped after each step
+    d[0] += 1.0
+    values = [0.5 * (abs(d[0]) + tails[0])]
+    for t in range(1, t_max + 1):
+        w = t + 3  # the window 0..t+2
+        new[0] = q * d[1]
+        new[1] = d[0] + r * d[1] + q * d[2]
+        body, window = new[2:w], new[:w]  # views: the updates run in place
+        np.multiply(d[1:w - 1], p, out=body)
+        body += r * d[2:w]
+        body += q * d[3:w + 1]
+        window -= (window.sum() - tails[t + 2]) * nu[:w]
+        d, new = new, d
+        values.append(0.5 * (float(np.abs(d[:t + 1]).sum()) + tails[t]))
     return values
 
 

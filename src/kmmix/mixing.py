@@ -41,6 +41,7 @@ evaluations inside a bracket set by the envelope.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,7 +128,10 @@ def _pole_pair(chain: ChainParams):
     return (scale * (r + (1.0 + q - p)), scale * (r - (1.0 + q - p)))
 
 
+@lru_cache(maxsize=32)
 def bound_coefficients(chain: ChainParams) -> BoundCoefficients:
+    """The envelope's constants, computed once per chain (the value is
+    immutable; tv_upper, tv_lower and t_mix read it per t)."""
     p, q, r = chain.p, chain.q, chain.r
     alpha = q / (q + r)
     beta = r + 2.0 * chain.sqrt_pq
@@ -215,14 +219,16 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
     The tail bound is nonincreasing in N.  Both geometric terms reaching half
     the tolerance is sufficient; bisection on the exact tail expression below
     that closed form pins N, so N and its tail are those of a scan upward
-    from N = 0."""
+    from N = 0.  A guess `near` (the cutoff of a neighbouring t) is taken
+    as it is when it already is that least N: tail(near) <= tol <
+    tail(near - 1)."""
     p, q, r = chain.p, chain.q, chain.r
     x = p / (q + r)
     y = math.sqrt(p / q)
     half_w2 = 0.5 * negative_atom(chain)[1]
     half_env_x = 0.5 * contour_envelope(chain) * x
 
-    def cutoff(t):
+    def cutoff(t, near=None):
         amp_atom = half_w2 * co.alpha ** t / p / (1.0 - x)
         amp_cont = half_env_x * co.beta ** t / p / (1.0 - y)
         tol = max(min(ctl.series_tol, 0.05 * co.B * co.beta ** t), 5e-324)
@@ -230,6 +236,8 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
         def tail(n):
             return amp_atom * x ** (n + 1) + amp_cont * y ** (n + 1)
 
+        if near is not None and tail(near) <= tol and (near == 0 or tail(near - 1) > tol):
+            return near, tail(near)
         log_half = math.log(tol) - math.log(2.0)
         enough = max(_geometric_depth(amp_atom, x, log_half),
                      _geometric_depth(amp_cont, y, log_half))
@@ -322,7 +330,9 @@ def tv_quadrature(chain: ChainParams, ts, ctl: TailControl = None,
     pi_n |Q_n| <= c z^n / p (n >= 1) on the strip: (1/2) sum_{n <= N} pi_n |Q_n|
     is a geometric sum in z = sqrt(p/q) e^y < 1 (as y < a <= log sqrt(q/p))."""
     cutoff = _cutoff_rule(chain, bound_coefficients(chain), ctl or TailControl())
-    cuts = {t: cutoff(t)[0] for t in sorted(set(_naturals(ts)))}
+    cuts, near = {}, None
+    for t in sorted(set(_naturals(ts))):  # each t's N is the next one's guess
+        near = cuts[t] = cutoff(t, near)[0]
     n_cut, log_c, log_p = max(cuts.values()), q_log_sup(chain, 0), math.log(chain.p)
 
     def log_sup(y):

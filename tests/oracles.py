@@ -194,3 +194,53 @@ def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
         pi_n = np.atleast_1d(reversibility(chain).pi(n))
         values[t] = math.fsum(0.5 * pi_n * np.abs(w2 * loc2 ** (t + n) + ac))
     return [values[t] for t in ts]
+
+
+def evolve_fancy_index(chain: ChainParams, start, t: int):
+    """(offset, mass) after t steps from a DistributionVector, one step at a
+    time through fancy-index adds: the p, r and q terms added in that order
+    into a zeroed vector, the reflecting 0 -> 1 move first."""
+    p, q, r = chain.p, chain.q, chain.r
+    lo, mass = start.offset, start.mass.copy()
+    for _ in range(t):
+        hi = lo + mass.size - 1
+        new_lo = max(lo - 1, 0)
+        new = np.zeros(hi + 2 - new_lo)
+        if lo == 0:
+            new[1 - new_lo] += mass[0]
+            body, s0 = mass[1:], 1
+        else:
+            body, s0 = mass, lo
+        if body.size:
+            j = np.arange(s0, hi + 1) - new_lo
+            new[j + 1] += p * body
+            new[j] += r * body
+            new[j - 1] += q * body
+        lo, mass = new_lo, new
+    return lo, mass
+
+
+def tv_by_fraction(p: Fraction, q: Fraction, r: Fraction, t: int) -> Fraction:
+    """TV distance at time t, started at the origin, of the chain with the
+    rational parameters (p, q, r), exactly.  The DP runs in integers: with D a
+    common denominator of p, q, r, the law mu_t times D^t is an integer vector.
+    The stationary law nu_n = pi_n / rho and its tail above t are closed forms."""
+    p, q, r = Fraction(p), Fraction(q), Fraction(r)
+    if p + q + r != 1:
+        raise ValueError("p + q + r must be 1")
+    den = math.lcm(p.denominator, q.denominator, r.denominator)
+    a, b, c = (int(v * den) for v in (p, q, r))
+    mass = [1]  # D^t mu_t on states 0..t
+    for _ in range(t):
+        new = [0] * (len(mass) + 1)
+        new[1] += den * mass[0]
+        for j, m in enumerate(mass[1:], start=1):
+            new[j + 1] += a * m
+            new[j] += c * m
+            new[j - 1] += b * m
+        mass = new
+    ratio, rho = p / q, (q - p + 1) / (q - p)
+    nu = [1 / rho] + [ratio ** n / (p * rho) for n in range(1, t + 1)]
+    tail = ratio ** t / (q - p) / rho
+    scale = Fraction(den) ** t
+    return (sum(abs(Fraction(m) / scale - v) for m, v in zip(mass, nu)) + tail) / 2

@@ -108,6 +108,16 @@ class TestEvolve:
                 ref = oracles.law_after(c, 0, t, 80)
                 assert np.allclose(mu.mass, ref[: t + 1], atol=1e-14)
 
+    @pytest.mark.parametrize("start", [0, 1, 5])
+    def test_slices_are_bit_identical_to_fancy_index_steps(self, start):
+        # the slice adds run in the fancy-index loop's order, so every bit holds
+        for c in (ChainParams(1 / 11, 9 / 11, 1 / 11), ChainParams(0.3, 0.32, 0.38),
+                  ChainParams(0.1, 0.7, 0.2)):
+            for t in (0, 1, 2, 7, 37, 300):
+                mu = evolve(c, DistributionVector.point(start), t)
+                offset, mass = oracles.evolve_fancy_index(c, DistributionVector.point(start), t)
+                assert mu.offset == offset and np.array_equal(mu.mass, mass), (c, t)
+
     def test_mass_conserved_for_ten_thousand_steps(self, example_chain):
         mu = evolve(example_chain, DistributionVector.point(0), 10_000)
         assert abs(mu.total() - 1.0) <= 1e-12
@@ -142,9 +152,31 @@ class TestTvOracle:
     def test_bounded_by_one(self, chain_grid):
         assert all(0.0 <= tv_oracle(c, 0) <= 1.0 for c in chain_grid)
 
-    def test_sweep_is_bit_identical_to_per_t_oracle(self, example_chain):
+    def test_per_t_oracle_is_a_prefix_of_the_sweep(self, example_chain):
         swept = tv_oracle_curve(example_chain, 200)
         assert swept == [tv_oracle(example_chain, t) for t in range(201)]
+
+    @pytest.mark.parametrize("pqr", [(Fraction(1, 11), Fraction(9, 11), Fraction(1, 11)),
+                                     (Fraction(3, 10), Fraction(8, 25), Fraction(19, 50))])
+    def test_relative_to_exact_rational_dp(self, pqr):
+        # the worked example and a near-critical chain (q - p = 0.02)
+        swept = tv_oracle_curve(ChainParams(*map(float, pqr)), 30)
+        for t, value in enumerate(swept):
+            exact = float(oracles.tv_by_fraction(*pqr, t))
+            assert abs(value - exact) <= 1e-14 * exact, t
+
+    def test_relative_accuracy_where_tv_is_tiny(self):
+        # TV(500) is 1.5e-55 here; a DP carrying the unit mass's roundoff
+        # would read about 1e-15
+        pqr = (Fraction(1, 10), Fraction(7, 10), Fraction(1, 5))
+        swept = tv_oracle_curve(ChainParams(*map(float, pqr)), 500)
+        for t in (100, 300, 500):
+            exact = float(oracles.tv_by_fraction(*pqr, t))
+            assert abs(swept[t] - exact) <= 1e-13 * exact, t
+
+    def test_rejects_negative_t(self, example_chain):
+        with pytest.raises(ValueError):
+            tv_oracle(example_chain, -1)
 
     def test_sweep_rejects_negative_horizon(self, example_chain):
         with pytest.raises(ValueError):

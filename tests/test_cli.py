@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kmmix import ChainParams, tv_lower, tv_upper
 from kmmix.cli import main
 
 
@@ -216,6 +217,15 @@ class TestTv:
             assert row["tv_exact"] <= row["tv_upper"]
             if row["lower_valid"]:
                 assert row["tv_lower"] <= row["tv_exact"]
+
+    def test_envelope_columns_are_the_library_values(self, capsys):
+        chain = ChainParams(1 / 11, 9 / 11, 1 / 11)
+        code, out, _ = run_cli(capsys, "tv", "--p", "1/11", "--q", "9/11", "--t-max", "80")
+        assert code == 0
+        for t, row in enumerate(json.loads(out)["results"]["rows"]):
+            lower, valid = tv_lower(chain, t)
+            assert (row["tv_upper"], row["tv_lower"], row["lower_valid"]) == (
+                tv_upper(chain, t), lower, valid), t
 
     def test_nan_series_tol_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "tv", "--p", "1/11", "--q", "9/11",

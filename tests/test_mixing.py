@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -202,6 +203,24 @@ class TestSeriesCutoff:
         assert got == _cutoff_or_error(c, co, 20, ctl, _series_cutoff_scan)
 
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-300])
+    @pytest.mark.parametrize("ts", [range(501), [500, 3, 41, 3, 0, 260, 7, 8, 1999, 9]],
+                             ids=["dense", "sparse"])
+    def test_warm_started_cuts_equal_cold_ones(self, chain_grid, tol, ts):
+        # tv_quadrature hands each sorted t's N to the next t as its guess
+        for c in chain_grid + [NEAR_CRITICAL, ChainParams(0.3, 0.305, 0.395)]:
+            ctl = TailControl(series_tol=tol)
+            cold = _cutoff_rule(c, bound_coefficients(c), ctl)
+            cuts = tv_quadrature(c, ts, ctl)[0]
+            assert cuts == {t: cold(t)[0] for t in sorted(set(ts))}, c
+
+    def test_a_wrong_guess_falls_back_to_the_search(self, example_chain):
+        cutoff = _cutoff_rule(example_chain, bound_coefficients(example_chain), TailControl())
+        want = cutoff(40)
+        assert all(cutoff(40, near) == want for near in (0, want[0] - 1, want[0] + 1, 10 ** 4))
+        assert cutoff(40, want[0]) == want
+
+
 class TestTailControl:
     @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
     def test_series_tol_must_be_positive(self, tol):
@@ -215,6 +234,14 @@ class TestTvCurve:
             for t, (exact, oracle) in enumerate(zip(tv_curve(c, range(41)),
                                                     tv_oracle_curve(c, 40))):
                 assert abs(exact - oracle) <= 1e-8, (c, t)
+
+    def test_relative_to_exact_rational_dp_to_500(self, example_chain):
+        ctl = TailControl(series_tol=1e-300)
+        ts = [0, 1, 2, 10, 60, 150, 300, 450, 499, 500]
+        for t, value in zip(ts, tv_curve(example_chain, ts, ctl=ctl)):
+            exact = float(oracles.tv_by_fraction(Fraction(1, 11), Fraction(9, 11),
+                                                 Fraction(1, 11), t))
+            assert abs(value - exact) <= 1e-13 * exact, t
 
     def test_matches_oracle_past_twice_the_nodes(self):
         # N is about 4600 here, past 2K at every node count up to 2048, so the
