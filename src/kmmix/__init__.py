@@ -14,6 +14,7 @@ from .chain import (
     Reversibility,
     drift_identity_residual,
     evolve,
+    kernel_oracle,
     reversibility,
     tv_oracle,
     tv_oracle_curve,
@@ -60,16 +61,15 @@ from .coupling import (
 __all__ = [
     "__version__",
     "ChainParams", "DistributionVector", "Reversibility",
-    "reversibility", "evolve", "tv_oracle", "tv_oracle_curve", "drift_identity_residual",
-    "q_values", "q_log_sup", "point_mass_summability",
+    "reversibility", "evolve", "tv_oracle", "tv_oracle_curve", "kernel_oracle",
+    "drift_identity_residual", "q_values", "q_log_sup", "point_mass_summability",
     "SpectralMeasure", "QuadratureConfig", "QuadratureError", "RegimeError",
     "build_measure", "integrate_psi", "resolvent_a0", "residue_check",
     "BoundCoefficients", "TailControl", "ConvergenceError", "RouteDisagreement",
     "bound_coefficients", "contour_envelope", "spectral_integral",
     "tv_curve", "tv_upper", "tv_lower", "t_mix",
     "kernel_matrix", "kernel_spectral",
-    "SurvivalCurve", "RateFit", "simulate_classical", "simulate_modified",
-    "rate_fit", "hitting_pmf_multinomial", "hitting_pmf_exact",
-    "hitting_pmf_exact_curve", "hitting_tail_asymptote",
-    "stationary_hitting_survival",
+    "SurvivalCurve", "RateFit", "simulate_classical", "simulate_modified", "rate_fit",
+    "hitting_pmf_multinomial", "hitting_pmf_exact", "hitting_pmf_exact_curve",
+    "hitting_tail_asymptote", "stationary_hitting_survival",
 ]

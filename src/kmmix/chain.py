@@ -6,6 +6,9 @@ Under q > p, r > 0 the chain is positive recurrent and aperiodic.  Everything
 in this module is either a closed form or exact dynamic programming on the
 finite support reachable in t steps, so there is no truncation error to
 account for downstream.
+
+One step of the walk, _advance, serves every DP: evolve, the TV sweep, the DP
+twin kernel_oracle of mixing.kernel_matrix and the coupling module's hitting curves.
 """
 
 import math
@@ -21,6 +24,7 @@ __all__ = [
     "evolve",
     "tv_oracle",
     "tv_oracle_curve",
+    "kernel_oracle",
     "drift_identity_residual",
 ]
 
@@ -79,10 +83,6 @@ class DistributionVector:
     def point(cls, state: int) -> "DistributionVector":
         return cls(offset=state, mass=np.ones(1))
 
-    @property
-    def states(self) -> np.ndarray:
-        return np.arange(self.offset, self.offset + self.mass.size)
-
     def total(self) -> float:
         return float(self.mass.sum())
 
@@ -133,39 +133,45 @@ def reversibility(chain: ChainParams) -> Reversibility:
     return Reversibility(chain=chain, rho=(chain.q - chain.p + 1.0) / (chain.q - chain.p))
 
 
+def _advance(chain: ChainParams, src: np.ndarray, dst: np.ndarray, lo: int, hi: int):
+    """One step of the walk from src, whose mass lies on states lo..hi (read
+    up to hi + 2), written in place into dst on max(lo - 1, 0)..hi + 1.  Each
+    state adds its p, r and q terms in that order, the reflecting 0 -> 1 move
+    first, so every DP on it sums the same floats in the same order."""
+    p, q, r = chain.p, chain.q, chain.r
+    if lo <= 1:  # the window holds state 0
+        s1 = src.item(1)  # Python floats: the same double sums, faster
+        dst[0] = q * s1
+        dst[1] = src.item(0) + r * s1 + q * src.item(2)
+    first = lo - 1 if lo > 1 else 2  # the first state of the p, r, q body
+    body = dst[first:hi + 2]  # a view: the updates run in place
+    np.multiply(src[first - 1:hi + 1], p, out=body)
+    body += r * src[first:hi + 2]
+    body += q * src[first + 1:hi + 3]
+
+
 def evolve(chain: ChainParams, start: DistributionVector, t: int) -> DistributionVector:
     """Exact t-step evolution of a finitely supported distribution.
 
     Support grows by at most one state per side per step, so from a point
-    mass the cost is O(t^2) and the result is exact.
+    mass the cost is O(t^2) and the result is exact.  The two buffers start at
+    the lowest state reached; if that is not 0 they hold no mass at index 0.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    p, q, r = chain.p, chain.q, chain.r
-    lo = start.offset
-    mass = start.mass.copy()
+    lo, hi = start.offset, start.offset + start.mass.size - 1
+    base = max(lo - t, 0)
+    src, dst = np.zeros((2, hi + t + 2 - base))
+    src[lo - base:hi + 1 - base] = start.mass
     for _ in range(t):
-        new_lo = max(lo - 1, 0)
-        new = np.zeros(mass.size + lo - new_lo + 1)
-        body = mass
-        if lo == 0:
-            new[1] += mass[0]  # reflecting row: 0 -> 1 surely
-            body = mass[1:]
-        # body's first state sits at index 1 of new either way
-        m = body.size
-        new[2:m + 2] += p * body
-        new[1:m + 1] += r * body
-        new[:m] += q * body
-        lo, mass = new_lo, new
-    return DistributionVector(offset=lo, mass=mass)
+        _advance(chain, src, dst, lo - base, hi - base)
+        lo, hi, src, dst = max(lo - 1, 0), hi + 1, dst, src
+    return DistributionVector(offset=lo, mass=src[lo - base:hi + 1 - base].copy())
 
 
 def tv_oracle(chain: ChainParams, t: int) -> float:
-    """Total variation distance between the law at time t (started at the
-    origin) and the stationary law, by dynamic programming: the last value
-    of tv_oracle_curve(chain, t)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    """TV distance to stationarity at time t (started at the origin) by dynamic
+    programming: the last value of tv_oracle_curve(chain, t)."""
     return tv_oracle_curve(chain, t)[-1]
 
 
@@ -181,11 +187,9 @@ def tv_oracle_curve(chain: ChainParams, t_max: int) -> list:
     TV_t = (1/2)(sum_{j<=t} |d_j| + nu_tail(t)), with the stationary mass
     above t in closed form, so there is no truncation error.  The roundoff
     left lies off nu and decays with the chain: the values are accurate
-    relative to TV itself, not to the unit mass (on the worked example,
-    within 3e-15 relative of the series at t = 500, where TV is 7e-24)."""
+    relative to TV itself, not to the unit mass (3e-15 where TV is 7e-24)."""
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    p, q, r = chain.p, chain.q, chain.r
     rev = reversibility(chain)
     nu = np.atleast_1d(rev.nu(np.arange(t_max + 4)))
     tails = [rev.nu_tail(n) for n in range(t_max + 3)]
@@ -193,17 +197,58 @@ def tv_oracle_curve(chain: ChainParams, t_max: int) -> list:
     d[0] += 1.0
     values = [0.5 * (abs(d[0]) + tails[0])]
     for t in range(1, t_max + 1):
-        w = t + 3  # the window 0..t+2
-        new[0] = q * d[1]
-        new[1] = d[0] + r * d[1] + q * d[2]
-        body, window = new[2:w], new[:w]  # views: the updates run in place
-        np.multiply(d[1:w - 1], p, out=body)
-        body += r * d[2:w]
-        body += q * d[3:w + 1]
-        window -= (window.sum() - tails[t + 2]) * nu[:w]
+        _advance(chain, d, new, 0, t + 1)
+        window = new[:t + 3]  # a view: the update runs in place
+        window -= (window.sum() - tails[t + 2]) * nu[:t + 3]
         d, new = new, d
         values.append(0.5 * (float(np.abs(d[:t + 1]).sum()) + tails[t]))
     return values
+
+
+def _naturals(values, what: str = "t") -> list:
+    """values, each a nonnegative integral number, as a nonempty list of ints;
+    else ValueError."""
+    values = list(values)
+    if not values:
+        raise ValueError(f"{what} must hold at least one value")
+    try:
+        ints = [int(v) for v in values]
+    except (OverflowError, ValueError):  # inf, nan
+        ints = []
+    if ints != values or min(ints) < 0:
+        raise ValueError(f"{what} must be nonnegative integers")
+    return ints
+
+
+def _kernel_args(ts, n_max, rows, cols) -> tuple:
+    """kernel_oracle's and mixing.kernel_matrix's checked (ts, rows, cols), as
+    ints, rows and cols each all of 0..n_max when None; else ValueError."""
+    ts = _naturals(ts)
+    n_max = _naturals([n_max], "n_max")[0]
+    rows, cols = (np.arange(n_max + 1) if s is None else np.atleast_1d(np.asarray(s, dtype=float))
+                  for s in (rows, cols))
+    # integral and in 0..n_max, checked without building that range for np.isin
+    if not all(s.size and np.array_equal(s, np.clip(np.floor(s), 0, n_max)) for s in (rows, cols)):
+        raise ValueError(f"rows and cols must be nonempty index sets in 0..{n_max}")
+    return ts, rows.astype(int), cols.astype(int)
+
+
+def kernel_oracle(chain: ChainParams, ts, n_max: int, rows=None, cols=None) -> np.ndarray:
+    """p_t(i, j) by dynamic programming, the exact twin of mixing.kernel_matrix
+    (same arguments, checks and shape), in one sweep per row i to max(ts)."""
+    ts, rows, cols = _kernel_args(ts, n_max, rows, cols)
+    out = np.empty((len(ts), rows.size, cols.size))
+    laws = np.empty((max(ts) + 1, cols.size))  # row i's law at cols after t steps
+    for a, i in enumerate(rows):
+        src, dst = np.zeros((2, max(i + max(ts) + 2, cols.max() + 1)))
+        src[i] = 1.0
+        laws[0] = src[cols]
+        for t in range(1, max(ts) + 1):
+            _advance(chain, src, dst, max(i - t + 1, 0), i + t - 1)
+            src, dst = dst, src
+            laws[t] = src[cols]
+        out[:, a] = laws[ts]
+    return out
 
 
 def drift_identity_residual(chain: ChainParams, x: int) -> float:
@@ -222,7 +267,6 @@ def drift_identity_residual(chain: ChainParams, x: int) -> float:
         return (q / p) ** (y / 2.0)
 
     if x == 0:
-        expect = V(1)
-        return expect - lam * V(0) - (math.sqrt(q / p) - lam)
+        return V(1) - lam * V(0) - (math.sqrt(q / p) - lam)
     expect = q * V(x - 1) + r * V(x) + p * V(x + 1)
     return expect - lam * V(x)

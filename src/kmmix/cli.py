@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .chain import ChainParams, DistributionVector, evolve, reversibility, tv_oracle_curve, \
-    drift_identity_residual
+from .chain import ChainParams, DistributionVector, evolve, kernel_oracle, reversibility, \
+    tv_oracle_curve, drift_identity_residual
 from .coupling import rate_fit, simulate_classical, simulate_modified
 from .mixing import T_CAP, ConvergenceError, RouteDisagreement, TailControl, \
     bound_coefficients, kernel_matrix, spectral_integral, t_mix, tv_curve, \
@@ -150,14 +150,8 @@ def _cmd_tv(args):
     rows = []
     for t in ts:
         lower, valid = tv_lower(chain, t)
-        rows.append({
-            "t": t,
-            "tv_exact": exact[t],
-            "tv_oracle": oracle[t],
-            "tv_upper": tv_upper(chain, t),
-            "tv_lower": lower,
-            "lower_valid": bool(valid),
-        })
+        rows.append({"t": t, "tv_exact": exact[t], "tv_oracle": oracle[t],
+                     "tv_upper": tv_upper(chain, t), "tv_lower": lower, "lower_valid": bool(valid)})
     _emit_doc(args, chain, {"rows": rows}, rows)
     return 0
 
@@ -180,15 +174,9 @@ def _cmd_kernel(args):
     if np.isnan(kernel).any():
         raise RegimeError(f"p_t({i}, {j}) cannot be certified: its roundoff floor "
                           "exceeds the quadrature tolerance")
-    mu = DistributionVector.point(i)
-    rows = []
-    for t in range(t_max + 1):
-        if t > 0:
-            mu = evolve(chain, mu, 1)
-        oracle = mu.prob(j)
-        spectral = float(kernel[t])
-        rows.append({"t": t, "p_spectral": spectral, "p_oracle": oracle,
-                     "abs_diff": abs(spectral - oracle)})
+    oracle = kernel_oracle(chain, range(t_max + 1), max(i, j), rows=[i], cols=[j])[:, 0, 0]
+    rows = [{"t": t, "p_spectral": s, "p_oracle": o, "abs_diff": abs(s - o)}
+            for t, (s, o) in enumerate(zip(kernel.tolist(), oracle.tolist()))]
     _emit_doc(args, chain, {"i": args.i, "j": args.j, "rows": rows}, rows)
     return 0
 
@@ -196,7 +184,7 @@ def _cmd_kernel(args):
 def _cmd_couple(args):
     chain = _chain_from_args(args)
     simulate = simulate_modified if args.mode == "modified" else simulate_classical
-    curve = simulate(chain, args.horizon, args.replicas, args.seed)
+    curve = simulate(chain, _size("--horizon", args.horizon), args.replicas, args.seed)
     window = (args.window_lo, args.window_hi if args.window_hi is not None else args.horizon)
     fit_error = None
     try:
@@ -256,15 +244,9 @@ def _verify_checks(chain, cfg):
     worst = float(np.max(np.abs(kernel_matrix(chain, [0], 8, cfg=cfg)[0] - np.eye(9))))
     yield "orthogonality_deg_le_8", worst <= 1e-8, worst
 
-    dp = np.empty((21, 5, 5))
-    for i in range(5):
-        mu = DistributionVector.point(i)
-        for t in range(21):
-            if t > 0:
-                mu = evolve(chain, mu, 1)
-            dp[t, i] = [mu.prob(j) for j in range(5)]
     # np.max, not max: a NaN (uncertified) entry must fail the check
-    worst = float(np.max(np.abs(kernel_matrix(chain, range(21), 4, cfg=cfg) - dp)))
+    worst = float(np.max(np.abs(kernel_matrix(chain, range(21), 4, cfg=cfg)
+                                - kernel_oracle(chain, range(21), 4))))
     yield "kernel_vs_oracle_t20", worst <= 1e-9, worst
 
     exact = tv_curve(chain, range(61), cfg=cfg)
@@ -378,7 +360,7 @@ def _build_parser():
     sp = sub.add_parser("couple", help="Monte Carlo coupling survival curve")
     common(sp)
     sp.add_argument("--mode", choices=("classical", "modified"), default="modified")
-    sp.add_argument("--horizon", type=int, default=100)
+    sp.add_argument("--horizon", type=int, default=100, help="last time of the curve" + _CAPPED)
     sp.add_argument("--replicas", type=int, default=100_000)
     sp.add_argument("--window-lo", type=int, default=20, dest="window_lo")
     sp.add_argument("--window-hi", type=int, default=None, dest="window_hi")

@@ -1,5 +1,8 @@
 """Hitting times of the origin and Monte Carlo coupling experiments.
 
+The exact hitting curves run chain._advance, the walk's one DP step, and
+read off and remove the mass each step puts on the absorbing origin.
+
 Two couplings of a stationary copy Y with the origin-started copy X are
 simulated:
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainParams, reversibility
+from .chain import ChainParams, _advance, reversibility
 
 __all__ = [
     "SurvivalCurve",
@@ -196,30 +199,23 @@ def hitting_pmf_multinomial(chain: ChainParams, n: int, k: int) -> float:
 
 def hitting_pmf_exact_curve(chain: ChainParams, n: int, k_max: int) -> np.ndarray:
     """Exact first-passage pmf P(tau = k | Y_0 = n) for k = 0..k_max, by
-    forward DP with an absorbing origin."""
+    forward DP with an absorbing origin: the mass a step puts on state 0."""
     if n < 1:
         raise ValueError("start state must be >= 1")
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    p, q, r = chain.p, chain.q, chain.r
-    top = n + k_max + 1
-    mass = np.zeros(top + 1)  # states 1..top at indices 1..top
-    mass[n] = 1.0
+    src, dst = np.zeros((2, n + k_max + 2))
+    src[n] = 1.0
     pmf = np.zeros(k_max + 1)
     for k in range(1, k_max + 1):
-        pmf[k] = q * mass[1]
-        new = np.zeros_like(mass)
-        new[1:-1] += r * mass[1:-1]
-        new[2:] += p * mass[1:-1]
-        new[1:-2] += q * mass[2:-1]
-        mass = new
+        _advance(chain, src, dst, max(n - k + 1, 1), n + k - 1)
+        pmf[k], dst[0] = dst[0], 0.0  # the mass absorbed at the origin
+        src, dst = dst, src
     return pmf
 
 
 def hitting_pmf_exact(chain: ChainParams, n: int, k: int) -> float:
     """Exact first-passage probability P(tau = k | Y_0 = n)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     return float(hitting_pmf_exact_curve(chain, n, k)[k])
 
 
@@ -242,19 +238,16 @@ def stationary_hitting_survival(chain: ChainParams, horizon: int) -> np.ndarray:
     surely and the curve is exact."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    p, q, r = chain.p, chain.q, chain.r
     rev = reversibility(chain)
-    states = np.arange(1, horizon + 1)
-    mass = np.asarray(rev.nu(states), dtype=float)
+    src, dst = np.zeros((2, horizon + 3))
+    src[1:horizon + 1] = rev.nu(np.arange(1, horizon + 1))
     bucket = rev.nu_tail(horizon)  # starts above the barrier: survives surely
     surv = np.zeros(horizon + 1)
     surv[0] = 1.0 - rev.nu(0)
     for t in range(1, horizon + 1):
-        new = np.zeros_like(mass)
-        new += r * mass
-        new[1:] += p * mass[:-1]
-        new[:-1] += q * mass[1:]
-        bucket += p * mass[-1]
-        mass = new  # q * mass[0] was absorbed at the origin
-        surv[t] = mass.sum() + bucket
+        _advance(chain, src, dst, 1, horizon)
+        bucket += dst[horizon + 1]  # crossed the barrier: survives surely
+        dst[0] = dst[horizon + 1] = 0.0  # and the origin absorbs
+        src, dst = dst, src
+        surv[t] = src[1:horizon + 1].sum() + bucket
     return surv

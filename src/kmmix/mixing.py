@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainParams, reversibility
+from .chain import ChainParams, _kernel_args, _naturals, reversibility
 from .orthopoly import q_bracket_matrix, q_log_sup, q_node_sums
 from .spectral import EPS_FLOOR, QuadratureConfig, RegimeError, build_measure, negative_atom, \
     node_count, theta_nodes
@@ -71,6 +71,7 @@ _PROBES = 15  # evaluations per round of _first_below
 _BLOCK = 8  # times per batch of tv_curve's node pass (bounds the FFT's memory)
 _GAP_MEMO = 4  # powers x^gap that one _powers call keeps for reuse
 T_CAP = 10 ** 7  # the largest time t_mix searches to
+N_CAP = 100_000  # the largest degree cutoff N of the TV series
 
 
 class ConvergenceError(RuntimeError):
@@ -108,11 +109,10 @@ class TailControl:
     """Truncation policy for the TV series over polynomial degree n."""
 
     series_tol: float = 1e-12
-    n_cap: int = 100_000
 
     def __post_init__(self):
-        if not self.series_tol > 0.0 or self.n_cap < 1:
-            raise ValueError("series_tol must be positive and n_cap >= 1")
+        if not self.series_tol > 0.0:
+            raise ValueError("series_tol must be positive")
 
 
 def contour_envelope(chain: ChainParams) -> float:
@@ -178,8 +178,7 @@ def spectral_integral(chain: ChainParams, t: int, n: int, route: str = "interval
     loc2, w2 = negative_atom(chain)
     if route in ("interval", "both"):
         build_measure(chain)  # RegimeError outside the validated regime
-        ac, _ = _kernel_ac(chain, [t], n, [0], [n], cfg or QuadratureConfig(),
-                           "spectral_integral")
+        ac, _ = _kernel_ac(chain, [t], [0], [n], cfg or QuadratureConfig(), "spectral_integral")
         interval_val = w2 * loc2 ** (t + n) + float(ac[t][0, 0])
         if route == "interval":
             return interval_val
@@ -242,13 +241,11 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
         enough = max(_geometric_depth(amp_atom, x, log_half),
                      _geometric_depth(amp_cont, y, log_half))
         # tail(lo) > tol >= tail(hi), with lo = -1 standing for "no N below hi"
-        lo, hi = -1, min(enough + 1, ctl.n_cap)
+        lo, hi = -1, min(enough + 1, N_CAP)
         while tail(hi) > tol:
-            if hi == ctl.n_cap:
-                raise ConvergenceError(
-                    f"series cutoff exceeded n_cap={ctl.n_cap} at t={t}", tail(hi)
-                )
-            lo, hi = hi, min(2 * hi + 1, ctl.n_cap)
+            if hi == N_CAP:
+                raise ConvergenceError(f"series cutoff exceeded n_cap={N_CAP} at t={t}", tail(hi))
+            lo, hi = hi, min(2 * hi + 1, N_CAP)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if tail(mid) <= tol:
@@ -277,21 +274,6 @@ def _powers(x, ts):
         yield t, xt
 
 
-def _naturals(values, what: str = "t") -> list:
-    """values, each a nonnegative integral number, as a nonempty list of ints;
-    else ValueError."""
-    values = list(values)
-    if not values:
-        raise ValueError(f"{what} must hold at least one value")
-    try:
-        ints = [int(v) for v in values]
-    except (OverflowError, ValueError):  # inf, nan
-        ints = []
-    if ints != values or min(ints) < 0:
-        raise ValueError(f"{what} must be nonnegative integers")
-    return ints
-
-
 def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
              cfg: QuadratureConfig = None) -> list:
     """TV distance at every time in ts (in the given order) by summing the
@@ -303,7 +285,7 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     tv_quadrature's node count serves every t.  Per batch of _BLOCK ascending
     times the AC parts of I_t(0..N_t) come from one sine transform per t
     (orthopoly.q_node_sums).  Raises ConvergenceError when some N_t exceeds
-    ctl.n_cap and QuadratureError when the node count passes
+    N_CAP and QuadratureError when the node count passes
     spectral.NODE_CAP."""
     ts = _naturals(ts)
     cuts, n_nodes, _ = tv_quadrature(chain, ts, ctl, cfg)
@@ -409,43 +391,38 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
     far below the diagonal (pi_j Q_i Q_j grows like (q/p)^((i-j)/2)), and as
     p -> 0, where the AC interval narrows and the integrals cancel past
     extended precision."""
-    ts = _naturals(ts)
-    n_max = _naturals([n_max], "n_max")[0]
-    every = np.arange(n_max + 1)
-    rows, cols = (every if s is None else np.atleast_1d(np.asarray(s, dtype=float))
-                  for s in (rows, cols))
-    if not all(s.size and np.isin(s, every).all() for s in (rows, cols)):
-        raise ValueError(f"rows and cols must be nonempty index sets in 0..{n_max}")
-    rows, cols = rows.astype(int), cols.astype(int)
+    ts, rows, cols = _kernel_args(ts, n_max, rows, cols)
     measure = build_measure(chain)
     cfg = cfg or QuadratureConfig()
     pi = np.atleast_1d(reversibility(chain).pi(cols))
-    ac, l1 = _kernel_ac(chain, ts, n_max, rows, cols, cfg, "kernel_matrix")
+    ac, l1 = _kernel_ac(chain, ts, rows, cols, cfg, "kernel_matrix")
     (_, w1), (loc2, w2) = measure.atom1, measure.atom2
     # not <=: a floor of 0 * inf (l1 past the double range, pi_j subnormal) is NaN
-    return np.array([np.where(~(pi * EPS_FLOOR * l1[t] <= cfg.tol), np.nan,
-                              (ac[t] + w1 + w2 * loc2 ** (t + np.add.outer(rows, cols))) * pi)
-                     for t in ts])
+    with np.errstate(invalid="ignore"):  # 0 * inf, masked to NaN here
+        return np.array([np.where(~(pi * EPS_FLOOR * l1[t] <= cfg.tol), np.nan,
+                                  (ac[t] + w1 + w2 * loc2 ** (t + np.add.outer(rows, cols))) * pi)
+                         for t in ts])
 
 
-def _kernel_ac(chain: ChainParams, ts, n_max: int, rows, cols, cfg: QuadratureConfig,
-               name: str):
+def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig, name: str):
     """The quadrature core of the kernel: the AC parts (Q[rows] w x^t) Q[cols]^T
-    for the ts and their L1 twins, ({t: ac}, {t: l1}), from one Q_0..Q_{n_max}
-    matrix on the nodes of one pass.  Its node count certifies every entry
+    for the ts and their L1 twins, ({t: ac}, {t: l1}), from the Q_n rows of
+    rows and cols on the nodes of one pass.  Its node count certifies every entry
     within cfg.tol by orthopoly.q_log_sup's bound on |Q_i Q_j|, taken at the
     degree sum rounded up past a multiple of 16: a slice and a single entry
     within one such block share the node count, and so their bits."""
     block = (max(rows) + max(cols)) // 16 * 16 + 16
     n_nodes = node_count(chain, cfg, name, q_log_sup(chain, block, 0), t=min(ts))[0]
     x, w, two_cos = theta_nodes(chain, n_nodes)
-    q_rows = q_bracket_matrix(chain, n_max, x, two_cos)
-    left, right = q_rows[rows], q_rows[cols]
+    degrees = sorted(set(rows) | set(cols))  # np.union1d would import numpy.ma
+    q_rows = q_bracket_matrix(chain, int(degrees[-1]), x, two_cos, degrees)
+    left, right = (q_rows[np.searchsorted(degrees, s)] for s in (rows, cols))
     ac, l1 = {}, {}
     for t, xt in _powers(x, sorted(set(ts))):
         wxt = w * xt
-        l1[t] = np.dot(np.abs(left) * np.abs(wxt), np.abs(right).T).astype(float)
-        ac[t] = np.dot(left * wxt, right.T).astype(float)
+        with np.errstate(over="ignore"):  # past the double range: kernel_matrix masks to NaN
+            l1[t] = np.dot(np.abs(left) * np.abs(wxt), np.abs(right).T).astype(float)
+            ac[t] = np.dot(left * wxt, right.T).astype(float)
     return ac, l1
 
 

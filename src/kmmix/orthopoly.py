@@ -130,18 +130,21 @@ def q_values(chain: ChainParams, n: int, x):
     return out
 
 
-def q_bracket_matrix(chain: ChainParams, n_max: int, x, two_cos=None):
-    """Q_n(x) for all n = 0..n_max at once, by the bracket recursion times
-    (q/p)^(n/2) from the cached table of _scales.  Meant for quadrature
-    nodes, passed with their two_cos = 2 cos(theta) (theta_nodes): as p -> 0,
-    (x - r)/sqrt(pq) loses cos(theta) to the rounding of x.  Unlike q_values
-    it has no atom override.  Shape (n_max+1, len(x)), in x's dtype."""
+def q_bracket_matrix(chain: ChainParams, n_max: int, x, two_cos=None, keep=None):
+    """Q_n(x) for n = 0..n_max at once, or only at the ascending degrees keep
+    in 0..n_max, by the bracket recursion times (q/p)^(n/2) from the cached
+    table of _scales.  Meant for quadrature nodes, passed with their
+    two_cos = 2 cos(theta) (theta_nodes): as p -> 0, (x - r)/sqrt(pq) loses
+    cos(theta) to the rounding of x.  Unlike q_values it has no atom
+    override.  Shape (len(keep), len(x)), in x's dtype."""
     x = np.asarray(x)
-    dt = x.dtype.type
-    out = np.empty((n_max + 1, x.size), dtype=x.dtype)
-    for n, b_n in enumerate(_brackets(chain, n_max, x, two_cos)):
-        out[n] = b_n
-    out *= _scales(chain, dt, n_max)[:, None]
+    keep = np.arange(n_max + 1) if keep is None else np.asarray(keep)
+    row = {n: k for k, n in enumerate(keep.tolist())}
+    out = np.empty((keep.size, x.size), dtype=x.dtype)
+    for n, b_n in enumerate(_brackets(chain, int(keep[-1]), x, two_cos)):
+        if n in row:
+            out[row[n]] = b_n
+    out *= _scales(chain, x.dtype.type, int(keep[-1]))[keep, None]
     return out
 
 

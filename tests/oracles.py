@@ -4,6 +4,9 @@ Everything here is deliberately naive: truncated transition matrices, direct
 path enumeration, and exact pair-chain dynamic programming.  These share no
 code with the package internals they are checking, except tv_by_bracket_matrix:
 it takes tv_curve's cutoffs and nodes and checks only how the series is summed.
+The *_by_steps DPs and evolve_fancy_index step the walk with fresh arrays and
+fancy-index adds in the order the package's one DP step uses, so the package
+must match them bit for bit.
 """
 
 import math
@@ -11,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from kmmix import ChainParams, reversibility
+from kmmix import ChainParams, DistributionVector, reversibility
 from kmmix.mixing import tv_quadrature
 from kmmix.orthopoly import q_bracket_matrix
 from kmmix.spectral import negative_atom, theta_nodes
@@ -244,3 +247,57 @@ def tv_by_fraction(p: Fraction, q: Fraction, r: Fraction, t: int) -> Fraction:
     tail = ratio ** t / (q - p) / rho
     scale = Fraction(den) ** t
     return (sum(abs(Fraction(m) / scale - v) for m, v in zip(mass, nu)) + tail) / 2
+
+
+def kernel_by_steps(chain: ChainParams, t_max: int, n_max: int) -> np.ndarray:
+    """p_t(i, j) for t <= t_max and i, j <= n_max, shape (t_max+1, n_max+1,
+    n_max+1): from each point mass i, one evolve_fancy_index step per t, the
+    mass at j read off the carried block (0 outside it)."""
+    out = np.zeros((t_max + 1, n_max + 1, n_max + 1))
+    for i in range(n_max + 1):
+        lo, mass = i, np.ones(1)
+        for t in range(t_max + 1):
+            if t:
+                lo, mass = evolve_fancy_index(chain, DistributionVector(lo, mass), 1)
+            for j in range(max(lo, 0), min(lo + mass.size, n_max + 1)):
+                out[t, i, j] = mass[j - lo]
+    return out
+
+
+def hitting_pmf_by_steps(chain: ChainParams, n: int, k_max: int) -> np.ndarray:
+    """P(tau = k | Y_0 = n), k <= k_max, by forward DP on states 1..n+k_max+1
+    with fresh arrays per step: q mass[1] leaves through the origin, then the
+    r, p and q terms are added into a zeroed vector in that order."""
+    p, q, r = chain.p, chain.q, chain.r
+    mass = np.zeros(n + k_max + 2)  # states 1..top at indices 1..top
+    mass[n] = 1.0
+    pmf = np.zeros(k_max + 1)
+    for k in range(1, k_max + 1):
+        pmf[k] = q * mass[1]
+        new = np.zeros_like(mass)
+        new[1:-1] += r * mass[1:-1]
+        new[2:] += p * mass[1:-1]
+        new[1:-2] += q * mass[2:-1]
+        mass = new
+    return pmf
+
+
+def stationary_survival_by_steps(chain: ChainParams, horizon: int) -> np.ndarray:
+    """P(tau > t), t <= horizon, for Y_0 stationary, by DP on states
+    1..horizon with fresh arrays per step: the mass that starts or steps above
+    horizon goes to a bucket that survives surely, q mass[1] is absorbed."""
+    p, q, r = chain.p, chain.q, chain.r
+    rev = reversibility(chain)
+    mass = np.asarray(rev.nu(np.arange(1, horizon + 1)), dtype=float)
+    bucket = rev.nu_tail(horizon)
+    surv = np.zeros(horizon + 1)
+    surv[0] = 1.0 - rev.nu(0)
+    for t in range(1, horizon + 1):
+        new = np.zeros_like(mass)
+        new += r * mass
+        new[1:] += p * mass[:-1]
+        new[:-1] += q * mass[1:]
+        bucket += p * mass[-1]
+        mass = new
+        surv[t] = mass.sum() + bucket
+    return surv

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kmmix import ChainParams, DistributionVector, drift_identity_residual, evolve, \
-    reversibility, tv_oracle, tv_oracle_curve
+    kernel_oracle, reversibility, tv_oracle, tv_oracle_curve
 
 import oracles
 
@@ -181,6 +181,43 @@ class TestTvOracle:
     def test_sweep_rejects_negative_horizon(self, example_chain):
         with pytest.raises(ValueError):
             tv_oracle_curve(example_chain, -1)
+
+
+class TestKernelOracle:
+    CHAINS = (ChainParams(1 / 11, 9 / 11, 1 / 11), ChainParams(0.3, 0.32, 0.38),
+              ChainParams(0.1, 0.7, 0.2))
+
+    def test_bit_identical_to_one_step_at_a_time(self):
+        for c in self.CHAINS:
+            want = oracles.kernel_by_steps(c, 60, 12)
+            assert np.array_equal(kernel_oracle(c, range(61), 12), want), c
+
+    def test_unsorted_and_duplicate_times(self, chain_grid):
+        ts = [17, 3, 40, 3, 0, 17, 25]
+        for c in chain_grid[::6]:
+            got = kernel_oracle(c, ts, 5)
+            assert got.shape == (7, 6, 6)
+            for block, t in zip(got, ts):
+                for i in range(6):
+                    ref = oracles.law_after(c, i, t, 60)[:6]
+                    np.testing.assert_allclose(block[i], ref, rtol=0.0, atol=1e-15)
+
+    def test_index_sets(self, example_chain):
+        ts = [0, 1, 17, 60]
+        full = kernel_oracle(example_chain, ts, 8)
+        for rows, cols in (([2], [3]), ([0, 8, 4], [5]), (range(3), [8, 1]), (None, [6]),
+                           ([3, 3], [7, 0, 7])):
+            part = kernel_oracle(example_chain, ts, 8, rows=rows, cols=cols)
+            want = full[:, list(range(9) if rows is None else rows)][:, :, cols]
+            assert np.array_equal(part, want), (rows, cols)
+
+    def test_start_whose_support_never_reaches_the_origin(self, example_chain):
+        # from i = 10 in at most 6 steps the walk stays on 4..16
+        got = kernel_oracle(example_chain, [6, 0, 2], 12, rows=[10])
+        for block, t in zip(got, (6, 0, 2)):
+            ref = oracles.law_after(example_chain, 10, t, 40)[:13]
+            np.testing.assert_allclose(block[0], ref, rtol=0.0, atol=1e-16)
+        assert got[0, 0, :4].tolist() == [0.0] * 4 and got[0, 0].sum() < 1.0
 
 
 class TestDriftIdentity:

@@ -86,6 +86,7 @@ HUGE = "1" + "0" * 400  # a 401-digit count
     (("tv", "--t-max", "10000001"), "--t-max"),
     (("kernel", "--t-max", "10000001"), "--t-max"),
     (("analyze", "--states", "10000001"), "--states"),
+    (("couple", "--horizon", "10000001"), "--horizon"),
 ])
 def test_count_past_the_cap_exit_2(capsys, argv, flag):
     # refused before any time or state list is built: no traceback, no hang
@@ -94,7 +95,7 @@ def test_count_past_the_cap_exit_2(capsys, argv, flag):
     assert err.startswith(f"kmmix: {flag} must be at most 1e7")
 
 
-@pytest.mark.parametrize("command", ["tv", "kernel", "analyze"])
+@pytest.mark.parametrize("command", ["tv", "kernel", "analyze", "couple"])
 def test_help_states_the_cap(capsys, command):
     with pytest.raises(SystemExit):
         main([command, "--help"])
@@ -277,6 +278,20 @@ class TestKernel:
         assert code == 1 and out == ""
         assert err.startswith("kmmix: ") and "cannot be certified" in err
 
+    def test_overflow_leaves_one_stderr_line(self, capsys):
+        # as p -> 0 the L1 sums overflow the double range: NaN, and no numpy warning
+        code, out, err = run_cli(capsys, "kernel", "--p", "1e-200", "--q", "0.5",
+                                 "--i", "4", "--j", "4", "--t-max", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("kmmix: ") and err.count("\n") == 1
+
+    def test_degree_past_the_node_cap_exit_1(self, capsys):
+        # refused by the node count, before any array is sized by the degree
+        code, out, err = run_cli(capsys, "kernel", "--p", "1/11", "--q", "9/11",
+                                 "--i", str(10 ** 12), "--j", "0", "--t-max", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("kmmix: kernel_matrix quadrature needs") and "the cap" in err
+
     def test_rows_match_oracle(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "--p", "1/11", "--q", "9/11",
                                "--i", "2", "--j", "3", "--t-max", "12")
@@ -312,7 +327,9 @@ class TestCouple:
     def test_overlapping_counter_blocks_exit_2(self, capsys, flags):
         code, out, err = run_cli(capsys, "couple", "--p", "1/11", "--q", "9/11", *flags)
         assert code == 2 and out == ""
-        assert err.startswith("kmmix: ") and "2^30" in err
+        # a horizon of 2^30 meets the CLI's size cap before the library's guard
+        message = "2^30" if flags[1] == "0" else "--horizon must be at most 1e7"
+        assert err.startswith("kmmix: ") and message in err
 
     def test_classical_mode(self, capsys):
         code, out, _ = run_cli(capsys, "couple", "--p", "1/11", "--q", "9/11",

@@ -71,6 +71,13 @@ class TestHittingPmfs:
                 lhs = hitting_pmf_multinomial(c, 3, k)
                 assert abs(lhs - (k / 3) * curve[k]) <= 1e-12
 
+    def test_exact_bit_identical_to_fresh_array_dp(self, example_chain, chain_grid):
+        for c in [example_chain] + chain_grid[::6]:
+            for n in (1, 2, 5, 20):
+                for k_max in (0, 1, 3, 40, 300):
+                    want = oracles.hitting_pmf_by_steps(c, n, k_max)
+                    assert np.array_equal(hitting_pmf_exact_curve(c, n, k_max), want)
+
     def test_domain_validation(self, example_chain):
         with pytest.raises(ValueError):
             hitting_pmf_multinomial(example_chain, 3, 2)
@@ -100,6 +107,13 @@ class TestTailAsymptote:
                 total += float(rev.nu(n)) * tail
             total += rev.nu_tail(t + 1)   # starts above t+1 cannot be absorbed yet
             assert surv[t] == pytest.approx(total, abs=1e-13)
+
+    def test_stationary_survival_bit_identical_to_fresh_array_dp(self, example_chain,
+                                                                  chain_grid):
+        for c in [example_chain] + chain_grid[::6]:
+            for horizon in (1, 2, 3, 40, 257):
+                want = oracles.stationary_survival_by_steps(c, horizon)
+                assert np.array_equal(stationary_hitting_survival(c, horizon), want)
 
     def test_stationary_survival_monotone(self, example_chain):
         surv = stationary_hitting_survival(example_chain, 120)

@@ -10,7 +10,7 @@ from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureErr
     kernel_matrix, kernel_spectral, reversibility, spectral_integral, t_mix, tv_curve, \
     tv_lower, tv_oracle, tv_oracle_curve, tv_upper
 from kmmix import mixing
-from kmmix.chain import DistributionVector, evolve
+from kmmix.chain import kernel_oracle
 from kmmix.mixing import _cutoff_rule, _pole_pair, tv_quadrature
 from kmmix.spectral import NODE_CAP, theta_nodes
 
@@ -134,8 +134,9 @@ class TestTvExact:
             if valid:
                 assert lower <= val
 
-    def test_series_cap_diagnostic(self, example_chain):
-        ctl = TailControl(series_tol=1e-300, n_cap=3)
+    def test_series_cap_diagnostic(self, monkeypatch, example_chain):
+        monkeypatch.setattr(mixing, "N_CAP", 3)
+        ctl = TailControl(series_tol=1e-300)
         with pytest.raises(ConvergenceError) as info:
             tv_curve(example_chain, [0], ctl=ctl)
         assert info.value.achieved_bound > 0.0
@@ -167,8 +168,8 @@ def _series_cutoff_scan(chain, co, t, ctl):
         if tail <= tol:
             return n_cut, tail
         n_cut += 1
-        if n_cut > ctl.n_cap:
-            raise ConvergenceError(f"series cutoff exceeded n_cap={ctl.n_cap} at t={t}", tail)
+        if n_cut > mixing.N_CAP:
+            raise ConvergenceError(f"series cutoff exceeded n_cap={mixing.N_CAP} at t={t}", tail)
 
 
 def _series_cutoff(chain, co, t, ctl):
@@ -183,19 +184,20 @@ def _cutoff_or_error(chain, co, t, ctl, cutoff):
 
 
 class TestSeriesCutoff:
-    def test_matches_scan(self, chain_grid):
+    def test_matches_scan(self, monkeypatch, chain_grid):
         for c in chain_grid + [NEAR_CRITICAL]:
             co = bound_coefficients(c)
             for t in (0, 1, 7, 40, 300, 5000):
                 for tol in (1e-6, 1e-12, 1e-20, 1e-300):
                     for n_cap in (100_000, 25, 1):
-                        ctl = TailControl(series_tol=tol, n_cap=n_cap)
+                        monkeypatch.setattr(mixing, "N_CAP", n_cap)
+                        ctl = TailControl(series_tol=tol)
                         got = _cutoff_or_error(c, co, t, ctl, _series_cutoff)
                         want = _cutoff_or_error(c, co, t, ctl, _series_cutoff_scan)
                         assert got == want, (c, t, tol, n_cap)
 
     def test_cap_error_carries_scan_bound(self):
-        # q - p = 1e-5: the sqrt(p/q) series needs more than n_cap = 1e5 terms
+        # q - p = 1e-5: the sqrt(p/q) series needs more than N_CAP = 1e5 terms
         c = ChainParams(0.3, 0.30001, 0.39999)
         co, ctl = bound_coefficients(c), TailControl()
         got = _cutoff_or_error(c, co, 20, ctl, _series_cutoff)
@@ -453,14 +455,13 @@ class TestKernelSpectral:
                 float(rev.nu(j)), abs=1e-8)
 
     def test_matches_dp_oracle_subset(self, example_chain):
-        for i in (0, 3, 8, 12):
-            mu = DistributionVector.point(i)
+        rows, cols = (0, 3, 8, 12), (0, 2, 7, 12)
+        dp = kernel_oracle(example_chain, range(31), 12, rows=rows, cols=cols)
+        for a, i in enumerate(rows):
             for t in range(31):
-                if t:
-                    mu = evolve(example_chain, mu, 1)
-                for j in (0, 2, 7, 12):
+                for b, j in enumerate(cols):
                     assert kernel_spectral(example_chain, t, i, j) == pytest.approx(
-                        mu.prob(j), abs=1e-9)
+                        dp[t, a, b], abs=1e-9)
 
     def test_row_sums_to_one(self, example_chain):
         total = sum(kernel_spectral(example_chain, 7, 2, j) for j in range(30))
@@ -471,13 +472,10 @@ class TestKernelMatrix:
     def test_c04_set_matches_dp(self, example_chain):
         kernel = kernel_matrix(example_chain, range(61), 12)
         assert kernel.shape == (61, 13, 13)
-        for i in range(13):
-            mu = DistributionVector.point(i)
-            for t in range(61):
-                if t:
-                    mu = evolve(example_chain, mu, 1)
-                dp = np.array([mu.prob(j) for j in range(13)])
-                assert np.max(np.abs(kernel[t, i] - dp)) <= 1e-9, (t, i)
+        dp = kernel_oracle(example_chain, range(61), 12)
+        for t in range(61):
+            for i in range(13):
+                assert np.max(np.abs(kernel[t, i] - dp[t, i])) <= 1e-9, (t, i)
 
     def test_identity_at_t0(self, chain_grid):
         for c in chain_grid[::3] + [NEAR_CRITICAL]:
@@ -495,13 +493,7 @@ class TestKernelMatrix:
     def test_single_pass_without_doublings(self, example_chain):
         cfg = QuadratureConfig(node_count=64)  # an override: one pass at 64 nodes
         kernel = kernel_matrix(example_chain, range(11), 3, cfg=cfg)
-        for i in range(4):
-            mu = DistributionVector.point(i)
-            for t in range(11):
-                if t:
-                    mu = evolve(example_chain, mu, 1)
-                for j in range(4):
-                    assert abs(kernel[t, i, j] - mu.prob(j)) <= 1e-9
+        assert np.all(np.abs(kernel - kernel_oracle(example_chain, range(11), 3)) <= 1e-9)
 
     def test_slice_is_kernel_spectral(self, example_chain):
         for c in (example_chain, NEAR_CRITICAL):
@@ -520,6 +512,25 @@ class TestKernelMatrix:
                 want = full[:, list(range(9) if rows is None else rows)][:, :, cols]
                 np.testing.assert_allclose(part, want, rtol=0.0, atol=1e-15)
 
+    def test_builds_only_the_rows_it_reads(self, monkeypatch, example_chain):
+        built, original = [], mixing.q_bracket_matrix
+
+        def recording(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(mixing, "q_bracket_matrix", recording)
+        kernel_matrix(example_chain, [3, 0], 29, rows=[2, 29], cols=[29, 7])
+        assert [q.shape[0] for q in built] == [3]
+
+    def test_index_sets_far_below_n_max(self, example_chain):
+        # nothing may be sized by n_max: 0..1e12 would take 8 TB
+        big = 10 ** 12
+        for kernel in (kernel_matrix, kernel_oracle):
+            want = kernel(example_chain, [3, 0], 7, rows=[2, 7], cols=[3])
+            assert np.array_equal(kernel(example_chain, [3, 0], big, rows=[2, 7], cols=[3]), want)
+            with pytest.raises(ValueError, match="index sets"):
+                kernel(example_chain, [3], big, rows=[big + 1], cols=[0])
+
     def test_uncertified_entry_is_nan(self, example_chain):
         # pi_0 Q_29 grows like 3^29, so p_7(29, 0) = 0 cancels past extended
         # precision; the entries of row 2 stay certified
@@ -535,34 +546,36 @@ class TestKernelMatrix:
         c = ChainParams(p, 0.95 - p, 0.05)
         kernel = kernel_matrix(c, range(21), 4)
         assert np.isnan(kernel).any()
-        for i in range(5):
-            mu = DistributionVector.point(i)
-            for t in range(21):
-                if t:
-                    mu = evolve(c, mu, 1)
-                for j in range(5):
-                    assert np.isnan(kernel[t, i, j]) or abs(kernel[t, i, j] - mu.prob(j)) <= 1e-9
+        dp = kernel_oracle(c, range(21), 4)
+        assert np.all(np.isnan(kernel) | (np.abs(kernel - dp) <= 1e-9))
 
     def test_rejects_bad_arguments(self, example_chain):
-        for ts, n_max in (([], 3), ([2, -1], 3), ([2], -1)):
-            with pytest.raises(ValueError):
-                kernel_matrix(example_chain, ts, n_max)
-        for rows, cols in (([4], None), (None, [-1]), ([], [0]), ([1], []), ([1.7], None),
-                           (None, [0, 2.5])):
-            with pytest.raises(ValueError, match="index sets"):
-                kernel_matrix(example_chain, [2], 3, rows=rows, cols=cols)
-        for ts, n_max in (([2.5], 3), ([2], 1.5)):
-            with pytest.raises(ValueError, match="nonnegative integers"):
-                kernel_matrix(example_chain, ts, n_max)
+        for kernel in (kernel_matrix, kernel_oracle):  # the DP twin shares the checks
+            for ts, n_max in (([], 3), ([2, -1], 3), ([2], -1)):
+                with pytest.raises(ValueError):
+                    kernel(example_chain, ts, n_max)
+            for rows, cols in (([4], None), (None, [-1]), ([], [0]), ([1], []), ([1.7], None),
+                               (None, [0, 2.5])):
+                with pytest.raises(ValueError, match="index sets"):
+                    kernel(example_chain, [2], 3, rows=rows, cols=cols)
+            for ts, n_max in (([2.5], 3), ([2], 1.5)):
+                with pytest.raises(ValueError, match="nonnegative integers"):
+                    kernel(example_chain, ts, n_max)
         for t, i, j in ((2.5, 1, 1), (2, 1.5, 1), (2, 1, -1)):
             with pytest.raises(ValueError, match="nonnegative integers"):
                 kernel_spectral(example_chain, t, i, j)
 
 
+def _tv_curve_past_n_cap(chain, cfg):
+    # N_CAP 1e6: near p = q the node count reaches the cap after the cutoff would
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mixing, "N_CAP", 10 ** 6)
+        return tv_curve(chain, [0, 40], cfg=cfg)
+
+
 QUADRATURES = [
     (lambda c, cfg: kernel_matrix(c, [40], 12, cfg=cfg), "kernel_matrix"),
-    # n_cap 1e6: near p = q the node count reaches the cap after the cutoff would
-    (lambda c, cfg: tv_curve(c, [0, 40], TailControl(n_cap=10 ** 6), cfg), "tv_curve"),
+    (_tv_curve_past_n_cap, "tv_curve"),
     (lambda c, cfg: integrate_psi(build_measure(c), lambda x: x ** 80, cfg=cfg), "density"),
     (lambda c, cfg: spectral_integral(c, 40, 12, route="both", cfg=cfg), "spectral_integral"),
 ]

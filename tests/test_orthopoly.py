@@ -297,6 +297,14 @@ class TestDegreeScales:
             assert np.array_equal(got, expect, equal_nan=True)
 
     @pytest.mark.parametrize("chain", CHAINS)
+    def test_kept_rows_are_rows_of_the_full_matrix(self, chain):
+        x, _, two_cos = theta_nodes(chain, 64)
+        full = q_bracket_matrix(chain, 40, x, two_cos)
+        for keep in ([0], [40], [3, 7, 8], [0, 17, 39]):
+            got = q_bracket_matrix(chain, 40, x, two_cos, keep)
+            assert got.shape == (len(keep), x.size) and np.array_equal(got, full[keep])
+
+    @pytest.mark.parametrize("chain", CHAINS)
     def test_node_sums_are_fresh_scale_times_sine_brackets(self, chain):
         x, w, _ = theta_nodes(chain, 64)
         g = np.stack([w, w * x])

@@ -20,8 +20,8 @@ of the same roadmap item.  The test accepts either only for p < 1e-5.
 import numpy as np
 import pytest
 
-from kmmix import ChainParams, DistributionVector, QuadratureConfig, QuadratureError, evolve, \
-    kernel_matrix, q_log_sup, tv_curve, tv_oracle_curve
+from kmmix import ChainParams, QuadratureConfig, QuadratureError, kernel_matrix, kernel_oracle, \
+    q_log_sup, tv_curve, tv_oracle_curve
 from kmmix.mixing import _kernel_ac, tv_quadrature
 from kmmix.spectral import EPS_FLOOR, node_count
 
@@ -53,14 +53,9 @@ def test_kernel_matrix_matches_dp(chain):
     if np.isnan(kernel).any():
         hypothesis.event("kernel_matrix left entries uncertified in the p -> 0 corner")
         assert chain.p < 1e-5
-    for i in range(5):
-        mu = DistributionVector.point(i)
-        for t in range(21):
-            if t:
-                mu = evolve(chain, mu, 1)
-            dp = np.array([mu.prob(j) for j in range(5)])
-            certified = ~np.isnan(kernel[t, i])
-            assert np.all(np.abs(kernel[t, i] - dp)[certified] <= 1e-9), (t, i)
+    dp = kernel_oracle(chain, range(21), 4)
+    certified = ~np.isnan(kernel)
+    assert np.all(np.abs(kernel - dp)[certified] <= 1e-9)
 
 
 @SETTINGS
@@ -110,10 +105,10 @@ def test_kernel_bound_covers_the_quadrature_error(chain):
     log_sup = q_log_sup(chain, 16, 0)  # entries to (4, 4): the kernel's first degree block
     k = node_count(chain, QuadratureConfig(), "kernel", log_sup)[0]
     wide = QuadratureConfig(node_count=4 * k, tol=ANY_COUNT)
-    ref, ref_l1 = _kernel_ac(chain, ts, 4, every, every, wide, "kernel")
+    ref, ref_l1 = _kernel_ac(chain, ts, every, every, wide, "kernel")
     for n in _counts(k):
         cfg = QuadratureConfig(node_count=n, tol=ANY_COUNT)
-        ac, l1 = _kernel_ac(chain, ts, 4, every, every, cfg, "kernel")
+        ac, l1 = _kernel_ac(chain, ts, every, every, cfg, "kernel")
         bound = node_count(chain, cfg, "kernel", log_sup)[1] + \
             node_count(chain, wide, "kernel", log_sup)[1]
         for t in ts:
