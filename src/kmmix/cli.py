@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -210,7 +211,7 @@ def _cmd_couple(args):
         lines.append(f"# fitted_rate={_fmt(rate)} stderr={_fmt(rate_se)} "
                      f"window={window[0]}..{window[1]}")
     table = [{"t": t, "survival": curve.survival[t], "stderr": curve.stderr[t]}
-             for t in range(args.horizon + 1)]
+             for t in range(args.horizon + 1)] if args.format == "csv" else None
     _emit_doc(args, chain, results, table, lines)
     return 0
 
@@ -316,7 +317,11 @@ def _cmd_verify(args):
     return 0 if all_passed else 1
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    """The one parser of the process, built on the first call of main: every
+    later call reuses it (parse_args leaves it unchanged and returns a fresh
+    Namespace)."""
     parser = argparse.ArgumentParser(
         prog="kmmix",
         description="Mixing-time analysis of the reflecting nearest-neighbor "

@@ -42,6 +42,7 @@ evaluations inside a bracket set by the envelope.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -284,23 +285,29 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     provably below the working tolerance of _cutoff_rule).  One pass at
     tv_quadrature's node count serves every t.  Per batch of _BLOCK ascending
     times the AC parts of I_t(0..N_t) come from one sine transform per t
-    (orthopoly.q_node_sums).  Raises ConvergenceError when some N_t exceeds
-    N_CAP and QuadratureError when the node count passes
-    spectral.NODE_CAP."""
+    (orthopoly.q_node_sums), and the atom terms and the series terms of all
+    its (t, n) pairs from one array each; only the fsum is per t.  Raises
+    ConvergenceError when some N_t exceeds N_CAP and QuadratureError when the
+    node count passes spectral.NODE_CAP."""
     ts = _naturals(ts)
     cuts, n_nodes, _ = tv_quadrature(chain, ts, ctl, cfg)
-    pi_vals = np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
+    half_pi = 0.5 * np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
     loc2, w2 = negative_atom(chain)
     x, w, _ = theta_nodes(chain, n_nodes)
     order = list(cuts)
     powers, values = _powers(x, order), {}
     for start in range(0, len(order), _BLOCK):
         block = [next(powers) for _ in order[start:start + _BLOCK]]
-        n_cut = max(cuts[t] for t, _ in block)
-        acs = q_node_sums(chain, n_cut, np.array([w * xt for _, xt in block]))
-        for (t, _), ac in zip(block, acs):
-            i_tn = w2 * loc2 ** (t + np.arange(cuts[t] + 1)) + ac[: cuts[t] + 1].astype(float)
-            values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn))
+        times = [t for t, _ in block]
+        sizes = [cuts[t] + 1 for t in times]
+        n = np.arange(max(sizes))
+        keep = n < np.array(sizes)[:, None]  # the block's pairs (t, n <= N_t), t by t
+        acs = q_node_sums(chain, max(sizes) - 1, np.array([w * xt for _, xt in block]))
+        # the whole block's terms at once, one power for every atom term w2 loc2^(t+n)
+        i_tn = w2 * loc2 ** (np.array(times)[:, None] + n)[keep] + acs[keep].astype(float)
+        terms = (np.broadcast_to(half_pi[: n.size], keep.shape)[keep] * np.abs(i_tn)).tolist()
+        for t, m, end in zip(times, sizes, accumulate(sizes)):
+            values[t] = math.fsum(terms[end - m:end])
     return [values[t] for t in ts]
 
 

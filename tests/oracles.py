@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: truncated transition matrices, direct
 path enumeration, and exact pair-chain dynamic programming.  These share no
-code with the package internals they are checking, except tv_by_bracket_matrix:
-it takes tv_curve's cutoffs and nodes and checks only how the series is summed.
+code with the package internals they are checking, except tv_by_bracket_matrix
+and tv_curve_per_t: they take tv_curve's cutoffs and nodes and check only how
+the series is summed.
 The *_by_steps DPs and evolve_fancy_index step the walk with fresh arrays and
 fancy-index adds in the order the package's one DP step uses, so the package
 must match them bit for bit.
@@ -15,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from kmmix import ChainParams, DistributionVector, reversibility
-from kmmix.mixing import tv_quadrature
-from kmmix.orthopoly import q_bracket_matrix
+from kmmix.mixing import _BLOCK, _powers, tv_quadrature
+from kmmix.orthopoly import q_bracket_matrix, q_node_sums
 from kmmix.spectral import negative_atom, theta_nodes
 
 
@@ -196,6 +197,27 @@ def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
         ac = np.dot(q_rows[: n_cut + 1], w * np.power(x, t)).astype(float)
         pi_n = np.atleast_1d(reversibility(chain).pi(n))
         values[t] = math.fsum(0.5 * pi_n * np.abs(w2 * loc2 ** (t + n) + ac))
+    return [values[t] for t in ts]
+
+
+def tv_curve_per_t(chain: ChainParams, ts, ctl=None) -> list:
+    """tv_curve's series summed one t at a time: the same cutoffs, nodes and
+    one sine transform per block of _BLOCK times, then per t its own power
+    w2 loc2^(t+n), n <= N_t, and its own fsum of (1/2) pi_n |I_t(n)|."""
+    ts = list(ts)
+    cuts, n_nodes, _ = tv_quadrature(chain, ts, ctl)
+    pi_vals = np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
+    loc2, w2 = negative_atom(chain)
+    x, w, _ = theta_nodes(chain, n_nodes)
+    order = list(cuts)
+    powers, values = _powers(x, order), {}
+    for start in range(0, len(order), _BLOCK):
+        block = [next(powers) for _ in order[start:start + _BLOCK]]
+        n_cut = max(cuts[t] for t, _ in block)
+        acs = q_node_sums(chain, n_cut, np.array([w * xt for _, xt in block]))
+        for (t, _), ac in zip(block, acs):
+            i_tn = w2 * loc2 ** (t + np.arange(cuts[t] + 1)) + ac[: cuts[t] + 1].astype(float)
+            values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn))
     return [values[t] for t in ts]
 
 

@@ -1,9 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from kmmix import ChainParams, tv_lower, tv_upper
+from kmmix import ChainParams, cli, tv_lower, tv_upper
 from kmmix.cli import main
 
 
@@ -380,3 +384,72 @@ class TestOutputFile:
         assert code == 0 and out == ""
         doc = json.loads(target.read_text())
         assert doc["results"]["m"] == pytest.approx(0.9, abs=1e-12)
+
+
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it: no call may see
+    a flag, a default or a failure of an earlier one."""
+
+    WORKED = ("--p", "1/11", "--q", "9/11")
+    JOBS = [
+        ("analyze", *WORKED),
+        ("tv", *WORKED, "--t-max", "5"),
+        ("tmix", *WORKED, "--eps", "1e-3"),
+        ("kernel", *WORKED, "--i", "1", "--j", "2", "--t-max", "3"),
+        ("couple", *WORKED, "--horizon", "10", "--replicas", "200", "--window-lo", "2"),
+        ("verify", *WORKED),
+        ("tv", "--help"),
+        ("kernel", *WORKED, "--series-tol", "1e-6"),  # argparse rejects it: exit 2
+        ("analyze", *WORKED, "--states", "-1"),  # main rejects it: exit 2
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def cold(self, capsys, argv):
+        cli._build_parser.cache_clear()
+        return self.call(capsys, argv)
+
+    def test_interleaved_commands_match_cold_calls(self, capsys):
+        cold = {argv: self.cold(capsys, argv) for argv in self.JOBS}
+        assert [code for code, _, _ in cold.values()] == [0] * 7 + [2, 2]
+        cli._build_parser.cache_clear()
+        order = [0, 6, 1, 7, 2, 3, 8, 4, 5, 0, 7, 6, 1]
+        for k in order:
+            assert self.call(capsys, self.JOBS[k]) == cold[self.JOBS[k]], self.JOBS[k]
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_flags_do_not_carry_into_the_next_call(self, capsys):
+        plain = ("tv", *self.WORKED, "--t-max", "5")
+        default = self.cold(capsys, plain)
+        for flags in (("--series-tol", "1e-6"), ("--quad-nodes", "64"), ("--format", "csv")):
+            flagged = self.call(capsys, plain + flags)
+            assert flagged[0] == 0 and flagged != default, flags
+            assert self.call(capsys, plain) == default, flags
+
+    def test_import_builds_no_parser_and_module_run_matches(self, capsys):
+        # one fresh interpreter: count the parsers that importing kmmix.cli
+        # builds, then run the module as `python -m kmmix.cli` runs it
+        argv = ("tmix", *self.WORKED, "--eps", "1e-6")
+        script = "\n".join([
+            "import argparse, runpy, sys",
+            "built, init = [], argparse.ArgumentParser.__init__",
+            "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(init(*a, **k))",
+            "import kmmix.cli",
+            "assert not built and kmmix.cli._build_parser.cache_info().currsize == 0",
+            "del sys.modules['kmmix.cli']",
+            "runpy.run_module('kmmix.cli', run_name='__main__', alter_sys=True)",
+        ])
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == self.cold(capsys, argv)[1]

@@ -272,6 +272,23 @@ class TestTvCurve:
         tv_curve(chain, ts)
         assert calls == ["q_node_sums"] * math.ceil(len(set(ts)) / mixing._BLOCK)
 
+    def test_block_arrays_match_the_per_t_loop(self, example_chain, monkeypatch):
+        # one atom power and one term array per block: every value bit for bit
+        # that of the loop with one power and one product per t
+        ts = range(501)
+        assert tv_curve(example_chain, ts) == oracles.tv_curve_per_t(example_chain, ts)
+        calls, inner = [], mixing.tv_curve
+
+        def recording(chain, ts, ctl=None):
+            calls.append((list(ts), ctl))
+            return inner(chain, ts, ctl=ctl)
+
+        monkeypatch.setattr(mixing, "tv_curve", recording)
+        t_mix(NEAR_CRITICAL, 1e-3)
+        ts, ctl = calls[0]  # the first round of _first_below: sparse and far apart
+        assert len(ts) == mixing._PROBES and ts[0] > 100
+        assert inner(NEAR_CRITICAL, ts, ctl=ctl) == oracles.tv_curve_per_t(NEAR_CRITICAL, ts, ctl)
+
     def test_unsorted_and_duplicate_times(self, example_chain):
         for c in (example_chain, NEAR_CRITICAL):
             ts = [17, 3, 40, 3, 0, 17, 25, 120]
