@@ -100,15 +100,22 @@ def _nonnegative(flag: str, value: int) -> int:
     return value
 
 
-def _size(flag: str, value: int) -> int:
-    """A count that sizes a time or state list: nonnegative and at most
-    T_CAP, checked before the list is built."""
-    if _nonnegative(flag, value) > T_CAP:
-        raise ValueError(f"{flag} must be at most 1e7, the cap of the t_mix search")
+# The largest value of each flag that sizes a list, and why: (cap, reason).
+_T_LIMIT = (T_CAP, "1e7, the cap of the t_mix search")
+# a curve of 1e6 steps already takes about 2.5 s and 0.3 GB, mostly its output
+_HORIZON_LIMIT = (10 ** 6, "1e6, as the curve's time and memory grow with it")
+
+
+def _size(flag: str, value: int, limit=_T_LIMIT) -> int:
+    """A count that sizes a time or state list: nonnegative and at most the
+    limit's cap, checked before the list is built."""
+    cap, reason = limit
+    if _nonnegative(flag, value) > cap:
+        raise ValueError(f"{flag} must be at most {reason}")
     return value
 
 
-_CAPPED = " (at most 1e7, the cap of the t_mix search)"  # help text of _size's flags
+_CAPPED = f" (at most {_T_LIMIT[1]})"  # help text of _size's flags
 
 
 def _quad_cfg(args) -> QuadratureConfig:
@@ -185,7 +192,8 @@ def _cmd_kernel(args):
 def _cmd_couple(args):
     chain = _chain_from_args(args)
     simulate = simulate_modified if args.mode == "modified" else simulate_classical
-    curve = simulate(chain, _size("--horizon", args.horizon), args.replicas, args.seed)
+    horizon = _size("--horizon", args.horizon, _HORIZON_LIMIT)
+    curve = simulate(chain, horizon, args.replicas, args.seed)
     window = (args.window_lo, args.window_hi if args.window_hi is not None else args.horizon)
     fit_error = None
     try:
@@ -365,7 +373,8 @@ def _build_parser():
     sp = sub.add_parser("couple", help="Monte Carlo coupling survival curve")
     common(sp)
     sp.add_argument("--mode", choices=("classical", "modified"), default="modified")
-    sp.add_argument("--horizon", type=int, default=100, help="last time of the curve" + _CAPPED)
+    sp.add_argument("--horizon", type=int, default=100,
+                    help=f"last time of the curve (at most {_HORIZON_LIMIT[1]})")
     sp.add_argument("--replicas", type=int, default=100_000)
     sp.add_argument("--window-lo", type=int, default=20, dest="window_lo")
     sp.add_argument("--window-hi", type=int, default=None, dest="window_hi")

@@ -16,15 +16,26 @@ inequality the simulations are checked against.  The reported stderr is the
 plug-in binomial sqrt(s(1-s)/replicas), 0 when no replica survives: compare
 with TV through a Wilson score bound instead.
 
-Randomness is counter based: the draw for (replica, step, channel) is a
-splitmix64-style finalizer of seed + GOLDEN * counter with
-counter = replica * 2^32 + 4 * step + channel.  Each replica owns a fixed
-counter block (disjoint while horizon < 2^30 and replicas <= 2^32, the
-simulations' limits), so its stream never depends on the replica count, the
-horizon, which replicas are still uncoupled, or any scheduling.  The
-simulations step only the live (uncoupled) replicas and draw each channel
-only at the live indices that read it; runs are bit-identical for a fixed
-configuration.
+Randomness is counter based: the draw for (replica, step, channel) is
+splitmix64's finalizer of seed + GOLDEN * counter with
+counter = replica * 2^32 + 4 * step + channel, computed as the replica's key
+(replica << 32) * GOLDEN + seed plus one scalar per (step, channel).  Each
+replica owns a fixed counter block (disjoint while horizon < 2^30 and
+replicas <= 2^32, the simulations' limits), so its stream never depends on
+the replica count, the horizon, which replicas are still uncoupled, or any
+scheduling; runs are bit-identical for a fixed configuration.  A draw's
+uniform u is its 64-bit word's top 53 bits over 2^53, and each move is
+decided on the word itself: u < p exactly when word < ceil(p 2^53) 2^11.
+
+The simulations step only the live pairs, those still apart.  Channel 3 is
+drawn once per replica, at step 0, for Y's stationary start.  At each step
+classical mode draws channels 1 and 2 at every live pair.  Modified mode
+draws channel 0 at every live pair, read where both walkers are positive,
+and one more word where one walker sits at 0: channel 1 if X is the walker
+away from 0, channel 2 if Y is.  The walker at 0 reads no word, as it moves
+to 1.  Modified mode keeps each pair as min(x, y) and the signed gap x - y:
+the shared move shifts the minimum alone, so the gap changes, and the pair
+can meet, only where one walker sits at 0.
 """
 
 import math
@@ -47,30 +58,53 @@ __all__ = [
     "stationary_hitting_survival",
 ]
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _CHANNELS = 4  # 0 shared move, 1 X move, 2 Y move, 3 stationary start
 
 
-def _uniforms(seed: int, step: int, channel: int, replicas: int,
-              index: np.ndarray = None) -> np.ndarray:
-    """`replicas` uniforms in [0, 1) for (step, channel), one per uint64 replica
-    number in `index` (np.arange(replicas) by default)."""
-    if index is None:
-        index = np.arange(replicas, dtype=np.uint64)
-    # in place on one fresh array: each large temporary costs an allocation and page faults
-    z = index << np.uint64(32)
-    z += np.uint64(_CHANNELS * step + channel)
-    z *= _GOLDEN
-    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)  # seeds are 64-bit unsigned
+def _keys(seed: int, numbers: np.ndarray) -> np.ndarray:
+    """The key (replica << 32) * GOLDEN + seed mod 2^64 of each uint64 replica
+    number: the draw of (step, channel) hashes key + (4 step + channel) * GOLDEN."""
+    keys = numbers << np.uint64(32)
+    keys *= np.uint64(_GOLDEN)
+    keys += np.uint64(seed & _MASK)  # seeds are 64-bit unsigned
+    return keys
+
+
+def _uniforms(keys: np.ndarray, step: int, channel: int, replicas: int,
+              out: np.ndarray = None) -> np.ndarray:
+    """The uniform 64-bit words of (step, channel) at the first `replicas`
+    keys, written into out[:replicas] (a fresh array by default): splitmix64's
+    finalizer of key + (4 step + channel) * GOLDEN.  A word's uniform in [0, 1)
+    is its top 53 bits over 2^53 (`_unit`)."""
+    # the offset in Python ints: a wrapping numpy uint64 scalar product warns
+    offset = np.uint64((_CHANNELS * step + channel) * _GOLDEN & _MASK)
+    z = np.add(keys[:replicas], offset, out=None if out is None else out[:replicas])
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)
     z *= _MIX2
     z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    return z.astype(np.float64) / float(1 << 53)
+    return z
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """The uniforms in [0, 1) of 64-bit words: the top 53 bits over 2^53."""
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u /= float(1 << 53)
+    return u
+
+
+def _last_below(prob: float) -> np.uint64:
+    """The largest word whose uniform is below prob > 0, so that u < prob
+    exactly when word <= _last_below(prob): (word >> 11) < prob * 2^53, an
+    exact product, holds exactly when word < ceil(prob * 2^53) * 2^11.  Past
+    2^64 - 1 that bound admits every word, as when p + r exceeds 1 by
+    rounding."""
+    return np.uint64(min(math.ceil(prob * 2.0 ** 53) << 11, 1 << 64) - 1)
 
 
 @dataclass(frozen=True)
@@ -92,11 +126,41 @@ class RateFit:
     stderr: float
 
 
-def _step(state: np.ndarray, u: np.ndarray, p: float, r: float) -> np.ndarray:
-    """One chain move per replica driven by one uniform (0 is reflecting)."""
-    moved = state + (u < p) - (u >= p + r)
-    moved[state == 0] = 1
-    return moved
+def _step(state: np.ndarray, words: np.ndarray, up: np.uint64, down: np.uint64):
+    """One move of the walk per walker, in place, each driven by its word: up
+    where word <= up or the walker is at 0 (reflecting), down where
+    word > down and the walker is above 0 (`_last_below` of p and of p + r)."""
+    at_zero = state == 0
+    rise = words <= up
+    rise |= at_zero
+    fall = words > down
+    fall &= ~at_zero
+    state += rise
+    state -= fall
+
+
+def _drop(dead: np.ndarray, n: int, arrays) -> int:
+    """Remove the ascending slots `dead` from the first n entries of every
+    array, moving the last live entries into the holes; returns the new n.
+    A replica is its key, so the order of the live set is free."""
+    if not dead.size:
+        return n
+    n -= dead.size
+    holes = dead[:np.searchsorted(dead, n)]
+    tail = np.ones(dead.size, dtype=bool)
+    tail[dead[holes.size:] - n] = False  # dead slots among the last ones
+    fill = n + np.flatnonzero(tail)
+    for a in arrays:
+        a[holes] = a[fill]
+    return n
+
+
+def _stationary_start(chain: ChainParams, seed: int, replicas: int):
+    """The keys and stationary states Y_0 of the replicas whose Y_0 is not 0."""
+    u = _unit(_uniforms(_keys(seed, np.arange(replicas, dtype=np.uint64)), 0, 3, replicas))
+    y = reversibility(chain).sample_stationary(u)
+    apart = np.flatnonzero(y)
+    return _keys(seed, apart.astype(np.uint64)), y[apart]
 
 
 def _simulate(chain: ChainParams, horizon: int, replicas: int, seed: int,
@@ -107,33 +171,49 @@ def _simulate(chain: ChainParams, horizon: int, replicas: int, seed: int,
         raise ValueError("replicas must be at least 1")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    p, r = chain.p, chain.r
-    y = reversibility(chain).sample_stationary(_uniforms(seed, 0, 3, replicas))
-    # the live set: replica numbers and states of the pairs still apart
-    live = np.flatnonzero(y).astype(np.uint64)
-    y = y[y != 0]
-    x = np.zeros(live.size, dtype=np.int64)
+    up, down = _last_below(chain.p), _last_below(chain.p + chain.r)
+    # the live set: the pairs still apart, kept in the first n entries of keys
+    # and of the state arrays; X starts at 0
+    keys, y = _stationary_start(chain, seed, replicas)
+    n = keys.size
+    if synchronized:
+        # the lower walker min(x, y) and the signed gap x - y: the shared move
+        # shifts low alone, and the gap changes only where low is 0
+        low, gap = np.zeros(n, dtype=np.int64), np.negative(y, out=y)
+        arrays = (low, gap, keys)
+    else:
+        x = np.zeros(n, dtype=np.int64)
+        arrays = (x, y, keys)
+    words = np.empty(n, dtype=np.uint64)
     counts = np.zeros(horizon + 1, dtype=np.int64)
-    counts[0] = live.size
+    counts[0] = n
     for t in range(1, horizon + 1):
-        if not live.size:
+        if not n:
             break
         if synchronized:
-            both_positive = (x > 0) & (y > 0)
-            shared, edge = np.flatnonzero(both_positive), np.flatnonzero(~both_positive)
-            both, apart = live[shared], live[edge]  # edge: one walker at 0
-            u_x = np.empty(live.size)
-            u_x[shared] = _uniforms(seed, t, 0, both.size, both)
-            u_y = u_x.copy()
-            u_x[edge] = _uniforms(seed, t, 1, apart.size, apart)
-            u_y[edge] = _uniforms(seed, t, 2, apart.size, apart)
+            edge = np.flatnonzero(low[:n] == 0)  # one walker at 0, the other at |gap|
+            _step(low[:n], _uniforms(keys, t, 0, n, words), up, down)  # edges rewritten below
+            away = gap[edge]
+            y_away = away < 0  # X at 0, Y at -gap
+            np.abs(away, out=away)
+            # the walker away from 0 draws its own channel, X channel 1 and Y
+            # channel 2; channel 2 at key k is channel 1 at key k + GOLDEN,
+            # the counter's next channel, so one call draws both
+            edge_keys = keys[edge]
+            edge_keys += y_away * np.uint64(_GOLDEN)
+            _step(away, _uniforms(edge_keys, t, 1, edge.size, words), up, down)
+            # and the walker at 0 moves to 1
+            low[edge] = away > 0
+            away -= 1
+            np.negative(away, out=away, where=y_away)
+            gap[edge] = away
+            dead = edge[away == 0]
         else:
-            u_x = _uniforms(seed, t, 1, live.size, live)
-            u_y = _uniforms(seed, t, 2, live.size, live)
-        x, y = _step(x, u_x, p, r), _step(y, u_y, p, r)
-        keep = x != y
-        live, x, y = live[keep], x[keep], y[keep]
-        counts[t] = live.size
+            _step(x[:n], _uniforms(keys, t, 1, n, words), up, down)
+            _step(y[:n], _uniforms(keys, t, 2, n, words), up, down)
+            dead = np.flatnonzero(x[:n] == y[:n])
+        n = _drop(dead, n, arrays)
+        counts[t] = n
     survival = counts / float(replicas)
     stderr = np.sqrt(survival * (1.0 - survival) / replicas)
     return SurvivalCurve(horizon=horizon, survival=survival, stderr=stderr,

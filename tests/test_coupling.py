@@ -8,13 +8,16 @@ from kmmix import ChainParams, SurvivalCurve, hitting_pmf_exact, hitting_pmf_exa
     simulate_classical, simulate_modified, stationary_hitting_survival, tv_oracle
 from kmmix import coupling
 from kmmix.cli import DEFAULT_SEED
-from kmmix.coupling import _uniforms
+from kmmix.coupling import _keys, _last_below, _uniforms, _unit
 
 import oracles
 
 REPLICAS = 100_000
 HORIZON = 100
 ORACLE_CHAINS = [(1 / 11, 9 / 11, 1 / 11), (0.3, 0.32, 0.38), (0.1, 0.7, 0.2)]
+# the move thresholds' edges: p * 2^53 < 1 with p + r rounding to 1.0, and
+# p + r = 1.0000000000001
+THRESHOLD_CHAINS = [(1e-17, 3e-17, 1.0), (1e-13, 2e-13, 1.0)]
 SIMULATORS = {False: simulate_classical, True: simulate_modified}
 
 
@@ -157,8 +160,8 @@ class TestSimulations:
 
     def test_replica_streams_are_counter_based(self):
         # adding replicas must not disturb existing replicas' draws
-        small = _uniforms(123, 5, 1, 1000)
-        large = _uniforms(123, 5, 1, 4000)
+        small = _uniforms(_keys(123, np.arange(1000, dtype=np.uint64)), 5, 1, 1000)
+        large = _uniforms(_keys(123, np.arange(4000, dtype=np.uint64)), 5, 1, 4000)
         assert np.array_equal(small, large[:1000])
 
     def test_matches_exact_pair_dp_pointwise(self, classical_curve, modified_curve, example_chain):
@@ -202,7 +205,7 @@ class TestLiveSet:
 
     @pytest.mark.parametrize("sync", (False, True))
     @pytest.mark.parametrize("seed", (0, 11, 2 ** 64 - 1, -1))
-    @pytest.mark.parametrize("pqr", ORACLE_CHAINS)
+    @pytest.mark.parametrize("pqr", ORACLE_CHAINS + THRESHOLD_CHAINS)
     def test_bit_identical_to_full_array_loop(self, pqr, seed, sync):
         chain = ChainParams(*pqr)
         for horizon in (0, 1, 100):
@@ -223,27 +226,67 @@ class TestLiveSet:
         rng = np.random.default_rng(5)
         total = 5000
         for seed, step, channel in ((0, 1, 0), (11, 37, 2), (2 ** 64 - 1, 99, 1), (-1, 0, 3)):
-            full = _uniforms(seed, step, channel, total)
-            assert np.array_equal(full, oracles.counter_uniforms(seed, step, channel, total))
+            full = _uniforms(_keys(seed, np.arange(total, dtype=np.uint64)), step, channel, total)
+            assert full.dtype == np.uint64
+            assert np.array_equal(_unit(full), oracles.counter_uniforms(seed, step, channel, total))
             for k in (0, 1, 17, 2500, total):
                 idx = np.sort(rng.choice(total, size=k, replace=False)).astype(np.uint64)
-                assert np.array_equal(_uniforms(seed, step, channel, k, idx), full[idx])
+                out = np.full(k + 3, 7, dtype=np.uint64)  # a longer reused buffer
+                words = _uniforms(_keys(seed, idx), step, channel, k, out)
+                assert np.array_equal(words, full[idx]) and np.array_equal(out[:k], full[idx])
+                assert np.all(out[k:] == 7)
+
+    @pytest.mark.parametrize("pqr", ORACLE_CHAINS + THRESHOLD_CHAINS)
+    def test_word_thresholds_match_float_comparison(self, pqr):
+        # u < prob exactly when word <= _last_below(prob), u the word's top 53
+        # bits over 2^53; checked at the boundary words ceil(prob 2^53) 2^11 - 1
+        # and ceil(prob 2^53) 2^11, where they exist, and at both ends
+        chain = ChainParams(*pqr)
+        for prob in (chain.p, chain.p + chain.r):
+            first_above = math.ceil(prob * 2.0 ** 53) << 11
+            boundary = [w for w in (first_above - 1, first_above) if w < 2 ** 64]
+            words = np.array(boundary + [0, 2 ** 64 - 1], dtype=np.uint64)
+            assert np.array_equal(words <= _last_below(prob), _unit(words) < prob)
+        if chain.p + chain.r >= 1.0:
+            assert _last_below(chain.p + chain.r) == np.uint64(2 ** 64 - 1)
 
     @pytest.mark.parametrize("sync", (False, True))
     def test_every_draw_call_reports_an_int_count(self, example_chain, monkeypatch, sync):
         # the benchmark's tracer counts draws from the `replicas` argument
         calls = []
 
-        def recording(seed, step, channel, replicas, index=None):
-            u = _uniforms(seed, step, channel, replicas, index)
-            calls.append((replicas, u.size))
-            return u
+        def recording(keys, step, channel, replicas, out=None):
+            words = _uniforms(keys, step, channel, replicas, out)
+            calls.append((replicas, words.size))
+            return words
 
         monkeypatch.setattr(coupling, "_uniforms", recording)
         SIMULATORS[sync](example_chain, 30, 500, DEFAULT_SEED)
         assert len(calls) > 30
         for replicas, size in calls:
             assert type(replicas) is int and replicas == size
+
+    @pytest.mark.parametrize("sync", (False, True))
+    @pytest.mark.parametrize("pqr", ORACLE_CHAINS)
+    def test_draws_per_active_replica_step(self, pqr, monkeypatch, sync):
+        # active replica-steps read off the survival curve as the benchmark's
+        # tracer does: the pairs still apart at the start of each step
+        draws = [0] * 4
+
+        def counting(keys, step, channel, replicas, out=None):
+            draws[channel] += replicas
+            return _uniforms(keys, step, channel, replicas, out)
+
+        monkeypatch.setattr(coupling, "_uniforms", counting)
+        replicas = 5000
+        curve = SIMULATORS[sync](ChainParams(*pqr), 60, replicas, 3)
+        active = sum(round(float(s) * replicas) for s in curve.survival[:-1])
+        assert active > 0 and draws[3] == replicas  # the stationary start
+        moves = sum(draws[:3])
+        if sync:
+            assert active <= moves <= 2 * active
+        else:
+            assert draws[0] == 0 and draws[1] == draws[2] == active
 
     @pytest.mark.parametrize("horizon, replicas", [(2 ** 30, 1), (0, 2 ** 32 + 1)])
     def test_counter_fields_guarded(self, example_chain, monkeypatch, horizon, replicas):
