@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 _PROBES = 15  # evaluations per round of _first_below
-_BLOCK = 8  # times per batch of tv_curve's node pass (bounds the FFT's memory)
+_CELLS = 1 << 13  # tv_curve's cells per batch: each t takes its FFT's 2K and its N_t + 1 terms
 _GAP_MEMO = 4  # powers x^gap that one _powers call keeps for reuse
 T_CAP = 10 ** 7  # the largest time t_mix searches to
 N_CAP = 100_000  # the largest degree cutoff N of the TV series
@@ -204,17 +204,33 @@ def _geometric_depth(amp: float, ratio: float, log_tol: float) -> float:
     return math.ceil((log_tol - math.log(amp)) / math.log(ratio)) - 1
 
 
+def _tail_rule(chain: ChainParams, co: BoundCoefficients):
+    """The function t -> (tail, series): tail(n) bounds the TV series' terms
+    past degree n at time t by the sum of two geometric series amp ratio^(n+1),
+    series the two (amp, ratio): ratio p/(q+r) for the atom terms and
+    sqrt(p/q) for the AC parts.  The per-chain constants are taken once, here."""
+    p, q, r = chain.p, chain.q, chain.r
+    x = p / (q + r)
+    y = math.sqrt(p / q)
+    half_w2 = 0.5 * negative_atom(chain)[1]
+    half_env_x = 0.5 * contour_envelope(chain) * x
+
+    def tail_at(t):
+        amp_atom = half_w2 * co.alpha ** t / p / (1.0 - x)
+        amp_cont = half_env_x * co.beta ** t / p / (1.0 - y)
+        return (lambda n: amp_atom * x ** (n + 1) + amp_cont * y ** (n + 1),
+                ((amp_atom, x), (amp_cont, y)))
+    return tail_at
+
+
 def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
     """The function t -> (N, tail): the smallest N whose certified series tail
-    is below the working tolerance, and that tail.  The per-chain constants
-    are taken once, here.
+    (_tail_rule) is below the working tolerance, and that tail.
 
-    The tail of (1/2) sum_n pi_n |I_t(n)| is dominated termwise by two
-    geometric series with ratios p/(q+r) and sqrt(p/q).  The tolerance is
-    additionally pinned under the beta^t scale of the TV envelope's width:
-    the sandwich A alpha^t - B beta^t <= TV <= A alpha^t + B beta^t leaves
-    only O(beta^t) of slack, and a truncation deficit above that scale would
-    poke out of it.
+    The tolerance is additionally pinned under the beta^t scale of the TV
+    envelope's width: the sandwich A alpha^t - B beta^t <= TV <= A alpha^t +
+    B beta^t leaves only O(beta^t) of slack, and a truncation deficit above
+    that scale would poke out of it.
 
     The tail bound is nonincreasing in N.  Both geometric terms reaching half
     the tolerance is sufficient; bisection on the exact tail expression below
@@ -222,25 +238,15 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
     from N = 0.  A guess `near` (the cutoff of a neighbouring t) is taken
     as it is when it already is that least N: tail(near) <= tol <
     tail(near - 1)."""
-    p, q, r = chain.p, chain.q, chain.r
-    x = p / (q + r)
-    y = math.sqrt(p / q)
-    half_w2 = 0.5 * negative_atom(chain)[1]
-    half_env_x = 0.5 * contour_envelope(chain) * x
+    tail_at = _tail_rule(chain, co)
 
     def cutoff(t, near=None):
-        amp_atom = half_w2 * co.alpha ** t / p / (1.0 - x)
-        amp_cont = half_env_x * co.beta ** t / p / (1.0 - y)
+        tail, series = tail_at(t)
         tol = max(min(ctl.series_tol, 0.05 * co.B * co.beta ** t), 5e-324)
-
-        def tail(n):
-            return amp_atom * x ** (n + 1) + amp_cont * y ** (n + 1)
-
         if near is not None and tail(near) <= tol and (near == 0 or tail(near - 1) > tol):
             return near, tail(near)
         log_half = math.log(tol) - math.log(2.0)
-        enough = max(_geometric_depth(amp_atom, x, log_half),
-                     _geometric_depth(amp_cont, y, log_half))
+        enough = max(_geometric_depth(amp, ratio, log_half) for amp, ratio in series)
         # tail(lo) > tol >= tail(hi), with lo = -1 standing for "no N below hi"
         lo, hi = -1, min(enough + 1, N_CAP)
         while tail(hi) > tol:
@@ -275,6 +281,60 @@ def _powers(x, ts):
         yield t, xt
 
 
+def _underflow_degree(loc2: float) -> int:
+    """k_zero = ceil(1076 ln 2 / -ln|loc2|), the least degree from which on
+    |loc2|^k <= 2^-1076, below half the least subnormal: there np.power(loc2, k)
+    and w2 loc2^k are +-0 (int64's largest when |loc2| has rounded to 1)."""
+    if abs(loc2) == 1.0:
+        return np.iinfo(np.int64).max
+    return math.ceil(1076.0 * math.log(2.0) / -math.log(abs(loc2)))
+
+
+def _batches(cuts: dict, fft_cells: int):
+    """tv_curve's batches, runs of the ascending times of cuts ({t: N_t}), each
+    within _CELLS cells (or of one time) at fft_cells + N_t + 1 cells per t."""
+    batch, cells = [], 0
+    for t, n_cut in cuts.items():
+        if batch and cells + fft_cells + n_cut + 1 > _CELLS:
+            yield batch
+            batch, cells = [], 0
+        batch.append(t)
+        cells += fft_cells + n_cut + 1
+    yield batch
+
+
+def _atom_rule(chain: ChainParams, k_zero: int):
+    """The function (times, sizes, keep) -> w2 loc2^(t+n) at the pairs keep
+    (t, n < size) of a batch of ascending times below k_zero, t by t, for
+    batches that each start past the last one's times.  Each distinct exponent
+    t + n below k_zero takes one np.power over all the batches, and 0.0 stands
+    at and past it, where the power is +-0 (_underflow_degree).  Of the
+    exponents powered before, a batch needs only those from its first t on:
+    one contiguous run, as the earlier t whose run reaches furthest covers it,
+    so that run is all the table keeps."""
+    loc2, w2 = negative_atom(chain)
+    exponents, values = np.empty(0, dtype=np.int64), np.empty(0)
+
+    def terms(times, sizes, keep):
+        nonlocal exponents, values
+        times = np.array(times)
+        start = np.searchsorted(exponents, times[0])
+        exponents, values = exponents[start:], values[start:]
+        top = exponents[-1] + 1 if exponents.size else 0
+        ends = np.minimum(times + sizes, k_zero)  # t's exponents t..end-1 are powered
+        if ends.max() > top:
+            firsts = np.maximum(times, np.maximum.accumulate(np.concatenate(([top], ends[:-1]))))
+            counts = np.maximum(ends - firsts, 0)  # those of t's exponents none before has
+            new = np.arange(counts.sum()) + np.repeat(firsts - np.cumsum(counts) + counts, counts)
+            exponents = np.concatenate([exponents, new])
+            values = np.concatenate([values, w2 * np.power(loc2, new)])
+        # the exponents from t on are t, t + 1, ... up to k_zero or past t's last
+        # one, so t + n sits n places after t, or at the final 0.0 past k_zero
+        index = np.searchsorted(exponents, times)[:, None] + np.arange(keep.shape[1])
+        return np.append(values, 0.0)[np.minimum(index[keep], exponents.size)]
+    return terms
+
+
 def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
              cfg: QuadratureConfig = None) -> list:
     """TV distance at every time in ts (in the given order) by summing the
@@ -283,53 +343,85 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     Each t gets its own degree cutoff N_t, certified by the closed geometric
     tail bounds (the returned value is the partial sum; the discarded tail is
     provably below the working tolerance of _cutoff_rule).  One pass at
-    tv_quadrature's node count serves every t.  Per batch of _BLOCK ascending
-    times the AC parts of I_t(0..N_t) come from one sine transform per t
-    (orthopoly.q_node_sums), and the atom terms and the series terms of all
-    its (t, n) pairs from one array each; only the fsum is per t.  Raises
-    ConvergenceError when some N_t exceeds N_CAP and QuadratureError when the
-    node count passes spectral.NODE_CAP."""
+    tv_quadrature's node count K serves every t.  The ascending times run in
+    batches of at most _CELLS cells, 2K for a t's FFT and N_t + 1 for its
+    terms.  Per batch the AC parts of I_t(0..N_t) come from one sine transform
+    per t (orthopoly.q_node_sums), and the series terms of all its (t, n)
+    pairs from one array; only the fsum is per t.  The atom terms
+    w2 loc2^(t+n) take one power per distinct exponent t + n, in the first
+    batch that has it (_atom_rule), and none at or past k_zero
+    (_underflow_degree), where they are +-0 and adding them to the AC part
+    changes no bit of |I_t(n)|.  Raises ConvergenceError
+    when some N_t exceeds N_CAP or a term leaves the double range (as the AC
+    parts carry (q/p)^(n/2)), and QuadratureError when the node count passes
+    spectral.NODE_CAP."""
     ts = _naturals(ts)
     cuts, n_nodes, _ = tv_quadrature(chain, ts, ctl, cfg)
     half_pi = 0.5 * np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
-    loc2, w2 = negative_atom(chain)
+    k_zero = _underflow_degree(negative_atom(chain)[0])
+    atom_terms = _atom_rule(chain, k_zero)
     x, w, _ = theta_nodes(chain, n_nodes)
-    order = list(cuts)
-    powers, values = _powers(x, order), {}
-    for start in range(0, len(order), _BLOCK):
-        block = [next(powers) for _ in order[start:start + _BLOCK]]
-        times = [t for t, _ in block]
+    powers, values = _powers(x, list(cuts)), {}
+    for times in _batches(cuts, 2 * n_nodes):
         sizes = [cuts[t] + 1 for t in times]
         n = np.arange(max(sizes))
-        keep = n < np.array(sizes)[:, None]  # the block's pairs (t, n <= N_t), t by t
-        acs = q_node_sums(chain, max(sizes) - 1, np.array([w * xt for _, xt in block]))
-        # the whole block's terms at once, one power for every atom term w2 loc2^(t+n)
-        i_tn = w2 * loc2 ** (np.array(times)[:, None] + n)[keep] + acs[keep].astype(float)
-        terms = (np.broadcast_to(half_pi[: n.size], keep.shape)[keep] * np.abs(i_tn)).tolist()
+        keep = n < np.array(sizes)[:, None]  # the batch's pairs (t, n <= N_t), t by t
+        acs = q_node_sums(chain, n.size - 1, np.array([w * next(powers)[1] for _ in times]))
+        with np.errstate(over="ignore", invalid="ignore"):  # a term past doubles raises below
+            i_tn = acs[keep].astype(float)
+            if times[0] < k_zero:
+                i_tn += atom_terms(times, sizes, keep)
+            terms = np.broadcast_to(half_pi[: n.size], keep.shape)[keep] * np.abs(i_tn)
+        if not np.isfinite(terms).all():
+            row, n_bad = np.argwhere(keep)[np.argmin(np.isfinite(terms))]
+            raise _overflow_error(chain, ctl, times[row], int(n_bad), sizes[row] - 1)
+        terms = terms.tolist()
         for t, m, end in zip(times, sizes, accumulate(sizes)):
             values[t] = math.fsum(terms[end - m:end])
     return [values[t] for t in ts]
+
+
+def _overflow_error(chain: ChainParams, ctl: TailControl, t: int, n: int, n_cut: int):
+    """The ConvergenceError for tv_curve's first term out of the double range,
+    at t and degree n of the n_cut its tolerance asks for; it carries the tail
+    bound past n - 1, the most the doubles reach."""
+    tail = _tail_rule(chain, bound_coefficients(chain))(t)[0]
+    return ConvergenceError(f"the TV series at t={t} leaves the double range at degree n={n}, "
+                            f"of the N={n_cut} that series_tol="
+                            f"{(ctl or TailControl()).series_tol!r} asks for", tail(n - 1))
+
+
+@dataclass(frozen=True)
+class _SeriesSup:
+    """y -> log of a bound on (1/2) sum_{n <= n_cut} pi_n |Q_n| on |Im theta| <= y,
+    tv_curve's integrand for spectral.node_count, by value: equal cutoffs on
+    one chain hash equal and share a cached plan.  By orthopoly.q_log_sup,
+    pi_n |Q_n| <= c z^n / p (n >= 1) on the strip: a geometric sum in
+    z = sqrt(p/q) e^y < 1 (as y < a <= log sqrt(q/p))."""
+
+    chain: ChainParams
+    n_cut: int
+
+    def __call__(self, y):
+        chain = self.chain
+        log_z = y - 0.5 * math.log(chain.q / chain.p)
+        with np.errstate(divide="ignore"):  # n_cut = 0: no terms past n = 0
+            terms = log_z - math.log(chain.p) + np.log(-np.expm1(self.n_cut * log_z)) \
+                - np.log(-np.expm1(log_z))
+        return math.log(0.5) + q_log_sup(chain, 0)(y) + np.logaddexp(0.0, terms)
 
 
 def tv_quadrature(chain: ChainParams, ts, ctl: TailControl = None,
                   cfg: QuadratureConfig = None) -> tuple:
     """(cuts, K, bound): tv_curve's cutoffs {t: N_t} over the ascending
     distinct ts, the node count of its one pass, and there the certified bound
-    on each value's quadrature error.  By orthopoly.q_log_sup,
-    pi_n |Q_n| <= c z^n / p (n >= 1) on the strip: (1/2) sum_{n <= N} pi_n |Q_n|
-    is a geometric sum in z = sqrt(p/q) e^y < 1 (as y < a <= log sqrt(q/p))."""
+    on each value's quadrature error, for the integrand _SeriesSup describes."""
     cutoff = _cutoff_rule(chain, bound_coefficients(chain), ctl or TailControl())
     cuts, near = {}, None
     for t in sorted(set(_naturals(ts))):  # each t's N is the next one's guess
         near = cuts[t] = cutoff(t, near)[0]
-    n_cut, log_c, log_p = max(cuts.values()), q_log_sup(chain, 0), math.log(chain.p)
-
-    def log_sup(y):
-        log_z = y - 0.5 * math.log(chain.q / chain.p)
-        with np.errstate(divide="ignore"):  # n_cut = 0: no terms past n = 0
-            terms = log_z - log_p + np.log(-np.expm1(n_cut * log_z)) - np.log(-np.expm1(log_z))
-        return math.log(0.5) + log_c(y) + np.logaddexp(0.0, terms)
-    return (cuts, *node_count(chain, cfg or QuadratureConfig(), "tv_curve", log_sup, min(cuts)))
+    return (cuts, *node_count(chain, cfg or QuadratureConfig(), "tv_curve",
+                              _SeriesSup(chain, max(cuts.values())), min(cuts)))
 
 
 def tv_upper(chain: ChainParams, t: int) -> float:

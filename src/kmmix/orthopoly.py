@@ -37,6 +37,7 @@ against O(N K) for the bracket-matrix product.
 """
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -152,25 +153,47 @@ def q_node_sums(chain: ChainParams, n_max: int, g):
     """sum_k Q_n(x_k) g[..., k] for n = 0..n_max, for each row of g, where x_k
     are the K - 1 = g.shape[-1] interior nodes of spectral.theta_nodes(chain,
     K), at the angles k pi / K that the FFT's twiddles also take: the sine
-    transform of the U-form, one real FFT of length 2K per row, times
-    (q/p)^(n/2) from the cached table of _scales.  Shape (..., n_max+1), in
-    g's dtype."""
+    transform of the U-form, one real FFT of length 2K per row (the node
+    sines it divides by cached per (K, dtype)), times (q/p)^(n/2) from the
+    cached table of _scales.  Shape (..., n_max+1), in g's dtype."""
     g = np.asarray(g)
     dt = g.dtype.type
-    sines = np.sin(_theta_grid(g.shape[-1] + 1)).astype(dt)
-    brackets = _sine_brackets(chain, _sine_sums(g / sines, n_max + 1))
+    brackets = _sine_brackets(chain, _sine_sums(g / _node_sines(g.shape[-1] + 1, dt), n_max + 1))
     return brackets * _scales(chain, dt, n_max)
+
+
+@lru_cache(maxsize=32)
+def _node_sines(n_nodes: int, dt):
+    """sin(theta_k) at the interior angles k pi / n_nodes in dtype dt,
+    read-only, cached per (K, dtype) as spectral.theta_nodes is per chain."""
+    sines = np.sin(_theta_grid(n_nodes)).astype(dt)
+    sines.flags.writeable = False
+    return sines
 
 
 def q_log_sup(chain: ChainParams, *degrees):
     """y -> log prod c g^n over degrees, bounding |prod Q_n| on |Im theta| <= y
     for spectral.node_count: there the U-form's |U_m| <= cosh((m+1) y) / sinh y
     and cosh((n+k) y) <= e^(ny) cosh(ky) give |Q_n| <= c g^n, with
-    c = (cosh y + r sqrt(p/q)) / sinh y and g = sqrt(q/p) e^y."""
-    half_log = 0.5 * math.log(chain.q / chain.p)
-    rs = chain.r * math.sqrt(chain.p / chain.q)
-    return lambda y: (len(degrees) * np.log((np.cosh(y) + rs) / np.sinh(y))
-                      + sum(degrees) * (half_log + y))
+    c = (cosh y + r sqrt(p/q)) / sinh y and g = sqrt(q/p) e^y.  The bound
+    depends on the degrees only through their count and sum, and is returned
+    as that value (_QLogSup): products with equal count and sum hash equal
+    and share node_count's cached plan."""
+    return _QLogSup(chain, len(degrees), int(sum(degrees)))
+
+
+@dataclass(frozen=True)
+class _QLogSup:
+    """q_log_sup's bound for `count` factors Q_n of total degree `total`."""
+
+    chain: ChainParams
+    count: int
+    total: int
+
+    def __call__(self, y):
+        half_log = 0.5 * math.log(self.chain.q / self.chain.p)
+        rs = self.chain.r * math.sqrt(self.chain.p / self.chain.q)
+        return self.count * np.log((np.cosh(y) + rs) / np.sinh(y)) + self.total * (half_log + y)
 
 
 def point_mass_summability(chain: ChainParams, lam: float, n_trunc: int) -> float:

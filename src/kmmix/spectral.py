@@ -160,7 +160,25 @@ def node_count(chain: ChainParams, cfg: QuadratureConfig, name: str, log_sup=Non
     |sin theta| <= cosh y and |Re x - r|, |Im x| <= 2 sqrt(pq) (cosh y, sinh y).
     K is the least count meeting tol at some y of a grid in (0, a), rounded up
     to 16 times a 5-smooth number, a fast FFT length; cfg.node_count overrides
-    it.  QuadratureError where K passes NODE_CAP or the override misses tol."""
+    it.  The plan is cached per (chain, cfg, log_sup, t, poles), so log_sup
+    is hashable, and describes the integrand by value where it can
+    (orthopoly.q_log_sup's degrees, the TV series' cutoff): equal
+    descriptions hash equal and share the plan.  QuadratureError, raised
+    under the caller's name, where K passes NODE_CAP or the override misses
+    tol."""
+    need, n_nodes, bound = _plan(chain, cfg, log_sup, int(t), tuple(complex(z) for z in poles))
+    if n_nodes is None:
+        allowed, what = ((NODE_CAP, "the cap") if cfg.node_count is None
+                         else (cfg.node_count, "the node_count override"))
+        needed = math.ceil(need) if need < math.inf else need  # inf or nan as they are
+        raise QuadratureError(name, needed, allowed, what)
+    return n_nodes, bound
+
+
+@lru_cache(maxsize=256)
+def _plan(chain: ChainParams, cfg: QuadratureConfig, log_sup, t: int, poles: tuple) -> tuple:
+    """node_count's (need, K, bound), need the real-valued count the strip bound
+    asks for; K and bound are None where it passes NODE_CAP or the override."""
     p, q, r = chain.p, chain.q, chain.r
     s2 = 2.0 * chain.sqrt_pq
     points = [complex(z) for z in (1.0, negative_atom(chain)[0], *poles)]
@@ -176,20 +194,19 @@ def node_count(chain: ChainParams, cfg: QuadratureConfig, name: str, log_sup=Non
             log_m -= np.log(np.hypot(np.maximum(abs(z.real - r) - reach, 0.0),
                                      np.maximum(abs(z.imag) - height, 0.0)))
         need = float(np.min(np.logaddexp(0.0, log_m - math.log(cfg.tol)) / (2.0 * y)))
-    needed = math.ceil(need) if need < math.inf else need  # inf or nan as they are
     if cfg.node_count is not None:
         if not cfg.node_count >= need:
-            raise QuadratureError(name, needed, cfg.node_count, "the node_count override")
+            return need, None, None
         n_nodes = cfg.node_count
     elif not need <= NODE_CAP:
-        raise QuadratureError(name, needed, NODE_CAP, "the cap")
+        return need, None, None
     else:
         m = max(1, math.ceil(need / 16))
         while 30 ** 12 % m:  # m <= 2^12 is 5-smooth iff it divides 30^12
             m += 1
         n_nodes = 16 * m
     u = 2.0 * y * n_nodes  # log(e^u - 1) = u + log(1 - e^-u)
-    return n_nodes, float(np.exp(np.min(log_m - u - np.log(-np.expm1(-u)))))
+    return need, n_nodes, float(np.exp(np.min(log_m - u - np.log(-np.expm1(-u)))))
 
 
 def integrate_psi(measure: SpectralMeasure, f, include_atoms=(True, True), cfg=None,

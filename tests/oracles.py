@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from kmmix import ChainParams, DistributionVector, reversibility
-from kmmix.mixing import _BLOCK, _powers, tv_quadrature
+from kmmix.mixing import tv_quadrature
 from kmmix.orthopoly import q_bracket_matrix, q_node_sums
 from kmmix.spectral import negative_atom, theta_nodes
 
@@ -201,23 +201,20 @@ def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
 
 
 def tv_curve_per_t(chain: ChainParams, ts, ctl=None) -> list:
-    """tv_curve's series summed one t at a time: the same cutoffs, nodes and
-    one sine transform per block of _BLOCK times, then per t its own power
-    w2 loc2^(t+n), n <= N_t, and its own fsum of (1/2) pi_n |I_t(n)|."""
+    """tv_curve's series summed one t at a time: the same cutoffs and nodes,
+    then per t its own power x^t (node_powers_stepwise), its own sine transform
+    to degree N_t, its own power w2 loc2^(t+n) at every n <= N_t and its own
+    fsum of (1/2) pi_n |I_t(n)|.  It shares no batching with tv_curve."""
     ts = list(ts)
     cuts, n_nodes, _ = tv_quadrature(chain, ts, ctl)
     pi_vals = np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
     loc2, w2 = negative_atom(chain)
     x, w, _ = theta_nodes(chain, n_nodes)
-    order = list(cuts)
-    powers, values = _powers(x, order), {}
-    for start in range(0, len(order), _BLOCK):
-        block = [next(powers) for _ in order[start:start + _BLOCK]]
-        n_cut = max(cuts[t] for t, _ in block)
-        acs = q_node_sums(chain, n_cut, np.array([w * xt for _, xt in block]))
-        for (t, _), ac in zip(block, acs):
-            i_tn = w2 * loc2 ** (t + np.arange(cuts[t] + 1)) + ac[: cuts[t] + 1].astype(float)
-            values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn))
+    values = {}
+    for t, xt in node_powers_stepwise(x, list(cuts)):
+        ac = q_node_sums(chain, cuts[t], (w * xt)[None])[0]
+        i_tn = w2 * loc2 ** (t + np.arange(cuts[t] + 1)) + ac.astype(float)
+        values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn))
     return [values[t] for t in ts]
 
 

@@ -109,7 +109,8 @@ def test_help_states_the_cap(capsys, command):
 
 
 def test_cached_tables_do_not_leak_between_chains(capsys):
-    # theta_nodes and the degree-scale table are cached per chain (and dtype):
+    # theta_nodes, the node-count plans and the degree-scale table are cached
+    # per chain (and dtype):
     # each chain's output must be the same run cold and run after the other
     # chain, or after the other dtype's tables of the same chains were built
     from kmmix import ChainParams, orthopoly, spectral
@@ -125,7 +126,9 @@ def test_cached_tables_do_not_leak_between_chains(capsys):
 
     def clear():
         spectral.theta_nodes.cache_clear()
+        spectral._plan.cache_clear()
         orthopoly._scale_table.cache_clear()
+        orthopoly._node_sines.cache_clear()
 
     clear()
     first = {name: run(name) for name in ("near", "worked")}
@@ -234,6 +237,17 @@ class TestTv:
             assert (row["tv_upper"], row["tv_lower"], row["lower_valid"]) == (
                 tv_upper(chain, t), lower, valid), t
 
+    @pytest.mark.parametrize("chain", [("--p", "1/11", "--q", "9/11"),
+                                       ("--p", "0.3", "--q", "0.32", "--r", "0.38")])
+    def test_series_past_the_double_range_exit_1(self, capsys, chain):
+        # the cutoff of series_tol 1e-320 reaches degrees whose AC sums
+        # overflow doubles: a typed error, where the column used to read NaN
+        code, out, err = run_cli(capsys, "tv", *chain, "--t-max", "3", "--format", "csv",
+                                 "--series-tol", "1e-320")
+        assert code == 1 and out == ""
+        assert err.startswith("kmmix: the TV series at t=") and "leaves the double range" in err
+        assert ("at t=1 " in err) == (chain[1] == "1/11")  # the worked example's t = 0 is finite
+
     def test_nan_series_tol_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "tv", "--p", "1/11", "--q", "9/11",
                                  "--t-max", "2", "--series-tol", "nan")
@@ -253,7 +267,7 @@ class TestTmix:
         code, _, err = run_cli(capsys, "tmix", "--p", "1/11", "--q", "9/11", "--eps", "2.0")
         assert code == 2
 
-    @pytest.mark.parametrize("eps, expect", [("1e-300", 6551), ("1e-310", 6769)])
+    @pytest.mark.parametrize("eps, expect", [("1e-300", 6551), ("1e-310", 6769), ("1e-315", 6879)])
     def test_tiny_eps(self, capsys, eps, expect):
         code, out, _ = run_cli(capsys, "tmix", "--p", "1/11", "--q", "9/11", "--eps", eps)
         res = json.loads(out)["results"]

@@ -144,6 +144,22 @@ class TestTvExact:
             tv_curve(example_chain, [4, 0, 9], ctl=ctl)
         assert info.value.achieved_bound > 0.0
 
+    def test_terms_past_the_double_range_raise(self, example_chain):
+        # at series_tol 1e-320 the worked example's cutoff reaches N = 671,
+        # where the AC sums carry (q/p)^(n/2) past the double range and pi_n
+        # has underflowed: the value used to read NaN
+        ctl = TailControl(series_tol=1e-320)
+        with pytest.raises(ConvergenceError, match=r"at t=1 leaves the double range at "
+                                                   r"degree n=671, of the N=671") as info:
+            tv_curve(example_chain, range(4), ctl=ctl)
+        assert 0.0 < info.value.achieved_bound < 1e-300
+        for t in (0, 7, 300):
+            with pytest.raises(ConvergenceError, match=f"at t={t} leaves the double range"):
+                tv_curve(NEAR_CRITICAL, [t], ctl=ctl)
+        # a value that is finite stays as it was
+        assert tv_curve(example_chain, [0], ctl=ctl) == oracles.tv_curve_per_t(
+            example_chain, [0], ctl)
+
     def test_single_pass_without_doublings(self, example_chain):
         cfg = QuadratureConfig(node_count=64)  # an override: one pass at 64 nodes
         assert tv_curve(example_chain, [7], cfg=cfg)[0] == pytest.approx(
@@ -151,6 +167,8 @@ class TestTvExact:
 
 
 NEAR_CRITICAL = ChainParams(0.3, 0.32, 0.38)
+FAR_ATOM = ChainParams(0.1, 0.85, 0.05)  # loc2 = -17/18: k_zero = 13049
+ATOM_AT_MINUS_ONE = ChainParams(0.1, 0.9, 1e-300)  # loc2 rounds to -1: no term vanishes
 
 
 def _series_cutoff_scan(chain, co, t, ctl):
@@ -263,18 +281,33 @@ class TestTvCurve:
     @pytest.mark.parametrize("chain, ts", [(ChainParams(1 / 11, 9 / 11, 1 / 11), range(61)),
                                            (NEAR_CRITICAL, range(21))])
     def test_one_sine_transform_per_block(self, monkeypatch, chain, ts):
+        # one q_node_sums call per batch, a run of ascending times within
+        # mixing._CELLS cells: 2K for each t's FFT and N_t + 1 for its terms
         calls = []
         for name in ("q_bracket_matrix", "q_node_sums"):
             def counting(*args, _name=name, _inner=getattr(mixing, name)):
-                calls.append(_name)
+                calls.append((_name, len(args[2])))
                 return _inner(*args)
             monkeypatch.setattr(mixing, name, counting)
         tv_curve(chain, ts)
-        assert calls == ["q_node_sums"] * math.ceil(len(set(ts)) / mixing._BLOCK)
+        cuts, k, _ = tv_quadrature(chain, ts)
+        rows, cells = [], []
+        for n_cut in cuts.values():
+            if rows and cells[-1] + 2 * k + n_cut + 1 <= mixing._CELLS:
+                rows[-1], cells[-1] = rows[-1] + 1, cells[-1] + 2 * k + n_cut + 1
+            else:
+                rows.append(1)
+                cells.append(2 * k + n_cut + 1)
+        assert calls == [("q_node_sums", size) for size in rows]
+        assert max(cells) <= mixing._CELLS
+        # the worked example's 61 times fit one batch, the near-critical ones
+        # (K = 768, N_t about 1100) three to a batch
+        assert rows == ([61] if k == 16 else [3] * 7)
 
     def test_block_arrays_match_the_per_t_loop(self, example_chain, monkeypatch):
-        # one atom power and one term array per block: every value bit for bit
-        # that of the loop with one power and one product per t
+        # one term array per batch and one atom power per distinct exponent:
+        # every value bit for bit that of the loop with one power and one
+        # product per t
         ts = range(501)
         assert tv_curve(example_chain, ts) == oracles.tv_curve_per_t(example_chain, ts)
         calls, inner = [], mixing.tv_curve
@@ -301,6 +334,89 @@ class TestTvCurve:
                 tv_curve(example_chain, ts)
         with pytest.raises(ValueError, match="nonnegative integers"):
             tv_curve(example_chain, [2.5])
+
+
+def _negative_atom_degree(chain):
+    return mixing._underflow_degree(mixing.negative_atom(chain)[0])
+
+
+class TestAtomTerms:
+    """tv_curve powers w2 loc2^(t+n) once per distinct exponent, in the first
+    batch that has it, and not at all from k_zero on; every value stays that of
+    the per-t loop."""
+
+    @pytest.mark.parametrize("chain, k_zero", [(NEAR_CRITICAL, 953),
+                                               (ChainParams(1 / 11, 9 / 11, 1 / 11), 7079),
+                                               (FAR_ATOM, 13049),
+                                               (ATOM_AT_MINUS_ONE, np.iinfo(np.int64).max)])
+    def test_underflow_degree(self, chain, k_zero):
+        assert _negative_atom_degree(chain) == k_zero
+
+    def test_near_critical_t_mix_probes(self):
+        # the first round of t_mix(NEAR_CRITICAL, 1e-3): every t past k_zero
+        ts = [k * 45634 // 16 - 1 for k in range(1, 16)]
+        assert ts[0] == 2851 and ts[1] == 5703 and ts[-1] == 42780
+        assert min(ts) >= _negative_atom_degree(NEAR_CRITICAL)
+        assert tv_curve(NEAR_CRITICAL, ts) == oracles.tv_curve_per_t(NEAR_CRITICAL, ts)
+
+    def test_across_k_zero_and_a_batch_boundary(self):
+        # k_zero = 13049 lies in the second of three batches
+        ts = range(12800, 13400)
+        cuts, k, _ = tv_quadrature(FAR_ATOM, ts)
+        batches = list(mixing._batches(cuts, 2 * k))
+        assert len(batches) == 3 and batches[1][0] < 13049 <= batches[1][-1]
+        assert tv_curve(FAR_ATOM, ts) == oracles.tv_curve_per_t(FAR_ATOM, ts)
+
+    @pytest.mark.parametrize("chain, ts", [
+        (ChainParams(1 / 11, 9 / 11, 1 / 11), range(501)),
+        (ChainParams(1 / 11, 9 / 11, 1 / 11), [7000, 7078, 7079, 7080, 1, 500, 6000]),
+        (NEAR_CRITICAL, range(21)),
+        (NEAR_CRITICAL, [0, 5, 900, 950, 953, 960, 2000]),
+        (FAR_ATOM, range(12800, 13400)),
+        (ATOM_AT_MINUS_ONE, range(60)),
+    ])
+    def test_one_power_per_distinct_exponent(self, monkeypatch, chain, ts):
+        events, power, sums = [], np.power, mixing.q_node_sums
+
+        def counting_power(x, k, *args, **kwargs):
+            if isinstance(x, float):  # the atom's base loc2, not the longdouble nodes
+                events.append(np.asarray(k).tolist())
+            return power(x, k, *args, **kwargs)
+
+        def counting_sums(chain, n_max, g):
+            events.append(len(g))
+            return sums(chain, n_max, g)
+
+        monkeypatch.setattr(np, "power", counting_power)
+        monkeypatch.setattr(mixing, "q_node_sums", counting_sums)
+        assert tv_curve(chain, ts) == oracles.tv_curve_per_t(chain, ts)
+        cuts, k_zero, batches = tv_quadrature(chain, ts)[0], _negative_atom_degree(chain), []
+        order = iter(cuts)
+        for event in events:  # a batch's q_node_sums call, then its atom powers
+            if isinstance(event, int):
+                batches.append(([next(order) for _ in range(event)], []))
+            else:
+                batches[-1][1].append(event)
+        done = set()  # each exponent is powered in the first batch that has it
+        for times, powered in batches:
+            pairs = sum(cuts[t] + 1 for t in times)
+            wanted = sorted({t + n for t in times for n in range(cuts[t] + 1) if t + n < k_zero}
+                            - done)
+            assert len(powered) <= 1 and sum(powered, []) == wanted and len(wanted) <= pairs
+            done.update(wanted)
+
+    def test_t_mix_past_k_zero_takes_no_atom_power(self, monkeypatch):
+        # the near-critical search probes only t >= 2851 > k_zero = 953
+        atom_powers, power = [], np.power
+
+        def counting_power(x, *args, **kwargs):
+            if isinstance(x, float):
+                atom_powers.append(x)
+            return power(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "power", counting_power)
+        assert t_mix(NEAR_CRITICAL, 1e-3) == 8392
+        assert atom_powers == []
 
 
 class TestEnvelopes:

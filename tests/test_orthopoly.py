@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kmmix import ChainParams, point_mass_summability, q_values
-from kmmix.orthopoly import _brackets, _scales, _sine_brackets, _sine_sums, \
+from kmmix.orthopoly import _brackets, _node_sines, _scales, _sine_brackets, _sine_sums, \
     q_bracket_matrix, q_node_sums
 from kmmix.spectral import _theta_grid, negative_atom, theta_nodes
 
@@ -313,6 +313,12 @@ class TestDegreeScales:
             brackets = _sine_brackets(chain, _sine_sums(g / sines, n_max + 1))
             assert np.array_equal(q_node_sums(chain, n_max, g),
                                   brackets * self.fresh(chain, LD, n_max))
+
+    @pytest.mark.parametrize("dt", [LD, np.float64])
+    def test_node_sines_are_one_read_only_table_per_count(self, dt):
+        sines = _node_sines(64, dt)
+        assert sines is _node_sines(64, dt) and not sines.flags.writeable
+        assert sines.dtype == dt and np.array_equal(sines, np.sin(_theta_grid(64)).astype(dt))
 
 
 class TestPointMassSummability:

@@ -22,8 +22,8 @@ import pytest
 
 from kmmix import ChainParams, QuadratureConfig, QuadratureError, kernel_matrix, kernel_oracle, \
     q_log_sup, tv_curve, tv_oracle_curve
-from kmmix.mixing import _kernel_ac, tv_quadrature
-from kmmix.spectral import EPS_FLOOR, node_count
+from kmmix.mixing import _kernel_ac, _underflow_degree, tv_quadrature
+from kmmix.spectral import EPS_FLOOR, negative_atom, node_count
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -115,3 +115,24 @@ def test_kernel_bound_covers_the_quadrature_error(chain):
             # beyond the two passes' bounds, extended-precision roundoff
             slack = bound + EPS_FLOOR * (l1[t] + ref_l1[t])
             assert np.all(np.abs(ac[t] - ref[t]) <= slack), (n, k, t)
+
+
+# tv_curve adds no atom term w2 loc2^(t+n) at or past k_zero, where it is +-0:
+# checked here on the whole wedge q > p > 0, r > 0, near-critical chains included.
+@st.composite
+def wedge_chains(draw):
+    p = draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True, allow_subnormal=False))
+    r = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    q = 1.0 - p - r
+    hypothesis.assume(q > p)
+    return ChainParams(p, q, r)
+
+
+@hypothesis.settings(SETTINGS, max_examples=200)
+@hypothesis.given(wedge_chains())
+def test_atom_terms_vanish_from_k_zero_on(chain):
+    loc2, w2 = negative_atom(chain)
+    k_zero = _underflow_degree(loc2)
+    hypothesis.assume(abs(loc2) < 1.0)  # where loc2 has rounded to -1 no term vanishes
+    degrees = np.arange(k_zero, k_zero + 4096)
+    assert np.all(w2 * np.power(loc2, degrees) == 0.0)

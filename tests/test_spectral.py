@@ -3,7 +3,9 @@ import pytest
 
 from kmmix import ChainParams, QuadratureConfig, QuadratureError, build_measure, integrate_psi, \
     point_mass_summability, q_log_sup, q_values, residue_check, resolvent_a0, reversibility
-from kmmix.spectral import NODE_CAP, theta_nodes
+from kmmix import spectral
+from kmmix.mixing import _SeriesSup, tv_quadrature
+from kmmix.spectral import NODE_CAP, node_count, theta_nodes
 
 LD = np.longdouble
 
@@ -130,6 +132,67 @@ class TestIntegratePsi:
     def test_tol_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="tol positive"):
             QuadratureConfig(tol=tol)
+
+
+NEAR_CRITICAL = ChainParams(0.3, 0.32, 0.38)
+
+
+def _descriptions(chain):
+    """(log_sup, t, poles) of each kind of integrand node_count is asked about."""
+    n_cut = max(tv_quadrature(chain, range(21))[0].values())
+    return [(q_log_sup(chain, 32, 0), 5, ()),  # a kernel degree block
+            (_SeriesSup(chain, n_cut), 0, ()),  # the TV series to its cutoff
+            (None, 0, (2.0, 0.1 + 0.5j)),  # integrate_psi's poles
+            (None, 0, ())]  # powers of x
+
+
+class TestPlanCache:
+    @pytest.mark.parametrize("chain", [ChainParams(1 / 11, 9 / 11, 1 / 11), NEAR_CRITICAL])
+    def test_cached_plan_is_a_fresh_computation(self, chain):
+        for cfg in (QuadratureConfig(), QuadratureConfig(tol=1e-14),
+                    QuadratureConfig(node_count=4096)):
+            for log_sup, t, poles in _descriptions(chain):
+                fresh = spectral._plan.__wrapped__(chain, cfg, log_sup, t,
+                                                   tuple(complex(z) for z in poles))[1:]
+                for _ in range(2):
+                    assert node_count(chain, cfg, "x", log_sup, t, list(poles)) == fresh
+
+    def test_equal_descriptions_hash_equal(self, example_chain):
+        c, other = example_chain, NEAR_CRITICAL
+        equal = [(q_log_sup(c, 16, 0), q_log_sup(c, 16, 0)),
+                 (q_log_sup(c, 8, 8), q_log_sup(c, 16, 0)),  # the bound reads count and sum
+                 (q_log_sup(c, np.int64(5)), q_log_sup(c, 5)),
+                 (_SeriesSup(c, 40), _SeriesSup(c, 40))]
+        for a, b in equal:
+            assert a == b and hash(a) == hash(b)
+        unequal = [(q_log_sup(c, 16), q_log_sup(c, 16, 0)),
+                   (q_log_sup(c, 4), q_log_sup(other, 4)),
+                   (_SeriesSup(c, 40), _SeriesSup(c, 41)),
+                   (_SeriesSup(c, 4), _SeriesSup(other, 4))]
+        for a, b in unequal:
+            assert a != b
+        y = np.linspace(0.01, 0.1, 5)
+        assert np.array_equal(q_log_sup(c, 8, 8)(y), q_log_sup(c, 16, 0)(y))
+
+    def test_errors_carry_each_callers_name_on_every_call(self, example_chain):
+        short = QuadratureConfig(node_count=16, tol=1e-300)
+        slow = ChainParams(0.49, 0.4901, 0.0199)  # K ~ 1e5, past the cap
+        for name in ("first", "second", "first"):
+            with pytest.raises(QuadratureError, match=f"^{name} quadrature needs") as info:
+                node_count(example_chain, short, name, q_log_sup(example_chain, 16, 0))
+            assert "node_count override of 16" in str(info.value)
+            with pytest.raises(QuadratureError, match=f"^{name} quadrature needs") as info:
+                node_count(slow, QuadratureConfig(), name)
+            assert info.value.allowed == NODE_CAP < info.value.needed
+
+    def test_one_verify_computes_each_strip_bound_once(self, capsys, example_chain):
+        # verify asks for 28 node counts on the worked example, 12 of them distinct
+        from kmmix.cli import main
+        spectral._plan.cache_clear()
+        assert main(["verify", "--p", "1/11", "--q", "9/11"]) == 0
+        capsys.readouterr()
+        info = spectral._plan.cache_info()
+        assert (info.misses, info.hits + info.misses) == (12, 28)
 
 
 class TestResolvent:
