@@ -35,8 +35,10 @@ and, when alpha > beta, the matching lower envelope A alpha^t - B beta^t.
 The series takes the interval route, I_t(0..N) at once per t: one sine
 transform over the nodes (orthopoly.q_node_sums), in one pass at the node
 count spectral.node_count certifies beforehand.  The mixing time is the
-first t at which TV drops to the target, searched for in rounds of batched
-evaluations inside a bracket set by the envelope.
+first t at which TV drops to the target.  log TV is close to linear in t,
+so a safeguarded regula falsi on it finds that t in a few series calls of
+two times each, inside a bracket from the lower bound (1/2) alpha^t (the
+eigenfunction (-alpha)^n of the negative atom) to the envelope's answer.
 """
 
 import math
@@ -68,7 +70,6 @@ __all__ = [
     "kernel_spectral",
 ]
 
-_PROBES = 15  # evaluations per round of _first_below
 _CELLS = 1 << 13  # tv_curve's cells per batch: each t takes its FFT's 2K and its N_t + 1 terms
 _GAP_MEMO = 4  # powers x^gap that one _powers call keeps for reuse
 T_CAP = 10 ** 7  # the largest time t_mix searches to
@@ -267,9 +268,10 @@ def _powers(x, ts):
     """(t, x^t) for the ascending ts, each power carried forward from the last
     as xt * x^gap.  Gap 1 multiplies by x; any other x^gap is one np.power
     (powl per element, about 80 longdouble multiplies), kept for the rest of
-    the call, since _first_below's probe times repeat a few gaps (the first
-    jump, then d and d + 1).  At most _GAP_MEMO are kept, the oldest dropped
-    first; every x^t is bit for bit that of a fresh np.power per step."""
+    the call, since strided ts (every 100th t, say) repeat one gap.  t_mix's
+    pairs (g - 1, g) take one power, for the jump to g - 1.  At most
+    _GAP_MEMO are kept, the oldest dropped first; every x^t is bit for bit
+    that of a fresh np.power per step."""
     xt, t_prev, steps = np.ones_like(x), 0, {}
     for t in ts:
         gap, t_prev = t - t_prev, t
@@ -441,23 +443,62 @@ def tv_lower(chain: ChainParams, t: int):
     return value, (co.alpha > co.beta and value > 0.0)
 
 
-def _first_below(values, limit: float, lo: int, hi: int) -> int:
+def _log(value: float) -> float:
+    """log value, -inf at 0."""
+    return math.log(value) if value > 0.0 else -math.inf
+
+
+def _first_below(values, limit: float, lo: int, hi: int, log_lo: float, rate: float) -> int:
     """Least t in (lo, hi] with values([t])[0] <= limit, for values non-increasing
-    in t and at or below limit at hi (not evaluated): rounds of one values(ts)
-    call at _PROBES evenly spaced times, each keeping the gap where they cross."""
+    in t, above limit at lo and at or below it at hi (neither evaluated; log_lo
+    estimates log values(lo), and rate in (0, 1) their decay per step).
+
+    A safeguarded regula falsi on log values.  Each round is one values call
+    on a pair (g - 1, g): the bracket shrinks to the side where they cross,
+    or the crossing lies between them.  g is where the line through the
+    bracket ends' log values reaches log limit; an end kept twice in a row
+    has its distance to log limit halved (Illinois).  Until hi is evaluated
+    the line leaves lo with slope log(rate).  A round that fails to halve the
+    bracket is followed by a bisection round, so zeros (log -inf) or a badly
+    shaped curve cost at most about twice bisection's rounds."""
+    target = math.log(limit)
+    f_lo, f_hi = log_lo - target, None  # log value less log limit at each end
+    last, bisect = None, False  # the end that moved in the last round
     while hi - lo > 1:
-        ts = sorted({lo + k * (hi - lo) // (_PROBES + 1) for k in range(1, _PROBES + 1)} - {lo})
-        hi = min((t for t, v in zip(ts, values(ts)) if v <= limit), default=hi)
-        lo = max((t for t in ts if t < hi), default=lo)
+        width = hi - lo
+        if bisect or (f_hi is not None and not f_lo > f_hi):
+            g = (lo + hi + 1) // 2
+        elif f_hi is None:
+            g = lo + max(f_lo, 0.0) / -math.log(rate)
+        else:
+            g = lo + width * (f_lo / (f_lo - f_hi))
+        g = min(max(math.ceil(g), lo + 2), hi)
+        before, at = values([g - 1, g])
+        if before <= limit:
+            hi, f_hi, moved = g - 1, _log(before) - target, "hi"
+        elif at <= limit:
+            return g
+        else:
+            lo, f_lo, moved = g, _log(at) - target, "lo"
+        if moved == last == "hi":  # lo kept twice in a row
+            f_lo *= 0.5
+        elif moved == last == "lo" and f_hi is not None:
+            f_hi *= 0.5
+        last, bisect = moved, 2 * (hi - lo) > width
     return hi
 
 
 def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
     """Least t with TV(t) <= eps (method 'exact') or with the envelope
     A alpha^t + B beta^t <= eps (method 'bound', an upper bound on the exact
-    answer), by _first_below.  Its bracket ends a step (for roundoff) past the
-    closed-form time where each envelope term is below eps/2, or past the
-    envelope's answer for TV (TV <= envelope); ConvergenceError past t = 1e7."""
+    answer), by _first_below.  Its bracket starts two steps (for roundoff)
+    short of the closed-form time where (1/2) alpha^t <= TV(t) reaches eps,
+    and ends a step past the time where each envelope term is below eps/2,
+    or past the envelope's answer for TV (TV <= envelope); ConvergenceError
+    past t = 1e7.  TV is summed with its quadrature and series tolerances
+    both within eps * 1e-3, so every value compared with eps is certified
+    to a thousandth of it (QuadratureError where that takes more than
+    spectral.NODE_CAP nodes)."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if method not in ("exact", "bound"):
@@ -470,11 +511,16 @@ def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
                                "min(1, envelope) at t = 1e7", min(1.0, tv_upper(chain, 1e7)))
     if eps * (1.0 - co.m) < 2.0 ** -1064:  # a step's decrement must span 2^10 subnormals
         raise ValueError(f"eps={eps} is too small for floats to resolve one step of TV")
-    bound = _first_below(lambda ts: [tv_upper(chain, t) for t in ts], eps, -1, hi)
+    log_alpha = math.log(co.alpha)
+    lo = max(-1, math.ceil(math.log(2.0 * eps) / log_alpha) - 2) if log_alpha < 0.0 else -1
+    log_lo = math.log(0.5) + lo * log_alpha
+    bound = _first_below(lambda ts: [tv_upper(chain, t) for t in ts], eps, lo, hi, log_lo, co.m)
     if method == "bound":
         return bound
     ctl = TailControl(series_tol=min(1e-12, eps * 1e-3))
-    return _first_below(lambda ts: tv_curve(chain, ts, ctl=ctl), eps, -1, bound + 1)
+    cfg = QuadratureConfig(tol=min(QuadratureConfig.tol, eps * 1e-3))
+    return _first_below(lambda ts: tv_curve(chain, ts, ctl=ctl, cfg=cfg), eps, lo, bound + 1,
+                        log_lo, co.m)
 
 
 def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = None,

@@ -200,13 +200,13 @@ def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
     return [values[t] for t in ts]
 
 
-def tv_curve_per_t(chain: ChainParams, ts, ctl=None) -> list:
+def tv_curve_per_t(chain: ChainParams, ts, ctl=None, cfg=None) -> list:
     """tv_curve's series summed one t at a time: the same cutoffs and nodes,
     then per t its own power x^t (node_powers_stepwise), its own sine transform
     to degree N_t, its own power w2 loc2^(t+n) at every n <= N_t and its own
     fsum of (1/2) pi_n |I_t(n)|.  It shares no batching with tv_curve."""
     ts = list(ts)
-    cuts, n_nodes, _ = tv_quadrature(chain, ts, ctl)
+    cuts, n_nodes, _ = tv_quadrature(chain, ts, ctl, cfg)
     pi_vals = np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
     loc2, w2 = negative_atom(chain)
     x, w, _ = theta_nodes(chain, n_nodes)
@@ -216,6 +216,21 @@ def tv_curve_per_t(chain: ChainParams, ts, ctl=None) -> list:
         i_tn = w2 * loc2 ** (t + np.arange(cuts[t] + 1)) + ac.astype(float)
         values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn))
     return [values[t] for t in ts]
+
+
+PROBES = 15  # evaluations per round of first_below_probes
+
+
+def first_below_probes(values, limit: float, lo: int, hi: int) -> int:
+    """Least t in (lo, hi] with values([t])[0] <= limit, for values non-increasing
+    in t and at or below limit at hi (not evaluated): rounds of one values(ts)
+    call at PROBES evenly spaced times, each keeping the gap where they cross.
+    The search t_mix used before its regula falsi, kept as a reference."""
+    while hi - lo > 1:
+        ts = sorted({lo + k * (hi - lo) // (PROBES + 1) for k in range(1, PROBES + 1)} - {lo})
+        hi = min((t for t, v in zip(ts, values(ts)) if v <= limit), default=hi)
+        lo = max((t for t in ts if t < hi), default=lo)
+    return hi
 
 
 def evolve_fancy_index(chain: ChainParams, start, t: int):

@@ -274,6 +274,18 @@ class TestTmix:
         assert code == 0
         assert res["t_mix_exact"] == res["t_mix_bound"] == expect
 
+    @pytest.mark.parametrize("chain, eps, expect", [
+        (["--p", "0.3", "--q", "0.32", "--r", "0.38"], "1e-30", 187864),
+        (["--p", "0.1041069639258611", "--q", "0.5083400962994629", "--r", "0.387552939774676"],
+         "1e-13", 139),
+    ])
+    def test_tiny_eps_is_certified(self, capsys, chain, eps, expect):
+        # the series was compared with eps at a quadrature tolerance of 1e-10
+        # and answered 178709 and 138; it is now certified to eps * 1e-3
+        code, out, _ = run_cli(capsys, "tmix", *chain, "--eps", eps, "--format", "csv")
+        assert code == 0
+        assert f"t_mix_exact,{expect}" in out.splitlines()
+
     def test_unresolvable_eps_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "tmix", "--p", "1/11", "--q", "9/11",
                                  "--eps", "5e-324")

@@ -15,6 +15,7 @@ from kmmix.mixing import _cutoff_rule, _pole_pair, tv_quadrature
 from kmmix.spectral import NODE_CAP, theta_nodes
 
 import oracles
+from conftest import EXAMPLE, GRID, RANDOM_CHAINS
 
 
 class TestBoundCoefficients:
@@ -312,15 +313,17 @@ class TestTvCurve:
         assert tv_curve(example_chain, ts) == oracles.tv_curve_per_t(example_chain, ts)
         calls, inner = [], mixing.tv_curve
 
-        def recording(chain, ts, ctl=None):
-            calls.append((list(ts), ctl))
-            return inner(chain, ts, ctl=ctl)
+        def recording(chain, ts, ctl=None, cfg=None):
+            calls.append((list(ts), ctl, cfg))
+            return inner(chain, ts, ctl=ctl, cfg=cfg)
 
         monkeypatch.setattr(mixing, "tv_curve", recording)
         t_mix(NEAR_CRITICAL, 1e-3)
-        ts, ctl = calls[0]  # the first round of _first_below: sparse and far apart
-        assert len(ts) == mixing._PROBES and ts[0] > 100
-        assert inner(NEAR_CRITICAL, ts, ctl=ctl) == oracles.tv_curve_per_t(NEAR_CRITICAL, ts, ctl)
+        # every round of the search: a pair (g - 1, g), each far past t = 100
+        for ts, ctl, cfg in calls:
+            assert len(ts) == 2 and ts[1] == ts[0] + 1 and ts[0] > 100
+            assert inner(NEAR_CRITICAL, ts, ctl=ctl, cfg=cfg) == \
+                oracles.tv_curve_per_t(NEAR_CRITICAL, ts, ctl, cfg)
 
     def test_unsorted_and_duplicate_times(self, example_chain):
         for c in (example_chain, NEAR_CRITICAL):
@@ -353,7 +356,8 @@ class TestAtomTerms:
         assert _negative_atom_degree(chain) == k_zero
 
     def test_near_critical_t_mix_probes(self):
-        # the first round of t_mix(NEAR_CRITICAL, 1e-3): every t past k_zero
+        # the first round of oracles.first_below_probes on t_mix(NEAR_CRITICAL,
+        # 1e-3)'s bracket: 15 times far apart, every one past k_zero
         ts = [k * 45634 // 16 - 1 for k in range(1, 16)]
         assert ts[0] == 2851 and ts[1] == 5703 and ts[-1] == 42780
         assert min(ts) >= _negative_atom_degree(NEAR_CRITICAL)
@@ -406,7 +410,7 @@ class TestAtomTerms:
             done.update(wanted)
 
     def test_t_mix_past_k_zero_takes_no_atom_power(self, monkeypatch):
-        # the near-critical search probes only t >= 2851 > k_zero = 953
+        # the near-critical search probes only t >= 4709 > k_zero = 953
         atom_powers, power = [], np.power
 
         def counting_power(x, *args, **kwargs):
@@ -491,26 +495,129 @@ class TestTMix:
                 t_mix(chain, 0.1, method=method)
             assert 0.0 < info.value.achieved_bound <= 1.0  # TV <= 1
 
-    @pytest.mark.parametrize("chain, eps, exact, bound", [
-        pytest.param(NEAR_CRITICAL, 1e-3, 8392, 45632, id="0.001-8392-45632"),
-        pytest.param(NEAR_CRITICAL, 0.1, 837, 31362, id="0.1-837-31362"),
-        pytest.param(ChainParams(0.3, 0.305, 0.395), 0.3, 2689, 567258, id="q0.305-0.3-2689"),
+    @pytest.mark.parametrize("chain, eps, exact, bound, rounds", [
+        pytest.param(NEAR_CRITICAL, 1e-3, 8392, 45632, 6, id="0.001-8392-45632"),
+        pytest.param(NEAR_CRITICAL, 0.1, 837, 31362, 6, id="0.1-837-31362"),
+        pytest.param(ChainParams(0.3, 0.305, 0.395), 0.3, 2689, 567258, 8, id="q0.305-0.3-2689"),
     ])
-    def test_near_critical_search_is_batched(self, monkeypatch, chain, eps, exact, bound):
+    def test_near_critical_search_is_batched(self, monkeypatch, chain, eps, exact, bound,
+                                             rounds):
+        # one tv_curve call per round of the search, each on a pair (g - 1, g):
+        # 6 calls over 12 times for (0.3, 0.32, 0.38) at 1e-3, where the
+        # 15-probe rounds made 4 calls over 60 times
         calls = []
 
         def counting_tv_curve(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(list(args[1]))
             return tv_curve(*args, **kwargs)
 
         monkeypatch.setattr(mixing, "tv_curve", counting_tv_curve)
         assert t_mix(chain, eps) == exact
-        assert 1 <= len(calls) <= 5
+        assert len(calls) == rounds
+        assert all(len(ts) == 2 and ts[1] == ts[0] + 1 for ts in calls)
+        assert exact in calls[-1]
         assert t_mix(chain, eps, method="bound") == bound
         before, at = tv_curve(chain, [exact - 1, exact])
         assert before > eps >= at
         dp = tv_oracle_curve(chain, exact)
         assert dp[exact - 1] > eps >= dp[exact]
+
+
+# t_mix's (exact, bound) answers at PIN_EPS on PIN_CHAINS, as the 15-probe
+# search (oracles.first_below_probes) found them: the regula falsi evaluates
+# other times, and must land on the same least t.
+PIN_EPS = (0.5, 0.3, 0.1, 1e-3, 1e-6, 1e-9, 1e-12)
+PIN_CHAINS = [EXAMPLE, *GRID, *RANDOM_CHAINS, NEAR_CRITICAL, ChainParams(0.1, 0.7, 0.2),
+              ChainParams(0.3, 0.305, 0.395)]
+PINNED = [
+    [(1, 5), (6, 8), (16, 16), (60, 60), (126, 126), (191, 191), (257, 257)],
+    [(1, 38), (1, 55), (8, 90), (88, 238), (265, 461), (463, 683), (669, 906)],
+    [(1, 3), (1, 7), (2, 15), (21, 51), (63, 104), (111, 157), (160, 211)],
+    [(1, 2), (2, 3), (3, 6), (9, 21), (27, 44), (48, 68), (70, 91)],
+    [(1, 2), (2, 3), (4, 5), (12, 14), (25, 28), (38, 42), (51, 57)],
+    [(1, 2), (3, 3), (7, 7), (23, 23), (48, 48), (72, 72), (97, 97)],
+    [(1, 154), (3, 185), (16, 250), (161, 523), (488, 934), (853, 1344), (1232, 1754)],
+    [(1, 18), (2, 24), (3, 37), (32, 91), (98, 173), (171, 255), (247, 337)],
+    [(1, 5), (2, 7), (3, 13), (13, 35), (40, 68), (69, 101), (100, 135)],
+    [(1, 4), (2, 5), (5, 8), (15, 21), (31, 41), (47, 62), (64, 82)],
+    [(1, 3), (4, 5), (10, 10), (34, 34), (71, 71), (108, 108), (145, 145)],
+    [(2, 370), (5, 420), (27, 528), (265, 978), (804, 1655), (1405, 2331), (2031, 3007)],
+    [(1, 43), (2, 52), (5, 71), (47, 151), (142, 270), (249, 390), (360, 510)],
+    [(1, 13), (2, 16), (4, 23), (18, 54), (54, 99), (95, 145), (137, 191)],
+    [(1, 8), (3, 10), (7, 14), (24, 32), (49, 59), (75, 86), (100, 114)],
+    [(2, 8), (12, 13), (36, 36), (135, 135), (283, 283), (432, 432), (580, 580)],
+    [(2, 723), (9, 799), (40, 962), (402, 1645), (1219, 2671), (2130, 3696), (3079, 4722)],
+    [(2, 84), (2, 96), (6, 123), (66, 235), (199, 402), (348, 570), (504, 738)],
+    [(2, 25), (3, 30), (7, 39), (24, 80), (72, 141), (126, 202), (183, 263)],
+    [(2, 16), (9, 20), (26, 30), (98, 98), (205, 205), (312, 312), (419, 419)],
+    [(3, 1271), (12, 1379), (57, 1611), (572, 2584), (1735, 4043), (3032, 5503), (4382, 6962)],
+    [(2, 149), (4, 166), (9, 202), (89, 353), (269, 579), (470, 806), (680, 1032)],
+    [(2, 78), (2, 89), (6, 115), (62, 220), (188, 378), (328, 536), (475, 694)],
+    [(1, 27), (2, 33), (4, 46), (33, 103), (100, 187), (175, 272), (254, 356)],
+    [(1, 26), (2, 35), (5, 53), (46, 131), (139, 248), (243, 365), (352, 482)],
+    [(2, 565), (7, 628), (34, 763), (333, 1329), (1009, 2178), (1764, 3027), (2549, 3876)],
+    [(1, 6), (4, 8), (10, 12), (34, 35), (71, 71), (108, 108), (145, 145)],
+    [(45, 26374), (172, 27957), (837, 31362), (8392, 45632), (25445, 67037), (44473, 88442),
+     (64265, 109847)],
+    [(1, 6), (3, 7), (7, 11), (26, 28), (53, 54), (81, 81), (108, 108)],
+    [(691, 542535), (2689, 567258), (13071, 620430), (131065, 843314), (397418, 1177640),
+     (694618, 1511966), (1003748, 1846292)],
+]
+
+
+class TestTMixPinned:
+    @pytest.mark.parametrize("chain, answers", zip(PIN_CHAINS, PINNED),
+                             ids=[f"{c.p:.4g}-{c.q:.4g}" for c in PIN_CHAINS])
+    def test_answers_of_the_probe_search(self, chain, answers):
+        got = [(t_mix(chain, eps), t_mix(chain, eps, method="bound")) for eps in PIN_EPS]
+        assert got == answers
+
+    @pytest.mark.parametrize("chain, eps, expect", [
+        # the quadrature certified only to 1e-10 read TV(178709) as 0.0 (it is
+        # 2.07e-29) and answered 178709; to 1e-33 the crossing is at 187864
+        pytest.param(NEAR_CRITICAL, 1e-30, 187864, id="1e-30"),
+        # answered 138 where the DP reads TV(138) = 1.036e-13
+        pytest.param(ChainParams(0.1041069639258611, 0.5083400962994629, 0.387552939774676),
+                     1e-13, 139, id="1e-13"),
+    ])
+    def test_tiny_eps_is_certified(self, chain, eps, expect):
+        assert t_mix(chain, eps) == expect
+        cfg = QuadratureConfig(tol=eps * 1e-3)
+        before, at = tv_curve(chain, [expect - 1, expect], TailControl(eps * 1e-3), cfg)
+        assert before > eps >= at
+        if expect < 1000:
+            dp = tv_oracle_curve(chain, expect)
+            assert dp[expect - 1] > eps >= dp[expect]
+
+    def test_seeded_scan_against_dp(self):
+        # eps in [1e-15, 1e-13], where values certified only to 1e-10 put the
+        # answer off the DP's on about one chain in six
+        rng = np.random.default_rng(20261019)
+        checked = 0
+        while checked < 40:
+            p, r = rng.uniform(0.02, 0.4), rng.uniform(0.05, 0.9)
+            if 1.0 - p - r - p < 0.05:
+                continue
+            chain, eps = ChainParams(p, 1.0 - p - r, r), 10.0 ** rng.uniform(-15.0, -13.0)
+            t = t_mix(chain, eps)
+            dp = tv_oracle_curve(chain, t)
+            assert dp[t - 1] > eps >= dp[t], (chain, eps, t)
+            checked += 1
+
+    @pytest.mark.parametrize("chain, eps, expect", [(EXAMPLE, 1e-6, 126),
+                                                    (ChainParams(0.1, 0.7, 0.2), 1e-3, 26)])
+    def test_lower_end_leaves_two_calls(self, monkeypatch, chain, eps, expect):
+        # the bracket starts at 123 and 23, two steps short of where
+        # (1/2) alpha^t reaches eps: the first pair is (lo + 1, lo + 2)
+        calls = []
+
+        def counting_tv_curve(*args, **kwargs):
+            calls.append(list(args[1]))
+            return tv_curve(*args, **kwargs)
+
+        monkeypatch.setattr(mixing, "tv_curve", counting_tv_curve)
+        assert t_mix(chain, eps) == expect
+        assert len(calls) <= 2 and sum(map(len, calls)) <= 4
 
 
 class TestNodePowers:
@@ -519,14 +626,15 @@ class TestNodePowers:
 
     @staticmethod
     def probe_times():
-        # the ascending times of every round of _first_below, as tv_curve sees them
+        # the pair (g - 1, g) of every round of _first_below, as tv_curve sees
+        # it, on a curve shaped like TV: t^(-3/2) times a geometric
         rounds = []
 
         def values(ts):
             rounds.append(ts)
-            return [math.exp(-t / 1000.0) for t in ts]
+            return [(1.0 + t) ** -1.5 * math.exp(-t / 1000.0) for t in ts]
 
-        mixing._first_below(values, math.exp(-8.392), -1, 45633)
+        mixing._first_below(values, 1e-8, -1, 45633, 0.0, math.exp(-1e-3))
         assert len(rounds) > 1
         return rounds
 
@@ -548,8 +656,8 @@ class TestNodePowers:
 
     def test_t_mix_powers_once_per_gap(self, monkeypatch):
         # a count, not a timing: each tv_curve node pass of the near-critical
-        # search raises the longdouble nodes to a power for at most 3 gaps
-        # (the first jump, then d and d + 1), not once per probe time
+        # search raises the longdouble nodes to a power once, for the jump to
+        # g - 1 of its pair (g - 1, g), and steps to g by one multiply
         per_pass = []
         power, nodes = np.power, mixing.theta_nodes
 
@@ -565,7 +673,7 @@ class TestNodePowers:
         monkeypatch.setattr(np, "power", counting_power)
         monkeypatch.setattr(mixing, "theta_nodes", counting_nodes)
         assert t_mix(NEAR_CRITICAL, 1e-3) == 8392
-        assert per_pass and max(per_pass) <= 3
+        assert per_pass and max(per_pass) <= 1
 
 
 class TestKernelSpectral:

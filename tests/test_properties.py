@@ -1,5 +1,5 @@
 """Property test over the parameter wedge: the spectral kernel and TV curve
-against exact dynamic programming.
+against exact dynamic programming, and t_mix's search on step functions.
 
 The domain is q - p >= 0.05 and r >= 0.05, with p > 0 any normal float
 (ChainParams rejects subnormal p).  The near-critical regime (q -> p, r -> 0,
@@ -17,13 +17,17 @@ an uncertified value; routing those chains to dynamic programming is part
 of the same roadmap item.  The test accepts either only for p < 1e-5.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
-from kmmix import ChainParams, QuadratureConfig, QuadratureError, kernel_matrix, kernel_oracle, \
-    q_log_sup, tv_curve, tv_oracle_curve
-from kmmix.mixing import _kernel_ac, _underflow_degree, tv_quadrature
+from kmmix import ChainParams, QuadratureConfig, QuadratureError, bound_coefficients, \
+    kernel_matrix, kernel_oracle, q_log_sup, tv_curve, tv_oracle_curve
+from kmmix.mixing import _first_below, _kernel_ac, _underflow_degree, tv_quadrature
 from kmmix.spectral import EPS_FLOOR, negative_atom, node_count
+
+import oracles
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -64,6 +68,62 @@ def test_tv_curve_matches_dp(chain):
     exact = np.array(tv_curve(chain, range(41)))
     oracle = np.array(tv_oracle_curve(chain, 40))
     assert np.max(np.abs(exact - oracle)) <= 1e-8
+
+
+# t_mix's search starts from TV(t) >= (1/2) alpha^t: (-alpha)^n is an
+# eigenfunction of the walk, of eigenvalue -alpha, bounded by 1 and of mean 0
+# under nu, so 2 TV(t) >= |E_0 (-alpha)^X_t| = alpha^t.
+@SETTINGS
+@hypothesis.given(chains())
+def test_dp_stays_above_half_alpha_to_the_t(chain):
+    alpha = bound_coefficients(chain).alpha
+    dp = np.array(tv_oracle_curve(chain, 400))
+    assert np.all(dp >= 0.5 * alpha ** np.arange(401))
+
+
+# _first_below against the 15-probe search on non-increasing step functions:
+# plateaus, zeros and single drops, brackets up to 1e7 wide, and any estimate
+# of the lower end and any rate, which may steer it but not mislead it.
+@st.composite
+def step_searches(draw):
+    lo = draw(st.integers(-1, 10 ** 6))
+    hi = lo + draw(st.integers(1, 10 ** 7))
+    answer = draw(st.integers(lo + 1, hi))
+    limit = draw(st.floats(1e-300, 0.5))
+    above = draw(st.lists(st.floats(1e-12, 1e6), min_size=1, max_size=4))
+    below = draw(st.lists(st.sampled_from([1.0, 1e-3, 1e-100, 0.0]) | st.floats(0.0, 1.0),
+                          min_size=1, max_size=4))
+    # levels[i] holds from starts[i] on, and drops below limit at the answer
+    levels = [limit * (1.0 + a) for a in sorted(above, reverse=True)] + \
+        [limit * b for b in sorted(below, reverse=True)]
+    inner = st.integers(lo + 1, answer - 1) if answer > lo + 1 else st.just(lo)
+    starts = [lo, *sorted(draw(st.lists(inner, min_size=len(above) - 1,
+                                        max_size=len(above) - 1))), answer,
+              *sorted(draw(st.lists(st.integers(answer + 1, hi + 1), min_size=len(below) - 1,
+                                    max_size=len(below) - 1)))]
+    log_lo = draw(st.floats(-800.0, 800.0))
+    rate = draw(st.floats(1e-6, 1.0 - 1e-9))
+    return lo, hi, answer, limit, starts, levels, log_lo, rate
+
+
+@hypothesis.settings(SETTINGS, max_examples=150)
+@hypothesis.given(step_searches())
+def test_first_below_finds_the_step(search):
+    lo, hi, answer, limit, starts, levels, log_lo, rate = search
+    rounds = []
+
+    def step(ts):
+        return [levels[bisect_right(starts, t) - 1] for t in ts]
+
+    def values(ts):
+        rounds.append(ts)
+        assert len(ts) == 2 and lo < ts[0] and ts[1] == ts[0] + 1 <= hi
+        return step(ts)
+
+    assert oracles.first_below_probes(step, limit, lo, hi) == answer
+    assert _first_below(values, limit, lo, hi, log_lo, rate) == answer
+    # within about twice bisection's rounds, each one values call on a pair
+    assert len(rounds) <= 2 * (hi - lo).bit_length()
 
 
 # The a-priori node count's bound against the error it bounds, observed at K/2
