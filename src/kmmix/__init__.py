@@ -42,6 +42,7 @@ from .mixing import (
     spectral_integral,
     t_mix,
     tv_curve,
+    tv_envelope,
     tv_lower,
     tv_upper,
 )
@@ -67,7 +68,7 @@ __all__ = [
     "build_measure", "integrate_psi", "resolvent_a0", "residue_check",
     "BoundCoefficients", "TailControl", "ConvergenceError", "RouteDisagreement",
     "bound_coefficients", "contour_envelope", "spectral_integral",
-    "tv_curve", "tv_upper", "tv_lower", "t_mix",
+    "tv_curve", "tv_envelope", "tv_upper", "tv_lower", "t_mix",
     "kernel_matrix", "kernel_spectral",
     "SurvivalCurve", "RateFit", "simulate_classical", "simulate_modified", "rate_fit",
     "hitting_pmf_multinomial", "hitting_pmf_exact", "hitting_pmf_exact_curve",

@@ -195,7 +195,7 @@ def tv_oracle_curve(chain: ChainParams, t_max: int) -> list:
     tails = [rev.nu_tail(n) for n in range(t_max + 3)]
     d, new = -nu, -nu  # two buffers, swapped after each step
     d[0] += 1.0
-    values = [0.5 * (abs(d[0]) + tails[0])]
+    values = [0.5 * (abs(float(d[0])) + tails[0])]
     for t in range(1, t_max + 1):
         _advance(chain, d, new, 0, t + 1)
         window = new[:t + 3]  # a view: the update runs in place

@@ -7,11 +7,11 @@ validation error.
 """
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .chain import ChainParams, DistributionVector, evolve, kernel_oracle, rever
 from .coupling import rate_fit, simulate_classical, simulate_modified
 from .mixing import T_CAP, ConvergenceError, RouteDisagreement, TailControl, \
     bound_coefficients, kernel_matrix, spectral_integral, t_mix, tv_curve, \
-    tv_lower, tv_quadrature, tv_upper
+    tv_envelope, tv_quadrature
 from .orthopoly import point_mass_summability
 from .spectral import QuadratureConfig, QuadratureError, RegimeError, build_measure, \
     integrate_psi, residue_check, resolvent_a0
@@ -80,6 +80,103 @@ def _csv(table) -> list:
     return [",".join(table[0])] + [",".join(map(_fmt, row.values())) for row in table]
 
 
+# float.__repr__ of the non-finite floats, and the tokens json writes for them
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BOOLS = {True: "true", False: "false"}
+
+
+def _json(doc) -> str:
+    """The text json.dumps(doc, indent=2, sort_keys=True) writes, byte for
+    byte, for a doc that holds no container inside itself.
+
+    json's indented encoder is pure Python, one generator step per token.
+    Here containers are written by hand and scalars converted a column at a
+    time: the values of a list or dict whose exact type is uniform go through
+    one map of float.__repr__, int.__repr__ or encode_basestring_ascii, and a
+    list of dicts that share their str keys (a table's rows) is one %
+    template per row, filled from its converted columns.  Any other value is
+    converted one at a time as json converts it, and what json rejects
+    raises TypeError."""
+    return _value(doc, "\n")
+
+
+def _value(value, nl: str) -> str:
+    """One value's text at the indentation nl (a newline and its spaces)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return _BOOLS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    if isinstance(value, (list, tuple)):
+        return _container("[", _texts(value, nl + "  "), nl, "]") if value else "[]"
+    if isinstance(value, dict):
+        return _dict(value, nl) if value else "{}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _container(opening: str, texts, nl: str, closing: str) -> str:
+    inner = nl + "  "
+    return opening + inner + ("," + inner).join(texts) + nl + closing
+
+
+def _dict(d: dict, nl: str) -> str:
+    items = sorted(d.items())
+    keys = map(_key, (key for key, _ in items))
+    values = _texts([value for _, value in items], nl + "  ")
+    return _container("{", map("%s: %s".__mod__, zip(keys, values)), nl, "}")
+
+
+def _key(key) -> str:
+    """A dict key's text: json writes str, float, int, bool and None keys as
+    strings and rejects the rest."""
+    if isinstance(key, (int, float)) or key is None:
+        key = _value(key, "")
+    elif not isinstance(key, str):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _texts(values, nl: str) -> list:
+    """The texts of a list's items or a dict's values at the indentation nl,
+    converted a column at a time where their exact type is uniform."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        texts = list(map(float.__repr__, values))
+        if not _NONFINITE.keys().isdisjoint(texts):
+            texts = [_NONFINITE.get(text, text) for text in texts]
+        return texts
+    if kind is int:
+        return list(map(int.__repr__, values))
+    if kind is bool:
+        return list(map(_BOOLS.__getitem__, values))
+    if kind is str:
+        return list(map(encode_basestring_ascii, values))
+    if kind is dict:
+        keys = tuple(values[0])
+        if keys and all(type(key) is str for key in keys) \
+                and all(map(keys.__eq__, map(tuple, values))):
+            return _rows(values, keys, nl)
+    return [_value(value, nl) for value in values]
+
+
+def _rows(rows: list, keys: tuple, nl: str) -> list:
+    """The texts of dicts whose keys are all the str keys, in that order:
+    one % template per row, filled from the converted columns."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    columns = list(zip(*map(dict.values, rows)))
+    inner = nl + "  "
+    template = _container("{", (encode_basestring_ascii(keys[k]).replace("%", "%%") + ": %s"
+                                for k in order), nl, "}")
+    return list(map(template.__mod__, zip(*(_texts(columns[k], inner) for k in order))))
+
+
 def _emit_doc(args, chain, results, table, comments=()):
     """The JSON document of results, or comment lines and table as CSV."""
     if args.format == "json":
@@ -89,7 +186,7 @@ def _emit_doc(args, chain, results, table, comments=()):
             "meta": {"version": __version__, "seed": args.seed,
                      "quad_nodes": _quad_cfg(args).node_count},
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
+        _emit(_json(doc) + "\n", args.output)
     else:
         _emit("\n".join([*comments, *_csv(table)]) + "\n", args.output)
 
@@ -102,7 +199,7 @@ def _nonnegative(flag: str, value: int) -> int:
 
 # The largest value of each flag that sizes a list, and why: (cap, reason).
 _T_LIMIT = (T_CAP, "1e7, the cap of the t_mix search")
-# a curve of 1e6 steps already takes about 2.5 s and 0.3 GB, mostly its output
+# a curve of 1e6 steps already takes about 1.1 s and 0.24 GB (2-vCPU Xeon), mostly its output
 _HORIZON_LIMIT = (10 ** 6, "1e6, as the curve's time and memory grow with it")
 
 
@@ -155,11 +252,9 @@ def _cmd_tv(args):
     ts = range(t_max + 1)
     exact = tv_curve(chain, ts, ctl=ctl, cfg=cfg)
     oracle = tv_oracle_curve(chain, t_max)
-    rows = []
-    for t in ts:
-        lower, valid = tv_lower(chain, t)
-        rows.append({"t": t, "tv_exact": exact[t], "tv_oracle": oracle[t],
-                     "tv_upper": tv_upper(chain, t), "tv_lower": lower, "lower_valid": bool(valid)})
+    keys = ("t", "tv_exact", "tv_oracle", "tv_upper", "tv_lower", "lower_valid")
+    rows = [dict(zip(keys, row))
+            for row in zip(ts, exact, oracle, *tv_envelope(chain, ts))]
     _emit_doc(args, chain, {"rows": rows}, rows)
     return 0
 
@@ -209,8 +304,8 @@ def _cmd_couple(args):
         "fitted_rate": rate,
         "fitted_rate_stderr": rate_se,
         "fit_error": fit_error,
-        "survival": [float(v) for v in curve.survival],
-        "stderr": [float(v) for v in curve.stderr],
+        "survival": curve.survival.tolist(),
+        "stderr": curve.stderr.tolist(),
     }
     lines = [f"# mode={args.mode} replicas={args.replicas} seed={args.seed}"]
     if rate is None:
@@ -271,9 +366,7 @@ def _verify_checks(chain, cfg):
     yield "quadrature_bound_k_vs_2k", worst <= bound, worst
 
     ok = True
-    for t, tvx in enumerate(exact):
-        upper = tv_upper(chain, t)
-        lower, valid = tv_lower(chain, t)
+    for tvx, upper, lower, valid in zip(exact, *tv_envelope(chain, range(61))):
         # the envelope gap 2 B beta^t can sit below double roundoff of the
         # alpha-scale terms; allow that much float slack
         slack = 1e-12 * max(upper, 1e-300)

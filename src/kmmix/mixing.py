@@ -63,6 +63,7 @@ __all__ = [
     "spectral_integral",
     "tv_curve",
     "tv_quadrature",
+    "tv_envelope",
     "tv_upper",
     "tv_lower",
     "t_mix",
@@ -72,6 +73,8 @@ __all__ = [
 
 _CELLS = 1 << 13  # tv_curve's cells per batch: each t takes its FFT's 2K and its N_t + 1 terms
 _GAP_MEMO = 4  # powers x^gap that one _powers call keeps for reuse
+_Q_ROWS_MEMO = 16  # (chain, K, degrees) whose Q_n rows _kernel_ac keeps
+_Q_ROWS_CELLS = 1 << 16  # the most cells (1 MB in longdouble) of Q_n rows it keeps per entry
 T_CAP = 10 ** 7  # the largest time t_mix searches to
 N_CAP = 100_000  # the largest degree cutoff N of the TV series
 
@@ -133,7 +136,7 @@ def _pole_pair(chain: ChainParams):
 @lru_cache(maxsize=32)
 def bound_coefficients(chain: ChainParams) -> BoundCoefficients:
     """The envelope's constants, computed once per chain (the value is
-    immutable; tv_upper, tv_lower and t_mix read it per t)."""
+    immutable; tv_envelope reads it per call)."""
     p, q, r = chain.p, chain.q, chain.r
     alpha = q / (q + r)
     beta = r + 2.0 * chain.sqrt_pq
@@ -426,21 +429,34 @@ def tv_quadrature(chain: ChainParams, ts, ctl: TailControl = None,
                               _SeriesSup(chain, max(cuts.values())), min(cuts)))
 
 
-def tv_upper(chain: ChainParams, t: int) -> float:
-    if t < 0:
+def tv_envelope(chain: ChainParams, ts) -> tuple:
+    """(upper, lower, valid), lists over the times ts: the envelope
+    A alpha^t + B beta^t, its lower twin A alpha^t - B beta^t, and whether that
+    lower value is a bound on TV (alpha > beta and the value is positive).
+    One coefficient lookup serves every t; each value is the same float
+    expression tv_upper and tv_lower take for their one t."""
+    ts = list(ts)
+    if ts and min(ts) < 0:
         raise ValueError("t must be nonnegative")
     co = bound_coefficients(chain)
-    return co.A * co.alpha ** t + co.B * co.beta ** t
+    A, B, alpha, beta = co.A, co.B, co.alpha, co.beta
+    slow = [A * alpha ** t for t in ts]
+    fast = [B * beta ** t for t in ts]
+    lower = [a - b for a, b in zip(slow, fast)]
+    return ([a + b for a, b in zip(slow, fast)], lower,
+            [alpha > beta and value > 0.0 for value in lower])
+
+
+def tv_upper(chain: ChainParams, t: int) -> float:
+    """Upper envelope A alpha^t + B beta^t on TV."""
+    return tv_envelope(chain, [t])[0][0]
 
 
 def tv_lower(chain: ChainParams, t: int):
     """Matching lower envelope A alpha^t - B beta^t; only meaningful (valid
     flag) when alpha > beta and the value is positive."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    co = bound_coefficients(chain)
-    value = co.A * co.alpha ** t - co.B * co.beta ** t
-    return value, (co.alpha > co.beta and value > 0.0)
+    _, (value,), (valid,) = tv_envelope(chain, [t])
+    return value, valid
 
 
 def _log(value: float) -> float:
@@ -514,7 +530,7 @@ def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
     log_alpha = math.log(co.alpha)
     lo = max(-1, math.ceil(math.log(2.0 * eps) / log_alpha) - 2) if log_alpha < 0.0 else -1
     log_lo = math.log(0.5) + lo * log_alpha
-    bound = _first_below(lambda ts: [tv_upper(chain, t) for t in ts], eps, lo, hi, log_lo, co.m)
+    bound = _first_below(lambda ts: tv_envelope(chain, ts)[0], eps, lo, hi, log_lo, co.m)
     if method == "bound":
         return bound
     ctl = TailControl(series_tol=min(1e-12, eps * 1e-3))
@@ -559,8 +575,8 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig, name: 
     block = (max(rows) + max(cols)) // 16 * 16 + 16
     n_nodes = node_count(chain, cfg, name, q_log_sup(chain, block, 0), t=min(ts))[0]
     x, w, two_cos = theta_nodes(chain, n_nodes)
-    degrees = sorted(set(rows) | set(cols))  # np.union1d would import numpy.ma
-    q_rows = q_bracket_matrix(chain, int(degrees[-1]), x, two_cos, degrees)
+    degrees = tuple(sorted(set(rows) | set(cols)))  # np.union1d would import numpy.ma
+    q_rows = _q_rows(chain, n_nodes, degrees, x, two_cos)
     left, right = (q_rows[np.searchsorted(degrees, s)] for s in (rows, cols))
     ac, l1 = {}, {}
     for t, xt in _powers(x, sorted(set(ts))):
@@ -569,6 +585,26 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig, name: 
             l1[t] = np.dot(np.abs(left) * np.abs(wxt), np.abs(right).T).astype(float)
             ac[t] = np.dot(left * wxt, right.T).astype(float)
     return ac, l1
+
+
+_q_rows_kept = {}  # (chain, K, degrees): read-only Q_n rows, oldest first
+
+
+def _q_rows(chain: ChainParams, n_nodes: int, degrees: tuple, x, two_cos):
+    """Q_n at the nodes x, two_cos of theta_nodes(chain, n_nodes) for the
+    ascending degrees, read-only: the rows _kernel_ac multiplies.  One-entry
+    calls (kernel_spectral over t, i and j) repeat few (K, degrees), so the
+    last _Q_ROWS_MEMO of at most _Q_ROWS_CELLS cells each are kept."""
+    key = (chain, n_nodes, degrees)
+    q_rows = _q_rows_kept.get(key)
+    if q_rows is None:
+        q_rows = q_bracket_matrix(chain, degrees[-1], x, two_cos, degrees)
+        q_rows.flags.writeable = False
+        if q_rows.size <= _Q_ROWS_CELLS:
+            if len(_q_rows_kept) == _Q_ROWS_MEMO:
+                del _q_rows_kept[next(iter(_q_rows_kept))]
+            _q_rows_kept[key] = q_rows
+    return q_rows
 
 
 def kernel_spectral(chain: ChainParams, t: int, i: int, j: int,

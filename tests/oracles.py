@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from kmmix import ChainParams, DistributionVector, reversibility
+from kmmix import ChainParams, DistributionVector, bound_coefficients, reversibility
 from kmmix.mixing import tv_quadrature
 from kmmix.orthopoly import q_bracket_matrix, q_node_sums
 from kmmix.spectral import negative_atom, theta_nodes
@@ -231,6 +231,15 @@ def first_below_probes(values, limit: float, lo: int, hi: int) -> int:
         hi = min((t for t, v in zip(ts, values(ts)) if v <= limit), default=hi)
         lo = max((t for t in ts if t < hi), default=lo)
     return hi
+
+
+def envelope_per_t(chain: ChainParams, t: int) -> tuple:
+    """(upper, lower, valid) at one t, by the envelope's float expressions
+    as tv_upper and tv_lower took them per t, from the package's
+    bound_coefficients."""
+    co = bound_coefficients(chain)
+    lower = co.A * co.alpha ** t - co.B * co.beta ** t
+    return co.A * co.alpha ** t + co.B * co.beta ** t, lower, (co.alpha > co.beta and lower > 0.0)
 
 
 def evolve_fancy_index(chain: ChainParams, start, t: int):

@@ -156,6 +156,11 @@ class TestTvOracle:
         swept = tv_oracle_curve(example_chain, 200)
         assert swept == [tv_oracle(example_chain, t) for t in range(201)]
 
+    def test_values_are_python_floats(self, chain_grid):
+        # one exact type per column lets the CLI's writer convert it at once
+        for c in chain_grid[::4]:
+            assert {type(v) for v in tv_oracle_curve(c, 5)} == {float}
+
     @pytest.mark.parametrize("pqr", [(Fraction(1, 11), Fraction(9, 11), Fraction(1, 11)),
                                      (Fraction(3, 10), Fraction(8, 25), Fraction(19, 50))])
     def test_relative_to_exact_rational_dp(self, pqr):

@@ -1,11 +1,15 @@
 import json
+import math
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from kmmix import ChainParams, cli, tv_lower, tv_upper
 from kmmix.cli import main
@@ -113,7 +117,7 @@ def test_cached_tables_do_not_leak_between_chains(capsys):
     # per chain (and dtype):
     # each chain's output must be the same run cold and run after the other
     # chain, or after the other dtype's tables of the same chains were built
-    from kmmix import ChainParams, orthopoly, spectral
+    from kmmix import ChainParams, mixing, orthopoly, spectral
     chains = {"near": ("--p", "0.3", "--q", "0.32", "--r", "0.38"),
               "worked": ("--p", "1/11", "--q", "9/11")}
     jobs = {"near": [("tmix", "--eps", "1e-3"), ("kernel", "--i", "2", "--j", "3"),
@@ -129,6 +133,7 @@ def test_cached_tables_do_not_leak_between_chains(capsys):
         spectral._plan.cache_clear()
         orthopoly._scale_table.cache_clear()
         orthopoly._node_sines.cache_clear()
+        mixing._q_rows_kept.clear()
 
     clear()
     first = {name: run(name) for name in ("near", "worked")}
@@ -481,3 +486,119 @@ class TestParserReuse:
                               text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == self.cold(capsys, argv)[1]
+
+
+def dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def written(encode, doc):
+    """encode(doc), or the type of the exception it raised."""
+    try:
+        return encode(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, 1.7976931348623157e308]))
+INTS = st.one_of(st.booleans(), st.integers(), st.integers(min_value=2 ** 63 - 2),
+                 st.integers(max_value=-2 ** 63))
+TEXT = st.one_of(st.text(max_size=6), st.sampled_from(
+    ["", "%", "%s", "%%d", "%(t)s", "\x00\x1f\x7f\n\t\"\\/", "\u00e9\u2603\U0001d11e", "\ud800"]))
+SCALARS = st.one_of(st.none(), INTS, FLOATS, TEXT)
+# the columns a table can have: one exact type throughout, or anything
+COLUMNS = [FLOATS, st.integers(), st.booleans(), TEXT, st.none()]
+
+
+@st.composite
+def tables(draw, values):
+    """A list of dicts over shared str keys, each column of one type or of
+    any values; at times one row has a key more or less, or another order."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))
+    kinds = [draw(st.sampled_from(COLUMNS + [values])) for _ in keys]
+    rows = [{key: draw(kind) for key, kind in zip(keys, kinds)}
+            for _ in range(draw(st.integers(1, 6)))]
+    change = draw(st.sampled_from(["none", "none", "drop", "add", "reorder"]))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if change == "drop":
+        row.pop(keys[0])
+    elif change == "add":
+        row[draw(TEXT)] = draw(values)
+    elif change == "reorder":
+        row[keys[0]] = row.pop(keys[0])
+    return rows
+
+
+def containers(values):
+    return st.one_of(st.lists(values, max_size=5), st.lists(values, max_size=5).map(tuple),
+                     st.dictionaries(TEXT, values, max_size=5),
+                     *(st.lists(kind, min_size=1, max_size=8) for kind in COLUMNS),
+                     tables(values))
+
+
+DOCS = st.recursive(SCALARS, containers, max_leaves=40)
+WRITER = hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+
+
+class TestJsonWriter:
+    """cli._json writes the bytes of json.dumps(doc, indent=2, sort_keys=True)."""
+
+    @WRITER
+    @hypothesis.given(DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert cli._json(doc) == dumps(doc)
+
+    @WRITER
+    @hypothesis.given(st.dictionaries(st.one_of(TEXT, INTS, FLOATS, st.none(),
+                                                st.tuples(st.integers())),
+                                      st.one_of(SCALARS, st.lists(SCALARS, max_size=3)),
+                                      max_size=4))
+    def test_keys_as_json_takes_them(self, doc):
+        # int, float, bool and None keys are written as strings; tuple keys,
+        # and keys of two types that cannot be sorted, raise TypeError
+        assert written(cli._json, doc) == written(dumps, doc)
+
+    @pytest.mark.parametrize("doc", [
+        np.int64(3), [1.0, np.int64(3)], {"a": np.int64(3)}, [np.bool_(True)],
+        [{"t": 0, "x": 1.0}, {"t": np.int64(1), "x": 2.0}], {"rows": [{"x": {1, 2}}]},
+        {(1, 2): 0}, {"a": 1, 2: 3}, [{"a": {0.5: 1, "b": 2}}],
+    ])
+    def test_unsupported_values_raise_type_error(self, doc):
+        assert written(dumps, doc) is TypeError
+        with pytest.raises(TypeError):
+            cli._json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"x": [np.float64(0.1), np.float64("nan")], "rows": [{"v": np.float64(-0.0)}, {"v": 2.5}]},
+        {3: True, -1: [], 10: {2.5: None, -math.inf: 0}}, {True: 1, False: 2}, {None: [{}]},
+    ])
+    def test_float_subclasses_and_non_str_keys_as_json(self, doc):
+        assert cli._json(doc) == dumps(doc)
+
+
+def sweep():
+    """Every argv the benchmark runs (bench/workloads.py, read as a script,
+    at seeds 101 and 202), then edge argv: a long near-critical table, a
+    curve of 3 replicas with no rate, and two exit-1 cases."""
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    workloads = runpy.run_path(str(bench))
+    argvs = [argv for name in sorted(workloads["WHY"]) for seed in (101, 202)
+             for argv in workloads["jobs"](name, seed)]
+    near, worked = workloads["NEAR_CRITICAL"], workloads["WORKED"]
+    edge = [(["tv", *near, "--t-max", "300"], 0),
+            (["couple", *worked, "--replicas", "3"], 0),
+            (["kernel", "--p", "1e-12", "--q", "0.5", "--i", "8", "--j", "0"], 1),
+            (["tv", *worked, "--t-max", "3", "--series-tol", "1e-320"], 1)]
+    unique = {tuple(argv): 0 for argv in argvs}
+    return list(unique.items()) + [(tuple(argv), code) for argv, code in edge]
+
+
+@pytest.mark.parametrize("argv, code", sweep(), ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_document_bytes_are_json_dumps(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code, err
+    if code:
+        assert out == "" and err.startswith("kmmix: ")
+    else:
+        assert out == dumps(json.loads(out)) + "\n"

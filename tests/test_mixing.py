@@ -8,7 +8,7 @@ import pytest
 from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureError, \
     RegimeError, TailControl, bound_coefficients, build_measure, contour_envelope, integrate_psi, \
     kernel_matrix, kernel_spectral, reversibility, spectral_integral, t_mix, tv_curve, \
-    tv_lower, tv_oracle, tv_oracle_curve, tv_upper
+    tv_envelope, tv_lower, tv_oracle, tv_oracle_curve, tv_upper
 from kmmix import mixing
 from kmmix.chain import kernel_oracle
 from kmmix.mixing import _cutoff_rule, _pole_pair, tv_quadrature
@@ -446,6 +446,25 @@ class TestEnvelopes:
         for envelope in (tv_upper, tv_lower):
             with pytest.raises(ValueError, match="nonnegative"):
                 envelope(example_chain, -3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            tv_envelope(example_chain, [4, -3, 5])
+
+    def test_lists_are_the_per_t_values(self):
+        # bit for bit the per-t expressions, through the underflow of a term
+        # (the alpha term on most of GRID) and of both (one chain) to 0.0
+        alpha_zeros = upper_zeros = 0
+        for chain in GRID:
+            want = [oracles.envelope_per_t(chain, t) for t in range(2001)]
+            upper, lower, valid = tv_envelope(chain, range(2001))
+            assert list(zip(upper, lower, valid)) == want, chain
+            assert all(type(v) is bool for v in valid)
+            for t in (0, 1, 700, 2000):
+                assert (tv_upper(chain, t), tv_lower(chain, t)) == (upper[t], (lower[t], valid[t]))
+            co = bound_coefficients(chain)
+            alpha_zeros += co.A * co.alpha ** 2000 == 0.0
+            upper_zeros += upper[-1] == 0.0
+        assert alpha_zeros >= 10 and upper_zeros >= 1
+        assert tv_envelope(EXAMPLE, []) == ([], [], [])
 
 
 class TestTMix:
@@ -760,8 +779,41 @@ class TestKernelMatrix:
             built.append(original(*args, **kwargs))
             return built[-1]
         monkeypatch.setattr(mixing, "q_bracket_matrix", recording)
+        mixing._q_rows_kept.clear()
         kernel_matrix(example_chain, [3, 0], 29, rows=[2, 29], cols=[29, 7])
         assert [q.shape[0] for q in built] == [3]
+
+    def test_one_entry_calls_share_their_q_rows(self, monkeypatch, example_chain):
+        # kernel_spectral over t and j, as c04 calls it, builds the Q_n rows
+        # once per (K, degrees), not once per call; warm entries equal cold ones
+        built, original = [], mixing.q_bracket_matrix
+
+        def recording(chain, n_max, x, two_cos, keep):
+            built.append((x.size, tuple(keep)))
+            return original(chain, n_max, x, two_cos, keep)
+        monkeypatch.setattr(mixing, "q_bracket_matrix", recording)
+        mixing._q_rows_kept.clear()
+        entries = [(t, 3, j) for t in range(0, 40, 3) for j in range(8)]
+        warm = [kernel_spectral(example_chain, *entry) for entry in entries]
+        assert len(built) == len(set(built)) <= 16 < len(entries) // 4
+        for entry, value in zip(entries[::5], warm[::5]):
+            mixing._q_rows_kept.clear()
+            assert kernel_spectral(example_chain, *entry) == value, entry
+        kept = list(mixing._q_rows_kept.values())
+        assert kept
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0][0, 0] = 0.0
+
+    def test_large_q_rows_are_not_kept(self, example_chain):
+        # the memo holds few, small entries: a full matrix's rows past
+        # _Q_ROWS_CELLS are built per call, and at most _Q_ROWS_MEMO are kept
+        mixing._q_rows_kept.clear()
+        for i in range(2 * mixing._Q_ROWS_MEMO):
+            kernel_spectral(example_chain, 40, i % 8, i)
+        assert len(mixing._q_rows_kept) == mixing._Q_ROWS_MEMO
+        kernel_matrix(example_chain, [40], 400)
+        assert all(q.size <= mixing._Q_ROWS_CELLS for q in mixing._q_rows_kept.values())
+        assert len(mixing._q_rows_kept) == mixing._Q_ROWS_MEMO
 
     def test_index_sets_far_below_n_max(self, example_chain):
         # nothing may be sized by n_max: 0..1e12 would take 8 TB
