@@ -191,7 +191,7 @@ def tv_oracle_curve(chain: ChainParams, t_max: int) -> list:
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     rev = reversibility(chain)
-    nu = np.atleast_1d(rev.nu(np.arange(t_max + 4)))
+    nu = rev.nu(np.arange(t_max + 4))
     tails = [rev.nu_tail(n) for n in range(t_max + 3)]
     d, new = -nu, -nu  # two buffers, swapped after each step
     d[0] += 1.0

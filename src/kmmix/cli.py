@@ -23,8 +23,8 @@ from .mixing import T_CAP, ConvergenceError, RouteDisagreement, TailControl, \
     bound_coefficients, kernel_matrix, spectral_integral, t_mix, tv_curve, \
     tv_envelope, tv_quadrature
 from .orthopoly import point_mass_summability
-from .spectral import QuadratureConfig, QuadratureError, RegimeError, build_measure, \
-    integrate_psi, residue_check, resolvent_a0
+from .spectral import NODE_CAP, QuadratureConfig, QuadratureError, RegimeError, \
+    build_measure, integrate_psi, residue_check, resolvent_a0
 
 # fixed default seed for reproducible simulation output
 DEFAULT_SEED = 11
@@ -217,7 +217,11 @@ _CAPPED = f" (at most {_T_LIMIT[1]})"  # help text of _size's flags
 
 def _quad_cfg(args) -> QuadratureConfig:
     """The --quad-nodes override, or None (the bound picks each count)."""
-    return QuadratureConfig(node_count=getattr(args, "quad_nodes", None))
+    cfg = QuadratureConfig(node_count=getattr(args, "quad_nodes", None))
+    if cfg.node_count is not None:
+        _size("--quad-nodes", cfg.node_count,
+              (NODE_CAP, "2^16, the node cap of one quadrature pass"))
+    return cfg
 
 
 def _cmd_analyze(args):
@@ -288,7 +292,9 @@ def _cmd_couple(args):
     chain = _chain_from_args(args)
     simulate = simulate_modified if args.mode == "modified" else simulate_classical
     horizon = _size("--horizon", args.horizon, _HORIZON_LIMIT)
-    curve = simulate(chain, horizon, args.replicas, args.seed)
+    # peak memory grows by about 38 B per replica: 1e7 replicas take about 0.41 GB
+    replicas = _size("--replicas", args.replicas, (10 ** 7, "1e7, as memory grows with it"))
+    curve = simulate(chain, horizon, replicas, args.seed)
     window = (args.window_lo, args.window_hi if args.window_hi is not None else args.horizon)
     fit_error = None
     try:
@@ -326,7 +332,7 @@ def _verify_checks(chain, cfg):
     co = bound_coefficients(chain)
 
     n = np.arange(0, 101)
-    pi = np.atleast_1d(rev.pi(n))
+    pi = rev.pi(n)
     balance = np.abs(pi[:-1] * np.where(n[:-1] == 0, 1.0, chain.p) - pi[1:] * chain.q)
     yield "detailed_balance_n_le_100", float(balance.max()) <= 1e-12, float(balance.max())
 
@@ -468,7 +474,8 @@ def _build_parser():
     sp.add_argument("--mode", choices=("classical", "modified"), default="modified")
     sp.add_argument("--horizon", type=int, default=100,
                     help=f"last time of the curve (at most {_HORIZON_LIMIT[1]})")
-    sp.add_argument("--replicas", type=int, default=100_000)
+    sp.add_argument("--replicas", type=int, default=100_000,
+                    help="pairs simulated (at most 1e7, as memory grows with it)")
     sp.add_argument("--window-lo", type=int, default=20, dest="window_lo")
     sp.add_argument("--window-hi", type=int, default=None, dest="window_hi")
     sp.set_defaults(func=_cmd_couple)
@@ -481,7 +488,8 @@ def _build_parser():
     for name in ("analyze", "tv", "kernel", "verify"):
         sub.choices[name].add_argument("--quad-nodes", type=int, dest="quad_nodes", help=(
             "nodes of every quadrature pass (default: the least count whose bound meets "
-            "the tolerance); exit 1 where the bound at this count misses it"))
+            "the tolerance); exit 1 where the bound at this count misses it (at most 2^16, "
+            "the node cap of one quadrature pass)"))
     return parser
 
 

@@ -32,19 +32,19 @@ n (ratios p/(q+r) and sqrt(p/q)) gives the closed-form envelope
     B = (p/(q+r)) (1 + 1/(sqrt(pq) - p)) / ((1 - z_a)(1 + z_b)),
 
 and, when alpha > beta, the matching lower envelope A alpha^t - B beta^t.
-The series takes the interval route, I_t(0..N) at once per t: one sine
-transform over the nodes (orthopoly.q_node_sums), in one pass at the node
-count spectral.node_count certifies beforehand.  The mixing time is the
-first t at which TV drops to the target.  log TV is close to linear in t,
-so a safeguarded regula falsi on it finds that t in a few series calls of
-two times each, inside a bracket from the lower bound (1/2) alpha^t (the
-eigenfunction (-alpha)^n of the negative atom) to the envelope's answer.
+The series takes the interval route, I_t(0..N) at once per t: a sine
+transform over the nodes (orthopoly.q_node_sums) in one pass at a certified
+node count, and atom terms from one table per call.  t_mix is the first t
+at which TV drops to the target: log TV is close to linear in t, so a
+safeguarded regula falsi on it finds t in a few series calls of two times
+each, inside a bracket from the lower bound (1/2) alpha^t (the eigenfunction
+(-alpha)^n of the negative atom) to the envelope's answer.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, takewhile
 
 import numpy as np
 
@@ -72,7 +72,6 @@ __all__ = [
 ]
 
 _CELLS = 1 << 13  # tv_curve's cells per batch: each t takes its FFT's 2K and its N_t + 1 terms
-_GAP_MEMO = 4  # powers x^gap that one _powers call keeps for reuse
 _Q_ROWS_MEMO = 16  # (chain, K, degrees) whose Q_n rows _kernel_ac keeps
 _Q_ROWS_CELLS = 1 << 16  # the most cells (1 MB in longdouble) of Q_n rows it keeps per entry
 T_CAP = 10 ** 7  # the largest time t_mix searches to
@@ -268,21 +267,13 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
 
 
 def _powers(x, ts):
-    """(t, x^t) for the ascending ts, each power carried forward from the last
-    as xt * x^gap.  Gap 1 multiplies by x; any other x^gap is one np.power
-    (powl per element, about 80 longdouble multiplies), kept for the rest of
-    the call, since strided ts (every 100th t, say) repeat one gap.  t_mix's
-    pairs (g - 1, g) take one power, for the jump to g - 1.  At most
-    _GAP_MEMO are kept, the oldest dropped first; every x^t is bit for bit
-    that of a fresh np.power per step."""
-    xt, t_prev, steps = np.ones_like(x), 0, {}
+    """(t, x^t) for the ascending ts, each carried forward from the last as
+    xt * x^gap: x itself for gap 1, else one np.power (powl per element, about
+    80 longdouble multiplies); t_mix's pairs (g - 1, g) take one power."""
+    xt, t_prev = np.ones_like(x), 0
     for t in ts:
-        gap, t_prev = t - t_prev, t
-        if gap != 1 and gap not in steps:
-            if len(steps) == _GAP_MEMO:
-                del steps[next(iter(steps))]
-            steps[gap] = np.power(x, gap)
-        xt = xt * (x if gap == 1 else steps[gap])
+        xt = xt * (x if t - t_prev == 1 else np.power(x, t - t_prev))
+        t_prev = t
         yield t, xt
 
 
@@ -308,36 +299,22 @@ def _batches(cuts: dict, fft_cells: int):
     yield batch
 
 
-def _atom_rule(chain: ChainParams, k_zero: int):
-    """The function (times, sizes, keep) -> w2 loc2^(t+n) at the pairs keep
-    (t, n < size) of a batch of ascending times below k_zero, t by t, for
-    batches that each start past the last one's times.  Each distinct exponent
-    t + n below k_zero takes one np.power over all the batches, and 0.0 stands
-    at and past it, where the power is +-0 (_underflow_degree).  Of the
-    exponents powered before, a batch needs only those from its first t on:
-    one contiguous run, as the earlier t whose run reaches furthest covers it,
-    so that run is all the table keeps."""
+def _atom_table(chain: ChainParams, cuts: dict, k_zero: int):
+    """(exponents, values): the distinct exponents t + n < k_zero of the pairs
+    (t, n <= N_t) of cuts ({t: N_t}, ascending t), ascending, and w2 loc2^(t+n)
+    at each by one np.power (none if there are none), then the 0.0 of those
+    past k_zero (_underflow_degree).  Each t below k_zero has its own run
+    t, t + 1, ... there, so t + n sits n places after t, or at the 0.0."""
+    times = np.fromiter(takewhile(k_zero.__gt__, cuts), np.int64)  # cuts ascend
+    if not times.size:
+        return times, np.zeros(1)
+    ends = times + np.minimum(np.fromiter(cuts.values(), np.int64, times.size) + 1, k_zero - times)
+    # t's run t..end-1, less the part an earlier t's run reaches
+    firsts = np.maximum(times, np.maximum.accumulate(np.concatenate(([0], ends[:-1]))))
+    counts = np.maximum(ends - firsts, 0)
+    exponents = np.arange(counts.sum()) + np.repeat(firsts - np.cumsum(counts) + counts, counts)
     loc2, w2 = negative_atom(chain)
-    exponents, values = np.empty(0, dtype=np.int64), np.empty(0)
-
-    def terms(times, sizes, keep):
-        nonlocal exponents, values
-        times = np.array(times)
-        start = np.searchsorted(exponents, times[0])
-        exponents, values = exponents[start:], values[start:]
-        top = exponents[-1] + 1 if exponents.size else 0
-        ends = np.minimum(times + sizes, k_zero)  # t's exponents t..end-1 are powered
-        if ends.max() > top:
-            firsts = np.maximum(times, np.maximum.accumulate(np.concatenate(([top], ends[:-1]))))
-            counts = np.maximum(ends - firsts, 0)  # those of t's exponents none before has
-            new = np.arange(counts.sum()) + np.repeat(firsts - np.cumsum(counts) + counts, counts)
-            exponents = np.concatenate([exponents, new])
-            values = np.concatenate([values, w2 * np.power(loc2, new)])
-        # the exponents from t on are t, t + 1, ... up to k_zero or past t's last
-        # one, so t + n sits n places after t, or at the final 0.0 past k_zero
-        index = np.searchsorted(exponents, times)[:, None] + np.arange(keep.shape[1])
-        return np.append(values, 0.0)[np.minimum(index[keep], exponents.size)]
-    return terms
+    return exponents, np.append(w2 * np.power(loc2, exponents), 0.0)
 
 
 def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
@@ -353,19 +330,19 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     terms.  Per batch the AC parts of I_t(0..N_t) come from one sine transform
     per t (orthopoly.q_node_sums), and the series terms of all its (t, n)
     pairs from one array; only the fsum is per t.  The atom terms
-    w2 loc2^(t+n) take one power per distinct exponent t + n, in the first
-    batch that has it (_atom_rule), and none at or past k_zero
-    (_underflow_degree), where they are +-0 and adding them to the AC part
-    changes no bit of |I_t(n)|.  Raises ConvergenceError
-    when some N_t exceeds N_CAP or a term leaves the double range (as the AC
-    parts carry (q/p)^(n/2)), and QuadratureError when the node count passes
+    w2 loc2^(t+n) come from one table per call (_atom_table), one power per
+    distinct exponent t + n and none at or past k_zero (_underflow_degree),
+    where they are +-0 and adding them changes no bit of |I_t(n)|: a batch
+    from k_zero on does no atom work.  Raises ConvergenceError when some N_t
+    exceeds N_CAP or a term leaves the double range (as the AC parts carry
+    (q/p)^(n/2)), and QuadratureError when the node count passes
     spectral.NODE_CAP."""
     ts = _naturals(ts)
     cuts, n_nodes, _ = tv_quadrature(chain, ts, ctl, cfg)
-    half_pi = 0.5 * np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
+    half_pi = 0.5 * reversibility(chain).pi(np.arange(max(cuts.values()) + 1))
     k_zero = _underflow_degree(negative_atom(chain)[0])
-    atom_terms = _atom_rule(chain, k_zero)
-    x, w, _ = theta_nodes(chain, n_nodes)
+    exponents, atoms = _atom_table(chain, cuts, k_zero)
+    x, w = theta_nodes(chain, n_nodes)[:2]
     powers, values = _powers(x, list(cuts)), {}
     for times in _batches(cuts, 2 * n_nodes):
         sizes = [cuts[t] + 1 for t in times]
@@ -375,7 +352,8 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
         with np.errstate(over="ignore", invalid="ignore"):  # a term past doubles raises below
             i_tn = acs[keep].astype(float)
             if times[0] < k_zero:
-                i_tn += atom_terms(times, sizes, keep)
+                index = np.searchsorted(exponents, times)[:, None] + n
+                i_tn += atoms[np.minimum(index[keep], exponents.size)]
             terms = np.broadcast_to(half_pi[: n.size], keep.shape)[keep] * np.abs(i_tn)
         if not np.isfinite(terms).all():
             row, n_bad = np.argwhere(keep)[np.argmin(np.isfinite(terms))]
@@ -555,7 +533,7 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
     ts, rows, cols = _kernel_args(ts, n_max, rows, cols)
     measure = build_measure(chain)
     cfg = cfg or QuadratureConfig()
-    pi = np.atleast_1d(reversibility(chain).pi(cols))
+    pi = reversibility(chain).pi(cols)
     ac, l1 = _kernel_ac(chain, ts, rows, cols, cfg, "kernel_matrix")
     (_, w1), (loc2, w2) = measure.atom1, measure.atom2
     # not <=: a floor of 0 * inf (l1 past the double range, pi_j subnormal) is NaN
@@ -574,7 +552,7 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig, name: 
     within one such block share the node count, and so their bits."""
     block = (max(rows) + max(cols)) // 16 * 16 + 16
     n_nodes = node_count(chain, cfg, name, q_log_sup(chain, block, 0), t=min(ts))[0]
-    x, w, two_cos = theta_nodes(chain, n_nodes)
+    x, w, two_cos, _ = theta_nodes(chain, n_nodes)
     degrees = tuple(sorted(set(rows) | set(cols)))  # np.union1d would import numpy.ma
     q_rows = _q_rows(chain, n_nodes, degrees, x, two_cos)
     left, right = (q_rows[np.searchsorted(degrees, s)] for s in (rows, cols))

@@ -13,8 +13,8 @@ whose coefficient is 2 cos(theta) at x = r + 2 sqrt(pq) cos(theta).  On the
 spectral support both of its modes have modulus one, so it is neutrally
 stable: roundoff grows at most polynomially in n, the edges r +- 2 sqrt(pq)
 (where the roots merge) included.  Off the support it follows the dominant
-root, which carries Q_n there.  It is the only way values of Q_n are
-computed here.
+root, which carries Q_n there.  q_bracket_matrix runs it, the one
+recursion for values of Q_n here: q_values reads its row n.
 
 The one exception is the pair of atoms of the spectral measure, 1 and
 -q/(q+r), where the growing root's coefficient vanishes and Q_n = lambda^n
@@ -43,25 +43,9 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import ChainParams, reversibility
-from .spectral import _theta_grid, negative_atom
+from .spectral import negative_atom, theta_nodes
 
 __all__ = ["q_values", "q_bracket_matrix", "q_node_sums", "q_log_sup", "point_mass_summability"]
-
-
-def _brackets(chain: ChainParams, n_max: int, x, two_cos=None):
-    """B_0, ..., B_{n_max} at x in x's dtype, one row at a time; two_cos is the
-    coefficient (x - r)/sqrt(pq), computed from x if not given."""
-    dt = x.dtype.type
-    p, q, r = dt(chain.p), dt(chain.q), dt(chain.r)
-    two_cos = (x - r) / np.sqrt(p * q) if two_cos is None else two_cos
-    b_prev = np.ones_like(x)
-    yield b_prev
-    if n_max >= 1:
-        b_cur = x / np.sqrt(q / p)
-        yield b_cur
-        for _ in range(n_max - 1):
-            b_prev, b_cur = b_cur, two_cos * b_cur - b_prev
-            yield b_cur
 
 
 def _sine_brackets(chain: ChainParams, s):
@@ -88,64 +72,64 @@ def _sine_sums(h, m_max: int):
     return half[..., np.arange(m_max + 1) % (2 * n_panels)]
 
 
-def _scale(chain: ChainParams, dt, n):
-    """(q/p)^(n/2) in dtype dt, for a degree or an array of degrees (the
-    expression _scales' tables are built by)."""
-    return np.sqrt(dt(chain.q) / dt(chain.p)) ** n
-
-
 def _scales(chain: ChainParams, dt, n_max: int):
-    """_scale at the degrees 0..n_max, read-only: a slice of one table per
-    (chain, dtype) and power-of-two size, so passes over the same chain do not
-    redo its powl per element.  The table is _scale of a degree array,
-    elementwise, so each entry is bit for bit that of a fresh call."""
+    """(q/p)^(n/2) in dtype dt at the degrees 0..n_max, read-only: a slice of
+    one table per (chain, dtype) and power-of-two size, so passes over the
+    same chain do not redo its powl per element."""
     return _scale_table(chain, dt, 1 << int(n_max).bit_length())[: n_max + 1]
 
 
 @lru_cache(maxsize=32)
 def _scale_table(chain: ChainParams, dt, size: int):
-    table = _scale(chain, dt, np.arange(size, dtype=dt))
+    # scalar powers: numpy's array power of float64 may differ in the last bit
+    base = np.sqrt(dt(chain.q) / dt(chain.p))
+    with np.errstate(over="ignore"):  # a degree past the double range reads inf
+        table = np.array([base ** n for n in np.arange(size, dtype=dt)], dtype=dt)
     table.flags.writeable = False
     return table
 
 
 def q_values(chain: ChainParams, n: int, x):
-    """Q_n over an array of points in [-1, 1]: the bracket recursion, except
-    at the two atoms (matched to 1e-13 relative), where Q_n = x^n.  Holds two
-    rows at a time; longdouble input stays longdouble."""
+    """Q_n over an array of points in [-1, 1]: row n of q_bracket_matrix,
+    except at the two atoms (matched to 1e-13 relative), where Q_n = x^n.
+    Longdouble input stays longdouble."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     x = np.atleast_1d(np.asarray(x))
     if x.dtype != np.dtype(np.longdouble):
         x = x.astype(np.float64)
-    dt = x.dtype.type
     atom = np.zeros(x.shape, dtype=bool)
     for loc in (1.0, negative_atom(chain)[0]):
         atom |= np.abs(x - loc) <= 1e-13 * max(1.0, abs(loc))
     out = np.empty_like(x)
     out[atom] = x[atom] ** n
     if not atom.all():
-        for b_n in _brackets(chain, n, x[~atom]):
-            pass
-        out[~atom] = _scale(chain, dt, dt(n)) * b_n
+        out[~atom] = q_bracket_matrix(chain, n, x[~atom], keep=[n])[0]
     return out
 
 
 def q_bracket_matrix(chain: ChainParams, n_max: int, x, two_cos=None, keep=None):
-    """Q_n(x) for n = 0..n_max at once, or only at the ascending degrees keep
-    in 0..n_max, by the bracket recursion times (q/p)^(n/2) from the cached
-    table of _scales.  Meant for quadrature nodes, passed with their
-    two_cos = 2 cos(theta) (theta_nodes): as p -> 0, (x - r)/sqrt(pq) loses
-    cos(theta) to the rounding of x.  Unlike q_values it has no atom
-    override.  Shape (len(keep), len(x)), in x's dtype."""
+    """Q_n(x) for n = 0..n_max, or only at the ascending degrees keep in
+    0..n_max: the one bracket recursion, two rows at a time, times (q/p)^(n/2)
+    from _scales.  two_cos, its coefficient (x - r)/sqrt(pq), is computed from
+    x if not given; at quadrature nodes pass theta_nodes' 2 cos(theta), as
+    for p -> 0 the rounding of x loses cos(theta).  No atom override (q_values
+    has it).  Shape (len(keep), len(x)), in x's dtype."""
     x = np.asarray(x)
     keep = np.arange(n_max + 1) if keep is None else np.asarray(keep)
+    top = int(keep[-1])
     row = {n: k for k, n in enumerate(keep.tolist())}
+    dt = x.dtype.type
+    p, q, r = dt(chain.p), dt(chain.q), dt(chain.r)
+    two_cos = (x - r) / np.sqrt(p * q) if two_cos is None else two_cos
     out = np.empty((keep.size, x.size), dtype=x.dtype)
-    for n, b_n in enumerate(_brackets(chain, int(keep[-1]), x, two_cos)):
+    b_prev, b_n = np.ones_like(x), x / np.sqrt(q / p)  # B_0, B_1
+    for n in range(top + 1):
+        if n >= 2:
+            b_prev, b_n = b_n, two_cos * b_n - b_prev
         if n in row:
-            out[row[n]] = b_n
-    out *= _scales(chain, x.dtype.type, int(keep[-1]))[keep, None]
+            out[row[n]] = b_n if n else b_prev
+    out *= _scales(chain, dt, top)[keep, None]
     return out
 
 
@@ -153,22 +137,14 @@ def q_node_sums(chain: ChainParams, n_max: int, g):
     """sum_k Q_n(x_k) g[..., k] for n = 0..n_max, for each row of g, where x_k
     are the K - 1 = g.shape[-1] interior nodes of spectral.theta_nodes(chain,
     K), at the angles k pi / K that the FFT's twiddles also take: the sine
-    transform of the U-form, one real FFT of length 2K per row (the node
-    sines it divides by cached per (K, dtype)), times (q/p)^(n/2) from the
+    transform of the U-form, one real FFT of length 2K per row, dividing by
+    the sines sin(theta_k) theta_nodes returns, times (q/p)^(n/2) from the
     cached table of _scales.  Shape (..., n_max+1), in g's dtype."""
     g = np.asarray(g)
     dt = g.dtype.type
-    brackets = _sine_brackets(chain, _sine_sums(g / _node_sines(g.shape[-1] + 1, dt), n_max + 1))
+    sines = theta_nodes(chain, g.shape[-1] + 1)[3].astype(dt, copy=False)
+    brackets = _sine_brackets(chain, _sine_sums(g / sines, n_max + 1))
     return brackets * _scales(chain, dt, n_max)
-
-
-@lru_cache(maxsize=32)
-def _node_sines(n_nodes: int, dt):
-    """sin(theta_k) at the interior angles k pi / n_nodes in dtype dt,
-    read-only, cached per (K, dtype) as spectral.theta_nodes is per chain."""
-    sines = np.sin(_theta_grid(n_nodes)).astype(dt)
-    sines.flags.writeable = False
-    return sines
 
 
 def q_log_sup(chain: ChainParams, *degrees):

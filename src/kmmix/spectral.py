@@ -129,7 +129,7 @@ def _theta_grid(n_nodes: int):
 
 @lru_cache(maxsize=32)
 def theta_nodes(chain: ChainParams, n_nodes: int) -> tuple:
-    """Interior nodes x, weights w and 2 cos(theta) of the theta-substituted
+    """Interior nodes x, weights w, 2 cos(theta) and sin(theta) of the theta
     trapezoid rule with n_nodes panels, in extended precision and read-only.
 
     x = r + 2 sqrt(pq) cos(theta) at theta = k pi / n_nodes, k = 1..n_nodes-1,
@@ -140,11 +140,12 @@ def theta_nodes(chain: ChainParams, n_nodes: int) -> tuple:
     p, q, r = _LD(chain.p), _LD(chain.q), _LD(chain.r)
     theta = _theta_grid(n_nodes)
     two_cos = 2.0 * np.cos(theta)
+    sines = np.sin(theta)
     x = r + np.sqrt(p * q) * two_cos  # = r + 2 sqrt(pq) cos(theta), bit for bit
-    w = 2.0 * p * q * np.sin(theta) ** 2 / (n_nodes * ((r + q) * x + q) * (1.0 - x))
-    for a in (x, w, two_cos):
+    w = 2.0 * p * q * sines ** 2 / (n_nodes * ((r + q) * x + q) * (1.0 - x))
+    for a in (x, w, two_cos, sines):
         a.flags.writeable = False
-    return x, w, two_cos
+    return x, w, two_cos, sines
 
 
 def node_count(chain: ChainParams, cfg: QuadratureConfig, name: str, log_sup=None, t: int = 0,
@@ -220,7 +221,7 @@ def integrate_psi(measure: SpectralMeasure, f, include_atoms=(True, True), cfg=N
     x (|x| < 1 there), poles=[s] 1/(x - s), orthopoly.q_log_sup Q_n products."""
     n_nodes = node_count(measure.chain, cfg or QuadratureConfig(), "density", log_sup,
                          poles=poles)[0]
-    x, w, _ = theta_nodes(measure.chain, n_nodes)
+    x, w = theta_nodes(measure.chain, n_nodes)[:2]
     total = np.sum(np.asarray(f(x)) * w)
     total = complex(total) if np.iscomplexobj(total) else float(total)
     for flag, (loc, weight) in zip(include_atoms, (measure.atom1, measure.atom2)):

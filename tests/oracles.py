@@ -188,7 +188,7 @@ def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
     taken as one product with the Q_n bracket matrix instead of by the sine
     transform: the same cutoffs N_t and node count, from tv_quadrature."""
     cuts, n_nodes, _ = tv_quadrature(chain, ts)
-    x, w, two_cos = theta_nodes(chain, n_nodes)
+    x, w, two_cos, _ = theta_nodes(chain, n_nodes)
     q_rows = q_bracket_matrix(chain, max(cuts.values()), x, two_cos)
     loc2, w2 = negative_atom(chain)
     values = {}
@@ -209,7 +209,7 @@ def tv_curve_per_t(chain: ChainParams, ts, ctl=None, cfg=None) -> list:
     cuts, n_nodes, _ = tv_quadrature(chain, ts, ctl, cfg)
     pi_vals = np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
     loc2, w2 = negative_atom(chain)
-    x, w, _ = theta_nodes(chain, n_nodes)
+    x, w = theta_nodes(chain, n_nodes)[:2]
     values = {}
     for t, xt in node_powers_stepwise(x, list(cuts)):
         ac = q_node_sums(chain, cuts[t], (w * xt)[None])[0]

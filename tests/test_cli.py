@@ -85,8 +85,13 @@ def test_negative_count_exit_2(capsys, argv):
 
 
 HUGE = "1" + "0" * 400  # a 401-digit count
-# couple --horizon has its own cap: its curve's cost grows with it
-CAPS = {"tv": "1e7", "kernel": "1e7", "analyze": "1e7", "couple": "1e6"}
+# each flag's cap: couple's --horizon and --replicas have their own, as the
+# curve's cost grows with them, and --quad-nodes is one pass's node cap
+CAPS = {"--t-max": "1e7", "--states": "1e7", "--horizon": "1e6", "--replicas": "1e7",
+        "--quad-nodes": "2^16"}
+CAPPED_FLAGS = {"tv": ["--t-max", "--quad-nodes"], "kernel": ["--t-max", "--quad-nodes"],
+                "analyze": ["--states", "--quad-nodes"], "couple": ["--horizon", "--replicas"],
+                "verify": ["--quad-nodes"]}
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -97,19 +102,35 @@ CAPS = {"tv": "1e7", "kernel": "1e7", "analyze": "1e7", "couple": "1e6"}
     (("kernel", "--t-max", "10000001"), "--t-max"),
     (("analyze", "--states", "10000001"), "--states"),
     (("couple", "--horizon", "1000001"), "--horizon"),
+    (("analyze", "--quad-nodes", "65552"), "--quad-nodes"),
+    (("verify", "--quad-nodes", HUGE), "--quad-nodes"),
+    (("couple", "--replicas", "10000001"), "--replicas"),
 ])
 def test_count_past_the_cap_exit_2(capsys, argv, flag):
     # refused before any time or state list is built: no traceback, no hang
     code, out, err = run_cli(capsys, argv[0], "--p", "1/11", "--q", "9/11", *argv[1:])
     assert code == 2 and out == ""
-    assert err.startswith(f"kmmix: {flag} must be at most {CAPS[argv[0]]}")
+    assert err.startswith(f"kmmix: {flag} must be at most {CAPS[flag]}")
+    assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["tv", "kernel", "analyze", "couple"])
+def test_replicas_past_the_cap_simulate_nothing(capsys, monkeypatch):
+    # the count is refused before the simulation sizes an array by it
+    for name in ("simulate_modified", "simulate_classical"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("simulated"))
+    for mode in ("modified", "classical"):
+        code, out, _ = run_cli(capsys, "couple", "--p", "1/11", "--q", "9/11", "--mode", mode,
+                               "--replicas", "10000001")
+        assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("command", ["tv", "kernel", "analyze", "couple", "verify"])
 def test_help_states_the_cap(capsys, command):
     with pytest.raises(SystemExit):
         main([command, "--help"])
-    assert f"at most {CAPS[command]}" in capsys.readouterr().out
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps the help at any space
+    for flag in CAPPED_FLAGS[command]:
+        assert f"at most {CAPS[flag]}" in text, flag
 
 
 def test_cached_tables_do_not_leak_between_chains(capsys):
@@ -132,7 +153,6 @@ def test_cached_tables_do_not_leak_between_chains(capsys):
         spectral.theta_nodes.cache_clear()
         spectral._plan.cache_clear()
         orthopoly._scale_table.cache_clear()
-        orthopoly._node_sines.cache_clear()
         mixing._q_rows_kept.clear()
 
     clear()
@@ -364,8 +384,10 @@ class TestCouple:
     def test_overlapping_counter_blocks_exit_2(self, capsys, flags):
         code, out, err = run_cli(capsys, "couple", "--p", "1/11", "--q", "9/11", *flags)
         assert code == 2 and out == ""
-        # a horizon of 2^30 meets the CLI's size cap before the library's guard
-        message = "2^30" if flags[1] == "0" else "--horizon must be at most 1e6"
+        # a horizon of 2^30 and 2^32 + 1 replicas meet the CLI's size caps
+        # before the library's guard (test_coupling checks that guard)
+        message = "--replicas must be at most 1e7" if flags[1] == "0" else \
+            "--horizon must be at most 1e6"
         assert err.startswith("kmmix: ") and message in err
 
     def test_classical_mode(self, capsys):
@@ -602,3 +624,41 @@ def test_document_bytes_are_json_dumps(capsys, argv, code):
         assert out == "" and err.startswith("kmmix: ")
     else:
         assert out == dumps(json.loads(out)) + "\n"
+
+
+def test_traced_jobs_match_untraced(capsys):
+    """bench/tracing.py's Tracer, the per-layer run of the benchmark, reads
+    target arguments by name (q_bracket_matrix's n_max and x among them):
+    every traced job must exit 0 with the bytes of its untraced run, each
+    counting target that runs having counted."""
+    from kmmix import mixing, orthopoly, spectral
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    workloads = runpy.run_path(str(bench / "workloads.py"))
+    tracing = runpy.run_path(str(bench / "tracing.py"))
+    worked = workloads["WORKED"]
+    jobs = workloads["route_probe"](101) + [["verify", *worked], ["tmix", *worked, "--eps", "1e-6"],
+                                            ["analyze", *worked]]
+
+    def run(argv):
+        code = cli.main(list(argv))  # the module's binding, which the tracer wraps
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    untraced = [run(argv) for argv in jobs]
+    # cold caches, so that the traced jobs build what they read
+    for cache in (spectral.theta_nodes, spectral._plan, orthopoly._scale_table):
+        cache.cache_clear()
+    mixing._q_rows_kept.clear()
+    tracer = tracing["Tracer"]()
+    rec = tracer.install()
+    try:
+        traced = [run(argv) for argv in jobs]
+    finally:
+        tracer.uninstall()
+    assert all(code == 0 for code, _, _ in untraced)
+    assert traced == untraced
+    stats = rec.summary()
+    counting = [t.span for t in tracing["TARGETS"]
+                if t.count and t.span in stats and stats[t.span].calls]
+    assert "orthopoly.q_bracket_matrix" in counting and "coupling.simulate" in counting
+    assert all(stats[span].counts for span in counting)

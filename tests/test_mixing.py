@@ -344,9 +344,9 @@ def _negative_atom_degree(chain):
 
 
 class TestAtomTerms:
-    """tv_curve powers w2 loc2^(t+n) once per distinct exponent, in the first
-    batch that has it, and not at all from k_zero on; every value stays that of
-    the per-t loop."""
+    """tv_curve powers w2 loc2^(t+n) in one table per call, once per distinct
+    exponent, and not at all from k_zero on; every value stays that of the
+    per-t loop."""
 
     @pytest.mark.parametrize("chain, k_zero", [(NEAR_CRITICAL, 953),
                                                (ChainParams(1 / 11, 9 / 11, 1 / 11), 7079),
@@ -378,36 +378,30 @@ class TestAtomTerms:
         (NEAR_CRITICAL, [0, 5, 900, 950, 953, 960, 2000]),
         (FAR_ATOM, range(12800, 13400)),
         (ATOM_AT_MINUS_ONE, range(60)),
+        (NEAR_CRITICAL, [953, 2000]),
     ])
     def test_one_power_per_distinct_exponent(self, monkeypatch, chain, ts):
-        events, power, sums = [], np.power, mixing.q_node_sums
+        # one np.power per call, over exactly the distinct exponents below
+        # k_zero, and none where there are none
+        powered, power = [], np.power
 
         def counting_power(x, k, *args, **kwargs):
             if isinstance(x, float):  # the atom's base loc2, not the longdouble nodes
-                events.append(np.asarray(k).tolist())
+                powered.append(np.asarray(k).tolist())
             return power(x, k, *args, **kwargs)
 
-        def counting_sums(chain, n_max, g):
-            events.append(len(g))
-            return sums(chain, n_max, g)
-
         monkeypatch.setattr(np, "power", counting_power)
-        monkeypatch.setattr(mixing, "q_node_sums", counting_sums)
         assert tv_curve(chain, ts) == oracles.tv_curve_per_t(chain, ts)
-        cuts, k_zero, batches = tv_quadrature(chain, ts)[0], _negative_atom_degree(chain), []
-        order = iter(cuts)
-        for event in events:  # a batch's q_node_sums call, then its atom powers
-            if isinstance(event, int):
-                batches.append(([next(order) for _ in range(event)], []))
-            else:
-                batches[-1][1].append(event)
-        done = set()  # each exponent is powered in the first batch that has it
-        for times, powered in batches:
-            pairs = sum(cuts[t] + 1 for t in times)
-            wanted = sorted({t + n for t in times for n in range(cuts[t] + 1) if t + n < k_zero}
-                            - done)
-            assert len(powered) <= 1 and sum(powered, []) == wanted and len(wanted) <= pairs
-            done.update(wanted)
+        cuts, k_zero = tv_quadrature(chain, ts)[0], _negative_atom_degree(chain)
+        wanted = sorted({t + n for t, n_cut in cuts.items() for n in range(n_cut + 1)
+                         if t + n < k_zero})
+        assert powered == ([wanted] if wanted else [])
+
+    def test_times_past_int64(self):
+        # times from k_zero on take no place in the atom table, however large
+        worked = ChainParams(1 / 11, 9 / 11, 1 / 11)
+        assert tv_curve(worked, [2 ** 63, 10 ** 20]) == [0.0, 0.0]
+        assert tv_curve(worked, [0, 10 ** 20]) == [tv_curve(worked, [0])[0], 0.0]
 
     def test_t_mix_past_k_zero_takes_no_atom_power(self, monkeypatch):
         # the near-critical search probes only t >= 4709 > k_zero = 953
@@ -640,8 +634,8 @@ class TestTMixPinned:
 
 
 class TestNodePowers:
-    """_powers reuses x^gap within a call; every x^t must stay that of the
-    stepwise loop with one np.power per step, bit for bit."""
+    """_powers carries x^t from one t to the next; every x^t must stay that of
+    the stepwise loop with one np.power per step, bit for bit."""
 
     @staticmethod
     def probe_times():
@@ -661,7 +655,6 @@ class TestNodePowers:
     def test_matches_stepwise_powers(self, chain):
         x = theta_nodes(chain, 64)[0]
         gaps = [3, 5, 2, 7, 11, 3, 2, 5, 13, 3, 1, 2, 17, 7]  # 8 distinct gaps > 1
-        assert len(set(gaps) - {1}) > mixing._GAP_MEMO
         sequences = [list(range(30)), list(range(5, 40)), [0, 517, 1034, 1035, 1552],
                      [517, 1034, 1035, 1552], list(accumulate(gaps)),
                      list(accumulate([0] + gaps + gaps[::-1])), *self.probe_times()]

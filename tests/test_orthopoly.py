@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from kmmix import ChainParams, point_mass_summability, q_values
-from kmmix.orthopoly import _brackets, _node_sines, _scales, _sine_brackets, _sine_sums, \
-    q_bracket_matrix, q_node_sums
+from kmmix.orthopoly import _scales, _sine_brackets, _sine_sums, q_bracket_matrix, q_node_sums
 from kmmix.spectral import _theta_grid, negative_atom, theta_nodes
 
 from oracles import q_exact
@@ -180,8 +179,16 @@ LD_PI = np.arccos(LD(-1))
 
 
 def bracket_rows(chain, n_max, x):
-    """B_0..B_{n_max} at the points x, shape (len(x), n_max+1)."""
-    return np.stack(list(_brackets(chain, n_max, x)), axis=-1)
+    """B_0..B_{n_max} at the points x, shape (len(x), n_max+1), by a recursion
+    of its own in x's dtype: B_0 = 1, B_1 = x / sqrt(q/p) and
+    B_{n+1} = ((x - r)/sqrt(pq)) B_n - B_{n-1}."""
+    dt = x.dtype.type
+    p, q, r = dt(chain.p), dt(chain.q), dt(chain.r)
+    two_cos = (x - r) / np.sqrt(p * q)
+    rows = [np.ones_like(x), x / np.sqrt(q / p)]
+    for _ in range(n_max - 1):
+        rows.append(two_cos * rows[-1] - rows[-2])
+    return np.stack(rows[: n_max + 1], axis=-1)
 
 
 class TestSineForm:
@@ -246,7 +253,7 @@ class TestSineForm:
         # 2.2e-13 measured there.
         tol = {512: 1e-16, 64: 2e-15}[n_nodes]
         n_max = 300
-        x, w, _ = theta_nodes(chain, n_nodes)
+        x, w = theta_nodes(chain, n_nodes)[:2]
         g = np.stack([w, w * x ** 40, w * x ** 7])
         q_rows = q_bracket_matrix(chain, n_max, x)
         got = q_node_sums(chain, n_max, g)
@@ -266,15 +273,18 @@ class TestSineForm:
 class TestDegreeScales:
     """q_bracket_matrix and q_node_sums read (q/p)^(n/2) from one cached table
     per (chain, dtype) built at power-of-two sizes; every slice of it must be
-    the fresh elementwise power, bit for bit."""
+    the fresh scalar power at each degree, bit for bit, the scale q_values
+    takes (numpy's array power of float64 differs from it in the last bit at
+    some degrees, 6, 30 and 39 of (0.3, 0.32, 0.38) among them)."""
 
     CHAINS = [ChainParams(1 / 11, 9 / 11, 1 / 11), ChainParams(0.3, 0.32, 0.38)]
     DEGREES = sorted({max(2 ** k + d, 0) for k in range(12) for d in (-1, 0, 1)})
 
     @staticmethod
     def fresh(chain, dt, n_max):
+        base = np.sqrt(dt(chain.q) / dt(chain.p))
         with np.errstate(over="ignore"):
-            return np.sqrt(dt(chain.q) / dt(chain.p)) ** np.arange(n_max + 1, dtype=dt)
+            return np.array([base ** dt(n) for n in range(n_max + 1)], dtype=dt)
 
     @pytest.mark.parametrize("chain", CHAINS)
     @pytest.mark.parametrize("dt", [LD, np.float64])
@@ -298,7 +308,7 @@ class TestDegreeScales:
 
     @pytest.mark.parametrize("chain", CHAINS)
     def test_kept_rows_are_rows_of_the_full_matrix(self, chain):
-        x, _, two_cos = theta_nodes(chain, 64)
+        x, _, two_cos, _ = theta_nodes(chain, 64)
         full = q_bracket_matrix(chain, 40, x, two_cos)
         for keep in ([0], [40], [3, 7, 8], [0, 17, 39]):
             got = q_bracket_matrix(chain, 40, x, two_cos, keep)
@@ -306,7 +316,7 @@ class TestDegreeScales:
 
     @pytest.mark.parametrize("chain", CHAINS)
     def test_node_sums_are_fresh_scale_times_sine_brackets(self, chain):
-        x, w, _ = theta_nodes(chain, 64)
+        x, w = theta_nodes(chain, 64)[:2]
         g = np.stack([w, w * x])
         sines = np.sin(_theta_grid(64))
         for n_max in self.DEGREES:
@@ -316,9 +326,20 @@ class TestDegreeScales:
 
     @pytest.mark.parametrize("dt", [LD, np.float64])
     def test_node_sines_are_one_read_only_table_per_count(self, dt):
-        sines = _node_sines(64, dt)
-        assert sines is _node_sines(64, dt) and not sines.flags.writeable
-        assert sines.dtype == dt and np.array_equal(sines, np.sin(_theta_grid(64)).astype(dt))
+        # q_node_sums divides by the sines of theta_nodes' node set: read-only,
+        # sin(k pi / K) in extended precision, the values w is built from, and
+        # cast to g's dtype
+        chain = self.CHAINS[1]
+        x, w, _, sines = theta_nodes(chain, 64)
+        assert sines is theta_nodes(chain, 64)[3] and not sines.flags.writeable
+        assert sines.dtype == LD
+        assert np.array_equal(sines, np.sin(_theta_grid(64)))
+        p, q, r = LD(chain.p), LD(chain.q), LD(chain.r)
+        assert np.array_equal(w, 2.0 * p * q * sines ** 2 / (64 * ((r + q) * x + q) * (1.0 - x)))
+        g = np.stack([w, w * x]).astype(dt)
+        brackets = _sine_brackets(chain, _sine_sums(g / sines.astype(dt), 41))
+        got = q_node_sums(chain, 40, g)
+        assert got.dtype == dt and np.array_equal(got, brackets * self.fresh(chain, dt, 40))
 
 
 class TestPointMassSummability:

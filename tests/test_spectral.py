@@ -53,14 +53,14 @@ class TestThetaNodes:
         # the weights sum to the density's mass with no pi / K factor left
         # out, and pi is not rounded to a double (4e-17 relative)
         mass = LD(chain.p) / (LD(chain.q) + LD(chain.r))
-        _, w, _ = theta_nodes(chain, n_nodes)
+        w = theta_nodes(chain, n_nodes)[1]
         assert abs(w.sum() - mass) <= 16 * np.finfo(LD).eps * mass
 
     @pytest.mark.parametrize("n_nodes", [16, 64, 512])
     def test_middle_node_is_r(self, example_chain, n_nodes):
         # theta = pi/2 at k = K/2: cos vanishes to within the extended pi's
         # rounding (a double pi put this node 3e-17 off)
-        x, _, _ = theta_nodes(example_chain, n_nodes)
+        x = theta_nodes(example_chain, n_nodes)[0]
         assert abs(x[n_nodes // 2 - 1] - LD(example_chain.r)) <= 1e-18
 
 
