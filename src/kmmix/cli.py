@@ -19,7 +19,7 @@ from . import __version__
 from .chain import ChainParams, DistributionVector, evolve, kernel_oracle, reversibility, \
     tv_oracle_curve, drift_identity_residual
 from .coupling import rate_fit, simulate_classical, simulate_modified
-from .mixing import T_CAP, ConvergenceError, RouteDisagreement, TailControl, \
+from .mixing import T_CAP, ConvergenceError, RouteDisagreement, TailControl, _certified, \
     bound_coefficients, kernel_matrix, spectral_integral, t_mix, tv_curve, \
     tv_envelope, tv_quadrature
 from .orthopoly import point_mass_summability
@@ -54,70 +54,58 @@ def _chain_from_args(args) -> ChainParams:
     return ChainParams(p=_to_float("p", p), q=_to_float("q", q), r=_to_float("r", r))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _emit(text: str, output: str):
-    if output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(output, "w") as fh:
-            fh.write(text)
-
-
-def _csv(table) -> list:
-    """CSV lines of a key/value dict, or of a list of row dicts with the
-    header taken from the first row's keys."""
-    if isinstance(table, dict):
-        return ["key,value"] + [f"{key},{_fmt(value)}" for key, value in table.items()]
-    return [",".join(table[0])] + [",".join(map(_fmt, row.values())) for row in table]
+class Table(dict):
+    """Named columns of equal length, in CSV column order: JSON writes a table
+    as its list of row objects, CSV as its header and one line per row."""
 
 
 # float.__repr__ of the non-finite floats, and the tokens json writes for them
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_BOOLS = {True: "true", False: "false"}
+# the text of a str, bool, int or float value, by its exact type
+_SCALARS = {str: encode_basestring_ascii, bool: {True: "true", False: "false"}.__getitem__,
+            int: int.__repr__, float: float.__repr__}
+
+
+def _csv(table) -> list:
+    """CSV lines of a table, or of a flat dict as a key/value table."""
+    if type(table) is dict:
+        table = Table(key=list(table), value=list(table.values()))
+    return [",".join(table), *map(",".join, zip(*map(_cells, table.values())))]
+
+
+def _cells(column) -> list:
+    """A CSV column's cells: true or false for a bool, else str (repr for a float)."""
+    if bool in set(map(type, column)):
+        return [_SCALARS[bool](value) if type(value) is bool else str(value) for value in column]
+    return list(map(str, column))
 
 
 def _json(doc) -> str:
     """The text json.dumps(doc, indent=2, sort_keys=True) writes, byte for
-    byte, for a doc that holds no container inside itself.
-
-    json's indented encoder is pure Python, one generator step per token.
-    Here containers are written by hand and scalars converted a column at a
-    time: the values of a list or dict whose exact type is uniform go through
-    one map of float.__repr__, int.__repr__ or encode_basestring_ascii, and a
-    list of dicts that share their str keys (a table's rows) is one %
-    template per row, filled from its converted columns.  Any other value is
-    converted one at a time as json converts it, and what json rejects
-    raises TypeError."""
+    byte, for a doc of str-keyed dicts, lists and Tables (each as its list of
+    row objects) over values of exact type str, None, bool, int or float;
+    anything else raises TypeError.  json's indented encoder takes one
+    generator step per token: here containers are written by hand, and a
+    list, dict or column of one exact scalar type is one map of its
+    converter.  A Table's rows are one % template per row."""
     return _value(doc, "\n")
 
 
 def _value(value, nl: str) -> str:
     """One value's text at the indentation nl (a newline and its spaces)."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
+    kind = type(value)
+    if kind in _SCALARS:
+        text = _SCALARS[kind](value)
+        return _NONFINITE.get(text, text)
     if value is None:
         return "null"
-    if value is True or value is False:
-        return _BOOLS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NONFINITE.get(text, text)
-    if isinstance(value, (list, tuple)):
+    if kind is list:
         return _container("[", _texts(value, nl + "  "), nl, "]") if value else "[]"
-    if isinstance(value, dict):
+    if kind is dict:
         return _dict(value, nl) if value else "{}"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if kind is Table:
+        return _table(value, nl)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _container(opening: str, texts, nl: str, closing: str) -> str:
@@ -126,69 +114,54 @@ def _container(opening: str, texts, nl: str, closing: str) -> str:
 
 
 def _dict(d: dict, nl: str) -> str:
-    items = sorted(d.items())
-    keys = map(_key, (key for key, _ in items))
-    values = _texts([value for _, value in items], nl + "  ")
-    return _container("{", map("%s: %s".__mod__, zip(keys, values)), nl, "}")
-
-
-def _key(key) -> str:
-    """A dict key's text: json writes str, float, int, bool and None keys as
-    strings and rejects the rest."""
-    if isinstance(key, (int, float)) or key is None:
-        key = _value(key, "")
-    elif not isinstance(key, str):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return encode_basestring_ascii(key)
+    keys = sorted(d)  # a key that is not a str: TypeError here or in encode_basestring_ascii
+    values = _texts(list(map(d.__getitem__, keys)), nl + "  ")
+    return _container("{", map("%s: %s".__mod__, zip(map(encode_basestring_ascii, keys), values)),
+                      nl, "}")
 
 
 def _texts(values, nl: str) -> list:
-    """The texts of a list's items or a dict's values at the indentation nl,
-    converted a column at a time where their exact type is uniform."""
+    """The texts of a list's items, a dict's values or a Table column at the
+    indentation nl, converted a column at a time where their exact type is
+    uniform."""
     kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float:
-        texts = list(map(float.__repr__, values))
-        if not _NONFINITE.keys().isdisjoint(texts):
-            texts = [_NONFINITE.get(text, text) for text in texts]
-        return texts
-    if kind is int:
-        return list(map(int.__repr__, values))
-    if kind is bool:
-        return list(map(_BOOLS.__getitem__, values))
-    if kind is str:
-        return list(map(encode_basestring_ascii, values))
-    if kind is dict:
-        keys = tuple(values[0])
-        if keys and all(type(key) is str for key in keys) \
-                and all(map(keys.__eq__, map(tuple, values))):
-            return _rows(values, keys, nl)
-    return [_value(value, nl) for value in values]
+    convert = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    if convert is None:
+        return [_value(value, nl) for value in values]
+    texts = list(map(convert, values))
+    if convert is float.__repr__ and not _NONFINITE.keys().isdisjoint(texts):
+        texts = [_NONFINITE.get(text, text) for text in texts]
+    return texts
 
 
-def _rows(rows: list, keys: tuple, nl: str) -> list:
-    """The texts of dicts whose keys are all the str keys, in that order:
-    one % template per row, filled from the converted columns."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    columns = list(zip(*map(dict.values, rows)))
+def _table(table: Table, nl: str) -> str:
+    """A Table's list of row objects: one % template per row, filled from
+    the converted columns."""
+    keys = sorted(table)
     inner = nl + "  "
-    template = _container("{", (encode_basestring_ascii(keys[k]).replace("%", "%%") + ": %s"
-                                for k in order), nl, "}")
-    return list(map(template.__mod__, zip(*(_texts(columns[k], inner) for k in order))))
+    template = _container("{", (encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+                                for key in keys), inner, "}")
+    rows = list(map(template.__mod__, zip(*(_texts(table[key], inner + "  ") for key in keys))))
+    return _container("[", rows, nl, "]") if rows else "[]"
 
 
 def _emit_doc(args, chain, results, table, comments=()):
-    """The JSON document of results, or comment lines and table as CSV."""
+    """The JSON document of results, or comment lines and table as CSV, to
+    stdout or the --output path."""
     if args.format == "json":
-        doc = {
-            "params": {"p": chain.p, "q": chain.q, "r": chain.r},
-            "results": results,
-            "meta": {"version": __version__, "seed": args.seed,
-                     "quad_nodes": _quad_cfg(args).node_count},
-        }
-        _emit(_json(doc) + "\n", args.output)
+        text = _json({"params": {"p": chain.p, "q": chain.q, "r": chain.r}, "results": results,
+                      "meta": {"version": __version__, "seed": args.seed,
+                               "quad_nodes": getattr(args, "quad_nodes", None)}}) + "\n"
     else:
-        _emit("\n".join([*comments, *_csv(table)]) + "\n", args.output)
+        text = "\n".join([*comments, *_csv(table)]) + "\n"
+    if args.output == "-":
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc.strerror}") from None
 
 
 def _nonnegative(flag: str, value: int) -> int:
@@ -217,11 +190,11 @@ _CAPPED = f" (at most {_T_LIMIT[1]})"  # help text of _size's flags
 
 def _quad_cfg(args) -> QuadratureConfig:
     """The --quad-nodes override, or None (the bound picks each count)."""
-    cfg = QuadratureConfig(node_count=getattr(args, "quad_nodes", None))
-    if cfg.node_count is not None:
-        _size("--quad-nodes", cfg.node_count,
-              (NODE_CAP, "2^16, the node cap of one quadrature pass"))
-    return cfg
+    nodes = args.quad_nodes
+    if nodes is not None and not 16 <= nodes <= NODE_CAP:
+        raise ValueError("--quad-nodes must be at most 2^16, the node cap of one quadrature "
+                         "pass, and at least 16")
+    return QuadratureConfig(node_count=nodes)
 
 
 def _cmd_analyze(args):
@@ -255,10 +228,9 @@ def _cmd_tv(args):
     cfg = _quad_cfg(args)
     ts = range(t_max + 1)
     exact = tv_curve(chain, ts, ctl=ctl, cfg=cfg)
-    oracle = tv_oracle_curve(chain, t_max)
-    keys = ("t", "tv_exact", "tv_oracle", "tv_upper", "tv_lower", "lower_valid")
-    rows = [dict(zip(keys, row))
-            for row in zip(ts, exact, oracle, *tv_envelope(chain, ts))]
+    upper, lower, valid = tv_envelope(chain, ts)
+    rows = Table(t=list(ts), tv_exact=exact, tv_oracle=tv_oracle_curve(chain, t_max),
+                 tv_upper=upper, tv_lower=lower, lower_valid=valid)
     _emit_doc(args, chain, {"rows": rows}, rows)
     return 0
 
@@ -278,12 +250,10 @@ def _cmd_kernel(args):
     i, j = _nonnegative("--i", args.i), _nonnegative("--j", args.j)
     kernel = kernel_matrix(chain, range(t_max + 1), max(i, j), cfg=_quad_cfg(args),
                            rows=[i], cols=[j])[:, 0, 0]
-    if np.isnan(kernel).any():
-        raise RegimeError(f"p_t({i}, {j}) cannot be certified: its roundoff floor "
-                          "exceeds the quadrature tolerance")
+    _certified(kernel, f"p_t({i}, {j})")
     oracle = kernel_oracle(chain, range(t_max + 1), max(i, j), rows=[i], cols=[j])[:, 0, 0]
-    rows = [{"t": t, "p_spectral": s, "p_oracle": o, "abs_diff": abs(s - o)}
-            for t, (s, o) in enumerate(zip(kernel.tolist(), oracle.tolist()))]
+    rows = Table(t=list(range(t_max + 1)), p_spectral=kernel.tolist(), p_oracle=oracle.tolist(),
+                 abs_diff=np.abs(kernel - oracle).tolist())
     _emit_doc(args, chain, {"i": args.i, "j": args.j, "rows": rows}, rows)
     return 0
 
@@ -302,6 +272,7 @@ def _cmd_couple(args):
         rate, rate_se = fit.rate, fit.stderr
     except ValueError as exc:
         fit_error, rate, rate_se = str(exc), None, None
+    survival, stderr = curve.survival.tolist(), curve.stderr.tolist()
     results = {
         "mode": args.mode,
         "horizon": args.horizon,
@@ -310,17 +281,15 @@ def _cmd_couple(args):
         "fitted_rate": rate,
         "fitted_rate_stderr": rate_se,
         "fit_error": fit_error,
-        "survival": curve.survival.tolist(),
-        "stderr": curve.stderr.tolist(),
+        "survival": survival,
+        "stderr": stderr,
     }
     lines = [f"# mode={args.mode} replicas={args.replicas} seed={args.seed}"]
     if rate is None:
         lines.append(f"# fitted_rate=unavailable ({fit_error})")
     else:
-        lines.append(f"# fitted_rate={_fmt(rate)} stderr={_fmt(rate_se)} "
-                     f"window={window[0]}..{window[1]}")
-    table = [{"t": t, "survival": curve.survival[t], "stderr": curve.stderr[t]}
-             for t in range(args.horizon + 1)] if args.format == "csv" else None
+        lines.append(f"# fitted_rate={rate} stderr={rate_se} window={window[0]}..{window[1]}")
+    table = Table(t=list(range(horizon + 1)), survival=survival, stderr=stderr)
     _emit_doc(args, chain, results, table, lines)
     return 0
 
@@ -417,9 +386,10 @@ def _verify_checks(chain, cfg):
 def _cmd_verify(args):
     chain = _chain_from_args(args)
     cfg = _quad_cfg(args)
-    checks = [{"name": name, "passed": bool(passed), "worst": float(worst)}
-              for name, passed, worst in _verify_checks(chain, cfg)]
-    all_passed = all(c["passed"] for c in checks)
+    names, passed, worst = zip(*_verify_checks(chain, cfg))
+    checks = Table(name=list(names), passed=list(map(bool, passed)),
+                   worst=list(map(float, worst)))
+    all_passed = all(checks["passed"])
     _emit_doc(args, chain, {"checks": checks, "all_passed": all_passed}, checks)
     return 0 if all_passed else 1
 
@@ -488,8 +458,8 @@ def _build_parser():
     for name in ("analyze", "tv", "kernel", "verify"):
         sub.choices[name].add_argument("--quad-nodes", type=int, dest="quad_nodes", help=(
             "nodes of every quadrature pass (default: the least count whose bound meets "
-            "the tolerance); exit 1 where the bound at this count misses it (at most 2^16, "
-            "the node cap of one quadrature pass)"))
+            "the tolerance); exit 1 where the bound at this count misses it (at least 16 and "
+            "at most 2^16, the node cap of one quadrature pass)"))
     return parser
 
 

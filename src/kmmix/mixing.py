@@ -591,7 +591,13 @@ def kernel_spectral(chain: ChainParams, t: int, i: int, j: int,
     (rows [i], cols [j]).  Raises RegimeError where it is NaN (not certified)."""
     t, i, j = _naturals([t, i, j], "t, i, j")
     value = float(kernel_matrix(chain, [t], max(i, j), cfg=cfg, rows=[i], cols=[j])[0, 0, 0])
-    if math.isnan(value):
-        raise RegimeError(f"p_{t}({i}, {j}) cannot be certified: its roundoff floor "
+    return _certified(value, f"p_{t}({i}, {j})")
+
+
+def _certified(values, entry: str):
+    """values, or RegimeError naming the kernel entry where any of them is
+    NaN: kernel_matrix's mark of a roundoff floor past the tolerance."""
+    if np.isnan(values).any():
+        raise RegimeError(f"{entry} cannot be certified: its roundoff floor "
                           "exceeds the quadrature tolerance")
-    return value
+    return values

@@ -344,3 +344,50 @@ def stationary_survival_by_steps(chain: ChainParams, horizon: int) -> np.ndarray
         mass = new
         surv[t] = mass.sum() + bucket
     return surv
+
+
+def _cell(value) -> str:
+    """A CSV cell as the CLI writes it: true/false, repr of a number
+    (nan, inf and -inf for the non-finite floats), a string as it is."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
+
+
+def csv_from_document(command: str, doc: dict) -> str:
+    """The CLI's `--format csv` text of a job, rebuilt from the JSON document
+    of the same job: the per-command column order, analyze's flat keys and
+    couple's two comment lines, written one value at a time."""
+    res = doc["results"]
+    lines = []
+    if command in ("analyze", "tmix"):
+        if command == "analyze":
+            pairs = [("rho", res["rho"])] + [(f"nu_{n}", v) for n, v in enumerate(res["nu"])]
+            pairs += [(f"{atom}_{key}", res[atom][key]) for atom in ("atom1", "atom2")
+                      for key in ("location", "weight")]
+            pairs += list(zip(("ac_lo", "ac_hi"), res["ac_interval"]))
+            pairs += [(key, res[key]) for key in
+                      ("int_phi", "int_phi_closed", "A", "B", "alpha", "beta", "m")]
+        else:
+            pairs = [(key, res[key]) for key in ("eps", "t_mix_exact", "t_mix_bound")]
+        header, rows = ("key", "value"), pairs
+    elif command == "couple":
+        lines.append(f"# mode={res['mode']} replicas={res['replicas']} seed={doc['meta']['seed']}")
+        if res["fitted_rate"] is None:
+            lines.append(f"# fitted_rate=unavailable ({res['fit_error']})")
+        else:
+            lo, hi = res["window"]
+            lines.append(f"# fitted_rate={_cell(res['fitted_rate'])} "
+                         f"stderr={_cell(res['fitted_rate_stderr'])} window={lo}..{hi}")
+        header = ("t", "survival", "stderr")
+        rows = [(t, s, e) for t, (s, e) in enumerate(zip(res["survival"], res["stderr"]))]
+    else:
+        header, table = {
+            "tv": (("t", "tv_exact", "tv_oracle", "tv_upper", "tv_lower", "lower_valid"), "rows"),
+            "kernel": (("t", "p_spectral", "p_oracle", "abs_diff"), "rows"),
+            "verify": (("name", "passed", "worst"), "checks"),
+        }[command]
+        rows = [[row[key] for key in header] for row in res[table]]
+    lines.append(",".join(header))
+    lines += [",".join(_cell(value) for value in row) for row in rows]
+    return "\n".join(lines) + "\n"
