@@ -332,9 +332,10 @@ def _verify_checks(chain, cfg):
     worst = max(abs(x - o) for x, o in zip(exact[:41], tvs))
     yield "tv_exact_vs_oracle_t40", worst <= 1e-8, worst
 
-    # the change from K to 2K nodes against the a-priori bounds at both, plus
-    # float64 roundoff of the partial sums
-    k, bound = tv_quadrature(chain, range(61), cfg=cfg)[1:]
+    # the change from K to 2K nodes against the a-priori bounds at both (the
+    # roundoff floor of a pole-corrected pass), plus float64 roundoff of the
+    # partial sums
+    k, bound = tv_quadrature(chain, range(61), cfg=cfg)[1:3]
     wide = QuadratureConfig(node_count=2 * k, tol=cfg.tol)
     bound += tv_quadrature(chain, range(61), cfg=wide)[2] + 1e-14
     worst = max(abs(a - b) for a, b in zip(exact, tv_curve(chain, range(61), cfg=wide)))

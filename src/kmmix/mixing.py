@@ -34,7 +34,9 @@ n (ratios p/(q+r) and sqrt(p/q)) gives the closed-form envelope
 and, when alpha > beta, the matching lower envelope A alpha^t - B beta^t.
 The series takes the interval route, I_t(0..N) at once per t: a sine
 transform over the nodes (orthopoly.q_node_sums) in one pass at a certified
-node count, and atom terms from one table per call.  t_mix is the first t
+node count, pole-corrected where the exact-degree count is the lesser
+(spectral.node_count), and atom terms from one table per call; N <= t, as
+past t the terms are nu_n and sum to (1/2) nu_tail(t).  t_mix is the first t
 at which TV drops to the target: log TV is close to linear in t, so a
 safeguarded regula falsi on it finds t in a few series calls of two times
 each, inside a bracket from the lower bound (1/2) alpha^t (the eigenfunction
@@ -50,8 +52,8 @@ import numpy as np
 
 from .chain import ChainParams, _kernel_args, _naturals, reversibility
 from .orthopoly import q_bracket_matrix, q_log_sup, q_node_sums
-from .spectral import EPS_FLOOR, QuadratureConfig, RegimeError, build_measure, negative_atom, \
-    node_count, theta_nodes
+from .spectral import EPS_FLOOR, QuadratureConfig, RegimeError, _checked_support, build_measure, \
+    negative_atom, node_count, pole_errors, theta_nodes
 
 __all__ = [
     "BoundCoefficients",
@@ -71,7 +73,7 @@ __all__ = [
     "kernel_spectral",
 ]
 
-_CELLS = 1 << 13  # tv_curve's cells per batch: each t takes its FFT's 2K and its N_t + 1 terms
+_CELLS = 1 << 13  # cells per batch of times; per t tv_curve's 2K + N_t + 1, _kernel_ac's R(K+C)
 _Q_ROWS_MEMO = 16  # (chain, K, degrees) whose Q_n rows _kernel_ac keeps
 _Q_ROWS_CELLS = 1 << 16  # the most cells (1 MB in longdouble) of Q_n rows it keeps per entry
 T_CAP = 10 ** 7  # the largest time t_mix searches to
@@ -228,7 +230,9 @@ def _tail_rule(chain: ChainParams, co: BoundCoefficients):
 
 def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
     """The function t -> (N, tail): the smallest N whose certified series tail
-    (_tail_rule) is below the working tolerance, and that tail.
+    (_tail_rule) is below the working tolerance, or t if that N passes t
+    (tv_curve adds the exact rest there, with no search once tail(t) misses
+    the tolerance), and the tail past the N returned.
 
     The tolerance is additionally pinned under the beta^t scale of the TV
     envelope's width: the sandwich A alpha^t - B beta^t <= TV <= A alpha^t +
@@ -238,8 +242,8 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
     The tail bound is nonincreasing in N.  Both geometric terms reaching half
     the tolerance is sufficient; bisection on the exact tail expression below
     that closed form pins N, so N and its tail are those of a scan upward
-    from N = 0.  A guess `near` (the cutoff of a neighbouring t) is taken
-    as it is when it already is that least N: tail(near) <= tol <
+    from N = 0.  A guess `near` (the cutoff of an earlier t, so below t) is
+    taken as it is when it already is that least N: tail(near) <= tol <
     tail(near - 1)."""
     tail_at = _tail_rule(chain, co)
 
@@ -248,6 +252,8 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
         tol = max(min(ctl.series_tol, 0.05 * co.B * co.beta ** t), 5e-324)
         if near is not None and tail(near) <= tol and (near == 0 or tail(near - 1) > tol):
             return near, tail(near)
+        if t <= N_CAP and tail(t) > tol:
+            return t, tail(t)
         log_half = math.log(tol) - math.log(2.0)
         enough = max(_geometric_depth(amp, ratio, log_half) for amp, ratio in series)
         # tail(lo) > tol >= tail(hi), with lo = -1 standing for "no N below hi"
@@ -269,10 +275,14 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
 def _powers(x, ts):
     """(t, x^t) for the ascending ts, each carried forward from the last as
     xt * x^gap: x itself for gap 1, else one np.power (powl per element, about
-    80 longdouble multiplies); t_mix's pairs (g - 1, g) take one power."""
-    xt, t_prev = np.ones_like(x), 0
+    80 longdouble multiplies), kept while the gap repeats; t_mix's pairs
+    (g - 1, g) take one power, evenly strided times one in all."""
+    xt, t_prev, gap, step = np.ones_like(x), 0, 1, x
     for t in ts:
-        xt = xt * (x if t - t_prev == 1 else np.power(x, t - t_prev))
+        if t - t_prev != gap:
+            gap = t - t_prev
+            step = x if gap == 1 else np.power(x, gap)
+        xt = xt * step
         t_prev = t
         yield t, xt
 
@@ -299,10 +309,11 @@ def _batches(cuts: dict, fft_cells: int):
     yield batch
 
 
-def _atom_table(chain: ChainParams, cuts: dict, k_zero: int):
+def _atom_table(chain: ChainParams, cuts: dict, k_zero: int, e2):
     """(exponents, values): the distinct exponents t + n < k_zero of the pairs
-    (t, n <= N_t) of cuts ({t: N_t}, ascending t), ascending, and w2 loc2^(t+n)
-    at each by one np.power (none if there are none), then the 0.0 of those
+    (t, n <= N_t) of cuts ({t: N_t}, ascending t), ascending, and
+    (w2 - e2) loc2^(t+n) at each (e2 the pole correction, or 0) by one
+    np.power (none if there are none), then the 0.0 of those
     past k_zero (_underflow_degree).  Each t below k_zero has its own run
     t, t + 1, ... there, so t + n sits n places after t, or at the 0.0."""
     times = np.fromiter(takewhile(k_zero.__gt__, cuts), np.int64)  # cuts ascend
@@ -314,7 +325,7 @@ def _atom_table(chain: ChainParams, cuts: dict, k_zero: int):
     counts = np.maximum(ends - firsts, 0)
     exponents = np.arange(counts.sum()) + np.repeat(firsts - np.cumsum(counts) + counts, counts)
     loc2, w2 = negative_atom(chain)
-    return exponents, np.append(w2 * np.power(loc2, exponents), 0.0)
+    return exponents, np.append(float(w2 - e2) * np.power(loc2, exponents), 0.0)
 
 
 def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
@@ -324,8 +335,11 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
 
     Each t gets its own degree cutoff N_t, certified by the closed geometric
     tail bounds (the returned value is the partial sum; the discarded tail is
-    provably below the working tolerance of _cutoff_rule).  One pass at
-    tv_quadrature's node count K serves every t.  The ascending times run in
+    provably below the working tolerance of _cutoff_rule), or t where N_t
+    passes t: mu_t lives on 0..t, so past t the terms are nu_n and add up to
+    (1/2) nu_tail(t) exactly.  One pass at tv_quadrature's node count K
+    serves every t, under the exact-degree count with E1 off each AC part and
+    w2 - E2 as the atom weight (spectral.pole_errors).  The ascending times run in
     batches of at most _CELLS cells, 2K for a t's FFT and N_t + 1 for its
     terms.  Per batch the AC parts of I_t(0..N_t) come from one sine transform
     per t (orthopoly.q_node_sums), and the series terms of all its (t, n)
@@ -335,13 +349,15 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     where they are +-0 and adding them changes no bit of |I_t(n)|: a batch
     from k_zero on does no atom work.  Raises ConvergenceError when some N_t
     exceeds N_CAP or a term leaves the double range (as the AC parts carry
-    (q/p)^(n/2)), and QuadratureError when the node count passes
-    spectral.NODE_CAP."""
+    (q/p)^(n/2)), QuadratureError when the node count passes
+    spectral.NODE_CAP, and RegimeError as tv_quadrature does."""
     ts = _naturals(ts)
-    cuts, n_nodes, _ = tv_quadrature(chain, ts, ctl, cfg)
-    half_pi = 0.5 * reversibility(chain).pi(np.arange(max(cuts.values()) + 1))
+    cuts, n_nodes, _, exact = tv_quadrature(chain, ts, ctl, cfg)
+    e1, e2 = pole_errors(chain, n_nodes) if exact else (0.0, 0.0)
+    rev = reversibility(chain)
+    half_pi = 0.5 * rev.pi(np.arange(max(cuts.values()) + 1))
     k_zero = _underflow_degree(negative_atom(chain)[0])
-    exponents, atoms = _atom_table(chain, cuts, k_zero)
+    exponents, atoms = _atom_table(chain, cuts, k_zero, e2)
     x, w = theta_nodes(chain, n_nodes)[:2]
     powers, values = _powers(x, list(cuts)), {}
     for times in _batches(cuts, 2 * n_nodes):
@@ -350,7 +366,7 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
         keep = n < np.array(sizes)[:, None]  # the batch's pairs (t, n <= N_t), t by t
         acs = q_node_sums(chain, n.size - 1, np.array([w * next(powers)[1] for _ in times]))
         with np.errstate(over="ignore", invalid="ignore"):  # a term past doubles raises below
-            i_tn = acs[keep].astype(float)
+            i_tn = (acs[keep] - e1).astype(float)
             if times[0] < k_zero:
                 index = np.searchsorted(exponents, times)[:, None] + n
                 i_tn += atoms[np.minimum(index[keep], exponents.size)]
@@ -360,7 +376,8 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
             raise _overflow_error(chain, ctl, times[row], int(n_bad), sizes[row] - 1)
         terms = terms.tolist()
         for t, m, end in zip(times, sizes, accumulate(sizes)):
-            values[t] = math.fsum(terms[end - m:end])
+            values[t] = math.fsum(terms[end - m:end]) + (0.5 * rev.nu_tail(t) if cuts[t] == t
+                                                          else 0.0)
     return [values[t] for t in ts]
 
 
@@ -396,15 +413,18 @@ class _SeriesSup:
 
 def tv_quadrature(chain: ChainParams, ts, ctl: TailControl = None,
                   cfg: QuadratureConfig = None) -> tuple:
-    """(cuts, K, bound): tv_curve's cutoffs {t: N_t} over the ascending
-    distinct ts, the node count of its one pass, and there the certified bound
-    on each value's quadrature error, for the integrand _SeriesSup describes."""
+    """(cuts, K, bound, exact): tv_curve's cutoffs {t: N_t} over the ascending
+    distinct ts, and spectral.node_count's plan of its one pass for the
+    integrand _SeriesSup describes, of degree max t + N_t; RegimeError where
+    spectral._checked_support fails."""
+    _checked_support(chain)
     cutoff = _cutoff_rule(chain, bound_coefficients(chain), ctl or TailControl())
     cuts, near = {}, None
     for t in sorted(set(_naturals(ts))):  # each t's N is the next one's guess
         near = cuts[t] = cutoff(t, near)[0]
     return (cuts, *node_count(chain, cfg or QuadratureConfig(), "tv_curve",
-                              _SeriesSup(chain, max(cuts.values())), min(cuts)))
+                              _SeriesSup(chain, max(cuts.values())), min(cuts),
+                              degree=max(t + n for t, n in cuts.items())))
 
 
 def tv_envelope(chain: ChainParams, ts) -> tuple:
@@ -525,7 +545,8 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
 
     One pass, its node count certifying every AC part within cfg.tol, builds
     one Q_n matrix for every t; the AC parts are one product
-    (Q[rows] w x^t) Q[cols]^T per t.  The atoms add w1 and w2 loc2^(t+i+j).
+    (Q[rows] w x^t) Q[cols]^T per batch of times.  The atoms add w1 and
+    w2 loc2^(t+i+j).
     An entry whose roundoff floor pi_j EPS_FLOOR L1 misses cfg.tol is NaN:
     far below the diagonal (pi_j Q_i Q_j grows like (q/p)^((i-j)/2)), and as
     p -> 0, where the AC interval narrows and the integrals cancel past
@@ -537,31 +558,41 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
     ac, l1 = _kernel_ac(chain, ts, rows, cols, cfg, "kernel_matrix")
     (_, w1), (loc2, w2) = measure.atom1, measure.atom2
     # not <=: a floor of 0 * inf (l1 past the double range, pi_j subnormal) is NaN
+    ac, l1 = (np.array([part[t] for t in ts]) for part in (ac, l1))
     with np.errstate(invalid="ignore"):  # 0 * inf, masked to NaN here
-        return np.array([np.where(~(pi * EPS_FLOOR * l1[t] <= cfg.tol), np.nan,
-                                  (ac[t] + w1 + w2 * loc2 ** (t + np.add.outer(rows, cols))) * pi)
-                         for t in ts])
+        return np.where(~(pi * EPS_FLOOR * l1 <= cfg.tol), np.nan,
+                        (ac + w1 + w2 * loc2 ** np.add.outer(ts, np.add.outer(rows, cols))) * pi)
 
 
 def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig, name: str):
     """The quadrature core of the kernel: the AC parts (Q[rows] w x^t) Q[cols]^T
     for the ts and their L1 twins, ({t: ac}, {t: l1}), from the Q_n rows of
-    rows and cols on the nodes of one pass.  Its node count certifies every entry
+    rows and cols on the nodes of one pass, a product per batch of times
+    within _CELLS.  Its node count certifies every entry
     within cfg.tol by orthopoly.q_log_sup's bound on |Q_i Q_j|, taken at the
     degree sum rounded up past a multiple of 16: a slice and a single entry
-    within one such block share the node count, and so their bits."""
+    within one such block share the node count, and so their bits (degree
+    max(ts) + that sum).  Under the exact-degree count each AC part is less
+    E1 + E2 loc2^(t+i+j) (spectral.pole_errors, as Q_n(1) = 1 and Q_n(loc2) =
+    loc2^n), and its L1 twin gains their moduli."""
     block = (max(rows) + max(cols)) // 16 * 16 + 16
-    n_nodes = node_count(chain, cfg, name, q_log_sup(chain, block, 0), t=min(ts))[0]
+    n_nodes, _, exact = node_count(chain, cfg, name, q_log_sup(chain, block, 0), t=min(ts),
+                                   degree=max(ts) + block)
     x, w, two_cos, _ = theta_nodes(chain, n_nodes)
     degrees = tuple(sorted(set(rows) | set(cols)))  # np.union1d would import numpy.ma
     q_rows = _q_rows(chain, n_nodes, degrees, x, two_cos)
     left, right = (q_rows[np.searchsorted(degrees, s)] for s in (rows, cols))
-    ac, l1 = {}, {}
-    for t, xt in _powers(x, sorted(set(ts))):
-        wxt = w * xt
+    e1, e2 = pole_errors(chain, n_nodes) if exact else (0.0, 0.0)
+    loc2, sums, uniq = negative_atom(chain)[0], np.add.outer(rows, cols), sorted(set(ts))
+    ac, l1, powers, size = {}, {}, _powers(x, uniq), max(1, _CELLS // (left.size + sums.size))
+    for start in range(0, len(uniq), size):
+        times = uniq[start:start + size]
+        wxt = w * np.array([next(powers)[1] for _ in times])[:, None]
+        pole = e2 * np.power(loc2, np.add.outer(times, sums)) if exact else 0.0
         with np.errstate(over="ignore"):  # past the double range: kernel_matrix masks to NaN
-            l1[t] = np.dot(np.abs(left) * np.abs(wxt), np.abs(right).T).astype(float)
-            ac[t] = np.dot(left * wxt, right.T).astype(float)
+            l1.update(zip(times, (np.matmul(np.abs(left) * np.abs(wxt), np.abs(right).T)
+                                  + (abs(e1) + np.abs(pole))).astype(float)))
+            ac.update(zip(times, (np.matmul(left * wxt, right.T) - (e1 + pole)).astype(float)))
     return ac, l1
 
 

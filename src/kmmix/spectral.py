@@ -14,11 +14,14 @@ endpoint vanishing is absorbed), so the uniform trapezoid rule converges
 spectrally.  Its nodes sit at theta_k = k pi / K and its weights carry the
 panel width pi / K, so an integral against phi is one weighted sum.  The
 integrand is analytic in the strip |Im theta| < a left by the poles at 1 and
--q/(q+r), so the error falls like e^(-2aK) with a closed-form constant:
-node_count picks K before the one pass, within NODE_CAP.  Nodes
-and reductions are carried in extended precision where the platform provides
-it: high-degree polynomial integrands cancel by many orders of magnitude and
-double-precision roundoff would otherwise set a noise floor near 1e-8.
+-q/(q+r), so the error falls like e^(-2aK) with a closed-form constant; less
+its closed-form errors on their partial fractions (pole_errors) times f(1)
+and f(-q/(q+r)), the rule is exact on polynomials f of degree <= 2K - 3.
+node_count takes the lesser of these two certified counts, within NODE_CAP.
+Nodes and reductions are carried in extended precision where the platform
+provides it: high-degree polynomial integrands cancel by many orders of
+magnitude and double-precision roundoff would otherwise set a noise floor
+near 1e-8.
 """
 
 import math
@@ -39,6 +42,7 @@ __all__ = [
     "negative_atom",
     "theta_nodes",
     "node_count",
+    "pole_errors",
     "integrate_psi",
     "resolvent_a0",
     "residue_check",
@@ -72,8 +76,8 @@ class RegimeError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureConfig:
     """tol bounds each quadrature's error, certified before the pass by
-    node_count's strip bound.  node_count None takes the least count that
-    meets tol; an int overrides it, QuadratureError where its bound misses tol."""
+    node_count.  node_count None takes the least count that meets tol; an
+    int overrides it, QuadratureError where its bound misses tol."""
 
     node_count: Optional[int] = None
     tol: float = 1e-10
@@ -100,22 +104,25 @@ def negative_atom(chain: ChainParams) -> tuple:
     return -q / (q + r), ((1.0 + q - p) * (q + r) - q) / ((1.0 + q - p) * (q + r))
 
 
-def build_measure(chain: ChainParams) -> SpectralMeasure:
-    """Assemble psi and check that the density's two apparent poles (at 1 and
-    at the negative atom) sit strictly outside the closed AC interval.
+def _checked_support(chain: ChainParams) -> tuple:
+    """The AC interval, checked to lie strictly between the density's two
+    apparent poles (the negative atom and 1).  In exact arithmetic it always
+    does; in floating point the AC edge r + 2 sqrt(pq) rounds to 1 when q - p
+    is below about 1e-8, and then RegimeError is raised."""
+    lo, hi = chain.support
+    if not (negative_atom(chain)[0] < lo and hi < 1.0):
+        raise RegimeError(
+            "spectral measure is outside its validated regime: a density pole touches "
+            f"the AC interval ({lo}, {hi}) for p={chain.p}, q={chain.q}, r={chain.r}")
+    return lo, hi
 
-    In exact arithmetic they always do; in floating point the AC edge
-    r + 2 sqrt(pq) rounds to 1 when q - p is below about 1e-8, and then
-    RegimeError is raised."""
-    p, q, r = chain.p, chain.q, chain.r
+
+def build_measure(chain: ChainParams) -> SpectralMeasure:
+    """Assemble psi, its AC interval checked by _checked_support."""
+    p, q = chain.p, chain.q
     w1 = (q - p) / (1.0 + q - p)
     loc2, w2 = negative_atom(chain)
-    lo, hi = chain.support
-    if not (loc2 < lo and hi < 1.0):
-        raise RegimeError(
-            "spectral measure is outside its validated regime: a density pole "
-            f"touches the AC interval ({lo}, {hi}) for p={p}, q={q}, r={r}"
-        )
+    lo, hi = _checked_support(chain)
     if not (-1.0 < loc2 < 0.0):
         raise RegimeError(f"negative atom location {loc2} escaped (-1, 0)")
     return SpectralMeasure(chain=chain, atom1=(1.0, w1), atom2=(loc2, w2), ac_interval=(lo, hi))
@@ -149,37 +156,55 @@ def theta_nodes(chain: ChainParams, n_nodes: int) -> tuple:
 
 
 def node_count(chain: ChainParams, cfg: QuadratureConfig, name: str, log_sup=None, t: int = 0,
-               poles=()) -> tuple:
-    """(K, bound): the panels of the one trapezoid pass integrating x^t f
-    against phi within cfg.tol, and its error bound, for an f with
-    |f| <= exp(log_sup(y)) / prod |x - s| (s in poles) on |Im theta| <= y.
+               poles=(), degree=None) -> tuple:
+    """(K, bound, exact): the panels of the one trapezoid pass integrating x^t f
+    against phi within cfg.tol, its error bound, and whether it takes the pole
+    correction, for |f| <= exp(log_sup(y)) / prod |x - s| (s in poles) on
+    |Im theta| <= y and, where degree is given, x^t f of at most that degree.
 
-    The theta integrand is even, 2 pi-periodic and analytic in |Im theta| < a,
-    a set by the nearest pole (1, -q/(q+r) or one of poles), so the K-panel
-    rule errs by at most exp(log_m(y)) / (e^(2yK) - 1) for y < a (Trefethen &
-    Weideman 2014, Thm 3.2, halved), log_m bounding the integrand through
-    |sin theta| <= cosh y and |Re x - r|, |Im x| <= 2 sqrt(pq) (cosh y, sinh y).
-    K is the least count meeting tol at some y of a grid in (0, a), rounded up
-    to 16 times a 5-smooth number, a fast FFT length; cfg.node_count overrides
-    it.  The plan is cached per (chain, cfg, log_sup, t, poles), so log_sup
-    is hashable, and describes the integrand by value where it can
-    (orthopoly.q_log_sup's degrees, the TV series' cutoff): equal
-    descriptions hash equal and share the plan.  QuadratureError, raised
-    under the caller's name, where K passes NODE_CAP or the override misses
-    tol."""
-    need, n_nodes, bound = _plan(chain, cfg, log_sup, int(t), tuple(complex(z) for z in poles))
+    Two counts are certified, each rounded up to 16 times a 5-smooth number (a
+    fast FFT length); the lesser is taken, a tie going to the strip count.
+    The strip count: the theta integrand is even, 2 pi-periodic and analytic
+    in |Im theta| < a, a set by the nearest pole (1, -q/(q+r) or one of poles),
+    so the K-panel rule errs by at most exp(log_m(y)) / (e^(2yK) - 1) for
+    y < a (Trefethen & Weideman 2014, Thm 3.2, halved), log_m bounding the
+    integrand through |sin theta| <= cosh y and |Re x - r|, |Im x| <= 2 sqrt(pq)
+    (cosh y, sinh y); K is the least count meeting tol at some y of a grid in
+    (0, a).  The exact-degree count ceil((degree + 3) / 2): less pole_errors
+    times f(1) and f(-q/(q+r)) the rule is exact, and bound is the roundoff
+    floor EPS_FLOOR (p/(q+r)) sup |x^t f| (the weights sum to at most
+    p/(q+r)), the sup from log_sup on that grid.  cfg.node_count overrides
+    both, exact where it reaches the exact-degree count.  The plan is cached
+    per (chain, cfg, log_sup, t, poles, degree), so log_sup is hashable and
+    describes the integrand by value where it can (orthopoly.q_log_sup's
+    degrees, the TV series' cutoff): equal descriptions share the plan.
+    QuadratureError, raised under the caller's name, where both counts pass
+    NODE_CAP or the override meets neither."""
+    need, n_nodes, bound, exact = _plan(chain, cfg, log_sup, int(t),
+                                        tuple(complex(z) for z in poles), degree)
     if n_nodes is None:
         allowed, what = ((NODE_CAP, "the cap") if cfg.node_count is None
                          else (cfg.node_count, "the node_count override"))
         needed = math.ceil(need) if need < math.inf else need  # inf or nan as they are
         raise QuadratureError(name, needed, allowed, what)
-    return n_nodes, bound
+    return n_nodes, bound, exact
+
+
+def _fast_length(need: float):
+    """16 times the least 5-smooth m with 16 m >= need; inf past NODE_CAP."""
+    if not need <= NODE_CAP:
+        return math.inf
+    m = max(1, math.ceil(need / 16))
+    while 30 ** 12 % m:  # m <= 2^12 is 5-smooth iff it divides 30^12
+        m += 1
+    return 16 * m
 
 
 @lru_cache(maxsize=256)
-def _plan(chain: ChainParams, cfg: QuadratureConfig, log_sup, t: int, poles: tuple) -> tuple:
-    """node_count's (need, K, bound), need the real-valued count the strip bound
-    asks for; K and bound are None where it passes NODE_CAP or the override."""
+def _plan(chain: ChainParams, cfg: QuadratureConfig, log_sup, t: int, poles: tuple,
+          degree=None) -> tuple:
+    """node_count's (need, K, bound, exact), need the real-valued count asked
+    for; K and bound are None where both counts pass NODE_CAP or the override."""
     p, q, r = chain.p, chain.q, chain.r
     s2 = 2.0 * chain.sqrt_pq
     points = [complex(z) for z in (1.0, negative_atom(chain)[0], *poles)]
@@ -188,26 +213,46 @@ def _plan(chain: ChainParams, cfg: QuadratureConfig, log_sup, t: int, poles: tup
     y = a * np.arange(1, _STRIP_STEPS + 1) / (_STRIP_STEPS + 1)
     reach, height = s2 * np.cosh(y), s2 * np.sinh(y)
     log_m = math.log(4.0 * p * q / (q + r)) + 2.0 * np.log(np.cosh(y)) + t * np.log(r + reach)
-    if log_sup is not None:
-        log_m = log_m + log_sup(y)
     with np.errstate(divide="ignore"):  # a gap rounded to 0 bounds nothing: log_m = inf
+        sup = 0.0 if log_sup is None else log_sup(y)
+        log_m = log_m + sup
         for z in points:
             log_m -= np.log(np.hypot(np.maximum(abs(z.real - r) - reach, 0.0),
                                      np.maximum(abs(z.imag) - height, 0.0)))
         need = float(np.min(np.logaddexp(0.0, log_m - math.log(cfg.tol)) / (2.0 * y)))
+    need_exact = math.inf if degree is None else math.ceil((degree + 3) / 2)
     if cfg.node_count is not None:
-        if not cfg.node_count >= need:
-            return need, None, None
-        n_nodes = cfg.node_count
-    elif not need <= NODE_CAP:
-        return need, None, None
+        n_nodes, exact = cfg.node_count, cfg.node_count >= need_exact
+        certified = exact or n_nodes >= need
     else:
-        m = max(1, math.ceil(need / 16))
-        while 30 ** 12 % m:  # m <= 2^12 is 5-smooth iff it divides 30^12
-            m += 1
-        n_nodes = 16 * m
+        counts = _fast_length(need_exact), _fast_length(need)
+        n_nodes, exact = min(counts), counts[0] < counts[1]
+        certified = n_nodes <= NODE_CAP
+    if not certified:
+        return min(need_exact, need), None, None, False
+    if exact:  # |x| < 1 on the support, where |x^t| <= (r + reach)^t
+        log_l1 = math.log(p / (q + r)) + np.min(t * np.log(r + reach) + sup)
+        with np.errstate(over="ignore"):  # an L1 past the double range: bound inf
+            return need_exact, n_nodes, EPS_FLOOR * float(np.exp(log_l1)), True
     u = 2.0 * y * n_nodes  # log(e^u - 1) = u + log(1 - e^-u)
-    return need, n_nodes, float(np.exp(np.min(log_m - u - np.log(-np.expm1(-u)))))
+    return need, n_nodes, float(np.exp(np.min(log_m - u - np.log(-np.expm1(-u))))), False
+
+
+@lru_cache(maxsize=32)
+def pole_errors(chain: ChainParams, n_nodes: int) -> tuple:
+    """(E1, E2), in extended precision: the n_nodes-panel rule's errors (sum
+    less integral) on the pole parts of 1/(((r+q)x+q)(1-x)) = [1/(1-x) +
+    (r+q)/((r+q)x+q)] / (r+2q), each (2pq/(r+2q)) sin^2(theta) / (a -+ b
+    cos(theta)), b = 2 sqrt(pq).  Its cosine coefficients -(2pq/(r+2q))
+    (1/rho - rho)^2 rho^m / (2s) (m >= 2; s = sqrt(a^2 - b^2), rho = (a - s)/b)
+    at m = 2K, 4K, ... alias onto the mean: E = -(s/(r+2q)) / (rho^(-2K) - 1).
+    At 1, s = q - p and rho = sqrt(p/q); at -q/(q+r), rho = sqrt(pq)/(q+r) and
+    s = (q+r) - pq/(q+r): closed forms free of the cancellation in a - b."""
+    p, q, r = _LD(chain.p), _LD(chain.q), _LD(chain.r)
+    parts = ((q - p, np.sqrt(p / q)), (q + r - p * q / (q + r), np.sqrt(p * q) / (q + r)))
+    with np.errstate(over="ignore"):  # rho^(-2K) past the range: E = -0
+        return tuple(-s / ((r + 2 * q) * np.expm1(-2 * n_nodes * np.log(rho)))
+                     for s, rho in parts)
 
 
 def integrate_psi(measure: SpectralMeasure, f, include_atoms=(True, True), cfg=None,
@@ -218,7 +263,9 @@ def integrate_psi(measure: SpectralMeasure, f, include_atoms=(True, True), cfg=N
     f must accept an ndarray of points in [-1, 1] and evaluate elementwise;
     complex-valued integrands are supported.  The pass is certified for f
     bounded on the strip as node_count states: log_sup None covers powers of
-    x (|x| < 1 there), poles=[s] 1/(x - s), orthopoly.q_log_sup Q_n products."""
+    x (|x| < 1 there), poles=[s] 1/(x - s), orthopoly.q_log_sup Q_n products.
+    It takes the strip count and no pole correction, so that checks of the
+    AC mass and of psi's normalization test the nodes and weights alone."""
     n_nodes = node_count(measure.chain, cfg or QuadratureConfig(), "density", log_sup,
                          poles=poles)[0]
     x, w = theta_nodes(measure.chain, n_nodes)[:2]

@@ -3,8 +3,8 @@
 Everything here is deliberately naive: truncated transition matrices, direct
 path enumeration, and exact pair-chain dynamic programming.  These share no
 code with the package internals they are checking, except tv_by_bracket_matrix
-and tv_curve_per_t: they take tv_curve's cutoffs and nodes and check only how
-the series is summed.
+and tv_curve_per_t: they take tv_curve's cutoffs, nodes and pole correction
+and check only how the series is summed.
 The *_by_steps DPs and evolve_fancy_index step the walk with fresh arrays and
 fancy-index adds in the order the package's one DP step uses, so the package
 must match them bit for bit.
@@ -18,7 +18,7 @@ import numpy as np
 from kmmix import ChainParams, DistributionVector, bound_coefficients, reversibility
 from kmmix.mixing import tv_quadrature
 from kmmix.orthopoly import q_bracket_matrix, q_node_sums
-from kmmix.spectral import negative_atom, theta_nodes
+from kmmix.spectral import negative_atom, pole_errors, theta_nodes
 
 
 def transition_matrix(chain: ChainParams, size: int) -> np.ndarray:
@@ -173,6 +173,26 @@ def log_slope(values: np.ndarray, t_lo: int, t_hi: int) -> float:
     return float(np.polyfit(t, y, 1)[0])
 
 
+def pole_parts_by_weights(chain: ChainParams, n_nodes: int) -> tuple:
+    """(errors, integrals): the sums of the two pole parts of theta_nodes'
+    weights, w ((r+q)x + q)/(r+2q) and w (1-x)(r+q)/(r+2q), less their
+    integrals (2pq/(r+2q)) (a - s)/b^2, with a = p + q at the pole at 1 and
+    a = r + q/(q+r) at -q/(q+r), b = 2 sqrt(pq) and s = sqrt(a^2 - b^2); and
+    those integrals.  a and a^2 - b^2 are exact rationals on the binary
+    parameter values, so s carries no cancellation of a - b."""
+    p, q, r = (Fraction(*v.as_integer_ratio()) for v in (chain.p, chain.q, chain.r))
+    ld = np.longdouble
+    pl, ql, rl = ld(chain.p), ld(chain.q), ld(chain.r)
+    x, w = theta_nodes(chain, n_nodes)[:2]
+    errors, integrals = [], []
+    for a, part in ((p + q, w * ((rl + ql) * x + ql) / (rl + 2 * ql)),
+                    (r + q / (q + r), w * (1 - x) * (rl + ql) / (rl + 2 * ql))):
+        s = np.sqrt(ld(a * a - 4 * p * q))
+        integrals.append(ld(2 * p * q / (r + 2 * q)) * (ld(a) - s) / (4 * pl * ql))
+        errors.append(np.sum(part) - integrals[-1])
+    return errors, integrals
+
+
 def node_powers_stepwise(x: np.ndarray, ts):
     """(t, x^t) for the ascending ts, each power carried forward from the last
     by a fresh np.power per step (x itself for a step of 1), with no reuse."""
@@ -186,35 +206,43 @@ def node_powers_stepwise(x: np.ndarray, ts):
 def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
     """tv_curve's series at every t of ts, its AC parts (Q w x^t)_n, n <= N_t,
     taken as one product with the Q_n bracket matrix instead of by the sine
-    transform: the same cutoffs N_t and node count, from tv_quadrature."""
-    cuts, n_nodes, _ = tv_quadrature(chain, ts)
+    transform: the same cutoffs N_t, node count and pole correction, from
+    tv_quadrature, and the same (1/2) nu_tail(t) where N_t = t."""
+    cuts, n_nodes, _, exact = tv_quadrature(chain, ts)
+    e1, e2 = pole_errors(chain, n_nodes) if exact else (0.0, 0.0)
     x, w, two_cos, _ = theta_nodes(chain, n_nodes)
     q_rows = q_bracket_matrix(chain, max(cuts.values()), x, two_cos)
     loc2, w2 = negative_atom(chain)
+    rev = reversibility(chain)
     values = {}
     for t, n_cut in cuts.items():
         n = np.arange(n_cut + 1)
-        ac = np.dot(q_rows[: n_cut + 1], w * np.power(x, t)).astype(float)
-        pi_n = np.atleast_1d(reversibility(chain).pi(n))
-        values[t] = math.fsum(0.5 * pi_n * np.abs(w2 * loc2 ** (t + n) + ac))
+        ac = (np.dot(q_rows[: n_cut + 1], w * np.power(x, t)) - e1).astype(float)
+        pi_n = np.atleast_1d(rev.pi(n))
+        values[t] = math.fsum(0.5 * pi_n * np.abs(float(w2 - e2) * loc2 ** (t + n) + ac)) + \
+            (0.5 * rev.nu_tail(t) if n_cut == t else 0.0)
     return [values[t] for t in ts]
 
 
 def tv_curve_per_t(chain: ChainParams, ts, ctl=None, cfg=None) -> list:
-    """tv_curve's series summed one t at a time: the same cutoffs and nodes,
-    then per t its own power x^t (node_powers_stepwise), its own sine transform
-    to degree N_t, its own power w2 loc2^(t+n) at every n <= N_t and its own
-    fsum of (1/2) pi_n |I_t(n)|.  It shares no batching with tv_curve."""
+    """tv_curve's series summed one t at a time: the same cutoffs, nodes and
+    pole correction, then per t its own power x^t (node_powers_stepwise), its
+    own sine transform to degree N_t, its own power (w2 - E2) loc2^(t+n) at
+    every n <= N_t, its own fsum of (1/2) pi_n |I_t(n)| and (1/2) nu_tail(t)
+    where N_t = t.  It shares no batching with tv_curve."""
     ts = list(ts)
-    cuts, n_nodes, _ = tv_quadrature(chain, ts, ctl, cfg)
-    pi_vals = np.atleast_1d(reversibility(chain).pi(np.arange(max(cuts.values()) + 1)))
+    cuts, n_nodes, _, exact = tv_quadrature(chain, ts, ctl, cfg)
+    e1, e2 = pole_errors(chain, n_nodes) if exact else (0.0, 0.0)
+    rev = reversibility(chain)
+    pi_vals = np.atleast_1d(rev.pi(np.arange(max(cuts.values()) + 1)))
     loc2, w2 = negative_atom(chain)
     x, w = theta_nodes(chain, n_nodes)[:2]
     values = {}
     for t, xt in node_powers_stepwise(x, list(cuts)):
-        ac = q_node_sums(chain, cuts[t], (w * xt)[None])[0]
-        i_tn = w2 * loc2 ** (t + np.arange(cuts[t] + 1)) + ac.astype(float)
-        values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn))
+        ac = q_node_sums(chain, cuts[t], (w * xt)[None])[0] - e1
+        i_tn = float(w2 - e2) * loc2 ** (t + np.arange(cuts[t] + 1)) + ac.astype(float)
+        values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn)) + \
+            (0.5 * rev.nu_tail(t) if cuts[t] == t else 0.0)
     return [values[t] for t in ts]
 
 

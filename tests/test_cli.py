@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from kmmix import ChainParams, cli, tv_lower, tv_upper
+from kmmix import ChainParams, QuadratureConfig, cli, tv_lower, tv_upper
 from kmmix.cli import main
+from kmmix.mixing import tv_quadrature
 
 import oracles
 
@@ -69,6 +70,14 @@ class TestAnalyze:
     def test_regime_error_exit_1(self, capsys):
         # the AC edge r + 2 sqrt(pq) rounds to 1.0 and meets the pole there
         code, out, err = run_cli(capsys, "analyze", "--p", "0.49", "--q", "0.4900000001")
+        assert code == 1 and out == ""
+        assert err.startswith("kmmix: ") and "validated regime" in err
+
+    def test_tv_regime_error_exit_1(self, capsys):
+        # the same edge for the TV series, which no count reaches past N_CAP
+        # or the node cap any more: the pole correction needs the pole off it
+        code, out, err = run_cli(capsys, "tv", "--p", "0.49", "--q", "0.4900000001",
+                                 "--t-max", "5")
         assert code == 1 and out == ""
         assert err.startswith("kmmix: ") and "validated regime" in err
 
@@ -214,11 +223,12 @@ def test_meta_is_null_where_the_bound_chose(capsys, command):
 
 
 def test_override_short_of_the_bound_exit_1(capsys):
+    # degree 2 t_max = 80 asks for 42 nodes exactly, 768 by the strip bound
     code, out, err = run_cli(capsys, "tv", "--p", "0.3", "--q", "0.32", "--r", "0.38",
-                             "--t-max", "2", "--quad-nodes", "64")
+                             "--t-max", "40", "--quad-nodes", "32")
     assert code == 1 and out == ""
     assert err.startswith("kmmix: tv_curve quadrature needs ")
-    assert "past the node_count override of 64" in err
+    assert "past the node_count override of 32" in err
 
 
 def test_count_past_the_cap_exit_1(capsys):
@@ -274,16 +284,36 @@ class TestTv:
             assert (row["tv_upper"], row["tv_lower"], row["lower_valid"]) == (
                 tv_upper(chain, t), lower, valid), t
 
-    @pytest.mark.parametrize("chain", [("--p", "1/11", "--q", "9/11"),
-                                       ("--p", "0.3", "--q", "0.32", "--r", "0.38")])
-    def test_series_past_the_double_range_exit_1(self, capsys, chain):
+    def test_series_past_the_double_range_exit_1(self, capsys):
         # the cutoff of series_tol 1e-320 reaches degrees whose AC sums
         # overflow doubles: a typed error, where the column used to read NaN
-        code, out, err = run_cli(capsys, "tv", *chain, "--t-max", "3", "--format", "csv",
-                                 "--series-tol", "1e-320")
+        code, out, err = run_cli(capsys, "tv", "--p", "1e-8", "--q", "1e-4", "--t-max", "160",
+                                 "--format", "csv", "--series-tol", "1e-320")
         assert code == 1 and out == ""
-        assert err.startswith("kmmix: the TV series at t=") and "leaves the double range" in err
-        assert ("at t=1 " in err) == (chain[1] == "1/11")  # the worked example's t = 0 is finite
+        assert err.startswith("kmmix: the TV series at t=160 leaves the double range")
+
+    @pytest.mark.parametrize("chain", [("--p", "1/11", "--q", "9/11"),
+                                       ("--p", "0.3", "--q", "0.32", "--r", "0.38")])
+    def test_series_cut_at_t_stays_finite(self, capsys, chain):
+        # there N passes t, and the series stops at t: the terms past it are nu_n
+        code, out, err = run_cli(capsys, "tv", *chain, "--t-max", "3", "--series-tol", "1e-320")
+        rows = json.loads(out)["results"]["rows"]
+        assert (code, err) == (0, "")
+        assert all(abs(row["tv_exact"] - row["tv_oracle"]) <= 1e-15 for row in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ("tv", "--p", "0.3", "--q", "0.30001", "--r", "0.39999", "--t-max", "20"),
+        ("kernel", "--p", "0.49", "--q", "0.4901", "--i", "2", "--j", "3", "--t-max", "20"),
+    ])
+    def test_near_critical_within_the_gates(self, capsys, argv):
+        # q - p = 1e-5 and 1e-4: past the node cap by the strip count alone
+        code, out, err = run_cli(capsys, *argv)
+        rows = json.loads(out)["results"]["rows"]
+        assert (code, err) == (0, "") and len(rows) == 21
+        if argv[0] == "tv":
+            assert all(abs(row["tv_exact"] - row["tv_oracle"]) <= 1e-8 for row in rows)
+        else:
+            assert all(row["abs_diff"] <= 1e-9 for row in rows)
 
     def test_nan_series_tol_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "tv", "--p", "1/11", "--q", "9/11",
@@ -420,6 +450,20 @@ class TestVerify:
         assert doc["results"]["all_passed"]
         assert all(c["passed"] for c in doc["results"]["checks"])
 
+    def test_near_critical_corrected_at_k_and_2k(self, capsys):
+        # both passes of quadrature_bound_k_vs_2k take the pole correction,
+        # and its bound is their roundoff floors (not 0) plus 1e-14
+        chain = ChainParams(0.3, 0.32, 0.38)
+        _, k, bound, exact = tv_quadrature(chain, range(61))
+        _, wide, wide_bound, wide_exact = tv_quadrature(
+            chain, range(61), cfg=QuadratureConfig(node_count=2 * k))
+        assert (k, exact, wide, wide_exact) == (64, True, 128, True)
+        assert 0.0 < bound < 1e-13 and 0.0 < wide_bound < 1e-13
+        code, out, _ = run_cli(capsys, "verify", "--p", "0.3", "--q", "0.32", "--r", "0.38")
+        checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}
+        assert code == 0 and checks["quadrature_bound_k_vs_2k"]["passed"]
+        assert checks["quadrature_bound_k_vs_2k"]["worst"] <= bound + wide_bound + 1e-14
+
     def test_reports_every_check_name(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--p", "0.1", "--q", "0.7", "--format", "csv")
         assert code == 0
@@ -503,7 +547,7 @@ class TestParserReuse:
         assert cli._build_parser.cache_info().misses == 1
 
     def test_flags_do_not_carry_into_the_next_call(self, capsys):
-        plain = ("tv", *self.WORKED, "--t-max", "5")
+        plain = ("tv", *self.WORKED, "--t-max", "30")  # N_t < t from t = 19: tol counts
         default = self.cold(capsys, plain)
         for flags in (("--series-tol", "1e-6"), ("--quad-nodes", "64"), ("--format", "csv")):
             flagged = self.call(capsys, plain + flags)
@@ -627,7 +671,8 @@ class TestJsonWriter:
 def sweep():
     """Every argv the benchmark runs (bench/workloads.py, read as a script,
     at seeds 101 and 202), then edge argv: a long near-critical table, a
-    curve of 3 replicas with no rate, and two exit-1 cases."""
+    curve of 3 replicas with no rate, a series cut at t, two chains only the
+    pole correction reaches, and two exit-1 cases."""
     bench = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     workloads = runpy.run_path(str(bench))
     argvs = [argv for name in sorted(workloads["WHY"]) for seed in (101, 202)
@@ -636,7 +681,11 @@ def sweep():
     edge = [(["tv", *near, "--t-max", "300"], 0),
             (["couple", *worked, "--replicas", "3"], 0),
             (["kernel", "--p", "1e-12", "--q", "0.5", "--i", "8", "--j", "0"], 1),
-            (["tv", *worked, "--t-max", "3", "--series-tol", "1e-320"], 1)]
+            (["tv", *worked, "--t-max", "3", "--series-tol", "1e-320"], 0),
+            (["tv", "--p", "0.3", "--q", "0.30001", "--r", "0.39999", "--t-max", "20"], 0),
+            (["kernel", "--p", "0.49", "--q", "0.4901", "--i", "2", "--j", "3", "--t-max", "20"],
+             0),
+            (["tv", "--p", "1e-8", "--q", "1e-4", "--t-max", "160", "--series-tol", "1e-320"], 1)]
     unique = {tuple(argv): 0 for argv in argvs}
     return list(unique.items()) + [(tuple(argv), code) for argv, code in edge]
 

@@ -139,27 +139,29 @@ class TestTvExact:
         monkeypatch.setattr(mixing, "N_CAP", 3)
         ctl = TailControl(series_tol=1e-300)
         with pytest.raises(ConvergenceError) as info:
-            tv_curve(example_chain, [0], ctl=ctl)
+            tv_curve(example_chain, [5], ctl=ctl)
         assert info.value.achieved_bound > 0.0
+        tv_curve(example_chain, [0, 3], ctl=ctl)  # cut at t <= N_CAP: no search
         with pytest.raises(ConvergenceError) as info:
             tv_curve(example_chain, [4, 0, 9], ctl=ctl)
         assert info.value.achieved_bound > 0.0
 
     def test_terms_past_the_double_range_raise(self, example_chain):
-        # at series_tol 1e-320 the worked example's cutoff reaches N = 671,
-        # where the AC sums carry (q/p)^(n/2) past the double range and pi_n
-        # has underflowed: the value used to read NaN
+        # at series_tol 1e-320 and p/q = 1e-4 the cutoff at t = 160 reaches
+        # N = 160, where the AC sums carry (q/p)^(n/2) past the double range
+        # and pi_n has underflowed: the value used to read NaN
         ctl = TailControl(series_tol=1e-320)
-        with pytest.raises(ConvergenceError, match=r"at t=1 leaves the double range at "
-                                                   r"degree n=671, of the N=671") as info:
-            tv_curve(example_chain, range(4), ctl=ctl)
+        with pytest.raises(ConvergenceError, match=r"at t=160 leaves the double range at "
+                                                   r"degree n=160, of the N=160") as info:
+            tv_curve(SMALL_P, range(155, 165), ctl=ctl)
         assert 0.0 < info.value.achieved_bound < 1e-300
-        for t in (0, 7, 300):
+        for t in (161, 170):
             with pytest.raises(ConvergenceError, match=f"at t={t} leaves the double range"):
-                tv_curve(NEAR_CRITICAL, [t], ctl=ctl)
-        # a value that is finite stays as it was
-        assert tv_curve(example_chain, [0], ctl=ctl) == oracles.tv_curve_per_t(
-            example_chain, [0], ctl)
+                tv_curve(SMALL_P, [t], ctl=ctl)
+        # a value that is finite stays as it was; below N the series is cut
+        # at t, so the worked example (N = 671) and (0.3, 0.32, 0.38) stay finite
+        for chain, ts in ((SMALL_P, [159]), (example_chain, range(4)), (NEAR_CRITICAL, [0, 7])):
+            assert tv_curve(chain, ts, ctl=ctl) == oracles.tv_curve_per_t(chain, ts, ctl)
 
     def test_single_pass_without_doublings(self, example_chain):
         cfg = QuadratureConfig(node_count=64)  # an override: one pass at 64 nodes
@@ -170,10 +172,12 @@ class TestTvExact:
 NEAR_CRITICAL = ChainParams(0.3, 0.32, 0.38)
 FAR_ATOM = ChainParams(0.1, 0.85, 0.05)  # loc2 = -17/18: k_zero = 13049
 ATOM_AT_MINUS_ONE = ChainParams(0.1, 0.9, 1e-300)  # loc2 rounds to -1: no term vanishes
+SMALL_P = ChainParams(1e-8, 1e-4, 1.0 - 1e-8 - 1e-4)  # q/p = 1e4, beta ~ 1
 
 
 def _series_cutoff_scan(chain, co, t, ctl):
-    """The cutoff by scanning N upward from 0, one tail evaluation per step."""
+    """The cutoff by scanning N upward from 0, one tail evaluation per step,
+    to the least N meeting the tolerance or to t, whichever comes first."""
     p, q, r = chain.p, chain.q, chain.r
     x = p / (q + r)
     y = math.sqrt(p / q)
@@ -184,7 +188,7 @@ def _series_cutoff_scan(chain, co, t, ctl):
     n_cut = 0
     while True:
         tail = amp_atom * x ** (n_cut + 1) + amp_cont * y ** (n_cut + 1)
-        if tail <= tol:
+        if tail <= tol or n_cut == t:
             return n_cut, tail
         n_cut += 1
         if n_cut > mixing.N_CAP:
@@ -216,12 +220,21 @@ class TestSeriesCutoff:
                         assert got == want, (c, t, tol, n_cap)
 
     def test_cap_error_carries_scan_bound(self):
-        # q - p = 1e-5: the sqrt(p/q) series needs more than N_CAP = 1e5 terms
+        # q - p = 1e-5: the sqrt(p/q) series needs more than N_CAP = 1e5 terms,
+        # which a time past N_CAP cannot cut short
         c = ChainParams(0.3, 0.30001, 0.39999)
         co, ctl = bound_coefficients(c), TailControl()
-        got = _cutoff_or_error(c, co, 20, ctl, _series_cutoff)
+        got = _cutoff_or_error(c, co, 200_000, ctl, _series_cutoff)
         assert isinstance(got[0], str) and "n_cap=100000" in got[0]
-        assert got == _cutoff_or_error(c, co, 20, ctl, _series_cutoff_scan)
+        assert got == _cutoff_or_error(c, co, 200_000, ctl, _series_cutoff_scan)
+
+    def test_times_up_to_n_cap_cut_at_t(self):
+        # there the cutoff is min(N, t), with no search once tail(t) misses tol
+        c = ChainParams(0.3, 0.30001, 0.39999)
+        co = bound_coefficients(c)
+        cutoff, tail_at = _cutoff_rule(c, co, TailControl()), mixing._tail_rule(c, co)
+        for t in (0, 20, 100_000):
+            assert cutoff(t) == (t, tail_at(t)[0](t))
 
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-300])
@@ -280,7 +293,7 @@ class TestTvCurve:
                                    rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("chain, ts", [(ChainParams(1 / 11, 9 / 11, 1 / 11), range(61)),
-                                           (NEAR_CRITICAL, range(21))])
+                                           (NEAR_CRITICAL, range(2000, 2021))])
     def test_one_sine_transform_per_block(self, monkeypatch, chain, ts):
         # one q_node_sums call per batch, a run of ascending times within
         # mixing._CELLS cells: 2K for each t's FFT and N_t + 1 for its terms
@@ -291,7 +304,7 @@ class TestTvCurve:
                 return _inner(*args)
             monkeypatch.setattr(mixing, name, counting)
         tv_curve(chain, ts)
-        cuts, k, _ = tv_quadrature(chain, ts)
+        cuts, k = tv_quadrature(chain, ts)[:2]
         rows, cells = [], []
         for n_cut in cuts.values():
             if rows and cells[-1] + 2 * k + n_cut + 1 <= mixing._CELLS:
@@ -302,7 +315,7 @@ class TestTvCurve:
         assert calls == [("q_node_sums", size) for size in rows]
         assert max(cells) <= mixing._CELLS
         # the worked example's 61 times fit one batch, the near-critical ones
-        # (K = 768, N_t about 1100) three to a batch
+        # past t = 2000 (K = 768, N_t about 1000) three to a batch
         assert rows == ([61] if k == 16 else [3] * 7)
 
     def test_block_arrays_match_the_per_t_loop(self, example_chain, monkeypatch):
@@ -366,7 +379,7 @@ class TestAtomTerms:
     def test_across_k_zero_and_a_batch_boundary(self):
         # k_zero = 13049 lies in the second of three batches
         ts = range(12800, 13400)
-        cuts, k, _ = tv_quadrature(FAR_ATOM, ts)
+        cuts, k = tv_quadrature(FAR_ATOM, ts)[:2]
         batches = list(mixing._batches(cuts, 2 * k))
         assert len(batches) == 3 and batches[1][0] < 13049 <= batches[1][-1]
         assert tv_curve(FAR_ATOM, ts) == oracles.tv_curve_per_t(FAR_ATOM, ts)
@@ -656,6 +669,7 @@ class TestNodePowers:
         x = theta_nodes(chain, 64)[0]
         gaps = [3, 5, 2, 7, 11, 3, 2, 5, 13, 3, 1, 2, 17, 7]  # 8 distinct gaps > 1
         sequences = [list(range(30)), list(range(5, 40)), [0, 517, 1034, 1035, 1552],
+                     list(range(0, 20000, 400)), [3, 10, 17, 18, 25, 32, 33, 34],
                      [517, 1034, 1035, 1552], list(accumulate(gaps)),
                      list(accumulate([0] + gaps + gaps[::-1])), *self.probe_times()]
         for ts in sequences:
@@ -665,6 +679,24 @@ class TestNodePowers:
             for (_, a), (_, b) in zip(got, expect):
                 assert a.dtype == b.dtype == np.longdouble
                 assert np.array_equal(a, b)
+
+    def test_strided_times_power_once_per_gap(self, monkeypatch):
+        # a gap that repeats reuses its power: t = 0 takes x^0 and every later
+        # step of 400 the one x^400
+        ts = range(0, 20000, 400)
+        x = theta_nodes(NEAR_CRITICAL, 768)[0]
+        for (_, a), (_, b) in zip(mixing._powers(x, ts), oracles.node_powers_stepwise(x, ts)):
+            assert np.array_equal(a, b)
+        calls, power = [], np.power
+
+        def counting_power(x, *args, **kwargs):
+            if isinstance(x, np.ndarray) and x.dtype == np.longdouble:
+                calls.append(args)
+            return power(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "power", counting_power)
+        tv_curve(NEAR_CRITICAL, ts)
+        assert calls == [(0,), (400,)]
 
     def test_t_mix_powers_once_per_gap(self, monkeypatch):
         # a count, not a timing: each tv_curve node pass of the near-critical
@@ -686,6 +718,34 @@ class TestNodePowers:
         monkeypatch.setattr(mixing, "theta_nodes", counting_nodes)
         assert t_mix(NEAR_CRITICAL, 1e-3) == 8392
         assert per_pass and max(per_pass) <= 1
+
+
+WEDGE = [NEAR_CRITICAL, ChainParams(0.3, 0.30001, 0.39999), ChainParams(0.49, 0.4901, 0.0199),
+         ChainParams(0.4999, 0.5, 1e-4)]
+
+
+class TestPoleCorrectedWedge:
+    """Near criticality the strip count passes the node cap (for the last
+    three chains, a typed error); the exact-degree count takes 32 nodes for
+    the kernel to t = 20 and 64 for TV to t = 60, every t cut at N = t."""
+
+    @pytest.mark.parametrize("chain", WEDGE)
+    def test_kernel_against_the_dp(self, chain):
+        got = kernel_matrix(chain, range(21), 8)
+        assert np.all(np.abs(got - kernel_oracle(chain, range(21), 8)) <= 1e-12)  # NaN fails
+
+    @pytest.mark.parametrize("chain", WEDGE)
+    def test_tv_against_the_dp(self, chain):
+        got = tv_curve(chain, range(61))
+        assert max(abs(a - b) for a, b in zip(got, tv_oracle_curve(chain, 60))) <= 1e-12
+        assert tv_quadrature(chain, range(61))[1::2] == (64, True)
+
+    @pytest.mark.parametrize("chain", WEDGE)
+    def test_entry_at_degree_2k_minus_3(self, chain):
+        # t = 45 and i + j = 15 in the degree block 16: degree 61 = 2 * 32 - 3
+        cfg = QuadratureConfig(node_count=32)
+        got = kernel_matrix(chain, [45], 8, cfg=cfg, rows=[8], cols=[7])
+        assert abs(got - kernel_oracle(chain, [45], 8, rows=[8], cols=[7])) <= 1e-12
 
 
 class TestKernelSpectral:
@@ -853,18 +913,21 @@ class TestKernelMatrix:
                 kernel_spectral(example_chain, t, i, j)
 
 
-def _tv_curve_past_n_cap(chain, cfg):
+def _tv_curve_past_n_cap(chain, cfg, t=40):
     # N_CAP 1e6: near p = q the node count reaches the cap after the cutoff would
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mixing, "N_CAP", 10 ** 6)
-        return tv_curve(chain, [0, 40], cfg=cfg)
+        return tv_curve(chain, [0, t], cfg=cfg)
 
 
+# each at a time t (40 by default); integrate_psi's x^80 takes no time
 QUADRATURES = [
-    (lambda c, cfg: kernel_matrix(c, [40], 12, cfg=cfg), "kernel_matrix"),
+    (lambda c, cfg, t=40: kernel_matrix(c, [t], 12, cfg=cfg), "kernel_matrix"),
     (_tv_curve_past_n_cap, "tv_curve"),
-    (lambda c, cfg: integrate_psi(build_measure(c), lambda x: x ** 80, cfg=cfg), "density"),
-    (lambda c, cfg: spectral_integral(c, 40, 12, route="both", cfg=cfg), "spectral_integral"),
+    (lambda c, cfg, t=40: integrate_psi(build_measure(c), lambda x: x ** 80, cfg=cfg),
+     "density"),
+    (lambda c, cfg, t=40: spectral_integral(c, t, 12, route="both", cfg=cfg),
+     "spectral_integral"),
 ]
 QUADRATURE_IDS = ["kernel_matrix", "tv_curve", "integrate_psi", "spectral_integral"]
 
@@ -880,24 +943,31 @@ def test_override_short_of_the_bound_raises(example_chain, compute, name):
 
 @pytest.mark.parametrize("compute, name", QUADRATURES, ids=QUADRATURE_IDS)
 def test_count_past_the_cap_raises(compute, name):
-    # q - p = 1e-4: the strip half-width is log sqrt(q/p) = 1e-4, so K ~ 1e5
+    # q - p = 1e-4: the strip half-width is log sqrt(q/p) = 1e-4, so K ~ 1e5;
+    # at t = 140000 the degree passes 2 NODE_CAP, and so the exact-degree count
     chain = ChainParams(0.49, 0.4901, 0.0199)
     with pytest.raises(QuadratureError, match=f"^{name} quadrature needs [0-9]+ nodes") as info:
-        compute(chain, QuadratureConfig())
+        compute(chain, QuadratureConfig(), 140_000)
     assert f"the cap of {NODE_CAP}" in str(info.value)
     assert info.value.allowed == NODE_CAP < info.value.needed
 
 
 class TestNodeCount:
-    @pytest.mark.parametrize("chain, nodes", [
-        (ChainParams(1 / 11, 9 / 11, 1 / 11), 16),
-        (NEAR_CRITICAL, 768),
-        (ChainParams(0.3, 0.305, 0.395), 3200),
-        (ChainParams(0.33, 0.335, 0.335), 3600),
+    # (K, exact) over t <= 60, where every near-critical t is cut at N = t and
+    # the exact-degree count 64 certifies degree 120, and at 2000 <= t <= 2020,
+    # where the strip count of the worked example and of (0.3, 0.32, 0.38) is
+    # the lesser, and the nearer chains (cut at N = t, strip counts 3200 and
+    # 3600) take the exact count 2048 of degree 4040
+    @pytest.mark.parametrize("chain, short, deep", [
+        (ChainParams(1 / 11, 9 / 11, 1 / 11), (16, False), (16, False)),
+        (NEAR_CRITICAL, (64, True), (768, False)),
+        (ChainParams(0.3, 0.305, 0.395), (64, True), (2048, True)),
+        (ChainParams(0.33, 0.335, 0.335), (64, True), (2048, True)),
     ])
-    def test_tv_curve_counts(self, chain, nodes):
-        _, k, bound = tv_quadrature(chain, range(61))
-        assert k == nodes and bound <= QuadratureConfig().tol
+    def test_tv_curve_counts(self, chain, short, deep):
+        for ts, (nodes, exact) in ((range(61), short), (range(2000, 2021), deep)):
+            _, k, bound, corrected = tv_quadrature(chain, ts)
+            assert (k, corrected) == (nodes, exact) and bound <= QuadratureConfig().tol
 
     def test_sizes_are_16_times_5_smooth(self, chain_grid):
         for c in chain_grid + [NEAR_CRITICAL]:
@@ -909,7 +979,7 @@ class TestNodeCount:
                 assert m == 1, (c, ts)
 
     def test_override_is_run_as_given(self, example_chain):
-        _, k, bound = tv_quadrature(example_chain, range(61), cfg=QuadratureConfig(node_count=40))
+        k, bound = tv_quadrature(example_chain, range(61), cfg=QuadratureConfig(node_count=40))[1:3]
         assert k == 40 and bound < tv_quadrature(example_chain, range(61))[2]
 
     def test_one_node_count_per_call(self, monkeypatch, example_chain):

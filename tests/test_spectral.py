@@ -5,7 +5,9 @@ from kmmix import ChainParams, QuadratureConfig, QuadratureError, build_measure,
     point_mass_summability, q_log_sup, q_values, residue_check, resolvent_a0, reversibility
 from kmmix import spectral
 from kmmix.mixing import _SeriesSup, tv_quadrature
-from kmmix.spectral import NODE_CAP, node_count, theta_nodes
+from kmmix.spectral import NODE_CAP, node_count, pole_errors, theta_nodes
+
+import oracles
 
 LD = np.longdouble
 
@@ -186,13 +188,51 @@ class TestPlanCache:
             assert info.value.allowed == NODE_CAP < info.value.needed
 
     def test_one_verify_computes_each_strip_bound_once(self, capsys, example_chain):
-        # verify asks for 28 node counts on the worked example, 12 of them distinct
+        # verify asks for 28 node counts on the worked example, 13 of them
+        # distinct: kernel_matrix over t <= 20 and spectral_integral at t = 0
+        # share the degree block 16 and t, but not the degree
         from kmmix.cli import main
         spectral._plan.cache_clear()
         assert main(["verify", "--p", "1/11", "--q", "9/11"]) == 0
         capsys.readouterr()
         info = spectral._plan.cache_info()
-        assert (info.misses, info.hits + info.misses) == (12, 28)
+        assert (info.misses, info.hits + info.misses) == (13, 28)
+
+
+POLE_CHAINS = [ChainParams(1 / 11, 9 / 11, 1 / 11), ChainParams(0.3, 0.32, 0.38),
+               ChainParams(0.3, 0.30001, 0.39999), ChainParams(0.49, 0.4901, 0.0199),
+               ChainParams(0.4999, 0.5, 1e-4), ChainParams(0.1, 0.2, 0.7)]
+
+
+class TestPoleErrors:
+    # the closed forms take p + q + r = 1, which the binary parameters miss by
+    # about 1e-17; near criticality a pole part's integral moves by that over
+    # q - p: 1.8e-14 at (0.4999, 0.5, 1e-4), in the twin's integrals too
+    @pytest.mark.parametrize("n_nodes", [16, 32, 768])
+    @pytest.mark.parametrize("chain", POLE_CHAINS)
+    def test_closed_forms_match_the_weights(self, chain, n_nodes):
+        got = pole_errors(chain, n_nodes)
+        want, integrals = oracles.pole_parts_by_weights(chain, n_nodes)
+        assert all(type(e) is LD and e <= 0.0 for e in got)  # the rule falls short
+        assert all(abs(g - e) <= 3e-14 for g, e in zip(got, want)), (got, want)
+        assert abs(sum(integrals) - LD(chain.p) / (LD(chain.q) + LD(chain.r))) <= 3e-14
+
+    def test_exact_count_is_the_lesser_and_ties_go_to_the_strip(self, example_chain):
+        c, sup = ChainParams(0.3, 0.32, 0.38), q_log_sup(example_chain, 16, 0)
+        # the strip asks for 32 nodes at degree 16 of the worked example, and
+        # so does the exact-degree count at degree 61: the strip plan; at
+        # degree 29 the exact count is 16
+        strip = node_count(example_chain, QuadratureConfig(), "x", sup)
+        assert strip[0] == 32 and not strip[2]
+        assert node_count(example_chain, QuadratureConfig(), "x", sup, degree=61) == strip
+        assert node_count(example_chain, QuadratureConfig(), "x", sup, degree=29)[::2] == \
+            (16, True)
+        # an override is corrected from ceil((degree + 3)/2) on, whatever the strip
+        cfg = QuadratureConfig(node_count=32)
+        k, bound, exact = node_count(c, cfg, "x", q_log_sup(c, 16, 0), 45, degree=61)
+        assert (k, exact) == (32, True) and 0.0 < bound <= cfg.tol
+        with pytest.raises(QuadratureError, match="override of 32"):
+            node_count(c, cfg, "x", q_log_sup(c, 16, 0), 45, degree=62)
 
 
 class TestResolvent:
