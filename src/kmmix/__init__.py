@@ -33,7 +33,6 @@ from .spectral import (
 from .mixing import (
     BoundCoefficients,
     ConvergenceError,
-    RouteDisagreement,
     TailControl,
     bound_coefficients,
     contour_envelope,
@@ -66,7 +65,7 @@ __all__ = [
     "drift_identity_residual", "q_values", "q_log_sup", "point_mass_summability",
     "SpectralMeasure", "QuadratureConfig", "QuadratureError", "RegimeError",
     "build_measure", "integrate_psi", "resolvent_a0", "residue_check",
-    "BoundCoefficients", "TailControl", "ConvergenceError", "RouteDisagreement",
+    "BoundCoefficients", "TailControl", "ConvergenceError",
     "bound_coefficients", "contour_envelope", "spectral_integral",
     "tv_curve", "tv_envelope", "tv_upper", "tv_lower", "t_mix",
     "kernel_matrix", "kernel_spectral",

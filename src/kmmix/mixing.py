@@ -34,8 +34,8 @@ n (ratios p/(q+r) and sqrt(p/q)) gives the closed-form envelope
 and, when alpha > beta, the matching lower envelope A alpha^t - B beta^t.
 The series takes the interval route, I_t(0..N) at once per t: a sine
 transform over the nodes (orthopoly.q_node_sums) in one pass at a certified
-node count, pole-corrected where the exact-degree count is the lesser
-(spectral.node_count), and atom terms from one table per call; N <= t, as
+node count, less the pole correction its plan carries (spectral.node_count),
+and atom terms from one table per call; N <= t, as
 past t the terms are nu_n and sum to (1/2) nu_tail(t).  t_mix is the first t
 at which TV drops to the target: log TV is close to linear in t, so a
 safeguarded regula falsi on it finds t in a few series calls of two times
@@ -53,13 +53,12 @@ import numpy as np
 from .chain import ChainParams, _kernel_args, _naturals, reversibility
 from .orthopoly import q_bracket_matrix, q_log_sup, q_node_sums
 from .spectral import EPS_FLOOR, QuadratureConfig, RegimeError, _checked_support, build_measure, \
-    negative_atom, node_count, pole_errors, theta_nodes
+    negative_atom, node_count, theta_nodes
 
 __all__ = [
     "BoundCoefficients",
     "TailControl",
     "ConvergenceError",
-    "RouteDisagreement",
     "bound_coefficients",
     "contour_envelope",
     "spectral_integral",
@@ -86,17 +85,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, achieved_bound):
         super().__init__(f"{message} (achieved tail bound {achieved_bound:.3e})")
         self.achieved_bound = achieved_bound
-
-
-class RouteDisagreement(RuntimeError):
-    """Interval and contour evaluations of the same integral disagree."""
-
-    def __init__(self, t, n, interval_value, contour_value, tolerance):
-        super().__init__(
-            f"interval/contour mismatch at t={t}, n={n}: "
-            f"{interval_value!r} vs {contour_value!r} (tolerance {tolerance:.3e})"
-        )
-        self.values = (interval_value, contour_value)
 
 
 @dataclass(frozen=True)
@@ -172,31 +160,20 @@ def spectral_integral(chain: ChainParams, t: int, n: int, route: str = "interval
     at 1 excluded, the negative atom included).
 
     route 'interval' takes the AC part from the kernel's quadrature core
-    (entry (0, n), Q_0 = 1) and adds w2 loc2^(t+n), 'contour' uses the
-    unit-circle representation, and 'both' evaluates the two and raises
-    RouteDisagreement if they differ beyond
-    1e-8 * max(1, beta^t (q/p)^(n/2))."""
+    (entry (0, n), Q_0 = 1) and adds w2 loc2^(t+n); 'contour' uses the
+    unit-circle representation (the verify command compares the two)."""
     t, n = _naturals([t, n], "t and n")
-    if route not in ("interval", "contour", "both"):
+    if route not in ("interval", "contour"):
         raise ValueError(f"unknown route {route!r}")
     if contour_node_count is not None and contour_node_count < 1:
         raise ValueError("contour_node_count must be at least 1")
     loc2, w2 = negative_atom(chain)
-    if route in ("interval", "both"):
+    if route == "interval":
         build_measure(chain)  # RegimeError outside the validated regime
-        ac, _ = _kernel_ac(chain, [t], [0], [n], cfg or QuadratureConfig(), "spectral_integral")
-        interval_val = w2 * loc2 ** (t + n) + float(ac[t][0, 0])
-        if route == "interval":
-            return interval_val
+        ac = _kernel_ac(chain, [t], [0], [n], cfg or QuadratureConfig(), "spectral_integral")[0]
+        return w2 * loc2 ** (t + n) + float(ac[t][0, 0])
     nodes = contour_node_count or contour_nodes_default(t, n, chain)
-    contour_val = w2 * loc2 ** (t + n) + _contour_part(chain, t, n, nodes)
-    if route == "contour":
-        return contour_val
-    beta = chain.support[1]
-    tol = 1e-8 * max(1.0, beta ** t * (chain.q / chain.p) ** (n / 2.0))
-    if abs(interval_val - contour_val) > tol:
-        raise RouteDisagreement(t, n, interval_val, contour_val, tol)
-    return interval_val
+    return w2 * loc2 ** (t + n) + _contour_part(chain, t, n, nodes)
 
 
 def _geometric_depth(amp: float, ratio: float, log_tol: float) -> float:
@@ -312,7 +289,7 @@ def _batches(cuts: dict, fft_cells: int):
 def _atom_table(chain: ChainParams, cuts: dict, k_zero: int, e2):
     """(exponents, values): the distinct exponents t + n < k_zero of the pairs
     (t, n <= N_t) of cuts ({t: N_t}, ascending t), ascending, and
-    (w2 - e2) loc2^(t+n) at each (e2 the pole correction, or 0) by one
+    (w2 - e2) loc2^(t+n) at each (e2 the plan's pole correction) by one
     np.power (none if there are none), then the 0.0 of those
     past k_zero (_underflow_degree).  Each t below k_zero has its own run
     t, t + 1, ... there, so t + n sits n places after t, or at the 0.0."""
@@ -338,8 +315,8 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     provably below the working tolerance of _cutoff_rule), or t where N_t
     passes t: mu_t lives on 0..t, so past t the terms are nu_n and add up to
     (1/2) nu_tail(t) exactly.  One pass at tv_quadrature's node count K
-    serves every t, under the exact-degree count with E1 off each AC part and
-    w2 - E2 as the atom weight (spectral.pole_errors).  The ascending times run in
+    serves every t, with its plan's E1 off each AC part and w2 - E2 as the
+    atom weight (both 0.0 under the strip count).  The ascending times run in
     batches of at most _CELLS cells, 2K for a t's FFT and N_t + 1 for its
     terms.  Per batch the AC parts of I_t(0..N_t) come from one sine transform
     per t (orthopoly.q_node_sums), and the series terms of all its (t, n)
@@ -352,8 +329,7 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     (q/p)^(n/2)), QuadratureError when the node count passes
     spectral.NODE_CAP, and RegimeError as tv_quadrature does."""
     ts = _naturals(ts)
-    cuts, n_nodes, _, exact = tv_quadrature(chain, ts, ctl, cfg)
-    e1, e2 = pole_errors(chain, n_nodes) if exact else (0.0, 0.0)
+    cuts, n_nodes, _, e1, e2 = tv_quadrature(chain, ts, ctl, cfg)
     rev = reversibility(chain)
     half_pi = 0.5 * rev.pi(np.arange(max(cuts.values()) + 1))
     k_zero = _underflow_degree(negative_atom(chain)[0])
@@ -410,10 +386,17 @@ class _SeriesSup:
                 - np.log(-np.expm1(log_z))
         return math.log(0.5) + q_log_sup(chain, 0)(y) + np.logaddexp(0.0, terms)
 
+    def on_support(self) -> float:
+        """The bound on the support, where pi_n |Q_n| <= c (n + 1) z^n / p with
+        z = sqrt(p/q) (orthopoly._QLogSup.on_support), its sum taken directly."""
+        n = np.arange(1, self.n_cut + 1)
+        terms = np.sum((n + 1) * math.sqrt(self.chain.p / self.chain.q) ** n) / self.chain.p
+        return math.log(0.5 + 0.5 * terms) + q_log_sup(self.chain, 0).on_support()
+
 
 def tv_quadrature(chain: ChainParams, ts, ctl: TailControl = None,
                   cfg: QuadratureConfig = None) -> tuple:
-    """(cuts, K, bound, exact): tv_curve's cutoffs {t: N_t} over the ascending
+    """(cuts, K, bound, E1, E2): tv_curve's cutoffs {t: N_t} over the ascending
     distinct ts, and spectral.node_count's plan of its one pass for the
     integrand _SeriesSup describes, of degree max t + N_t; RegimeError where
     spectral._checked_support fails."""
@@ -555,45 +538,44 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
     measure = build_measure(chain)
     cfg = cfg or QuadratureConfig()
     pi = reversibility(chain).pi(cols)
-    ac, l1 = _kernel_ac(chain, ts, rows, cols, cfg, "kernel_matrix")
-    (_, w1), (loc2, w2) = measure.atom1, measure.atom2
+    (_, w1), (_, w2) = measure.atom1, measure.atom2
+    ac, l1, atom = (np.array([part[t] for t in ts])
+                    for part in _kernel_ac(chain, ts, rows, cols, cfg, "kernel_matrix"))
     # not <=: a floor of 0 * inf (l1 past the double range, pi_j subnormal) is NaN
-    ac, l1 = (np.array([part[t] for t in ts]) for part in (ac, l1))
     with np.errstate(invalid="ignore"):  # 0 * inf, masked to NaN here
-        return np.where(~(pi * EPS_FLOOR * l1 <= cfg.tol), np.nan,
-                        (ac + w1 + w2 * loc2 ** np.add.outer(ts, np.add.outer(rows, cols))) * pi)
+        return np.where(~(pi * EPS_FLOOR * l1 <= cfg.tol), np.nan, (ac + w1 + w2 * atom) * pi)
 
 
 def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig, name: str):
     """The quadrature core of the kernel: the AC parts (Q[rows] w x^t) Q[cols]^T
-    for the ts and their L1 twins, ({t: ac}, {t: l1}), from the Q_n rows of
-    rows and cols on the nodes of one pass, a product per batch of times
-    within _CELLS.  Its node count certifies every entry
-    within cfg.tol by orthopoly.q_log_sup's bound on |Q_i Q_j|, taken at the
-    degree sum rounded up past a multiple of 16: a slice and a single entry
-    within one such block share the node count, and so their bits (degree
-    max(ts) + that sum).  Under the exact-degree count each AC part is less
-    E1 + E2 loc2^(t+i+j) (spectral.pole_errors, as Q_n(1) = 1 and Q_n(loc2) =
-    loc2^n), and its L1 twin gains their moduli."""
+    for the ts, their L1 twins and the atom powers loc2^(t+i+j), ({t: ac},
+    {t: l1}, {t: power}), from the Q_n rows of rows and cols on the nodes of
+    one pass, a product per batch of times within _CELLS.  Its node count
+    certifies every entry within cfg.tol by orthopoly.q_log_sup's bound on
+    |Q_i Q_j|, taken at the degree sum rounded up past a multiple of 16: a
+    slice and a single entry within one such block share the node count, and
+    so their bits (degree max(ts) + that sum).  Each AC part is less the
+    plan's E1 + E2 loc2^(t+i+j) (as Q_n(1) = 1 and Q_n(loc2) = loc2^n; 0.0
+    under the strip count), and its L1 twin gains their moduli."""
     block = (max(rows) + max(cols)) // 16 * 16 + 16
-    n_nodes, _, exact = node_count(chain, cfg, name, q_log_sup(chain, block, 0), t=min(ts),
-                                   degree=max(ts) + block)
+    n_nodes, _, e1, e2 = node_count(chain, cfg, name, q_log_sup(chain, block, 0), t=min(ts),
+                                    degree=max(ts) + block)
     x, w, two_cos, _ = theta_nodes(chain, n_nodes)
     degrees = tuple(sorted(set(rows) | set(cols)))  # np.union1d would import numpy.ma
     q_rows = _q_rows(chain, n_nodes, degrees, x, two_cos)
     left, right = (q_rows[np.searchsorted(degrees, s)] for s in (rows, cols))
-    e1, e2 = pole_errors(chain, n_nodes) if exact else (0.0, 0.0)
     loc2, sums, uniq = negative_atom(chain)[0], np.add.outer(rows, cols), sorted(set(ts))
+    atoms = np.power(loc2, np.add.outer(uniq, sums))
     ac, l1, powers, size = {}, {}, _powers(x, uniq), max(1, _CELLS // (left.size + sums.size))
     for start in range(0, len(uniq), size):
         times = uniq[start:start + size]
         wxt = w * np.array([next(powers)[1] for _ in times])[:, None]
-        pole = e2 * np.power(loc2, np.add.outer(times, sums)) if exact else 0.0
+        pole = e2 * atoms[start:start + size]
         with np.errstate(over="ignore"):  # past the double range: kernel_matrix masks to NaN
             l1.update(zip(times, (np.matmul(np.abs(left) * np.abs(wxt), np.abs(right).T)
                                   + (abs(e1) + np.abs(pole))).astype(float)))
             ac.update(zip(times, (np.matmul(left * wxt, right.T) - (e1 + pole)).astype(float)))
-    return ac, l1
+    return ac, l1, dict(zip(uniq, atoms))
 
 
 _q_rows_kept = {}  # (chain, K, degrees): read-only Q_n rows, oldest first

@@ -17,7 +17,7 @@ integrand is analytic in the strip |Im theta| < a left by the poles at 1 and
 -q/(q+r), so the error falls like e^(-2aK) with a closed-form constant; less
 its closed-form errors on their partial fractions (pole_errors) times f(1)
 and f(-q/(q+r)), the rule is exact on polynomials f of degree <= 2K - 3.
-node_count takes the lesser of these two certified counts, within NODE_CAP.
+node_count plans the lesser count within NODE_CAP, and the correction it takes.
 Nodes and reductions are carried in extended precision where the platform
 provides it: high-degree polynomial integrands cancel by many orders of
 magnitude and double-precision roundoff would otherwise set a noise floor
@@ -157,10 +157,10 @@ def theta_nodes(chain: ChainParams, n_nodes: int) -> tuple:
 
 def node_count(chain: ChainParams, cfg: QuadratureConfig, name: str, log_sup=None, t: int = 0,
                poles=(), degree=None) -> tuple:
-    """(K, bound, exact): the panels of the one trapezoid pass integrating x^t f
-    against phi within cfg.tol, its error bound, and whether it takes the pole
-    correction, for |f| <= exp(log_sup(y)) / prod |x - s| (s in poles) on
-    |Im theta| <= y and, where degree is given, x^t f of at most that degree.
+    """(K, bound, E1, E2): the panels of the one trapezoid pass integrating x^t f
+    against phi within cfg.tol, its error bound, and its pole correction (the
+    value is the pass's sum less E1 f(1) + E2 f(-q/(q+r))), for |f| <= exp(log_sup(y))
+    / prod |x - s| (s in poles) on |Im theta| <= y, x^t f of degree <= degree if given.
 
     Two counts are certified, each rounded up to 16 times a 5-smooth number (a
     fast FFT length); the lesser is taken, a tie going to the strip count.
@@ -170,24 +170,24 @@ def node_count(chain: ChainParams, cfg: QuadratureConfig, name: str, log_sup=Non
     y < a (Trefethen & Weideman 2014, Thm 3.2, halved), log_m bounding the
     integrand through |sin theta| <= cosh y and |Re x - r|, |Im x| <= 2 sqrt(pq)
     (cosh y, sinh y); K is the least count meeting tol at some y of a grid in
-    (0, a).  The exact-degree count ceil((degree + 3) / 2): less pole_errors
-    times f(1) and f(-q/(q+r)) the rule is exact, and bound is the roundoff
-    floor EPS_FLOOR (p/(q+r)) sup |x^t f| (the weights sum to at most
-    p/(q+r)), the sup from log_sup on that grid.  cfg.node_count overrides
-    both, exact where it reaches the exact-degree count.  The plan is cached
-    per (chain, cfg, log_sup, t, poles, degree), so log_sup is hashable and
-    describes the integrand by value where it can (orthopoly.q_log_sup's
-    degrees, the TV series' cutoff): equal descriptions share the plan.
-    QuadratureError, raised under the caller's name, where both counts pass
-    NODE_CAP or the override meets neither."""
-    need, n_nodes, bound, exact = _plan(chain, cfg, log_sup, int(t),
-                                        tuple(complex(z) for z in poles), degree)
+    (0, a), and E1 = E2 = 0.0.  The exact-degree count ceil((degree + 3) / 2):
+    less (E1, E2) = pole_errors(chain, K) the rule is exact, and bound is the
+    roundoff floor EPS_FLOOR (p/(q+r)) sup |x^t f| on the support (the weights
+    sum to at most p/(q+r)): |x| <= r + 2 sqrt(pq), log_sup.on_support() for f.
+    cfg.node_count overrides both, corrected where it reaches the exact-degree
+    count.  The plan is cached per (chain, cfg, log_sup, t, poles, degree), so
+    log_sup is hashable and describes the integrand by value where it can
+    (orthopoly.q_log_sup's degrees, the TV series' cutoff): equal descriptions
+    share the plan.  QuadratureError, raised under the caller's name, where
+    both counts pass NODE_CAP or the override meets neither."""
+    need, n_nodes, bound, e1, e2 = _plan(chain, cfg, log_sup, int(t),
+                                         tuple(complex(z) for z in poles), degree)
     if n_nodes is None:
         allowed, what = ((NODE_CAP, "the cap") if cfg.node_count is None
                          else (cfg.node_count, "the node_count override"))
         needed = math.ceil(need) if need < math.inf else need  # inf or nan as they are
         raise QuadratureError(name, needed, allowed, what)
-    return n_nodes, bound, exact
+    return n_nodes, bound, e1, e2
 
 
 def _fast_length(need: float):
@@ -203,7 +203,7 @@ def _fast_length(need: float):
 @lru_cache(maxsize=256)
 def _plan(chain: ChainParams, cfg: QuadratureConfig, log_sup, t: int, poles: tuple,
           degree=None) -> tuple:
-    """node_count's (need, K, bound, exact), need the real-valued count asked
+    """node_count's (need, K, bound, E1, E2), need the real-valued count asked
     for; K and bound are None where both counts pass NODE_CAP or the override."""
     p, q, r = chain.p, chain.q, chain.r
     s2 = 2.0 * chain.sqrt_pq
@@ -229,16 +229,16 @@ def _plan(chain: ChainParams, cfg: QuadratureConfig, log_sup, t: int, poles: tup
         n_nodes, exact = min(counts), counts[0] < counts[1]
         certified = n_nodes <= NODE_CAP
     if not certified:
-        return min(need_exact, need), None, None, False
-    if exact:  # |x| < 1 on the support, where |x^t| <= (r + reach)^t
-        log_l1 = math.log(p / (q + r)) + np.min(t * np.log(r + reach) + sup)
+        return min(need_exact, need), None, None, 0.0, 0.0
+    if exact:  # |x^t f| <= (r + s2)^t exp(log_sup.on_support()) on the support
+        log_l1 = t * math.log(r + s2) + (0.0 if log_sup is None else log_sup.on_support())
         with np.errstate(over="ignore"):  # an L1 past the double range: bound inf
-            return need_exact, n_nodes, EPS_FLOOR * float(np.exp(log_l1)), True
+            bound = EPS_FLOOR * (p / (q + r)) * float(np.exp(log_l1))
+        return need_exact, n_nodes, bound, *pole_errors(chain, n_nodes)
     u = 2.0 * y * n_nodes  # log(e^u - 1) = u + log(1 - e^-u)
-    return need, n_nodes, float(np.exp(np.min(log_m - u - np.log(-np.expm1(-u))))), False
+    return need, n_nodes, float(np.exp(np.min(log_m - u - np.log(-np.expm1(-u))))), 0.0, 0.0
 
 
-@lru_cache(maxsize=32)
 def pole_errors(chain: ChainParams, n_nodes: int) -> tuple:
     """(E1, E2), in extended precision: the n_nodes-panel rule's errors (sum
     less integral) on the pole parts of 1/(((r+q)x+q)(1-x)) = [1/(1-x) +

@@ -206,10 +206,11 @@ def node_powers_stepwise(x: np.ndarray, ts):
 def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
     """tv_curve's series at every t of ts, its AC parts (Q w x^t)_n, n <= N_t,
     taken as one product with the Q_n bracket matrix instead of by the sine
-    transform: the same cutoffs N_t, node count and pole correction, from
-    tv_quadrature, and the same (1/2) nu_tail(t) where N_t = t."""
-    cuts, n_nodes, _, exact = tv_quadrature(chain, ts)
-    e1, e2 = pole_errors(chain, n_nodes) if exact else (0.0, 0.0)
+    transform: the same cutoffs N_t and node count, from tv_quadrature, the
+    pole correction from pole_errors' closed form where that plan takes one
+    (its E1, E2 are not read), and the same (1/2) nu_tail(t) where N_t = t."""
+    cuts, n_nodes, _, *plan = tv_quadrature(chain, ts)
+    e1, e2 = pole_errors(chain, n_nodes) if any(plan) else (0.0, 0.0)
     x, w, two_cos, _ = theta_nodes(chain, n_nodes)
     q_rows = q_bracket_matrix(chain, max(cuts.values()), x, two_cos)
     loc2, w2 = negative_atom(chain)
@@ -225,14 +226,15 @@ def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
 
 
 def tv_curve_per_t(chain: ChainParams, ts, ctl=None, cfg=None) -> list:
-    """tv_curve's series summed one t at a time: the same cutoffs, nodes and
-    pole correction, then per t its own power x^t (node_powers_stepwise), its
-    own sine transform to degree N_t, its own power (w2 - E2) loc2^(t+n) at
-    every n <= N_t, its own fsum of (1/2) pi_n |I_t(n)| and (1/2) nu_tail(t)
-    where N_t = t.  It shares no batching with tv_curve."""
+    """tv_curve's series summed one t at a time: the same cutoffs and nodes,
+    pole_errors where that plan is corrected, then per t its own power x^t
+    (node_powers_stepwise), its own sine transform to degree N_t, its own
+    power (w2 - E2) loc2^(t+n) at every n <= N_t, its own fsum of
+    (1/2) pi_n |I_t(n)| and (1/2) nu_tail(t) where N_t = t.  It shares no
+    batching with tv_curve."""
     ts = list(ts)
-    cuts, n_nodes, _, exact = tv_quadrature(chain, ts, ctl, cfg)
-    e1, e2 = pole_errors(chain, n_nodes) if exact else (0.0, 0.0)
+    cuts, n_nodes, _, *plan = tv_quadrature(chain, ts, ctl, cfg)
+    e1, e2 = pole_errors(chain, n_nodes) if any(plan) else (0.0, 0.0)
     rev = reversibility(chain)
     pi_vals = np.atleast_1d(rev.pi(np.arange(max(cuts.values()) + 1)))
     loc2, w2 = negative_atom(chain)

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from kmmix import ChainParams, QuadratureConfig, cli, tv_lower, tv_upper
+from kmmix import ChainParams, QuadratureConfig, cli, mixing, tv_lower, tv_upper
 from kmmix.cli import main
 from kmmix.mixing import tv_quadrature
+from kmmix.spectral import pole_errors
 
 import oracles
 
@@ -318,8 +319,17 @@ class TestTv:
     def test_nan_series_tol_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "tv", "--p", "1/11", "--q", "9/11",
                                  "--t-max", "2", "--series-tol", "nan")
-        assert code == 2 and out == ""
-        assert err.startswith("kmmix: ") and "series_tol must be positive" in err
+        assert (code, out, err) == (2, "", "kmmix: --series-tol must be positive\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    *((("tv", "--series-tol", v), "--series-tol must be positive") for v in ("-1", "0", "nan")),
+    *((("tmix", "--eps", v), "--eps must lie in (0, 1)") for v in ("-1", "0", "nan", "1")),
+])
+def test_out_of_range_flag_is_named_exit_2(capsys, argv, message):
+    # the library's checks name its fields (series_tol, eps); the CLI names the flag
+    code, out, err = run_cli(capsys, argv[0], "--p", "1/11", "--q", "9/11", *argv[1:])
+    assert (code, out, err) == (2, "", f"kmmix: {message}\n")
 
 
 class TestTmix:
@@ -454,10 +464,12 @@ class TestVerify:
         # both passes of quadrature_bound_k_vs_2k take the pole correction,
         # and its bound is their roundoff floors (not 0) plus 1e-14
         chain = ChainParams(0.3, 0.32, 0.38)
-        _, k, bound, exact = tv_quadrature(chain, range(61))
-        _, wide, wide_bound, wide_exact = tv_quadrature(
+        _, k, bound, *errors = tv_quadrature(chain, range(61))
+        _, wide, wide_bound, *wide_errors = tv_quadrature(
             chain, range(61), cfg=QuadratureConfig(node_count=2 * k))
-        assert (k, exact, wide, wide_exact) == (64, True, 128, True)
+        assert (k, wide) == (64, 128)
+        assert errors == list(pole_errors(chain, k))
+        assert wide_errors == list(pole_errors(chain, wide))
         assert 0.0 < bound < 1e-13 and 0.0 < wide_bound < 1e-13
         code, out, _ = run_cli(capsys, "verify", "--p", "0.3", "--q", "0.32", "--r", "0.38")
         checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}
@@ -486,6 +498,22 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", *argv)
         checks = {c["name"]: c["passed"] for c in json.loads(out)["results"]["checks"]}
         assert code == 0 and checks["quadrature_bound_k_vs_2k"], checks
+
+    @pytest.mark.parametrize("offset", [1e-3, math.nan], ids=["off_by_1e-3", "nan"])
+    def test_route_row_fails_when_the_routes_disagree(self, capsys, monkeypatch, offset):
+        contour_part = mixing._contour_part
+        monkeypatch.setattr(mixing, "_contour_part", lambda *args: contour_part(*args) + offset)
+        code, out, _ = run_cli(capsys, "verify", "--p", "1/11", "--q", "9/11")
+        results = json.loads(out)["results"]
+        checks = {c["name"]: c for c in results["checks"]}
+        row = checks.pop("spectral_integral_route_equivalence")
+        assert code == 1 and not results["all_passed"] and not row["passed"]
+        # the worst |interval - contour| in units of its tolerance; a NaN stays NaN
+        if math.isnan(offset):
+            assert math.isnan(row["worst"])
+        else:
+            assert row["worst"] > 1.0
+        assert all(c["passed"] for c in checks.values())  # no other row reads the contour
 
 
 class TestOutputFile:

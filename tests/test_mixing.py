@@ -12,10 +12,19 @@ from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureErr
 from kmmix import mixing
 from kmmix.chain import kernel_oracle
 from kmmix.mixing import _cutoff_rule, _pole_pair, tv_quadrature
-from kmmix.spectral import NODE_CAP, theta_nodes
+from kmmix.spectral import NODE_CAP, pole_errors, theta_nodes
 
 import oracles
 from conftest import EXAMPLE, GRID, RANDOM_CHAINS
+
+
+def assert_routes_agree(chain, t, n):
+    """The interval and contour routes of I_t(n) agree within
+    1e-8 max(1, beta^t (q/p)^(n/2)), the measure of acceptance c07."""
+    interval = spectral_integral(chain, t, n, route="interval")
+    contour = spectral_integral(chain, t, n, route="contour")
+    tol = 1e-8 * max(1.0, chain.support[1] ** t * (chain.q / chain.p) ** (n / 2.0))
+    assert abs(interval - contour) <= tol, (chain, t, n, interval, contour)
 
 
 class TestBoundCoefficients:
@@ -71,7 +80,7 @@ class TestSpectralIntegral:
     def test_route_agreement_grid(self, example_chain):
         for t in range(0, 61, 6):
             for n in range(0, 21, 5):
-                spectral_integral(example_chain, t, n, route="both")  # raises on mismatch
+                assert_routes_agree(example_chain, t, n)
 
     def test_contour_node_doubling_stable(self, example_chain):
         for (t, n) in ((0, 0), (10, 4), (40, 15), (60, 20)):
@@ -83,6 +92,11 @@ class TestSpectralIntegral:
     def test_rejects_bad_route(self, example_chain):
         with pytest.raises(ValueError, match="route"):
             spectral_integral(example_chain, 1, 1, route="spiral")
+
+    def test_both_is_not_a_route(self, example_chain):
+        # the verify command compares the two routes itself
+        with pytest.raises(ValueError, match="unknown route 'both'"):
+            spectral_integral(example_chain, 1, 1, route="both")
 
     def test_rejects_bad_arguments(self, example_chain):
         for t, n in ((2.5, 1), (2, 1.5), (-1, 0), (0, -2)):
@@ -110,7 +124,7 @@ class TestSpectralIntegral:
         # default node count must grow to damp the inner aliases
         for c in (ChainParams(0.30, 0.38, 0.32), ChainParams(0.32, 0.34, 0.34)):
             for (t, n) in ((0, 0), (10, 5), (25, 12)):
-                spectral_integral(c, t, n, route="both")
+                assert_routes_agree(c, t, n)
 
 
 class TestTvExact:
@@ -738,7 +752,10 @@ class TestPoleCorrectedWedge:
     def test_tv_against_the_dp(self, chain):
         got = tv_curve(chain, range(61))
         assert max(abs(a - b) for a, b in zip(got, tv_oracle_curve(chain, 60))) <= 1e-12
-        assert tv_quadrature(chain, range(61))[1::2] == (64, True)
+        _, k, bound, *errors = tv_quadrature(chain, range(61))
+        assert k == 64 and errors == list(pole_errors(chain, 64))  # bit for bit
+        # the roundoff floor from the real-line bound on |Q_n|, not the strip's
+        assert 0.0 < bound <= QuadratureConfig().tol
 
     @pytest.mark.parametrize("chain", WEDGE)
     def test_entry_at_degree_2k_minus_3(self, chain):
@@ -926,8 +943,7 @@ QUADRATURES = [
     (_tv_curve_past_n_cap, "tv_curve"),
     (lambda c, cfg, t=40: integrate_psi(build_measure(c), lambda x: x ** 80, cfg=cfg),
      "density"),
-    (lambda c, cfg, t=40: spectral_integral(c, t, 12, route="both", cfg=cfg),
-     "spectral_integral"),
+    (lambda c, cfg, t=40: spectral_integral(c, t, 12, cfg=cfg), "spectral_integral"),
 ]
 QUADRATURE_IDS = ["kernel_matrix", "tv_curve", "integrate_psi", "spectral_integral"]
 
@@ -966,8 +982,9 @@ class TestNodeCount:
     ])
     def test_tv_curve_counts(self, chain, short, deep):
         for ts, (nodes, exact) in ((range(61), short), (range(2000, 2021), deep)):
-            _, k, bound, corrected = tv_quadrature(chain, ts)
-            assert (k, corrected) == (nodes, exact) and bound <= QuadratureConfig().tol
+            _, k, bound, *errors = tv_quadrature(chain, ts)
+            assert k == nodes and bound <= QuadratureConfig().tol
+            assert errors == (list(pole_errors(chain, k)) if exact else [0.0, 0.0])
 
     def test_sizes_are_16_times_5_smooth(self, chain_grid):
         for c in chain_grid + [NEAR_CRITICAL]:

@@ -165,10 +165,10 @@ def test_kernel_bound_covers_the_quadrature_error(chain):
     log_sup = q_log_sup(chain, 16, 0)  # entries to (4, 4): the kernel's first degree block
     k = node_count(chain, QuadratureConfig(), "kernel", log_sup)[0]
     wide = QuadratureConfig(node_count=4 * k, tol=ANY_COUNT)
-    ref, ref_l1 = _kernel_ac(chain, ts, every, every, wide, "kernel")
+    ref, ref_l1, _ = _kernel_ac(chain, ts, every, every, wide, "kernel")
     for n in _counts(k):
         cfg = QuadratureConfig(node_count=n, tol=ANY_COUNT)
-        ac, l1 = _kernel_ac(chain, ts, every, every, cfg, "kernel")
+        ac, l1, _ = _kernel_ac(chain, ts, every, every, cfg, "kernel")
         bound = node_count(chain, cfg, "kernel", log_sup)[1] + \
             node_count(chain, wide, "kernel", log_sup)[1]
         for t in ts:
