@@ -17,9 +17,9 @@ representations implemented here:
                  / ((z - z_a)(z - z_b)) dz,
              z_a = sqrt(p/q) (r + (1+q-p))/(2(q+r)),
              z_b = sqrt(p/q) (r - (1+q-p))/(2(q+r)),
-             with all finite poles strictly inside the circle, so the uniform
-             M-point rule is exponentially accurate once M resolves the
-             degree t + n + 1 of the outer Laurent part.
+             both poles strictly inside the circle.  The mean over the
+             M = t + n + 1 roots of unity is exact on the Laurent polynomial
+             and errs only by the two poles' closed-form aliasing, subtracted.
 
 Bounding |I_t(n)| termwise by
     w2 alpha^(t+n) + (q/p)^(n/2) (p/(q+r)) M_env beta^t,
@@ -134,46 +134,41 @@ def bound_coefficients(chain: ChainParams) -> BoundCoefficients:
     return BoundCoefficients(A=A, B=B, alpha=alpha, beta=beta, m=max(alpha, beta))
 
 
-def _contour_part(chain: ChainParams, t: int, n: int, n_nodes: int) -> float:
-    """(q/p)^(n/2) (p/(q+r)) times the uniform-rule unit-circle integral."""
+def _contour_part(chain: ChainParams, t: int, n: int) -> float:
+    """(q/p)^(n/2) (p/(q+r)) times the unit-circle integral: the mean of
+    g = P (1 + a/(z - z_a) + b/(z - z_b)), P = lambda^t z^n, over the M = t + n + 1
+    roots of unity, less its aliasing a P(z_a) z_a^(M-1)/(1 - z_a^M) + b P(z_b)
+    z_b^(M-1)/(1 - z_b^M), where P(z_a) = z_a^n (lambda(z_a) = 1), P(z_b) = loc2^t z_b^n."""
     p, q, r = chain.p, chain.q, chain.r
     za, zb = _pole_pair(chain)
-    z = np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
-    core = (chain.sqrt_pq * (z + 1.0 / z) + r) ** t
-    f = core * z ** n * (z - 1.0 / z) / ((z - za) * (z - zb))
-    integral = np.mean(f * z).real  # (1/2 pi i) contour integral
-    return (q / p) ** (n / 2.0) * (p / (q + r)) * integral
-
-
-def contour_nodes_default(t: int, n: int, chain: ChainParams) -> int:
-    """Node count resolving the degree-(t+n+1) outer Laurent part, plus
-    enough nodes for the inner aliases (geometric in the largest pole
-    modulus, which approaches the circle as q approaches p)."""
-    za, zb = _pole_pair(chain)
-    decay = -math.log(max(abs(za), abs(zb)))
-    return 2 * (t + n) + 64 + min(int(math.ceil(28.0 / decay)), 1_000_000)
+    m = t + n + 1
+    z = np.exp(2j * np.pi * np.arange(m) / m)
+    g = (chain.sqrt_pq * (z + 1.0 / z) + r) ** t * z ** n * (z * z - 1.0) / ((z - za) * (z - zb))
+    a = (p - q) / q / (za - zb)  # (z_a^2 - 1)/(z_a - z_b), z_a^2 = p/q
+    b = (zb * zb - 1.0) / (zb - za)
+    alias = (a * za ** (n + m - 1) / -math.expm1(0.5 * m * math.log(p / q))  # 1 - z_a^M
+             + b * negative_atom(chain)[0] ** t * zb ** (n + m - 1) / (1.0 - zb ** m))
+    return (q / p) ** (n / 2.0) * (p / (q + r)) * (np.mean(g).real - alias)
 
 
 def spectral_integral(chain: ChainParams, t: int, n: int, route: str = "interval",
-                      cfg: QuadratureConfig = None, contour_node_count: int = None) -> float:
+                      cfg: QuadratureConfig = None) -> float:
     """I_t(n), the integral of lambda^t Q_n over (-1, 1) against psi (the atom
     at 1 excluded, the negative atom included).
 
     route 'interval' takes the AC part from the kernel's quadrature core
     (entry (0, n), Q_0 = 1) and adds w2 loc2^(t+n); 'contour' uses the
-    unit-circle representation (the verify command compares the two)."""
+    unit-circle representation (the verify command compares the two).  Both
+    are exact rules less closed-form pole corrections, accurate relative to
+    max(1, beta^t (q/p)^(n/2)); RegimeError outside build_measure's regime."""
     t, n = _naturals([t, n], "t and n")
     if route not in ("interval", "contour"):
         raise ValueError(f"unknown route {route!r}")
-    if contour_node_count is not None and contour_node_count < 1:
-        raise ValueError("contour_node_count must be at least 1")
-    loc2, w2 = negative_atom(chain)
+    loc2, w2 = build_measure(chain).atom2  # RegimeError outside the validated regime
     if route == "interval":
-        build_measure(chain)  # RegimeError outside the validated regime
         ac = _kernel_ac(chain, [t], [0], [n], cfg or QuadratureConfig(), "spectral_integral")[0]
         return w2 * loc2 ** (t + n) + float(ac[t][0, 0])
-    nodes = contour_node_count or contour_nodes_default(t, n, chain)
-    return w2 * loc2 ** (t + n) + _contour_part(chain, t, n, nodes)
+    return w2 * loc2 ** (t + n) + _contour_part(chain, t, n)
 
 
 def _geometric_depth(amp: float, ratio: float, log_tol: float) -> float:
@@ -571,7 +566,7 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig, name: 
         times = uniq[start:start + size]
         wxt = w * np.array([next(powers)[1] for _ in times])[:, None]
         pole = e2 * atoms[start:start + size]
-        with np.errstate(over="ignore"):  # past the double range: kernel_matrix masks to NaN
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0: masked to NaN
             l1.update(zip(times, (np.matmul(np.abs(left) * np.abs(wxt), np.abs(right).T)
                                   + (abs(e1) + np.abs(pole))).astype(float)))
             ac.update(zip(times, (np.matmul(left * wxt, right.T) - (e1 + pole)).astype(float)))

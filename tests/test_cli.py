@@ -395,6 +395,13 @@ class TestKernel:
         assert code == 1 and out == ""
         assert err.startswith("kmmix: ") and err.count("\n") == 1
 
+    def test_inf_times_zero_leaves_one_stderr_line(self, capsys):
+        # Q_3400 overflows longdouble and meets a zero: NaN, and no numpy warning
+        code, out, err = run_cli(capsys, "kernel", "--p", "0.001", "--q", "0.989", "--r", "0.01",
+                                 "--i", "0", "--j", "3400", "--t-max", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("kmmix: ") and err.count("\n") == 1
+
     def test_degree_past_the_node_cap_exit_1(self, capsys):
         # refused by the node count, before any array is sized by the degree
         code, out, err = run_cli(capsys, "kernel", "--p", "1/11", "--q", "9/11",

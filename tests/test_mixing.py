@@ -27,6 +27,12 @@ def assert_routes_agree(chain, t, n):
     assert abs(interval - contour) <= tol, (chain, t, n, interval, contour)
 
 
+# contour poles near the unit circle: z_a = sqrt(p/q) -> 1 as q -> p, and
+# z_b = -sqrt(pq)/(q+r) -> -1 as, further, r -> 0
+POLE_NEAR_CIRCLE = (ChainParams(0.3, 0.32, 0.38), ChainParams(0.49, 0.4901, 0.0199),
+                    ChainParams(0.4999, 0.5, 1e-4), ChainParams(0.3, 0.3000001, 0.3999999))
+
+
 class TestBoundCoefficients:
     def test_worked_example_constants(self, example_chain):
         co = bound_coefficients(example_chain)
@@ -78,16 +84,29 @@ class TestSpectralIntegral:
                 assert val == pytest.approx(-8 / 19, abs=1e-9)
 
     def test_route_agreement_grid(self, example_chain):
-        for t in range(0, 61, 6):
-            for n in range(0, 21, 5):
-                assert_routes_agree(example_chain, t, n)
+        for chain in (example_chain, *POLE_NEAR_CIRCLE):
+            for t in range(0, 61, 6):
+                for n in range(0, 21, 5):
+                    assert_routes_agree(chain, t, n)
 
-    def test_contour_node_doubling_stable(self, example_chain):
-        for (t, n) in ((0, 0), (10, 4), (40, 15), (60, 20)):
-            m0 = 2 * (t + n) + 64
-            a = spectral_integral(example_chain, t, n, route="contour", contour_node_count=m0)
-            b = spectral_integral(example_chain, t, n, route="contour", contour_node_count=2 * m0)
-            assert abs(a - b) <= 1e-10
+    @pytest.mark.parametrize("chain", (EXAMPLE, *POLE_NEAR_CIRCLE))
+    def test_contour_route_against_the_dp(self, chain):
+        # I_t(n) = p_t(0, n)/pi_n - w1; the contour rule at t + n + 1 points
+        # less its pole aliasing is exact up to roundoff
+        w1 = build_measure(chain).atom1[1]
+        dp = kernel_oracle(chain, range(61), 20, rows=[0])[:, 0, :]
+        pi = reversibility(chain).pi(np.arange(21))
+        for t in range(61):
+            for n in range(21):
+                value = spectral_integral(chain, t, n, route="contour")
+                scale = max(1.0, chain.support[1] ** t * (chain.q / chain.p) ** (n / 2.0))
+                assert abs(value - (dp[t, n] / pi[n] - w1)) <= 1e-9 * scale, (t, n)
+
+    def test_both_routes_check_the_regime(self):
+        # a density pole on the AC interval: neither route returns a value
+        for route in ("interval", "contour"):
+            with pytest.raises(RegimeError):
+                spectral_integral(ChainParams(0.3, 0.30000001, 0.39999999), 3, 2, route=route)
 
     def test_rejects_bad_route(self, example_chain):
         with pytest.raises(ValueError, match="route"):
@@ -102,9 +121,6 @@ class TestSpectralIntegral:
         for t, n in ((2.5, 1), (2, 1.5), (-1, 0), (0, -2)):
             with pytest.raises(ValueError, match="nonnegative integers"):
                 spectral_integral(example_chain, t, n)
-        for count in (0, -4):
-            with pytest.raises(ValueError, match="contour_node_count"):
-                spectral_integral(example_chain, 3, 2, route="contour", contour_node_count=count)
 
     def test_interval_route_is_the_kernel_entry(self, example_chain):
         # both read entry (0, n) of one quadrature core; the atoms are added
@@ -120,8 +136,8 @@ class TestSpectralIntegral:
                     assert abs(pi_n * (w1 + value) - want) <= 4 * ulp, (c, t, n)
 
     def test_routes_agree_with_poles_near_circle(self):
-        # q barely above p pushes a contour pole to sqrt(p/q) ~ 1; the
-        # default node count must grow to damp the inner aliases
+        # q barely above p pushes a contour pole to sqrt(p/q) ~ 1, where the
+        # aliasing subtracted is largest
         for c in (ChainParams(0.30, 0.38, 0.32), ChainParams(0.32, 0.34, 0.34)):
             for (t, n) in ((0, 0), (10, 5), (25, 12)):
                 assert_routes_agree(c, t, n)
