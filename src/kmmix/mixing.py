@@ -40,7 +40,10 @@ past t the terms are nu_n and sum to (1/2) nu_tail(t).  t_mix is the first t
 at which TV drops to the target: log TV is close to linear in t, so a
 safeguarded regula falsi on it finds t in a few series calls of two times
 each, inside a bracket from the lower bound (1/2) alpha^t (the eigenfunction
-(-alpha)^n of the negative atom) to the envelope's answer.
+(-alpha)^n of the negative atom) to the envelope's answer.  The rounds aim
+at TV's tail: A alpha^t where alpha > beta (the envelopes' shared leading
+term), and where beta >= alpha a power of t times beta^t, the decay law of
+the density's sin^2 edge, along whose tangent the one-sided rounds step.
 """
 
 import math
@@ -52,8 +55,8 @@ import numpy as np
 
 from .chain import ChainParams, _kernel_args, _naturals, reversibility
 from .orthopoly import q_bracket_matrix, q_log_sup, q_node_sums
-from .spectral import EPS_FLOOR, QuadratureConfig, RegimeError, _checked_support, build_measure, \
-    negative_atom, node_count, theta_nodes
+from .spectral import EPS_FLOOR, NODE_CAP, QuadratureConfig, QuadratureError, RegimeError, \
+    _checked_support, build_measure, negative_atom, node_count, theta_nodes
 
 __all__ = [
     "BoundCoefficients",
@@ -77,6 +80,11 @@ _Q_ROWS_MEMO = 16  # (chain, K, degrees) whose Q_n rows _kernel_ac keeps
 _Q_ROWS_CELLS = 1 << 16  # the most cells (1 MB in longdouble) of Q_n rows it keeps per entry
 T_CAP = 10 ** 7  # the largest time t_mix searches to
 N_CAP = 100_000  # the largest degree cutoff N of the TV series
+# t_mix steers by TV ~ t^-kappa beta^t where beta >= alpha: kappa -> 3/2 as t -> oo, but
+# TV / beta^t falls like t^-0.77 on (0.3, 0.32, 0.38) for t in 50..20000, and kappa = 1
+# takes 587 rounds over the tests' 30 pinned chains at 7 eps (3/2: 601, 0.77: 593)
+_EDGE_KAPPA = 1.0
+_EDGE_LEVEL = 0.05  # TV from which it does; 0.02 takes 589 of those rounds
 
 
 class ConvergenceError(RuntimeError):
@@ -138,10 +146,14 @@ def _contour_part(chain: ChainParams, t: int, n: int) -> float:
     """(q/p)^(n/2) (p/(q+r)) times the unit-circle integral: the mean of
     g = P (1 + a/(z - z_a) + b/(z - z_b)), P = lambda^t z^n, over the M = t + n + 1
     roots of unity, less its aliasing a P(z_a) z_a^(M-1)/(1 - z_a^M) + b P(z_b)
-    z_b^(M-1)/(1 - z_b^M), where P(z_a) = z_a^n (lambda(z_a) = 1), P(z_b) = loc2^t z_b^n."""
+    z_b^(M-1)/(1 - z_b^M), where P(z_a) = z_a^n (lambda(z_a) = 1), P(z_b) = loc2^t z_b^n.
+    QuadratureError past M = 2 NODE_CAP, the degree the interval route's exact
+    count ceil((d + 3)/2) <= NODE_CAP reaches."""
+    m = t + n + 1
+    if m > 2 * NODE_CAP:
+        raise QuadratureError("spectral_integral", m, 2 * NODE_CAP, "the contour cap")
     p, q, r = chain.p, chain.q, chain.r
     za, zb = _pole_pair(chain)
-    m = t + n + 1
     z = np.exp(2j * np.pi * np.arange(m) / m)
     g = (chain.sqrt_pq * (z + 1.0 / z) + r) ** t * z ** n * (z * z - 1.0) / ((z - za) * (z - zb))
     a = (p - q) / q / (za - zb)  # (z_a^2 - 1)/(z_a - z_b), z_a^2 = p/q
@@ -160,7 +172,8 @@ def spectral_integral(chain: ChainParams, t: int, n: int, route: str = "interval
     (entry (0, n), Q_0 = 1) and adds w2 loc2^(t+n); 'contour' uses the
     unit-circle representation (the verify command compares the two).  Both
     are exact rules less closed-form pole corrections, accurate relative to
-    max(1, beta^t (q/p)^(n/2)); RegimeError outside build_measure's regime."""
+    max(1, beta^t (q/p)^(n/2)); RegimeError outside build_measure's regime,
+    QuadratureError past either route's node cap."""
     t, n = _naturals([t, n], "t and n")
     if route not in ("interval", "contour"):
         raise ValueError(f"unknown route {route!r}")
@@ -440,28 +453,37 @@ def _log(value: float) -> float:
     return math.log(value) if value > 0.0 else -math.inf
 
 
-def _first_below(values, limit: float, lo: int, hi: int, log_lo: float, rate: float) -> int:
+def _first_below(values, limit: float, lo: int, hi: int, log_lo: float, rate: float,
+                 aim: int = None, kappa: float = 0.0) -> int:
     """Least t in (lo, hi] with values([t])[0] <= limit, for values non-increasing
     in t, above limit at lo and at or below it at hi (neither evaluated; log_lo
     estimates log values(lo), and rate in (0, 1) their decay per step).
 
     A safeguarded regula falsi on log values.  Each round is one values call
     on a pair (g - 1, g): the bracket shrinks to the side where they cross,
-    or the crossing lies between them.  g is where the line through the
-    bracket ends' log values reaches log limit; an end kept twice in a row
-    has its distance to log limit halved (Illinois).  Until hi is evaluated
-    the line leaves lo with slope log(rate).  A round that fails to halve the
-    bracket is followed by a bisection round, so zeros (log -inf) or a badly
-    shaped curve cost at most about twice bisection's rounds."""
+    or the crossing lies between them.  The first round takes g = aim when
+    one is given.  Otherwise g is where a line reaches log limit: the line
+    through the ends' log values once hi is evaluated, an end kept twice in
+    a row having its distance to log limit halved (Illinois); before that,
+    the line leaving lo with slope log(rate).  A tangent round is such a
+    one-sided round from an evaluated lo whose value is below _EDGE_LEVEL:
+    its slope is log(rate) - kappa / lo, the tangent of log(t^-kappa rate^t).
+    A round that fails to halve the bracket is followed by a bisection
+    round, so zeros (log -inf) or a badly shaped curve cost at most about
+    twice bisection's rounds; but before a tangent round only a tangent
+    round that failed to halve lo's distance to log limit forces one.
+    kappa = 0 and no aim give the plain regula falsi."""
     target = math.log(limit)
     f_lo, f_hi = log_lo - target, None  # log value less log limit at each end
-    last, bisect = None, False  # the end that moved in the last round
+    last, bisect, steep = None, False, 0.0  # the end moved last; kappa / lo if tangent
     while hi - lo > 1:
-        width = hi - lo
-        if bisect or (f_hi is not None and not f_lo > f_hi):
+        width, gap, tangent = hi - lo, f_lo, False
+        if aim is not None:
+            g, aim = aim, None
+        elif bisect or (f_hi is not None and not f_lo > f_hi):
             g = (lo + hi + 1) // 2
         elif f_hi is None:
-            g = lo + max(f_lo, 0.0) / -math.log(rate)
+            g, tangent = lo + max(f_lo, 0.0) / (steep - math.log(rate)), steep > 0.0
         else:
             g = lo + width * (f_lo / (f_lo - f_hi))
         g = min(max(math.ceil(g), lo + 2), hi)
@@ -472,11 +494,16 @@ def _first_below(values, limit: float, lo: int, hi: int, log_lo: float, rate: fl
             return g
         else:
             lo, f_lo, moved = g, _log(at) - target, "lo"
+            steep = kappa / lo if at < _EDGE_LEVEL else 0.0
         if moved == last == "hi":  # lo kept twice in a row
             f_lo *= 0.5
         elif moved == last == "lo" and f_hi is not None:
             f_hi *= 0.5
-        last, bisect = moved, 2 * (hi - lo) > width
+        last = moved
+        if f_hi is None and steep > 0.0:  # the next round is a tangent round
+            bisect = tangent and not f_lo < 0.5 * gap
+        else:
+            bisect = 2 * (hi - lo) > width
     return hi
 
 
@@ -490,7 +517,11 @@ def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
     past t = 1e7.  TV is summed with its quadrature and series tolerances
     both within eps * 1e-3, so every value compared with eps is certified
     to a thousandth of it (QuadratureError where that takes more than
-    spectral.NODE_CAP nodes)."""
+    spectral.NODE_CAP nodes).  The exact search aims at TV's tail: where
+    alpha > beta, TV -> A alpha^t and its first round goes to the time that
+    reaches eps; where beta >= alpha, its one-sided rounds follow the AC
+    edge's t^-_EDGE_KAPPA beta^t once TV is below _EDGE_LEVEL.  Only the
+    rounds move, not the answers."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if method not in ("exact", "bound"):
@@ -511,8 +542,10 @@ def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
         return bound
     ctl = TailControl(series_tol=min(1e-12, eps * 1e-3))
     cfg = QuadratureConfig(tol=min(QuadratureConfig.tol, eps * 1e-3))
+    edge = co.beta >= co.alpha  # else TV -> A alpha^t: aim at that crossing
+    aim = None if edge else math.ceil(math.log(eps / co.A) / log_alpha)
     return _first_below(lambda ts: tv_curve(chain, ts, ctl=ctl, cfg=cfg), eps, lo, bound + 1,
-                        log_lo, co.m)
+                        log_lo, co.m, aim, _EDGE_KAPPA if edge else 0.0)
 
 
 def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = None,

@@ -47,6 +47,8 @@ from .spectral import negative_atom, theta_nodes
 
 __all__ = ["q_values", "q_bracket_matrix", "q_node_sums", "q_log_sup", "point_mass_summability"]
 
+_PI_CHUNK = 1 << 16  # point_mass_summability's k per pi array: its memory is O(chunk) in n_trunc
+
 
 def _sine_brackets(chain: ChainParams, s):
     """The U-form of the brackets: from s[..., m] = S_m, m = 0..N+1, the image
@@ -190,4 +192,6 @@ def point_mass_summability(chain: ChainParams, lam: float, n_trunc: int) -> floa
     if n_trunc < 0:
         raise ValueError("n_trunc must be nonnegative")
     rev = reversibility(chain)
-    return math.fsum(float(rev.pi(k)) * lam ** (2 * k) for k in range(n_trunc + 1))
+    pis = (pk for start in range(0, n_trunc + 1, _PI_CHUNK)  # one pi array per chunk of k
+           for pk in rev.pi(np.arange(start, min(start + _PI_CHUNK, n_trunc + 1))).tolist())
+    return math.fsum(pk * lam ** (2 * k) for k, pk in enumerate(pis))

@@ -27,6 +27,19 @@ def assert_routes_agree(chain, t, n):
     assert abs(interval - contour) <= tol, (chain, t, n, interval, contour)
 
 
+@pytest.fixture
+def tv_calls(monkeypatch):
+    """The times of each tv_curve call, one list per call: t_mix's rounds."""
+    calls = []
+
+    def counting_tv_curve(*args, **kwargs):
+        calls.append(list(args[1]))
+        return tv_curve(*args, **kwargs)
+
+    monkeypatch.setattr(mixing, "tv_curve", counting_tv_curve)
+    return calls
+
+
 # contour poles near the unit circle: z_a = sqrt(p/q) -> 1 as q -> p, and
 # z_b = -sqrt(pq)/(q+r) -> -1 as, further, r -> 0
 POLE_NEAR_CIRCLE = (ChainParams(0.3, 0.32, 0.38), ChainParams(0.49, 0.4901, 0.0199),
@@ -88,6 +101,19 @@ class TestSpectralIntegral:
             for t in range(0, 61, 6):
                 for n in range(0, 21, 5):
                     assert_routes_agree(chain, t, n)
+
+    def test_contour_points_are_capped(self, example_chain):
+        # M = t + n + 1 points past 2 NODE_CAP (the interval route's degree
+        # reach) raise before any is allocated; at the cap the route answers
+        with pytest.raises(QuadratureError, match="^spectral_integral quadrature needs "
+                                                  "100000011 nodes") as info:
+            spectral_integral(example_chain, 10 ** 8, 10, route="contour")
+        assert info.value.allowed == 2 * NODE_CAP < info.value.needed
+        t = 2 * NODE_CAP - 1 - 5
+        assert abs(spectral_integral(example_chain, t, 5, route="contour")
+                   - spectral_integral(example_chain, t, 5)) <= 1e-8
+        with pytest.raises(QuadratureError):
+            spectral_integral(example_chain, t + 1, 5, route="contour")
 
     @pytest.mark.parametrize("chain", (EXAMPLE, *POLE_NEAR_CIRCLE))
     def test_contour_route_against_the_dp(self, chain):
@@ -552,31 +578,30 @@ class TestTMix:
             assert 0.0 < info.value.achieved_bound <= 1.0  # TV <= 1
 
     @pytest.mark.parametrize("chain, eps, exact, bound, rounds", [
-        pytest.param(NEAR_CRITICAL, 1e-3, 8392, 45632, 6, id="0.001-8392-45632"),
+        pytest.param(NEAR_CRITICAL, 1e-3, 8392, 45632, 4, id="0.001-8392-45632"),
         pytest.param(NEAR_CRITICAL, 0.1, 837, 31362, 6, id="0.1-837-31362"),
         pytest.param(ChainParams(0.3, 0.305, 0.395), 0.3, 2689, 567258, 8, id="q0.305-0.3-2689"),
     ])
-    def test_near_critical_search_is_batched(self, monkeypatch, chain, eps, exact, bound,
-                                             rounds):
+    def test_near_critical_search_is_batched(self, tv_calls, chain, eps, exact, bound, rounds):
         # one tv_curve call per round of the search, each on a pair (g - 1, g):
-        # 6 calls over 12 times for (0.3, 0.32, 0.38) at 1e-3, where the
+        # 4 calls over 8 times for (0.3, 0.32, 0.38) at 1e-3 (g = 4710, then
+        # along the edge law's tangent to 8139 and 8402, then 8392), where the
         # 15-probe rounds made 4 calls over 60 times
-        calls = []
-
-        def counting_tv_curve(*args, **kwargs):
-            calls.append(list(args[1]))
-            return tv_curve(*args, **kwargs)
-
-        monkeypatch.setattr(mixing, "tv_curve", counting_tv_curve)
         assert t_mix(chain, eps) == exact
-        assert len(calls) == rounds
-        assert all(len(ts) == 2 and ts[1] == ts[0] + 1 for ts in calls)
-        assert exact in calls[-1]
+        assert len(tv_calls) == rounds
+        assert all(len(ts) == 2 and ts[1] == ts[0] + 1 for ts in tv_calls)
+        assert exact in tv_calls[-1]
         assert t_mix(chain, eps, method="bound") == bound
         before, at = tv_curve(chain, [exact - 1, exact])
         assert before > eps >= at
         dp = tv_oracle_curve(chain, exact)
         assert dp[exact - 1] > eps >= dp[exact]
+
+    def test_worked_example_aims_at_the_alpha_tail(self, tv_calls, example_chain):
+        # alpha = 0.9 > beta = 7/11: TV -> A alpha^t, and the first round at
+        # ceil(log(eps/A)/log alpha) = 126 is the answer
+        assert t_mix(example_chain, 1e-6) == 126
+        assert tv_calls == [[125, 126]]
 
 
 # t_mix's (exact, bound) answers at PIN_EPS on PIN_CHAINS, as the 15-probe
@@ -627,6 +652,18 @@ class TestTMixPinned:
     def test_answers_of_the_probe_search(self, chain, answers):
         got = [(t_mix(chain, eps), t_mix(chain, eps, method="bound")) for eps in PIN_EPS]
         assert got == answers
+
+    def test_work_count_of_the_search(self, tv_calls):
+        # tv_curve calls, a count no host's noise moves: 587 over the 210
+        # cases and at most 8 in any (the plain regula falsi took 695 and 9)
+        counts = []
+        for chain in PIN_CHAINS:
+            for eps in PIN_EPS:
+                tv_calls.clear()
+                t_mix(chain, eps)
+                counts.append(len(tv_calls))
+        assert sum(counts) <= 587
+        assert max(counts) <= 8
 
     @pytest.mark.parametrize("chain, eps, expect", [
         # the quadrature certified only to 1e-10 read TV(178709) as 0.0 (it is

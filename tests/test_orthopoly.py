@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kmmix import ChainParams, point_mass_summability, q_values
+from kmmix import ChainParams, orthopoly, point_mass_summability, q_values, reversibility
 from kmmix.orthopoly import _scales, _sine_brackets, _sine_sums, q_bracket_matrix, q_node_sums
 from kmmix.spectral import _theta_grid, negative_atom, theta_nodes
 
@@ -375,3 +375,16 @@ class TestPointMassSummability:
     def test_rejects_non_atom(self, example_chain):
         with pytest.raises(ValueError, match="atom"):
             point_mass_summability(example_chain, 0.5, 10)
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 16])
+    def test_equals_the_per_k_sum(self, monkeypatch, chain_grid, chunk):
+        # pi_k is built per chunk of k; the sum is the per-k one bit for bit,
+        # across chunk boundaries too
+        monkeypatch.setattr(orthopoly, "_PI_CHUNK", chunk)
+        for c in chain_grid[::3]:
+            rev = reversibility(c)
+            for lam in (1.0, negative_atom(c)[0]):
+                for n_trunc in (0, 6, 7, 8, 300, 2000):
+                    per_k = math.fsum(float(rev.pi(k)) * lam ** (2 * k)
+                                      for k in range(n_trunc + 1))
+                    assert point_mass_summability(c, lam, n_trunc) == per_k

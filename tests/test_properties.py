@@ -83,7 +83,8 @@ def test_dp_stays_above_half_alpha_to_the_t(chain):
 
 # _first_below against the 15-probe search on non-increasing step functions:
 # plateaus, zeros and single drops, brackets up to 1e7 wide, and any estimate
-# of the lower end and any rate, which may steer it but not mislead it.
+# of the lower end, rate, first aim and edge exponent kappa, which may steer
+# it but not mislead it.
 @st.composite
 def step_searches(draw):
     lo = draw(st.integers(-1, 10 ** 6))
@@ -103,13 +104,15 @@ def step_searches(draw):
                                     max_size=len(below) - 1)))]
     log_lo = draw(st.floats(-800.0, 800.0))
     rate = draw(st.floats(1e-6, 1.0 - 1e-9))
-    return lo, hi, answer, limit, starts, levels, log_lo, rate
+    aim = draw(st.none() | st.integers(lo - 10, hi + 10))
+    kappa = draw(st.floats(0.0, 2.0))
+    return lo, hi, answer, limit, starts, levels, log_lo, rate, aim, kappa
 
 
 @hypothesis.settings(SETTINGS, max_examples=150)
 @hypothesis.given(step_searches())
 def test_first_below_finds_the_step(search):
-    lo, hi, answer, limit, starts, levels, log_lo, rate = search
+    lo, hi, answer, limit, starts, levels, log_lo, rate, aim, kappa = search
     rounds = []
 
     def step(ts):
@@ -121,7 +124,7 @@ def test_first_below_finds_the_step(search):
         return step(ts)
 
     assert oracles.first_below_probes(step, limit, lo, hi) == answer
-    assert _first_below(values, limit, lo, hi, log_lo, rate) == answer
+    assert _first_below(values, limit, lo, hi, log_lo, rate, aim, kappa) == answer
     # within about twice bisection's rounds, each one values call on a pair
     assert len(rounds) <= 2 * (hi - lo).bit_length()
 
