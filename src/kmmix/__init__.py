@@ -35,7 +35,6 @@ from .mixing import (
     ConvergenceError,
     TailControl,
     bound_coefficients,
-    contour_envelope,
     kernel_matrix,
     kernel_spectral,
     spectral_integral,
@@ -66,7 +65,7 @@ __all__ = [
     "SpectralMeasure", "QuadratureConfig", "QuadratureError", "RegimeError",
     "build_measure", "integrate_psi", "resolvent_a0", "residue_check",
     "BoundCoefficients", "TailControl", "ConvergenceError",
-    "bound_coefficients", "contour_envelope", "spectral_integral",
+    "bound_coefficients", "spectral_integral",
     "tv_curve", "tv_envelope", "tv_upper", "tv_lower", "t_mix",
     "kernel_matrix", "kernel_spectral",
     "SurvivalCurve", "RateFit", "simulate_classical", "simulate_modified", "rate_fit",

@@ -221,16 +221,25 @@ def _naturals(values, what: str = "t") -> list:
 
 
 def _kernel_args(ts, n_max, rows, cols) -> tuple:
-    """kernel_oracle's and mixing.kernel_matrix's checked (ts, rows, cols), as
-    ints, rows and cols each all of 0..n_max when None; else ValueError."""
+    """kernel_oracle's and mixing.kernel_matrix's checked (ts, rows, cols): ts as
+    ints, rows and cols as int64 arrays, each all of 0..n_max when None; else
+    ValueError.  Indices are checked as Python ints, so none rounds or wraps,
+    and every power t + i + j the kernel takes must fit in int64."""
     ts = _naturals(ts)
     n_max = _naturals([n_max], "n_max")[0]
-    rows, cols = (np.arange(n_max + 1) if s is None else np.atleast_1d(np.asarray(s, dtype=float))
-                  for s in (rows, cols))
-    # integral and in 0..n_max, checked without building that range for np.isin
-    if not all(s.size and np.array_equal(s, np.clip(np.floor(s), 0, n_max)) for s in (rows, cols)):
-        raise ValueError(f"rows and cols must be nonempty index sets in 0..{n_max}")
-    return ts, rows.astype(int), cols.astype(int)
+    sets = []
+    for s in (rows, cols):
+        try:
+            ints = range(n_max + 1) if s is None else _naturals(np.asarray(s, dtype=object).ravel())
+        except ValueError:  # empty, negative or not integral
+            ints = ()
+        if not ints or max(ints) > n_max:
+            raise ValueError(f"rows and cols must be nonempty index sets in 0..{n_max}")
+        sets.append(ints)
+    if max(ts) + max(sets[0]) + max(sets[1]) > np.iinfo(np.int64).max:
+        raise ValueError("rows and cols must keep t + i + j below 2^63")
+    return ts, *(np.arange(n_max + 1) if s is None else np.array(ints, dtype=np.int64)
+                 for s, ints in zip((rows, cols), sets))
 
 
 def kernel_oracle(chain: ChainParams, ts, n_max: int, rows=None, cols=None) -> np.ndarray:

@@ -15,9 +15,8 @@ representations implemented here:
              the unit-circle integral of
                  (sqrt(pq)(z + 1/z) + r)^t z^n (z - 1/z)
                  / ((z - z_a)(z - z_b)) dz,
-             z_a = sqrt(p/q) (r + (1+q-p))/(2(q+r)),
-             z_b = sqrt(p/q) (r - (1+q-p))/(2(q+r)),
-             both poles strictly inside the circle.  The mean over the
+             z_a = sqrt(p/q) and z_b = -sqrt(pq)/(q+r) strictly inside the
+             circle.  The mean over the
              M = t + n + 1 roots of unity is exact on the Laurent polynomial
              and errs only by the two poles' closed-form aliasing, subtracted.
 
@@ -40,10 +39,9 @@ past t the terms are nu_n and sum to (1/2) nu_tail(t).  t_mix is the first t
 at which TV drops to the target: log TV is close to linear in t, so a
 safeguarded regula falsi on it finds t in a few series calls of two times
 each, inside a bracket from the lower bound (1/2) alpha^t (the eigenfunction
-(-alpha)^n of the negative atom) to the envelope's answer.  The rounds aim
-at TV's tail: A alpha^t where alpha > beta (the envelopes' shared leading
-term), and where beta >= alpha a power of t times beta^t, the decay law of
-the density's sin^2 edge, along whose tangent the one-sided rounds step.
+(-alpha)^n of the negative atom) to the envelope's answer.  Until the upper
+end is evaluated, a round steps along the slope of log TV that the last
+pair (t - 1, t) measured.
 """
 
 import math
@@ -63,7 +61,6 @@ __all__ = [
     "TailControl",
     "ConvergenceError",
     "bound_coefficients",
-    "contour_envelope",
     "spectral_integral",
     "tv_curve",
     "tv_quadrature",
@@ -80,11 +77,6 @@ _Q_ROWS_MEMO = 16  # (chain, K, degrees) whose Q_n rows _kernel_ac keeps
 _Q_ROWS_CELLS = 1 << 16  # the most cells (1 MB in longdouble) of Q_n rows it keeps per entry
 T_CAP = 10 ** 7  # the largest time t_mix searches to
 N_CAP = 100_000  # the largest degree cutoff N of the TV series
-# t_mix steers by TV ~ t^-kappa beta^t where beta >= alpha: kappa -> 3/2 as t -> oo, but
-# TV / beta^t falls like t^-0.77 on (0.3, 0.32, 0.38) for t in 50..20000, and kappa = 1
-# takes 587 rounds over the tests' 30 pinned chains at 7 eps (3/2: 601, 0.77: 593)
-_EDGE_KAPPA = 1.0
-_EDGE_LEVEL = 0.05  # TV from which it does; 0.02 takes 589 of those rounds
 
 
 class ConvergenceError(RuntimeError):
@@ -117,17 +109,16 @@ class TailControl:
             raise ValueError("series_tol must be positive")
 
 
-def contour_envelope(chain: ChainParams) -> float:
+def _pole_pair(chain: ChainParams):
+    """The contour integrand's poles, z_a = sqrt(p/q) and z_b = -sqrt(pq)/(q+r)."""
+    return math.sqrt(chain.p / chain.q), -chain.sqrt_pq / (chain.q + chain.r)
+
+
+def _contour_envelope(chain: ChainParams) -> float:
     """Max modulus bound M_env of the contour integrand's rational factor:
     2 / ((1 - z_a)(1 + z_b)) with the pole locations z_a, z_b."""
     za, zb = _pole_pair(chain)
     return 2.0 / ((1.0 - za) * (1.0 + zb))
-
-
-def _pole_pair(chain: ChainParams):
-    p, q, r = chain.p, chain.q, chain.r
-    scale = math.sqrt(p / q) / (2.0 * (q + r))
-    return (scale * (r + (1.0 + q - p)), scale * (r - (1.0 + q - p)))
 
 
 @lru_cache(maxsize=32)
@@ -138,7 +129,7 @@ def bound_coefficients(chain: ChainParams) -> BoundCoefficients:
     alpha = q / (q + r)
     beta = r + 2.0 * chain.sqrt_pq
     A = ((1.0 + q - p) * (q + r) - q) / ((1.0 + q - p) * (1.0 - 2.0 * p))
-    B = 0.5 * contour_envelope(chain) * (p / (q + r)) * (1.0 + 1.0 / (chain.sqrt_pq - p))
+    B = 0.5 * _contour_envelope(chain) * (p / (q + r)) * (1.0 + 1.0 / (chain.sqrt_pq - p))
     return BoundCoefficients(A=A, B=B, alpha=alpha, beta=beta, m=max(alpha, beta))
 
 
@@ -203,7 +194,7 @@ def _tail_rule(chain: ChainParams, co: BoundCoefficients):
     x = p / (q + r)
     y = math.sqrt(p / q)
     half_w2 = 0.5 * negative_atom(chain)[1]
-    half_env_x = 0.5 * contour_envelope(chain) * x
+    half_env_x = 0.5 * _contour_envelope(chain) * x
 
     def tail_at(t):
         amp_atom = half_w2 * co.alpha ** t / p / (1.0 - x)
@@ -453,37 +444,32 @@ def _log(value: float) -> float:
     return math.log(value) if value > 0.0 else -math.inf
 
 
-def _first_below(values, limit: float, lo: int, hi: int, log_lo: float, rate: float,
-                 aim: int = None, kappa: float = 0.0) -> int:
+def _first_below(values, limit: float, lo: int, hi: int, log_lo: float, rate: float) -> int:
     """Least t in (lo, hi] with values([t])[0] <= limit, for values non-increasing
     in t, above limit at lo and at or below it at hi (neither evaluated; log_lo
     estimates log values(lo), and rate in (0, 1) their decay per step).
 
     A safeguarded regula falsi on log values.  Each round is one values call
     on a pair (g - 1, g): the bracket shrinks to the side where they cross,
-    or the crossing lies between them.  The first round takes g = aim when
-    one is given.  Otherwise g is where a line reaches log limit: the line
-    through the ends' log values once hi is evaluated, an end kept twice in
-    a row having its distance to log limit halved (Illinois); before that,
-    the line leaving lo with slope log(rate).  A tangent round is such a
-    one-sided round from an evaluated lo whose value is below _EDGE_LEVEL:
-    its slope is log(rate) - kappa / lo, the tangent of log(t^-kappa rate^t).
-    A round that fails to halve the bracket is followed by a bisection
-    round, so zeros (log -inf) or a badly shaped curve cost at most about
-    twice bisection's rounds; but before a tangent round only a tangent
-    round that failed to halve lo's distance to log limit forces one.
-    kappa = 0 and no aim give the plain regula falsi."""
+    or the crossing lies between them.  g is where a line reaches log limit:
+    the line through the ends' log values once hi is evaluated, an end kept
+    twice in a row having its distance to log limit halved (Illinois); before
+    that, the line leaving lo with the slope the pair that last moved lo
+    measured, log(at / before) where 0 < at < before, or log(rate) until a
+    pair has.  A round that fails to halve the bracket is followed by a
+    bisection round, so zeros (log -inf) or a badly shaped curve cost at most
+    about twice bisection's rounds; but before a round along a measured slope
+    only such a round that failed to bring lo closer to log limit forces one."""
     target = math.log(limit)
     f_lo, f_hi = log_lo - target, None  # log value less log limit at each end
-    last, bisect, steep = None, False, 0.0  # the end moved last; kappa / lo if tangent
+    slope, measured = math.log(rate), False
+    last, bisect = None, False  # the end moved last
     while hi - lo > 1:
-        width, gap, tangent = hi - lo, f_lo, False
-        if aim is not None:
-            g, aim = aim, None
-        elif bisect or (f_hi is not None and not f_lo > f_hi):
+        width, gap, steered = hi - lo, f_lo, False
+        if bisect or (f_hi is not None and not f_lo > f_hi):
             g = (lo + hi + 1) // 2
         elif f_hi is None:
-            g, tangent = lo + max(f_lo, 0.0) / (steep - math.log(rate)), steep > 0.0
+            g, steered = lo + max(f_lo, 0.0) / -slope, measured
         else:
             g = lo + width * (f_lo / (f_lo - f_hi))
         g = min(max(math.ceil(g), lo + 2), hi)
@@ -494,14 +480,15 @@ def _first_below(values, limit: float, lo: int, hi: int, log_lo: float, rate: fl
             return g
         else:
             lo, f_lo, moved = g, _log(at) - target, "lo"
-            steep = kappa / lo if at < _EDGE_LEVEL else 0.0
+            if 0.0 < at < before:
+                slope, measured = math.log(at / before), True
         if moved == last == "hi":  # lo kept twice in a row
             f_lo *= 0.5
         elif moved == last == "lo" and f_hi is not None:
             f_hi *= 0.5
         last = moved
-        if f_hi is None and steep > 0.0:  # the next round is a tangent round
-            bisect = tangent and not f_lo < 0.5 * gap
+        if f_hi is None and measured:  # the next round follows a measured slope
+            bisect = steered and not f_lo < gap
         else:
             bisect = 2 * (hi - lo) > width
     return hi
@@ -517,11 +504,10 @@ def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
     past t = 1e7.  TV is summed with its quadrature and series tolerances
     both within eps * 1e-3, so every value compared with eps is certified
     to a thousandth of it (QuadratureError where that takes more than
-    spectral.NODE_CAP nodes).  The exact search aims at TV's tail: where
-    alpha > beta, TV -> A alpha^t and its first round goes to the time that
-    reaches eps; where beta >= alpha, its one-sided rounds follow the AC
-    edge's t^-_EDGE_KAPPA beta^t once TV is below _EDGE_LEVEL.  Only the
-    rounds move, not the answers."""
+    spectral.NODE_CAP nodes).  The lower end's value is estimated as
+    A alpha^t where alpha > beta (TV -> A alpha^t, so the first round goes to
+    the time where that reaches eps) and as (1/2) alpha^t elsewhere; later
+    rounds follow the slope each pair measures."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if method not in ("exact", "bound"):
@@ -536,16 +522,14 @@ def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
         raise ValueError(f"eps={eps} is too small for floats to resolve one step of TV")
     log_alpha = math.log(co.alpha)
     lo = max(-1, math.ceil(math.log(2.0 * eps) / log_alpha) - 2) if log_alpha < 0.0 else -1
-    log_lo = math.log(0.5) + lo * log_alpha
+    log_lo = math.log(co.A if co.alpha > co.beta else 0.5) + lo * log_alpha
     bound = _first_below(lambda ts: tv_envelope(chain, ts)[0], eps, lo, hi, log_lo, co.m)
     if method == "bound":
         return bound
     ctl = TailControl(series_tol=min(1e-12, eps * 1e-3))
     cfg = QuadratureConfig(tol=min(QuadratureConfig.tol, eps * 1e-3))
-    edge = co.beta >= co.alpha  # else TV -> A alpha^t: aim at that crossing
-    aim = None if edge else math.ceil(math.log(eps / co.A) / log_alpha)
     return _first_below(lambda ts: tv_curve(chain, ts, ctl=ctl, cfg=cfg), eps, lo, bound + 1,
-                        log_lo, co.m, aim, _EDGE_KAPPA if edge else 0.0)
+                        log_lo, co.m)
 
 
 def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = None,
@@ -585,7 +569,7 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig, name: 
     so their bits (degree max(ts) + that sum).  Each AC part is less the
     plan's E1 + E2 loc2^(t+i+j) (as Q_n(1) = 1 and Q_n(loc2) = loc2^n; 0.0
     under the strip count), and its L1 twin gains their moduli."""
-    block = (max(rows) + max(cols)) // 16 * 16 + 16
+    block = (int(max(rows)) + int(max(cols))) // 16 * 16 + 16  # Python ints: may pass 2^63
     n_nodes, _, e1, e2 = node_count(chain, cfg, name, q_log_sup(chain, block, 0), t=min(ts),
                                     degree=max(ts) + block)
     x, w, two_cos, _ = theta_nodes(chain, n_nodes)

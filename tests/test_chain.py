@@ -5,6 +5,7 @@ import pytest
 
 from kmmix import ChainParams, DistributionVector, drift_identity_residual, evolve, \
     kernel_oracle, reversibility, tv_oracle, tv_oracle_curve
+from kmmix.chain import _kernel_args
 
 import oracles
 
@@ -215,6 +216,13 @@ class TestKernelOracle:
             part = kernel_oracle(example_chain, ts, 8, rows=rows, cols=cols)
             want = full[:, list(range(9) if rows is None else rows)][:, :, cols]
             assert np.array_equal(part, want), (rows, cols)
+
+    def test_index_args_stay_exact(self):
+        # float64 would round 2^53 + 1 to 2^53
+        big = 2 ** 53 + 1
+        ts, rows, cols = _kernel_args([3], big, [big, 2], (0,))
+        assert rows.dtype == cols.dtype == np.int64
+        assert rows.tolist() == [big, 2] and cols.tolist() == [0]
 
     def test_start_whose_support_never_reaches_the_origin(self, example_chain):
         # from i = 10 in at most 6 steps the walk stays on 4..16

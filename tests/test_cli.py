@@ -409,6 +409,14 @@ class TestKernel:
         assert code == 1 and out == ""
         assert err.startswith("kmmix: kernel_matrix quadrature needs") and "the cap" in err
 
+    @pytest.mark.parametrize("index", [("--i", str(10 ** 20)), ("--j", str(2 ** 63 - 1))])
+    def test_index_past_int64_exit_2(self, capsys, index):
+        # t + i + j must fit in int64: these wrapped to -2^63 and raised IndexError
+        code, out, err = run_cli(capsys, "kernel", "--p", "1/11", "--q", "9/11", *index,
+                                 "--t-max", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("kmmix: ") and err.count("\n") == 1
+
     def test_rows_match_oracle(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "--p", "1/11", "--q", "9/11",
                                "--i", "2", "--j", "3", "--t-max", "12")

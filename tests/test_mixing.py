@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureError, \
-    RegimeError, TailControl, bound_coefficients, build_measure, contour_envelope, integrate_psi, \
+    RegimeError, TailControl, bound_coefficients, build_measure, integrate_psi, \
     kernel_matrix, kernel_spectral, reversibility, spectral_integral, t_mix, tv_curve, \
     tv_envelope, tv_lower, tv_oracle, tv_oracle_curve, tv_upper
 from kmmix import mixing
 from kmmix.chain import kernel_oracle
-from kmmix.mixing import _cutoff_rule, _pole_pair, tv_quadrature
+from kmmix.mixing import _contour_envelope, _cutoff_rule, _pole_pair, tv_quadrature
 from kmmix.spectral import NODE_CAP, pole_errors, theta_nodes
 
 import oracles
@@ -71,16 +71,18 @@ class TestBoundCoefficients:
     def test_envelope_ties_to_B(self, chain_grid):
         for c in chain_grid:
             co = bound_coefficients(c)
-            m_env = contour_envelope(c)
+            m_env = _contour_envelope(c)
             expect = 0.5 * m_env * (c.p / (c.q + c.r)) * (1.0 + 1.0 / (c.sqrt_pq - c.p))
             assert co.B == pytest.approx(expect, rel=1e-14)
 
     def test_pole_pair_simplifies(self, chain_grid):
-        # z_a = sqrt(p/q), z_b = -sqrt(pq)/(q+r), both strictly inside |z| = 1
+        # the roots sqrt(p/q) (r +- (1+q-p))/(2(q+r)) are z_a = sqrt(p/q) and
+        # z_b = -sqrt(pq)/(q+r) where p + q + r = 1, both strictly inside |z| = 1
         for c in chain_grid:
             za, zb = _pole_pair(c)
-            assert za == pytest.approx(math.sqrt(c.p / c.q), rel=1e-12)
-            assert zb == pytest.approx(-c.sqrt_pq / (c.q + c.r), rel=1e-12)
+            scale = math.sqrt(c.p / c.q) / (2.0 * (c.q + c.r))
+            assert za == pytest.approx(scale * (c.r + (1.0 + c.q - c.p)), rel=1e-12)
+            assert zb == pytest.approx(scale * (c.r - (1.0 + c.q - c.p)), rel=1e-12)
             assert abs(za) < 1.0 and abs(zb) < 1.0
 
 
@@ -239,7 +241,7 @@ def _series_cutoff_scan(chain, co, t, ctl):
     y = math.sqrt(p / q)
     w2 = ((1.0 + q - p) * (q + r) - q) / ((1.0 + q - p) * (q + r))
     amp_atom = 0.5 * w2 * co.alpha ** t / p / (1.0 - x)
-    amp_cont = 0.5 * contour_envelope(chain) * x * co.beta ** t / p / (1.0 - y)
+    amp_cont = 0.5 * _contour_envelope(chain) * x * co.beta ** t / p / (1.0 - y)
     tol = max(min(ctl.series_tol, 0.05 * co.B * co.beta ** t), 5e-324)
     n_cut = 0
     while True:
@@ -585,8 +587,8 @@ class TestTMix:
     def test_near_critical_search_is_batched(self, tv_calls, chain, eps, exact, bound, rounds):
         # one tv_curve call per round of the search, each on a pair (g - 1, g):
         # 4 calls over 8 times for (0.3, 0.32, 0.38) at 1e-3 (g = 4710, then
-        # along the edge law's tangent to 8139 and 8402, then 8392), where the
-        # 15-probe rounds made 4 calls over 60 times
+        # along the slopes the pairs measured to 8054 and 8390, then 8392),
+        # where the 15-probe rounds made 4 calls over 60 times
         assert t_mix(chain, eps) == exact
         assert len(tv_calls) == rounds
         assert all(len(ts) == 2 and ts[1] == ts[0] + 1 for ts in tv_calls)
@@ -598,8 +600,8 @@ class TestTMix:
         assert dp[exact - 1] > eps >= dp[exact]
 
     def test_worked_example_aims_at_the_alpha_tail(self, tv_calls, example_chain):
-        # alpha = 0.9 > beta = 7/11: TV -> A alpha^t, and the first round at
-        # ceil(log(eps/A)/log alpha) = 126 is the answer
+        # alpha = 0.9 > beta = 7/11: TV -> A alpha^t, and the first round, along
+        # log alpha from A alpha^lo, at ceil(log(eps/A)/log alpha) = 126 is the answer
         assert t_mix(example_chain, 1e-6) == 126
         assert tv_calls == [[125, 126]]
 
@@ -654,7 +656,7 @@ class TestTMixPinned:
         assert got == answers
 
     def test_work_count_of_the_search(self, tv_calls):
-        # tv_curve calls, a count no host's noise moves: 587 over the 210
+        # tv_curve calls, a count no host's noise moves: 566 over the 210
         # cases and at most 8 in any (the plain regula falsi took 695 and 9)
         counts = []
         for chain in PIN_CHAINS:
@@ -662,19 +664,21 @@ class TestTMixPinned:
                 tv_calls.clear()
                 t_mix(chain, eps)
                 counts.append(len(tv_calls))
-        assert sum(counts) <= 587
+        assert sum(counts) <= 566
         assert max(counts) <= 8
 
-    @pytest.mark.parametrize("chain, eps, expect", [
+    @pytest.mark.parametrize("chain, eps, expect, rounds", [
         # the quadrature certified only to 1e-10 read TV(178709) as 0.0 (it is
-        # 2.07e-29) and answered 178709; to 1e-33 the crossing is at 187864
-        pytest.param(NEAR_CRITICAL, 1e-30, 187864, id="1e-30"),
+        # 2.07e-29) and answered 178709; to 1e-33 the crossing is at 187864,
+        # which the measured slopes reach in 4 rounds
+        pytest.param(NEAR_CRITICAL, 1e-30, 187864, 4, id="1e-30"),
         # answered 138 where the DP reads TV(138) = 1.036e-13
         pytest.param(ChainParams(0.1041069639258611, 0.5083400962994629, 0.387552939774676),
-                     1e-13, 139, id="1e-13"),
+                     1e-13, 139, 3, id="1e-13"),
     ])
-    def test_tiny_eps_is_certified(self, chain, eps, expect):
+    def test_tiny_eps_is_certified(self, tv_calls, chain, eps, expect, rounds):
         assert t_mix(chain, eps) == expect
+        assert len(tv_calls) == rounds
         cfg = QuadratureConfig(tol=eps * 1e-3)
         before, at = tv_curve(chain, [expect - 1, expect], TailControl(eps * 1e-3), cfg)
         assert before > eps >= at
@@ -946,6 +950,13 @@ class TestKernelMatrix:
             assert np.array_equal(kernel(example_chain, [3, 0], big, rows=[2, 7], cols=[3]), want)
             with pytest.raises(ValueError, match="index sets"):
                 kernel(example_chain, [3], big, rows=[big + 1], cols=[0])
+
+    def test_index_past_int64_is_refused(self, example_chain):
+        # checked as Python ints: through float64 these warned and raised IndexError
+        for kernel in (kernel_matrix, kernel_oracle):
+            for big in (10 ** 20, 2 ** 63):
+                with pytest.raises(ValueError, match="below 2\\^63"):
+                    kernel(example_chain, [1], big, rows=[big], cols=[0])
 
     def test_uncertified_entry_is_nan(self, example_chain):
         # pi_0 Q_29 grows like 3^29, so p_7(29, 0) = 0 cancels past extended
