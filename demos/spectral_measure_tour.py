@@ -26,7 +26,7 @@ measure = build_measure(chain)
 print(f"atom at {measure.atom1[0]}: weight {measure.atom1[1]:.12f}  (= 1/rho)")
 print(f"atom at {measure.atom2[0]}: weight {measure.atom2[1]:.12f}")
 print(f"density support: ({measure.ac_interval[0]:.6f}, {measure.ac_interval[1]:.6f})")
-ac_mass = integrate_psi(measure, lambda x: np.ones_like(x), include_atoms=(False, False))
+ac_mass = integrate_psi(measure, lambda x: np.ones_like(x), atoms=False)
 print(f"density mass = {ac_mass:.12f}  (closed form p/(q+r) = {chain.p/(chain.q+chain.r):.12f})")
 total = measure.atom1[1] + measure.atom2[1] + ac_mass
 print(f"total mass = {total:.15f}")

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from kmmix import (ChainParams, bound_coefficients, spectral_integral, t_mix,
-                   tv_curve, tv_lower, tv_oracle_curve, tv_upper)
+                   tv_curve, tv_envelope, tv_oracle_curve)
 
 chain = ChainParams(1 / 11, 9 / 11, 1 / 11)
 co = bound_coefficients(chain)
@@ -24,11 +24,11 @@ print(f"alpha = {co.alpha}, beta = {co.beta:.10f}, m = max = {co.m}")
 print("\n== TV distance table ==")
 print(f"{'t':>4} {'exact':>14} {'oracle':>14} {'upper':>14} {'lower':>14}")
 oracle = tv_oracle_curve(chain, 100)  # the DP at every t <= 100, in one sweep
-for t in (0, 1, 2, 5, 10, 20, 40, 60, 80, 100):
-    lower, valid = tv_lower(chain, t)
+times = (0, 1, 2, 5, 10, 20, 40, 60, 80, 100)
+for t, exact, upper, lower, valid in zip(times, tv_curve(chain, times),
+                                         *tv_envelope(chain, times)):
     lower_txt = f"{lower:14.6e}" if valid else f"{'(invalid)':>14}"
-    print(f"{t:>4} {tv_curve(chain, [t])[0]:14.6e} {oracle[t]:14.6e} "
-          f"{tv_upper(chain, t):14.6e} {lower_txt}")
+    print(f"{t:>4} {exact:14.6e} {oracle[t]:14.6e} {upper:14.6e} {lower_txt}")
 
 print("\n== decay rate from the exact curve ==")
 ts = np.arange(30, 81)

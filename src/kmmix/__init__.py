@@ -33,7 +33,6 @@ from .spectral import (
 from .mixing import (
     BoundCoefficients,
     ConvergenceError,
-    TailControl,
     bound_coefficients,
     kernel_matrix,
     kernel_spectral,
@@ -41,13 +40,10 @@ from .mixing import (
     t_mix,
     tv_curve,
     tv_envelope,
-    tv_lower,
-    tv_upper,
 )
 from .coupling import (
     RateFit,
     SurvivalCurve,
-    hitting_pmf_exact,
     hitting_pmf_exact_curve,
     hitting_pmf_multinomial,
     hitting_tail_asymptote,
@@ -64,11 +60,10 @@ __all__ = [
     "drift_identity_residual", "q_values", "q_log_sup", "point_mass_summability",
     "SpectralMeasure", "QuadratureConfig", "QuadratureError", "RegimeError",
     "build_measure", "integrate_psi", "resolvent_a0", "residue_check",
-    "BoundCoefficients", "TailControl", "ConvergenceError",
-    "bound_coefficients", "spectral_integral",
-    "tv_curve", "tv_envelope", "tv_upper", "tv_lower", "t_mix",
+    "BoundCoefficients", "ConvergenceError", "bound_coefficients", "spectral_integral",
+    "tv_curve", "tv_envelope", "t_mix",
     "kernel_matrix", "kernel_spectral",
     "SurvivalCurve", "RateFit", "simulate_classical", "simulate_modified", "rate_fit",
-    "hitting_pmf_multinomial", "hitting_pmf_exact", "hitting_pmf_exact_curve",
+    "hitting_pmf_multinomial", "hitting_pmf_exact_curve",
     "hitting_tail_asymptote", "stationary_hitting_survival",
 ]

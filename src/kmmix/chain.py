@@ -205,6 +205,14 @@ def tv_oracle_curve(chain: ChainParams, t_max: int) -> list:
     return values
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent for base > 0, inf past the double range."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def _naturals(values, what: str = "t") -> list:
     """values, each a nonnegative integral number, as a nonempty list of ints;
     else ValueError."""
@@ -266,14 +274,15 @@ def drift_identity_residual(chain: ChainParams, x: int) -> float:
         E[V(X_1) | X_0 = x] - (r + 2 sqrt(pq)) V(x)
                             - (sqrt(q/p) - (r + 2 sqrt(pq))) 1{x = 0}
 
-    which vanishes identically; the return value is pure roundoff."""
+    which vanishes identically; the return value is pure roundoff, or inf or
+    NaN where V leaves the double range (p far below q)."""
     if x < 0:
         raise ValueError("x must be a state")
     p, q, r = chain.p, chain.q, chain.r
     lam = r + 2.0 * chain.sqrt_pq
 
     def V(y):
-        return (q / p) ** (y / 2.0)
+        return _power(q / p, y / 2.0)
 
     if x == 0:
         return V(1) - lam * V(0) - (math.sqrt(q / p) - lam)

@@ -16,10 +16,10 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .chain import ChainParams, DistributionVector, evolve, kernel_oracle, reversibility, \
-    tv_oracle_curve, drift_identity_residual
+from .chain import ChainParams, DistributionVector, _power, evolve, kernel_oracle, \
+    reversibility, tv_oracle_curve, drift_identity_residual
 from .coupling import rate_fit, simulate_classical, simulate_modified
-from .mixing import T_CAP, ConvergenceError, TailControl, _certified, \
+from .mixing import T_CAP, ConvergenceError, _certified, \
     bound_coefficients, kernel_matrix, spectral_integral, t_mix, tv_curve, \
     tv_envelope, tv_quadrature
 from .orthopoly import point_mass_summability
@@ -204,8 +204,7 @@ def _cmd_analyze(args):
     measure = build_measure(chain)
     co = bound_coefficients(chain)
     cfg = _quad_cfg(args)
-    int_phi = integrate_psi(measure, lambda x: np.ones_like(x),
-                            include_atoms=(False, False), cfg=cfg)
+    int_phi = integrate_psi(measure, lambda x: np.ones_like(x), atoms=False, cfg=cfg)
     nu = rev.nu(np.arange(args.states + 1)).tolist()
     atoms = {"atom1": {"location": measure.atom1[0], "weight": measure.atom1[1]},
              "atom2": {"location": measure.atom2[0], "weight": measure.atom2[1]}}
@@ -226,10 +225,8 @@ def _cmd_tv(args):
     t_max = _size("--t-max", args.t_max)
     if not args.series_tol > 0.0:  # nan too
         raise ValueError("--series-tol must be positive")
-    ctl = TailControl(series_tol=args.series_tol)
-    cfg = _quad_cfg(args)
     ts = range(t_max + 1)
-    exact = tv_curve(chain, ts, ctl=ctl, cfg=cfg)
+    exact = tv_curve(chain, ts, series_tol=args.series_tol, cfg=_quad_cfg(args))
     upper, lower, valid = tv_envelope(chain, ts)
     rows = Table(t=list(ts), tv_exact=exact, tv_oracle=tv_oracle_curve(chain, t_max),
                  tv_upper=upper, tv_lower=lower, lower_valid=valid)
@@ -299,7 +296,8 @@ def _cmd_couple(args):
 
 
 def _verify_checks(chain, cfg):
-    """Invariant suite; yields (name, passed, worst_value) triples."""
+    """Invariant suite; yields (name, passed, worst_value) triples.  Worst
+    values reduce with np.max, not max, so that a NaN anywhere fails its row."""
     rev = reversibility(chain)
     measure = build_measure(chain)
     co = bound_coefficients(chain)
@@ -313,13 +311,13 @@ def _verify_checks(chain, cfg):
     yield "evolve_mass_conservation_t300", abs(total - 1.0) <= 1e-12, abs(total - 1.0)
 
     tvs = tv_oracle_curve(chain, 120)
-    mono = max(b - a for a, b in zip(tvs, tvs[1:]))
+    mono = float(np.max(np.diff(tvs)))
     yield "tv_oracle_nonincreasing_t120", mono <= 1e-15, mono
 
     norm = integrate_psi(measure, lambda x: np.ones_like(x), cfg=cfg)
     yield "psi_normalization", abs(norm - 1.0) <= 1e-10, abs(norm - 1.0)
 
-    ac = integrate_psi(measure, lambda x: np.ones_like(x), include_atoms=(False, False), cfg=cfg)
+    ac = integrate_psi(measure, lambda x: np.ones_like(x), atoms=False, cfg=cfg)
     err = abs(ac - chain.p / (chain.q + chain.r))
     yield "ac_mass_p_over_q_plus_r", err <= 1e-10, err
 
@@ -327,13 +325,12 @@ def _verify_checks(chain, cfg):
     worst = float(np.max(np.abs(kernel_matrix(chain, [0], 8, cfg=cfg)[0] - np.eye(9))))
     yield "orthogonality_deg_le_8", worst <= 1e-8, worst
 
-    # np.max, not max: a NaN (uncertified) entry must fail the check
     worst = float(np.max(np.abs(kernel_matrix(chain, range(21), 4, cfg=cfg)
                                 - kernel_oracle(chain, range(21), 4))))
     yield "kernel_vs_oracle_t20", worst <= 1e-9, worst
 
     exact = tv_curve(chain, range(61), cfg=cfg)
-    worst = max(abs(x - o) for x, o in zip(exact[:41], tvs))
+    worst = float(np.max(np.abs(np.subtract(exact[:41], tvs[:41]))))
     yield "tv_exact_vs_oracle_t40", worst <= 1e-8, worst
 
     # the change from K to 2K nodes against the a-priori bounds at both (the
@@ -342,37 +339,35 @@ def _verify_checks(chain, cfg):
     k, bound = tv_quadrature(chain, range(61), cfg=cfg)[1:3]
     wide = QuadratureConfig(node_count=2 * k, tol=cfg.tol)
     bound += tv_quadrature(chain, range(61), cfg=wide)[2] + 1e-14
-    worst = max(abs(a - b) for a, b in zip(exact, tv_curve(chain, range(61), cfg=wide)))
+    worst = float(np.max(np.abs(np.subtract(exact, tv_curve(chain, range(61), cfg=wide)))))
     yield "quadrature_bound_k_vs_2k", worst <= bound, worst
 
     ok = True
     for tvx, upper, lower, valid in zip(exact, *tv_envelope(chain, range(61))):
         # the envelope gap 2 B beta^t can sit below double roundoff of the
-        # alpha-scale terms; allow that much float slack
+        # alpha-scale terms; allow that much float slack.  A NaN fails.
         slack = 1e-12 * max(upper, 1e-300)
-        if tvx > upper + slack or (valid and tvx < lower - slack):
+        if not (tvx <= upper + slack and (not valid or tvx >= lower - slack)):
             ok = False
     yield "tv_sandwich_t60", ok, float(not ok)
 
-    worst = max(abs(drift_identity_residual(chain, x)) / (chain.q / chain.p) ** (x / 2.0)
-                for x in range(51))
+    worst = float(np.max([abs(drift_identity_residual(chain, x)) / _power(chain.q / chain.p, x / 2)
+                          for x in range(51)]))
     yield "drift_identity_x_le_50", worst <= 1e-12, worst
 
     res = residue_check(chain)
-    err = max(abs(res[0] - measure.atom1[1]), abs(res[1] - measure.atom2[1]))
+    err = float(np.max(np.abs(np.subtract(res, (measure.atom1[1], measure.atom2[1])))))
     yield "residues_equal_atom_weights", err <= 1e-8, err
 
-    worst = 0.0
-    for s in (2j, 0.5 + 0.7j, -0.3 - 1.1j, 3.0 + 0.25j):
-        direct = resolvent_a0(chain, s)
-        transform = integrate_psi(measure, lambda x, s=s: 1.0 / (x - s), cfg=cfg, poles=[s])
-        worst = max(worst, abs(direct - transform))
+    worst = float(np.max([abs(resolvent_a0(chain, s) - integrate_psi(
+        measure, lambda x, s=s: 1.0 / (x - s), cfg=cfg, poles=[s]))
+        for s in (2j, 0.5 + 0.7j, -0.3 - 1.1j, 3.0 + 0.25j)]))
     yield "resolvent_stieltjes_consistency", worst <= 1e-8, worst
 
-    # |interval - contour| per 1e-8 max(1, beta^t (q/p)^(n/2)); np.max: NaN fails
+    # |interval - contour| per 1e-8 max(1, beta^t (q/p)^(n/2))
     worst = float(np.max([abs(spectral_integral(chain, t, deg, cfg=cfg)
                               - spectral_integral(chain, t, deg, route="contour", cfg=cfg))
-                          / (1e-8 * max(1.0, co.beta ** t * (chain.q / chain.p) ** (deg / 2)))
+                          / (1e-8 * max(1.0, co.beta ** t * _power(chain.q / chain.p, deg / 2)))
                           for t in (0, 3, 10, 25) for deg in (0, 2, 7, 15)]))
     yield "spectral_integral_route_equivalence", worst <= 1.0, worst
 
@@ -380,9 +375,8 @@ def _verify_checks(chain, cfg):
     # so the certified geometric remainder sits below the tolerance
     depth = math.log(1e-11 * (chain.q - chain.p)) / math.log(chain.p / chain.q)
     n_sum = int(min(50_000, max(60, math.ceil(depth) + 5)))
-    err = 0.0
-    for loc, weight in (measure.atom1, measure.atom2):
-        err = max(err, abs(1.0 / point_mass_summability(chain, loc, n_sum) - weight))
+    err = float(np.max([abs(1.0 / point_mass_summability(chain, loc, n_sum) - weight)
+                        for loc, weight in (measure.atom1, measure.atom2)]))
     yield "atom_weight_summability", err <= 1e-9, err
 
 

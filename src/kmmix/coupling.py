@@ -52,7 +52,6 @@ __all__ = [
     "simulate_modified",
     "rate_fit",
     "hitting_pmf_multinomial",
-    "hitting_pmf_exact",
     "hitting_pmf_exact_curve",
     "hitting_tail_asymptote",
     "stationary_hitting_survival",
@@ -262,7 +261,7 @@ def hitting_pmf_multinomial(chain: ChainParams, n: int, k: int) -> float:
 
     This counts every word, not only first-passage ones; the exact
     first-passage pmf is n/k times this value (cycle lemma), which is what
-    hitting_pmf_exact returns.  Evaluated with log-factorials."""
+    hitting_pmf_exact_curve returns at k.  Evaluated with log-factorials."""
     if not 1 <= n <= k:
         raise ValueError("need k >= n >= 1")
     p, q, r = chain.p, chain.q, chain.r
@@ -292,11 +291,6 @@ def hitting_pmf_exact_curve(chain: ChainParams, n: int, k_max: int) -> np.ndarra
         pmf[k], dst[0] = dst[0], 0.0  # the mass absorbed at the origin
         src, dst = dst, src
     return pmf
-
-
-def hitting_pmf_exact(chain: ChainParams, n: int, k: int) -> float:
-    """Exact first-passage probability P(tau = k | Y_0 = n)."""
-    return float(hitting_pmf_exact_curve(chain, n, k)[k])
 
 
 def hitting_tail_asymptote(chain: ChainParams, t: int) -> float:

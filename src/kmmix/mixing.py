@@ -51,30 +51,26 @@ from itertools import accumulate, takewhile
 
 import numpy as np
 
-from .chain import ChainParams, _kernel_args, _naturals, reversibility
+from .chain import ChainParams, _kernel_args, _naturals, _power, reversibility
 from .orthopoly import q_bracket_matrix, q_log_sup, q_node_sums
 from .spectral import EPS_FLOOR, NODE_CAP, QuadratureConfig, QuadratureError, RegimeError, \
     _checked_support, build_measure, negative_atom, node_count, theta_nodes
 
 __all__ = [
     "BoundCoefficients",
-    "TailControl",
     "ConvergenceError",
     "bound_coefficients",
     "spectral_integral",
     "tv_curve",
     "tv_quadrature",
     "tv_envelope",
-    "tv_upper",
-    "tv_lower",
     "t_mix",
     "kernel_matrix",
     "kernel_spectral",
 ]
 
 _CELLS = 1 << 13  # cells per batch of times; per t tv_curve's 2K + N_t + 1, _kernel_ac's R(K+C)
-_Q_ROWS_MEMO = 16  # (chain, K, degrees) whose Q_n rows _kernel_ac keeps
-_Q_ROWS_CELLS = 1 << 16  # the most cells (1 MB in longdouble) of Q_n rows it keeps per entry
+_Q_ROWS_CELLS = 1 << 16  # the most cells (1 MB in longdouble) of Q_n rows _q_rows keeps per entry
 T_CAP = 10 ** 7  # the largest time t_mix searches to
 N_CAP = 100_000  # the largest degree cutoff N of the TV series
 
@@ -96,17 +92,6 @@ class BoundCoefficients:
     alpha: float
     beta: float
     m: float
-
-
-@dataclass(frozen=True)
-class TailControl:
-    """Truncation policy for the TV series over polynomial degree n."""
-
-    series_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not self.series_tol > 0.0:
-            raise ValueError("series_tol must be positive")
 
 
 def _pole_pair(chain: ChainParams):
@@ -139,7 +124,8 @@ def _contour_part(chain: ChainParams, t: int, n: int) -> float:
     roots of unity, less its aliasing a P(z_a) z_a^(M-1)/(1 - z_a^M) + b P(z_b)
     z_b^(M-1)/(1 - z_b^M), where P(z_a) = z_a^n (lambda(z_a) = 1), P(z_b) = loc2^t z_b^n.
     QuadratureError past M = 2 NODE_CAP, the degree the interval route's exact
-    count ceil((d + 3)/2) <= NODE_CAP reaches."""
+    count ceil((d + 3)/2) <= NODE_CAP reaches; inf or NaN where (q/p)^(n/2)
+    leaves the double range."""
     m = t + n + 1
     if m > 2 * NODE_CAP:
         raise QuadratureError("spectral_integral", m, 2 * NODE_CAP, "the contour cap")
@@ -151,7 +137,7 @@ def _contour_part(chain: ChainParams, t: int, n: int) -> float:
     b = (zb * zb - 1.0) / (zb - za)
     alias = (a * za ** (n + m - 1) / -math.expm1(0.5 * m * math.log(p / q))  # 1 - z_a^M
              + b * negative_atom(chain)[0] ** t * zb ** (n + m - 1) / (1.0 - zb ** m))
-    return (q / p) ** (n / 2.0) * (p / (q + r)) * (np.mean(g).real - alias)
+    return _power(q / p, n / 2.0) * (p / (q + r)) * (float(np.mean(g).real) - alias)
 
 
 def spectral_integral(chain: ChainParams, t: int, n: int, route: str = "interval",
@@ -204,7 +190,7 @@ def _tail_rule(chain: ChainParams, co: BoundCoefficients):
     return tail_at
 
 
-def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
+def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, series_tol: float):
     """The function t -> (N, tail): the smallest N whose certified series tail
     (_tail_rule) is below the working tolerance, or t if that N passes t
     (tv_curve adds the exact rest there, with no search once tail(t) misses
@@ -225,7 +211,7 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, ctl: TailControl):
 
     def cutoff(t, near=None):
         tail, series = tail_at(t)
-        tol = max(min(ctl.series_tol, 0.05 * co.B * co.beta ** t), 5e-324)
+        tol = max(min(series_tol, 0.05 * co.B * co.beta ** t), 5e-324)
         if near is not None and tail(near) <= tol and (near == 0 or tail(near - 1) > tol):
             return near, tail(near)
         if t <= N_CAP and tail(t) > tol:
@@ -304,16 +290,16 @@ def _atom_table(chain: ChainParams, cuts: dict, k_zero: int, e2):
     return exponents, np.append(float(w2 - e2) * np.power(loc2, exponents), 0.0)
 
 
-def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
+def tv_curve(chain: ChainParams, ts, series_tol: float = 1e-12,
              cfg: QuadratureConfig = None) -> list:
     """TV distance at every time in ts (in the given order) by summing the
     spectral series.
 
     Each t gets its own degree cutoff N_t, certified by the closed geometric
     tail bounds (the returned value is the partial sum; the discarded tail is
-    provably below the working tolerance of _cutoff_rule), or t where N_t
-    passes t: mu_t lives on 0..t, so past t the terms are nu_n and add up to
-    (1/2) nu_tail(t) exactly.  One pass at tv_quadrature's node count K
+    provably below _cutoff_rule's working tolerance, series_tol or less), or
+    t where N_t passes t: mu_t lives on 0..t, so past t the terms are nu_n and
+    add up to (1/2) nu_tail(t) exactly.  One pass at tv_quadrature's node count K
     serves every t, with its plan's E1 off each AC part and w2 - E2 as the
     atom weight (both 0.0 under the strip count).  The ascending times run in
     batches of at most _CELLS cells, 2K for a t's FFT and N_t + 1 for its
@@ -326,9 +312,9 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     from k_zero on does no atom work.  Raises ConvergenceError when some N_t
     exceeds N_CAP or a term leaves the double range (as the AC parts carry
     (q/p)^(n/2)), QuadratureError when the node count passes
-    spectral.NODE_CAP, and RegimeError as tv_quadrature does."""
+    spectral.NODE_CAP, and ValueError and RegimeError as tv_quadrature does."""
     ts = _naturals(ts)
-    cuts, n_nodes, _, e1, e2 = tv_quadrature(chain, ts, ctl, cfg)
+    cuts, n_nodes, _, e1, e2 = tv_quadrature(chain, ts, series_tol, cfg)
     rev = reversibility(chain)
     half_pi = 0.5 * rev.pi(np.arange(max(cuts.values()) + 1))
     k_zero = _underflow_degree(negative_atom(chain)[0])
@@ -348,7 +334,7 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
             terms = np.broadcast_to(half_pi[: n.size], keep.shape)[keep] * np.abs(i_tn)
         if not np.isfinite(terms).all():
             row, n_bad = np.argwhere(keep)[np.argmin(np.isfinite(terms))]
-            raise _overflow_error(chain, ctl, times[row], int(n_bad), sizes[row] - 1)
+            raise _overflow_error(chain, series_tol, times[row], int(n_bad), sizes[row] - 1)
         terms = terms.tolist()
         for t, m, end in zip(times, sizes, accumulate(sizes)):
             values[t] = math.fsum(terms[end - m:end]) + (0.5 * rev.nu_tail(t) if cuts[t] == t
@@ -356,14 +342,14 @@ def tv_curve(chain: ChainParams, ts, ctl: TailControl = None,
     return [values[t] for t in ts]
 
 
-def _overflow_error(chain: ChainParams, ctl: TailControl, t: int, n: int, n_cut: int):
+def _overflow_error(chain: ChainParams, series_tol: float, t: int, n: int, n_cut: int):
     """The ConvergenceError for tv_curve's first term out of the double range,
     at t and degree n of the n_cut its tolerance asks for; it carries the tail
     bound past n - 1, the most the doubles reach."""
     tail = _tail_rule(chain, bound_coefficients(chain))(t)[0]
     return ConvergenceError(f"the TV series at t={t} leaves the double range at degree n={n}, "
-                            f"of the N={n_cut} that series_tol="
-                            f"{(ctl or TailControl()).series_tol!r} asks for", tail(n - 1))
+                            f"of the N={n_cut} that series_tol={series_tol!r} asks for",
+                            tail(n - 1))
 
 
 @dataclass(frozen=True)
@@ -393,14 +379,16 @@ class _SeriesSup:
         return math.log(0.5 + 0.5 * terms) + q_log_sup(self.chain, 0).on_support()
 
 
-def tv_quadrature(chain: ChainParams, ts, ctl: TailControl = None,
+def tv_quadrature(chain: ChainParams, ts, series_tol: float = 1e-12,
                   cfg: QuadratureConfig = None) -> tuple:
-    """(cuts, K, bound, E1, E2): tv_curve's cutoffs {t: N_t} over the ascending
-    distinct ts, and spectral.node_count's plan of its one pass for the
-    integrand _SeriesSup describes, of degree max t + N_t; RegimeError where
-    spectral._checked_support fails."""
+    """(cuts, K, bound, E1, E2): tv_curve's cutoffs {t: N_t} at series_tol over
+    the ascending distinct ts, and spectral.node_count's plan of its one pass
+    for the integrand _SeriesSup describes, of degree max t + N_t; ValueError
+    unless series_tol > 0, RegimeError where spectral._checked_support fails."""
+    if not series_tol > 0.0:  # nan too
+        raise ValueError("series_tol must be positive")
     _checked_support(chain)
-    cutoff = _cutoff_rule(chain, bound_coefficients(chain), ctl or TailControl())
+    cutoff = _cutoff_rule(chain, bound_coefficients(chain), series_tol)
     cuts, near = {}, None
     for t in sorted(set(_naturals(ts))):  # each t's N is the next one's guess
         near = cuts[t] = cutoff(t, near)[0]
@@ -414,7 +402,7 @@ def tv_envelope(chain: ChainParams, ts) -> tuple:
     A alpha^t + B beta^t, its lower twin A alpha^t - B beta^t, and whether that
     lower value is a bound on TV (alpha > beta and the value is positive).
     One coefficient lookup serves every t; each value is the same float
-    expression tv_upper and tv_lower take for their one t."""
+    expression at every t, however many times ts holds."""
     ts = list(ts)
     if ts and min(ts) < 0:
         raise ValueError("t must be nonnegative")
@@ -425,18 +413,6 @@ def tv_envelope(chain: ChainParams, ts) -> tuple:
     lower = [a - b for a, b in zip(slow, fast)]
     return ([a + b for a, b in zip(slow, fast)], lower,
             [alpha > beta and value > 0.0 for value in lower])
-
-
-def tv_upper(chain: ChainParams, t: int) -> float:
-    """Upper envelope A alpha^t + B beta^t on TV."""
-    return tv_envelope(chain, [t])[0][0]
-
-
-def tv_lower(chain: ChainParams, t: int):
-    """Matching lower envelope A alpha^t - B beta^t; only meaningful (valid
-    flag) when alpha > beta and the value is positive."""
-    _, (value,), (valid,) = tv_envelope(chain, [t])
-    return value, valid
 
 
 def _log(value: float) -> float:
@@ -517,7 +493,8 @@ def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
              _geometric_depth(2.0 * co.B, co.beta, math.log(eps))) + 2
     if hi > T_CAP:
         raise ConvergenceError(f"t_mix bracket exceeded 1e7 for eps={eps}; the bound below is "
-                               "min(1, envelope) at t = 1e7", min(1.0, tv_upper(chain, 1e7)))
+                               "min(1, envelope) at t = 1e7",
+                               min(1.0, tv_envelope(chain, [T_CAP])[0][0]))
     if eps * (1.0 - co.m) < 2.0 ** -1064:  # a step's decrement must span 2^10 subnormals
         raise ValueError(f"eps={eps} is too small for floats to resolve one step of TV")
     log_alpha = math.log(co.alpha)
@@ -526,10 +503,10 @@ def t_mix(chain: ChainParams, eps: float, method: str = "exact") -> int:
     bound = _first_below(lambda ts: tv_envelope(chain, ts)[0], eps, lo, hi, log_lo, co.m)
     if method == "bound":
         return bound
-    ctl = TailControl(series_tol=min(1e-12, eps * 1e-3))
+    tol = min(1e-12, eps * 1e-3)
     cfg = QuadratureConfig(tol=min(QuadratureConfig.tol, eps * 1e-3))
-    return _first_below(lambda ts: tv_curve(chain, ts, ctl=ctl, cfg=cfg), eps, lo, bound + 1,
-                        log_lo, co.m)
+    return _first_below(lambda ts: tv_curve(chain, ts, series_tol=tol, cfg=cfg), eps, lo,
+                        bound + 1, log_lo, co.m)
 
 
 def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = None,
@@ -572,9 +549,10 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig, name: 
     block = (int(max(rows)) + int(max(cols))) // 16 * 16 + 16  # Python ints: may pass 2^63
     n_nodes, _, e1, e2 = node_count(chain, cfg, name, q_log_sup(chain, block, 0), t=min(ts),
                                     degree=max(ts) + block)
-    x, w, two_cos, _ = theta_nodes(chain, n_nodes)
+    x, w = theta_nodes(chain, n_nodes)[:2]
     degrees = tuple(sorted(set(rows) | set(cols)))  # np.union1d would import numpy.ma
-    q_rows = _q_rows(chain, n_nodes, degrees, x, two_cos)
+    kept = len(degrees) * (n_nodes - 1) <= _Q_ROWS_CELLS
+    q_rows = (_q_rows if kept else _q_rows.__wrapped__)(chain, n_nodes, degrees)
     left, right = (q_rows[np.searchsorted(degrees, s)] for s in (rows, cols))
     loc2, sums, uniq = negative_atom(chain)[0], np.add.outer(rows, cols), sorted(set(ts))
     atoms = np.power(loc2, np.add.outer(uniq, sums))
@@ -590,23 +568,15 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig, name: 
     return ac, l1, dict(zip(uniq, atoms))
 
 
-_q_rows_kept = {}  # (chain, K, degrees): read-only Q_n rows, oldest first
-
-
-def _q_rows(chain: ChainParams, n_nodes: int, degrees: tuple, x, two_cos):
-    """Q_n at the nodes x, two_cos of theta_nodes(chain, n_nodes) for the
-    ascending degrees, read-only: the rows _kernel_ac multiplies.  One-entry
-    calls (kernel_spectral over t, i and j) repeat few (K, degrees), so the
-    last _Q_ROWS_MEMO of at most _Q_ROWS_CELLS cells each are kept."""
-    key = (chain, n_nodes, degrees)
-    q_rows = _q_rows_kept.get(key)
-    if q_rows is None:
-        q_rows = q_bracket_matrix(chain, degrees[-1], x, two_cos, degrees)
-        q_rows.flags.writeable = False
-        if q_rows.size <= _Q_ROWS_CELLS:
-            if len(_q_rows_kept) == _Q_ROWS_MEMO:
-                del _q_rows_kept[next(iter(_q_rows_kept))]
-            _q_rows_kept[key] = q_rows
+@lru_cache(maxsize=16)
+def _q_rows(chain: ChainParams, n_nodes: int, degrees: tuple):
+    """Q_n at the nodes of theta_nodes(chain, n_nodes) for the ascending
+    degrees, read-only: the rows _kernel_ac multiplies.  One-entry calls
+    (kernel_spectral over t, i and j) repeat few (K, degrees), so the 16 last
+    used are kept; _kernel_ac calls __wrapped__ past _Q_ROWS_CELLS cells."""
+    x, _, two_cos, _ = theta_nodes(chain, n_nodes)
+    q_rows = q_bracket_matrix(chain, degrees[-1], x, two_cos, degrees)
+    q_rows.flags.writeable = False
     return q_rows
 
 

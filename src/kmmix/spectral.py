@@ -55,6 +55,8 @@ _PI = np.arccos(_LD(-1))  # pi in extended precision; np.pi is a double
 EPS_FLOOR = 32.0 * float(np.finfo(_LD).eps)
 NODE_CAP = 1 << 16  # the most panels one trapezoid pass may take
 _STRIP_STEPS = 64  # strip half-widths y a bound is minimised over
+_RESIDUE_SCALE = 0.25  # residue_check's circle radius per its distance to the nearest cut
+_RESIDUE_NODES = 512  # residue_check's points per circle
 
 
 class QuadratureError(RuntimeError):
@@ -255,10 +257,10 @@ def pole_errors(chain: ChainParams, n_nodes: int) -> tuple:
                      for s, rho in parts)
 
 
-def integrate_psi(measure: SpectralMeasure, f, include_atoms=(True, True), cfg=None,
+def integrate_psi(measure: SpectralMeasure, f, atoms: bool = True, cfg=None,
                   log_sup=None, poles=()):
-    """Integral of f against psi: selected atoms plus the AC part, in one pass
-    of node_count panels.
+    """Integral of f against psi: the AC part in one pass of node_count panels,
+    plus the two atoms unless atoms is False.
 
     f must accept an ndarray of points in [-1, 1] and evaluate elementwise;
     complex-valued integrands are supported.  The pass is certified for f
@@ -271,9 +273,8 @@ def integrate_psi(measure: SpectralMeasure, f, include_atoms=(True, True), cfg=N
     x, w = theta_nodes(measure.chain, n_nodes)[:2]
     total = np.sum(np.asarray(f(x)) * w)
     total = complex(total) if np.iscomplexobj(total) else float(total)
-    for flag, (loc, weight) in zip(include_atoms, (measure.atom1, measure.atom2)):
-        if flag:
-            total += weight * np.asarray(f(np.array([loc]))).reshape(-1)[0]
+    for loc, weight in (measure.atom1, measure.atom2) if atoms else ():
+        total += weight * np.asarray(f(np.array([loc]))).reshape(-1)[0]
     return total
 
 
@@ -281,23 +282,23 @@ def resolvent_a0(chain: ChainParams, s: complex) -> complex:
     """Upper-left entry of (P - sI)^(-1), i.e. the Stieltjes transform of psi.
 
     Off the real axis exactly one characteristic root rho(s) satisfies
-    |rho| < sqrt(q/p) (their product is q/p), and a_0(s) = 1/(rho - s) for
-    that root."""
+    |rho| < sqrt(q/p), and a_0(s) = 1/(rho - s) for that root.  It is taken
+    as q/p over the other root (their product is q/p), as the quadratic
+    formula's small root cancels as p -> 0."""
     s = complex(s)
     if s.imag == 0.0:
         raise ValueError("resolvent_a0 requires Im(s) != 0")
     p, q, r = chain.p, chain.q, chain.r
     sd = np.sqrt(complex((s - r) ** 2 - 4.0 * p * q))
-    rho1 = ((s - r) + sd) / (2.0 * p)
-    rho2 = ((s - r) - sd) / (2.0 * p)
-    small = rho1 if abs(rho1) < abs(rho2) else rho2
-    return 1.0 / (small - s)
+    big = max(((s - r) + sd) / (2.0 * p), ((s - r) - sd) / (2.0 * p), key=abs)
+    return 1.0 / (q / p / big - s)
 
 
-def residue_check(chain: ChainParams, radius_scale: float = 0.25, n_nodes: int = 512):
+def residue_check(chain: ChainParams):
     """Pole strengths of g(z) = sqrt((z-r)^2 - 4pq) / (((r+q)z + q)(1-z)) at
     z = 1 and z = -q/(q+r), by small-circle contour quadrature in the
-    principal branch.
+    principal branch, _RESIDUE_NODES points on circles of _RESIDUE_SCALE times
+    each pole's distance to the nearest cut.
 
     Each strength is measured against the displayed pole factor, 1/(1-z) at
     z = 1 (hence the sign flip on the raw residue) and 1/(z + q/(q+r)) at the
@@ -311,13 +312,13 @@ def residue_check(chain: ChainParams, radius_scale: float = 0.25, n_nodes: int =
         return np.sqrt((z - r) ** 2 - 4.0 * p * q) / (((r + q) * z + q) * (1.0 - z))
 
     def raw_residue(center, radius):
-        z = center + radius * np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes)
+        z = center + radius * np.exp(2j * np.pi * np.arange(_RESIDUE_NODES) / _RESIDUE_NODES)
         return complex(np.mean(g(z) * (z - center)))
 
     # keep each circle clear of the branch cut on [lo, hi] and of Re z = r,
     # where the principal square root of (z-r)^2 - 4pq changes sheets
-    rad1 = radius_scale * min(1.0 - hi, 1.0 - r)
-    rad2 = radius_scale * min(lo - loc2, r - loc2, 1.0 + loc2)
+    rad1 = _RESIDUE_SCALE * min(1.0 - hi, 1.0 - r)
+    rad2 = _RESIDUE_SCALE * min(lo - loc2, r - loc2, 1.0 + loc2)
     raw1 = raw_residue(1.0, rad1)
     raw2 = raw_residue(loc2, rad2)
     return (-raw1.real, raw2.real)

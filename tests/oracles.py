@@ -225,7 +225,7 @@ def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
     return [values[t] for t in ts]
 
 
-def tv_curve_per_t(chain: ChainParams, ts, ctl=None, cfg=None) -> list:
+def tv_curve_per_t(chain: ChainParams, ts, series_tol=1e-12, cfg=None) -> list:
     """tv_curve's series summed one t at a time: the same cutoffs and nodes,
     pole_errors where that plan is corrected, then per t its own power x^t
     (node_powers_stepwise), its own sine transform to degree N_t, its own
@@ -233,7 +233,7 @@ def tv_curve_per_t(chain: ChainParams, ts, ctl=None, cfg=None) -> list:
     (1/2) pi_n |I_t(n)| and (1/2) nu_tail(t) where N_t = t.  It shares no
     batching with tv_curve."""
     ts = list(ts)
-    cuts, n_nodes, _, *plan = tv_quadrature(chain, ts, ctl, cfg)
+    cuts, n_nodes, _, *plan = tv_quadrature(chain, ts, series_tol, cfg)
     e1, e2 = pole_errors(chain, n_nodes) if any(plan) else (0.0, 0.0)
     rev = reversibility(chain)
     pi_vals = np.atleast_1d(rev.pi(np.arange(max(cuts.values()) + 1)))
@@ -265,8 +265,7 @@ def first_below_probes(values, limit: float, lo: int, hi: int) -> int:
 
 def envelope_per_t(chain: ChainParams, t: int) -> tuple:
     """(upper, lower, valid) at one t, by the envelope's float expressions
-    as tv_upper and tv_lower took them per t, from the package's
-    bound_coefficients."""
+    written out once for that t, from the package's bound_coefficients."""
     co = bound_coefficients(chain)
     lower = co.A * co.alpha ** t - co.B * co.beta ** t
     return co.A * co.alpha ** t + co.B * co.beta ** t, lower, (co.alpha > co.beta and lower > 0.0)

@@ -17,7 +17,7 @@ from kmmix import bound_coefficients, build_measure, drift_identity_residual, \
     hitting_pmf_exact_curve, hitting_pmf_multinomial, integrate_psi, kernel_oracle, \
     kernel_spectral, q_log_sup, q_values, rate_fit, reversibility, \
     simulate_classical, simulate_modified, spectral_integral, stationary_hitting_survival, \
-    t_mix, tv_curve, tv_lower, tv_oracle, tv_upper
+    t_mix, tv_curve, tv_envelope, tv_oracle
 from kmmix.cli import DEFAULT_SEED, main
 
 import oracles
@@ -59,11 +59,11 @@ def test_c02_measure_sanity():
     worst_total, worst_ac = 0.0, 0.0
     for c in GRID:
         m = build_measure(c)
-        ac = integrate_psi(m, lambda x: np.ones_like(x), include_atoms=(False, False))
+        ac = integrate_psi(m, lambda x: np.ones_like(x), atoms=False)
         worst_total = max(worst_total, abs(m.atom1[1] + m.atom2[1] + ac - 1.0))
         worst_ac = max(worst_ac, abs(ac - c.p / (c.q + c.r)))
     m = build_measure(EXAMPLE)
-    ac = integrate_psi(m, lambda x: np.ones_like(x), include_atoms=(False, False))
+    ac = integrate_psi(m, lambda x: np.ones_like(x), atoms=False)
     example_err = max(abs(m.atom1[1] - 8 / 19), abs(m.atom2[1] - 91 / 190), abs(ac - 1 / 10))
     passed = worst_total <= 1e-10 and worst_ac <= 1e-10 and example_err <= 1e-10
     report(2, f"spectral measure sanity on {len(GRID)} chains", passed,
@@ -104,10 +104,9 @@ def test_c04_kernel_equivalence():
 def test_c05_tv_equivalence_and_sandwich():
     worst_eq = max(abs(tv_curve(EXAMPLE, [t])[0] - tv_oracle(EXAMPLE, t)) for t in range(61))
     sandwich_ok = True
-    for t in range(101):
+    for t, upper, lower, valid in zip(range(101), *tv_envelope(EXAMPLE, range(101))):
         val = tv_curve(EXAMPLE, [t])[0]
-        lower, valid = tv_lower(EXAMPLE, t)
-        if val > tv_upper(EXAMPLE, t) or (valid and val < lower):
+        if val > upper or (valid and val < lower):
             sandwich_ok = False
     passed = worst_eq <= 1e-8 and sandwich_ok
     report(5, "TV series vs oracle and envelope sandwich", passed,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from kmmix import ChainParams, QuadratureConfig, cli, mixing, tv_lower, tv_upper
+from kmmix import ChainParams, QuadratureConfig, cli, mixing, tv_envelope
 from kmmix.cli import main
 from kmmix.mixing import tv_quadrature
 from kmmix.spectral import pole_errors
@@ -175,7 +175,7 @@ def test_cached_tables_do_not_leak_between_chains(capsys):
         spectral.theta_nodes.cache_clear()
         spectral._plan.cache_clear()
         orthopoly._scale_table.cache_clear()
-        mixing._q_rows_kept.clear()
+        mixing._q_rows.cache_clear()
 
     clear()
     first = {name: run(name) for name in ("near", "worked")}
@@ -281,9 +281,8 @@ class TestTv:
         code, out, _ = run_cli(capsys, "tv", "--p", "1/11", "--q", "9/11", "--t-max", "80")
         assert code == 0
         for t, row in enumerate(json.loads(out)["results"]["rows"]):
-            lower, valid = tv_lower(chain, t)
-            assert (row["tv_upper"], row["tv_lower"], row["lower_valid"]) == (
-                tv_upper(chain, t), lower, valid), t
+            assert [[row["tv_upper"]], [row["tv_lower"]], [row["lower_valid"]]] == list(
+                tv_envelope(chain, [t])), t
 
     def test_series_past_the_double_range_exit_1(self, capsys):
         # the cutoff of series_tol 1e-320 reaches degrees whose AC sums
@@ -518,17 +517,80 @@ class TestVerify:
     def test_route_row_fails_when_the_routes_disagree(self, capsys, monkeypatch, offset):
         contour_part = mixing._contour_part
         monkeypatch.setattr(mixing, "_contour_part", lambda *args: contour_part(*args) + offset)
+        rows = ["spectral_integral_route_equivalence"]
+        if math.isnan(offset):  # and a NaN residual past the first x fails the drift row
+            residual = cli.drift_identity_residual
+            monkeypatch.setattr(cli, "drift_identity_residual",
+                                lambda chain, x: math.nan if x == 7 else residual(chain, x))
+            rows.append("drift_identity_x_le_50")
         code, out, _ = run_cli(capsys, "verify", "--p", "1/11", "--q", "9/11")
         results = json.loads(out)["results"]
         checks = {c["name"]: c for c in results["checks"]}
-        row = checks.pop("spectral_integral_route_equivalence")
-        assert code == 1 and not results["all_passed"] and not row["passed"]
-        # the worst |interval - contour| in units of its tolerance; a NaN stays NaN
-        if math.isnan(offset):
-            assert math.isnan(row["worst"])
-        else:
-            assert row["worst"] > 1.0
+        failed = [checks.pop(name) for name in rows]
+        assert code == 1 and not results["all_passed"]
+        for row in failed:
+            assert not row["passed"], row
+            # the worst |interval - contour| in units of its tolerance; a NaN stays NaN
+            if math.isnan(offset):
+                assert math.isnan(row["worst"]), row
+            else:
+                assert row["worst"] > 1.0
         assert all(c["passed"] for c in checks.values())  # no other row reads the contour
+
+
+# Chains at the edges of the wedge: p far below q, whose powers of q/p leave
+# the double range; q - p down to 1e-5; r = 1e-300, where the negative atom
+# rounds to -1; and p = 1e-8 against q = 0.9999 (r = 1 - p - q, about 1e-4).
+EDGE_CHAINS = [*(("--p", p, "--q", "0.5") for p in ("1e-300", "1e-15", "1e-12")),
+               ("--p", "0.3", "--q", "0.30001", "--r", "0.39999"),
+               ("--p", "0.49", "--q", "0.4901"), ("--p", "0.1", "--q", "0.9", "--r", "1e-300"),
+               ("--p", "1e-8", "--q", "0.9999"), ("--p", "0.001", "--q", "0.002")]
+EDGE_JOBS = [("analyze",), ("tv",), ("tmix", "--eps", "0.1"), ("kernel",), ("verify",),
+             ("couple", "--replicas", "1000")]
+
+
+@pytest.mark.parametrize("chain", EDGE_CHAINS, ids=lambda chain: "-".join(chain[1::2]))
+@pytest.mark.parametrize("job", EDGE_JOBS, ids=lambda job: job[0])
+def test_edge_chains_exit_without_a_traceback(capsys, chain, job):
+    # every command answers or fails with a typed error (exit 1 or 2); an
+    # exception escapes main, and pytest turns every warning into an error
+    code, _, _ = run_cli(capsys, job[0], *chain, *job[1:])
+    assert code in (0, 1, 2)
+
+
+def _nan_past_the_first(original):
+    """original with a NaN past its first value: at index 5 of a returned
+    list, as the second of a returned pair, or as the value of its second call."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        value = original(*args, **kwargs)
+        calls.append(None)
+        if type(value) is list:
+            return value[:5] + [math.nan] + value[6:]
+        if type(value) is tuple:
+            return value[0], math.nan
+        return math.nan if len(calls) == 2 else value
+    return patched
+
+
+@pytest.mark.parametrize("name, rows", [
+    ("tv_oracle_curve", ["tv_oracle_nonincreasing_t120", "tv_exact_vs_oracle_t40"]),
+    ("tv_curve", ["tv_exact_vs_oracle_t40", "quadrature_bound_k_vs_2k", "tv_sandwich_t60"]),
+    ("residue_check", ["residues_equal_atom_weights"]),
+    ("resolvent_a0", ["resolvent_stieltjes_consistency"]),
+    ("point_mass_summability", ["atom_weight_summability"]),
+])
+def test_verify_rows_fail_on_a_nan_past_the_first_value(capsys, monkeypatch, name, rows):
+    # Python's max keeps its first NaN but drops a later one: each row must
+    # fail with its worst value NaN (the sandwich row's worst is its 0/1 flag)
+    monkeypatch.setattr(cli, name, _nan_past_the_first(getattr(cli, name)))
+    code, out, _ = run_cli(capsys, "verify", "--p", "1/11", "--q", "9/11")
+    checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}
+    failed = [checks.pop(row) for row in rows]
+    assert code == 1 and not any(row["passed"] for row in failed), failed
+    assert all(math.isnan(row["worst"]) for row in failed if row["name"] != "tv_sandwich_t60")
+    assert all(c["passed"] for c in checks.values())
 
 
 class TestOutputFile:
@@ -774,9 +836,8 @@ def test_traced_jobs_match_untraced(capsys):
 
     untraced = [run(argv) for argv in jobs]
     # cold caches, so that the traced jobs build what they read
-    for cache in (spectral.theta_nodes, spectral._plan, orthopoly._scale_table):
+    for cache in (spectral.theta_nodes, spectral._plan, orthopoly._scale_table, mixing._q_rows):
         cache.cache_clear()
-    mixing._q_rows_kept.clear()
     tracer = tracing["Tracer"]()
     rec = tracer.install()
     try:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kmmix import ChainParams, SurvivalCurve, hitting_pmf_exact, hitting_pmf_exact_curve, \
+from kmmix import ChainParams, SurvivalCurve, hitting_pmf_exact_curve, \
     hitting_pmf_multinomial, hitting_tail_asymptote, rate_fit, reversibility, \
     simulate_classical, simulate_modified, stationary_hitting_survival, tv_oracle
 from kmmix import coupling
@@ -48,11 +48,11 @@ class TestHittingPmfs:
 
     def test_exact_one_step(self, chain_grid):
         for c in chain_grid[::5]:
-            assert hitting_pmf_exact(c, 1, 1) == pytest.approx(c.q, rel=1e-15)
+            assert hitting_pmf_exact_curve(c, 1, 1)[1] == pytest.approx(c.q, rel=1e-15)
 
     def test_exact_three_step_paths(self, example_chain):
         # first-passage words of length 3 from state 1: UDD and SSD
-        assert hitting_pmf_exact(example_chain, 1, 3) == pytest.approx(
+        assert hitting_pmf_exact_curve(example_chain, 1, 3)[3] == pytest.approx(
             90 / 1331, rel=1e-13)
 
     def test_exact_sums_to_one(self, example_chain):

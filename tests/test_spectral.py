@@ -75,24 +75,21 @@ class TestIntegratePsi:
     def test_ac_mass_closed_form(self, chain_grid):
         for c in chain_grid:
             m = build_measure(c)
-            val = integrate_psi(m, one, include_atoms=(False, False))
+            val = integrate_psi(m, one, atoms=False)
             assert val == pytest.approx(c.p / (c.q + c.r), abs=1e-10)
 
     def test_worked_example_triple(self, example_chain):
         m = build_measure(example_chain)
-        assert integrate_psi(m, one, include_atoms=(False, False)) == pytest.approx(
+        assert integrate_psi(m, one, atoms=False) == pytest.approx(
             1 / 10, abs=1e-10)
         assert m.atom1[1] + m.atom2[1] + 0.1 == pytest.approx(1.0, abs=1e-12)
 
     def test_atom_flags_select_atoms(self, example_chain):
         m = build_measure(example_chain)
-        ac = integrate_psi(m, one, include_atoms=(False, False))
+        ac = integrate_psi(m, one, atoms=False)
         both = integrate_psi(m, one)
-        only1 = integrate_psi(m, one, include_atoms=(True, False))
-        only2 = integrate_psi(m, one, include_atoms=(False, True))
-        assert only1 == pytest.approx(ac + m.atom1[1], abs=1e-14)
-        assert only2 == pytest.approx(ac + m.atom2[1], abs=1e-14)
         assert both == pytest.approx(ac + m.atom1[1] + m.atom2[1], abs=1e-14)
+        assert both == integrate_psi(m, one, atoms=True)
 
     def test_orthogonality_through_degree_12(self, example_chain):
         c = example_chain
@@ -289,6 +286,17 @@ class TestResolvent:
             transform = integrate_psi(m, lambda x: 1.0 / (x - s), poles=[s])
             assert abs(direct - transform) <= 1e-8
 
+    @pytest.mark.parametrize("p", [1e-12, 1e-10, 1e-6])
+    def test_small_p_against_the_stieltjes_transform(self, p):
+        # the quadratic formula's small root cancels as p -> 0 (an error of
+        # 2.8e-4 at p = 1e-12 on these points); q/p over the large root does not
+        c = ChainParams(p, 0.5, 0.5 - p)
+        m = build_measure(c)
+        for s in (2j, 0.5 + 0.7j, -0.3 - 1.1j, 3.0 + 0.25j, 0.1 + 1e-3j, -0.9 + 0.05j):
+            transform = integrate_psi(m, lambda x: 1.0 / (x - s), poles=[s],
+                                      cfg=QuadratureConfig(tol=1e-15))
+            assert abs(resolvent_a0(c, s) - transform) <= 1e-12, s
+
     def test_total_mass_limit(self, chain_grid):
         for c in chain_grid[::5]:
             s = 1e7j
@@ -318,9 +326,10 @@ class TestResidues:
             assert res1 == pytest.approx(m.atom1[1], abs=1e-8)
             assert res2 == pytest.approx(m.atom2[1], abs=1e-8)
 
-    def test_radius_independence(self, example_chain):
-        a = residue_check(example_chain, radius_scale=0.25)
-        b = residue_check(example_chain, radius_scale=0.125)
+    def test_radius_independence(self, example_chain, monkeypatch):
+        a = residue_check(example_chain)
+        monkeypatch.setattr(spectral, "_RESIDUE_SCALE", spectral._RESIDUE_SCALE / 2)
+        b = residue_check(example_chain)
         assert abs(a[0] - b[0]) <= 1e-9
         assert abs(a[1] - b[1]) <= 1e-9
 
