@@ -10,16 +10,14 @@ __version__ = "0.1.0"
 
 from .chain import (
     ChainParams,
-    DistributionVector,
     Reversibility,
     drift_identity_residual,
-    evolve,
     kernel_oracle,
     reversibility,
     tv_oracle,
     tv_oracle_curve,
 )
-from .orthopoly import point_mass_summability, q_log_sup, q_values
+from .orthopoly import point_mass_summability, q_bracket_matrix, q_log_sup
 from .spectral import (
     QuadratureConfig,
     QuadratureError,
@@ -55,9 +53,9 @@ from .coupling import (
 
 __all__ = [
     "__version__",
-    "ChainParams", "DistributionVector", "Reversibility",
-    "reversibility", "evolve", "tv_oracle", "tv_oracle_curve", "kernel_oracle",
-    "drift_identity_residual", "q_values", "q_log_sup", "point_mass_summability",
+    "ChainParams", "Reversibility",
+    "reversibility", "tv_oracle", "tv_oracle_curve", "kernel_oracle",
+    "drift_identity_residual", "q_bracket_matrix", "q_log_sup", "point_mass_summability",
     "SpectralMeasure", "QuadratureConfig", "QuadratureError", "RegimeError",
     "build_measure", "integrate_psi", "resolvent_a0", "residue_check",
     "BoundCoefficients", "ConvergenceError", "bound_coefficients", "spectral_integral",

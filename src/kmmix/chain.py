@@ -7,8 +7,9 @@ in this module is either a closed form or exact dynamic programming on the
 finite support reachable in t steps, so there is no truncation error to
 account for downstream.
 
-One step of the walk, _advance, serves every DP: evolve, the TV sweep, the DP
-twin kernel_oracle of mixing.kernel_matrix and the coupling module's hitting curves.
+One step of the walk, _advance, serves every DP: the TV sweep, the DP twin
+kernel_oracle of mixing.kernel_matrix (the law of a point start) and the
+coupling module's hitting curves.
 """
 
 import math
@@ -18,10 +19,8 @@ import numpy as np
 
 __all__ = [
     "ChainParams",
-    "DistributionVector",
     "Reversibility",
     "reversibility",
-    "evolve",
     "tv_oracle",
     "tv_oracle_curve",
     "kernel_oracle",
@@ -62,36 +61,6 @@ class ChainParams:
     def support(self) -> tuple:
         """Interval carrying the continuous part of the spectral measure."""
         return (self.r - 2.0 * self.sqrt_pq, self.r + 2.0 * self.sqrt_pq)
-
-
-@dataclass(frozen=True)
-class DistributionVector:
-    """Probability mass on a contiguous block of states; nothing lives outside
-    it."""
-
-    offset: int
-    mass: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mass", np.asarray(self.mass, dtype=float))
-        if self.offset < 0:
-            raise ValueError("offset must be a state, got %d" % self.offset)
-        if np.any(self.mass < 0.0):
-            raise ValueError("mass entries must be nonnegative")
-
-    @classmethod
-    def point(cls, state: int) -> "DistributionVector":
-        return cls(offset=state, mass=np.ones(1))
-
-    def total(self) -> float:
-        return float(self.mass.sum())
-
-    def prob(self, n: int) -> float:
-        """Carried mass at state n (0 outside the carried block)."""
-        k = n - self.offset
-        if 0 <= k < self.mass.size:
-            return float(self.mass[k])
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -148,25 +117,6 @@ def _advance(chain: ChainParams, src: np.ndarray, dst: np.ndarray, lo: int, hi: 
     np.multiply(src[first - 1:hi + 1], p, out=body)
     body += r * src[first:hi + 2]
     body += q * src[first + 1:hi + 3]
-
-
-def evolve(chain: ChainParams, start: DistributionVector, t: int) -> DistributionVector:
-    """Exact t-step evolution of a finitely supported distribution.
-
-    Support grows by at most one state per side per step, so from a point
-    mass the cost is O(t^2) and the result is exact.  The two buffers start at
-    the lowest state reached; if that is not 0 they hold no mass at index 0.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    lo, hi = start.offset, start.offset + start.mass.size - 1
-    base = max(lo - t, 0)
-    src, dst = np.zeros((2, hi + t + 2 - base))
-    src[lo - base:hi + 1 - base] = start.mass
-    for _ in range(t):
-        _advance(chain, src, dst, lo - base, hi - base)
-        lo, hi, src, dst = max(lo - 1, 0), hi + 1, dst, src
-    return DistributionVector(offset=lo, mass=src[lo - base:hi + 1 - base].copy())
 
 
 def tv_oracle(chain: ChainParams, t: int) -> float:
@@ -252,19 +202,24 @@ def _kernel_args(ts, n_max, rows, cols) -> tuple:
 
 def kernel_oracle(chain: ChainParams, ts, n_max: int, rows=None, cols=None) -> np.ndarray:
     """p_t(i, j) by dynamic programming, the exact twin of mixing.kernel_matrix
-    (same arguments, checks and shape), in one sweep per row i to max(ts)."""
+    (same arguments, checks and shape), in one sweep per row i to max(ts) that
+    reads row i's law at cols only at the requested times.  Row i is the law
+    after t steps from the point mass at i."""
     ts, rows, cols = _kernel_args(ts, n_max, rows, cols)
     out = np.empty((len(ts), rows.size, cols.size))
-    laws = np.empty((max(ts) + 1, cols.size))  # row i's law at cols after t steps
-    for a, i in enumerate(rows):
-        src, dst = np.zeros((2, max(i + max(ts) + 2, cols.max() + 1)))
+    at = {}  # each time's places in ts
+    for k, t in enumerate(ts):
+        at.setdefault(t, []).append(k)
+    horizon, size = max(ts), int(cols.max()) + 1
+    for a, i in enumerate(rows.tolist()):  # Python ints: no numpy scalar math per step
+        src, dst = np.zeros((2, max(i + horizon + 2, size)))
         src[i] = 1.0
-        laws[0] = src[cols]
-        for t in range(1, max(ts) + 1):
-            _advance(chain, src, dst, max(i - t + 1, 0), i + t - 1)
-            src, dst = dst, src
-            laws[t] = src[cols]
-        out[:, a] = laws[ts]
+        for t in range(horizon + 1):
+            if t:
+                _advance(chain, src, dst, max(i - t + 1, 0), i + t - 1)
+                src, dst = dst, src
+            for k in at.get(t, ()):
+                out[k, a] = src[cols]
     return out
 
 

@@ -13,14 +13,14 @@ whose coefficient is 2 cos(theta) at x = r + 2 sqrt(pq) cos(theta).  On the
 spectral support both of its modes have modulus one, so it is neutrally
 stable: roundoff grows at most polynomially in n, the edges r +- 2 sqrt(pq)
 (where the roots merge) included.  Off the support it follows the dominant
-root, which carries Q_n there.  q_bracket_matrix runs it, the one
-recursion for values of Q_n here: q_values reads its row n.
+root, which carries Q_n there.  q_bracket_matrix runs it: it is the one
+evaluator of Q_n at points.
 
 The one exception is the pair of atoms of the spectral measure, 1 and
 -q/(q+r), where the growing root's coefficient vanishes and Q_n = lambda^n
 exactly.  Any recursion in floating point re-excites that mode with
-roundoff, and its n-th power swamps the true value, so there the closed form
-is returned instead.
+roundoff, and its n-th power swamps the true value, so there (to the one
+matching rule of _atoms) q_bracket_matrix returns the closed form instead.
 
 Sums of Q_n against weights g_k on the theta quadrature nodes, for every
 degree up to some N at once, use the brackets in Chebyshev-U form instead.
@@ -42,10 +42,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainParams, reversibility
+from .chain import ChainParams, _naturals, reversibility
 from .spectral import negative_atom, theta_nodes
 
-__all__ = ["q_values", "q_bracket_matrix", "q_node_sums", "q_log_sup", "point_mass_summability"]
+__all__ = ["q_bracket_matrix", "q_node_sums", "q_log_sup", "point_mass_summability"]
 
 _PI_CHUNK = 1 << 16  # point_mass_summability's k per pi array: its memory is O(chunk) in n_trunc
 
@@ -91,47 +91,43 @@ def _scale_table(chain: ChainParams, dt, size: int):
     return table
 
 
-def q_values(chain: ChainParams, n: int, x):
-    """Q_n over an array of points in [-1, 1]: row n of q_bracket_matrix,
-    except at the two atoms (matched to 1e-13 relative), where Q_n = x^n.
-    Longdouble input stays longdouble."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.atleast_1d(np.asarray(x))
-    if x.dtype != np.dtype(np.longdouble):
-        x = x.astype(np.float64)
-    atom = np.zeros(x.shape, dtype=bool)
-    for loc in (1.0, negative_atom(chain)[0]):
-        atom |= np.abs(x - loc) <= 1e-13 * max(1.0, abs(loc))
-    out = np.empty_like(x)
-    out[atom] = x[atom] ** n
-    if not atom.all():
-        out[~atom] = q_bracket_matrix(chain, n, x[~atom], keep=[n])[0]
-    return out
+def _atoms(chain: ChainParams, x):
+    """Where x lies within 1e-13 of an atom of the spectral measure, 1 or
+    -q/(q+r): the one rule by which q_bracket_matrix and point_mass_summability
+    match an atom."""
+    return np.minimum(np.abs(x - 1.0), np.abs(x - negative_atom(chain)[0])) <= 1e-13
 
 
 def q_bracket_matrix(chain: ChainParams, n_max: int, x, two_cos=None, keep=None):
-    """Q_n(x) for n = 0..n_max, or only at the ascending degrees keep in
-    0..n_max: the one bracket recursion, two rows at a time, times (q/p)^(n/2)
-    from _scales.  two_cos, its coefficient (x - r)/sqrt(pq), is computed from
-    x if not given; at quadrature nodes pass theta_nodes' 2 cos(theta), as
-    for p -> 0 the rounding of x loses cos(theta).  No atom override (q_values
-    has it).  Shape (len(keep), len(x)), in x's dtype."""
-    x = np.asarray(x)
-    keep = np.arange(n_max + 1) if keep is None else np.asarray(keep)
-    top = int(keep[-1])
-    row = {n: k for k, n in enumerate(keep.tolist())}
-    dt = x.dtype.type
+    """Q_n(x) for n = 0..n_max, or only at the degrees keep, strictly
+    ascending in 0..n_max (else ValueError): the one evaluator of Q_n at
+    points, x taken as a 1-d array, longdouble kept and any other dtype as
+    float64.  At an atom (_atoms) Q_n = x^n; elsewhere the bracket recursion
+    runs, two rows at a time, times (q/p)^(n/2) from _scales.  two_cos, its
+    coefficient (x - r)/sqrt(pq), is computed from x if not given; at
+    quadrature nodes pass theta_nodes' 2 cos(theta), as for p -> 0 the
+    rounding of x loses cos(theta).  Shape (len(keep), len(x)), in x's dtype."""
+    n_max = _naturals([n_max], "n_max")[0]
+    keep = list(range(n_max + 1)) if keep is None else _naturals(keep, "keep")
+    if keep[-1] > n_max or any(b <= a for a, b in zip(keep, keep[1:])):
+        raise ValueError(f"keep must be strictly ascending degrees in 0..{n_max}")
+    x = np.atleast_1d(np.asarray(x))
+    x = x if x.dtype == np.longdouble else x.astype(np.float64, copy=False)
+    atom = _atoms(chain, x)
+    out = np.empty((len(keep), x.size), dtype=x.dtype)
+    out[:, atom] = x[atom] ** np.array(keep)[:, None]
+    live = ~atom if atom.any() else slice(None)  # a slice: x[live] is a view, not a copy
+    x, dt = x[live], x.dtype.type
     p, q, r = dt(chain.p), dt(chain.q), dt(chain.r)
-    two_cos = (x - r) / np.sqrt(p * q) if two_cos is None else two_cos
-    out = np.empty((keep.size, x.size), dtype=x.dtype)
+    two_cos = (x - r) / np.sqrt(p * q) if two_cos is None else two_cos[live]
+    row = {n: k for k, n in enumerate(keep)}
     b_prev, b_n = np.ones_like(x), x / np.sqrt(q / p)  # B_0, B_1
-    for n in range(top + 1):
+    for n in range(keep[-1] + 1):
         if n >= 2:
             b_prev, b_n = b_n, two_cos * b_n - b_prev
         if n in row:
-            out[row[n]] = b_n if n else b_prev
-    out *= _scales(chain, dt, top)[keep, None]
+            out[row[n], live] = b_n if n else b_prev
+    out[:, live] *= _scales(chain, dt, keep[-1])[keep, None]
     return out
 
 
@@ -186,9 +182,9 @@ def point_mass_summability(chain: ChainParams, lam: float, n_trunc: int) -> floa
     spectral measure (lambda = 1 or -q/(q+r)); its limit is the reciprocal of
     the atom's weight.  At an atom Q_k(lambda) = lambda^k, so the terms are
     pi_k lambda^(2k)."""
-    atoms = (1.0, negative_atom(chain)[0])
-    if not any(abs(lam - a) <= 1e-12 for a in atoms):
-        raise ValueError(f"lambda must be an atom location (one of {atoms}), got {lam}")
+    if not _atoms(chain, lam):
+        raise ValueError(f"lambda must be an atom location (1.0 or {negative_atom(chain)[0]}), "
+                         f"got {lam}")
     if n_trunc < 0:
         raise ValueError("n_trunc must be nonnegative")
     rev = reversibility(chain)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from kmmix import ChainParams, DistributionVector, bound_coefficients, reversibility
+from kmmix import ChainParams, bound_coefficients, reversibility
 from kmmix.mixing import tv_quadrature
 from kmmix.orthopoly import q_bracket_matrix, q_node_sums
 from kmmix.spectral import negative_atom, pole_errors, theta_nodes
@@ -272,11 +272,12 @@ def envelope_per_t(chain: ChainParams, t: int) -> tuple:
 
 
 def evolve_fancy_index(chain: ChainParams, start, t: int):
-    """(offset, mass) after t steps from a DistributionVector, one step at a
-    time through fancy-index adds: the p, r and q terms added in that order
-    into a zeroed vector, the reflecting 0 -> 1 move first."""
+    """(offset, mass) after t steps from start = (offset, mass), mass on the
+    states offset, offset + 1, ..., one step at a time through fancy-index
+    adds: the p, r and q terms added in that order into a zeroed vector, the
+    reflecting 0 -> 1 move first."""
     p, q, r = chain.p, chain.q, chain.r
-    lo, mass = start.offset, start.mass.copy()
+    lo, mass = start[0], np.array(start[1], dtype=float)
     for _ in range(t):
         hi = lo + mass.size - 1
         new_lo = max(lo - 1, 0)
@@ -330,7 +331,7 @@ def kernel_by_steps(chain: ChainParams, t_max: int, n_max: int) -> np.ndarray:
         lo, mass = i, np.ones(1)
         for t in range(t_max + 1):
             if t:
-                lo, mass = evolve_fancy_index(chain, DistributionVector(lo, mass), 1)
+                lo, mass = evolve_fancy_index(chain, (lo, mass), 1)
             for j in range(max(lo, 0), min(lo + mass.size, n_max + 1)):
                 out[t, i, j] = mass[j - lo]
     return out

@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kmmix import ChainParams, DistributionVector, drift_identity_residual, evolve, \
-    kernel_oracle, reversibility, tv_oracle, tv_oracle_curve
+from kmmix import ChainParams, drift_identity_residual, kernel_oracle, reversibility, \
+    tv_oracle, tv_oracle_curve
 from kmmix.chain import _kernel_args
 
 import oracles
@@ -83,31 +83,41 @@ class TestReversibility:
         assert np.array_equal(got, expect)
 
 
+def law(chain, start, t, n_max=None):
+    """The law after t steps from the point mass at start, on states
+    0..n_max (default start + t, the whole reachable block): kernel_oracle's
+    row start."""
+    n_max = start + t if n_max is None else n_max
+    return kernel_oracle(chain, [t], n_max, rows=[start])[0, 0]
+
+
 class TestEvolve:
+    """The DP evolution of a point start, read through kernel_oracle."""
+
     def test_t0_is_identity(self, example_chain):
-        mu = evolve(example_chain, DistributionVector.point(0), 0)
-        assert mu.offset == 0 and np.array_equal(mu.mass, [1.0])
+        assert np.array_equal(law(example_chain, 0, 0), [1.0])
+        assert np.array_equal(law(example_chain, 2, 0), [0.0, 0.0, 1.0])
 
     def test_one_step_from_origin(self, example_chain):
-        mu = evolve(example_chain, DistributionVector.point(0), 1)
-        assert mu.prob(1) == 1.0 and mu.total() == 1.0
+        mu = law(example_chain, 0, 1)
+        assert np.array_equal(mu, [0.0, 1.0]) and mu.sum() == 1.0
 
     def test_two_steps_from_origin(self, example_chain):
-        mu = evolve(example_chain, DistributionVector.point(0), 2)
-        assert mu.prob(0) == pytest.approx(9 / 11, rel=1e-15)
-        assert mu.prob(1) == pytest.approx(1 / 11, rel=1e-15)
-        assert mu.prob(2) == pytest.approx(1 / 11, rel=1e-15)
+        mu = law(example_chain, 0, 2)
+        assert mu[0] == pytest.approx(9 / 11, rel=1e-15)
+        assert mu[1] == pytest.approx(1 / 11, rel=1e-15)
+        assert mu[2] == pytest.approx(1 / 11, rel=1e-15)
 
     def test_support_growth_and_exactness_flags(self, example_chain):
-        mu = evolve(example_chain, DistributionVector.point(0), 37)
-        assert mu.offset == 0 and mu.mass.size == 38
+        # t steps from 0 reach 0..t: state 37 carries mass at t = 37, 38 none
+        mu = law(example_chain, 0, 37, 40)
+        assert mu[37] > 0.0 and np.array_equal(mu[38:], [0.0, 0.0, 0.0])
 
     def test_matches_matrix_oracle(self, chain_grid):
         for c in chain_grid[::5]:
             for t in (3, 11, 40):
-                mu = evolve(c, DistributionVector.point(0), t)
                 ref = oracles.law_after(c, 0, t, 80)
-                assert np.allclose(mu.mass, ref[: t + 1], atol=1e-14)
+                assert np.allclose(law(c, 0, t), ref[: t + 1], atol=1e-14)
 
     @pytest.mark.parametrize("start", [0, 1, 5])
     def test_slices_are_bit_identical_to_fancy_index_steps(self, start):
@@ -115,22 +125,21 @@ class TestEvolve:
         for c in (ChainParams(1 / 11, 9 / 11, 1 / 11), ChainParams(0.3, 0.32, 0.38),
                   ChainParams(0.1, 0.7, 0.2)):
             for t in (0, 1, 2, 7, 37, 300):
-                mu = evolve(c, DistributionVector.point(start), t)
-                offset, mass = oracles.evolve_fancy_index(c, DistributionVector.point(start), t)
-                assert mu.offset == offset and np.array_equal(mu.mass, mass), (c, t)
+                mu = law(c, start, t)
+                offset, mass = oracles.evolve_fancy_index(c, (start, np.ones(1)), t)
+                assert offset == max(start - t, 0) and not mu[:offset].any(), (c, t)
+                assert np.array_equal(mu[offset:], mass), (c, t)
 
     def test_mass_conserved_for_ten_thousand_steps(self, example_chain):
-        mu = evolve(example_chain, DistributionVector.point(0), 10_000)
-        assert abs(mu.total() - 1.0) <= 1e-12
+        assert abs(law(example_chain, 0, 10_000).sum() - 1.0) <= 1e-12
 
     def test_general_start(self, example_chain):
-        mu = evolve(example_chain, DistributionVector.point(5), 4)
         ref = oracles.law_after(example_chain, 5, 4, 40)
-        assert np.allclose(mu.mass, ref[mu.offset: mu.offset + mu.mass.size], atol=1e-15)
+        assert np.allclose(law(example_chain, 5, 4), ref[:10], atol=1e-15)
 
     def test_rejects_negative_t(self, example_chain):
         with pytest.raises(ValueError):
-            evolve(example_chain, DistributionVector.point(0), -1)
+            law(example_chain, 0, -1, 0)
 
 
 class TestTvOracle:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kmmix import ChainParams, orthopoly, point_mass_summability, q_values, reversibility
+from kmmix import ChainParams, orthopoly, point_mass_summability, reversibility
 from kmmix.orthopoly import _scales, _sine_brackets, _sine_sums, q_bracket_matrix, q_node_sums
 from kmmix.spectral import _theta_grid, negative_atom, theta_nodes
 
@@ -20,8 +20,13 @@ def lambda_grid(chain, count=60):
     return pts
 
 
+def q_row(chain, n, x):
+    """Q_n at the points x: the one kept row of q_bracket_matrix."""
+    return q_bracket_matrix(chain, n, x, keep=[n])[0]
+
+
 def q1(chain, n, lam):
-    return q_values(chain, n, lam)[0]
+    return q_row(chain, n, lam)[0]
 
 
 def q_trig(chain, n, lam):
@@ -40,7 +45,7 @@ def support_scale(chain, n):
 
 
 class TestQEval:
-    """Q_n through q_values, against the exact rational recursion."""
+    """Q_n through q_bracket_matrix, against the exact rational recursion."""
 
     def test_q0_q1(self, example_chain):
         for lam in (-0.7, 0.1, 0.9):
@@ -94,7 +99,7 @@ class TestQEval:
         lams = np.linspace(lo + 1e-4, hi - 1e-4, 100)
         for n in (3, 12, 30):
             tol = 1e-9 * support_scale(example_chain, n)
-            vals = q_values(example_chain, n, lams)
+            vals = q_row(example_chain, n, lams)
             for lam, val in zip(lams, vals):
                 assert abs(val - float(q_exact(example_chain, n, lam))) <= tol
                 assert abs(val - q_trig(example_chain, n, lam)) <= tol
@@ -114,16 +119,16 @@ class TestQEval:
             x = np.array([lo, 0.5 * (lo + hi), hi, -0.99, 1.0, negative_atom(c)[0]],
                          dtype=np.longdouble)
             for n in (0, 7, 30):
-                vals = q_values(c, n, x)
+                vals = q_row(c, n, x)
                 assert vals.dtype == np.longdouble
-                assert np.allclose(vals.astype(float), q_values(c, n, x.astype(float)),
+                assert np.allclose(vals.astype(float), q_row(c, n, x.astype(float)),
                                    rtol=1e-12, atol=1e-12 * support_scale(c, n))
 
     def test_recursion_residual_all_methods(self, example_chain):
-        # both entry points, q_values and the rows of q_bracket_matrix.  On
-        # the support the natural magnitude is (q/p)^(n/2); off it the
-        # dominant root outgrows that scale, so the residual is measured
-        # against the solution's own size there
+        # both uses: one point and one degree per call, and the rows of one
+        # matrix over all points.  On the support the natural magnitude is
+        # (q/p)^(n/2); off it the dominant root outgrows that scale, so the
+        # residual is measured against the solution's own size there
         c = example_chain
         pts = list(np.linspace(c.support[0] + 1e-3, c.support[1] - 1e-3, 9))
         pts += [-0.99, -0.6, 0.8, 0.99]
@@ -140,15 +145,15 @@ class TestQEval:
                         scale = max(scale, abs(q_np1))
                     assert abs(resid) <= 1e-9 * scale
 
-    def test_q_values_matches_scalar_dispatch(self, example_chain):
+    def test_bracket_matrix_matches_scalar_dispatch(self, example_chain):
         # an array mixing atoms, an edge and ordinary points gives, point by
-        # point, what a scalar call gives: x^n at the atoms, the recursion
-        # elsewhere
+        # point and degree by degree, what a scalar call gives: x^n at the
+        # atoms, the recursion elsewhere
         c = example_chain
         loc2 = negative_atom(c)[0]
         xs = np.array([-0.99, loc2, -0.2, 0.3, c.support[1] + 1e-12, 0.9, 1.0])
-        for n in (0, 3, 9, 40):
-            vals = q_values(c, n, xs)
+        mat = q_bracket_matrix(c, 40, xs, keep=[0, 3, 9, 40])
+        for n, vals in zip((0, 3, 9, 40), mat):
             assert list(vals) == [q1(c, n, x) for x in xs]
             assert vals[1] == pytest.approx(loc2 ** n, rel=1e-14, abs=0.0)
             assert vals[-1] == 1.0
@@ -157,21 +162,43 @@ class TestQEval:
                 assert abs(val - exact) <= 1e-9 * max(support_scale(c, n), abs(exact))
 
     def test_bracket_matrix_consistent_with_trig(self, example_chain):
-        # its rows equal q_values bit for bit and match the closed form
+        # its rows equal the one-row calls bit for bit and match the closed form
         lo, hi = example_chain.support
         for dt in (np.float64, np.longdouble):
             x = np.linspace(lo + 1e-3, hi - 1e-3, 40).astype(dt)
             mat = q_bracket_matrix(example_chain, 30, x)
             assert mat.shape == (31, 40) and mat.dtype == dt
             for n in range(31):
-                np.testing.assert_array_equal(mat[n], q_values(example_chain, n, x))
+                np.testing.assert_array_equal(mat[n], q_row(example_chain, n, x))
                 trig = [q_trig(example_chain, n, float(v)) for v in x]
                 assert np.allclose(mat[n].astype(float), trig, rtol=0.0,
                                    atol=1e-9 * support_scale(example_chain, n))
 
     def test_rejects_negative_degree(self, example_chain):
         with pytest.raises(ValueError, match="nonnegative"):
-            q_values(example_chain, -1, [0.1])
+            q_bracket_matrix(example_chain, -1, [0.1])
+
+    @pytest.mark.parametrize("n_max, keep", [
+        (4, [2, 2]), (4, [3, 1]), (4, []), (4, [-1]), (4, [2.5]), (4, [5]), (2.5, None),
+        (4, [0, 4, 4])])
+    def test_rejects_bad_degrees(self, example_chain, n_max, keep):
+        # repeated, descending, empty, negative, fractional or past n_max
+        with pytest.raises(ValueError, match="n_max|keep"):
+            q_bracket_matrix(example_chain, n_max, [0.1, 0.5], keep=keep)
+
+    def test_atoms_share_one_matching_rule(self, example_chain):
+        # x^n within 1e-13 of an atom, in q_bracket_matrix and in
+        # point_mass_summability alike; the recursion just outside it
+        c = example_chain
+        for loc in (1.0, negative_atom(c)[0]):
+            for off, atom in ((5e-14, True), (-5e-14, True), (1e-12, False)):
+                x = loc + off
+                assert (q1(c, 30, x) == x ** 30) == atom, (loc, off)
+                if atom:
+                    assert point_mass_summability(c, x, 5) > 0.0
+                else:
+                    with pytest.raises(ValueError, match="atom"):
+                        point_mass_summability(c, x, 5)
 
 
 LD = np.longdouble
@@ -273,8 +300,7 @@ class TestSineForm:
 class TestDegreeScales:
     """q_bracket_matrix and q_node_sums read (q/p)^(n/2) from one cached table
     per (chain, dtype) built at power-of-two sizes; every slice of it must be
-    the fresh scalar power at each degree, bit for bit, the scale q_values
-    takes (numpy's array power of float64 differs from it in the last bit at
+    the fresh scalar power at each degree, bit for bit (numpy's array power of float64 differs from it in the last bit at
     some degrees, 6, 30 and 39 of (0.3, 0.32, 0.38) among them)."""
 
     CHAINS = [ChainParams(1 / 11, 9 / 11, 1 / 11), ChainParams(0.3, 0.32, 0.38)]

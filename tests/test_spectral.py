@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kmmix import ChainParams, QuadratureConfig, QuadratureError, build_measure, integrate_psi, \
-    point_mass_summability, q_log_sup, q_values, residue_check, resolvent_a0, reversibility
+    point_mass_summability, q_bracket_matrix, q_log_sup, residue_check, resolvent_a0, reversibility
 from kmmix import spectral
 from kmmix.mixing import _SeriesSup, tv_quadrature
 from kmmix.spectral import NODE_CAP, node_count, pole_errors, theta_nodes
@@ -98,7 +98,7 @@ class TestIntegratePsi:
         for mm in range(13):
             for nn in range(13):
                 val = integrate_psi(
-                    m, lambda x: q_values(c, mm, x) * q_values(c, nn, x),
+                    m, lambda x: np.prod(q_bracket_matrix(c, max(mm, nn), x)[[mm, nn]], axis=0),
                     log_sup=q_log_sup(c, mm, nn))
                 target = 1.0 if mm == nn else 0.0
                 assert float(rev.pi(nn)) * val == pytest.approx(target, abs=1e-8)
