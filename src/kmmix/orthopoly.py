@@ -13,14 +13,12 @@ whose coefficient is 2 cos(theta) at x = r + 2 sqrt(pq) cos(theta).  On the
 spectral support both of its modes have modulus one, so it is neutrally
 stable: roundoff grows at most polynomially in n, the edges r +- 2 sqrt(pq)
 (where the roots merge) included.  Off the support it follows the dominant
-root, which carries Q_n there.  q_bracket_matrix runs it: it is the one
-evaluator of Q_n at points.
-
-The one exception is the pair of atoms of the spectral measure, 1 and
--q/(q+r), where the growing root's coefficient vanishes and Q_n = lambda^n
-exactly.  Any recursion in floating point re-excites that mode with
-roundoff, and its n-th power swamps the true value, so there (to the one
-matching rule of _atoms) q_bracket_matrix returns the closed form instead.
+root, which carries Q_n there.  q_bracket_matrix, the one evaluator of Q_n
+at points, runs it except at the atoms of the spectral measure, 1 and
+-q/(q+r) (by _atoms, off the AC interval).  There the growing root's
+coefficient vanishes and Q_n = lambda^n exactly; any recursion in floating
+point re-excites that mode with roundoff, and its n-th power swamps the
+true value, so q_bracket_matrix returns the closed form instead.
 
 Sums of Q_n against weights g_k on the theta quadrature nodes, for every
 degree up to some N at once, use the brackets in Chebyshev-U form instead.
@@ -92,42 +90,45 @@ def _scale_table(chain: ChainParams, dt, size: int):
 
 
 def _atoms(chain: ChainParams, x):
-    """Where x lies within 1e-13 of an atom of the spectral measure, 1 or
-    -q/(q+r): the one rule by which q_bracket_matrix and point_mass_summability
-    match an atom."""
+    """Where x lies within 1e-13 of an atom, 1 or -q/(q+r): the one matching
+    rule of q_bracket_matrix and point_mass_summability."""
     return np.minimum(np.abs(x - 1.0), np.abs(x - negative_atom(chain)[0])) <= 1e-13
 
 
 def q_bracket_matrix(chain: ChainParams, n_max: int, x, two_cos=None, keep=None):
     """Q_n(x) for n = 0..n_max, or only at the degrees keep, strictly
-    ascending in 0..n_max (else ValueError): the one evaluator of Q_n at
-    points, x taken as a 1-d array, longdouble kept and any other dtype as
-    float64.  At an atom (_atoms) Q_n = x^n; elsewhere the bracket recursion
-    runs, two rows at a time, times (q/p)^(n/2) from _scales.  two_cos, its
-    coefficient (x - r)/sqrt(pq), is computed from x if not given; at
-    quadrature nodes pass theta_nodes' 2 cos(theta), as for p -> 0 the
-    rounding of x loses cos(theta).  Shape (len(keep), len(x)), in x's dtype."""
+    ascending in 0..n_max (else ValueError): the bracket recursion, two rows
+    at a time, times (q/p)^(n/2) from _scales, at x as a 1-d array in
+    longdouble if given so, else float64.  At an atom (_atoms) off the open
+    AC interval, where two_cos = (x - r)/sqrt(pq) has |two_cos| >= 2, Q_n =
+    x^n; inside it the recursion is stable.  At quadrature nodes pass
+    theta_nodes' 2 cos(theta), as for p -> 0 the rounding of x loses it; no
+    atom is matched where two_cos is given, as the nodes lie inside.  Shape
+    (len(keep), len(x)), in x's dtype."""
     n_max = _naturals([n_max], "n_max")[0]
     keep = list(range(n_max + 1)) if keep is None else _naturals(keep, "keep")
     if keep[-1] > n_max or any(b <= a for a, b in zip(keep, keep[1:])):
         raise ValueError(f"keep must be strictly ascending degrees in 0..{n_max}")
     x = np.atleast_1d(np.asarray(x))
     x = x if x.dtype == np.longdouble else x.astype(np.float64, copy=False)
-    atom = _atoms(chain, x)
-    out = np.empty((len(keep), x.size), dtype=x.dtype)
-    out[:, atom] = x[atom] ** np.array(keep)[:, None]
-    live = ~atom if atom.any() else slice(None)  # a slice: x[live] is a view, not a copy
-    x, dt = x[live], x.dtype.type
+    dt = x.dtype.type
     p, q, r = dt(chain.p), dt(chain.q), dt(chain.r)
-    two_cos = (x - r) / np.sqrt(p * q) if two_cos is None else two_cos[live]
+    out = np.empty((len(keep), x.size), dtype=x.dtype)
+    if two_cos is None:
+        two_cos = (x - r) / np.sqrt(p * q)
+        atom = (np.abs(two_cos) >= 2) & _atoms(chain, x)
+        if atom.any():
+            out[:, atom] = x[atom] ** np.array(keep)[:, None]
+            out[:, ~atom] = q_bracket_matrix(chain, n_max, x[~atom], two_cos[~atom], keep)
+            return out
     row = {n: k for k, n in enumerate(keep)}
     b_prev, b_n = np.ones_like(x), x / np.sqrt(q / p)  # B_0, B_1
     for n in range(keep[-1] + 1):
         if n >= 2:
             b_prev, b_n = b_n, two_cos * b_n - b_prev
         if n in row:
-            out[row[n], live] = b_n if n else b_prev
-    out[:, live] *= _scales(chain, dt, keep[-1])[keep, None]
+            out[row[n]] = b_n if n else b_prev
+    out *= _scales(chain, dt, keep[-1])[keep, None]
     return out
 
 

@@ -200,6 +200,25 @@ class TestQEval:
                     with pytest.raises(ValueError, match="atom"):
                         point_mass_summability(c, x, 5)
 
+    def test_no_atom_inside_the_support(self):
+        # this chain's AC interval lies within 1.7e-14 of the atom at 1, so
+        # every quadrature node is within 1e-13 of it; inside the interval the
+        # recursion runs (here |Q_n| ~ (q/p)^(n/2), nowhere near x^n ~ 1), and
+        # x^n is taken only off it
+        c = ChainParams(1e-15, 1e-14, 1 - 1.1e-14)
+        x, _, two_cos, sines = theta_nodes(c, 64)
+        assert np.all(np.abs(x - 1.0) <= 1e-13)
+        brackets = q_bracket_matrix(c, 8, x, two_cos) / _scales(c, LD, 8)[:, None]
+        m = np.arange(10, dtype=LD)
+        u_form = _sine_brackets(c, np.sin(np.outer(_theta_grid(64), m)) / sines[:, None])
+        np.testing.assert_allclose(brackets.T, u_form, rtol=0, atol=1e-15 * 9)
+        inside = 1 - 1e-14
+        assert c.support[0] < inside < c.support[1]
+        assert q1(c, 2, inside) == pytest.approx(
+            c.q / c.p * (((inside - c.r) / c.sqrt_pq) * inside * math.sqrt(c.p / c.q) - 1.0))
+        assert q1(c, 2, inside) < -5.0
+        assert q1(c, 30, 1.0) == 1.0
+
 
 LD = np.longdouble
 LD_PI = np.arccos(LD(-1))
