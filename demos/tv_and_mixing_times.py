@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 
-from kmmix import (ChainParams, bound_coefficients, spectral_integral, t_mix,
-                   tv_curve, tv_envelope, tv_oracle_curve)
+from kmmix import (ChainParams, bound_coefficients, build_measure, kernel_matrix,
+                   reversibility, spectral_integral, t_mix, tv_curve, tv_envelope,
+                   tv_oracle_curve)
 
 chain = ChainParams(1 / 11, 9 / 11, 1 / 11)
 co = bound_coefficients(chain)
@@ -43,8 +44,10 @@ t1, t2 = t_mix(chain, 1e-6), t_mix(chain, 1e-12)
 print(f"halving the log target doubles the time: t(1e-12)/t(1e-6) = {t2/t1:.4f}")
 
 print("\n== one integral, two routes ==")
+# interval: the kernel entry p_t(0, n) = pi_n (w1 + I_t(n)); contour: spectral_integral
+w1 = build_measure(chain).atom1[1]
 print(f"{'(t, n)':>10} {'interval':>16} {'contour':>16}")
 for (t, n) in ((0, 0), (0, 7), (12, 3), (45, 18)):
-    iv = spectral_integral(chain, t, n, route="interval")
-    cv = spectral_integral(chain, t, n, route="contour")
+    iv = kernel_matrix(chain, [t], n, rows=[0], cols=[n])[0, 0, 0] / reversibility(chain).pi(n) - w1
+    cv = spectral_integral(chain, t, n)
     print(f"({t:>3},{n:>3})  {iv:16.9e} {cv:16.9e}")

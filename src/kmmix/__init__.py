@@ -33,7 +33,6 @@ from .mixing import (
     ConvergenceError,
     bound_coefficients,
     kernel_matrix,
-    kernel_spectral,
     spectral_integral,
     t_mix,
     tv_curve,
@@ -60,7 +59,7 @@ __all__ = [
     "build_measure", "integrate_psi", "resolvent_a0", "residue_check",
     "BoundCoefficients", "ConvergenceError", "bound_coefficients", "spectral_integral",
     "tv_curve", "tv_envelope", "t_mix",
-    "kernel_matrix", "kernel_spectral",
+    "kernel_matrix",
     "SurvivalCurve", "RateFit", "simulate_classical", "simulate_modified", "rate_fit",
     "hitting_pmf_multinomial", "hitting_pmf_exact_curve",
     "hitting_tail_asymptote", "stationary_hitting_survival",

@@ -19,9 +19,8 @@ from . import __version__
 from .chain import ChainParams, _power, kernel_oracle, reversibility, tv_oracle_curve, \
     drift_identity_residual
 from .coupling import rate_fit, simulate_classical, simulate_modified
-from .mixing import T_CAP, ConvergenceError, _certified, \
-    bound_coefficients, kernel_matrix, spectral_integral, t_mix, tv_curve, \
-    tv_envelope, tv_quadrature
+from .mixing import T_CAP, ConvergenceError, bound_coefficients, kernel_matrix, \
+    spectral_integral, t_mix, tv_curve, tv_envelope, tv_quadrature
 from .orthopoly import point_mass_summability
 from .spectral import NODE_CAP, QuadratureConfig, QuadratureError, RegimeError, \
     build_measure, integrate_psi, residue_check, resolvent_a0
@@ -251,7 +250,9 @@ def _cmd_kernel(args):
     i, j = _nonnegative("--i", args.i), _nonnegative("--j", args.j)
     kernel = kernel_matrix(chain, range(t_max + 1), max(i, j), cfg=_quad_cfg(args),
                            rows=[i], cols=[j])[:, 0, 0]
-    _certified(kernel, f"p_t({i}, {j})")
+    if np.isnan(kernel).any():  # kernel_matrix's mark of a roundoff floor past the tolerance
+        raise RegimeError(f"p_t({i}, {j}) cannot be certified: its roundoff floor exceeds the "
+                          "quadrature tolerance")
     oracle = kernel_oracle(chain, range(t_max + 1), max(i, j), rows=[i], cols=[j])[:, 0, 0]
     rows = Table(t=list(range(t_max + 1)), p_spectral=kernel.tolist(), p_oracle=oracle.tolist(),
                  abs_diff=np.abs(kernel - oracle).tolist())
@@ -364,11 +365,14 @@ def _verify_checks(chain, cfg):
         for s in (2j, 0.5 + 0.7j, -0.3 - 1.1j, 3.0 + 0.25j)]))
     yield "resolvent_stieltjes_consistency", worst <= 1e-8, worst
 
-    # |interval - contour| per 1e-8 max(1, beta^t (q/p)^(n/2))
-    worst = float(np.max([abs(spectral_integral(chain, t, deg, cfg=cfg)
-                              - spectral_integral(chain, t, deg, route="contour", cfg=cfg))
+    # |interval - contour| per 1e-8 max(1, beta^t (q/p)^(n/2)), the interval
+    # route's I_t(n) = p_t(0, n)/pi_n - w1 from one kernel pass
+    ts, degrees = (0, 3, 10, 25), (0, 2, 7, 15)
+    interval = kernel_matrix(chain, ts, 15, cfg=cfg, rows=[0], cols=degrees)[:, 0] \
+        / pi[list(degrees)] - measure.atom1[1]
+    worst = float(np.max([abs(interval[a, b] - spectral_integral(chain, t, deg))
                           / (1e-8 * max(1.0, co.beta ** t * _power(chain.q / chain.p, deg / 2)))
-                          for t in (0, 3, 10, 25) for deg in (0, 2, 7, 15)]))
+                          for a, t in enumerate(ts) for b, deg in enumerate(degrees)]))
     yield "spectral_integral_route_equivalence", worst <= 1.0, worst
 
     # series ratio at the atom of slowest decay is p/q; pick the truncation

@@ -9,10 +9,11 @@ where the atom of psi at 1 is excluded.  I_t(n) has two equivalent
 representations implemented here:
 
   interval:  w2 (-q/(q+r))^(t+n) + integral of lambda^t Q_n phi over the AC
-             support, by the substituted trapezoid rule;
+             support, by the substituted trapezoid rule: kernel_matrix's
+             entry (0, n), as I_t(n) = p_t(0, n)/pi_n - w1;
 
-  contour:   w2 (-q/(q+r))^(t+n) + (q/p)^(n/2) (p/(q+r)) * (1/2 pi i) times
-             the unit-circle integral of
+  contour:   spectral_integral, w2 (-q/(q+r))^(t+n) + (q/p)^(n/2) (p/(q+r))
+             times (1/2 pi i) the unit-circle integral of
                  (sqrt(pq)(z + 1/z) + r)^t z^n (z - 1/z)
                  / ((z - z_a)(z - z_b)) dz,
              z_a = sqrt(p/q) and z_b = -sqrt(pq)/(q+r) strictly inside the
@@ -53,7 +54,7 @@ import numpy as np
 
 from .chain import ChainParams, _kernel_args, _naturals, _power, reversibility
 from .orthopoly import q_bracket_matrix, q_log_sup, q_node_sums
-from .spectral import EPS_FLOOR, NODE_CAP, QuadratureConfig, QuadratureError, RegimeError, \
+from .spectral import EPS_FLOOR, NODE_CAP, QuadratureConfig, QuadratureError, \
     _checked_support, build_measure, negative_atom, node_count, theta_nodes
 
 __all__ = [
@@ -66,7 +67,6 @@ __all__ = [
     "tv_envelope",
     "t_mix",
     "kernel_matrix",
-    "kernel_spectral",
 ]
 
 _CELLS = 1 << 13  # cells per batch of times; per t tv_curve's 2K + N_t + 1, _kernel_ac's R(K+C)
@@ -123,7 +123,7 @@ def _contour_part(chain: ChainParams, t: int, n: int) -> float:
     g = P (1 + a/(z - z_a) + b/(z - z_b)), P = lambda^t z^n, over the M = t + n + 1
     roots of unity, less its aliasing a P(z_a) z_a^(M-1)/(1 - z_a^M) + b P(z_b)
     z_b^(M-1)/(1 - z_b^M), where P(z_a) = z_a^n (lambda(z_a) = 1), P(z_b) = loc2^t z_b^n.
-    QuadratureError past M = 2 NODE_CAP, the degree the interval route's exact
+    QuadratureError past M = 2 NODE_CAP, the degree the kernel's exact
     count ceil((d + 3)/2) <= NODE_CAP reaches; inf or NaN where (q/p)^(n/2)
     leaves the double range."""
     m = t + n + 1
@@ -140,24 +140,15 @@ def _contour_part(chain: ChainParams, t: int, n: int) -> float:
     return _power(q / p, n / 2.0) * (p / (q + r)) * (float(np.mean(g).real) - alias)
 
 
-def spectral_integral(chain: ChainParams, t: int, n: int, route: str = "interval",
-                      cfg: QuadratureConfig = None) -> float:
+def spectral_integral(chain: ChainParams, t: int, n: int) -> float:
     """I_t(n), the integral of lambda^t Q_n over (-1, 1) against psi (the atom
-    at 1 excluded, the negative atom included).
-
-    route 'interval' takes the AC part from the kernel's quadrature core
-    (entry (0, n), Q_0 = 1) and adds w2 loc2^(t+n); 'contour' uses the
-    unit-circle representation (the verify command compares the two).  Both
-    are exact rules less closed-form pole corrections, accurate relative to
-    max(1, beta^t (q/p)^(n/2)); RegimeError outside build_measure's regime,
-    QuadratureError past either route's node cap."""
+    at 1 excluded, the negative atom included), by the contour route: exact
+    less closed-form pole aliasing, accurate relative to
+    max(1, beta^t (q/p)^(n/2)).  The interval route is kernel_matrix's entry
+    (0, n): I_t(n) = p_t(0, n)/pi_n - w1 (the verify command compares the two).
+    RegimeError outside build_measure's regime, QuadratureError past M = 2 NODE_CAP."""
     t, n = _naturals([t, n], "t and n")
-    if route not in ("interval", "contour"):
-        raise ValueError(f"unknown route {route!r}")
     loc2, w2 = build_measure(chain).atom2  # RegimeError outside the validated regime
-    if route == "interval":
-        ac = _kernel_ac(chain, [t], [0], [n], cfg or QuadratureConfig(), "spectral_integral")[0]
-        return w2 * loc2 ** (t + n) + float(ac[t][0, 0])
     return w2 * loc2 ** (t + n) + _contour_part(chain, t, n)
 
 
@@ -515,8 +506,10 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
     (in the given order), i in rows and j in cols, index sets in 0..n_max
     (each all of 0..n_max by default): shape (len(ts), len(rows), len(cols)).
 
-    One pass, its node count certifying every AC part within cfg.tol, builds
-    one Q_n matrix for every t; the AC parts are one product
+    The one public quadrature route of the kernel's integrals (a single
+    entry is rows=[i], cols=[j]).  One pass, its node count certifying every
+    AC part within cfg.tol and sized for the largest i and j asked for,
+    builds one Q_n matrix for every t; the AC parts are one product
     (Q[rows] w x^t) Q[cols]^T per batch of times.  The atoms add w1 and
     w2 loc2^(t+i+j).
     An entry whose roundoff floor pi_j EPS_FLOOR L1 misses cfg.tol is NaN:
@@ -528,27 +521,24 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
     cfg = cfg or QuadratureConfig()
     pi = reversibility(chain).pi(cols)
     (_, w1), (_, w2) = measure.atom1, measure.atom2
-    ac, l1, atom = (np.array([part[t] for t in ts])
-                    for part in _kernel_ac(chain, ts, rows, cols, cfg, "kernel_matrix"))
+    ac, l1, atom = _kernel_ac(chain, ts, rows, cols, cfg)
     # not <=: a floor of 0 * inf (l1 past the double range, pi_j subnormal) is NaN
     with np.errstate(invalid="ignore"):  # 0 * inf, masked to NaN here
         return np.where(~(pi * EPS_FLOOR * l1 <= cfg.tol), np.nan, (ac + w1 + w2 * atom) * pi)
 
 
-def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig, name: str):
-    """The quadrature core of the kernel: the AC parts (Q[rows] w x^t) Q[cols]^T
-    for the ts, their L1 twins and the atom powers loc2^(t+i+j), ({t: ac},
-    {t: l1}, {t: power}), from the Q_n rows of rows and cols on the nodes of
-    one pass, a product per batch of times within _CELLS.  Its node count
-    certifies every entry within cfg.tol by orthopoly.q_log_sup's bound on
-    |Q_i Q_j|, taken at the degree sum rounded up past a multiple of 16: a
-    slice and a single entry within one such block share the node count, and
-    so their bits (degree max(ts) + that sum).  Each AC part is less the
-    plan's E1 + E2 loc2^(t+i+j) (as Q_n(1) = 1 and Q_n(loc2) = loc2^n; 0.0
+def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig):
+    """The quadrature core of the kernel: the AC parts (Q[rows] w x^t) Q[cols]^T,
+    their L1 twins and the atom powers loc2^(t+i+j), three arrays in the order
+    of ts, from the Q_n rows of rows and cols on the nodes of one pass, a
+    product per batch of times within _CELLS.  Its node count certifies every
+    entry within cfg.tol by orthopoly.q_log_sup's bound on |Q_i Q_j| for the
+    largest i and j asked for (degree max(ts) + i + j).  Each AC part is less
+    the plan's E1 + E2 loc2^(t+i+j) (as Q_n(1) = 1 and Q_n(loc2) = loc2^n; 0.0
     under the strip count), and its L1 twin gains their moduli."""
-    block = (int(max(rows)) + int(max(cols))) // 16 * 16 + 16  # Python ints: may pass 2^63
-    n_nodes, _, e1, e2 = node_count(chain, cfg, name, q_log_sup(chain, block, 0), t=min(ts),
-                                    degree=max(ts) + block)
+    i, j = int(max(rows)), int(max(cols))  # Python ints: t + i + j may pass 2^63
+    n_nodes, _, e1, e2 = node_count(chain, cfg, "kernel_matrix", q_log_sup(chain, i, j),
+                                    t=min(ts), degree=max(ts) + i + j)
     x, w = theta_nodes(chain, n_nodes)[:2]
     degrees = tuple(sorted(set(rows) | set(cols)))  # np.union1d would import numpy.ma
     kept = len(degrees) * (n_nodes - 1) <= _Q_ROWS_CELLS
@@ -556,43 +546,27 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig, name: 
     left, right = (q_rows[np.searchsorted(degrees, s)] for s in (rows, cols))
     loc2, sums, uniq = negative_atom(chain)[0], np.add.outer(rows, cols), sorted(set(ts))
     atoms = np.power(loc2, np.add.outer(uniq, sums))
-    ac, l1, powers, size = {}, {}, _powers(x, uniq), max(1, _CELLS // (left.size + sums.size))
+    ac, l1 = np.empty(atoms.shape), np.empty(atoms.shape)
+    powers, size = _powers(x, uniq), max(1, _CELLS // (left.size + sums.size))
     for start in range(0, len(uniq), size):
-        times = uniq[start:start + size]
-        wxt = w * np.array([next(powers)[1] for _ in times])[:, None]
-        pole = e2 * atoms[start:start + size]
+        batch = slice(start, start + size)
+        wxt = w * np.array([next(powers)[1] for _ in uniq[batch]])[:, None]
+        pole = e2 * atoms[batch]
         with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0: masked to NaN
-            l1.update(zip(times, (np.matmul(np.abs(left) * np.abs(wxt), np.abs(right).T)
-                                  + (abs(e1) + np.abs(pole))).astype(float)))
-            ac.update(zip(times, (np.matmul(left * wxt, right.T) - (e1 + pole)).astype(float)))
-    return ac, l1, dict(zip(uniq, atoms))
+            l1[batch] = np.matmul(np.abs(left) * np.abs(wxt), np.abs(right).T) \
+                + (abs(e1) + np.abs(pole))
+            ac[batch] = np.matmul(left * wxt, right.T) - (e1 + pole)
+    at = np.searchsorted(uniq, ts)
+    return ac[at], l1[at], atoms[at]
 
 
 @lru_cache(maxsize=16)
 def _q_rows(chain: ChainParams, n_nodes: int, degrees: tuple):
     """Q_n at the nodes of theta_nodes(chain, n_nodes) for the ascending
-    degrees, read-only: the rows _kernel_ac multiplies.  One-entry calls
-    (kernel_spectral over t, i and j) repeat few (K, degrees), so the 16 last
-    used are kept; _kernel_ac calls __wrapped__ past _Q_ROWS_CELLS cells."""
+    degrees, read-only: the rows _kernel_ac multiplies.  A process repeats few
+    (K, degrees) (the bench's passes, a loop of one-entry calls), so the 16
+    last used are kept; _kernel_ac calls __wrapped__ past _Q_ROWS_CELLS cells."""
     x, _, two_cos, _ = theta_nodes(chain, n_nodes)
     q_rows = q_bracket_matrix(chain, degrees[-1], x, two_cos, degrees)
     q_rows.flags.writeable = False
     return q_rows
-
-
-def kernel_spectral(chain: ChainParams, t: int, i: int, j: int,
-                    cfg: QuadratureConfig = None) -> float:
-    """Transition probability p_t(i, j): kernel_matrix on the one entry
-    (rows [i], cols [j]).  Raises RegimeError where it is NaN (not certified)."""
-    t, i, j = _naturals([t, i, j], "t, i, j")
-    value = float(kernel_matrix(chain, [t], max(i, j), cfg=cfg, rows=[i], cols=[j])[0, 0, 0])
-    return _certified(value, f"p_{t}({i}, {j})")
-
-
-def _certified(values, entry: str):
-    """values, or RegimeError naming the kernel entry where any of them is
-    NaN: kernel_matrix's mark of a roundoff floor past the tolerance."""
-    if np.isnan(values).any():
-        raise RegimeError(f"{entry} cannot be certified: its roundoff floor "
-                          "exceeds the quadrature tolerance")
-    return values

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from kmmix import bound_coefficients, build_measure, drift_identity_residual, \
-    hitting_pmf_exact_curve, hitting_pmf_multinomial, integrate_psi, kernel_oracle, \
-    kernel_spectral, q_bracket_matrix, q_log_sup, rate_fit, reversibility, \
+    hitting_pmf_exact_curve, hitting_pmf_multinomial, integrate_psi, kernel_matrix, \
+    kernel_oracle, q_bracket_matrix, q_log_sup, rate_fit, reversibility, \
     simulate_classical, simulate_modified, spectral_integral, stationary_hitting_survival, \
     t_mix, tv_curve, tv_envelope, tv_oracle
 from kmmix.cli import DEFAULT_SEED, main
@@ -90,13 +90,11 @@ def test_c03_orthogonality():
 
 
 def test_c04_kernel_equivalence():
+    # entry by entry: one kernel_matrix call per (i, j) over every t, its
+    # pass sized for that entry alone
     dp = kernel_oracle(EXAMPLE, range(61), 12)
-    worst = 0.0
-    for i in range(13):
-        for t in range(61):
-            for j in range(13):
-                err = abs(kernel_spectral(EXAMPLE, t, i, j) - dp[t, i, j])
-                worst = max(worst, err)
+    worst = float(np.max([np.abs(kernel_matrix(EXAMPLE, range(61), max(i, j), rows=[i], cols=[j])
+                                 [:, 0, 0] - dp[:, i, j]) for i in range(13) for j in range(13)]))
     passed = worst <= 1e-9
     report(4, "spectral kernel vs DP oracle (t<=60, i,j<=12)", passed, f"worst {worst:.2e}")
     assert passed
@@ -125,13 +123,13 @@ def test_c06_rate_recovery():
 
 
 def test_c07_route_equivalence():
-    worst_ratio = 0.0
-    for t in range(61):
-        for n in range(21):
-            iv = spectral_integral(EXAMPLE, t, n, route="interval")
-            cv = spectral_integral(EXAMPLE, t, n, route="contour")
-            tol = 1e-8 * max(1.0, (7 / 11) ** t * 9.0 ** (n / 2.0))
-            worst_ratio = max(worst_ratio, abs(iv - cv) / tol)
+    # interval: I_t(n) = p_t(0, n)/pi_n - w1, kernel_matrix's entries;
+    # contour: spectral_integral
+    interval = kernel_matrix(EXAMPLE, range(61), 20, rows=[0])[:, 0] \
+        / reversibility(EXAMPLE).pi(np.arange(21)) - build_measure(EXAMPLE).atom1[1]
+    worst_ratio = float(np.max([abs(interval[t, n] - spectral_integral(EXAMPLE, t, n))
+                                / (1e-8 * max(1.0, (7 / 11) ** t * 9.0 ** (n / 2.0)))
+                                for t in range(61) for n in range(21)]))  # a NaN fails
     passed = worst_ratio <= 1.0
     report(7, "interval vs contour spectral integral (t<=60, n<=20)", passed,
            f"worst |diff|/tol {worst_ratio:.2e}")

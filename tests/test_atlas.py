@@ -8,10 +8,13 @@ r is log-uniform in [1e-6, 0.999] and delta = (q - p)/(1 - r) log-uniform in
 1e-4 of criticality (delta < 1e-4), where the AC edge r + 2 sqrt(pq) comes
 within about (1 - r) delta^2 / 2 of the atom at 1.
 
-integrate_psi and spectral_integral are left out: neither has a roundoff
-floor yet, so at high degree both return silently wrong values (on the
-worked example, spectral_integral(c, 0, 60) reads 1.8e9 on the interval
-route and 3.0e11 on the contour route where the value is -0.421, and
+kernel_matrix is the one public quadrature route for the kernel's
+integrals (the interval route of I_t(n) is its entry (0, n)), so it is
+checked both as a 5 x 5 block and one entry at a time, each pass sized for
+the entries it asks for.  integrate_psi and spectral_integral (the contour
+route) are left out: neither has a roundoff floor yet, so at high degree
+both return silently wrong values (on the worked example,
+spectral_integral(c, 0, 60) reads 3.0e11 where the value is -0.421, and
 integrate_psi of Q_60 Q_0 reads -8.5e8 where it is 0).  Admitting them only
 at degrees that hide this would make the atlas claim what it does not check;
 they join once each carries a floor that turns roundoff into a typed error.
@@ -72,6 +75,17 @@ def test_kernel_matrix_at_20():
                            lambda k: within(KERNEL_GATE, k, kernel_oracle(c, [20], 4)))
                    for c in CHAINS)
     assert seen == Counter(answered=600)  # measured: worst 4.7e-15
+
+
+def test_kernel_entries_at_20():
+    # one-entry calls, each pass sized for its own (i, j)
+    seen = Counter()
+    for c in CHAINS:
+        dp = kernel_oracle(c, [20], 4)[0]
+        seen.update(outcome(lambda: kernel_matrix(c, [20], 4, rows=[i], cols=[j]),
+                            lambda k: within(KERNEL_GATE, k, dp[i, j]))
+                    for i, j in ((4, 4), (0, 4), (4, 0), (1, 3)))
+    assert seen == Counter(answered=2400)  # measured: worst 2.1e-15
 
 
 def test_t_mix_every_fourth():

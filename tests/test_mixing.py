@@ -7,7 +7,7 @@ import pytest
 
 from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureError, \
     RegimeError, bound_coefficients, build_measure, integrate_psi, \
-    kernel_matrix, kernel_spectral, reversibility, spectral_integral, t_mix, tv_curve, \
+    kernel_matrix, reversibility, spectral_integral, t_mix, tv_curve, \
     tv_envelope, tv_oracle, tv_oracle_curve
 from kmmix import mixing
 from kmmix.chain import kernel_oracle
@@ -18,11 +18,22 @@ import oracles
 from conftest import EXAMPLE, GRID, RANDOM_CHAINS
 
 
+def kernel_entry(chain, t, i, j, cfg=None):
+    """p_t(i, j) by a one-entry kernel_matrix call."""
+    return float(kernel_matrix(chain, [t], max(i, j), cfg=cfg, rows=[i], cols=[j])[0, 0, 0])
+
+
+def interval_route(chain, t, n):
+    """I_t(n) on the interval route: the kernel entry p_t(0, n)/pi_n - w1."""
+    return kernel_entry(chain, t, 0, n) / reversibility(chain).pi(n) - build_measure(chain).atom1[1]
+
+
 def assert_routes_agree(chain, t, n):
-    """The interval and contour routes of I_t(n) agree within
-    1e-8 max(1, beta^t (q/p)^(n/2)), the measure of acceptance c07."""
-    interval = spectral_integral(chain, t, n, route="interval")
-    contour = spectral_integral(chain, t, n, route="contour")
+    """The interval route (kernel_matrix's entry) and the contour route
+    (spectral_integral) of I_t(n) agree within 1e-8 max(1, beta^t (q/p)^(n/2)),
+    the measure of acceptance c07."""
+    interval = interval_route(chain, t, n)
+    contour = spectral_integral(chain, t, n)
     tol = 1e-8 * max(1.0, chain.support[1] ** t * (chain.q / chain.p) ** (n / 2.0))
     assert abs(interval - contour) <= tol, (chain, t, n, interval, contour)
 
@@ -88,14 +99,14 @@ class TestBoundCoefficients:
 
 class TestSpectralIntegral:
     def test_t0_n0_total_mass_minus_top_atom(self, example_chain):
-        for route in ("interval", "contour"):
-            val = spectral_integral(example_chain, 0, 0, route=route)
+        for route in (interval_route, spectral_integral):
+            val = route(example_chain, 0, 0)
             assert val == pytest.approx(11 / 19, abs=1e-10)
 
     def test_t0_positive_degree_orthogonality(self, example_chain):
         for n in (1, 2, 5, 9):
-            for route in ("interval", "contour"):
-                val = spectral_integral(example_chain, 0, n, route=route)
+            for route in (interval_route, spectral_integral):
+                val = route(example_chain, 0, n)
                 assert val == pytest.approx(-8 / 19, abs=1e-9)
 
     def test_route_agreement_grid(self, example_chain):
@@ -109,13 +120,13 @@ class TestSpectralIntegral:
         # reach) raise before any is allocated; at the cap the route answers
         with pytest.raises(QuadratureError, match="^spectral_integral quadrature needs "
                                                   "100000011 nodes") as info:
-            spectral_integral(example_chain, 10 ** 8, 10, route="contour")
+            spectral_integral(example_chain, 10 ** 8, 10)
         assert info.value.allowed == 2 * NODE_CAP < info.value.needed
         t = 2 * NODE_CAP - 1 - 5
-        assert abs(spectral_integral(example_chain, t, 5, route="contour")
-                   - spectral_integral(example_chain, t, 5)) <= 1e-8
+        assert abs(spectral_integral(example_chain, t, 5) - interval_route(example_chain, t, 5)) \
+            <= 1e-8
         with pytest.raises(QuadratureError):
-            spectral_integral(example_chain, t + 1, 5, route="contour")
+            spectral_integral(example_chain, t + 1, 5)
 
     @pytest.mark.parametrize("chain", (EXAMPLE, *POLE_NEAR_CIRCLE))
     def test_contour_route_against_the_dp(self, chain):
@@ -126,42 +137,27 @@ class TestSpectralIntegral:
         pi = reversibility(chain).pi(np.arange(21))
         for t in range(61):
             for n in range(21):
-                value = spectral_integral(chain, t, n, route="contour")
+                value = spectral_integral(chain, t, n)
                 scale = max(1.0, chain.support[1] ** t * (chain.q / chain.p) ** (n / 2.0))
                 assert abs(value - (dp[t, n] / pi[n] - w1)) <= 1e-9 * scale, (t, n)
 
     def test_both_routes_check_the_regime(self):
         # a density pole on the AC interval: neither route returns a value
-        for route in ("interval", "contour"):
+        for route in (interval_route, spectral_integral):
             with pytest.raises(RegimeError):
-                spectral_integral(ChainParams(0.3, 0.30000001, 0.39999999), 3, 2, route=route)
+                route(ChainParams(0.3, 0.30000001, 0.39999999), 3, 2)
 
     def test_rejects_bad_route(self, example_chain):
-        with pytest.raises(ValueError, match="route"):
-            spectral_integral(example_chain, 1, 1, route="spiral")
-
-    def test_both_is_not_a_route(self, example_chain):
-        # the verify command compares the two routes itself
-        with pytest.raises(ValueError, match="unknown route 'both'"):
-            spectral_integral(example_chain, 1, 1, route="both")
+        # spectral_integral is the contour route alone: it takes no route or
+        # settings, and the interval route is kernel_matrix's entry (0, n)
+        for keyword in ({"route": "interval"}, {"cfg": QuadratureConfig()}):
+            with pytest.raises(TypeError):
+                spectral_integral(example_chain, 1, 1, **keyword)
 
     def test_rejects_bad_arguments(self, example_chain):
         for t, n in ((2.5, 1), (2, 1.5), (-1, 0), (0, -2)):
             with pytest.raises(ValueError, match="nonnegative integers"):
                 spectral_integral(example_chain, t, n)
-
-    def test_interval_route_is_the_kernel_entry(self, example_chain):
-        # both read entry (0, n) of one quadrature core; the atoms are added
-        # in a different order, so they agree to a few ulps of the summands
-        for c in (example_chain, NEAR_CRITICAL):
-            w1 = build_measure(c).atom1[1]
-            for t in (0, 1, 7, 30):
-                for n in (0, 1, 4, 12):
-                    pi_n = reversibility(c).pi(n)
-                    value = spectral_integral(c, t, n, route="interval")
-                    want = kernel_matrix(c, [t], n, rows=[0], cols=[n])[0, 0, 0]
-                    ulp = np.spacing(pi_n * (w1 + abs(value)))
-                    assert abs(pi_n * (w1 + value) - want) <= 4 * ulp, (c, t, n)
 
     def test_routes_agree_with_poles_near_circle(self):
         # q barely above p pushes a contour pole to sqrt(p/q) ~ 1, where the
@@ -819,29 +815,32 @@ class TestPoleCorrectedWedge:
 
     @pytest.mark.parametrize("chain", WEDGE)
     def test_entry_at_degree_2k_minus_3(self, chain):
-        # t = 45 and i + j = 15 in the degree block 16: degree 61 = 2 * 32 - 3
+        # t = 45 and i + j = 15: degree 60, within 2 * 32 - 3
         cfg = QuadratureConfig(node_count=32)
         got = kernel_matrix(chain, [45], 8, cfg=cfg, rows=[8], cols=[7])
         assert abs(got - kernel_oracle(chain, [45], 8, rows=[8], cols=[7])) <= 1e-12
 
 
 class TestKernelSpectral:
+    """The spectral kernel one entry at a time: kernel_matrix(..., rows=[i],
+    cols=[j]), its pass sized for that entry alone."""
+
     def test_identity_at_t0(self, example_chain):
         for i in (0, 1, 4, 9):
             for j in (0, 1, 4, 9):
                 expect = 1.0 if i == j else 0.0
-                assert kernel_spectral(example_chain, 0, i, j) == pytest.approx(
+                assert kernel_entry(example_chain, 0, i, j) == pytest.approx(
                     expect, abs=1e-10)
 
     def test_forced_return_probability(self, chain_grid):
         # the only length-2 loop at the origin is 0 -> 1 -> 0
         for c in chain_grid[::4]:
-            assert kernel_spectral(c, 2, 0, 0) == pytest.approx(c.q, abs=1e-10)
+            assert kernel_entry(c, 2, 0, 0) == pytest.approx(c.q, abs=1e-10)
 
     def test_long_run_reaches_stationarity(self, example_chain):
         rev = reversibility(example_chain)
         for j in (0, 1, 3):
-            assert kernel_spectral(example_chain, 200, 0, j) == pytest.approx(
+            assert kernel_entry(example_chain, 200, 0, j) == pytest.approx(
                 float(rev.nu(j)), abs=1e-8)
 
     def test_matches_dp_oracle_subset(self, example_chain):
@@ -850,11 +849,11 @@ class TestKernelSpectral:
         for a, i in enumerate(rows):
             for t in range(31):
                 for b, j in enumerate(cols):
-                    assert kernel_spectral(example_chain, t, i, j) == pytest.approx(
+                    assert kernel_entry(example_chain, t, i, j) == pytest.approx(
                         dp[t, a, b], abs=1e-9)
 
     def test_row_sums_to_one(self, example_chain):
-        total = sum(kernel_spectral(example_chain, 7, 2, j) for j in range(30))
+        total = sum(kernel_entry(example_chain, 7, 2, j) for j in range(30))
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -898,14 +897,6 @@ class TestKernelMatrix:
         kernel = kernel_matrix(example_chain, range(11), 3, cfg=cfg)
         assert np.all(np.abs(kernel - kernel_oracle(example_chain, range(11), 3)) <= 1e-9)
 
-    def test_slice_is_kernel_spectral(self, example_chain):
-        for c in (example_chain, NEAR_CRITICAL):
-            for t in (0, 1, 17, 60):
-                kernel = kernel_matrix(c, [t], 6)[0]
-                for i in range(7):
-                    for j in range(7):
-                        assert kernel[i, j] == kernel_spectral(c, t, i, j), (c, t, i, j)
-
     def test_index_sets_slice_the_full_matrix(self, example_chain):
         for c in (example_chain, NEAR_CRITICAL):
             ts = [0, 1, 17, 60]
@@ -927,8 +918,8 @@ class TestKernelMatrix:
         assert [q.shape[0] for q in built] == [3]
 
     def test_one_entry_calls_share_their_q_rows(self, monkeypatch, example_chain):
-        # kernel_spectral over t and j, as c04 calls it, builds the Q_n rows
-        # once per (K, degrees), not once per call; warm entries equal cold ones
+        # one-entry calls over t and j build the Q_n rows once per (K, degrees),
+        # not once per call; warm entries equal cold ones
         built, rows, original = [], [], mixing.q_bracket_matrix
 
         def recording(chain, n_max, x, two_cos, keep):
@@ -938,11 +929,11 @@ class TestKernelMatrix:
         monkeypatch.setattr(mixing, "q_bracket_matrix", recording)
         mixing._q_rows.cache_clear()
         entries = [(t, 3, j) for t in range(0, 40, 3) for j in range(8)]
-        warm = [kernel_spectral(example_chain, *entry) for entry in entries]
+        warm = [kernel_entry(example_chain, *entry) for entry in entries]
         assert len(built) == len(set(built)) <= 16 < len(entries) // 4
         for entry, value in zip(entries[::5], warm[::5]):
             mixing._q_rows.cache_clear()
-            assert kernel_spectral(example_chain, *entry) == value, entry
+            assert kernel_entry(example_chain, *entry) == value, entry
         assert mixing._q_rows.cache_info().currsize
         with pytest.raises(ValueError, match="read-only"):
             rows[0][0, 0] = 0.0
@@ -954,7 +945,7 @@ class TestKernelMatrix:
         mixing._q_rows.cache_clear()
         kept = mixing._q_rows.cache_parameters()["maxsize"]
         for i in range(2 * kept):
-            kernel_spectral(example_chain, 40, i % 8, i)
+            kernel_entry(example_chain, 40, i % 8, i)
         assert mixing._q_rows.cache_info().currsize == kept
         before = mixing._q_rows.cache_info()
         kernel_matrix(example_chain, [40], 400)
@@ -978,12 +969,11 @@ class TestKernelMatrix:
 
     def test_uncertified_entry_is_nan(self, example_chain):
         # pi_0 Q_29 grows like 3^29, so p_7(29, 0) = 0 cancels past extended
-        # precision; the entries of row 2 stay certified
+        # precision; the entries of row 2 stay certified, and a one-entry call
+        # reads NaN too (the kernel command turns it into exit 1)
         kernel = kernel_matrix(example_chain, [7], 29)[0]
         assert np.isnan(kernel[29, 0]) and not np.isnan(kernel[2]).any()
-        with pytest.raises(RegimeError, match=r"^p_7\(29, 0\) cannot be certified: its "
-                           "roundoff floor exceeds the quadrature tolerance$"):
-            kernel_spectral(example_chain, 7, 29, 0)
+        assert math.isnan(kernel_entry(example_chain, 7, 29, 0))
 
     def test_no_silent_error_as_p_vanishes(self):
         # the per-entry quadrature this replaces returned entries 1.2e-7 off
@@ -1007,9 +997,6 @@ class TestKernelMatrix:
             for ts, n_max in (([2.5], 3), ([2], 1.5)):
                 with pytest.raises(ValueError, match="nonnegative integers"):
                     kernel(example_chain, ts, n_max)
-        for t, i, j in ((2.5, 1, 1), (2, 1.5, 1), (2, 1, -1)):
-            with pytest.raises(ValueError, match="nonnegative integers"):
-                kernel_spectral(example_chain, t, i, j)
 
 
 def _tv_curve_past_n_cap(chain, cfg, t=40):
@@ -1025,9 +1012,9 @@ QUADRATURES = [
     (_tv_curve_past_n_cap, "tv_curve"),
     (lambda c, cfg, t=40: integrate_psi(build_measure(c), lambda x: x ** 80, cfg=cfg),
      "density"),
-    (lambda c, cfg, t=40: spectral_integral(c, t, 12, cfg=cfg), "spectral_integral"),
+    (lambda c, cfg, t=40: kernel_entry(c, t, 0, 12, cfg), "kernel_matrix"),
 ]
-QUADRATURE_IDS = ["kernel_matrix", "tv_curve", "integrate_psi", "spectral_integral"]
+QUADRATURE_IDS = ["kernel_matrix", "tv_curve", "integrate_psi", "kernel_entry"]
 
 
 @pytest.mark.parametrize("compute, name", QUADRATURES, ids=QUADRATURE_IDS)
@@ -1080,6 +1067,29 @@ class TestNodeCount:
     def test_override_is_run_as_given(self, example_chain):
         k, bound = tv_quadrature(example_chain, range(61), cfg=QuadratureConfig(node_count=40))[1:3]
         assert k == 40 and bound < tv_quadrature(example_chain, range(61))[2]
+
+    @pytest.mark.parametrize("call, nodes", [
+        (lambda c: kernel_matrix(c, [0], 8), 16),  # verify's orthogonality row
+        (lambda c: kernel_matrix(c, range(21), 4), 16),  # verify's kernel row
+        (lambda c: kernel_matrix(c, range(31), 12), 32),
+        (lambda c: kernel_matrix(c, range(21), 4, rows=[1], cols=[3]), 16),
+        (lambda c: kernel_matrix(c, range(31), 6, rows=[5], cols=[6]), 32),  # a bench job
+        (lambda c: kernel_matrix(c, range(3), 2, rows=[1], cols=[2]), 16),  # the bench probe
+        (lambda c: kernel_matrix(c, range(61), 12), 48),
+    ])
+    def test_kernel_pass_is_sized_for_the_entries_asked(self, monkeypatch, example_chain,
+                                                         call, nodes):
+        # the plan bounds |Q_i Q_j| for the largest row i and column j asked
+        # at degree max(ts) + i + j; sized for the degree sum rounded up past a
+        # multiple of 16, the first three took 32, 32 and 48 nodes
+        asked = []
+
+        def recording(chain, n_nodes):
+            asked.append(n_nodes)
+            return theta_nodes(chain, n_nodes)
+        monkeypatch.setattr(mixing, "theta_nodes", recording)
+        call(example_chain)
+        assert set(asked) == {nodes}
 
     def test_one_node_count_per_call(self, monkeypatch, example_chain):
         asked = []

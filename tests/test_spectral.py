@@ -139,7 +139,7 @@ NEAR_CRITICAL = ChainParams(0.3, 0.32, 0.38)
 def _descriptions(chain):
     """(log_sup, t, poles) of each kind of integrand node_count is asked about."""
     n_cut = max(tv_quadrature(chain, range(21))[0].values())
-    return [(q_log_sup(chain, 32, 0), 5, ()),  # a kernel degree block
+    return [(q_log_sup(chain, 20, 12), 5, ()),  # a kernel entry (20, 12)
             (_SeriesSup(chain, n_cut), 0, ()),  # the TV series to its cutoff
             (None, 0, (2.0, 0.1 + 0.5j)),  # integrate_psi's poles
             (None, 0, ())]  # powers of x
@@ -185,15 +185,16 @@ class TestPlanCache:
             assert info.value.allowed == NODE_CAP < info.value.needed
 
     def test_one_verify_computes_each_strip_bound_once(self, capsys, example_chain):
-        # verify asks for 28 node counts on the worked example, 13 of them
-        # distinct: kernel_matrix over t <= 20 and spectral_integral at t = 0
-        # share the degree block 16 and t, but not the degree
+        # verify asks for 13 node counts on the worked example, 10 of them
+        # distinct: its two psi rows share one plan, and tv_curve and
+        # tv_quadrature share one at K and one at 2K; each kernel pass has its
+        # own, sized for the entries it asks for
         from kmmix.cli import main
         spectral._plan.cache_clear()
         assert main(["verify", "--p", "1/11", "--q", "9/11"]) == 0
         capsys.readouterr()
         info = spectral._plan.cache_info()
-        assert (info.misses, info.hits + info.misses) == (13, 28)
+        assert (info.misses, info.hits + info.misses) == (10, 13)
 
 
 POLE_CHAINS = [ChainParams(1 / 11, 9 / 11, 1 / 11), ChainParams(0.3, 0.32, 0.38),
