@@ -144,14 +144,17 @@ def theta_nodes(chain: ChainParams, n_nodes: int) -> tuple:
     x = r + 2 sqrt(pq) cos(theta) at theta = k pi / n_nodes, k = 1..n_nodes-1,
     and w = 2pq sin^2(theta) / (n_nodes ((r+q)x+q)(1-x)) is the density's
     Jacobian-weighted value there times the panel width pi / n_nodes: the
-    integral of f against phi is sum w f(x).  The transformed integrand
+    integral of f against phi is sum w f(x).  1 - x is taken as
+    (p + q) - 2 sqrt(pq) cos(theta), which keeps its digits where the AC
+    interval lies near 1 (subtracting x would not).  The transformed integrand
     vanishes at theta = 0, pi, so the interior sum is the full trapezoid value."""
     p, q, r = _LD(chain.p), _LD(chain.q), _LD(chain.r)
     theta = _theta_grid(n_nodes)
     two_cos = 2.0 * np.cos(theta)
     sines = np.sin(theta)
-    x = r + np.sqrt(p * q) * two_cos  # = r + 2 sqrt(pq) cos(theta), bit for bit
-    w = 2.0 * p * q * sines ** 2 / (n_nodes * ((r + q) * x + q) * (1.0 - x))
+    sqrt_pq = np.sqrt(p * q)
+    x = r + sqrt_pq * two_cos  # = r + 2 sqrt(pq) cos(theta), bit for bit
+    w = 2.0 * p * q * sines ** 2 / (n_nodes * ((r + q) * x + q) * ((p + q) - sqrt_pq * two_cos))
     for a in (x, w, two_cos, sines):
         a.flags.writeable = False
     return x, w, two_cos, sines

@@ -183,10 +183,11 @@ def pole_parts_by_weights(chain: ChainParams, n_nodes: int) -> tuple:
     p, q, r = (Fraction(*v.as_integer_ratio()) for v in (chain.p, chain.q, chain.r))
     ld = np.longdouble
     pl, ql, rl = ld(chain.p), ld(chain.q), ld(chain.r)
-    x, w = theta_nodes(chain, n_nodes)[:2]
+    x, w, two_cos, _ = theta_nodes(chain, n_nodes)
+    one_less_x = (pl + ql) - np.sqrt(pl * ql) * two_cos  # theta_nodes' 1 - x
     errors, integrals = [], []
     for a, part in ((p + q, w * ((rl + ql) * x + ql) / (rl + 2 * ql)),
-                    (r + q / (q + r), w * (1 - x) * (rl + ql) / (rl + 2 * ql))):
+                    (r + q / (q + r), w * one_less_x * (rl + ql) / (rl + 2 * ql))):
         s = np.sqrt(ld(a * a - 4 * p * q))
         integrals.append(ld(2 * p * q / (r + 2 * q)) * (ld(a) - s) / (4 * pl * ql))
         errors.append(np.sum(part) - integrals[-1])

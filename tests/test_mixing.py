@@ -866,13 +866,12 @@ class TestKernelMatrix:
             for i in range(13):
                 assert np.max(np.abs(kernel[t, i] - dp[t, i])) <= 1e-9, (t, i)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "theta_nodes' weights divide by 1 - x, which keeps only about 5 digits when the "
-        "AC interval lies within 1e-13 of 1 (longdouble spacing 5e-20 against 1 - x ~ 1e-14), "
-        "and the certified floor does not count it: entries come out 2.6e-6 off the DP, not NaN"))
     def test_support_within_1e_13_of_one_matches_dp(self):
         # the Q_n rows at the nodes are right here (test_orthopoly's
-        # test_no_atom_inside_the_support); the weights are not
+        # test_no_atom_inside_the_support), and so are the weights, whose
+        # 1 - x is (p + q) - 2 sqrt(pq) cos(theta): by subtracting x (spacing
+        # 5e-20 against 1 - x ~ 1e-14) they kept about 5 digits, and entries
+        # came out 2.6e-6 off the DP with no NaN
         c = ChainParams(2.0 ** -50, 2.0 ** -47, 1 - 9 * 2.0 ** -50)  # p + q + r = 1 exactly
         assert 1.0 - c.support[0] < 1e-13
         kernel = kernel_matrix(c, [0, 1, 20, 300], 4)

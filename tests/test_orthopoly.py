@@ -375,12 +375,13 @@ class TestDegreeScales:
         # sin(k pi / K) in extended precision, the values w is built from, and
         # cast to g's dtype
         chain = self.CHAINS[1]
-        x, w, _, sines = theta_nodes(chain, 64)
+        x, w, two_cos, sines = theta_nodes(chain, 64)
         assert sines is theta_nodes(chain, 64)[3] and not sines.flags.writeable
         assert sines.dtype == LD
         assert np.array_equal(sines, np.sin(_theta_grid(64)))
         p, q, r = LD(chain.p), LD(chain.q), LD(chain.r)
-        assert np.array_equal(w, 2.0 * p * q * sines ** 2 / (64 * ((r + q) * x + q) * (1.0 - x)))
+        one_less_x = (p + q) - np.sqrt(p * q) * two_cos
+        assert np.array_equal(w, 2.0 * p * q * sines ** 2 / (64 * ((r + q) * x + q) * one_less_x))
         g = np.stack([w, w * x]).astype(dt)
         brackets = _sine_brackets(chain, _sine_sums(g / sines.astype(dt), 41))
         got = q_node_sums(chain, 40, g)

@@ -203,16 +203,18 @@ POLE_CHAINS = [ChainParams(1 / 11, 9 / 11, 1 / 11), ChainParams(0.3, 0.32, 0.38)
 
 
 class TestPoleErrors:
-    # the closed forms take p + q + r = 1, which the binary parameters miss by
-    # about 1e-17; near criticality a pole part's integral moves by that over
-    # q - p: 1.8e-14 at (0.4999, 0.5, 1e-4), in the twin's integrals too
+    # the pole at 1: the weights' 1 - x is (p + q) - 2 sqrt(pq) cos(theta),
+    # so the closed form s = q - p holds for them to roundoff.  The pole at
+    # -q/(q+r): its closed form takes p + q + r = 1, which the binary
+    # parameters miss by about 1e-17; near criticality the part's integral
+    # moves by that over q - p: 1.8e-14 at (0.4999, 0.5, 1e-4)
     @pytest.mark.parametrize("n_nodes", [16, 32, 768])
     @pytest.mark.parametrize("chain", POLE_CHAINS)
     def test_closed_forms_match_the_weights(self, chain, n_nodes):
         got = pole_errors(chain, n_nodes)
         want, integrals = oracles.pole_parts_by_weights(chain, n_nodes)
         assert all(type(e) is LD and e <= 0.0 for e in got)  # the rule falls short
-        assert all(abs(g - e) <= 3e-14 for g, e in zip(got, want)), (got, want)
+        assert abs(got[0] - want[0]) <= 1e-16 and abs(got[1] - want[1]) <= 3e-14, (got, want)
         assert abs(sum(integrals) - LD(chain.p) / (LD(chain.q) + LD(chain.r))) <= 3e-14
 
     def test_exact_count_is_the_lesser_and_ties_go_to_the_strip(self, example_chain):
