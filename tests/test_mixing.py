@@ -868,10 +868,8 @@ class TestKernelMatrix:
 
     def test_support_within_1e_13_of_one_matches_dp(self):
         # the Q_n rows at the nodes are right here (test_orthopoly's
-        # test_no_atom_inside_the_support), and so are the weights, whose
-        # 1 - x is (p + q) - 2 sqrt(pq) cos(theta): by subtracting x (spacing
-        # 5e-20 against 1 - x ~ 1e-14) they kept about 5 digits, and entries
-        # came out 2.6e-6 off the DP with no NaN
+        # test_no_atom_inside_the_support), and so are the weights if their
+        # 1 - x keeps its digits: 1 - x ~ 1e-14 against x's spacing 5e-20
         c = ChainParams(2.0 ** -50, 2.0 ** -47, 1 - 9 * 2.0 ** -50)  # p + q + r = 1 exactly
         assert 1.0 - c.support[0] < 1e-13
         kernel = kernel_matrix(c, [0, 1, 20, 300], 4)
@@ -1075,12 +1073,12 @@ class TestNodeCount:
         (lambda c: kernel_matrix(c, range(31), 6, rows=[5], cols=[6]), 32),  # a bench job
         (lambda c: kernel_matrix(c, range(3), 2, rows=[1], cols=[2]), 16),  # the bench probe
         (lambda c: kernel_matrix(c, range(61), 12), 48),
-    ])
+    ], ids=["orthogonality", "kernel_row", "t30_n12", "entry_1_3", "bench_job", "bench_probe",
+            "t60_n12"])
     def test_kernel_pass_is_sized_for_the_entries_asked(self, monkeypatch, example_chain,
                                                          call, nodes):
-        # the plan bounds |Q_i Q_j| for the largest row i and column j asked
-        # at degree max(ts) + i + j; sized for the degree sum rounded up past a
-        # multiple of 16, the first three took 32, 32 and 48 nodes
+        # the plan bounds |Q_i Q_j| for the largest row i and column j asked,
+        # at degree max(ts) + i + j
         asked = []
 
         def recording(chain, n_nodes):
