@@ -7,9 +7,9 @@ in this module is either a closed form or exact dynamic programming on the
 finite support reachable in t steps, so there is no truncation error to
 account for downstream.
 
-One step of the walk, _advance, serves every DP: the TV sweep, the DP twin
-kernel_oracle of mixing.kernel_matrix (the law of a point start) and the
-coupling module's hitting curves.
+One step of the walk, _advance, serves every DP: the TV sweep (a row per t,
+its drift removed per block of times), the DP twin kernel_oracle of
+mixing.kernel_matrix (the law of a point start) and the hitting curves.
 """
 
 import math
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 STOCHASTIC_TOL = 1e-12
+_ROWS, _CELLS = 64, 1 << 16  # tv_oracle_curve's most rows and cells per block of times
 
 
 @dataclass(frozen=True)
@@ -130,28 +131,38 @@ def tv_oracle_curve(chain: ChainParams, t_max: int) -> list:
     dynamic programming on d_t = mu_t - nu, in one sweep: O(t_max^2) in all.
 
     mu_t lives on 0..t.  Above it d_t = -nu, which the chain maps to itself
-    (detailed balance), so one step rewrites only the window 0..t+2 of a
-    buffer filled with -nu once.  Each step then removes d's drift along nu,
-    the one direction the chain never damps: s nu on the window, with s the
-    total mass of d (window sum minus nu_tail(t+2)), which is 0 exactly.
-    TV_t = (1/2)(sum_{j<=t} |d_j| + nu_tail(t)), with the stationary mass
-    above t in closed form, so there is no truncation error.  The roundoff
-    left lies off nu and decays with the chain: the values are accurate
-    relative to TV itself, not to the unit mass (3e-15 where TV is 7e-24)."""
+    (detailed balance), so a step rewrites only the window 0..t+2 of t's row
+    in a block filled with -nu.  Per block, masked row reductions remove d's
+    drift along nu, the one direction the chain never damps: s_t nu on the
+    window, s_t the mass of row t (window sum minus nu_tail(t+2)), 0 exactly;
+    as nu P = nu, that is the per-step correction up to rounding.  Then
+    TV_t = (1/2)(sum_{j<=t} |d_j| + nu_tail(t)), with no truncation error.
+    The roundoff left lies off nu and decays with the chain: the values are
+    accurate relative to TV itself, not to the unit mass (3e-15 where TV is
+    7e-24).  A block spans at most _ROWS times and, past one, _CELLS cells; its
+    times and width are fixed by t alone, so a sweep to t is a prefix of a
+    longer one, bit for bit (rows past t_max are not made)."""
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     rev = reversibility(chain)
-    nu = rev.nu(np.arange(t_max + 4))
-    tails = [rev.nu_tail(n) for n in range(t_max + 3)]
-    d, new = -nu, -nu  # two buffers, swapped after each step
-    d[0] += 1.0
-    values = [0.5 * (abs(float(d[0])) + tails[0])]
-    for t in range(1, t_max + 1):
-        _advance(chain, d, new, 0, t + 1)
-        window = new[:t + 3]  # a view: the update runs in place
-        window -= (window.sum() - tails[t + 2]) * nu[:t + 3]
-        d, new = new, d
-        values.append(0.5 * (float(np.abs(d[:t + 1]).sum()) + tails[t]))
+    nu = rev.nu(np.arange(t_max + _ROWS + 4))  # to the last block's widest row
+    tails = np.fromiter(map(rev.nu_tail, range(t_max + 3)), float, t_max + 3)
+    d, start = 1.0 - nu[:1], 1  # d_0 on its window 0..0, -nu above
+    values = [0.5 * (abs(d.item()) + tails.item(0))]
+    while start <= t_max:  # the block of times start..end-1, its rows to t_max
+        end = start + max(1, min(_ROWS, _CELLS // (start + _ROWS)))
+        ts, width = np.arange(start, min(end, t_max + 1)), end + 3
+        rows = np.negative(nu[:width], out=np.empty((ts.size + 1, width)))
+        rows[0, :d.size] = d
+        for k, t in enumerate(ts.tolist(), 1):
+            _advance(chain, rows[k - 1], rows[k], 0, t + 1)
+        block, window = rows[1:], np.arange(width) <= ts[:, None] + 2  # j <= t + 2
+        drift = np.add.reduce(block, axis=1, where=window) - tails[ts + 2]
+        np.subtract(block, drift[:, None] * nu[:width], out=block, where=window)
+        # j <= t, where the window holds j + 2
+        absum = np.add.reduce(np.abs(block[:, :-2]), axis=1, where=window[:, 2:])
+        values += (0.5 * (absum + tails[ts])).tolist()
+        d, start = block[-1].copy(), end  # a copy: the block is freed
     return values
 
 

@@ -47,7 +47,7 @@ pair (t - 1, t) measured.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, takewhile
 
 import numpy as np
@@ -163,22 +163,22 @@ def _geometric_depth(amp: float, ratio: float, log_tol: float) -> float:
 
 
 def _tail_rule(chain: ChainParams, co: BoundCoefficients):
-    """The function t -> (tail, series): tail(n) bounds the TV series' terms
-    past degree n at time t by the sum of two geometric series amp ratio^(n+1),
-    series the two (amp, ratio): ratio p/(q+r) for the atom terms and
-    sqrt(p/q) for the AC parts.  The per-chain constants are taken once, here."""
+    """The function t -> series, the two (amp, ratio) of geometric series amp ratio^(n+1)
+    bounding the TV series' terms past degree n at time t (_tail): ratio p/(q+r)
+    for the atom terms, sqrt(p/q) for the AC parts; per-chain constants taken once."""
     p, q, r = chain.p, chain.q, chain.r
     x = p / (q + r)
     y = math.sqrt(p / q)
     half_w2 = 0.5 * negative_atom(chain)[1]
     half_env_x = 0.5 * _contour_envelope(chain) * x
+    return lambda t: ((half_w2 * co.alpha ** t / p / (1.0 - x), x),
+                      (half_env_x * co.beta ** t / p / (1.0 - y), y))
 
-    def tail_at(t):
-        amp_atom = half_w2 * co.alpha ** t / p / (1.0 - x)
-        amp_cont = half_env_x * co.beta ** t / p / (1.0 - y)
-        return (lambda n: amp_atom * x ** (n + 1) + amp_cont * y ** (n + 1),
-                ((amp_atom, x), (amp_cont, y)))
-    return tail_at
+
+def _tail(series, n: int) -> float:
+    """The tail bound past degree n of _tail_rule's series: a x^(n+1) + c y^(n+1)."""
+    (a, x), (c, y) = series
+    return a * x ** (n + 1) + c * y ** (n + 1)
 
 
 def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, series_tol: float):
@@ -195,16 +195,22 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, series_tol: float):
     The tail bound is nonincreasing in N.  Both geometric terms reaching half
     the tolerance is sufficient; bisection on the exact tail expression below
     that closed form pins N, so N and its tail are those of a scan upward
-    from N = 0.  A guess `near` (the cutoff of an earlier t, so below t) is
-    taken as it is when it already is that least N: tail(near) <= tol <
-    tail(near - 1)."""
+    from N = 0.  Before any search, a guess `near` (an earlier t's cutoff, so
+    below t) and then near + 1 are checked by inline float expressions: either
+    is taken when it is that least N, tail(N) <= tol < tail(N - 1)."""
     tail_at = _tail_rule(chain, co)
 
     def cutoff(t, near=None):
-        tail, series = tail_at(t)
+        (a, x), (c, y) = series = tail_at(t)
         tol = max(min(series_tol, 0.05 * co.B * co.beta ** t), 5e-324)
-        if near is not None and tail(near) <= tol and (near == 0 or tail(near - 1) > tol):
-            return near, tail(near)
+        if near is not None and near < min(t, N_CAP):
+            at = a * x ** (near + 1) + c * y ** (near + 1)  # tail(near)
+            if at <= tol and (near == 0 or a * x ** near + c * y ** near > tol):
+                return near, at
+            after = a * x ** (near + 2) + c * y ** (near + 2)
+            if at > tol >= after:
+                return near + 1, after
+        tail = partial(_tail, series)
         if t <= N_CAP and tail(t) > tol:
             return t, tail(t)
         log_half = math.log(tol) - math.log(2.0)
@@ -225,19 +231,23 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, series_tol: float):
     return cutoff
 
 
-def _powers(x, ts):
-    """(t, x^t) for the ascending ts, each carried forward from the last as
-    xt * x^gap: x itself for gap 1, else one np.power (powl per element, about
-    80 longdouble multiplies), kept while the gap repeats; t_mix's pairs
+def _power_batches(x, batches):
+    """The rows x^t of each batch of ascending times in turn: one accumulate of
+    the last row and the steps x^gap, bit for bit x^t_prev x^gap t by t.  A
+    step is x for gap 1, else one np.power (powl per element, about 80
+    longdouble multiplies), kept while the gap repeats; t_mix's pairs
     (g - 1, g) take one power, evenly strided times one in all."""
-    xt, t_prev, gap, step = np.ones_like(x), 0, 1, x
-    for t in ts:
-        if t - t_prev != gap:
-            gap = t - t_prev
-            step = x if gap == 1 else np.power(x, gap)
-        xt = xt * step
-        t_prev = t
-        yield t, xt
+    factors, t_prev, gap, step = [np.ones_like(x)], 0, 1, x
+    for times in batches:
+        for t in times:
+            if t - t_prev != gap:
+                gap = t - t_prev
+                step = x if gap == 1 else np.power(x, gap)
+            factors.append(step)
+            t_prev = t
+        rows = np.multiply.accumulate(factors, axis=0)[1:]
+        factors = [rows[-1]]  # the next batch's products start from its last row
+        yield rows
 
 
 def _underflow_degree(loc2: float) -> int:
@@ -294,16 +304,16 @@ def tv_curve(chain: ChainParams, ts, series_tol: float = 1e-12,
     serves every t, with its plan's E1 off each AC part and w2 - E2 as the
     atom weight (both 0.0 under the strip count).  The ascending times run in
     batches of at most _CELLS cells, 2K for a t's FFT and N_t + 1 for its
-    terms.  Per batch the AC parts of I_t(0..N_t) come from one sine transform
-    per t (orthopoly.q_node_sums), and the series terms of all its (t, n)
-    pairs from one array; only the fsum is per t.  The atom terms
-    w2 loc2^(t+n) come from one table per call (_atom_table), one power per
-    distinct exponent t + n and none at or past k_zero (_underflow_degree),
-    where they are +-0 and adding them changes no bit of |I_t(n)|: a batch
-    from k_zero on does no atom work.  Raises ConvergenceError when some N_t
-    exceeds N_CAP or a term leaves the double range (as the AC parts carry
-    (q/p)^(n/2)), QuadratureError when the node count passes
-    spectral.NODE_CAP, and ValueError and RegimeError as tv_quadrature does."""
+    terms.  Per batch the node powers x^t come from one accumulate
+    (_power_batches), the AC parts of I_t(0..N_t) from one sine transform per
+    t (orthopoly.q_node_sums) and the series terms of all its (t, n) pairs
+    from one array; only the fsum is per t.  The atom terms w2 loc2^(t+n) come
+    from one table per call (_atom_table), one power per distinct exponent
+    t + n and none at or past k_zero (_underflow_degree), where they are +-0
+    and change no bit of |I_t(n)|: a batch from k_zero on does no atom work.
+    Raises ConvergenceError when some N_t exceeds N_CAP or a term leaves the
+    double range (the AC parts carry (q/p)^(n/2)), QuadratureError past
+    spectral.NODE_CAP nodes, and ValueError and RegimeError as tv_quadrature."""
     ts = _naturals(ts)
     cuts, n_nodes, _, e1, e2 = tv_quadrature(chain, ts, series_tol, cfg)
     rev = reversibility(chain)
@@ -311,12 +321,12 @@ def tv_curve(chain: ChainParams, ts, series_tol: float = 1e-12,
     k_zero = _underflow_degree(negative_atom(chain)[0])
     exponents, atoms = _atom_table(chain, cuts, k_zero, e2)
     x, w = theta_nodes(chain, n_nodes)[:2]
-    powers, values = _powers(x, list(cuts)), {}
-    for times in _batches(cuts, 2 * n_nodes):
+    batches, values = list(_batches(cuts, 2 * n_nodes)), {}
+    for times, xt in zip(batches, _power_batches(x, batches)):
         sizes = [cuts[t] + 1 for t in times]
         n = np.arange(max(sizes))
         keep = n < np.array(sizes)[:, None]  # the batch's pairs (t, n <= N_t), t by t
-        acs = q_node_sums(chain, n.size - 1, np.array([w * next(powers)[1] for _ in times]))
+        acs = q_node_sums(chain, n.size - 1, w * xt)
         with np.errstate(over="ignore", invalid="ignore"):  # a term past doubles raises below
             i_tn = (acs[keep] - e1).astype(float)
             if times[0] < k_zero:
@@ -337,10 +347,9 @@ def _overflow_error(chain: ChainParams, series_tol: float, t: int, n: int, n_cut
     """The ConvergenceError for tv_curve's first term out of the double range,
     at t and degree n of the n_cut its tolerance asks for; it carries the tail
     bound past n - 1, the most the doubles reach."""
-    tail = _tail_rule(chain, bound_coefficients(chain))(t)[0]
     return ConvergenceError(f"the TV series at t={t} leaves the double range at degree n={n}, "
                             f"of the N={n_cut} that series_tol={series_tol!r} asks for",
-                            tail(n - 1))
+                            _tail(_tail_rule(chain, bound_coefficients(chain))(t), n - 1))
 
 
 @dataclass(frozen=True)
@@ -547,10 +556,10 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig):
     loc2, sums, uniq = negative_atom(chain)[0], np.add.outer(rows, cols), sorted(set(ts))
     atoms = np.power(loc2, np.add.outer(uniq, sums))
     ac, l1 = np.empty(atoms.shape), np.empty(atoms.shape)
-    powers, size = _powers(x, uniq), max(1, _CELLS // (left.size + sums.size))
-    for start in range(0, len(uniq), size):
-        batch = slice(start, start + size)
-        wxt = w * np.array([next(powers)[1] for _ in uniq[batch]])[:, None]
+    starts = range(0, len(uniq), max(1, _CELLS // (left.size + sums.size)))
+    for start, xt in zip(starts, _power_batches(x, (uniq[s:s + starts.step] for s in starts))):
+        batch = slice(start, start + starts.step)
+        wxt = w * xt[:, None]
         pole = e2 * atoms[batch]
         with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0: masked to NaN
             l1[batch] = np.matmul(np.abs(left) * np.abs(wxt), np.abs(right).T) \

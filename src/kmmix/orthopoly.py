@@ -138,11 +138,16 @@ def q_node_sums(chain: ChainParams, n_max: int, g):
     K), at the angles k pi / K that the FFT's twiddles also take: the sine
     transform of the U-form, one real FFT of length 2K per row, dividing by
     the sines sin(theta_k) theta_nodes returns, times (q/p)^(n/2) from the
-    cached table of _scales.  Shape (..., n_max+1), in g's dtype."""
+    cached table of _scales.  The brackets are formed over one period 2K, read
+    past it by index: B_{n+2K} = B_n exactly, the fold D[2K-1] = -D[1] of n = 0
+    included.  Shape (..., n_max+1), in g's dtype."""
     g = np.asarray(g)
-    dt = g.dtype.type
-    sines = theta_nodes(chain, g.shape[-1] + 1)[3].astype(dt, copy=False)
-    brackets = _sine_brackets(chain, _sine_sums(g / sines, n_max + 1))
+    dt, n_panels = g.dtype.type, g.shape[-1] + 1
+    sines = theta_nodes(chain, n_panels)[3].astype(dt, copy=False)
+    period = min(n_max + 1, 2 * n_panels)  # B_{n+2K} = B_n on the nodes
+    brackets = _sine_brackets(chain, _sine_sums(g / sines, period))
+    if period <= n_max:  # no copy within one period
+        brackets = brackets[..., np.arange(n_max + 1) % period]
     return brackets * _scales(chain, dt, n_max)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from kmmix import ChainParams, drift_identity_residual, kernel_oracle, reversibility, \
     tv_oracle, tv_oracle_curve
+from kmmix import chain as chain_module
 from kmmix.chain import _kernel_args
 
 import oracles
@@ -142,6 +144,10 @@ class TestEvolve:
             law(example_chain, 0, -1, 0)
 
 
+B = chain_module._ROWS  # the rows of a full block of tv_oracle_curve at small t
+EDGES = (B - 1, B, B + 1, 2 * B, 2 * B + 1)  # the sweep's first blocks are t = 1..B, B+1..2B
+
+
 class TestTvOracle:
     def test_t0_value(self, example_chain):
         assert tv_oracle(example_chain, 0) == pytest.approx(11 / 19, abs=1e-15)
@@ -174,20 +180,59 @@ class TestTvOracle:
     @pytest.mark.parametrize("pqr", [(Fraction(1, 11), Fraction(9, 11), Fraction(1, 11)),
                                      (Fraction(3, 10), Fraction(8, 25), Fraction(19, 50))])
     def test_relative_to_exact_rational_dp(self, pqr):
-        # the worked example and a near-critical chain (q - p = 0.02)
-        swept = tv_oracle_curve(ChainParams(*map(float, pqr)), 30)
-        for t, value in enumerate(swept):
+        # the worked example and a near-critical chain (q - p = 0.02), to 30
+        # and on either side of the first block edges
+        swept = tv_oracle_curve(ChainParams(*map(float, pqr)), EDGES[-1])
+        for t in [*range(31), *EDGES]:
             exact = float(oracles.tv_by_fraction(*pqr, t))
-            assert abs(value - exact) <= 1e-14 * exact, t
+            assert abs(swept[t] - exact) <= 1e-14 * exact, t
 
     def test_relative_accuracy_where_tv_is_tiny(self):
         # TV(500) is 1.5e-55 here; a DP carrying the unit mass's roundoff
-        # would read about 1e-15
+        # would read about 1e-15.  Blocks of B rows end at 4B and 7B.
         pqr = (Fraction(1, 10), Fraction(7, 10), Fraction(1, 5))
         swept = tv_oracle_curve(ChainParams(*map(float, pqr)), 500)
-        for t in (100, 300, 500):
+        for t in (100, 300, 500, B, B + 1, 4 * B, 4 * B + 1, 7 * B, 7 * B + 1):
             exact = float(oracles.tv_by_fraction(*pqr, t))
             assert abs(swept[t] - exact) <= 1e-13 * exact, t
+
+    def test_sweeps_to_block_edges_are_prefixes(self, example_chain):
+        # the blocks' times and widths are fixed by t alone, so a sweep ending
+        # on either side of a block's edge is a prefix of a longer one
+        longest = tv_oracle_curve(example_chain, 3 * B)
+        for t_max in EDGES:
+            swept = tv_oracle_curve(example_chain, t_max)
+            assert swept == longest[: t_max + 1] and {type(v) for v in swept} == {float}
+
+    def test_prefixes_where_the_cell_budget_shrinks_the_block(self, monkeypatch, example_chain):
+        # 1000 cells: blocks of 15 rows from t = 1, of 7 from t = 64 and of 4
+        # from t = 138; every t_max to 150 ends on or next to one of the edges
+        monkeypatch.setattr(chain_module, "_CELLS", 1000)
+        longest = tv_oracle_curve(example_chain, 160)
+        for t_max in range(151):
+            swept = tv_oracle_curve(example_chain, t_max)
+            assert swept == longest[: t_max + 1] and {type(v) for v in swept} == {float}, t_max
+        exact = [float(oracles.tv_by_fraction(Fraction(1, 11), Fraction(9, 11), Fraction(1, 11), t))
+                 for t in (15, 16, 150)]
+        assert all(abs(longest[t] - e) <= 1e-14 * e for t, e in zip((15, 16, 150), exact))
+
+    def test_long_sweep_keeps_to_the_cell_budget(self, example_chain):
+        # at t_max = 20000 a block of B rows of full width would take 10 MB;
+        # the sweep holds a block of at most _CELLS doubles and two
+        # temporaries its size, besides O(t_max) arrays
+        t_max = 20000
+        tracemalloc.start()
+        try:
+            values = tv_oracle_curve(example_chain, t_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == t_max + 1
+        # 8 bytes per cell; per t: nu and the tails (8 each), the row carried
+        # and its copy in the next block (8 each), a Python float of the
+        # values list (32) and 16 to spare (2.8 MB measured against 3.2 MB)
+        assert peak <= 8 * 3 * chain_module._CELLS + 80 * t_max, peak
+        assert peak < 8 * B * t_max
 
     def test_rejects_negative_t(self, example_chain):
         with pytest.raises(ValueError):

@@ -285,7 +285,7 @@ class TestSeriesCutoff:
         co = bound_coefficients(c)
         cutoff, tail_at = _cutoff_rule(c, co, 1e-12), mixing._tail_rule(c, co)
         for t in (0, 20, 100_000):
-            assert cutoff(t) == (t, tail_at(t)[0](t))
+            assert cutoff(t) == (t, mixing._tail(tail_at(t), t))
 
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-300])
@@ -301,7 +301,10 @@ class TestSeriesCutoff:
     def test_a_wrong_guess_falls_back_to_the_search(self, example_chain):
         cutoff = _cutoff_rule(example_chain, bound_coefficients(example_chain), 1e-12)
         want = cutoff(40)
-        assert all(cutoff(40, near) == want for near in (0, want[0] - 1, want[0] + 1, 10 ** 4))
+        # want - 1 is taken by the near + 1 check; want - 2 is two below, which
+        # that check must reject as tail(want - 1) is above the tolerance
+        assert all(cutoff(40, near) == want
+                   for near in (0, want[0] - 2, want[0] - 1, want[0] + 1, 10 ** 4))
         assert cutoff(40, want[0]) == want
 
 
@@ -716,9 +719,18 @@ class TestTMixPinned:
         assert len(calls) <= 2 and sum(map(len, calls)) <= 4
 
 
+def power_rows(x, ts, size):
+    """mixing._power_batches' rows for the ascending ts, in batches of size
+    times, as one list of (t, x^t)."""
+    batches = [ts[k:k + size] for k in range(0, len(ts), size)]
+    return [(t, xt) for times, rows in zip(batches, mixing._power_batches(x, batches))
+            for t, xt in zip(times, rows)]
+
+
 class TestNodePowers:
-    """_powers carries x^t from one t to the next; every x^t must stay that of
-    the stepwise loop with one np.power per step, bit for bit."""
+    """_power_batches carries x^t from one t to the next, a batch of times
+    per accumulate; every x^t must stay that of the stepwise loop with one
+    np.power per step, bit for bit, however the times are batched."""
 
     @staticmethod
     def probe_times():
@@ -742,8 +754,8 @@ class TestNodePowers:
                      list(range(0, 20000, 400)), [3, 10, 17, 18, 25, 32, 33, 34],
                      [517, 1034, 1035, 1552], list(accumulate(gaps)),
                      list(accumulate([0] + gaps + gaps[::-1])), *self.probe_times()]
-        for ts in sequences:
-            got = list(mixing._powers(x, ts))
+        for ts, size in ((ts, size) for ts in sequences for size in (1, 3, 64)):
+            got = power_rows(x, ts, size)
             expect = list(oracles.node_powers_stepwise(x, ts))
             assert [t for t, _ in got] == [t for t, _ in expect] == ts
             for (_, a), (_, b) in zip(got, expect):
@@ -755,7 +767,7 @@ class TestNodePowers:
         # step of 400 the one x^400
         ts = range(0, 20000, 400)
         x = theta_nodes(NEAR_CRITICAL, 768)[0]
-        for (_, a), (_, b) in zip(mixing._powers(x, ts), oracles.node_powers_stepwise(x, ts)):
+        for (_, a), (_, b) in zip(power_rows(x, ts, 7), oracles.node_powers_stepwise(x, ts)):
             assert np.array_equal(a, b)
         calls, power = [], np.power
 

@@ -307,6 +307,23 @@ class TestSineForm:
         scale = np.dot(np.abs(g), np.abs(q_rows).T)
         assert np.all(np.abs(got - np.dot(g, q_rows.T)) <= tol * scale)
 
+    @pytest.mark.parametrize("chain", CHAINS[:2])
+    @pytest.mark.parametrize("n_nodes", [16, 32, 48])
+    def test_node_sums_past_one_period_are_the_brackets_degree_by_degree(self, chain, n_nodes):
+        # q_node_sums forms B_n over one period 2K of the sine sums and reads
+        # the degrees past it by index; each must be the U-form of its own
+        # degree, n = 0 reading -D[1] and D[2K-1] = -D[1] folding onto it
+        x, w = theta_nodes(chain, n_nodes)[:2]
+        g = np.stack([w, w * x ** 5, w * x ** 40])
+        dt, p, q, r = LD, LD(chain.p), LD(chain.q), LD(chain.r)
+        for n_max in (2 * n_nodes - 1, 2 * n_nodes, 2 * n_nodes + 1, 5 * n_nodes + 3):
+            d = _sine_sums(g / np.sin(_theta_grid(n_nodes)), n_max + 1)
+            brackets = np.stack([p * d[:, n + 1] + r * np.sqrt(p / q) * d[:, n]
+                                 - (1 - p) * (-d[:, 1] if n == 0 else d[:, n - 1])
+                                 for n in range(n_max + 1)], axis=-1)
+            expect = brackets * _scales(chain, dt, n_max)
+            assert np.array_equal(q_node_sums(chain, n_max, g), expect), n_max
+
     def test_fft_keeps_extended_precision(self):
         # numpy < 2 transforms longdouble input in float64, which would cost
         # the series about three digits wherever longdouble is wider
