@@ -146,7 +146,9 @@ def tv_oracle_curve(chain: ChainParams, t_max: int) -> list:
         raise ValueError("t_max must be nonnegative")
     rev = reversibility(chain)
     nu = rev.nu(np.arange(t_max + _ROWS + 4))  # to the last block's widest row
-    tails = np.fromiter(map(rev.nu_tail, range(t_max + 3)), float, t_max + 3)
+    # nu_tail(0..t_max+2), its closed form in one array op
+    log_ratio = math.log(chain.p) - math.log(chain.q)
+    tails = np.exp(np.arange(t_max + 3) * log_ratio) / (chain.q - chain.p) / rev.rho
     d, start = 1.0 - nu[:1], 1  # d_0 on its window 0..0, -nu above
     values = [0.5 * (abs(d.item()) + tails.item(0))]
     while start <= t_max:  # the block of times start..end-1, its rows to t_max

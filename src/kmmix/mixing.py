@@ -231,18 +231,34 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, series_tol: float):
     return cutoff
 
 
+def _node_power(x, gap: int):
+    """x^gap for the longdouble nodes x by right-to-left binary powering: the
+    squares x, x^2, x^4, ... in turn, those of gap's set bits multiplied into
+    ones in ascending bit order (exact ones at gap 0).  About 2 log2(gap)
+    multiplies per node where np.power runs powl's 80 or so; the relative
+    error stays within about gap eps_ld, that of the node's own rounding
+    carried through x^gap."""
+    power, square = np.ones_like(x), x
+    while gap:
+        if gap & 1:
+            power *= square
+        gap >>= 1
+        if gap:
+            square = square * square
+    return power
+
+
 def _power_batches(x, batches):
     """The rows x^t of each batch of ascending times in turn: one accumulate of
     the last row and the steps x^gap, bit for bit x^t_prev x^gap t by t.  A
-    step is x for gap 1, else one np.power (powl per element, about 80
-    longdouble multiplies), kept while the gap repeats; t_mix's pairs
-    (g - 1, g) take one power, evenly strided times one in all."""
+    step is x for gap 1, else one _node_power, kept while the gap repeats;
+    t_mix's pairs (g - 1, g) take one power, evenly strided times one in all."""
     factors, t_prev, gap, step = [np.ones_like(x)], 0, 1, x
     for times in batches:
         for t in times:
             if t - t_prev != gap:
                 gap = t - t_prev
-                step = x if gap == 1 else np.power(x, gap)
+                step = x if gap == 1 else _node_power(x, gap)
             factors.append(step)
             t_prev = t
         rows = np.multiply.accumulate(factors, axis=0)[1:]
@@ -304,7 +320,8 @@ def tv_curve(chain: ChainParams, ts, series_tol: float = 1e-12,
     serves every t, with its plan's E1 off each AC part and w2 - E2 as the
     atom weight (both 0.0 under the strip count).  The ascending times run in
     batches of at most _CELLS cells, 2K for a t's FFT and N_t + 1 for its
-    terms.  Per batch the node powers x^t come from one accumulate
+    terms.  Per batch the node powers x^t come from one accumulate of the
+    steps x^gap, one binary power (_node_power) per distinct gap
     (_power_batches), the AC parts of I_t(0..N_t) from one sine transform per
     t (orthopoly.q_node_sums) and the series terms of all its (t, n) pairs
     from one array; only the fsum is per t.  The atom terms w2 loc2^(t+n) come
@@ -357,7 +374,8 @@ class _SeriesSup:
     """y -> log of a bound on (1/2) sum_{n <= n_cut} pi_n |Q_n| on |Im theta| <= y,
     tv_curve's integrand for spectral.node_count, by value: equal cutoffs on
     one chain hash equal and share a cached plan.  By orthopoly.q_log_sup,
-    pi_n |Q_n| <= c z^n / p (n >= 1) on the strip: a geometric sum in
+    pi_n |Q_n| <= c z^n / p (n >= 1) on the strip, c taking one sin(theta) of
+    the weights for every term alike: a geometric sum in
     z = sqrt(p/q) e^y < 1 (as y < a <= log sqrt(q/p))."""
 
     chain: ChainParams

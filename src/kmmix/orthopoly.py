@@ -155,10 +155,14 @@ def q_log_sup(chain: ChainParams, *degrees):
     """y -> log prod c g^n over degrees, bounding |prod Q_n| on |Im theta| <= y
     for spectral.node_count: there the U-form's |U_m| <= cosh((m+1) y) / sinh y
     and cosh((n+k) y) <= e^(ny) cosh(ky) give |Q_n| <= c g^n, with
-    c = (cosh y + r sqrt(p/q)) / sinh y and g = sqrt(q/p) e^y.  The bound
-    depends on the degrees only through their count and sum, and is returned
-    as that value (_QLogSup): products with equal count and sum hash equal
-    and share node_count's cached plan."""
+    c = (cosh y + r sqrt(p/q)) / sinh y and g = sqrt(q/p) e^y.  The first two
+    factors each take one sin(theta) of the weights' sin^2(theta) instead:
+    sin(theta) U_m = sin((m+1) theta) gives |sin(theta) Q_n| <= (cosh y +
+    r sqrt(p/q)) g^n, so such a factor drops its 1/sinh y and, as its c, divides
+    out the cosh y that node_count's plan takes for that |sin(theta)|.  The
+    bound depends on the degrees only through their count and sum, and is
+    returned as that value (_QLogSup): products with equal count and sum hash
+    equal and share node_count's cached plan."""
     return _QLogSup(chain, len(degrees), int(sum(degrees)))
 
 
@@ -173,7 +177,9 @@ class _QLogSup:
     def __call__(self, y):
         half_log = 0.5 * math.log(self.chain.q / self.chain.p)
         rs = self.chain.r * math.sqrt(self.chain.p / self.chain.q)
-        return self.count * np.log((np.cosh(y) + rs) / np.sinh(y)) + self.total * (half_log + y)
+        sine_free = min(self.count, 2)  # the factors that take a sin(theta) of the weights
+        return self.count * np.log(np.cosh(y) + rs) - sine_free * np.log(np.cosh(y)) \
+            - (self.count - sine_free) * np.log(np.sinh(y)) + self.total * (half_log + y)
 
     def on_support(self) -> float:
         """The bound on the support, where |U_m| <= m + 1: |Q_n| <= (1 + r sqrt(p/q))

@@ -173,10 +173,12 @@ def node_count(chain: ChainParams, cfg: QuadratureConfig, name: str, log_sup=Non
     in |Im theta| < a, a set by the nearest pole (1, -q/(q+r) or one of poles),
     so the K-panel rule errs by at most exp(log_m(y)) / (e^(2yK) - 1) for
     y < a (Trefethen & Weideman 2014, Thm 3.2, halved), log_m bounding the
-    integrand through |sin theta| <= cosh y and |Re x - r|, |Im x| <= 2 sqrt(pq)
-    (cosh y, sinh y); K is the least count meeting tol at some y of a grid in
-    (0, a), and E1 = E2 = 0.0.  The exact-degree count ceil((degree + 3) / 2):
-    less (E1, E2) = pole_errors(chain, K) the rule is exact, and bound is the
+    integrand through |sin theta| <= cosh y (a log_sup that takes a sin theta
+    into its own bound divides that cosh y out: orthopoly.q_log_sup) and
+    |Re x - r|, |Im x| <= 2 sqrt(pq) (cosh y, sinh y); K is the least count
+    meeting tol at some y of a grid in (0, a), and E1 = E2 = 0.0.  The
+    exact-degree count ceil((degree + 3) / 2): less (E1, E2) =
+    pole_errors(chain, K) the rule is exact, and bound is the
     roundoff floor EPS_FLOOR (p/(q+r)) sup |x^t f| on the support (the weights
     sum to at most p/(q+r)): |x| <= r + 2 sqrt(pq), log_sup.on_support() for f.
     cfg.node_count overrides both, corrected where it reaches the exact-degree

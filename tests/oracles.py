@@ -5,6 +5,9 @@ path enumeration, and exact pair-chain dynamic programming.  These share no
 code with the package internals they are checking, except tv_by_bracket_matrix
 and tv_curve_per_t: they take tv_curve's cutoffs, nodes and pole correction
 and check only how the series is summed.
+node_powers_stepwise (and so tv_curve_per_t) takes each jump x^gap by
+binary_power, the package's power rule written out here apart from it, so
+the package's node powers must match it bit for bit.
 The *_by_steps DPs and evolve_fancy_index step the walk with fresh arrays and
 fancy-index adds in the order the package's one DP step uses, so the package
 must match them bit for bit.
@@ -194,12 +197,27 @@ def pole_parts_by_weights(chain: ChainParams, n_nodes: int) -> tuple:
     return errors, integrals
 
 
+def binary_power(x: np.ndarray, gap: int) -> np.ndarray:
+    """x^gap elementwise by right-to-left binary powering, written out from the
+    rule: the squares x, x^2, x^4, ... of gap's binary digits, listed from the
+    lowest, and the product of those whose digit is 1, taken left to right
+    (ones for gap = 0)."""
+    squares = [x]
+    for _ in bin(gap)[3:]:  # one square per digit past the leading one
+        squares.append(squares[-1] * squares[-1])
+    product = np.ones_like(x)
+    for digit, square in zip(reversed(bin(gap)[2:]), squares):
+        if digit == "1":
+            product = product * square
+    return product
+
+
 def node_powers_stepwise(x: np.ndarray, ts):
     """(t, x^t) for the ascending ts, each power carried forward from the last
-    by a fresh np.power per step (x itself for a step of 1), with no reuse."""
+    by a fresh binary_power per step (x itself for a step of 1), with no reuse."""
     xt, t_prev = np.ones_like(x), 0
     for t in ts:
-        xt = xt * (x if t - t_prev == 1 else np.power(x, t - t_prev))
+        xt = xt * (x if t - t_prev == 1 else binary_power(x, t - t_prev))
         t_prev = t
         yield t, xt
 

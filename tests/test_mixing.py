@@ -371,7 +371,7 @@ class TestTvCurve:
         assert calls == [("q_node_sums", size) for size in rows]
         assert max(cells) <= mixing._CELLS
         # the worked example's 61 times fit one batch, the near-critical ones
-        # past t = 2000 (K = 768, N_t about 1000) three to a batch
+        # past t = 2000 (K = 720, N_t about 1080) three to a batch
         assert rows == ([61] if k == 16 else [3] * 7)
 
     def test_block_arrays_match_the_per_t_loop(self, example_chain, monkeypatch):
@@ -729,8 +729,11 @@ def power_rows(x, ts, size):
 
 class TestNodePowers:
     """_power_batches carries x^t from one t to the next, a batch of times
-    per accumulate; every x^t must stay that of the stepwise loop with one
-    np.power per step, bit for bit, however the times are batched."""
+    per accumulate, and jumps by _node_power's binary powering; every x^t must
+    stay that of the stepwise loop with one fresh binary power per step
+    (oracles.binary_power), bit for bit, however the times are batched, and
+    within 2 gap eps_ld of np.power.  No longdouble array goes through
+    np.power (powl)."""
 
     @staticmethod
     def probe_times():
@@ -762,44 +765,77 @@ class TestNodePowers:
                 assert a.dtype == b.dtype == np.longdouble
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("chain", [ChainParams(1 / 11, 9 / 11, 1 / 11), NEAR_CRITICAL,
+                                       ChainParams(0.3, 0.3001, 0.3999)])
+    @pytest.mark.parametrize("n_nodes", [16, 768, 4096])
+    def test_node_power_against_powl(self, chain, n_nodes):
+        # binary powering errs by at most about gap eps_ld relative, as the
+        # node's own rounding does through x^gap; where powl's value is below
+        # the least normal longdouble, the two differ by less than it
+        x = theta_nodes(chain, n_nodes)[0]
+        eps, tiny = np.finfo(np.longdouble).eps, np.finfo(np.longdouble).tiny
+        for gap in (2, 3, 124, 4709, 8391, 10 ** 5, 10 ** 6 + 7, 10 ** 7 - 1):
+            got, want = mixing._node_power(x, gap), np.power(x, gap)
+            assert got.dtype == np.longdouble
+            normal = np.abs(want) >= tiny
+            assert np.all(np.abs(got - want)[normal] <= 2 * gap * eps * np.abs(want)[normal]), gap
+            assert np.all(np.abs(got - want)[~normal] <= tiny), gap
+        assert np.array_equal(mixing._node_power(x, 0), np.ones_like(x))
+        assert np.array_equal(mixing._node_power(x, 1), x)
+
     def test_strided_times_power_once_per_gap(self, monkeypatch):
         # a gap that repeats reuses its power: t = 0 takes x^0 and every later
         # step of 400 the one x^400
         ts = range(0, 20000, 400)
-        x = theta_nodes(NEAR_CRITICAL, 768)[0]
+        x = theta_nodes(NEAR_CRITICAL, 720)[0]
         for (_, a), (_, b) in zip(power_rows(x, ts, 7), oracles.node_powers_stepwise(x, ts)):
             assert np.array_equal(a, b)
-        calls, power = [], np.power
+        gaps, node_power = [], mixing._node_power
 
-        def counting_power(x, *args, **kwargs):
-            if isinstance(x, np.ndarray) and x.dtype == np.longdouble:
-                calls.append(args)
-            return power(x, *args, **kwargs)
+        def counting(x, gap):
+            gaps.append(gap)
+            return node_power(x, gap)
 
-        monkeypatch.setattr(np, "power", counting_power)
+        monkeypatch.setattr(mixing, "_node_power", counting)
         tv_curve(NEAR_CRITICAL, ts)
-        assert calls == [(0,), (400,)]
+        assert gaps == [0, 400]
 
     def test_t_mix_powers_once_per_gap(self, monkeypatch):
         # a count, not a timing: each tv_curve node pass of the near-critical
-        # search raises the longdouble nodes to a power once, for the jump to
-        # g - 1 of its pair (g - 1, g), and steps to g by one multiply
+        # search powers the longdouble nodes once, for the jump to g - 1 of
+        # its pair (g - 1, g), and steps to g by one multiply
         per_pass = []
-        power, nodes = np.power, mixing.theta_nodes
+        node_power, nodes = mixing._node_power, mixing.theta_nodes
 
-        def counting_power(x, *args, **kwargs):
-            if isinstance(x, np.ndarray) and x.dtype == np.longdouble:
-                per_pass[-1] += 1
-            return power(x, *args, **kwargs)
+        def counting_power(*args):
+            per_pass[-1] += 1
+            return node_power(*args)
 
         def counting_nodes(*args):
             per_pass.append(0)
             return nodes(*args)
 
-        monkeypatch.setattr(np, "power", counting_power)
+        monkeypatch.setattr(mixing, "_node_power", counting_power)
         monkeypatch.setattr(mixing, "theta_nodes", counting_nodes)
         assert t_mix(NEAR_CRITICAL, 1e-3) == 8392
-        assert per_pass and max(per_pass) <= 1
+        assert per_pass and set(per_pass) == {1}
+
+    def test_no_powl_on_longdouble_arrays(self, monkeypatch):
+        # np.power on a longdouble array runs powl per element; the atoms'
+        # float base loc2 may still take np.power
+        powered, power = [], np.power
+
+        def watching_power(x, *args, **kwargs):
+            if isinstance(x, np.ndarray) and x.dtype == np.longdouble:
+                powered.append(args)
+            return power(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "power", watching_power)
+        assert t_mix(NEAR_CRITICAL, 1e-3) == 8392
+        tv_curve(NEAR_CRITICAL, range(0, 20000, 400))
+        worked = ChainParams(1 / 11, 9 / 11, 1 / 11)
+        kernel_matrix(worked, (0, 3, 10, 25), 15, rows=[0], cols=[0, 2, 7, 15])
+        assert powered == []
 
 
 WEDGE = [NEAR_CRITICAL, ChainParams(0.3, 0.30001, 0.39999), ChainParams(0.49, 0.4901, 0.0199),
@@ -1050,11 +1086,11 @@ class TestNodeCount:
     # (K, exact) over t <= 60, where every near-critical t is cut at N = t and
     # the exact-degree count 64 certifies degree 120, and at 2000 <= t <= 2020,
     # where the strip count of the worked example and of (0.3, 0.32, 0.38) is
-    # the lesser, and the nearer chains (cut at N = t, strip counts 3200 and
-    # 3600) take the exact count 2048 of degree 4040
+    # the lesser, and the nearer chains (cut at N = t, strip counts 2880 and
+    # 3200) take the exact count 2048 of degree 4040
     @pytest.mark.parametrize("chain, short, deep", [
         (ChainParams(1 / 11, 9 / 11, 1 / 11), (16, False), (16, False)),
-        (NEAR_CRITICAL, (64, True), (768, False)),
+        (NEAR_CRITICAL, (64, True), (720, False)),
         (ChainParams(0.3, 0.305, 0.395), (64, True), (2048, True)),
         (ChainParams(0.33, 0.335, 0.335), (64, True), (2048, True)),
     ])

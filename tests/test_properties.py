@@ -158,6 +158,24 @@ def test_tv_bound_covers_the_quadrature_error(chain):
         assert err <= tv_quadrature(chain, ts, cfg=cfg)[2] + ref_bound + 1e-14, (n, k, err)
 
 
+# The same at deep t, where the series sum runs past a thousand degrees:
+# the near-critical t_mix pair at eps 1e-3 (observed 8.7e-12 at K/2 = 360
+# against a bound of 1.4e-2), a block past t = 2000, and a nearer chain.
+@pytest.mark.parametrize("chain, ts", [
+    (ChainParams(0.3, 0.32, 0.38), [8391, 8392]),
+    (ChainParams(0.3, 0.32, 0.38), range(2000, 2021)),
+    (ChainParams(0.3, 0.305, 0.395), [30000, 30001]),
+])
+def test_tv_bound_covers_the_quadrature_error_at_deep_t(chain, ts):
+    k = tv_quadrature(chain, ts)[1]
+    wide = QuadratureConfig(node_count=4 * k, tol=ANY_COUNT)
+    ref, ref_bound = tv_curve(chain, ts, cfg=wide), tv_quadrature(chain, ts, cfg=wide)[2]
+    for n in _counts(k):
+        cfg = QuadratureConfig(node_count=n, tol=ANY_COUNT)
+        err = max(abs(a - b) for a, b in zip(tv_curve(chain, ts, cfg=cfg), ref))
+        assert err <= tv_quadrature(chain, ts, cfg=cfg)[2] + ref_bound + 1e-14, (n, k, err)
+
+
 @SETTINGS
 @hypothesis.given(slow_chains())
 def test_kernel_bound_covers_the_quadrature_error(chain):
