@@ -35,20 +35,21 @@ and, when alpha > beta, the matching lower envelope A alpha^t - B beta^t.
 The series takes the interval route, I_t(0..N) at once per t: a sine
 transform over the nodes (orthopoly.q_node_sums) in one pass at a certified
 node count, less the pole correction its plan carries (spectral.node_count),
-and atom terms from one table per call; N <= t, as
-past t the terms are nu_n and sum to (1/2) nu_tail(t).  t_mix is the first t
-at which TV drops to the target: log TV is close to linear in t, so a
-safeguarded regula falsi on it finds t in a few series calls of two times
-each, inside a bracket from the lower bound (1/2) alpha^t (the eigenfunction
-(-alpha)^n of the negative atom) to the envelope's answer.  Until the upper
-end is evaluated, a round steps along the slope of log TV that the last
-pair (t - 1, t) measured.
+and the atom terms (w2 - E2) loc2^t loc2^n, as Q_n(loc2) = loc2^n: per batch
+of times one outer product of a row loc2^t and a row loc2^n (the kernel's is
+the same, over t and i + j).  N <= t, as past t the terms are nu_n and sum to
+(1/2) nu_tail(t).  t_mix is the first t at which TV drops to the target: log
+TV is close to linear in t, so a safeguarded regula falsi on it finds t in a
+few series calls of two times each, inside a bracket from the lower bound
+(1/2) alpha^t (the eigenfunction (-alpha)^n of the negative atom) to the
+envelope's answer.  Until the upper end is evaluated, a round steps along
+the slope of log TV that the last pair (t - 1, t) measured.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, takewhile
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,7 +71,6 @@ __all__ = [
 ]
 
 _CELLS = 1 << 13  # cells per batch of times; per t tv_curve's 2K + N_t + 1, _kernel_ac's R(K+C)
-_Q_ROWS_CELLS = 1 << 16  # the most cells (1 MB in longdouble) of Q_n rows _q_rows keeps per entry
 T_CAP = 10 ** 7  # the largest time t_mix searches to
 N_CAP = 100_000  # the largest degree cutoff N of the TV series
 
@@ -266,15 +266,6 @@ def _power_batches(x, batches):
         yield rows
 
 
-def _underflow_degree(loc2: float) -> int:
-    """k_zero = ceil(1076 ln 2 / -ln|loc2|), the least degree from which on
-    |loc2|^k <= 2^-1076, below half the least subnormal: there np.power(loc2, k)
-    and w2 loc2^k are +-0 (int64's largest when |loc2| has rounded to 1)."""
-    if abs(loc2) == 1.0:
-        return np.iinfo(np.int64).max
-    return math.ceil(1076.0 * math.log(2.0) / -math.log(abs(loc2)))
-
-
 def _batches(cuts: dict, fft_cells: int):
     """tv_curve's batches, runs of the ascending times of cuts ({t: N_t}), each
     within _CELLS cells (or of one time) at fft_cells + N_t + 1 cells per t."""
@@ -286,25 +277,6 @@ def _batches(cuts: dict, fft_cells: int):
         batch.append(t)
         cells += fft_cells + n_cut + 1
     yield batch
-
-
-def _atom_table(chain: ChainParams, cuts: dict, k_zero: int, e2):
-    """(exponents, values): the distinct exponents t + n < k_zero of the pairs
-    (t, n <= N_t) of cuts ({t: N_t}, ascending t), ascending, and
-    (w2 - e2) loc2^(t+n) at each (e2 the plan's pole correction) by one
-    np.power (none if there are none), then the 0.0 of those
-    past k_zero (_underflow_degree).  Each t below k_zero has its own run
-    t, t + 1, ... there, so t + n sits n places after t, or at the 0.0."""
-    times = np.fromiter(takewhile(k_zero.__gt__, cuts), np.int64)  # cuts ascend
-    if not times.size:
-        return times, np.zeros(1)
-    ends = times + np.minimum(np.fromiter(cuts.values(), np.int64, times.size) + 1, k_zero - times)
-    # t's run t..end-1, less the part an earlier t's run reaches
-    firsts = np.maximum(times, np.maximum.accumulate(np.concatenate(([0], ends[:-1]))))
-    counts = np.maximum(ends - firsts, 0)
-    exponents = np.arange(counts.sum()) + np.repeat(firsts - np.cumsum(counts) + counts, counts)
-    loc2, w2 = negative_atom(chain)
-    return exponents, np.append(float(w2 - e2) * np.power(loc2, exponents), 0.0)
 
 
 def tv_curve(chain: ChainParams, ts, series_tol: float = 1e-12,
@@ -324,10 +296,10 @@ def tv_curve(chain: ChainParams, ts, series_tol: float = 1e-12,
     steps x^gap, one binary power (_node_power) per distinct gap
     (_power_batches), the AC parts of I_t(0..N_t) from one sine transform per
     t (orthopoly.q_node_sums) and the series terms of all its (t, n) pairs
-    from one array; only the fsum is per t.  The atom terms w2 loc2^(t+n) come
-    from one table per call (_atom_table), one power per distinct exponent
-    t + n and none at or past k_zero (_underflow_degree), where they are +-0
-    and change no bit of |I_t(n)|: a batch from k_zero on does no atom work.
+    from one array; only the fsum is per t.  The atom terms (w2 - E2) loc2^t
+    loc2^n are one outer product per batch, of a row loc2^t over its times (as
+    doubles, of any size) and a row loc2^n to max N_t, unless loc2^t is 0.0
+    throughout the batch (past a few thousand steps, unless loc2 rounds to -1).
     Raises ConvergenceError when some N_t exceeds N_CAP or a term leaves the
     double range (the AC parts carry (q/p)^(n/2)), QuadratureError past
     spectral.NODE_CAP nodes, and ValueError and RegimeError as tv_quadrature."""
@@ -335,8 +307,7 @@ def tv_curve(chain: ChainParams, ts, series_tol: float = 1e-12,
     cuts, n_nodes, _, e1, e2 = tv_quadrature(chain, ts, series_tol, cfg)
     rev = reversibility(chain)
     half_pi = 0.5 * rev.pi(np.arange(max(cuts.values()) + 1))
-    k_zero = _underflow_degree(negative_atom(chain)[0])
-    exponents, atoms = _atom_table(chain, cuts, k_zero, e2)
+    loc2, w2 = negative_atom(chain)
     x, w = theta_nodes(chain, n_nodes)[:2]
     batches, values = list(_batches(cuts, 2 * n_nodes)), {}
     for times, xt in zip(batches, _power_batches(x, batches)):
@@ -344,11 +315,11 @@ def tv_curve(chain: ChainParams, ts, series_tol: float = 1e-12,
         n = np.arange(max(sizes))
         keep = n < np.array(sizes)[:, None]  # the batch's pairs (t, n <= N_t), t by t
         acs = q_node_sums(chain, n.size - 1, w * xt)
+        loc2_t = np.power(loc2, np.array(times, dtype=float))
         with np.errstate(over="ignore", invalid="ignore"):  # a term past doubles raises below
             i_tn = (acs[keep] - e1).astype(float)
-            if times[0] < k_zero:
-                index = np.searchsorted(exponents, times)[:, None] + n
-                i_tn += atoms[np.minimum(index[keep], exponents.size)]
+            if loc2_t.any():
+                i_tn += np.multiply.outer(float(w2 - e2) * loc2_t, np.power(loc2, n))[keep]
             terms = np.broadcast_to(half_pi[: n.size], keep.shape)[keep] * np.abs(i_tn)
         if not np.isfinite(terms).all():
             row, n_bad = np.argwhere(keep)[np.argmin(np.isfinite(terms))]
@@ -538,7 +509,7 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
     AC part within cfg.tol and sized for the largest i and j asked for,
     builds one Q_n matrix for every t; the AC parts are one product
     (Q[rows] w x^t) Q[cols]^T per batch of times.  The atoms add w1 and
-    w2 loc2^(t+i+j).
+    w2 loc2^t loc2^(i+j).
     An entry whose roundoff floor pi_j EPS_FLOOR L1 misses cfg.tol is NaN:
     far below the diagonal (pi_j Q_i Q_j grows like (q/p)^((i-j)/2)), and as
     p -> 0, where the AC interval narrows and the integrals cancel past
@@ -556,28 +527,30 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
 
 def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig):
     """The quadrature core of the kernel: the AC parts (Q[rows] w x^t) Q[cols]^T,
-    their L1 twins and the atom powers loc2^(t+i+j), three arrays in the order
-    of ts, from the Q_n rows of rows and cols on the nodes of one pass, a
+    their L1 twins and the atom powers loc2^t loc2^(i+j), three arrays in the
+    order of ts, from the Q_n rows of rows and cols on the nodes of one pass, a
     product per batch of times within _CELLS.  Its node count certifies every
     entry within cfg.tol by orthopoly.q_log_sup's bound on |Q_i Q_j| for the
-    largest i and j asked for (degree max(ts) + i + j).  Each AC part is less
-    the plan's E1 + E2 loc2^(t+i+j) (as Q_n(1) = 1 and Q_n(loc2) = loc2^n; 0.0
-    under the strip count), and its L1 twin gains their moduli."""
+    largest i and j asked for (degree max(ts) + i + j).  As in tv_curve, the
+    atom powers per batch are one outer product, of loc2^t over its times and
+    loc2^(i+j) (taken once).  Each AC part is less the plan's E1 + E2 times
+    that power (Q_n(1) = 1, Q_n(loc2) = loc2^n; 0.0 under the strip count), and
+    its L1 twin gains their moduli."""
     i, j = int(max(rows)), int(max(cols))  # Python ints: t + i + j may pass 2^63
     n_nodes, _, e1, e2 = node_count(chain, cfg, "kernel_matrix", q_log_sup(chain, i, j),
                                     t=min(ts), degree=max(ts) + i + j)
-    x, w = theta_nodes(chain, n_nodes)[:2]
-    degrees = tuple(sorted(set(rows) | set(cols)))  # np.union1d would import numpy.ma
-    kept = len(degrees) * (n_nodes - 1) <= _Q_ROWS_CELLS
-    q_rows = (_q_rows if kept else _q_rows.__wrapped__)(chain, n_nodes, degrees)
+    x, w, two_cos, _ = theta_nodes(chain, n_nodes)
+    degrees = sorted(set(rows.tolist()) | set(cols.tolist()))  # np.union1d imports numpy.ma
+    q_rows = q_bracket_matrix(chain, degrees[-1], x, two_cos, degrees)
     left, right = (q_rows[np.searchsorted(degrees, s)] for s in (rows, cols))
     loc2, sums, uniq = negative_atom(chain)[0], np.add.outer(rows, cols), sorted(set(ts))
-    atoms = np.power(loc2, np.add.outer(uniq, sums))
-    ac, l1 = np.empty(atoms.shape), np.empty(atoms.shape)
+    loc2_d = np.power(loc2, sums)
+    atoms, ac, l1 = (np.empty((len(uniq), *sums.shape)) for _ in range(3))
     starts = range(0, len(uniq), max(1, _CELLS // (left.size + sums.size)))
     for start, xt in zip(starts, _power_batches(x, (uniq[s:s + starts.step] for s in starts))):
         batch = slice(start, start + starts.step)
         wxt = w * xt[:, None]
+        atoms[batch] = np.multiply.outer(np.power(loc2, np.array(uniq[batch], dtype=float)), loc2_d)
         pole = e2 * atoms[batch]
         with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0: masked to NaN
             l1[batch] = np.matmul(np.abs(left) * np.abs(wxt), np.abs(right).T) \
@@ -585,15 +558,3 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig):
             ac[batch] = np.matmul(left * wxt, right.T) - (e1 + pole)
     at = np.searchsorted(uniq, ts)
     return ac[at], l1[at], atoms[at]
-
-
-@lru_cache(maxsize=16)
-def _q_rows(chain: ChainParams, n_nodes: int, degrees: tuple):
-    """Q_n at the nodes of theta_nodes(chain, n_nodes) for the ascending
-    degrees, read-only: the rows _kernel_ac multiplies.  A process repeats few
-    (K, degrees) (the bench's passes, a loop of one-entry calls), so the 16
-    last used are kept; _kernel_ac calls __wrapped__ past _Q_ROWS_CELLS cells."""
-    x, _, two_cos, _ = theta_nodes(chain, n_nodes)
-    q_rows = q_bracket_matrix(chain, degrees[-1], x, two_cos, degrees)
-    q_rows.flags.writeable = False
-    return q_rows

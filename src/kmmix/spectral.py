@@ -110,12 +110,15 @@ def _checked_support(chain: ChainParams) -> tuple:
     """The AC interval, checked to lie strictly between the density's two
     apparent poles (the negative atom and 1).  In exact arithmetic it always
     does; in floating point the AC edge r + 2 sqrt(pq) rounds to 1 when q - p
-    is below about 1e-8, and then RegimeError is raised."""
+    is below about 1e-8, and then RegimeError is raised, as it is where
+    sqrt(pq) rounds to p or below (q - p within about an ulp of p, or pq
+    underflowing), which the envelope divides by and the nodes scale by."""
     lo, hi = chain.support
-    if not (negative_atom(chain)[0] < lo and hi < 1.0):
+    if not (negative_atom(chain)[0] < lo and hi < 1.0 and chain.p < chain.sqrt_pq):
         raise RegimeError(
             "spectral measure is outside its validated regime: a density pole touches "
-            f"the AC interval ({lo}, {hi}) for p={chain.p}, q={chain.q}, r={chain.r}")
+            f"the AC interval ({lo}, {hi}) or sqrt(pq) is not above p for p={chain.p}, "
+            f"q={chain.q}, r={chain.r}")
     return lo, hi
 
 
@@ -253,10 +256,15 @@ def pole_errors(chain: ChainParams, n_nodes: int) -> tuple:
     cos(theta)), b = 2 sqrt(pq).  Its cosine coefficients -(2pq/(r+2q))
     (1/rho - rho)^2 rho^m / (2s) (m >= 2; s = sqrt(a^2 - b^2), rho = (a - s)/b)
     at m = 2K, 4K, ... alias onto the mean: E = -(s/(r+2q)) / (rho^(-2K) - 1).
-    At 1, s = q - p and rho = sqrt(p/q); at -q/(q+r), rho = sqrt(pq)/(q+r) and
-    s = (q+r) - pq/(q+r): closed forms free of the cancellation in a - b."""
+    At 1, a = p + q (theta_nodes' 1 - x), s = q - p and rho = sqrt(p/q).  At
+    -q/(q+r), a = r + q/(q+r) of the chain's own r, a - b = ((q+r - sqrt(pq))^2
+    + q delta)/(q+r) with delta = 1 - p - q - r by math.fsum, s = sqrt((a - b)
+    (a + b)) and rho = b/(a + s): neither cancels in a - b."""
     p, q, r = _LD(chain.p), _LD(chain.q), _LD(chain.r)
-    parts = ((q - p, np.sqrt(p / q)), (q + r - p * q / (q + r), np.sqrt(p * q) / (q + r)))
+    a, b = r + q / (q + r), 2 * np.sqrt(p * q)
+    delta = _LD(math.fsum((1.0, -chain.p, -chain.q, -chain.r)))  # exactly rounded
+    s = np.sqrt(((q + r - b / 2) ** 2 + q * delta) / (q + r) * (a + b))
+    parts = ((q - p, np.sqrt(p / q)), (s, b / (a + s)))
     with np.errstate(over="ignore"):  # rho^(-2K) past the range: E = -0
         return tuple(-s / ((r + 2 * q) * np.expm1(-2 * n_nodes * np.log(rho)))
                      for s, rho in parts)

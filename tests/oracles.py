@@ -227,7 +227,8 @@ def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
     taken as one product with the Q_n bracket matrix instead of by the sine
     transform: the same cutoffs N_t and node count, from tv_quadrature, the
     pole correction from pole_errors' closed form where that plan takes one
-    (its E1, E2 are not read), and the same (1/2) nu_tail(t) where N_t = t."""
+    (its E1, E2 are not read), the atom terms (w2 - E2) loc2^t loc2^n, and the
+    same (1/2) nu_tail(t) where N_t = t."""
     cuts, n_nodes, _, *plan = tv_quadrature(chain, ts)
     e1, e2 = pole_errors(chain, n_nodes) if any(plan) else (0.0, 0.0)
     x, w, two_cos, _ = theta_nodes(chain, n_nodes)
@@ -239,7 +240,8 @@ def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
         n = np.arange(n_cut + 1)
         ac = (np.dot(q_rows[: n_cut + 1], w * np.power(x, t)) - e1).astype(float)
         pi_n = np.atleast_1d(rev.pi(n))
-        values[t] = math.fsum(0.5 * pi_n * np.abs(float(w2 - e2) * loc2 ** (t + n) + ac)) + \
+        atom = float(w2 - e2) * np.power(loc2, float(t)) * loc2 ** n
+        values[t] = math.fsum(0.5 * pi_n * np.abs(atom + ac)) + \
             (0.5 * rev.nu_tail(t) if n_cut == t else 0.0)
     return [values[t] for t in ts]
 
@@ -248,7 +250,8 @@ def tv_curve_per_t(chain: ChainParams, ts, series_tol=1e-12, cfg=None) -> list:
     """tv_curve's series summed one t at a time: the same cutoffs and nodes,
     pole_errors where that plan is corrected, then per t its own power x^t
     (node_powers_stepwise), its own sine transform to degree N_t, its own
-    power (w2 - E2) loc2^(t+n) at every n <= N_t, its own fsum of
+    atom terms (w2 - E2) loc2^t loc2^n at every n <= N_t (loc2^t by np.power
+    of t as a double, a time of any size, then loc2^n), its own fsum of
     (1/2) pi_n |I_t(n)| and (1/2) nu_tail(t) where N_t = t.  It shares no
     batching with tv_curve."""
     ts = list(ts)
@@ -261,7 +264,8 @@ def tv_curve_per_t(chain: ChainParams, ts, series_tol=1e-12, cfg=None) -> list:
     values = {}
     for t, xt in node_powers_stepwise(x, list(cuts)):
         ac = q_node_sums(chain, cuts[t], (w * xt)[None])[0] - e1
-        i_tn = float(w2 - e2) * loc2 ** (t + np.arange(cuts[t] + 1)) + ac.astype(float)
+        atom = float(w2 - e2) * np.power(loc2, float(t)) * loc2 ** np.arange(cuts[t] + 1)
+        i_tn = atom + ac.astype(float)
         values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn)) + \
             (0.5 * rev.nu_tail(t) if cuts[t] == t else 0.0)
     return [values[t] for t in ts]

@@ -160,7 +160,7 @@ def test_cached_tables_do_not_leak_between_chains(capsys):
     # per chain (and dtype):
     # each chain's output must be the same run cold and run after the other
     # chain, or after the other dtype's tables of the same chains were built
-    from kmmix import ChainParams, mixing, orthopoly, spectral
+    from kmmix import ChainParams, orthopoly, spectral
     chains = {"near": ("--p", "0.3", "--q", "0.32", "--r", "0.38"),
               "worked": ("--p", "1/11", "--q", "9/11")}
     jobs = {"near": [("tmix", "--eps", "1e-3"), ("kernel", "--i", "2", "--j", "3"),
@@ -175,7 +175,6 @@ def test_cached_tables_do_not_leak_between_chains(capsys):
         spectral.theta_nodes.cache_clear()
         spectral._plan.cache_clear()
         orthopoly._scale_table.cache_clear()
-        mixing._q_rows.cache_clear()
 
     clear()
     first = {name: run(name) for name in ("near", "worked")}
@@ -821,7 +820,7 @@ def test_traced_jobs_match_untraced(capsys):
     target arguments by name (q_bracket_matrix's n_max and x among them):
     every traced job must exit 0 with the bytes of its untraced run, each
     counting target that runs having counted."""
-    from kmmix import mixing, orthopoly, spectral
+    from kmmix import orthopoly, spectral
     bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
     workloads = runpy.run_path(str(bench / "workloads.py"))
     tracing = runpy.run_path(str(bench / "tracing.py"))
@@ -836,7 +835,7 @@ def test_traced_jobs_match_untraced(capsys):
 
     untraced = [run(argv) for argv in jobs]
     # cold caches, so that the traced jobs build what they read
-    for cache in (spectral.theta_nodes, spectral._plan, orthopoly._scale_table, mixing._q_rows):
+    for cache in (spectral.theta_nodes, spectral._plan, orthopoly._scale_table):
         cache.cache_clear()
     tracer = tracing["Tracer"]()
     rec = tracer.install()
@@ -851,3 +850,4 @@ def test_traced_jobs_match_untraced(capsys):
                 if t.count and t.span in stats and stats[t.span].calls]
     assert "orthopoly.q_bracket_matrix" in counting and "coupling.simulate" in counting
     assert all(stats[span].counts for span in counting)
+    json.dumps({span: stats[span].counts for span in counting})  # the run record holds them

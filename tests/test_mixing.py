@@ -222,7 +222,7 @@ class TestTvExact:
 
 
 NEAR_CRITICAL = ChainParams(0.3, 0.32, 0.38)
-FAR_ATOM = ChainParams(0.1, 0.85, 0.05)  # loc2 = -17/18: k_zero = 13049
+FAR_ATOM = ChainParams(0.1, 0.85, 0.05)  # loc2 = -17/18: loc2^t is 0.0 from t = 13037
 ATOM_AT_MINUS_ONE = ChainParams(0.1, 0.9, 1e-300)  # loc2 rounds to -1: no term vanishes
 SMALL_P = ChainParams(1e-8, 1e-4, 1.0 - 1e-8 - 1e-4)  # q/p = 1e4, beta ~ 1
 
@@ -408,36 +408,41 @@ class TestTvCurve:
             tv_curve(example_chain, [2.5])
 
 
-def _negative_atom_degree(chain):
-    return mixing._underflow_degree(mixing.negative_atom(chain)[0])
+def _record_atom_powers(monkeypatch):
+    """The exponent lists np.power takes with a float base, the atom's loc2
+    (the longdouble nodes are never raised by np.power), call by call."""
+    powered, power = [], np.power
+
+    def recording(x, k, *args, **kwargs):
+        if isinstance(x, float):
+            powered.append(np.asarray(k).tolist())
+        return power(x, k, *args, **kwargs)
+
+    monkeypatch.setattr(np, "power", recording)
+    return powered
 
 
 class TestAtomTerms:
-    """tv_curve powers w2 loc2^(t+n) in one table per call, once per distinct
-    exponent, and not at all from k_zero on; every value stays that of the
-    per-t loop."""
-
-    @pytest.mark.parametrize("chain, k_zero", [(NEAR_CRITICAL, 953),
-                                               (ChainParams(1 / 11, 9 / 11, 1 / 11), 7079),
-                                               (FAR_ATOM, 13049),
-                                               (ATOM_AT_MINUS_ONE, np.iinfo(np.int64).max)])
-    def test_underflow_degree(self, chain, k_zero):
-        assert _negative_atom_degree(chain) == k_zero
+    """tv_curve's atom terms (w2 - E2) loc2^t loc2^n: per batch one power of
+    loc2 over its times and at most one over its degrees 0..max N_t, none
+    where loc2^t is 0.0 throughout the batch; every value stays that of the
+    per-t loop.  The kernel takes the same rule over t and i + j."""
 
     def test_near_critical_t_mix_probes(self):
         # the first round of oracles.first_below_probes on t_mix(NEAR_CRITICAL,
-        # 1e-3)'s bracket: 15 times far apart, every one past k_zero
+        # 1e-3)'s bracket: 15 times far apart, loc2^t 0.0 at every one
         ts = [k * 45634 // 16 - 1 for k in range(1, 16)]
         assert ts[0] == 2851 and ts[1] == 5703 and ts[-1] == 42780
-        assert min(ts) >= _negative_atom_degree(NEAR_CRITICAL)
+        assert np.power(mixing.negative_atom(NEAR_CRITICAL)[0], float(min(ts))) == 0.0
         assert tv_curve(NEAR_CRITICAL, ts) == oracles.tv_curve_per_t(NEAR_CRITICAL, ts)
 
-    def test_across_k_zero_and_a_batch_boundary(self):
-        # k_zero = 13049 lies in the second of three batches
+    def test_across_the_underflow_and_a_batch_boundary(self):
+        # loc2^t underflows to 0.0 inside the second of three batches
         ts = range(12800, 13400)
         cuts, k = tv_quadrature(FAR_ATOM, ts)[:2]
         batches = list(mixing._batches(cuts, 2 * k))
-        assert len(batches) == 3 and batches[1][0] < 13049 <= batches[1][-1]
+        loc2_t = np.power(mixing.negative_atom(FAR_ATOM)[0], np.array(batches[1], dtype=float))
+        assert len(batches) == 3 and loc2_t[0] != 0.0 == loc2_t[-1]
         assert tv_curve(FAR_ATOM, ts) == oracles.tv_curve_per_t(FAR_ATOM, ts)
 
     @pytest.mark.parametrize("chain, ts", [
@@ -449,41 +454,44 @@ class TestAtomTerms:
         (ATOM_AT_MINUS_ONE, range(60)),
         (NEAR_CRITICAL, [953, 2000]),
     ])
-    def test_one_power_per_distinct_exponent(self, monkeypatch, chain, ts):
-        # one np.power per call, over exactly the distinct exponents below
-        # k_zero, and none where there are none
-        powered, power = [], np.power
-
-        def counting_power(x, k, *args, **kwargs):
-            if isinstance(x, float):  # the atom's base loc2, not the longdouble nodes
-                powered.append(np.asarray(k).tolist())
-            return power(x, k, *args, **kwargs)
-
-        monkeypatch.setattr(np, "power", counting_power)
-        assert tv_curve(chain, ts) == oracles.tv_curve_per_t(chain, ts)
-        cuts, k_zero = tv_quadrature(chain, ts)[0], _negative_atom_degree(chain)
-        wanted = sorted({t + n for t, n_cut in cuts.items() for n in range(n_cut + 1)
-                         if t + n < k_zero})
-        assert powered == ([wanted] if wanted else [])
+    def test_one_time_row_and_at_most_one_degree_row_per_batch(self, monkeypatch, chain, ts):
+        cuts, k = tv_quadrature(chain, ts)[:2]
+        loc2, want = mixing.negative_atom(chain)[0], []
+        for batch in mixing._batches(cuts, 2 * k):
+            want.append([float(t) for t in batch])
+            if np.power(loc2, want[-1]).any():
+                want.append(list(range(max(cuts[t] for t in batch) + 1)))
+        powered = _record_atom_powers(monkeypatch)
+        got = tv_curve(chain, ts)
+        monkeypatch.undo()
+        assert powered == want
+        assert got == oracles.tv_curve_per_t(chain, ts)
 
     def test_times_past_int64(self):
-        # times from k_zero on take no place in the atom table, however large
+        # however large a time, loc2^t is powered at it as a double
         worked = ChainParams(1 / 11, 9 / 11, 1 / 11)
         assert tv_curve(worked, [2 ** 63, 10 ** 20]) == [0.0, 0.0]
         assert tv_curve(worked, [0, 10 ** 20]) == [tv_curve(worked, [0])[0], 0.0]
+        # where loc2 has rounded to -1 the atom never vanishes: TV stays near 1/2
+        tv = tv_curve(ATOM_AT_MINUS_ONE, [2 ** 62, 2 ** 63])
+        assert tv[0] == tv[1] == pytest.approx(0.5, rel=1e-15)
+        assert tv == oracles.tv_curve_per_t(ATOM_AT_MINUS_ONE, [2 ** 62, 2 ** 63])
 
-    def test_t_mix_past_k_zero_takes_no_atom_power(self, monkeypatch):
-        # the near-critical search probes only t >= 4709 > k_zero = 953
-        atom_powers, power = [], np.power
-
-        def counting_power(x, *args, **kwargs):
-            if isinstance(x, float):
-                atom_powers.append(x)
-            return power(x, *args, **kwargs)
-
-        monkeypatch.setattr(np, "power", counting_power)
+    def test_t_mix_powers_no_degree_row(self, monkeypatch):
+        # the near-critical search probes only pairs t >= 4709, where loc2^t is
+        # 0.0: one power over each pair's times, none over degrees
+        powered = _record_atom_powers(monkeypatch)
         assert t_mix(NEAR_CRITICAL, 1e-3) == 8392
-        assert atom_powers == []
+        assert powered and all(len(ts) == 2 and ts[1] == ts[0] + 1 for ts in powered)
+
+    def test_kernel_powers_times_and_degree_sums(self, monkeypatch):
+        # kernel_matrix(worked, range(21), 4): 21 times and 5 x 5 sums i + j,
+        # not the 21 x 25 exponents t + i + j
+        worked = ChainParams(1 / 11, 9 / 11, 1 / 11)
+        powered = _record_atom_powers(monkeypatch)
+        kernel_matrix(worked, range(21), 4)
+        sums = np.add.outer(range(5), range(5)).tolist()
+        assert sorted(powered, key=len) == [sums, [float(t) for t in range(21)]]
 
 
 def envelope_at(chain, t):
@@ -958,43 +966,8 @@ class TestKernelMatrix:
             built.append(original(*args, **kwargs))
             return built[-1]
         monkeypatch.setattr(mixing, "q_bracket_matrix", recording)
-        mixing._q_rows.cache_clear()
         kernel_matrix(example_chain, [3, 0], 29, rows=[2, 29], cols=[29, 7])
         assert [q.shape[0] for q in built] == [3]
-
-    def test_one_entry_calls_share_their_q_rows(self, monkeypatch, example_chain):
-        # one-entry calls over t and j build the Q_n rows once per (K, degrees),
-        # not once per call; warm entries equal cold ones
-        built, rows, original = [], [], mixing.q_bracket_matrix
-
-        def recording(chain, n_max, x, two_cos, keep):
-            built.append((x.size, tuple(keep)))
-            rows.append(original(chain, n_max, x, two_cos, keep))
-            return rows[-1]
-        monkeypatch.setattr(mixing, "q_bracket_matrix", recording)
-        mixing._q_rows.cache_clear()
-        entries = [(t, 3, j) for t in range(0, 40, 3) for j in range(8)]
-        warm = [kernel_entry(example_chain, *entry) for entry in entries]
-        assert len(built) == len(set(built)) <= 16 < len(entries) // 4
-        for entry, value in zip(entries[::5], warm[::5]):
-            mixing._q_rows.cache_clear()
-            assert kernel_entry(example_chain, *entry) == value, entry
-        assert mixing._q_rows.cache_info().currsize
-        with pytest.raises(ValueError, match="read-only"):
-            rows[0][0, 0] = 0.0
-
-    def test_large_q_rows_are_not_kept(self, example_chain):
-        # the memo holds few, small entries: a full matrix's rows past
-        # _Q_ROWS_CELLS are built per call, never looked up or kept, and at
-        # most the cache's maxsize are kept
-        mixing._q_rows.cache_clear()
-        kept = mixing._q_rows.cache_parameters()["maxsize"]
-        for i in range(2 * kept):
-            kernel_entry(example_chain, 40, i % 8, i)
-        assert mixing._q_rows.cache_info().currsize == kept
-        before = mixing._q_rows.cache_info()
-        kernel_matrix(example_chain, [40], 400)
-        assert mixing._q_rows.cache_info() == before
 
     def test_index_sets_far_below_n_max(self, example_chain):
         # nothing may be sized by n_max: 0..1e12 would take 8 TB
@@ -1150,8 +1123,6 @@ class TestNodeCount:
                          lambda: kernel_matrix(c, range(31), 3, rows=[2], cols=[3])):
                 asked.clear()
                 call()
-                # the kernel's _q_rows rereads the cached nodes of the same K
-                # on a cache miss
                 assert len(set(asked)) == 1, asked
 
 

@@ -17,14 +17,16 @@ an uncertified value; routing those chains to dynamic programming is part
 of the same roadmap item.  The test accepts either only for p < 1e-5.
 """
 
+import math
 from bisect import bisect_right
 
 import numpy as np
 import pytest
 
-from kmmix import ChainParams, QuadratureConfig, QuadratureError, bound_coefficients, \
-    kernel_matrix, kernel_oracle, q_log_sup, tv_curve, tv_oracle_curve
-from kmmix.mixing import _first_below, _kernel_ac, _underflow_degree, tv_quadrature
+from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureError, \
+    RegimeError, bound_coefficients, kernel_matrix, kernel_oracle, q_log_sup, tv_curve, \
+    tv_oracle_curve
+from kmmix.mixing import _first_below, _kernel_ac, tv_quadrature
 from kmmix.spectral import EPS_FLOOR, negative_atom, node_count
 
 import oracles
@@ -194,8 +196,10 @@ def test_kernel_bound_covers_the_quadrature_error(chain):
         assert np.all(np.abs(ac - ref) <= slack), (n, k)
 
 
-# tv_curve adds no atom term w2 loc2^(t+n) at or past k_zero, where it is +-0:
-# checked here on the whole wedge q > p > 0, r > 0, near-critical chains included.
+# tv_curve's atom terms (w2 - E2) loc2^t loc2^n are the per-t sum's bit for
+# bit on both sides of the time where loc2^t underflows to 0.0, and where
+# one raises the other raises the same: checked here on the whole wedge
+# q > p > 0, r > 0, near-critical chains included.
 @st.composite
 def wedge_chains(draw):
     p = draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True, allow_subnormal=False))
@@ -205,11 +209,23 @@ def wedge_chains(draw):
     return ChainParams(p, q, r)
 
 
+def _value_or_error(curve, chain, ts):
+    try:
+        return curve(chain, ts)
+    except (ConvergenceError, QuadratureError, RegimeError, ValueError) as error:
+        return type(error), str(error)
+
+
 @hypothesis.settings(SETTINGS, max_examples=200)
 @hypothesis.given(wedge_chains())
-def test_atom_terms_vanish_from_k_zero_on(chain):
-    loc2, w2 = negative_atom(chain)
-    k_zero = _underflow_degree(loc2)
-    hypothesis.assume(abs(loc2) < 1.0)  # where loc2 has rounded to -1 no term vanishes
-    degrees = np.arange(k_zero, k_zero + 4096)
-    assert np.all(w2 * np.power(loc2, degrees) == 0.0)
+def test_atom_terms_match_the_per_t_sum_across_their_underflow(chain):
+    loc2 = negative_atom(chain)[0]
+    if abs(loc2) < 1.0:  # |loc2|^t passes 2^-1074, the least subnormal, then 2^-1076
+        steps = [math.log(2.0) * k / -math.log(abs(loc2)) for k in (1074, 1076)]
+        last, first = math.floor(steps[0]) - 1, math.ceil(steps[1]) + 1
+        ts = sorted({max(0, last - 1), max(0, last), first - 1, first})
+        assert np.power(loc2, float(last)) != 0.0 == np.power(loc2, float(first))
+    else:  # loc2 has rounded to -1: no term vanishes
+        ts = [0, 1, 2 ** 62, 2 ** 63]
+    assert _value_or_error(tv_curve, chain, ts) == \
+        _value_or_error(oracles.tv_curve_per_t, chain, ts)
