@@ -428,6 +428,24 @@ class TestAtomTerms:
     where loc2^t is 0.0 throughout the batch; every value stays that of the
     per-t loop.  The kernel takes the same rule over t and i + j."""
 
+    @pytest.mark.parametrize("chain, t_zero", [(NEAR_CRITICAL, 952),
+                                               (ChainParams(1 / 11, 9 / 11, 1 / 11), 7073),
+                                               (FAR_ATOM, 13037),
+                                               (ATOM_AT_MINUS_ONE, None)])
+    def test_underflow_time(self, monkeypatch, chain, t_zero):
+        # loc2^t is 0.0 from t_zero on (never where loc2 has rounded to -1): a
+        # one-time call powers a degree row just before t_zero and none from it on
+        loc2 = mixing.negative_atom(chain)[0]
+        last = 2 ** 63 if t_zero is None else t_zero - 1
+        assert np.power(loc2, float(last)) != 0.0
+        if t_zero is not None:
+            assert np.power(loc2, float(t_zero)) == 0.0
+        powered = _record_atom_powers(monkeypatch)
+        for t in [last] + ([] if t_zero is None else [t_zero]):
+            powered.clear()
+            tv_curve(chain, [t])
+            assert len(powered) == (2 if t == last else 1) and powered[0] == [float(t)], t
+
     def test_near_critical_t_mix_probes(self):
         # the first round of oracles.first_below_probes on t_mix(NEAR_CRITICAL,
         # 1e-3)'s bracket: 15 times far apart, loc2^t 0.0 at every one
@@ -968,6 +986,21 @@ class TestKernelMatrix:
         monkeypatch.setattr(mixing, "q_bracket_matrix", recording)
         kernel_matrix(example_chain, [3, 0], 29, rows=[2, 29], cols=[29, 7])
         assert [q.shape[0] for q in built] == [3]
+
+    def test_one_entry_calls_keep_no_q_rows(self, monkeypatch, example_chain):
+        # every call builds its own Q_n rows, repeated or not, and repeated
+        # calls agree bit for bit: nothing is carried from one call to the next
+        built, original = [], mixing.q_bracket_matrix
+
+        def recording(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(mixing, "q_bracket_matrix", recording)
+        entries = [(t, 3, j) for t in (0, 7, 40) for j in (0, 5)]
+        first = [kernel_entry(example_chain, *entry) for entry in entries]
+        second = [kernel_entry(example_chain, *entry) for entry in entries]
+        assert len(built) == 2 * len(entries)
+        assert first == second
 
     def test_index_sets_far_below_n_max(self, example_chain):
         # nothing may be sized by n_max: 0..1e12 would take 8 TB
