@@ -35,15 +35,15 @@ and, when alpha > beta, the matching lower envelope A alpha^t - B beta^t.
 The series takes the interval route, I_t(0..N) at once per t: a sine
 transform over the nodes (orthopoly.q_node_sums) in one pass at a certified
 node count, less the pole correction its plan carries (spectral.node_count),
-and the atom terms (w2 - E2) loc2^t loc2^n, as Q_n(loc2) = loc2^n: per batch
-of times one outer product of a row loc2^t and a row loc2^n (the kernel's is
-the same, over t and i + j).  N <= t, as past t the terms are nu_n and sum to
-(1/2) nu_tail(t).  t_mix is the first t at which TV drops to the target: log
-TV is close to linear in t, so a safeguarded regula falsi on it finds t in a
-few series calls of two times each, inside a bracket from the lower bound
-(1/2) alpha^t (the eigenfunction (-alpha)^n of the negative atom) to the
-envelope's answer.  Until the upper end is evaluated, a round steps along
-the slope of log TV that the last pair (t - 1, t) measured.
+and the atom terms (w2 - E2) loc2^t loc2^n, as Q_n(loc2) = loc2^n, by one
+rule (_atom_powers) that the kernel takes over t and i + j.  N <= t, as past
+t the terms are nu_n and sum to (1/2) nu_tail(t).  t_mix is the first t at
+which TV drops to the target: log TV is close to linear in t, so a
+safeguarded regula falsi on it finds t in a few series calls of two times
+each, inside a bracket from the lower bound (1/2) alpha^t (the eigenfunction
+(-alpha)^n of the negative atom) to the envelope's answer.  Until the upper
+end is evaluated, a round steps along the slope of log TV that the last pair
+(t - 1, t) measured.
 """
 
 import math
@@ -279,6 +279,18 @@ def _batches(cuts: dict, fft_cells: int):
     yield batch
 
 
+def _atom_powers(loc2: float, times, degrees, weight: float = 1.0) -> np.ndarray:
+    """weight loc2^t loc2^d for each t of times (ints of any size) and d of
+    degrees, one outer product; loc2^t is powered at t as a double and signed
+    by t's own parity (loc2 < 0; past 2^53 doubles are even).  A zero row
+    loc2^t, as in every near-critical t_mix round, powers no degrees."""
+    loc2_t = np.copysign(np.power(loc2, np.array(times, dtype=float)),
+                         [1 - 2 * (t & 1) for t in times])
+    if not loc2_t.any():
+        return np.zeros((len(times), *np.shape(degrees)))
+    return np.multiply.outer(float(weight) * loc2_t, np.power(loc2, degrees))
+
+
 def tv_curve(chain: ChainParams, ts, series_tol: float = 1e-12,
              cfg: QuadratureConfig = None) -> list:
     """TV distance at every time in ts (in the given order) by summing the
@@ -296,10 +308,7 @@ def tv_curve(chain: ChainParams, ts, series_tol: float = 1e-12,
     steps x^gap, one binary power (_node_power) per distinct gap
     (_power_batches), the AC parts of I_t(0..N_t) from one sine transform per
     t (orthopoly.q_node_sums) and the series terms of all its (t, n) pairs
-    from one array; only the fsum is per t.  The atom terms (w2 - E2) loc2^t
-    loc2^n are one outer product per batch, of a row loc2^t over its times (as
-    doubles, of any size) and a row loc2^n to max N_t, unless loc2^t is 0.0
-    throughout the batch (past a few thousand steps, unless loc2 rounds to -1).
+    from one array, atom terms by _atom_powers; only the fsum is per t.
     Raises ConvergenceError when some N_t exceeds N_CAP or a term leaves the
     double range (the AC parts carry (q/p)^(n/2)), QuadratureError past
     spectral.NODE_CAP nodes, and ValueError and RegimeError as tv_quadrature."""
@@ -315,11 +324,8 @@ def tv_curve(chain: ChainParams, ts, series_tol: float = 1e-12,
         n = np.arange(max(sizes))
         keep = n < np.array(sizes)[:, None]  # the batch's pairs (t, n <= N_t), t by t
         acs = q_node_sums(chain, n.size - 1, w * xt)
-        loc2_t = np.power(loc2, np.array(times, dtype=float))
         with np.errstate(over="ignore", invalid="ignore"):  # a term past doubles raises below
-            i_tn = (acs[keep] - e1).astype(float)
-            if loc2_t.any():
-                i_tn += np.multiply.outer(float(w2 - e2) * loc2_t, np.power(loc2, n))[keep]
+            i_tn = (acs[keep] - e1).astype(float) + _atom_powers(loc2, times, n, w2 - e2)[keep]
             terms = np.broadcast_to(half_pi[: n.size], keep.shape)[keep] * np.abs(i_tn)
         if not np.isfinite(terms).all():
             row, n_bad = np.argwhere(keep)[np.argmin(np.isfinite(terms))]
@@ -531,11 +537,9 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig):
     order of ts, from the Q_n rows of rows and cols on the nodes of one pass, a
     product per batch of times within _CELLS.  Its node count certifies every
     entry within cfg.tol by orthopoly.q_log_sup's bound on |Q_i Q_j| for the
-    largest i and j asked for (degree max(ts) + i + j).  As in tv_curve, the
-    atom powers per batch are one outer product, of loc2^t over its times and
-    loc2^(i+j) (taken once).  Each AC part is less the plan's E1 + E2 times
-    that power (Q_n(1) = 1, Q_n(loc2) = loc2^n; 0.0 under the strip count), and
-    its L1 twin gains their moduli."""
+    largest i and j asked for (degree max(ts) + i + j).  Each AC part is less
+    the plan's E1 + E2 times its _atom_powers term (Q_n(1) = 1, Q_n(loc2) =
+    loc2^n; 0.0 under the strip count), and its L1 twin gains their moduli."""
     i, j = int(max(rows)), int(max(cols))  # Python ints: t + i + j may pass 2^63
     n_nodes, _, e1, e2 = node_count(chain, cfg, "kernel_matrix", q_log_sup(chain, i, j),
                                     t=min(ts), degree=max(ts) + i + j)
@@ -544,13 +548,12 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig):
     q_rows = q_bracket_matrix(chain, degrees[-1], x, two_cos, degrees)
     left, right = (q_rows[np.searchsorted(degrees, s)] for s in (rows, cols))
     loc2, sums, uniq = negative_atom(chain)[0], np.add.outer(rows, cols), sorted(set(ts))
-    loc2_d = np.power(loc2, sums)
     atoms, ac, l1 = (np.empty((len(uniq), *sums.shape)) for _ in range(3))
     starts = range(0, len(uniq), max(1, _CELLS // (left.size + sums.size)))
     for start, xt in zip(starts, _power_batches(x, (uniq[s:s + starts.step] for s in starts))):
         batch = slice(start, start + starts.step)
         wxt = w * xt[:, None]
-        atoms[batch] = np.multiply.outer(np.power(loc2, np.array(uniq[batch], dtype=float)), loc2_d)
+        atoms[batch] = _atom_powers(loc2, uniq[batch], sums)
         pole = e2 * atoms[batch]
         with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0: masked to NaN
             l1[batch] = np.matmul(np.abs(left) * np.abs(wxt), np.abs(right).T) \

@@ -222,6 +222,13 @@ def node_powers_stepwise(x: np.ndarray, ts):
         yield t, xt
 
 
+def loc2_power(loc2: float, t: int) -> float:
+    """loc2^t (loc2 < 0) at a time t of any size: np.power at t as a double,
+    with the sign (-1)^t of t itself, as the double of an odd t past 2^53 is
+    even."""
+    return math.copysign(np.power(loc2, float(t)), (-1.0) ** (t % 2))
+
+
 def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
     """tv_curve's series at every t of ts, its AC parts (Q w x^t)_n, n <= N_t,
     taken as one product with the Q_n bracket matrix instead of by the sine
@@ -240,7 +247,7 @@ def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
         n = np.arange(n_cut + 1)
         ac = (np.dot(q_rows[: n_cut + 1], w * np.power(x, t)) - e1).astype(float)
         pi_n = np.atleast_1d(rev.pi(n))
-        atom = float(w2 - e2) * np.power(loc2, float(t)) * loc2 ** n
+        atom = float(w2 - e2) * loc2_power(loc2, t) * loc2 ** n
         values[t] = math.fsum(0.5 * pi_n * np.abs(atom + ac)) + \
             (0.5 * rev.nu_tail(t) if n_cut == t else 0.0)
     return [values[t] for t in ts]
@@ -250,8 +257,8 @@ def tv_curve_per_t(chain: ChainParams, ts, series_tol=1e-12, cfg=None) -> list:
     """tv_curve's series summed one t at a time: the same cutoffs and nodes,
     pole_errors where that plan is corrected, then per t its own power x^t
     (node_powers_stepwise), its own sine transform to degree N_t, its own
-    atom terms (w2 - E2) loc2^t loc2^n at every n <= N_t (loc2^t by np.power
-    of t as a double, a time of any size, then loc2^n), its own fsum of
+    atom terms (w2 - E2) loc2^t loc2^n at every n <= N_t (loc2^t by
+    loc2_power, a time of any size, then loc2^n), its own fsum of
     (1/2) pi_n |I_t(n)| and (1/2) nu_tail(t) where N_t = t.  It shares no
     batching with tv_curve."""
     ts = list(ts)
@@ -264,7 +271,7 @@ def tv_curve_per_t(chain: ChainParams, ts, series_tol=1e-12, cfg=None) -> list:
     values = {}
     for t, xt in node_powers_stepwise(x, list(cuts)):
         ac = q_node_sums(chain, cuts[t], (w * xt)[None])[0] - e1
-        atom = float(w2 - e2) * np.power(loc2, float(t)) * loc2 ** np.arange(cuts[t] + 1)
+        atom = float(w2 - e2) * loc2_power(loc2, t) * loc2 ** np.arange(cuts[t] + 1)
         i_tn = atom + ac.astype(float)
         values[t] = math.fsum(0.5 * pi_vals[: cuts[t] + 1] * np.abs(i_tn)) + \
             (0.5 * rev.nu_tail(t) if cuts[t] == t else 0.0)

@@ -495,6 +495,23 @@ class TestAtomTerms:
         assert tv[0] == tv[1] == pytest.approx(0.5, rel=1e-15)
         assert tv == oracles.tv_curve_per_t(ATOM_AT_MINUS_ONE, [2 ** 62, 2 ** 63])
 
+    def test_odd_times_past_2_53_keep_their_sign(self):
+        # loc2 = -(1 - 2^-53), so loc2^t is about (-1)^t / e near t = 2^53, where
+        # the double of the odd 2^53 + 1 is the even 2^53 (loc2 = -1 exactly
+        # is outside the kernel's regime)
+        chain = ChainParams(0.1, 0.9, 1e-16)
+        loc2 = mixing.negative_atom(chain)[0]
+        assert loc2 == -(1 - 2 ** -53) and float(2 ** 53 + 1) == 2 ** 53
+        ts = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1]
+        signs = np.sign(mixing._atom_powers(loc2, ts, [0, 1]))
+        assert signs.tolist() == [[-1, 1], [1, -1], [-1, 1]]
+        # the AC part has vanished: p_t(0, 0) = w1 + w2 loc2^t (pi_0 = 1)
+        measure = build_measure(chain)
+        (_, w1), (_, w2) = measure.atom1, measure.atom2
+        want = [w1 + w2 * (-1) ** t * math.exp(t * math.log1p(-2 ** -53)) for t in ts]
+        assert kernel_matrix(chain, ts, 0)[:, 0, 0] == pytest.approx(want, rel=1e-15)
+        assert tv_curve(chain, ts) == oracles.tv_curve_per_t(chain, ts)
+
     def test_t_mix_powers_no_degree_row(self, monkeypatch):
         # the near-critical search probes only pairs t >= 4709, where loc2^t is
         # 0.0: one power over each pair's times, none over degrees
