@@ -55,8 +55,8 @@ import numpy as np
 
 from .chain import ChainParams, _kernel_args, _naturals, _power, reversibility
 from .orthopoly import q_bracket_matrix, q_log_sup, q_node_sums
-from .spectral import EPS_FLOOR, NODE_CAP, QuadratureConfig, QuadratureError, \
-    _checked_support, build_measure, negative_atom, node_count, theta_nodes
+from .spectral import NODE_CAP, QuadratureConfig, QuadratureError, RegimeError, \
+    _checked_support, _eps_floor, build_measure, negative_atom, node_count, theta_nodes
 
 __all__ = [
     "BoundCoefficients",
@@ -71,6 +71,7 @@ __all__ = [
 ]
 
 _CELLS = 1 << 13  # cells per batch of times; per t tv_curve's 2K + N_t + 1, _kernel_ac's R(K+C)
+_T_DOUBLE = int(np.finfo(float).max)  # the largest time the TV routes take: they power in doubles
 T_CAP = 10 ** 7  # the largest time t_mix searches to
 N_CAP = 100_000  # the largest degree cutoff N of the TV series
 
@@ -109,8 +110,12 @@ def _contour_envelope(chain: ChainParams) -> float:
 @lru_cache(maxsize=32)
 def bound_coefficients(chain: ChainParams) -> BoundCoefficients:
     """The envelope's constants, computed once per chain (the value is
-    immutable; tv_envelope reads it per call)."""
+    immutable; tv_envelope reads it per call).  RegimeError where sqrt(pq) - p,
+    which B divides by, is not positive in floating point."""
     p, q, r = chain.p, chain.q, chain.r
+    if not p < chain.sqrt_pq:
+        raise RegimeError(f"the TV envelope divides by sqrt(pq) - p, which is not positive in "
+                          f"floating point for p={p}, q={q}, r={r}")
     alpha = q / (q + r)
     beta = r + 2.0 * chain.sqrt_pq
     A = ((1.0 + q - p) * (q + r) - q) / ((1.0 + q - p) * (1.0 - 2.0 * p))
@@ -232,12 +237,12 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, series_tol: float):
 
 
 def _node_power(x, gap: int):
-    """x^gap for the longdouble nodes x by right-to-left binary powering: the
-    squares x, x^2, x^4, ... in turn, those of gap's set bits multiplied into
-    ones in ascending bit order (exact ones at gap 0).  About 2 log2(gap)
-    multiplies per node where np.power runs powl's 80 or so; the relative
-    error stays within about gap eps_ld, that of the node's own rounding
-    carried through x^gap."""
+    """x^gap for the nodes x, in their dtype, by right-to-left binary powering:
+    the squares x, x^2, x^4, ... in turn, those of gap's set bits multiplied
+    into ones in ascending bit order (exact ones at gap 0).  About 2 log2(gap)
+    multiplies per node where np.power on longdouble runs powl's 80 or so; the
+    relative error stays within about gap eps, that of the node's own
+    rounding carried through x^gap."""
     power, square = np.ones_like(x), x
     while gap:
         if gap & 1:
@@ -249,20 +254,20 @@ def _node_power(x, gap: int):
 
 
 def _power_batches(x, batches):
-    """The rows x^t of each batch of ascending times in turn: one accumulate of
-    the last row and the steps x^gap, bit for bit x^t_prev x^gap t by t.  A
-    step is x for gap 1, else one _node_power, kept while the gap repeats;
-    t_mix's pairs (g - 1, g) take one power, evenly strided times one in all."""
-    factors, t_prev, gap, step = [np.ones_like(x)], 0, 1, x
+    """The rows x^t of each batch of ascending times in turn, each row the
+    last one times the step x^gap, written in place: x^t_prev x^gap t by t,
+    the first row of a batch from the last of the one before.  A step is x
+    for gap 1, else one _node_power, kept while the gap repeats; t_mix's
+    pairs (g - 1, g) take one power, evenly strided times one in all."""
+    last, t_prev, gap, step = np.ones_like(x), 0, 1, x
     for times in batches:
-        for t in times:
+        rows = np.empty((len(times), x.size), dtype=x.dtype)
+        for row, t in zip(rows, times):
             if t - t_prev != gap:
                 gap = t - t_prev
                 step = x if gap == 1 else _node_power(x, gap)
-            factors.append(step)
+            last = np.multiply(last, step, out=row)
             t_prev = t
-        rows = np.multiply.accumulate(factors, axis=0)[1:]
-        factors = [rows[-1]]  # the next batch's products start from its last row
         yield rows
 
 
@@ -302,22 +307,24 @@ def tv_curve(chain: ChainParams, ts, series_tol: float = 1e-12,
     t where N_t passes t: mu_t lives on 0..t, so past t the terms are nu_n and
     add up to (1/2) nu_tail(t) exactly.  One pass at tv_quadrature's node count K
     serves every t, with its plan's E1 off each AC part and w2 - E2 as the
-    atom weight (both 0.0 under the strip count).  The ascending times run in
-    batches of at most _CELLS cells, 2K for a t's FFT and N_t + 1 for its
-    terms.  Per batch the node powers x^t come from one accumulate of the
-    steps x^gap, one binary power (_node_power) per distinct gap
-    (_power_batches), the AC parts of I_t(0..N_t) from one sine transform per
-    t (orthopoly.q_node_sums) and the series terms of all its (t, n) pairs
-    from one array, atom terms by _atom_powers; only the fsum is per t.
+    atom weight (both 0.0 under the strip count), in the plan's dtype: float64
+    where the plan finds its roundoff floor within the tolerance, else
+    longdouble.  The ascending times run in batches of at most _CELLS cells,
+    2K for a t's FFT and N_t + 1 for its terms.  Per batch the node powers
+    x^t come row by row from the steps x^gap, one binary power (_node_power)
+    per distinct gap (_power_batches), the AC parts of I_t(0..N_t) from one
+    sine transform per t (orthopoly.q_node_sums) and the series terms of all
+    its (t, n) pairs from one array, atom terms by _atom_powers; only the
+    fsum is per t.
     Raises ConvergenceError when some N_t exceeds N_CAP or a term leaves the
     double range (the AC parts carry (q/p)^(n/2)), QuadratureError past
     spectral.NODE_CAP nodes, and ValueError and RegimeError as tv_quadrature."""
     ts = _naturals(ts)
-    cuts, n_nodes, _, e1, e2 = tv_quadrature(chain, ts, series_tol, cfg)
+    cuts, n_nodes, _, e1, e2, dtype = tv_quadrature(chain, ts, series_tol, cfg)
     rev = reversibility(chain)
     half_pi = 0.5 * rev.pi(np.arange(max(cuts.values()) + 1))
     loc2, w2 = negative_atom(chain)
-    x, w = theta_nodes(chain, n_nodes)[:2]
+    x, w = theta_nodes(chain, n_nodes, dtype)[:2]
     batches, values = list(_batches(cuts, 2 * n_nodes)), {}
     for times, xt in zip(batches, _power_batches(x, batches)):
         sizes = [cuts[t] + 1 for t in times]
@@ -376,16 +383,18 @@ class _SeriesSup:
 
 def tv_quadrature(chain: ChainParams, ts, series_tol: float = 1e-12,
                   cfg: QuadratureConfig = None) -> tuple:
-    """(cuts, K, bound, E1, E2): tv_curve's cutoffs {t: N_t} at series_tol over
-    the ascending distinct ts, and spectral.node_count's plan of its one pass
-    for the integrand _SeriesSup describes, of degree max t + N_t; ValueError
-    unless series_tol > 0, RegimeError where spectral._checked_support fails."""
+    """(cuts, K, bound, E1, E2, dtype): tv_curve's cutoffs {t: N_t} at series_tol
+    over the ascending distinct ts, and spectral.node_count's plan of its one
+    pass for the integrand _SeriesSup describes, of degree max t + N_t;
+    ValueError unless series_tol > 0 and every t is at most the largest double
+    (_double_times), RegimeError where spectral._checked_support fails."""
     if not series_tol > 0.0:  # nan too
         raise ValueError("series_tol must be positive")
+    ts = _double_times(_naturals(ts))
     _checked_support(chain)
     cutoff = _cutoff_rule(chain, bound_coefficients(chain), series_tol)
     cuts, near = {}, None
-    for t in sorted(set(_naturals(ts))):  # each t's N is the next one's guess
+    for t in sorted(set(ts)):  # each t's N is the next one's guess
         near = cuts[t] = cutoff(t, near)[0]
     return (cuts, *node_count(chain, cfg or QuadratureConfig(), "tv_curve",
                               _SeriesSup(chain, max(cuts.values())), min(cuts),
@@ -398,7 +407,7 @@ def tv_envelope(chain: ChainParams, ts) -> tuple:
     lower value is a bound on TV (alpha > beta and the value is positive).
     One coefficient lookup serves every t; each value is the same float
     expression at every t, however many times ts holds."""
-    ts = list(ts)
+    ts = _double_times(list(ts))
     if ts and min(ts) < 0:
         raise ValueError("t must be nonnegative")
     co = bound_coefficients(chain)
@@ -408,6 +417,14 @@ def tv_envelope(chain: ChainParams, ts) -> tuple:
     lower = [a - b for a, b in zip(slow, fast)]
     return ([a + b for a, b in zip(slow, fast)], lower,
             [alpha > beta and value > 0.0 for value in lower])
+
+
+def _double_times(ts) -> list:
+    """ts, checked to be at most _T_DOUBLE, as the envelope and the series'
+    tail bounds power at t as a double; else ValueError."""
+    if ts and max(ts) > _T_DOUBLE:
+        raise ValueError(f"t must be at most {float(_T_DOUBLE):.17g}, the largest double")
+    return ts
 
 
 def _log(value: float) -> float:
@@ -515,35 +532,42 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
     AC part within cfg.tol and sized for the largest i and j asked for,
     builds one Q_n matrix for every t; the AC parts are one product
     (Q[rows] w x^t) Q[cols]^T per batch of times.  The atoms add w1 and
-    w2 loc2^t loc2^(i+j).
-    An entry whose roundoff floor pi_j EPS_FLOOR L1 misses cfg.tol is NaN:
-    far below the diagonal (pi_j Q_i Q_j grows like (q/p)^((i-j)/2)), and as
-    p -> 0, where the AC interval narrows and the integrals cancel past
-    extended precision."""
+    w2 loc2^t loc2^(i+j).  The pass runs in its plan's dtype, picked before
+    it by the floor of the entries pi_j Q_i Q_j (_KernelSup): float64 only
+    where every entry the longdouble floor certifies is certified in float64.
+    An entry whose roundoff floor pi_j spectral._eps_floor(dtype) L1 misses
+    cfg.tol is NaN: far below the diagonal (pi_j Q_i Q_j grows like
+    (q/p)^((i-j)/2)), and as p -> 0, where the AC interval narrows and the
+    integrals cancel past extended precision."""
     ts, rows, cols = _kernel_args(ts, n_max, rows, cols)
     measure = build_measure(chain)
     cfg = cfg or QuadratureConfig()
     pi = reversibility(chain).pi(cols)
     (_, w1), (_, w2) = measure.atom1, measure.atom2
-    ac, l1, atom = _kernel_ac(chain, ts, rows, cols, cfg)
+    ac, l1, atom, dtype = _kernel_ac(chain, ts, rows, cols, cfg)
     # not <=: a floor of 0 * inf (l1 past the double range, pi_j subnormal) is NaN
     with np.errstate(invalid="ignore"):  # 0 * inf, masked to NaN here
-        return np.where(~(pi * EPS_FLOOR * l1 <= cfg.tol), np.nan, (ac + w1 + w2 * atom) * pi)
+        return np.where(~(pi * _eps_floor(dtype) * l1 <= cfg.tol), np.nan,
+                        (ac + w1 + w2 * atom) * pi)
 
 
 def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig):
     """The quadrature core of the kernel: the AC parts (Q[rows] w x^t) Q[cols]^T,
     their L1 twins and the atom powers loc2^t loc2^(i+j), three arrays in the
-    order of ts, from the Q_n rows of rows and cols on the nodes of one pass, a
-    product per batch of times within _CELLS.  Its node count certifies every
-    entry within cfg.tol by orthopoly.q_log_sup's bound on |Q_i Q_j| for the
-    largest i and j asked for (degree max(ts) + i + j).  Each AC part is less
-    the plan's E1 + E2 times its _atom_powers term (Q_n(1) = 1, Q_n(loc2) =
-    loc2^n; 0.0 under the strip count), and its L1 twin gains their moduli."""
+    order of ts, and the dtype of the pass, from the Q_n rows of rows and cols
+    on the nodes of one pass, a product per batch of times within _CELLS.  Its
+    node count certifies every entry within cfg.tol by orthopoly.q_log_sup's
+    bound on |Q_i Q_j| for the largest i and j asked for (degree max(ts) + i +
+    j), and _KernelSup's bound on the entries plans its dtype.  Each AC part
+    is less the plan's E1 + E2 times its _atom_powers term (Q_n(1) = 1,
+    Q_n(loc2) = loc2^n; 0.0 under the strip count), and its L1 twin gains
+    their moduli."""
     i, j = int(max(rows)), int(max(cols))  # Python ints: t + i + j may pass 2^63
-    n_nodes, _, e1, e2 = node_count(chain, cfg, "kernel_matrix", q_log_sup(chain, i, j),
-                                    t=min(ts), degree=max(ts) + i + j)
-    x, w, two_cos, _ = theta_nodes(chain, n_nodes)
+    heads = tuple(sorted(set(cols.tolist()))[:2])
+    n_nodes, _, e1, e2, dtype = node_count(chain, cfg, "kernel_matrix",
+                                           _KernelSup(chain, i, j, heads), t=min(ts),
+                                           degree=max(ts) + i + j)
+    x, w, two_cos, _ = theta_nodes(chain, n_nodes, dtype)
     degrees = sorted(set(rows.tolist()) | set(cols.tolist()))  # np.union1d imports numpy.ma
     q_rows = q_bracket_matrix(chain, degrees[-1], x, two_cos, degrees)
     left, right = (q_rows[np.searchsorted(degrees, s)] for s in (rows, cols))
@@ -560,4 +584,31 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig):
                 + (abs(e1) + np.abs(pole))
             ac[batch] = np.matmul(left * wxt, right.T) - (e1 + pole)
     at = np.searchsorted(uniq, ts)
-    return ac[at], l1[at], atoms[at]
+    return ac[at], l1[at], atoms[at], dtype
+
+
+@dataclass(frozen=True)
+class _KernelSup:
+    """A kernel pass's integrand for spectral.node_count, by value.  y ->
+    orthopoly.q_log_sup(chain, i, j)(y) bounds Q_i Q_j on the strip for the
+    largest row i and column j, which sizes the pass for every AC part.
+    on_support() bounds the entries' integrand pi_c Q_i Q_c over the columns
+    c, which sets the pass's floor and dtype: pi_c (q/p)^(c/2) is 1 at c = 0
+    and (1/p) (p/q)^(c/2) after, so over the columns it peaks at one of heads,
+    the two least."""
+
+    chain: ChainParams
+    i: int
+    j: int
+    heads: tuple
+
+    def __call__(self, y):
+        return q_log_sup(self.chain, self.i, self.j)(y)
+
+    def on_support(self) -> float:
+        """q_log_sup's bound on |Q_i Q_j| on the support, times (q/p)^((c - j)/2)
+        bounding |Q_i Q_c| for c <= j, times pi_c, at its largest over heads."""
+        c = self.chain
+        half_log = 0.5 * math.log(c.q / c.p)
+        weight = max(0.0 if h == 0 else -math.log(c.p) - h * half_log for h in self.heads)
+        return q_log_sup(c, self.i, self.j).on_support() + weight - self.j * half_log

@@ -137,13 +137,13 @@ def q_node_sums(chain: ChainParams, n_max: int, g):
     are the K - 1 = g.shape[-1] interior nodes of spectral.theta_nodes(chain,
     K), at the angles k pi / K that the FFT's twiddles also take: the sine
     transform of the U-form, one real FFT of length 2K per row, dividing by
-    the sines sin(theta_k) theta_nodes returns, times (q/p)^(n/2) from the
-    cached table of _scales.  The brackets are formed over one period 2K, read
-    past it by index: B_{n+2K} = B_n exactly, the fold D[2K-1] = -D[1] of n = 0
-    included.  Shape (..., n_max+1), in g's dtype."""
+    the sines sin(theta_k) theta_nodes returns in g's dtype, times (q/p)^(n/2)
+    from the cached table of _scales.  The brackets are formed over one period
+    2K, read past it by index: B_{n+2K} = B_n exactly, the fold D[2K-1] =
+    -D[1] of n = 0 included.  Shape (..., n_max+1), in g's dtype."""
     g = np.asarray(g)
     dt, n_panels = g.dtype.type, g.shape[-1] + 1
-    sines = theta_nodes(chain, n_panels)[3].astype(dt, copy=False)
+    sines = theta_nodes(chain, n_panels, dt)[3]
     period = min(n_max + 1, 2 * n_panels)  # B_{n+2K} = B_n on the nodes
     brackets = _sine_brackets(chain, _sine_sums(g / sines, period))
     if period <= n_max:  # no copy within one period

@@ -18,10 +18,13 @@ integrand is analytic in the strip |Im theta| < a left by the poles at 1 and
 its closed-form errors on their partial fractions (pole_errors) times f(1)
 and f(-q/(q+r)), the rule is exact on polynomials f of degree <= 2K - 3.
 node_count plans the lesser count within NODE_CAP, and the correction it takes.
-Nodes and reductions are carried in extended precision where the platform
-provides it: high-degree polynomial integrands cancel by many orders of
-magnitude and double-precision roundoff would otherwise set a noise floor
-near 1e-8.
+It also plans the pass's precision.  High-degree polynomial integrands
+cancel by many orders of magnitude, so roundoff sets a floor of 32 eps times
+their L1 size.  Where the plan knows that size a priori (the TV series and the
+kernel, which give a degree and an on-support bound) and float64's floor,
+with a fixed margin, meets the tolerance, the pass runs in float64;
+everywhere else nodes and reductions are carried in extended precision
+(np.longdouble) where the platform provides it.
 """
 
 import math
@@ -50,9 +53,16 @@ __all__ = [
 
 _LD = np.longdouble
 _PI = np.arccos(_LD(-1))  # pi in extended precision; np.pi is a double
-# roundoff of a cancelling integrand's sum per unit of its L1 size; roundoff is
-# not truncation, and kernel_matrix returns NaN where this floor misses tol
-EPS_FLOOR = 32.0 * float(np.finfo(_LD).eps)
+
+
+def _eps_floor(dtype) -> float:
+    """Roundoff of a cancelling integrand's sum in dtype per unit of its L1
+    size, 32 eps; roundoff is not truncation, and kernel_matrix returns NaN
+    where this floor of the dtype its pass ran in misses tol."""
+    return 32.0 * float(np.finfo(dtype).eps)
+
+
+_F64_MARGIN = 10.0  # how far a float64 pass keeps its floor inside tol, its values inside range
 NODE_CAP = 1 << 16  # the most panels one trapezoid pass may take
 _STRIP_STEPS = 64  # strip half-widths y a bound is minimised over
 _RESIDUE_SCALE = 0.25  # residue_check's circle radius per its distance to the nearest cut
@@ -139,10 +149,11 @@ def _theta_grid(n_nodes: int):
     return _PI * np.arange(1, n_nodes, dtype=_LD) / n_nodes
 
 
-@lru_cache(maxsize=32)
-def theta_nodes(chain: ChainParams, n_nodes: int) -> tuple:
+@lru_cache(maxsize=64)
+def theta_nodes(chain: ChainParams, n_nodes: int, dtype=_LD) -> tuple:
     """Interior nodes x, weights w, 2 cos(theta) and sin(theta) of the theta
-    trapezoid rule with n_nodes panels, in extended precision and read-only.
+    trapezoid rule with n_nodes panels, read-only, in dtype: computed in
+    extended precision, and each rounded once to float64 for a float64 pass.
 
     x = r + 2 sqrt(pq) cos(theta) at theta = k pi / n_nodes, k = 1..n_nodes-1,
     and w = 2pq sin^2(theta) / (n_nodes ((r+q)x+q)(1-x)) is the density's
@@ -151,6 +162,8 @@ def theta_nodes(chain: ChainParams, n_nodes: int) -> tuple:
     (p + q) - 2 sqrt(pq) cos(theta), which keeps its digits where the AC
     interval lies near 1 (subtracting x would not).  The transformed integrand
     vanishes at theta = 0, pi, so the interior sum is the full trapezoid value."""
+    if dtype is not _LD:
+        return tuple(_read_only(a.astype(dtype)) for a in theta_nodes(chain, n_nodes, _LD))
     p, q, r = _LD(chain.p), _LD(chain.q), _LD(chain.r)
     theta = _theta_grid(n_nodes)
     two_cos = 2.0 * np.cos(theta)
@@ -158,17 +171,21 @@ def theta_nodes(chain: ChainParams, n_nodes: int) -> tuple:
     sqrt_pq = np.sqrt(p * q)
     x = r + sqrt_pq * two_cos  # = r + 2 sqrt(pq) cos(theta), bit for bit
     w = 2.0 * p * q * sines ** 2 / (n_nodes * ((r + q) * x + q) * ((p + q) - sqrt_pq * two_cos))
-    for a in (x, w, two_cos, sines):
-        a.flags.writeable = False
-    return x, w, two_cos, sines
+    return tuple(_read_only(a) for a in (x, w, two_cos, sines))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def node_count(chain: ChainParams, cfg: QuadratureConfig, name: str, log_sup=None, t: int = 0,
                poles=(), degree=None) -> tuple:
-    """(K, bound, E1, E2): the panels of the one trapezoid pass integrating x^t f
-    against phi within cfg.tol, its error bound, and its pole correction (the
-    value is the pass's sum less E1 f(1) + E2 f(-q/(q+r))), for |f| <= exp(log_sup(y))
-    / prod |x - s| (s in poles) on |Im theta| <= y, x^t f of degree <= degree if given.
+    """(K, bound, E1, E2, dtype): the panels of the one trapezoid pass integrating
+    x^t f against phi within cfg.tol, its error bound, its pole correction (the
+    value is the pass's sum less E1 f(1) + E2 f(-q/(q+r))) and the dtype of its
+    nodes and sums, for |f| <= exp(log_sup(y)) / prod |x - s| (s in poles) on
+    |Im theta| <= y, x^t f of degree <= degree if given.
 
     Two counts are certified, each rounded up to 16 times a 5-smooth number (a
     fast FFT length); the lesser is taken, a tie going to the strip count.
@@ -181,23 +198,33 @@ def node_count(chain: ChainParams, cfg: QuadratureConfig, name: str, log_sup=Non
     |Re x - r|, |Im x| <= 2 sqrt(pq) (cosh y, sinh y); K is the least count
     meeting tol at some y of a grid in (0, a), and E1 = E2 = 0.0.  The
     exact-degree count ceil((degree + 3) / 2): less (E1, E2) =
-    pole_errors(chain, K) the rule is exact, and bound is the
-    roundoff floor EPS_FLOOR (p/(q+r)) sup |x^t f| on the support (the weights
-    sum to at most p/(q+r)): |x| <= r + 2 sqrt(pq), log_sup.on_support() for f.
+    pole_errors(chain, K, dtype) the rule is exact.
     cfg.node_count overrides both, corrected where it reaches the exact-degree
-    count.  The plan is cached per (chain, cfg, log_sup, t, poles, degree), so
+    count.
+
+    Where degree is given, the roundoff floor _eps_floor(dtype) (p/(q+r))
+    sup |x^t f| on the support (the weights sum to at most p/(q+r); |x| <=
+    r + 2 sqrt(pq), log_sup.on_support() for f, and |x|^t no less than the
+    dtype's least normal number, below which products lose digits) is added to
+    bound under either count; dtype is float64 where _F64_MARGIN times its
+    floor meets cfg.tol and the Q_n scales (q/p)^(n/2) of the pass, n <= degree
+    - t, with their (2(n + 1))^2, stay _F64_MARGIN inside float64's range (so
+    series_tol's cutoff weighs in through the degree), else np.longdouble.
+    Without a degree the pass is np.longdouble and bound its truncation alone.
+
+    The plan is cached per (chain, cfg, log_sup, t, poles, degree), so
     log_sup is hashable and describes the integrand by value where it can
-    (orthopoly.q_log_sup's degrees, the TV series' cutoff): equal descriptions
-    share the plan.  QuadratureError, raised under the caller's name, where
-    both counts pass NODE_CAP or the override meets neither."""
-    need, n_nodes, bound, e1, e2 = _plan(chain, cfg, log_sup, int(t),
-                                         tuple(complex(z) for z in poles), degree)
-    if n_nodes is None:
+    (orthopoly.q_log_sup's degrees, mixing._KernelSup's rows and columns, the
+    TV series' cutoff): equal descriptions share the plan.  QuadratureError,
+    raised under the caller's name, where both counts pass NODE_CAP or the
+    override meets neither."""
+    need, *plan = _plan(chain, cfg, log_sup, int(t), tuple(complex(z) for z in poles), degree)
+    if plan[0] is None:
         allowed, what = ((NODE_CAP, "the cap") if cfg.node_count is None
                          else (cfg.node_count, "the node_count override"))
         needed = math.ceil(need) if need < math.inf else need  # inf or nan as they are
         raise QuadratureError(name, needed, allowed, what)
-    return n_nodes, bound, e1, e2
+    return tuple(plan)
 
 
 def _fast_length(need: float):
@@ -213,8 +240,9 @@ def _fast_length(need: float):
 @lru_cache(maxsize=256)
 def _plan(chain: ChainParams, cfg: QuadratureConfig, log_sup, t: int, poles: tuple,
           degree=None) -> tuple:
-    """node_count's (need, K, bound, E1, E2), need the real-valued count asked
-    for; K and bound are None where both counts pass NODE_CAP or the override."""
+    """node_count's (need, K, bound, E1, E2, dtype), need the real-valued count
+    asked for; K and bound are None where both counts pass NODE_CAP or the
+    override."""
     p, q, r = chain.p, chain.q, chain.r
     s2 = 2.0 * chain.sqrt_pq
     points = [complex(z) for z in (1.0, negative_atom(chain)[0], *poles)]
@@ -239,21 +267,41 @@ def _plan(chain: ChainParams, cfg: QuadratureConfig, log_sup, t: int, poles: tup
         n_nodes, exact = min(counts), counts[0] < counts[1]
         certified = n_nodes <= NODE_CAP
     if not certified:
-        return min(need_exact, need), None, None, 0.0, 0.0
-    if exact:  # |x^t f| <= (r + s2)^t exp(log_sup.on_support()) on the support
-        log_l1 = t * math.log(r + s2) + (0.0 if log_sup is None else log_sup.on_support())
-        with np.errstate(over="ignore"):  # an L1 past the double range: bound inf
-            bound = EPS_FLOOR * (p / (q + r)) * float(np.exp(log_l1))
-        return need_exact, n_nodes, bound, *pole_errors(chain, n_nodes)
+        return min(need_exact, need), None, None, 0.0, 0.0, _LD
+    dtype, floor = _LD, 0.0
+    if degree is not None:
+        on_support = 0.0 if log_sup is None else log_sup.on_support()
+
+        def floor_of(dt):  # the roundoff floor of a pass in dt
+            log_l1 = max(t * math.log(r + s2), float(np.log(np.finfo(dt).tiny))) + on_support
+            with np.errstate(over="ignore"):  # an L1 past the double range: floor inf
+                return _eps_floor(dt) * (p / (q + r)) * float(np.exp(log_l1))
+        span = degree - t
+        log_peak = 0.5 * span * math.log(q / p) + 2.0 * math.log(2.0 * (span + 1))
+        dtype = _pass_dtype(cfg.tol, floor_of(np.float64), log_peak)
+        floor = floor_of(dtype)
+    if exact:
+        return need_exact, n_nodes, floor, *pole_errors(chain, n_nodes, dtype), dtype
     u = 2.0 * y * n_nodes  # log(e^u - 1) = u + log(1 - e^-u)
-    return need, n_nodes, float(np.exp(np.min(log_m - u - np.log(-np.expm1(-u))))), 0.0, 0.0
+    truncation = float(np.exp(np.min(log_m - u - np.log(-np.expm1(-u)))))
+    return need, n_nodes, truncation + floor, 0.0, 0.0, dtype
 
 
-def pole_errors(chain: ChainParams, n_nodes: int) -> tuple:
-    """(E1, E2), in extended precision: the n_nodes-panel rule's errors (sum
-    less integral) on the pole parts of 1/(((r+q)x+q)(1-x)) = [1/(1-x) +
-    (r+q)/((r+q)x+q)] / (r+2q), each (2pq/(r+2q)) sin^2(theta) / (a -+ b
-    cos(theta)), b = 2 sqrt(pq).  Its cosine coefficients -(2pq/(r+2q))
+def _pass_dtype(tol: float, floor64: float, log_peak: float):
+    """The dtype of a pass whose float64 roundoff floor is floor64 and whose
+    largest magnitude is at most exp(log_peak): float64 where both stay
+    _F64_MARGIN inside tol and float64's range, else longdouble."""
+    if _F64_MARGIN * floor64 <= tol and \
+            log_peak + math.log(_F64_MARGIN) < math.log(np.finfo(np.float64).max):
+        return np.float64
+    return _LD
+
+
+def pole_errors(chain: ChainParams, n_nodes: int, dtype=_LD) -> tuple:
+    """(E1, E2) in dtype, computed in extended precision and rounded once: the
+    n_nodes-panel rule's errors (sum less integral) on the pole parts of
+    1/(((r+q)x+q)(1-x)) = [1/(1-x) + (r+q)/((r+q)x+q)] / (r+2q), each
+    (2pq/(r+2q)) sin^2(theta) / (a -+ b cos(theta)), b = 2 sqrt(pq).  Its cosine coefficients -(2pq/(r+2q))
     (1/rho - rho)^2 rho^m / (2s) (m >= 2; s = sqrt(a^2 - b^2), rho = (a - s)/b)
     at m = 2K, 4K, ... alias onto the mean: E = -(s/(r+2q)) / (rho^(-2K) - 1).
     At 1, a = p + q (theta_nodes' 1 - x), s = q - p and rho = sqrt(p/q).  At
@@ -266,7 +314,7 @@ def pole_errors(chain: ChainParams, n_nodes: int) -> tuple:
     s = np.sqrt(((q + r - b / 2) ** 2 + q * delta) / (q + r) * (a + b))
     parts = ((q - p, np.sqrt(p / q)), (s, b / (a + s)))
     with np.errstate(over="ignore"):  # rho^(-2K) past the range: E = -0
-        return tuple(-s / ((r + 2 * q) * np.expm1(-2 * n_nodes * np.log(rho)))
+        return tuple(dtype(-s / ((r + 2 * q) * np.expm1(-2 * n_nodes * np.log(rho))))
                      for s, rho in parts)
 
 
@@ -283,7 +331,7 @@ def integrate_psi(measure: SpectralMeasure, f, atoms: bool = True, cfg=None,
     AC mass and of psi's normalization test the nodes and weights alone."""
     n_nodes = node_count(measure.chain, cfg or QuadratureConfig(), "density", log_sup,
                          poles=poles)[0]
-    x, w = theta_nodes(measure.chain, n_nodes)[:2]
+    x, w = theta_nodes(measure.chain, n_nodes, _LD)[:2]
     total = np.sum(np.asarray(f(x)) * w)
     total = complex(total) if np.iscomplexobj(total) else float(total)
     for loc, weight in (measure.atom1, measure.atom2) if atoms else ():

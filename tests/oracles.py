@@ -235,10 +235,10 @@ def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
     transform: the same cutoffs N_t and node count, from tv_quadrature, the
     pole correction from pole_errors' closed form where that plan takes one
     (its E1, E2 are not read), the atom terms (w2 - E2) loc2^t loc2^n, and the
-    same (1/2) nu_tail(t) where N_t = t."""
-    cuts, n_nodes, _, *plan = tv_quadrature(chain, ts)
-    e1, e2 = pole_errors(chain, n_nodes) if any(plan) else (0.0, 0.0)
-    x, w, two_cos, _ = theta_nodes(chain, n_nodes)
+    same (1/2) nu_tail(t) where N_t = t, all in the plan's dtype."""
+    cuts, n_nodes, _, *plan, dtype = tv_quadrature(chain, ts)
+    e1, e2 = pole_errors(chain, n_nodes, dtype) if any(plan) else (0.0, 0.0)
+    x, w, two_cos, _ = theta_nodes(chain, n_nodes, dtype)
     q_rows = q_bracket_matrix(chain, max(cuts.values()), x, two_cos)
     loc2, w2 = negative_atom(chain)
     rev = reversibility(chain)
@@ -260,14 +260,14 @@ def tv_curve_per_t(chain: ChainParams, ts, series_tol=1e-12, cfg=None) -> list:
     atom terms (w2 - E2) loc2^t loc2^n at every n <= N_t (loc2^t by
     loc2_power, a time of any size, then loc2^n), its own fsum of
     (1/2) pi_n |I_t(n)| and (1/2) nu_tail(t) where N_t = t.  It shares no
-    batching with tv_curve."""
+    batching with tv_curve, and runs in the dtype of its plan."""
     ts = list(ts)
-    cuts, n_nodes, _, *plan = tv_quadrature(chain, ts, series_tol, cfg)
-    e1, e2 = pole_errors(chain, n_nodes) if any(plan) else (0.0, 0.0)
+    cuts, n_nodes, _, *plan, dtype = tv_quadrature(chain, ts, series_tol, cfg)
+    e1, e2 = pole_errors(chain, n_nodes, dtype) if any(plan) else (0.0, 0.0)
     rev = reversibility(chain)
     pi_vals = np.atleast_1d(rev.pi(np.arange(max(cuts.values()) + 1)))
     loc2, w2 = negative_atom(chain)
-    x, w = theta_nodes(chain, n_nodes)[:2]
+    x, w = theta_nodes(chain, n_nodes, dtype)[:2]
     values = {}
     for t, xt in node_powers_stepwise(x, list(cuts)):
         ac = q_node_sums(chain, cuts[t], (w * xt)[None])[0] - e1

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from kmmix import ChainParams, QuadratureConfig, cli, mixing, tv_envelope
+from kmmix import ChainParams, QuadratureConfig, cli, mixing, spectral, tv_envelope
 from kmmix.cli import main
 from kmmix.mixing import tv_quadrature
 from kmmix.spectral import pole_errors
@@ -73,6 +73,14 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", "--p", "0.49", "--q", "0.4900000001")
         assert code == 1 and out == ""
         assert err.startswith("kmmix: ") and "validated regime" in err
+
+    def test_tmix_regime_error_where_sqrt_pq_rounds_to_p(self, capsys):
+        # the envelope divides by sqrt(pq) - p, 0.0 here: it ended in a
+        # ZeroDivisionError traceback
+        code, out, err = run_cli(capsys, "tmix", "--p", "0.49999999999999994", "--q", "0.5",
+                                 "--r", "1.401298464324817e-45", "--eps", "0.1")
+        assert code == 1 and out == ""
+        assert err.startswith("kmmix: ") and err.count("\n") == 1 and "sqrt(pq) - p" in err
 
     def test_tv_regime_error_exit_1(self, capsys):
         # the same edge for the TV series, which no count reaches past N_CAP
@@ -477,13 +485,15 @@ class TestVerify:
         # both passes of quadrature_bound_k_vs_2k take the pole correction,
         # and its bound is their roundoff floors (not 0) plus 1e-14
         chain = ChainParams(0.3, 0.32, 0.38)
-        _, k, bound, *errors = tv_quadrature(chain, range(61))
-        _, wide, wide_bound, *wide_errors = tv_quadrature(
+        _, k, bound, *errors, dtype = tv_quadrature(chain, range(61))
+        _, wide, wide_bound, *wide_errors, wide_dtype = tv_quadrature(
             chain, range(61), cfg=QuadratureConfig(node_count=2 * k))
         assert (k, wide) == (64, 128)
-        assert errors == list(pole_errors(chain, k))
-        assert wide_errors == list(pole_errors(chain, wide))
-        assert 0.0 < bound < 1e-13 and 0.0 < wide_bound < 1e-13
+        assert errors == list(pole_errors(chain, k, dtype))
+        assert wide_errors == list(pole_errors(chain, wide, wide_dtype))
+        # each bound is its pass's floor, within tol by the float64 margin
+        limit = QuadratureConfig().tol / spectral._F64_MARGIN
+        assert 0.0 < bound <= limit and 0.0 < wide_bound <= limit
         code, out, _ = run_cli(capsys, "verify", "--p", "0.3", "--q", "0.32", "--r", "0.38")
         checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}
         assert code == 0 and checks["quadrature_bound_k_vs_2k"]["passed"]

@@ -10,9 +10,9 @@ from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureErr
     kernel_matrix, reversibility, spectral_integral, t_mix, tv_curve, \
     tv_envelope, tv_oracle, tv_oracle_curve
 from kmmix import mixing
-from kmmix.chain import kernel_oracle
+from kmmix.chain import _kernel_args, kernel_oracle
 from kmmix.mixing import _contour_envelope, _cutoff_rule, _pole_pair, tv_quadrature
-from kmmix.spectral import NODE_CAP, pole_errors, theta_nodes
+from kmmix.spectral import NODE_CAP, _eps_floor, pole_errors, theta_nodes
 
 import oracles
 from conftest import EXAMPLE, GRID, RANDOM_CHAINS
@@ -85,6 +85,14 @@ class TestBoundCoefficients:
             m_env = _contour_envelope(c)
             expect = 0.5 * m_env * (c.p / (c.q + c.r)) * (1.0 + 1.0 / (c.sqrt_pq - c.p))
             assert co.B == pytest.approx(expect, rel=1e-14)
+
+    def test_regime_error_where_sqrt_pq_rounds_to_p(self):
+        # sqrt(pq) - p is 0.0 in floating point: the envelope's B divided by
+        # it (ZeroDivisionError); every route through the envelope refuses
+        for call in (bound_coefficients, lambda c: tv_envelope(c, [3]),
+                     lambda c: t_mix(c, 0.1), lambda c: t_mix(c, 0.1, method="bound")):
+            with pytest.raises(RegimeError, match="sqrt\\(pq\\) - p"):
+                call(SQRT_PQ_AT_P)
 
     def test_pole_pair_simplifies(self, chain_grid):
         # the roots sqrt(p/q) (r +- (1+q-p))/(2(q+r)) are z_a = sqrt(p/q) and
@@ -225,6 +233,7 @@ NEAR_CRITICAL = ChainParams(0.3, 0.32, 0.38)
 FAR_ATOM = ChainParams(0.1, 0.85, 0.05)  # loc2 = -17/18: loc2^t is 0.0 from t = 13037
 ATOM_AT_MINUS_ONE = ChainParams(0.1, 0.9, 1e-300)  # loc2 rounds to -1: no term vanishes
 SMALL_P = ChainParams(1e-8, 1e-4, 1.0 - 1e-8 - 1e-4)  # q/p = 1e4, beta ~ 1
+SQRT_PQ_AT_P = ChainParams(0.49999999999999994, 0.5, 1.401298464324817e-45)  # sqrt(pq) == p
 
 
 def _series_cutoff_scan(chain, co, t, series_tol):
@@ -345,8 +354,11 @@ class TestTvCurve:
     @pytest.mark.parametrize("chain", [ChainParams(1 / 11, 9 / 11, 1 / 11), NEAR_CRITICAL])
     def test_sine_transform_and_bracket_matrix_agree(self, chain):
         ts = list(range(0, 61, 3)) + [200]
+        # 1e-15 in longdouble, scaled by eps to the dtype of the pass
+        dtype = tv_quadrature(chain, ts)[5]
+        atol = 1e-15 * np.finfo(dtype).eps / np.finfo(np.longdouble).eps
         np.testing.assert_allclose(tv_curve(chain, ts), oracles.tv_by_bracket_matrix(chain, ts),
-                                   rtol=0.0, atol=1e-15)
+                                   rtol=0.0, atol=atol)
 
     @pytest.mark.parametrize("chain, ts", [(ChainParams(1 / 11, 9 / 11, 1 / 11), range(61)),
                                            (NEAR_CRITICAL, range(2000, 2021))])
@@ -559,6 +571,17 @@ class TestEnvelopes:
         with pytest.raises(ValueError, match="nonnegative"):
             tv_envelope(example_chain, [4, -3, 5])
 
+    def test_times_past_the_double_range_raise(self, example_chain):
+        # alpha^t takes t as a double: past the largest one a typed error
+        # names the limit (an OverflowError escaped before); at it, a value
+        largest = int(np.finfo(float).max)
+        for call in (tv_envelope, tv_curve):
+            for ts in ([10 ** 400], [0, largest + 1]):
+                with pytest.raises(ValueError, match="at most 1.7976931348623157e\\+308"):
+                    call(example_chain, ts)
+        assert tv_envelope(example_chain, [largest])[0] == [0.0]
+        assert tv_curve(example_chain, [largest]) == [0.0]
+
     def test_lists_are_the_per_t_values(self):
         # bit for bit the per-t expressions, through the underflow of a term
         # (the alpha term on most of GRID) and of both (one chain) to 0.0
@@ -762,6 +785,14 @@ class TestTMixPinned:
         assert len(calls) <= 2 and sum(map(len, calls)) <= 4
 
 
+def entry_floors(chain, ts, n_max, rows, cols):
+    """kernel_matrix's roundoff floor pi_j eps_floor(dtype) L1 at each entry,
+    in the dtype its pass runs in."""
+    ts, rows, cols = _kernel_args(ts, n_max, rows, cols)
+    _, l1, _, dtype = mixing._kernel_ac(chain, ts, rows, cols, QuadratureConfig())
+    return reversibility(chain).pi(cols) * _eps_floor(dtype) * l1
+
+
 def power_rows(x, ts, size):
     """mixing._power_batches' rows for the ascending ts, in batches of size
     times, as one list of (t, x^t)."""
@@ -899,8 +930,8 @@ class TestPoleCorrectedWedge:
     def test_tv_against_the_dp(self, chain):
         got = tv_curve(chain, range(61))
         assert max(abs(a - b) for a, b in zip(got, tv_oracle_curve(chain, 60))) <= 1e-12
-        _, k, bound, *errors = tv_quadrature(chain, range(61))
-        assert k == 64 and errors == list(pole_errors(chain, 64))  # bit for bit
+        _, k, bound, *errors, dtype = tv_quadrature(chain, range(61))
+        assert k == 64 and errors == list(pole_errors(chain, 64, dtype))  # bit for bit
         # the roundoff floor from the real-line bound on |Q_n|, not the strip's
         assert 0.0 < bound <= QuadratureConfig().tol
 
@@ -989,10 +1020,13 @@ class TestKernelMatrix:
         for c in (example_chain, NEAR_CRITICAL):
             ts = [0, 1, 17, 60]
             full = kernel_matrix(c, ts, 8)
+            full_floor = entry_floors(c, ts, 8, None, None)
             for rows, cols in (([2], [3]), ([0, 8, 4], [5]), (range(3), [8, 1]), (None, [6])):
                 part = kernel_matrix(c, ts, 8, rows=rows, cols=cols)
-                want = full[:, list(range(9) if rows is None else rows)][:, :, cols]
-                np.testing.assert_allclose(part, want, rtol=0.0, atol=1e-15)
+                at = np.ix_(range(len(ts)), list(range(9) if rows is None else rows), cols)
+                # each pass within its entries' floor in the dtype it ran in
+                slack = 1e-15 + entry_floors(c, ts, 8, rows, cols) + full_floor[at]
+                assert np.all(np.abs(part - full[at]) <= slack), (rows, cols)
 
     def test_builds_only_the_rows_it_reads(self, monkeypatch, example_chain):
         built, original = [], mixing.q_bracket_matrix
@@ -1119,9 +1153,9 @@ class TestNodeCount:
     ])
     def test_tv_curve_counts(self, chain, short, deep):
         for ts, (nodes, exact) in ((range(61), short), (range(2000, 2021), deep)):
-            _, k, bound, *errors = tv_quadrature(chain, ts)
+            _, k, bound, *errors, dtype = tv_quadrature(chain, ts)
             assert k == nodes and bound <= QuadratureConfig().tol
-            assert errors == (list(pole_errors(chain, k)) if exact else [0.0, 0.0])
+            assert errors == (list(pole_errors(chain, k, dtype)) if exact else [0.0, 0.0])
 
     def test_sizes_are_16_times_5_smooth(self, chain_grid):
         for c in chain_grid + [NEAR_CRITICAL]:
@@ -1152,9 +1186,9 @@ class TestNodeCount:
         # at degree max(ts) + i + j
         asked = []
 
-        def recording(chain, n_nodes):
+        def recording(chain, n_nodes, dtype):
             asked.append(n_nodes)
-            return theta_nodes(chain, n_nodes)
+            return theta_nodes(chain, n_nodes, dtype)
         monkeypatch.setattr(mixing, "theta_nodes", recording)
         call(example_chain)
         assert set(asked) == {nodes}
@@ -1162,9 +1196,9 @@ class TestNodeCount:
     def test_one_node_count_per_call(self, monkeypatch, example_chain):
         asked = []
 
-        def recording(chain, n_nodes):
+        def recording(chain, n_nodes, dtype):
             asked.append(n_nodes)
-            return theta_nodes(chain, n_nodes)
+            return theta_nodes(chain, n_nodes, dtype)
         monkeypatch.setattr(mixing, "theta_nodes", recording)
         for c in (example_chain, NEAR_CRITICAL):
             for call in (lambda: tv_curve(c, [0, 7, 40, 3, 500]),
