@@ -86,13 +86,17 @@ class TestBoundCoefficients:
             expect = 0.5 * m_env * (c.p / (c.q + c.r)) * (1.0 + 1.0 / (c.sqrt_pq - c.p))
             assert co.B == pytest.approx(expect, rel=1e-14)
 
-    def test_regime_error_where_sqrt_pq_rounds_to_p(self):
-        # sqrt(pq) - p is 0.0 in floating point: the envelope's B divided by
-        # it (ZeroDivisionError); every route through the envelope refuses
+    @pytest.mark.parametrize("chain", [
+        # sqrt(pq) - p is 0.0: B divided by it (ZeroDivisionError)
+        ChainParams(0.49999999999999994, 0.5, 1.401298464324817e-45),
+        ChainParams(1e-200, 1e-198, 1.0 - 1e-200 - 1e-198),  # pq underflows: B was negative
+    ])
+    def test_regime_error_where_sqrt_pq_rounds_to_p(self, chain):
+        # every route through the envelope refuses
         for call in (bound_coefficients, lambda c: tv_envelope(c, [3]),
                      lambda c: t_mix(c, 0.1), lambda c: t_mix(c, 0.1, method="bound")):
             with pytest.raises(RegimeError, match="sqrt\\(pq\\) - p"):
-                call(SQRT_PQ_AT_P)
+                call(chain)
 
     def test_pole_pair_simplifies(self, chain_grid):
         # the roots sqrt(p/q) (r +- (1+q-p))/(2(q+r)) are z_a = sqrt(p/q) and
@@ -233,7 +237,6 @@ NEAR_CRITICAL = ChainParams(0.3, 0.32, 0.38)
 FAR_ATOM = ChainParams(0.1, 0.85, 0.05)  # loc2 = -17/18: loc2^t is 0.0 from t = 13037
 ATOM_AT_MINUS_ONE = ChainParams(0.1, 0.9, 1e-300)  # loc2 rounds to -1: no term vanishes
 SMALL_P = ChainParams(1e-8, 1e-4, 1.0 - 1e-8 - 1e-4)  # q/p = 1e4, beta ~ 1
-SQRT_PQ_AT_P = ChainParams(0.49999999999999994, 0.5, 1.401298464324817e-45)  # sqrt(pq) == p
 
 
 def _series_cutoff_scan(chain, co, t, series_tol):
