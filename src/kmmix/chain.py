@@ -139,9 +139,14 @@ def tv_oracle_curve(chain: ChainParams, t_max: int) -> list:
     TV_t = (1/2)(sum_{j<=t} |d_j| + nu_tail(t)), with no truncation error.
     The roundoff left lies off nu and decays with the chain: the values are
     accurate relative to TV itself, not to the unit mass (3e-15 where TV is
-    7e-24).  A block spans at most _ROWS times and, past one, _CELLS cells; its
-    times and width are fixed by t alone, so a sweep to t is a prefix of a
-    longer one, bit for bit (rows past t_max are not made)."""
+    7e-24 on the worked example), but not on every chain.  Where p is near 0
+    the law sits at 0 and, deep in t, d's entries cancel below the sweep's
+    accuracy: on (1.213739110769858e-255, 0.5, 0.5) the step ratios leave
+    alpha = 0.5 from about t = 360, the values read 9.745696655292093e-114 at
+    t = 378..384 and 0.0 from t = 385, the start of a block, where TV is at
+    least (1/2) alpha^t.  A block spans at most _ROWS times and, past one,
+    _CELLS cells; its times and width are fixed by t alone, so a sweep to t is
+    a prefix of a longer one, bit for bit (rows past t_max are not made)."""
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     rev = reversibility(chain)
@@ -237,22 +242,19 @@ def kernel_oracle(chain: ChainParams, ts, n_max: int, rows=None, cols=None) -> n
 
 
 def drift_identity_residual(chain: ChainParams, x: int) -> float:
-    """Residual of the one-step drift identity for V(y) = (q/p)^(y/2):
+    """Residual of the one-step drift identity for V(y) = (q/p)^(y/2),
+    relative to V(x):
 
-        E[V(X_1) | X_0 = x] - (r + 2 sqrt(pq)) V(x)
-                            - (sqrt(q/p) - (r + 2 sqrt(pq))) 1{x = 0}
+        (E[V(X_1) | X_0 = x] - (r + 2 sqrt(pq)) V(x)
+                             - (sqrt(q/p) - (r + 2 sqrt(pq))) 1{x = 0}) / V(x)
 
-    which vanishes identically; the return value is pure roundoff, or inf or
-    NaN where V leaves the double range (p far below q)."""
+    which vanishes identically.  V is divided out analytically, V(y +- 1) /
+    V(y) = sqrt(q/p)^(+-1), so the return value is pure roundoff on every
+    chain, p far below q included (where V itself leaves the double range)."""
     if x < 0:
         raise ValueError("x must be a state")
     p, q, r = chain.p, chain.q, chain.r
     lam = r + 2.0 * chain.sqrt_pq
-
-    def V(y):
-        return _power(q / p, y / 2.0)
-
-    if x == 0:
-        return V(1) - lam * V(0) - (math.sqrt(q / p) - lam)
-    expect = q * V(x - 1) + r * V(x) + p * V(x + 1)
-    return expect - lam * V(x)
+    step = math.sqrt(q / p)  # V(y + 1) / V(y)
+    expect = step if x == 0 else q / step + r + p * step  # E[V(X_1) | X_0 = x] / V(x)
+    return expect - lam - (step - lam if x == 0 else 0.0)

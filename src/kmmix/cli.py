@@ -352,8 +352,7 @@ def _verify_checks(chain, cfg):
             ok = False
     yield "tv_sandwich_t60", ok, float(not ok)
 
-    worst = float(np.max([abs(drift_identity_residual(chain, x)) / _power(chain.q / chain.p, x / 2)
-                          for x in range(51)]))
+    worst = float(np.max([abs(drift_identity_residual(chain, x)) for x in range(51)]))
     yield "drift_identity_x_le_50", worst <= 1e-12, worst
 
     res = residue_check(chain)
@@ -366,10 +365,12 @@ def _verify_checks(chain, cfg):
     yield "resolvent_stieltjes_consistency", worst <= 1e-8, worst
 
     # |interval - contour| per 1e-8 max(1, beta^t (q/p)^(n/2)), the interval
-    # route's I_t(n) = p_t(0, n)/pi_n - w1 from one kernel pass
+    # route's I_t(n) = p_t(0, n)/pi_n - w1 from one kernel pass; where pi_n
+    # underflows (p far below q) the quotient is NaN and fails the row
     ts, degrees = (0, 3, 10, 25), (0, 2, 7, 15)
-    interval = kernel_matrix(chain, ts, 15, cfg=cfg, rows=[0], cols=degrees)[:, 0] \
-        / pi[list(degrees)] - measure.atom1[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interval = kernel_matrix(chain, ts, 15, cfg=cfg, rows=[0], cols=degrees)[:, 0] \
+            / pi[list(degrees)] - measure.atom1[1]
     worst = float(np.max([abs(interval[a, b] - spectral_integral(chain, t, deg))
                           / (1e-8 * max(1.0, co.beta ** t * _power(chain.q / chain.p, deg / 2)))
                           for a, t in enumerate(ts) for b, deg in enumerate(degrees)]))

@@ -44,6 +44,12 @@ each, inside a bracket from the lower bound (1/2) alpha^t (the eigenfunction
 (-alpha)^n of the negative atom) to the envelope's answer.  Until the upper
 end is evaluated, a round steps along the slope of log TV that the last pair
 (t - 1, t) measured.
+
+The quadrature plan (spectral.node_count) sizes a pass; the pass picks its
+precision.  Its roundoff floor is 32 eps times its integrand's L1 size, and
+it runs in float64 where _F64_MARGIN times float64's floor meets its
+tolerance (_pass_dtype), else in longdouble.  The series states that size a
+priori (_series_floor); the kernel measures it on its Q_n rows (_kernel_ac).
 """
 
 import math
@@ -56,7 +62,7 @@ import numpy as np
 from .chain import ChainParams, _kernel_args, _naturals, _power, reversibility
 from .orthopoly import q_bracket_matrix, q_log_sup, q_node_sums
 from .spectral import NODE_CAP, QuadratureConfig, QuadratureError, RegimeError, \
-    _checked_support, _eps_floor, build_measure, negative_atom, node_count, theta_nodes
+    _checked_support, build_measure, negative_atom, node_count, theta_nodes
 
 __all__ = [
     "BoundCoefficients",
@@ -74,6 +80,7 @@ _CELLS = 1 << 13  # cells per batch of times; per t tv_curve's 2K + N_t + 1, _ke
 _T_DOUBLE = int(np.finfo(float).max)  # the largest time the TV routes take: they power in doubles
 T_CAP = 10 ** 7  # the largest time t_mix searches to
 N_CAP = 100_000  # the largest degree cutoff N of the TV series
+_F64_MARGIN = 10.0  # how far a float64 pass keeps its floor inside tol, its values inside range
 
 
 class ConvergenceError(RuntimeError):
@@ -291,6 +298,9 @@ def _atom_powers(loc2: float, times, degrees, weight: float = 1.0) -> np.ndarray
     loc2^t, as in every near-critical t_mix round, powers no degrees."""
     loc2_t = np.copysign(np.power(loc2, np.array(times, dtype=float)),
                          [1 - 2 * (t & 1) for t in times])
+    # not for its multiplies: past degree ~900 np.power(loc2, degrees) underflows
+    # through libm's slow path, about 0.2 us a degree (t_mix((0.3, 0.32, 0.38),
+    # 1e-3) takes about 1.5 times as long without this skip)
     if not loc2_t.any():
         return np.zeros((len(times), *np.shape(degrees)))
     return np.multiply.outer(float(weight) * loc2_t, np.power(loc2, degrees))
@@ -307,8 +317,8 @@ def tv_curve(chain: ChainParams, ts, series_tol: float = 1e-12,
     t where N_t passes t: mu_t lives on 0..t, so past t the terms are nu_n and
     add up to (1/2) nu_tail(t) exactly.  One pass at tv_quadrature's node count K
     serves every t, with its plan's E1 off each AC part and w2 - E2 as the
-    atom weight (both 0.0 under the strip count), in the plan's dtype: float64
-    where the plan finds its roundoff floor within the tolerance, else
+    atom weight (both 0.0 under the strip count), in tv_quadrature's dtype:
+    float64 where its a-priori roundoff floor meets the tolerance, else
     longdouble.  The ascending times run in batches of at most _CELLS cells,
     2K for a t's FFT and N_t + 1 for its terms.  Per batch the node powers
     x^t come row by row from the steps x^gap, one binary power (_node_power)
@@ -360,7 +370,8 @@ class _SeriesSup:
     one chain hash equal and share a cached plan.  By orthopoly.q_log_sup,
     pi_n |Q_n| <= c z^n / p (n >= 1) on the strip, c taking one sin(theta) of
     the weights for every term alike: a geometric sum in
-    z = sqrt(p/q) e^y < 1 (as y < a <= log sqrt(q/p))."""
+    z = sqrt(p/q) e^y < 1 (as y < a <= log sqrt(q/p)).  On the support
+    _series_floor bounds the same sum."""
 
     chain: ChainParams
     n_cut: int
@@ -373,21 +384,56 @@ class _SeriesSup:
                 - np.log(-np.expm1(log_z))
         return math.log(0.5) + q_log_sup(chain, 0)(y) + np.logaddexp(0.0, terms)
 
-    def on_support(self) -> float:
-        """The bound on the support, where pi_n |Q_n| <= c (n + 1) z^n / p with
-        z = sqrt(p/q) (orthopoly._QLogSup.on_support), its sum taken directly."""
-        n = np.arange(1, self.n_cut + 1)
-        terms = np.sum((n + 1) * math.sqrt(self.chain.p / self.chain.q) ** n) / self.chain.p
-        return math.log(0.5 + 0.5 * terms) + q_log_sup(self.chain, 0).on_support()
+
+def _eps_floor(dtype) -> float:
+    """Roundoff of a cancelling integrand's sum in dtype per unit of its L1
+    size, 32 eps; roundoff is not truncation, and kernel_matrix returns NaN
+    where this floor of the dtype its pass ran in misses tol."""
+    return 32.0 * float(np.finfo(dtype).eps)
+
+
+def _pass_dtype(chain: ChainParams, tol: float, floor64: float, span: int):
+    """The dtype of a pass whose float64 roundoff floor is floor64 and whose
+    Q_n reach degree span: float64 where floor64 stays _F64_MARGIN inside tol
+    and the scales (q/p)^(n/2) (2(n + 1))^2, n <= span, which bound its values
+    on the support (|Q_n| <= 2 (n + 1) (q/p)^(n/2) there), stay _F64_MARGIN
+    inside float64's range; else longdouble."""
+    log_peak = 0.5 * span * math.log(chain.q / chain.p) + 2.0 * math.log(2.0 * (span + 1))
+    if _F64_MARGIN * floor64 <= tol and \
+            log_peak + math.log(_F64_MARGIN) < math.log(np.finfo(np.float64).max):
+        return np.float64
+    return np.longdouble
+
+
+def _series_floor(chain: ChainParams, t: int, n_cut: int, dtype) -> float:
+    """tv_curve's roundoff floor in dtype at its least t: _eps_floor(dtype) (p/(q+r))
+    sup |x^t f| on the support, f = (1/2) sum_{n <= n_cut} pi_n |Q_n|.  There
+    |x|^t <= beta^t, taken no less than the dtype's least normal number, and
+    |Q_n| <= (1 + r z) (n + 1) (q/p)^(n/2) (as |U_m| <= m + 1), z = sqrt(p/q),
+    so f <= (1 + r z) (1 + S/p) / 2, S + 1 = sum_{n <= N} (n + 1) z^n =
+    ((1 - z^(N+1)) / (1 - z) - (N + 1) z^(N+1)) / (1 - z)."""
+    p, q, r = chain.p, chain.q, chain.r
+    z = math.sqrt(p / q)
+    tail = z ** (n_cut + 1)
+    terms = (((1.0 - tail) / (1.0 - z) - (n_cut + 1) * tail) / (1.0 - z) - 1.0) / p
+    log_tiny = np.finfo(dtype).minexp * math.log(2.0)  # its least normal number is 2^minexp
+    log_l1 = max(t * math.log(r + 2.0 * chain.sqrt_pq), log_tiny) \
+        + math.log(0.5 + 0.5 * terms) + math.log(1.0 + r * z)
+    try:
+        return _eps_floor(dtype) * (p / (q + r)) * math.exp(log_l1)
+    except OverflowError:  # an L1 past the double range
+        return math.inf
 
 
 def tv_quadrature(chain: ChainParams, ts, series_tol: float = 1e-12,
                   cfg: QuadratureConfig = None) -> tuple:
     """(cuts, K, bound, E1, E2, dtype): tv_curve's cutoffs {t: N_t} at series_tol
-    over the ascending distinct ts, and spectral.node_count's plan of its one
-    pass for the integrand _SeriesSup describes, of degree max t + N_t;
-    ValueError unless series_tol > 0 and every t is at most the largest double
-    (_double_times), RegimeError where spectral._checked_support fails."""
+    over the ascending distinct ts, spectral.node_count's plan of its one pass
+    for the integrand _SeriesSup describes, of degree d = max t + N_t, and its
+    dtype, _pass_dtype's for _series_floor and degree d - t (so series_tol
+    weighs in through the cutoff).  E1, E2 are rounded to it, and bound adds
+    its floor.  ValueError unless series_tol > 0 and every t is at most the
+    largest double (_double_times), RegimeError where _checked_support fails."""
     if not series_tol > 0.0:  # nan too
         raise ValueError("series_tol must be positive")
     ts = _double_times(_naturals(ts))
@@ -396,9 +442,16 @@ def tv_quadrature(chain: ChainParams, ts, series_tol: float = 1e-12,
     cuts, near = {}, None
     for t in sorted(set(ts)):  # each t's N is the next one's guess
         near = cuts[t] = cutoff(t, near)[0]
-    return (cuts, *node_count(chain, cfg or QuadratureConfig(), "tv_curve",
-                              _SeriesSup(chain, max(cuts.values())), min(cuts),
-                              degree=max(t + n for t, n in cuts.items())))
+    cfg = cfg or QuadratureConfig()
+    least, n_cut = min(cuts), max(cuts.values())
+    degree = max(t + n for t, n in cuts.items())
+    n_nodes, bound, e1, e2 = node_count(chain, cfg, "tv_curve", _SeriesSup(chain, n_cut),
+                                        least, degree=degree)
+    floor = _series_floor(chain, least, n_cut, np.float64)
+    dtype = _pass_dtype(chain, cfg.tol, floor, degree - least)
+    if dtype is not np.float64:
+        floor = _series_floor(chain, least, n_cut, dtype)
+    return cuts, n_nodes, bound + floor, dtype(e1), dtype(e2), dtype
 
 
 def tv_envelope(chain: ChainParams, ts) -> tuple:
@@ -532,83 +585,66 @@ def kernel_matrix(chain: ChainParams, ts, n_max: int, cfg: QuadratureConfig = No
     AC part within cfg.tol and sized for the largest i and j asked for,
     builds one Q_n matrix for every t; the AC parts are one product
     (Q[rows] w x^t) Q[cols]^T per batch of times.  The atoms add w1 and
-    w2 loc2^t loc2^(i+j).  The pass runs in its plan's dtype, picked before
-    it by the floor of the entries pi_j Q_i Q_j (_KernelSup): float64 only
-    where every entry the longdouble floor certifies is certified in float64.
-    An entry whose roundoff floor pi_j spectral._eps_floor(dtype) L1 misses
-    cfg.tol is NaN: far below the diagonal (pi_j Q_i Q_j grows like
-    (q/p)^((i-j)/2)), and as p -> 0, where the AC interval narrows and the
-    integrals cancel past extended precision."""
+    w2 loc2^t loc2^(i+j).  The pass runs in float64 where the entries' L1
+    sizes, measured before it (_kernel_ac), let float64's floor meet cfg.tol.
+    An entry whose roundoff floor pi_j _eps_floor(dtype) L1 in the dtype of
+    its pass misses cfg.tol is NaN: far below the diagonal (pi_j Q_i Q_j grows
+    like (q/p)^((i-j)/2)), and as p -> 0, where the AC interval narrows and
+    the integrals cancel past extended precision."""
     ts, rows, cols = _kernel_args(ts, n_max, rows, cols)
     measure = build_measure(chain)
     cfg = cfg or QuadratureConfig()
     pi = reversibility(chain).pi(cols)
     (_, w1), (_, w2) = measure.atom1, measure.atom2
-    ac, l1, atom, dtype = _kernel_ac(chain, ts, rows, cols, cfg)
+    ac, l1, atom, dtype = _kernel_ac(chain, ts, rows, cols, pi, cfg)
     # not <=: a floor of 0 * inf (l1 past the double range, pi_j subnormal) is NaN
     with np.errstate(invalid="ignore"):  # 0 * inf, masked to NaN here
         return np.where(~(pi * _eps_floor(dtype) * l1 <= cfg.tol), np.nan,
                         (ac + w1 + w2 * atom) * pi)
 
 
-def _kernel_ac(chain: ChainParams, ts, rows, cols, cfg: QuadratureConfig):
+def _kernel_ac(chain: ChainParams, ts, rows, cols, pi, cfg: QuadratureConfig):
     """The quadrature core of the kernel: the AC parts (Q[rows] w x^t) Q[cols]^T,
     their L1 twins and the atom powers loc2^t loc2^(i+j), three arrays in the
     order of ts, and the dtype of the pass, from the Q_n rows of rows and cols
     on the nodes of one pass, a product per batch of times within _CELLS.  Its
     node count certifies every entry within cfg.tol by orthopoly.q_log_sup's
     bound on |Q_i Q_j| for the largest i and j asked for (degree max(ts) + i +
-    j), and _KernelSup's bound on the entries plans its dtype.  Each AC part
-    is less the plan's E1 + E2 times its _atom_powers term (Q_n(1) = 1,
-    Q_n(loc2) = loc2^n; 0.0 under the strip count), and its L1 twin gains
-    their moduli."""
+    j).  Each AC part is less the plan's E1 + E2 times its _atom_powers term
+    (Q_n(1) = 1, Q_n(loc2) = loc2^n; 0.0 under the strip count), and its L1
+    twin gains their moduli.  The rows are built once, in longdouble; the
+    L1 twins at the least t, where they are largest (|x_k|, |loc2| < 1), pick
+    the dtype by _pass_dtype: float64 (rows, nodes and E1, E2 rounded once)
+    where _F64_MARGIN pi_j _eps_floor(float64) L1 meets cfg.tol at every
+    entry (pi = pi_j over cols) and degree i + j keeps the values inside
+    float64's range."""
     i, j = int(max(rows)), int(max(cols))  # Python ints: t + i + j may pass 2^63
-    heads = tuple(sorted(set(cols.tolist()))[:2])
-    n_nodes, _, e1, e2, dtype = node_count(chain, cfg, "kernel_matrix",
-                                           _KernelSup(chain, i, j, heads), t=min(ts),
-                                           degree=max(ts) + i + j)
-    x, w, two_cos, _ = theta_nodes(chain, n_nodes, dtype)
+    n_nodes, _, e1, e2 = node_count(chain, cfg, "kernel_matrix", q_log_sup(chain, i, j),
+                                    t=min(ts), degree=max(ts) + i + j)
+    x, w, two_cos, _ = theta_nodes(chain, n_nodes, np.longdouble)
     degrees = sorted(set(rows.tolist()) | set(cols.tolist()))  # np.union1d imports numpy.ma
     q_rows = q_bracket_matrix(chain, degrees[-1], x, two_cos, degrees)
     left, right = (q_rows[np.searchsorted(degrees, s)] for s in (rows, cols))
-    loc2, sums, uniq = negative_atom(chain)[0], np.add.outer(rows, cols), sorted(set(ts))
-    atoms, ac, l1 = (np.empty((len(uniq), *sums.shape)) for _ in range(3))
-    starts = range(0, len(uniq), max(1, _CELLS // (left.size + sums.size)))
-    for start, xt in zip(starts, _power_batches(x, (uniq[s:s + starts.step] for s in starts))):
-        batch = slice(start, start + starts.step)
-        wxt = w * xt[:, None]
-        atoms[batch] = _atom_powers(loc2, uniq[batch], sums)
-        pole = e2 * atoms[batch]
-        with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0: masked to NaN
-            l1[batch] = np.matmul(np.abs(left) * np.abs(wxt), np.abs(right).T) \
-                + (abs(e1) + np.abs(pole))
+    uniq = sorted(set(ts))
+    atoms = _atom_powers(negative_atom(chain)[0], uniq, np.add.outer(rows, cols))
+    ac, l1 = np.empty(atoms.shape), np.empty(atoms.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0: longdouble or NaN
+        moduli = np.abs(left), np.abs(right).T
+        first = np.matmul(moduli[0] * (w * np.abs(_node_power(x, uniq[0]))), moduli[1]) \
+            + (abs(e1) + np.abs(e2 * atoms[0]))
+        dtype = _pass_dtype(chain, cfg.tol, (pi * first).max() * _eps_floor(np.float64), i + j)
+        if dtype is not np.longdouble:
+            x, w = theta_nodes(chain, n_nodes, dtype)[:2]
+            left, right, *moduli = (a.astype(dtype) for a in (left, right, *moduli))
+            e1, e2 = dtype(e1), dtype(e2)
+        starts = range(0, len(uniq), max(1, _CELLS // (left.size + atoms[0].size)))
+        for start, xt in zip(starts, _power_batches(x, (uniq[s:s + starts.step] for s in starts))):
+            batch = slice(start, start + starts.step)
+            wxt = w * xt[:, None]
+            pole = e2 * atoms[batch]
+            l1[batch] = np.matmul(moduli[0] * np.abs(wxt), moduli[1]) + (abs(e1) + np.abs(pole))
             ac[batch] = np.matmul(left * wxt, right.T) - (e1 + pole)
+    if ts == uniq:  # in order already
+        return ac, l1, atoms, dtype
     at = np.searchsorted(uniq, ts)
     return ac[at], l1[at], atoms[at], dtype
-
-
-@dataclass(frozen=True)
-class _KernelSup:
-    """A kernel pass's integrand for spectral.node_count, by value.  y ->
-    orthopoly.q_log_sup(chain, i, j)(y) bounds Q_i Q_j on the strip for the
-    largest row i and column j, which sizes the pass for every AC part.
-    on_support() bounds the entries' integrand pi_c Q_i Q_c over the columns
-    c, which sets the pass's floor and dtype: pi_c (q/p)^(c/2) is 1 at c = 0
-    and (1/p) (p/q)^(c/2) after, so over the columns it peaks at one of heads,
-    the two least."""
-
-    chain: ChainParams
-    i: int
-    j: int
-    heads: tuple
-
-    def __call__(self, y):
-        return q_log_sup(self.chain, self.i, self.j)(y)
-
-    def on_support(self) -> float:
-        """q_log_sup's bound on |Q_i Q_j| on the support, times (q/p)^((c - j)/2)
-        bounding |Q_i Q_c| for c <= j, times pi_c, at its largest over heads."""
-        c = self.chain
-        half_log = 0.5 * math.log(c.q / c.p)
-        weight = max(0.0 if h == 0 else -math.log(c.p) - h * half_log for h in self.heads)
-        return q_log_sup(c, self.i, self.j).on_support() + weight - self.j * half_log

@@ -181,13 +181,6 @@ class _QLogSup:
         return self.count * np.log(np.cosh(y) + rs) - sine_free * np.log(np.cosh(y)) \
             - (self.count - sine_free) * np.log(np.sinh(y)) + self.total * (half_log + y)
 
-    def on_support(self) -> float:
-        """The bound on the support, where |U_m| <= m + 1: |Q_n| <= (1 + r sqrt(p/q))
-        (n + 1) (q/p)^(n/2), and prod (n + 1) <= (1 + total/count)^count."""
-        rs = self.chain.r * math.sqrt(self.chain.p / self.chain.q)
-        return self.count * math.log((1.0 + rs) * (1.0 + self.total / max(self.count, 1))) + \
-            self.total * 0.5 * math.log(self.chain.q / self.chain.p)
-
 
 def point_mass_summability(chain: ChainParams, lam: float, n_trunc: int) -> float:
     """Partial sum sum_{k <= n_trunc} pi_k Q_k(lambda)^2 at an atom of the

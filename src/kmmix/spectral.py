@@ -18,13 +18,10 @@ integrand is analytic in the strip |Im theta| < a left by the poles at 1 and
 its closed-form errors on their partial fractions (pole_errors) times f(1)
 and f(-q/(q+r)), the rule is exact on polynomials f of degree <= 2K - 3.
 node_count plans the lesser count within NODE_CAP, and the correction it takes.
-It also plans the pass's precision.  High-degree polynomial integrands
-cancel by many orders of magnitude, so roundoff sets a floor of 32 eps times
-their L1 size.  Where the plan knows that size a priori (the TV series and the
-kernel, which give a degree and an on-support bound) and float64's floor,
-with a fixed margin, meets the tolerance, the pass runs in float64;
-everywhere else nodes and reductions are carried in extended precision
-(np.longdouble) where the platform provides it.
+It picks no precision: nodes, weights and the correction are computed in
+extended precision (np.longdouble) where the platform provides it, and
+mixing's TV series and kernel, which know their roundoff floor, run on the
+nodes rounded once to float64 where that floor allows.
 """
 
 import math
@@ -53,16 +50,6 @@ __all__ = [
 
 _LD = np.longdouble
 _PI = np.arccos(_LD(-1))  # pi in extended precision; np.pi is a double
-
-
-def _eps_floor(dtype) -> float:
-    """Roundoff of a cancelling integrand's sum in dtype per unit of its L1
-    size, 32 eps; roundoff is not truncation, and kernel_matrix returns NaN
-    where this floor of the dtype its pass ran in misses tol."""
-    return 32.0 * float(np.finfo(dtype).eps)
-
-
-_F64_MARGIN = 10.0  # how far a float64 pass keeps its floor inside tol, its values inside range
 NODE_CAP = 1 << 16  # the most panels one trapezoid pass may take
 _STRIP_STEPS = 64  # strip half-widths y a bound is minimised over
 _RESIDUE_SCALE = 0.25  # residue_check's circle radius per its distance to the nearest cut
@@ -181,10 +168,10 @@ def _read_only(a):
 
 def node_count(chain: ChainParams, cfg: QuadratureConfig, name: str, log_sup=None, t: int = 0,
                poles=(), degree=None) -> tuple:
-    """(K, bound, E1, E2, dtype): the panels of the one trapezoid pass integrating
-    x^t f against phi within cfg.tol, its error bound, its pole correction (the
-    value is the pass's sum less E1 f(1) + E2 f(-q/(q+r))) and the dtype of its
-    nodes and sums, for |f| <= exp(log_sup(y)) / prod |x - s| (s in poles) on
+    """(K, bound, E1, E2): the panels of the one trapezoid pass integrating x^t f
+    against phi within cfg.tol, its truncation bound, and its pole correction
+    in extended precision (the value is the pass's sum less E1 f(1) + E2
+    f(-q/(q+r))), for |f| <= exp(log_sup(y)) / prod |x - s| (s in poles) on
     |Im theta| <= y, x^t f of degree <= degree if given.
 
     Two counts are certified, each rounded up to 16 times a 5-smooth number (a
@@ -198,33 +185,24 @@ def node_count(chain: ChainParams, cfg: QuadratureConfig, name: str, log_sup=Non
     |Re x - r|, |Im x| <= 2 sqrt(pq) (cosh y, sinh y); K is the least count
     meeting tol at some y of a grid in (0, a), and E1 = E2 = 0.0.  The
     exact-degree count ceil((degree + 3) / 2): less (E1, E2) =
-    pole_errors(chain, K, dtype) the rule is exact.
+    pole_errors(chain, K) the rule is exact, and bound is 0.0.
     cfg.node_count overrides both, corrected where it reaches the exact-degree
-    count.
-
-    Where degree is given, the roundoff floor _eps_floor(dtype) (p/(q+r))
-    sup |x^t f| on the support (the weights sum to at most p/(q+r); |x| <=
-    r + 2 sqrt(pq), log_sup.on_support() for f, and |x|^t no less than the
-    dtype's least normal number, below which products lose digits) is added to
-    bound under either count; dtype is float64 where _F64_MARGIN times its
-    floor meets cfg.tol and the Q_n scales (q/p)^(n/2) of the pass, n <= degree
-    - t, with their (2(n + 1))^2, stay _F64_MARGIN inside float64's range (so
-    series_tol's cutoff weighs in through the degree), else np.longdouble.
-    Without a degree the pass is np.longdouble and bound its truncation alone.
+    count.  Roundoff is not in bound: the pass that knows its integrand's L1
+    size states its floor (mixing.tv_quadrature, mixing.kernel_matrix).
 
     The plan is cached per (chain, cfg, log_sup, t, poles, degree), so
     log_sup is hashable and describes the integrand by value where it can
-    (orthopoly.q_log_sup's degrees, mixing._KernelSup's rows and columns, the
-    TV series' cutoff): equal descriptions share the plan.  QuadratureError,
-    raised under the caller's name, where both counts pass NODE_CAP or the
-    override meets neither."""
-    need, *plan = _plan(chain, cfg, log_sup, int(t), tuple(complex(z) for z in poles), degree)
-    if plan[0] is None:
+    (orthopoly.q_log_sup's degrees, the TV series' cutoff): equal descriptions
+    share the plan.  QuadratureError, raised under the caller's name, where
+    both counts pass NODE_CAP or the override meets neither."""
+    need, n_nodes, bound, e1, e2 = _plan(chain, cfg, log_sup, int(t),
+                                         tuple(complex(z) for z in poles), degree)
+    if n_nodes is None:
         allowed, what = ((NODE_CAP, "the cap") if cfg.node_count is None
                          else (cfg.node_count, "the node_count override"))
         needed = math.ceil(need) if need < math.inf else need  # inf or nan as they are
         raise QuadratureError(name, needed, allowed, what)
-    return tuple(plan)
+    return n_nodes, bound, e1, e2
 
 
 def _fast_length(need: float):
@@ -240,9 +218,8 @@ def _fast_length(need: float):
 @lru_cache(maxsize=256)
 def _plan(chain: ChainParams, cfg: QuadratureConfig, log_sup, t: int, poles: tuple,
           degree=None) -> tuple:
-    """node_count's (need, K, bound, E1, E2, dtype), need the real-valued count
-    asked for; K and bound are None where both counts pass NODE_CAP or the
-    override."""
+    """node_count's (need, K, bound, E1, E2), need the real-valued count asked
+    for; K and bound are None where both counts pass NODE_CAP or the override."""
     p, q, r = chain.p, chain.q, chain.r
     s2 = 2.0 * chain.sqrt_pq
     points = [complex(z) for z in (1.0, negative_atom(chain)[0], *poles)]
@@ -267,41 +244,18 @@ def _plan(chain: ChainParams, cfg: QuadratureConfig, log_sup, t: int, poles: tup
         n_nodes, exact = min(counts), counts[0] < counts[1]
         certified = n_nodes <= NODE_CAP
     if not certified:
-        return min(need_exact, need), None, None, 0.0, 0.0, _LD
-    dtype, floor = _LD, 0.0
-    if degree is not None:
-        on_support = 0.0 if log_sup is None else log_sup.on_support()
-
-        def floor_of(dt):  # the roundoff floor of a pass in dt
-            log_l1 = max(t * math.log(r + s2), float(np.log(np.finfo(dt).tiny))) + on_support
-            with np.errstate(over="ignore"):  # an L1 past the double range: floor inf
-                return _eps_floor(dt) * (p / (q + r)) * float(np.exp(log_l1))
-        span = degree - t
-        log_peak = 0.5 * span * math.log(q / p) + 2.0 * math.log(2.0 * (span + 1))
-        dtype = _pass_dtype(cfg.tol, floor_of(np.float64), log_peak)
-        floor = floor_of(dtype)
+        return min(need_exact, need), None, None, 0.0, 0.0
     if exact:
-        return need_exact, n_nodes, floor, *pole_errors(chain, n_nodes, dtype), dtype
+        return need_exact, n_nodes, 0.0, *pole_errors(chain, n_nodes)
     u = 2.0 * y * n_nodes  # log(e^u - 1) = u + log(1 - e^-u)
-    truncation = float(np.exp(np.min(log_m - u - np.log(-np.expm1(-u)))))
-    return need, n_nodes, truncation + floor, 0.0, 0.0, dtype
+    return need, n_nodes, float(np.exp(np.min(log_m - u - np.log(-np.expm1(-u))))), 0.0, 0.0
 
 
-def _pass_dtype(tol: float, floor64: float, log_peak: float):
-    """The dtype of a pass whose float64 roundoff floor is floor64 and whose
-    largest magnitude is at most exp(log_peak): float64 where both stay
-    _F64_MARGIN inside tol and float64's range, else longdouble."""
-    if _F64_MARGIN * floor64 <= tol and \
-            log_peak + math.log(_F64_MARGIN) < math.log(np.finfo(np.float64).max):
-        return np.float64
-    return _LD
-
-
-def pole_errors(chain: ChainParams, n_nodes: int, dtype=_LD) -> tuple:
-    """(E1, E2) in dtype, computed in extended precision and rounded once: the
-    n_nodes-panel rule's errors (sum less integral) on the pole parts of
-    1/(((r+q)x+q)(1-x)) = [1/(1-x) + (r+q)/((r+q)x+q)] / (r+2q), each
-    (2pq/(r+2q)) sin^2(theta) / (a -+ b cos(theta)), b = 2 sqrt(pq).  Its cosine coefficients -(2pq/(r+2q))
+def pole_errors(chain: ChainParams, n_nodes: int) -> tuple:
+    """(E1, E2), in extended precision: the n_nodes-panel rule's errors (sum
+    less integral) on the pole parts of 1/(((r+q)x+q)(1-x)) = [1/(1-x) +
+    (r+q)/((r+q)x+q)] / (r+2q), each (2pq/(r+2q)) sin^2(theta) / (a -+ b
+    cos(theta)), b = 2 sqrt(pq).  Its cosine coefficients -(2pq/(r+2q))
     (1/rho - rho)^2 rho^m / (2s) (m >= 2; s = sqrt(a^2 - b^2), rho = (a - s)/b)
     at m = 2K, 4K, ... alias onto the mean: E = -(s/(r+2q)) / (rho^(-2K) - 1).
     At 1, a = p + q (theta_nodes' 1 - x), s = q - p and rho = sqrt(p/q).  At
@@ -314,7 +268,7 @@ def pole_errors(chain: ChainParams, n_nodes: int, dtype=_LD) -> tuple:
     s = np.sqrt(((q + r - b / 2) ** 2 + q * delta) / (q + r) * (a + b))
     parts = ((q - p, np.sqrt(p / q)), (s, b / (a + s)))
     with np.errstate(over="ignore"):  # rho^(-2K) past the range: E = -0
-        return tuple(dtype(-s / ((r + 2 * q) * np.expm1(-2 * n_nodes * np.log(rho))))
+        return tuple(-s / ((r + 2 * q) * np.expm1(-2 * n_nodes * np.log(rho)))
                      for s, rho in parts)
 
 

@@ -237,7 +237,7 @@ def tv_by_bracket_matrix(chain: ChainParams, ts) -> list:
     (its E1, E2 are not read), the atom terms (w2 - E2) loc2^t loc2^n, and the
     same (1/2) nu_tail(t) where N_t = t, all in the plan's dtype."""
     cuts, n_nodes, _, *plan, dtype = tv_quadrature(chain, ts)
-    e1, e2 = pole_errors(chain, n_nodes, dtype) if any(plan) else (0.0, 0.0)
+    e1, e2 = (dtype(e) for e in pole_errors(chain, n_nodes)) if any(plan) else (0.0, 0.0)
     x, w, two_cos, _ = theta_nodes(chain, n_nodes, dtype)
     q_rows = q_bracket_matrix(chain, max(cuts.values()), x, two_cos)
     loc2, w2 = negative_atom(chain)
@@ -263,7 +263,7 @@ def tv_curve_per_t(chain: ChainParams, ts, series_tol=1e-12, cfg=None) -> list:
     batching with tv_curve, and runs in the dtype of its plan."""
     ts = list(ts)
     cuts, n_nodes, _, *plan, dtype = tv_quadrature(chain, ts, series_tol, cfg)
-    e1, e2 = pole_errors(chain, n_nodes, dtype) if any(plan) else (0.0, 0.0)
+    e1, e2 = (dtype(e) for e in pole_errors(chain, n_nodes)) if any(plan) else (0.0, 0.0)
     rev = reversibility(chain)
     pi_vals = np.atleast_1d(rev.pi(np.arange(max(cuts.values()) + 1)))
     loc2, w2 = negative_atom(chain)

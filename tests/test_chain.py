@@ -298,7 +298,14 @@ class TestDriftIdentity:
         assert drift_identity_residual(example_chain, 0) == pytest.approx(0.0, abs=1e-14)
 
     def test_relative_residual_to_50(self, chain_grid):
+        # the residual comes relative to V(x), V divided out analytically
         for c in chain_grid:
             for x in range(51):
-                rel = abs(drift_identity_residual(c, x)) / (c.q / c.p) ** (x / 2.0)
-                assert rel <= 1e-12
+                assert abs(drift_identity_residual(c, x)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1e-15, 1e-100, 1e-300])
+    def test_finite_where_v_leaves_the_double_range(self, p):
+        # (q/p)^(x/2) overflows by x = 50 at these p; the relative residual
+        # does not
+        c = ChainParams(p, 0.5, 0.5 - p)
+        assert max(abs(drift_identity_residual(c, x)) for x in range(51)) <= 1e-12

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from kmmix import ChainParams, QuadratureConfig, cli, mixing, spectral, tv_envelope
+from kmmix import ChainParams, QuadratureConfig, cli, mixing, tv_envelope
 from kmmix.cli import main
 from kmmix.mixing import tv_quadrature
 from kmmix.spectral import pole_errors
@@ -489,10 +489,10 @@ class TestVerify:
         _, wide, wide_bound, *wide_errors, wide_dtype = tv_quadrature(
             chain, range(61), cfg=QuadratureConfig(node_count=2 * k))
         assert (k, wide) == (64, 128)
-        assert errors == list(pole_errors(chain, k, dtype))
-        assert wide_errors == list(pole_errors(chain, wide, wide_dtype))
+        assert errors == [dtype(e) for e in pole_errors(chain, k)]
+        assert wide_errors == [wide_dtype(e) for e in pole_errors(chain, wide)]
         # each bound is its pass's floor, within tol by the float64 margin
-        limit = QuadratureConfig().tol / spectral._F64_MARGIN
+        limit = QuadratureConfig().tol / mixing._F64_MARGIN
         assert 0.0 < bound <= limit and 0.0 < wide_bound <= limit
         code, out, _ = run_cli(capsys, "verify", "--p", "0.3", "--q", "0.32", "--r", "0.38")
         checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}
@@ -550,7 +550,7 @@ class TestVerify:
 # Chains at the edges of the wedge: p far below q, whose powers of q/p leave
 # the double range; q - p down to 1e-5; r = 1e-300, where the negative atom
 # rounds to -1; and p = 1e-8 against q = 0.9999 (r = 1 - p - q, about 1e-4).
-EDGE_CHAINS = [*(("--p", p, "--q", "0.5") for p in ("1e-300", "1e-15", "1e-12")),
+EDGE_CHAINS = [*(("--p", p, "--q", "0.5") for p in ("1e-300", "1e-100", "1e-15", "1e-12")),
                ("--p", "0.3", "--q", "0.30001", "--r", "0.39999"),
                ("--p", "0.49", "--q", "0.4901"), ("--p", "0.1", "--q", "0.9", "--r", "1e-300"),
                ("--p", "1e-8", "--q", "0.9999"), ("--p", "0.001", "--q", "0.002")]

@@ -11,8 +11,8 @@ from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureErr
     tv_envelope, tv_oracle, tv_oracle_curve
 from kmmix import mixing
 from kmmix.chain import _kernel_args, kernel_oracle
-from kmmix.mixing import _contour_envelope, _cutoff_rule, _pole_pair, tv_quadrature
-from kmmix.spectral import NODE_CAP, _eps_floor, pole_errors, theta_nodes
+from kmmix.mixing import _contour_envelope, _cutoff_rule, _eps_floor, _pole_pair, tv_quadrature
+from kmmix.spectral import NODE_CAP, pole_errors, theta_nodes
 
 import oracles
 from conftest import EXAMPLE, GRID, RANDOM_CHAINS
@@ -792,8 +792,9 @@ def entry_floors(chain, ts, n_max, rows, cols):
     """kernel_matrix's roundoff floor pi_j eps_floor(dtype) L1 at each entry,
     in the dtype its pass runs in."""
     ts, rows, cols = _kernel_args(ts, n_max, rows, cols)
-    _, l1, _, dtype = mixing._kernel_ac(chain, ts, rows, cols, QuadratureConfig())
-    return reversibility(chain).pi(cols) * _eps_floor(dtype) * l1
+    pi = reversibility(chain).pi(cols)
+    _, l1, _, dtype = mixing._kernel_ac(chain, ts, rows, cols, pi, QuadratureConfig())
+    return pi * _eps_floor(dtype) * l1
 
 
 def power_rows(x, ts, size):
@@ -934,7 +935,7 @@ class TestPoleCorrectedWedge:
         got = tv_curve(chain, range(61))
         assert max(abs(a - b) for a, b in zip(got, tv_oracle_curve(chain, 60))) <= 1e-12
         _, k, bound, *errors, dtype = tv_quadrature(chain, range(61))
-        assert k == 64 and errors == list(pole_errors(chain, 64, dtype))  # bit for bit
+        assert k == 64 and errors == [dtype(e) for e in pole_errors(chain, 64)]  # bit for bit
         # the roundoff floor from the real-line bound on |Q_n|, not the strip's
         assert 0.0 < bound <= QuadratureConfig().tol
 
@@ -1158,7 +1159,7 @@ class TestNodeCount:
         for ts, (nodes, exact) in ((range(61), short), (range(2000, 2021), deep)):
             _, k, bound, *errors, dtype = tv_quadrature(chain, ts)
             assert k == nodes and bound <= QuadratureConfig().tol
-            assert errors == (list(pole_errors(chain, k, dtype)) if exact else [0.0, 0.0])
+            assert errors == ([dtype(e) for e in pole_errors(chain, k)] if exact else [0.0, 0.0])
 
     def test_sizes_are_16_times_5_smooth(self, chain_grid):
         for c in chain_grid + [NEAR_CRITICAL]:

@@ -1,10 +1,13 @@
-"""The precision of the series and kernel passes: spectral._plan runs a pass in
-float64 only where float64's roundoff floor, times spectral._F64_MARGIN, meets
-its tolerance and its Q_n scales stay inside float64's range, and in longdouble
-everywhere else.  A longdouble pass keeps the bits it had before float64 passes
-existed; a float64 pass stays within its stated floor of the longdouble pass at
-the same node count; forced into float64 everywhere, both routes still give a
-value within their gate against the DP, a NaN or a typed error."""
+"""The precision of the series and kernel passes: each pass picks its own dtype
+by mixing._pass_dtype, float64 only where float64's roundoff floor, times
+mixing._F64_MARGIN, meets its tolerance and its values stay that far inside
+float64's range, and longdouble everywhere else.  The series states its floor
+a priori (mixing._series_floor); the kernel measures its entries' L1 sizes on
+its longdouble Q_n rows at the least t.  A longdouble pass keeps the bits it
+had before float64 passes existed; a float64 pass stays within its stated
+floor of the longdouble pass at the same node count; forced into float64
+everywhere, both routes still give a value within their gate against the DP,
+a NaN or a typed error."""
 
 import hashlib
 import math
@@ -14,11 +17,11 @@ import numpy as np
 import pytest
 
 from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureError, \
-    RegimeError, kernel_matrix, kernel_oracle, mixing, spectral, t_mix, tv_curve, \
+    RegimeError, kernel_matrix, kernel_oracle, mixing, reversibility, t_mix, tv_curve, \
     tv_oracle_curve
 from kmmix.chain import _kernel_args
-from kmmix.mixing import _SeriesSup, tv_quadrature
-from kmmix.spectral import _eps_floor, pole_errors, theta_nodes
+from kmmix.mixing import _eps_floor, _series_floor, tv_quadrature
+from kmmix.spectral import pole_errors, theta_nodes
 
 import test_atlas
 from conftest import EXAMPLE, GRID, RANDOM_CHAINS
@@ -30,8 +33,10 @@ CHAINS = [EXAMPLE, NEAR_CRITICAL, *GRID, *RANDOM_CHAINS]  # the bench's and conf
 X87 = np.finfo(LD).nmant == 63  # longdouble is the x87 80-bit format
 
 # (ts, series_tol) of the series calls and (ts, n_max, rows, cols) of the kernel calls
-SERIES = {"tv_61": (range(61), 1e-12), "tv_pair": ([125, 126], 1e-12)}
-KERNEL = {"kernel_block": (range(31), 6, None, None), "kernel_entry": (range(31), 6, [2], [3])}
+SERIES = {"tv_61": (range(61), 1e-12), "tv_pair": ([125, 126], 1e-12),
+          "tv_span": ([0, 2000], 1e-12)}
+KERNEL = {"kernel_block": (range(31), 6, None, None), "kernel_entry": (range(31), 6, [2], [3]),
+          "kernel_n12": (range(31), 12, None, None)}
 
 
 def run(name, chain):
@@ -52,38 +57,42 @@ def pass_dtype(name, chain):
 
 def kernel_pass(chain, ts, n_max, rows, cols):
     """mixing._kernel_ac's (AC parts, L1 twins, atom powers, dtype) of a kernel call."""
-    return mixing._kernel_ac(chain, *_kernel_args(ts, n_max, rows, cols), QuadratureConfig())
+    ts, rows, cols = _kernel_args(ts, n_max, rows, cols)
+    return mixing._kernel_ac(chain, ts, rows, cols, reversibility(chain).pi(cols),
+                             QuadratureConfig())
 
 
 def series_floor(chain, ts, series_tol, dtype):
-    """The roundoff floor the plan states for tv_curve's pass in dtype:
-    32 eps (p/(q+r)) max(beta^t, tiny) exp(_SeriesSup.on_support()) at the
-    least t, beta = r + 2 sqrt(pq)."""
+    """The roundoff floor tv_quadrature states for tv_curve's pass in dtype:
+    32 eps (p/(q+r)) max(beta^t, tiny) (1 + r z) (1 + S/p) / 2 at the least t,
+    beta = r + 2 sqrt(pq), z = sqrt(p/q) and S = sum_{n=1}^{N} (n + 1) z^n
+    summed directly."""
     cuts = tv_quadrature(chain, ts, series_tol)[0]
+    z, n = math.sqrt(chain.p / chain.q), np.arange(1, max(cuts.values()) + 1)
+    terms = np.sum((n + 1) * z ** n) / chain.p
     log_l1 = max(min(cuts) * math.log(chain.support[1]), float(np.log(np.finfo(dtype).tiny))) \
-        + _SeriesSup(chain, max(cuts.values())).on_support()
+        + math.log(0.5 + 0.5 * terms) + math.log(1.0 + chain.r * z)
     return _eps_floor(dtype) * chain.p / (chain.q + chain.r) * math.exp(log_l1)
 
 
 @pytest.fixture
 def force(monkeypatch):
-    """force(dtype) runs every planned pass in dtype, force(None) restores the
-    rule; the cached plans are dropped at each switch and at the end."""
-    rule = spectral._pass_dtype
+    """force(dtype) runs every series and kernel pass in dtype, force(None)
+    restores the rule."""
+    rule = mixing._pass_dtype
 
     def switch(dtype):
-        spectral._plan.cache_clear()
-        monkeypatch.setattr(spectral, "_pass_dtype", rule if dtype is None else
+        monkeypatch.setattr(mixing, "_pass_dtype", rule if dtype is None else
                             (lambda *args: dtype))
     yield switch
-    spectral._plan.cache_clear()
 
 
 class TestLongdoublePasses:
     # sha256 (first 16 hex digits) of each call's float64 bytes over CHAINS,
     # every pass in longdouble, as computed before float64 passes existed
     BEFORE = {"tv_61": "a6fecbfe1621721c", "tv_pair": "5186769cd8126c7f",
-              "kernel_block": "dc4ca02d179c622f", "kernel_entry": "5f8e1f32ee9a9dd5"}
+              "tv_span": "2ce442603d4805ba", "kernel_block": "dc4ca02d179c622f",
+              "kernel_entry": "5f8e1f32ee9a9dd5", "kernel_n12": "8cc961e322489de8"}
 
     @pytest.mark.skipif(not X87, reason="the digests are of x87 extended precision")
     @pytest.mark.parametrize("name", sorted(BEFORE))
@@ -106,9 +115,9 @@ class TestLongdoublePasses:
             assert np.array_equal(values, run(name, chain), equal_nan=True), chain
 
     def test_both_dtypes_are_planned(self):
-        # the rule is not all one way on these chains
-        seen = {pass_dtype(name, c) for name in (*SERIES, *KERNEL) for c in CHAINS}
-        assert seen == {LD, F64}
+        # the rule is not all one way on these chains, for either pass
+        for names in (SERIES, KERNEL):
+            assert {pass_dtype(name, c) for name in names for c in CHAINS} == {LD, F64}
 
 
 class TestFloat64Passes:
@@ -141,12 +150,24 @@ class TestFloat64Passes:
 
     def test_exact_plan_states_the_float64_floor(self):
         # the near-critical series to t = 60 is pole-corrected at K = 64: its
-        # bound is its floor alone, float64's
+        # bound is its floor alone, float64's, and E1, E2 the plan's longdouble
+        # ones rounded once
         _, k, bound, e1, e2, dtype = tv_quadrature(NEAR_CRITICAL, range(61))
-        assert (k, dtype) == (64, F64) and (e1, e2) == pole_errors(NEAR_CRITICAL, 64, F64)
+        assert (k, dtype) == (64, F64) and type(e1) is type(e2) is F64
+        assert (e1, e2) == tuple(F64(e) for e in pole_errors(NEAR_CRITICAL, 64))
         assert bound == pytest.approx(series_floor(NEAR_CRITICAL, range(61), 1e-12, F64),
                                       rel=1e-12)
-        assert spectral._F64_MARGIN * bound <= QuadratureConfig().tol
+        assert mixing._F64_MARGIN * bound <= QuadratureConfig().tol
+
+    @pytest.mark.parametrize("chain", [*CHAINS, SMALL_P, ChainParams(0.3, 0.300001, 0.399999)])
+    def test_closed_form_floor_is_the_direct_sum(self, chain):
+        # _series_floor sums its terms (n + 1) z^n in closed form; at the
+        # cutoffs of a short and a long series it agrees with the direct sum
+        for ts in (range(61), range(2000, 2021)):
+            cuts = tv_quadrature(chain, ts)[0]
+            for dtype in (F64, LD):
+                got = _series_floor(chain, min(cuts), max(cuts.values()), dtype)
+                assert got == pytest.approx(series_floor(chain, ts, 1e-12, dtype), rel=1e-12)
 
 
 class TestDtypeRule:
@@ -163,12 +184,39 @@ class TestDtypeRule:
 
     def test_kernel_floor_is_weighed_by_pi_j(self):
         # the bench's one-entry kernel jobs on the worked example, t <= 30:
-        # pi_j (q/p)^(j/2) = (1/p) (p/q)^(j/2) shrinks the floor of a column j
-        # >= 1, so all but three entries far below the diagonal run in float64
-        # (30 of 49 by the bound on |Q_i Q_j| alone)
+        # each entry's floor is pi_j eps L1, measured, and pi_j (q/p)^(j/2) =
+        # (1/p) (p/q)^(j/2) shrinks it for a column j >= 1, so all 49 run in
+        # float64 (46 by an a-priori bound on the entries, 30 by the bound on
+        # |Q_i Q_j| alone)
         longdouble = [(i, j) for i in range(7) for j in range(7)
                       if kernel_pass(EXAMPLE, range(31), max(i, j), [i], [j])[3] is LD]
-        assert longdouble == [(5, 1), (6, 1), (6, 2)]
+        assert longdouble == []
+
+    @pytest.mark.parametrize("ts, n_max, gate", [
+        ([0], 8, 1e-8),  # verify's orthogonality row (the DP is the identity)
+        (range(31), 6, 1e-9)])  # the bench's block
+    def test_kernel_runs_in_float64_where_its_measured_floor_allows(self, ts, n_max, gate):
+        # the L1 measured on the rows at the least t lets float64's floor meet
+        # tol; the values meet their gates against the DP, with no NaN
+        assert kernel_pass(EXAMPLE, ts, n_max, None, None)[3] is F64
+        values = kernel_matrix(EXAMPLE, ts, n_max)
+        assert not np.isnan(values).any()
+        assert np.all(np.abs(values - kernel_oracle(EXAMPLE, ts, n_max)) <= gate)
+
+    # sha256 (first 16 hex digits) of the float64 bytes of kernel_matrix(EXAMPLE,
+    # ts, 12), as computed before the kernel measured its floor
+    @pytest.mark.parametrize("ts, digest", [(range(61), "01c023435def8463"),
+                                            ([0, 5], "a4410ad44d7625cf")])
+    def test_kernel_keeps_longdouble_where_its_measured_floor_misses(self, force, ts, digest):
+        # the worked example's blocks to degree 12: the measured float64 floor
+        # is 3.2e-10 at the least t, ten times which misses 1e-10; the pass is
+        # the forced longdouble one, bit for bit
+        assert kernel_pass(EXAMPLE, ts, 12, None, None)[3] is LD
+        planned = kernel_matrix(EXAMPLE, ts, 12)
+        force(LD)
+        assert np.array_equal(planned, kernel_matrix(EXAMPLE, ts, 12))
+        if X87:
+            assert hashlib.sha256(planned.astype(float).tobytes()).hexdigest()[:16] == digest
 
     def test_float64_scales_out_of_range_keep_longdouble(self, force):
         # at series_tol 1e-320 the cutoff reaches N = 160 by t = 160, and
@@ -208,8 +256,6 @@ class TestDtypeRule:
             for a, b in zip(wide, narrow):
                 assert b.dtype == F64 and not b.flags.writeable
                 assert np.array_equal(b, a.astype(F64))
-            assert pole_errors(chain, 64, F64) == tuple(F64(e) for e in pole_errors(chain, 64))
-            assert all(type(e) is F64 for e in pole_errors(chain, 64, F64))
 
 
 def test_forced_float64_gives_the_gate_a_nan_or_a_typed_error(force):

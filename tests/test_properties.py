@@ -24,10 +24,10 @@ import numpy as np
 import pytest
 
 from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureError, \
-    RegimeError, bound_coefficients, kernel_matrix, kernel_oracle, q_log_sup, tv_curve, \
-    tv_oracle_curve
-from kmmix.mixing import _first_below, _kernel_ac, tv_quadrature
-from kmmix.spectral import _eps_floor, negative_atom, node_count
+    RegimeError, bound_coefficients, kernel_matrix, kernel_oracle, q_log_sup, reversibility, \
+    tv_curve, tv_oracle_curve
+from kmmix.mixing import _eps_floor, _first_below, _kernel_ac, tv_quadrature
+from kmmix.spectral import negative_atom, node_count
 
 import oracles
 
@@ -185,10 +185,11 @@ def test_kernel_bound_covers_the_quadrature_error(chain):
     log_sup = q_log_sup(chain, 4, 4)  # entries to (4, 4), the kernel's plan for them
     k = node_count(chain, QuadratureConfig(), "kernel", log_sup)[0]
     wide = QuadratureConfig(node_count=4 * k, tol=ANY_COUNT)
-    ref, ref_l1, _, ref_dtype = _kernel_ac(chain, ts, every, every, wide)
+    pi = reversibility(chain).pi(every)
+    ref, ref_l1, _, ref_dtype = _kernel_ac(chain, ts, every, every, pi, wide)
     for n in _counts(k):
         cfg = QuadratureConfig(node_count=n, tol=ANY_COUNT)
-        ac, l1, _, dtype = _kernel_ac(chain, ts, every, every, cfg)
+        ac, l1, _, dtype = _kernel_ac(chain, ts, every, every, pi, cfg)
         bound = node_count(chain, cfg, "kernel", log_sup)[1] + \
             node_count(chain, wide, "kernel", log_sup)[1]
         # beyond the two passes' bounds, the roundoff of the dtype each ran in

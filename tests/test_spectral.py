@@ -223,38 +223,38 @@ class TestPoleErrors:
         # so does the exact-degree count at degree 61: the strip plan; at
         # degree 29 the exact count is 16
         strip = node_count(example_chain, QuadratureConfig(), "x", sup)
-        assert strip[0] == 32 and strip[2:] == (0.0, 0.0, LD)
-        k, _, *errors, _ = node_count(example_chain, QuadratureConfig(), "x", sup, degree=61)
-        assert (k, errors) == (32, [0.0, 0.0])  # the strip's plan; its bound adds a floor
-        k, _, *errors, dtype = node_count(example_chain, QuadratureConfig(), "x", sup, degree=29)
-        assert (k, errors) == (16, list(pole_errors(example_chain, 16, dtype)))
-        # an override is corrected from ceil((degree + 3)/2) on, whatever the strip
+        assert strip[0] == 32 and strip[2:] == (0.0, 0.0)
+        assert node_count(example_chain, QuadratureConfig(), "x", sup, degree=61) == strip
+        k, _, *errors = node_count(example_chain, QuadratureConfig(), "x", sup, degree=29)
+        assert (k, errors) == (16, list(pole_errors(example_chain, 16)))
+        # an override is corrected from ceil((degree + 3)/2) on, whatever the
+        # strip; an exact rule has no truncation to bound (roundoff is the pass's)
         cfg = QuadratureConfig(node_count=32)
-        k, bound, *errors, dtype = node_count(c, cfg, "x", q_log_sup(c, 16, 0), 45, degree=61)
-        assert (k, errors) == (32, list(pole_errors(c, 32, dtype))) and 0.0 < bound <= cfg.tol
+        k, bound, *errors = node_count(c, cfg, "x", q_log_sup(c, 16, 0), 45, degree=61)
+        assert (k, errors) == (32, list(pole_errors(c, 32))) and bound == 0.0
         with pytest.raises(QuadratureError, match="override of 32"):
             node_count(c, cfg, "x", q_log_sup(c, 16, 0), 45, degree=62)
 
 
 class TestPlanCorrection:
     """The plan carries the pole correction its pass subtracts: 0.0, 0.0
-    under the strip count, pole_errors(chain, K, dtype) bit for bit under the
-    exact-degree count, an override included, in the pass's dtype."""
+    under the strip count, pole_errors(chain, K) bit for bit under the
+    exact-degree count, an override included."""
 
     @pytest.mark.parametrize("chain", POLE_CHAINS)
     def test_strip_and_exact_plans(self, chain):
         sup, cfg = q_log_sup(chain, 16, 0), QuadratureConfig()
         for t, degree in ((0, None), (0, 20), (40, 60), (2000, 2020)):
             try:
-                k, _, e1, e2, dtype = node_count(chain, cfg, "x", sup, t, degree=degree)
+                k, _, e1, e2 = node_count(chain, cfg, "x", sup, t, degree=degree)
             except QuadratureError:  # the strip count alone passes the cap
                 continue
             strip = spectral._plan(chain, cfg, sup, t, ())[1]  # no degree: the strip count
             if degree is None or k == strip:  # a tie goes to the strip
                 assert (e1, e2) == (0.0, 0.0) and type(e1) is float
             else:  # the strip count is larger or passes the cap (None)
-                assert (strip is None or k < strip) and (e1, e2) == pole_errors(chain, k, dtype)
-                assert type(e1) is dtype and type(e2) is dtype
+                assert (strip is None or k < strip) and (e1, e2) == pole_errors(chain, k)
+                assert type(e1) is LD and type(e2) is LD
 
     @pytest.mark.parametrize("chain", POLE_CHAINS)
     def test_override_at_the_exact_degree_count(self, chain):
@@ -263,13 +263,13 @@ class TestPlanCorrection:
             for n_nodes, corrected in ((need, True), (need - 1, False)):
                 cfg = QuadratureConfig(node_count=n_nodes)
                 try:
-                    k, _, e1, e2, dtype = node_count(chain, cfg, "x", q_log_sup(chain, 16, 0),
-                                                     0, degree=degree)
+                    k, _, e1, e2 = node_count(chain, cfg, "x", q_log_sup(chain, 16, 0), 0,
+                                              degree=degree)
                 except QuadratureError:  # short of the exact count and of the strip's
                     assert not corrected
                     continue
                 assert k == n_nodes
-                want = pole_errors(chain, n_nodes, dtype) if corrected else (0.0, 0.0)
+                want = pole_errors(chain, n_nodes) if corrected else (0.0, 0.0)
                 assert (e1, e2) == want and all(type(e) is type(w) for e, w in zip((e1, e2), want))
 
 
