@@ -250,11 +250,13 @@ def drift_identity_residual(chain: ChainParams, x: int) -> float:
 
     which vanishes identically.  V is divided out analytically, V(y +- 1) /
     V(y) = sqrt(q/p)^(+-1), so the return value is pure roundoff on every
-    chain, p far below q included (where V itself leaves the double range)."""
+    chain, p far below q included (where V leaves the double range).  For
+    x >= 1 it is the same number at every x; at x = 0 it compares V(1), taken
+    as a power, with sqrt(q/p)."""
     if x < 0:
         raise ValueError("x must be a state")
     p, q, r = chain.p, chain.q, chain.r
     lam = r + 2.0 * chain.sqrt_pq
     step = math.sqrt(q / p)  # V(y + 1) / V(y)
-    expect = step if x == 0 else q / step + r + p * step  # E[V(X_1) | X_0 = x] / V(x)
+    expect = _power(q / p, 0.5) if x == 0 else q / step + r + p * step  # E[V(X_1) | x] / V(x)
     return expect - lam - (step - lam if x == 0 else 0.0)

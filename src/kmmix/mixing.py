@@ -81,6 +81,7 @@ _T_DOUBLE = int(np.finfo(float).max)  # the largest time the TV routes take: the
 T_CAP = 10 ** 7  # the largest time t_mix searches to
 N_CAP = 100_000  # the largest degree cutoff N of the TV series
 _F64_MARGIN = 10.0  # how far a float64 pass keeps its floor inside tol, its values inside range
+_LOG_F64_ROOM = math.log(np.finfo(np.float64).max / _F64_MARGIN)  # log of a float64 pass's peak
 
 
 class ConvergenceError(RuntimeError):
@@ -207,15 +208,17 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, series_tol: float):
     The tail bound is nonincreasing in N.  Both geometric terms reaching half
     the tolerance is sufficient; bisection on the exact tail expression below
     that closed form pins N, so N and its tail are those of a scan upward
-    from N = 0.  Before any search, a guess `near` (an earlier t's cutoff, so
-    below t) and then near + 1 are checked by inline float expressions: either
-    is taken when it is that least N, tail(N) <= tol < tail(N - 1)."""
+    from N = 0.  Before any search, a guess `near` (an earlier t's cutoff, else
+    where the larger term alone meets tol) and then near + 1 are checked by
+    inline float expressions: either is taken when it is that least N."""
     tail_at = _tail_rule(chain, co)
 
     def cutoff(t, near=None):
         (a, x), (c, y) = series = tail_at(t)
         tol = max(min(series_tol, 0.05 * co.B * co.beta ** t), 5e-324)
-        if near is not None and near < min(t, N_CAP):
+        if near is None:
+            near = max(_geometric_depth(amp, ratio, math.log(tol)) for amp, ratio in series)
+        if near < min(t, N_CAP):
             at = a * x ** (near + 1) + c * y ** (near + 1)  # tail(near)
             if at <= tol and (near == 0 or a * x ** near + c * y ** near > tol):
                 return near, at
@@ -260,13 +263,13 @@ def _node_power(x, gap: int):
     return power
 
 
-def _power_batches(x, batches):
-    """The rows x^t of each batch of ascending times in turn, each row the
-    last one times the step x^gap, written in place: x^t_prev x^gap t by t,
-    the first row of a batch from the last of the one before.  A step is x
-    for gap 1, else one _node_power, kept while the gap repeats; t_mix's
-    pairs (g - 1, g) take one power, evenly strided times one in all."""
-    last, t_prev, gap, step = np.ones_like(x), 0, 1, x
+def _power_batches(x, batches, start=None):
+    """The rows x^t of each batch of ascending times in turn, each the last row
+    times the step x^gap, in place: x^t_prev x^gap t by t, from start = (x^t0,
+    t0) if given (times past t0), else from ones at 0.  A step is x for gap 1,
+    else one _node_power, kept while the gap repeats; t_mix's pairs (g - 1, g)
+    take one power, evenly strided times one in all."""
+    (last, t_prev), gap, step = start or (np.ones_like(x), 0), 1, x
     for times in batches:
         rows = np.empty((len(times), x.size), dtype=x.dtype)
         for row, t in zip(rows, times):
@@ -399,8 +402,7 @@ def _pass_dtype(chain: ChainParams, tol: float, floor64: float, span: int):
     on the support (|Q_n| <= 2 (n + 1) (q/p)^(n/2) there), stay _F64_MARGIN
     inside float64's range; else longdouble."""
     log_peak = 0.5 * span * math.log(chain.q / chain.p) + 2.0 * math.log(2.0 * (span + 1))
-    if _F64_MARGIN * floor64 <= tol and \
-            log_peak + math.log(_F64_MARGIN) < math.log(np.finfo(np.float64).max):
+    if _F64_MARGIN * floor64 <= tol and log_peak < _LOG_F64_ROOM:
         return np.float64
     return np.longdouble
 
@@ -410,12 +412,15 @@ def _series_floor(chain: ChainParams, t: int, n_cut: int, dtype) -> float:
     sup |x^t f| on the support, f = (1/2) sum_{n <= n_cut} pi_n |Q_n|.  There
     |x|^t <= beta^t, taken no less than the dtype's least normal number, and
     |Q_n| <= (1 + r z) (n + 1) (q/p)^(n/2) (as |U_m| <= m + 1), z = sqrt(p/q),
-    so f <= (1 + r z) (1 + S/p) / 2, S + 1 = sum_{n <= N} (n + 1) z^n =
-    ((1 - z^(N+1)) / (1 - z) - (N + 1) z^(N+1)) / (1 - z)."""
+    so f <= (1 + r z) (1 + S/p) / 2, S = sum_{n=1}^{N} (n + 1) z^n, summed where
+    m (1 - z) < 1 (m = N + 1), else (z (2 - z) - z^m (1 + m (1 - z))) / (1 - z)^2,
+    whose numerator stays above 1 - 2/e - (1 - z)^2: it cancels little."""
     p, q, r = chain.p, chain.q, chain.r
-    z = math.sqrt(p / q)
-    tail = z ** (n_cut + 1)
-    terms = (((1.0 - tail) / (1.0 - z) - (n_cut + 1) * tail) / (1.0 - z) - 1.0) / p
+    z, m = math.sqrt(p / q), n_cut + 1
+    if m * (1.0 - z) < 1.0:  # near z = 1 the closed form cancels
+        terms = np.sum(np.arange(2, m + 1) * z ** np.arange(1, m)) / p
+    else:
+        terms = (z * (2.0 - z) - z ** m * (1.0 + m * (1.0 - z))) / (1.0 - z) ** 2 / p
     log_tiny = np.finfo(dtype).minexp * math.log(2.0)  # its least normal number is 2^minexp
     log_l1 = max(t * math.log(r + 2.0 * chain.sqrt_pq), log_tiny) \
         + math.log(0.5 + 0.5 * terms) + math.log(1.0 + r * z)
@@ -617,7 +622,7 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, pi, cfg: QuadratureConfig):
     the dtype by _pass_dtype: float64 (rows, nodes and E1, E2 rounded once)
     where _F64_MARGIN pi_j _eps_floor(float64) L1 meets cfg.tol at every
     entry (pi = pi_j over cols) and degree i + j keeps the values inside
-    float64's range."""
+    float64's range.  A longdouble pass keeps those twins and powers on."""
     i, j = int(max(rows)), int(max(cols))  # Python ints: t + i + j may pass 2^63
     n_nodes, _, e1, e2 = node_count(chain, cfg, "kernel_matrix", q_log_sup(chain, i, j),
                                     t=min(ts), degree=max(ts) + i + j)
@@ -628,23 +633,27 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, pi, cfg: QuadratureConfig):
     uniq = sorted(set(ts))
     atoms = _atom_powers(negative_atom(chain)[0], uniq, np.add.outer(rows, cols))
     ac, l1 = np.empty(atoms.shape), np.empty(atoms.shape)
+    size = max(1, _CELLS // (left.size + atoms[0].size))  # times per batch
     with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0: longdouble or NaN
         moduli = np.abs(left), np.abs(right).T
-        first = np.matmul(moduli[0] * (w * np.abs(_node_power(x, uniq[0]))), moduli[1]) \
-            + (abs(e1) + np.abs(e2 * atoms[0]))
-        dtype = _pass_dtype(chain, cfg.tol, (pi * first).max() * _eps_floor(np.float64), i + j)
-        if dtype is not np.longdouble:
+        xt = _node_power(x, uniq[0])
+        wxt = w * xt[None, None]
+        l1[:1] = np.matmul(moduli[0] * np.abs(wxt), moduli[1]) + (abs(e1) + np.abs(e2 * atoms[:1]))
+        dtype = _pass_dtype(chain, cfg.tol, (pi * l1[0]).max() * _eps_floor(np.float64), i + j)
+        done = int(dtype is np.longdouble)  # then the least t's L1 twins stand, its AC parts next
+        if done:
+            ac[:1] = np.matmul(left * wxt, right.T) - (e1 + e2 * atoms[:1])
+        else:
             x, w = theta_nodes(chain, n_nodes, dtype)[:2]
             left, right, *moduli = (a.astype(dtype) for a in (left, right, *moduli))
             e1, e2 = dtype(e1), dtype(e2)
-        starts = range(0, len(uniq), max(1, _CELLS // (left.size + atoms[0].size)))
-        for start, xt in zip(starts, _power_batches(x, (uniq[s:s + starts.step] for s in starts))):
-            batch = slice(start, start + starts.step)
+        starts = range(done, len(uniq), size)
+        powers = _power_batches(x, (uniq[s:s + size] for s in starts), done and (xt, uniq[0]))
+        for start, xt in zip(starts, powers):
+            batch = slice(start, start + size)
             wxt = w * xt[:, None]
             pole = e2 * atoms[batch]
             l1[batch] = np.matmul(moduli[0] * np.abs(wxt), moduli[1]) + (abs(e1) + np.abs(pole))
             ac[batch] = np.matmul(left * wxt, right.T) - (e1 + pole)
-    if ts == uniq:  # in order already
-        return ac, l1, atoms, dtype
-    at = np.searchsorted(uniq, ts)
+    at = np.asarray(uniq).searchsorted(ts)  # np.searchsorted wraps a list in a slower call
     return ac[at], l1[at], atoms[at], dtype

@@ -63,14 +63,18 @@ def kernel_pass(chain, ts, n_max, rows, cols):
 
 
 def series_floor(chain, ts, series_tol, dtype):
-    """The roundoff floor tv_quadrature states for tv_curve's pass in dtype:
-    32 eps (p/(q+r)) max(beta^t, tiny) (1 + r z) (1 + S/p) / 2 at the least t,
-    beta = r + 2 sqrt(pq), z = sqrt(p/q) and S = sum_{n=1}^{N} (n + 1) z^n
-    summed directly."""
+    """The roundoff floor tv_quadrature states for tv_curve's pass in dtype."""
     cuts = tv_quadrature(chain, ts, series_tol)[0]
-    z, n = math.sqrt(chain.p / chain.q), np.arange(1, max(cuts.values()) + 1)
+    return direct_floor(chain, min(cuts), max(cuts.values()), dtype)
+
+
+def direct_floor(chain, t, n_cut, dtype):
+    """32 eps (p/(q+r)) max(beta^t, tiny) (1 + r z) (1 + S/p) / 2, beta =
+    r + 2 sqrt(pq), z = sqrt(p/q) and S = sum_{n=1}^{N} (n + 1) z^n summed
+    directly, N = n_cut."""
+    z, n = math.sqrt(chain.p / chain.q), np.arange(1, n_cut + 1)
     terms = np.sum((n + 1) * z ** n) / chain.p
-    log_l1 = max(min(cuts) * math.log(chain.support[1]), float(np.log(np.finfo(dtype).tiny))) \
+    log_l1 = max(t * math.log(chain.support[1]), float(np.log(np.finfo(dtype).tiny))) \
         + math.log(0.5 + 0.5 * terms) + math.log(1.0 + chain.r * z)
     return _eps_floor(dtype) * chain.p / (chain.q + chain.r) * math.exp(log_l1)
 
@@ -156,7 +160,7 @@ class TestFloat64Passes:
         assert (k, dtype) == (64, F64) and type(e1) is type(e2) is F64
         assert (e1, e2) == tuple(F64(e) for e in pole_errors(NEAR_CRITICAL, 64))
         assert bound == pytest.approx(series_floor(NEAR_CRITICAL, range(61), 1e-12, F64),
-                                      rel=1e-12)
+                                      rel=1e-12, abs=0.0)
         assert mixing._F64_MARGIN * bound <= QuadratureConfig().tol
 
     @pytest.mark.parametrize("chain", [*CHAINS, SMALL_P, ChainParams(0.3, 0.300001, 0.399999)])
@@ -167,7 +171,19 @@ class TestFloat64Passes:
             cuts = tv_quadrature(chain, ts)[0]
             for dtype in (F64, LD):
                 got = _series_floor(chain, min(cuts), max(cuts.values()), dtype)
-                assert got == pytest.approx(series_floor(chain, ts, 1e-12, dtype), rel=1e-12)
+                assert got == pytest.approx(series_floor(chain, ts, 1e-12, dtype), rel=1e-12,
+                                            abs=0.0)
+
+    @pytest.mark.parametrize("chain", [ChainParams(1e-100, 0.5, 0.5 - 1e-100),
+                                       ChainParams(0.3, 0.30000001, 0.39999999)])
+    def test_closed_form_floor_at_the_ends_of_z(self, chain):
+        # z = sqrt(p/q) below 2^-54, where 1 - z rounds to 1, and z within
+        # about 1e-8 of 1, where the closed form would cancel: at every cutoff
+        # the floor is the direct sum's
+        for n_cut in (0, 1, 2, 60, 1015, 10**5):
+            for dtype in (F64, LD):
+                assert _series_floor(chain, 5, n_cut, dtype) == pytest.approx(
+                    direct_floor(chain, 5, n_cut, dtype), rel=1e-12, abs=0.0)
 
 
 class TestDtypeRule:
