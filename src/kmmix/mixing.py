@@ -49,7 +49,7 @@ The quadrature plan (spectral.node_count) sizes a pass; the pass picks its
 precision.  Its roundoff floor is 32 eps times its integrand's L1 size, and
 it runs in float64 where _F64_MARGIN times float64's floor meets its
 tolerance (_pass_dtype), else in longdouble.  The series states that size a
-priori (_series_floor); the kernel measures it on its Q_n rows (_kernel_ac).
+priori (_series_floor); the kernel measures it on its float64 Q_n rows.
 """
 
 import math
@@ -85,10 +85,12 @@ _LOG_F64_ROOM = math.log(np.finfo(np.float64).max / _F64_MARGIN)  # log of a flo
 
 
 class ConvergenceError(RuntimeError):
-    """Series truncation hit its cap; carries the bound that was achieved."""
+    """A cap met before TV is certified: tv_curve's series cutoff past N_CAP or
+    a term past the double range, or t_mix's bracket past T_CAP; carries the
+    bound achieved (the series' tail bound, or min(1, envelope) at T_CAP)."""
 
     def __init__(self, message, achieved_bound):
-        super().__init__(f"{message} (achieved tail bound {achieved_bound:.3e})")
+        super().__init__(f"{message} (achieved bound {achieved_bound:.3e})")
         self.achieved_bound = achieved_bound
 
 
@@ -205,20 +207,21 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, series_tol: float):
     B beta^t leaves only O(beta^t) of slack, and a truncation deficit above
     that scale would poke out of it.
 
-    The tail bound is nonincreasing in N.  Both geometric terms reaching half
-    the tolerance is sufficient; bisection on the exact tail expression below
-    that closed form pins N, so N and its tail are those of a scan upward
-    from N = 0.  Before any search, a guess `near` (an earlier t's cutoff, else
-    where the larger term alone meets tol) and then near + 1 are checked by
-    inline float expressions: either is taken when it is that least N."""
+    The tail bound is nonincreasing in N.  A guess `near` (an earlier t's
+    cutoff, else where the larger term alone meets tol) and then near + 1 are
+    checked first, by inline float expressions.  Else tail(cap), cap = min(t,
+    N_CAP), missing tol cuts the series at t, or raises past N_CAP; meeting
+    it, one bisection over (-1, cap] pins N, so N and its tail are those of a
+    scan upward from N = 0."""
     tail_at = _tail_rule(chain, co)
 
     def cutoff(t, near=None):
         (a, x), (c, y) = series = tail_at(t)
         tol = max(min(series_tol, 0.05 * co.B * co.beta ** t), 5e-324)
+        cap = min(t, N_CAP)
         if near is None:
             near = max(_geometric_depth(amp, ratio, math.log(tol)) for amp, ratio in series)
-        if near < min(t, N_CAP):
+        if near < cap:
             at = a * x ** (near + 1) + c * y ** (near + 1)  # tail(near)
             if at <= tol and (near == 0 or a * x ** near + c * y ** near > tol):
                 return near, at
@@ -226,16 +229,12 @@ def _cutoff_rule(chain: ChainParams, co: BoundCoefficients, series_tol: float):
             if at > tol >= after:
                 return near + 1, after
         tail = partial(_tail, series)
-        if t <= N_CAP and tail(t) > tol:
-            return t, tail(t)
-        log_half = math.log(tol) - math.log(2.0)
-        enough = max(_geometric_depth(amp, ratio, log_half) for amp, ratio in series)
+        if tail(cap) > tol:
+            if cap == t:
+                return t, tail(t)
+            raise ConvergenceError(f"series cutoff exceeded n_cap={N_CAP} at t={t}", tail(cap))
         # tail(lo) > tol >= tail(hi), with lo = -1 standing for "no N below hi"
-        lo, hi = -1, min(enough + 1, N_CAP)
-        while tail(hi) > tol:
-            if hi == N_CAP:
-                raise ConvergenceError(f"series cutoff exceeded n_cap={N_CAP} at t={t}", tail(hi))
-            lo, hi = hi, min(2 * hi + 1, N_CAP)
+        lo, hi = -1, cap
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if tail(mid) <= tol:
@@ -263,13 +262,12 @@ def _node_power(x, gap: int):
     return power
 
 
-def _power_batches(x, batches, start=None):
+def _power_batches(x, batches):
     """The rows x^t of each batch of ascending times in turn, each the last row
-    times the step x^gap, in place: x^t_prev x^gap t by t, from start = (x^t0,
-    t0) if given (times past t0), else from ones at 0.  A step is x for gap 1,
-    else one _node_power, kept while the gap repeats; t_mix's pairs (g - 1, g)
-    take one power, evenly strided times one in all."""
-    (last, t_prev), gap, step = start or (np.ones_like(x), 0), 1, x
+    times the step x^gap, in place: x^t_prev x^gap t by t, from ones at 0.  A
+    step is x for gap 1, else one _node_power, kept while the gap repeats;
+    t_mix's pairs (g - 1, g) take one power, evenly strided times one in all."""
+    last, t_prev, gap, step = np.ones_like(x), 0, 1, x
     for times in batches:
         rows = np.empty((len(times), x.size), dtype=x.dtype)
         for row, t in zip(rows, times):
@@ -617,12 +615,12 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, pi, cfg: QuadratureConfig):
     bound on |Q_i Q_j| for the largest i and j asked for (degree max(ts) + i +
     j).  Each AC part is less the plan's E1 + E2 times its _atom_powers term
     (Q_n(1) = 1, Q_n(loc2) = loc2^n; 0.0 under the strip count), and its L1
-    twin gains their moduli.  The rows are built once, in longdouble; the
-    L1 twins at the least t, where they are largest (|x_k|, |loc2| < 1), pick
-    the dtype by _pass_dtype: float64 (rows, nodes and E1, E2 rounded once)
-    where _F64_MARGIN pi_j _eps_floor(float64) L1 meets cfg.tol at every
-    entry (pi = pi_j over cols) and degree i + j keeps the values inside
-    float64's range.  A longdouble pass keeps those twins and powers on."""
+    twin gains their moduli.  The rows are built once, in longdouble, and
+    rounded once to float64 with the nodes and E1, E2; that set's L1 twins at
+    the least t, where they are largest (|x_k|, |loc2| < 1), pick the dtype by
+    _pass_dtype: float64 where _F64_MARGIN pi_j _eps_floor(float64) L1 meets
+    cfg.tol at every entry (pi = pi_j over cols) and degree i + j keeps the
+    values inside float64's range, else longdouble, on the rows as built."""
     i, j = int(max(rows)), int(max(cols))  # Python ints: t + i + j may pass 2^63
     n_nodes, _, e1, e2 = node_count(chain, cfg, "kernel_matrix", q_log_sup(chain, i, j),
                                     t=min(ts), degree=max(ts) + i + j)
@@ -635,21 +633,18 @@ def _kernel_ac(chain: ChainParams, ts, rows, cols, pi, cfg: QuadratureConfig):
     ac, l1 = np.empty(atoms.shape), np.empty(atoms.shape)
     size = max(1, _CELLS // (left.size + atoms[0].size))  # times per batch
     with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0: longdouble or NaN
+        wide = x, w, left, right, e1, e2
+        x, w, left, right, e1, e2 = (*theta_nodes(chain, n_nodes, np.float64)[:2],
+                                     left.astype(np.float64), right.astype(np.float64),
+                                     np.float64(e1), np.float64(e2))
+        first = np.matmul(np.abs(left) * np.abs(w * _node_power(x, uniq[0])), np.abs(right).T) \
+            + (abs(e1) + np.abs(e2 * atoms[0]))
+        dtype = _pass_dtype(chain, cfg.tol, (pi * first).max() * _eps_floor(np.float64), i + j)
+        if dtype is np.longdouble:
+            x, w, left, right, e1, e2 = wide
         moduli = np.abs(left), np.abs(right).T
-        xt = _node_power(x, uniq[0])
-        wxt = w * xt[None, None]
-        l1[:1] = np.matmul(moduli[0] * np.abs(wxt), moduli[1]) + (abs(e1) + np.abs(e2 * atoms[:1]))
-        dtype = _pass_dtype(chain, cfg.tol, (pi * l1[0]).max() * _eps_floor(np.float64), i + j)
-        done = int(dtype is np.longdouble)  # then the least t's L1 twins stand, its AC parts next
-        if done:
-            ac[:1] = np.matmul(left * wxt, right.T) - (e1 + e2 * atoms[:1])
-        else:
-            x, w = theta_nodes(chain, n_nodes, dtype)[:2]
-            left, right, *moduli = (a.astype(dtype) for a in (left, right, *moduli))
-            e1, e2 = dtype(e1), dtype(e2)
-        starts = range(done, len(uniq), size)
-        powers = _power_batches(x, (uniq[s:s + size] for s in starts), done and (xt, uniq[0]))
-        for start, xt in zip(starts, powers):
+        starts = range(0, len(uniq), size)
+        for start, xt in zip(starts, _power_batches(x, (uniq[s:s + size] for s in starts))):
             batch = slice(start, start + size)
             wxt = w * xt[:, None]
             pole = e2 * atoms[batch]

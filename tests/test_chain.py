@@ -297,6 +297,10 @@ class TestDriftIdentity:
     def test_x0_forced_move(self, example_chain):
         assert drift_identity_residual(example_chain, 0) == pytest.approx(0.0, abs=1e-14)
 
+    def test_rejects_negative_state(self, example_chain):
+        with pytest.raises(ValueError, match="x must be a state"):
+            drift_identity_residual(example_chain, -1)
+
     def test_relative_residual_to_50(self, chain_grid):
         # the residual comes relative to V(x), V divided out analytically
         for c in chain_grid:

@@ -382,7 +382,7 @@ class TestTmix:
         assert err.startswith("kmmix: ") and "bracket exceeded 1e7" in err
         # the envelope at t = 1e7 reads 9e19 here; TV <= 1 caps the bound
         assert "min(1, envelope)" in err
-        bound = float(err.rsplit("achieved tail bound ", 1)[1].rstrip(")\n"))
+        bound = float(err.rsplit("achieved bound ", 1)[1].rstrip(")\n"))
         assert 0.0 < bound <= 1.0
 
 
@@ -454,14 +454,16 @@ class TestCouple:
         assert out1 != out2
 
     @pytest.mark.parametrize("flags", [("--horizon", str(2 ** 30), "--replicas", "1"),
-                                       ("--horizon", "0", "--replicas", str(2 ** 32 + 1))])
+                                       ("--horizon", "0", "--replicas", str(2 ** 32 + 1)),
+                                       ("--horizon", "10", "--replicas", "0")])
     def test_overlapping_counter_blocks_exit_2(self, capsys, flags):
         code, out, err = run_cli(capsys, "couple", "--p", "1/11", "--q", "9/11", *flags)
         assert code == 2 and out == ""
         # a horizon of 2^30 and 2^32 + 1 replicas meet the CLI's size caps
-        # before the library's guard (test_coupling checks that guard)
-        message = "--replicas must be at most 1e7" if flags[1] == "0" else \
-            "--horizon must be at most 1e6"
+        # before the library's guard (test_coupling checks that guard), and
+        # no replicas the library's own check
+        message = {"0": "--replicas must be at most 1e7", "10": "replicas must be at least 1"}.get(
+            flags[1], "--horizon must be at most 1e6")
         assert err.startswith("kmmix: ") and message in err
 
     def test_classical_mode(self, capsys):

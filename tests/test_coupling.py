@@ -86,6 +86,10 @@ class TestHittingPmfs:
             hitting_pmf_multinomial(example_chain, 3, 2)
         with pytest.raises(ValueError):
             hitting_pmf_exact_curve(example_chain, 0, 5)
+        with pytest.raises(ValueError, match="k_max must be nonnegative"):
+            hitting_pmf_exact_curve(example_chain, 1, -1)
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            stationary_hitting_survival(example_chain, 0)
 
 
 class TestTailAsymptote:
@@ -288,15 +292,19 @@ class TestLiveSet:
         else:
             assert draws[0] == 0 and draws[1] == draws[2] == active
 
-    @pytest.mark.parametrize("horizon, replicas", [(2 ** 30, 1), (0, 2 ** 32 + 1)])
+    @pytest.mark.parametrize("horizon, replicas", [(2 ** 30, 1), (0, 2 ** 32 + 1), (10, 0),
+                                                   (-1, 10)])
     def test_counter_fields_guarded(self, example_chain, monkeypatch, horizon, replicas):
-        # the guard must fire before anything is drawn or allocated
+        # the guards must fire before anything is drawn or allocated: disjoint
+        # counter blocks, at least one replica and a nonnegative horizon
         def no_draws(*args, **kwargs):
             raise AssertionError("drew before the counter guard")
 
         monkeypatch.setattr(coupling, "_uniforms", no_draws)
+        match = {0: "replicas must be at least 1", 10: "horizon must be nonnegative"}.get(
+            replicas, "2\\^30")
         for simulate in SIMULATORS.values():
-            with pytest.raises(ValueError, match="2\\^30"):
+            with pytest.raises(ValueError, match=match):
                 simulate(example_chain, horizon, replicas, 0)
 
 

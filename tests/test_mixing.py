@@ -640,6 +640,8 @@ class TestTMix:
         for eps in (0.0, 1.0, -0.5, 2.0, 5e-324):
             with pytest.raises(ValueError):
                 t_mix(example_chain, eps)
+        with pytest.raises(ValueError, match="unknown method 'other'"):
+            t_mix(example_chain, 0.1, method="other")
 
     @pytest.mark.parametrize("chain", [ChainParams(0.3, 0.3000000001, 0.3999999999),
                                        ChainParams(0.3, 0.30001, 0.39999)])

@@ -439,6 +439,10 @@ class TestPointMassSummability:
         with pytest.raises(ValueError, match="atom"):
             point_mass_summability(example_chain, 0.5, 10)
 
+    def test_rejects_negative_truncation(self, example_chain):
+        with pytest.raises(ValueError, match="n_trunc must be nonnegative"):
+            point_mass_summability(example_chain, 1.0, -1)
+
     @pytest.mark.parametrize("chunk", [7, 1 << 16])
     def test_equals_the_per_k_sum(self, monkeypatch, chain_grid, chunk):
         # pi_k is built per chunk of k; the sum is the per-k one bit for bit,

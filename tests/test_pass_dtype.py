@@ -2,16 +2,20 @@
 by mixing._pass_dtype, float64 only where float64's roundoff floor, times
 mixing._F64_MARGIN, meets its tolerance and its values stay that far inside
 float64's range, and longdouble everywhere else.  The series states its floor
-a priori (mixing._series_floor); the kernel measures its entries' L1 sizes on
-its longdouble Q_n rows at the least t.  A longdouble pass keeps the bits it
-had before float64 passes existed; a float64 pass stays within its stated
-floor of the longdouble pass at the same node count; forced into float64
-everywhere, both routes still give a value within their gate against the DP,
-a NaN or a typed error."""
+a priori (mixing._series_floor); the kernel measures float64's floor from its
+entries' L1 sizes at the least t, on its Q_n rows rounded to float64.  A
+longdouble pass keeps the bits it had before float64 passes existed; a
+float64 pass stays within its stated floor of the longdouble pass at the
+same node count; forced into float64 everywhere, both routes still give a
+value within their gate against the DP, a NaN or a typed error."""
 
+import contextlib
 import hashlib
+import io
 import math
+import pathlib
 import random
+import runpy
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from kmmix import ChainParams, ConvergenceError, QuadratureConfig, QuadratureErr
     RegimeError, kernel_matrix, kernel_oracle, mixing, reversibility, t_mix, tv_curve, \
     tv_oracle_curve
 from kmmix.chain import _kernel_args
+from kmmix.cli import main
 from kmmix.mixing import _eps_floor, _series_floor, tv_quadrature
 from kmmix.spectral import pole_errors, theta_nodes
 
@@ -188,14 +193,26 @@ class TestFloat64Passes:
 
 class TestDtypeRule:
     def test_bench_searches_run_in_float64(self, monkeypatch):
-        # every tv_curve pass of the bench's t_mix searches; the answers stand
-        dtypes, nodes = [], mixing.theta_nodes
+        # every series and kernel pass of every job the benchmark runs
+        # (bench/workloads.py, read as a script, at seeds 101 and 202): its
+        # t_mix searches, tv, kernel and verify jobs and route probes all
+        # run in float64, so no longdouble pass is timed there; the t_mix
+        # answers stand
+        bench = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        workloads = runpy.run_path(str(bench))
+        argvs = {tuple(argv): None for name in sorted(workloads["WHY"]) for seed in (101, 202)
+                 for argv in workloads["jobs"](name, seed)}
+        dtypes, rule = [], mixing._pass_dtype
 
-        def recording(chain, n_nodes, dtype):
-            dtypes.append(dtype)
-            return nodes(chain, n_nodes, dtype)
-        monkeypatch.setattr(mixing, "theta_nodes", recording)
+        def recording(*args):
+            dtypes.append(rule(*args))
+            return dtypes[-1]
+        monkeypatch.setattr(mixing, "_pass_dtype", recording)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert [main(list(argv)) for argv in argvs] == [0] * len(argvs)
         assert t_mix(NEAR_CRITICAL, 1e-3) == 8392 and t_mix(EXAMPLE, 1e-6) == 126
+        assert {argv[0] for argv in argvs} == {"analyze", "tv", "tmix", "kernel", "verify",
+                                               "couple"}
         assert dtypes and set(dtypes) == {F64}
 
     def test_kernel_floor_is_weighed_by_pi_j(self):
