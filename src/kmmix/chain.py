@@ -9,7 +9,10 @@ account for downstream.
 
 One step of the walk, _advance, serves every DP: the TV sweep (a row per t,
 its drift removed per block of times), the DP twin kernel_oracle of
-mixing.kernel_matrix (the law of a point start) and the hitting curves.
+mixing.kernel_matrix (the law of a point start) and the hitting curves.  Past
+the reflecting origin a step is one 3-tap correlation, which adds each
+state's p, r and q terms left to right; the tests pin that order bit for bit
+against fancy-index steps.
 """
 
 import math
@@ -103,21 +106,27 @@ def reversibility(chain: ChainParams) -> Reversibility:
     return Reversibility(chain=chain, rho=(chain.q - chain.p + 1.0) / (chain.q - chain.p))
 
 
-def _advance(chain: ChainParams, src: np.ndarray, dst: np.ndarray, lo: int, hi: int):
+def _stencil(chain: ChainParams) -> np.ndarray:
+    """_advance's stencil [p, r, q], built once per sweep."""
+    return np.array([chain.p, chain.r, chain.q])
+
+
+def _advance(chain: ChainParams, stencil: np.ndarray, src: np.ndarray, dst: np.ndarray,
+             lo: int, hi: int):
     """One step of the walk from src, whose mass lies on states lo..hi (read
-    up to hi + 2), written in place into dst on max(lo - 1, 0)..hi + 1.  Each
-    state adds its p, r and q terms in that order, the reflecting 0 -> 1 move
-    first, so every DP on it sums the same floats in the same order."""
-    p, q, r = chain.p, chain.q, chain.r
+    up to hi + 2), written in place into dst on max(lo - 1, 0)..hi + 1.
+    Where the window holds state 0, states 0 and 1 come first, the reflecting
+    0 -> 1 move leading; the rest is one 3-tap correlation with stencil =
+    _stencil(chain), which adds each state's p, r and q terms left to right.
+    So every DP on it sums the same floats in the same order (only a zero may
+    come out +0.0 where all its terms are -0.0)."""
     if lo <= 1:  # the window holds state 0
         s1 = src.item(1)  # Python floats: the same double sums, faster
-        dst[0] = q * s1
-        dst[1] = src.item(0) + r * s1 + q * src.item(2)
+        dst[0] = chain.q * s1
+        dst[1] = src.item(0) + chain.r * s1 + chain.q * src.item(2)
     first = lo - 1 if lo > 1 else 2  # the first state of the p, r, q body
-    body = dst[first:hi + 2]  # a view: the updates run in place
-    np.multiply(src[first - 1:hi + 1], p, out=body)
-    body += r * src[first:hi + 2]
-    body += q * src[first + 1:hi + 3]
+    if first < hi + 2:  # empty on the first step from the origin
+        dst[first:hi + 2] = np.correlate(src[first - 1:hi + 3], stencil, "valid")
 
 
 def tv_oracle(chain: ChainParams, t: int) -> float:
@@ -132,10 +141,11 @@ def tv_oracle_curve(chain: ChainParams, t_max: int) -> list:
 
     mu_t lives on 0..t.  Above it d_t = -nu, which the chain maps to itself
     (detailed balance), so a step rewrites only the window 0..t+2 of t's row
-    in a block filled with -nu.  Per block, masked row reductions remove d's
-    drift along nu, the one direction the chain never damps: s_t nu on the
-    window, s_t the mass of row t (window sum minus nu_tail(t+2)), 0 exactly;
-    as nu P = nu, that is the per-step correction up to rounding.  Then
+    in a block filled with -nu.  Per block, masked row reductions measure d's
+    drift along nu, the one direction the chain never damps, and one product
+    and subtraction remove it from every cell of a scratch block: s_t nu, s_t
+    the mass of row t (window sum minus nu_tail(t+2)), 0 exactly; as nu P =
+    nu, that is the per-step correction up to rounding.  Then
     TV_t = (1/2)(sum_{j<=t} |d_j| + nu_tail(t)), with no truncation error.
     The roundoff left lies off nu and decays with the chain: the values are
     accurate relative to TV itself, not to the unit mass (3e-15 where TV is
@@ -155,6 +165,7 @@ def tv_oracle_curve(chain: ChainParams, t_max: int) -> list:
     log_ratio = math.log(chain.p) - math.log(chain.q)
     tails = np.exp(np.arange(t_max + 3) * log_ratio) / (chain.q - chain.p) / rev.rho
     d, start = 1.0 - nu[:1], 1  # d_0 on its window 0..0, -nu above
+    stencil = _stencil(chain)
     values = [0.5 * (abs(d.item()) + tails.item(0))]
     while start <= t_max:  # the block of times start..end-1, its rows to t_max
         end = start + max(1, min(_ROWS, _CELLS // (start + _ROWS)))
@@ -162,14 +173,15 @@ def tv_oracle_curve(chain: ChainParams, t_max: int) -> list:
         rows = np.negative(nu[:width], out=np.empty((ts.size + 1, width)))
         rows[0, :d.size] = d
         for k, t in enumerate(ts.tolist(), 1):
-            _advance(chain, rows[k - 1], rows[k], 0, t + 1)
+            _advance(chain, stencil, rows[k - 1], rows[k], 0, t + 1)
         block, window = rows[1:], np.arange(width) <= ts[:, None] + 2  # j <= t + 2
         drift = np.add.reduce(block, axis=1, where=window) - tails[ts + 2]
-        np.subtract(block, drift[:, None] * nu[:width], out=block, where=window)
+        fixed = np.multiply(drift[:, None], nu[:width])
+        np.subtract(block, fixed, out=fixed)  # off the window only the carried row is read
+        d, start = np.where(window[-1], fixed[-1], block[-1]), end
         # j <= t, where the window holds j + 2
-        absum = np.add.reduce(np.abs(block[:, :-2]), axis=1, where=window[:, 2:])
+        absum = np.add.reduce(np.abs(fixed, out=fixed)[:, :-2], axis=1, where=window[:, 2:])
         values += (0.5 * (absum + tails[ts])).tolist()
-        d, start = block[-1].copy(), end  # a copy: the block is freed
     return values
 
 
@@ -228,13 +240,13 @@ def kernel_oracle(chain: ChainParams, ts, n_max: int, rows=None, cols=None) -> n
     at = {}  # each time's places in ts
     for k, t in enumerate(ts):
         at.setdefault(t, []).append(k)
-    horizon, size = max(ts), int(cols.max()) + 1
+    horizon, size, stencil = max(ts), int(cols.max()) + 1, _stencil(chain)
     for a, i in enumerate(rows.tolist()):  # Python ints: no numpy scalar math per step
         src, dst = np.zeros((2, max(i + horizon + 2, size)))
         src[i] = 1.0
         for t in range(horizon + 1):
             if t:
-                _advance(chain, src, dst, max(i - t + 1, 0), i + t - 1)
+                _advance(chain, stencil, src, dst, max(i - t + 1, 0), i + t - 1)
                 src, dst = dst, src
             for k in at.get(t, ()):
                 out[k, a] = src[cols]

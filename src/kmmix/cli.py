@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -296,101 +296,134 @@ def _cmd_couple(args):
     return 0
 
 
-def _verify_checks(chain, cfg):
-    """Invariant suite; yields (name, passed, worst_value) triples.  Worst
-    values reduce with np.max, not max, so that a NaN anywhere fails its row."""
-    rev = reversibility(chain)
-    measure = build_measure(chain)
-    co = bound_coefficients(chain)
-
+def _verify_checks(chain, cfg) -> list:
+    """The invariant suite: one function per row, named after it, each
+    returning (passed, worst).  Worst values reduce with np.max, not max, so
+    that a NaN anywhere fails its row.  A value that rows share is made by
+    the first row that asks for it; where it raises, so does every row that
+    asks."""
     n = np.arange(0, 101)
-    pi = rev.pi(n)
-    balance = np.abs(pi[:-1] * np.where(n[:-1] == 0, 1.0, chain.p) - pi[1:] * chain.q)
-    yield "detailed_balance_n_le_100", float(balance.max()) <= 1e-12, float(balance.max())
+    pi = reversibility(chain).pi(n)
+    measure = cache(lambda: build_measure(chain))
+    tvs = cache(lambda: tv_oracle_curve(chain, 120))
+    exact = cache(lambda: tv_curve(chain, range(61), cfg=cfg))
 
-    total = float(kernel_oracle(chain, [300], 300, rows=[0]).sum())  # the law of 0 at t = 300
-    yield "evolve_mass_conservation_t300", abs(total - 1.0) <= 1e-12, abs(total - 1.0)
+    def detailed_balance_n_le_100():
+        balance = np.abs(pi[:-1] * np.where(n[:-1] == 0, 1.0, chain.p) - pi[1:] * chain.q)
+        return float(balance.max()) <= 1e-12, float(balance.max())
 
-    tvs = tv_oracle_curve(chain, 120)
-    mono = float(np.max(np.diff(tvs)))
-    yield "tv_oracle_nonincreasing_t120", mono <= 1e-15, mono
+    def evolve_mass_conservation_t300():
+        total = float(kernel_oracle(chain, [300], 300, rows=[0]).sum())  # the law of 0 at t = 300
+        return abs(total - 1.0) <= 1e-12, abs(total - 1.0)
 
-    norm = integrate_psi(measure, lambda x: np.ones_like(x), cfg=cfg)
-    yield "psi_normalization", abs(norm - 1.0) <= 1e-10, abs(norm - 1.0)
+    def tv_oracle_nonincreasing_t120():
+        mono = float(np.max(np.diff(tvs())))
+        return mono <= 1e-15, mono
 
-    ac = integrate_psi(measure, lambda x: np.ones_like(x), atoms=False, cfg=cfg)
-    err = abs(ac - chain.p / (chain.q + chain.r))
-    yield "ac_mass_p_over_q_plus_r", err <= 1e-10, err
+    def psi_normalization():
+        norm = integrate_psi(measure(), lambda x: np.ones_like(x), cfg=cfg)
+        return abs(norm - 1.0) <= 1e-10, abs(norm - 1.0)
 
-    # p_0(m, n) = pi_n integral of Q_m Q_n dpsi, the orthonormality relations
-    worst = float(np.max(np.abs(kernel_matrix(chain, [0], 8, cfg=cfg)[0] - np.eye(9))))
-    yield "orthogonality_deg_le_8", worst <= 1e-8, worst
+    def ac_mass_p_over_q_plus_r():
+        ac = integrate_psi(measure(), lambda x: np.ones_like(x), atoms=False, cfg=cfg)
+        err = abs(ac - chain.p / (chain.q + chain.r))
+        return err <= 1e-10, err
 
-    worst = float(np.max(np.abs(kernel_matrix(chain, range(21), 4, cfg=cfg)
-                                - kernel_oracle(chain, range(21), 4))))
-    yield "kernel_vs_oracle_t20", worst <= 1e-9, worst
+    def orthogonality_deg_le_8():
+        # p_0(m, n) = pi_n integral of Q_m Q_n dpsi, the orthonormality relations
+        worst = float(np.max(np.abs(kernel_matrix(chain, [0], 8, cfg=cfg)[0] - np.eye(9))))
+        return worst <= 1e-8, worst
 
-    exact = tv_curve(chain, range(61), cfg=cfg)
-    worst = float(np.max(np.abs(np.subtract(exact[:41], tvs[:41]))))
-    yield "tv_exact_vs_oracle_t40", worst <= 1e-8, worst
+    def kernel_vs_oracle_t20():
+        worst = float(np.max(np.abs(kernel_matrix(chain, range(21), 4, cfg=cfg)
+                                    - kernel_oracle(chain, range(21), 4))))
+        return worst <= 1e-9, worst
 
-    # the change from K to 2K nodes against the a-priori bounds at both (the
-    # roundoff floor of a pole-corrected pass), plus float64 roundoff of the
-    # partial sums
-    k, bound = tv_quadrature(chain, range(61), cfg=cfg)[1:3]
-    wide = QuadratureConfig(node_count=2 * k, tol=cfg.tol)
-    bound += tv_quadrature(chain, range(61), cfg=wide)[2] + 1e-14
-    worst = float(np.max(np.abs(np.subtract(exact, tv_curve(chain, range(61), cfg=wide)))))
-    yield "quadrature_bound_k_vs_2k", worst <= bound, worst
+    def tv_exact_vs_oracle_t40():
+        worst = float(np.max(np.abs(np.subtract(exact()[:41], tvs()[:41]))))
+        return worst <= 1e-8, worst
 
-    ok = True
-    for tvx, upper, lower, valid in zip(exact, *tv_envelope(chain, range(61))):
-        # the envelope gap 2 B beta^t can sit below double roundoff of the
-        # alpha-scale terms; allow that much float slack.  A NaN fails.
-        slack = 1e-12 * max(upper, 1e-300)
-        if not (tvx <= upper + slack and (not valid or tvx >= lower - slack)):
-            ok = False
-    yield "tv_sandwich_t60", ok, float(not ok)
+    def quadrature_bound_k_vs_2k():
+        # the change from K to 2K nodes against the a-priori bounds at both (the
+        # roundoff floor of a pole-corrected pass), plus float64 roundoff of the
+        # partial sums
+        k, bound = tv_quadrature(chain, range(61), cfg=cfg)[1:3]
+        wide = QuadratureConfig(node_count=2 * k, tol=cfg.tol)
+        bound += tv_quadrature(chain, range(61), cfg=wide)[2] + 1e-14
+        worst = float(np.max(np.abs(np.subtract(exact(), tv_curve(chain, range(61), cfg=wide)))))
+        return worst <= bound, worst
 
-    worst = float(np.max([abs(drift_identity_residual(chain, x)) for x in range(51)]))
-    yield "drift_identity_x_le_50", worst <= 1e-12, worst
+    def tv_sandwich_t60():
+        ok = True
+        for tvx, upper, lower, valid in zip(exact(), *tv_envelope(chain, range(61))):
+            # the envelope gap 2 B beta^t can sit below double roundoff of the
+            # alpha-scale terms; allow that much float slack.  A NaN fails.
+            slack = 1e-12 * max(upper, 1e-300)
+            if not (tvx <= upper + slack and (not valid or tvx >= lower - slack)):
+                ok = False
+        return ok, float(not ok)
 
-    res = residue_check(chain)
-    err = float(np.max(np.abs(np.subtract(res, (measure.atom1[1], measure.atom2[1])))))
-    yield "residues_equal_atom_weights", err <= 1e-8, err
+    def drift_identity_x_le_50():
+        worst = float(np.max([abs(drift_identity_residual(chain, x)) for x in range(51)]))
+        return worst <= 1e-12, worst
 
-    worst = float(np.max([abs(resolvent_a0(chain, s) - integrate_psi(
-        measure, lambda x, s=s: 1.0 / (x - s), cfg=cfg, poles=[s]))
-        for s in (2j, 0.5 + 0.7j, -0.3 - 1.1j, 3.0 + 0.25j)]))
-    yield "resolvent_stieltjes_consistency", worst <= 1e-8, worst
+    def residues_equal_atom_weights():
+        weights = measure().atom1[1], measure().atom2[1]
+        err = float(np.max(np.abs(np.subtract(residue_check(chain), weights))))
+        return err <= 1e-8, err
 
-    # |interval - contour| per 1e-8 max(1, beta^t (q/p)^(n/2)), the interval
-    # route's I_t(n) = p_t(0, n)/pi_n - w1 from one kernel pass; where pi_n
-    # underflows (p far below q) the quotient is NaN and fails the row
-    ts, degrees = (0, 3, 10, 25), (0, 2, 7, 15)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        interval = kernel_matrix(chain, ts, 15, cfg=cfg, rows=[0], cols=degrees)[:, 0] \
-            / pi[list(degrees)] - measure.atom1[1]
-    worst = float(np.max([abs(interval[a, b] - spectral_integral(chain, t, deg))
-                          / (1e-8 * max(1.0, co.beta ** t * _power(chain.q / chain.p, deg / 2)))
-                          for a, t in enumerate(ts) for b, deg in enumerate(degrees)]))
-    yield "spectral_integral_route_equivalence", worst <= 1.0, worst
+    def resolvent_stieltjes_consistency():
+        worst = float(np.max([abs(resolvent_a0(chain, s) - integrate_psi(
+            measure(), lambda x, s=s: 1.0 / (x - s), cfg=cfg, poles=[s]))
+            for s in (2j, 0.5 + 0.7j, -0.3 - 1.1j, 3.0 + 0.25j)]))
+        return worst <= 1e-8, worst
 
-    # series ratio at the atom of slowest decay is p/q; pick the truncation
-    # so the certified geometric remainder sits below the tolerance
-    depth = math.log(1e-11 * (chain.q - chain.p)) / math.log(chain.p / chain.q)
-    n_sum = int(min(50_000, max(60, math.ceil(depth) + 5)))
-    err = float(np.max([abs(1.0 / point_mass_summability(chain, loc, n_sum) - weight)
-                        for loc, weight in (measure.atom1, measure.atom2)]))
-    yield "atom_weight_summability", err <= 1e-9, err
+    def spectral_integral_route_equivalence():
+        # |interval - contour| per 1e-8 max(1, beta^t (q/p)^(n/2)), the interval
+        # route's I_t(n) = p_t(0, n)/pi_n - w1 from one kernel pass; where pi_n
+        # underflows (p far below q) the quotient is NaN and fails the row
+        ts, degrees = (0, 3, 10, 25), (0, 2, 7, 15)
+        co = bound_coefficients(chain)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            interval = kernel_matrix(chain, ts, 15, cfg=cfg, rows=[0], cols=degrees)[:, 0] \
+                / pi[list(degrees)] - measure().atom1[1]
+        worst = float(np.max([abs(interval[a, b] - spectral_integral(chain, t, deg))
+                              / (1e-8 * max(1.0, co.beta ** t * _power(chain.q / chain.p, deg / 2)))
+                              for a, t in enumerate(ts) for b, deg in enumerate(degrees)]))
+        return worst <= 1.0, worst
+
+    def atom_weight_summability():
+        # series ratio at the atom of slowest decay is p/q; pick the truncation
+        # so the certified geometric remainder sits below the tolerance
+        depth = math.log(1e-11 * (chain.q - chain.p)) / math.log(chain.p / chain.q)
+        n_sum = int(min(50_000, max(60, math.ceil(depth) + 5)))
+        err = float(np.max([abs(1.0 / point_mass_summability(chain, loc, n_sum) - weight)
+                            for loc, weight in (measure().atom1, measure().atom2)]))
+        return err <= 1e-9, err
+
+    return [detailed_balance_n_le_100, evolve_mass_conservation_t300,
+            tv_oracle_nonincreasing_t120, psi_normalization, ac_mass_p_over_q_plus_r,
+            orthogonality_deg_le_8, kernel_vs_oracle_t20, tv_exact_vs_oracle_t40,
+            quadrature_bound_k_vs_2k, tv_sandwich_t60, drift_identity_x_le_50,
+            residues_equal_atom_weights, resolvent_stieltjes_consistency,
+            spectral_integral_route_equivalence, atom_weight_summability]
 
 
 def _cmd_verify(args):
+    """Every row runs on its own: a typed error fails its row with worst NaN
+    and one line on stderr, and the rows after it still run."""
     chain = _chain_from_args(args)
     cfg = _quad_cfg(args)
-    names, passed, worst = zip(*_verify_checks(chain, cfg))
-    checks = Table(name=list(names), passed=list(map(bool, passed)),
-                   worst=list(map(float, worst)))
+    checks = Table(name=[], passed=[], worst=[])
+    for check in _verify_checks(chain, cfg):
+        try:
+            passed, worst = check()
+        except (QuadratureError, ConvergenceError, RegimeError) as exc:
+            print(f"kmmix: verify {check.__name__}: {exc}", file=sys.stderr)
+            passed, worst = False, math.nan
+        checks["name"].append(check.__name__)
+        checks["passed"].append(bool(passed))
+        checks["worst"].append(float(worst))
     all_passed = all(checks["passed"])
     _emit_doc(args, chain, {"checks": checks, "all_passed": all_passed}, checks)
     return 0 if all_passed else 1

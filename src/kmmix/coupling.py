@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainParams, _advance, reversibility
+from .chain import ChainParams, _advance, _stencil, reversibility
 
 __all__ = [
     "SurvivalCurve",
@@ -285,9 +285,9 @@ def hitting_pmf_exact_curve(chain: ChainParams, n: int, k_max: int) -> np.ndarra
         raise ValueError("k_max must be nonnegative")
     src, dst = np.zeros((2, n + k_max + 2))
     src[n] = 1.0
-    pmf = np.zeros(k_max + 1)
+    pmf, stencil = np.zeros(k_max + 1), _stencil(chain)
     for k in range(1, k_max + 1):
-        _advance(chain, src, dst, max(n - k + 1, 1), n + k - 1)
+        _advance(chain, stencil, src, dst, max(n - k + 1, 1), n + k - 1)
         pmf[k], dst[0] = dst[0], 0.0  # the mass absorbed at the origin
         src, dst = dst, src
     return pmf
@@ -317,9 +317,9 @@ def stationary_hitting_survival(chain: ChainParams, horizon: int) -> np.ndarray:
     src[1:horizon + 1] = rev.nu(np.arange(1, horizon + 1))
     bucket = rev.nu_tail(horizon)  # starts above the barrier: survives surely
     surv = np.zeros(horizon + 1)
-    surv[0] = 1.0 - rev.nu(0)
+    surv[0], stencil = 1.0 - rev.nu(0), _stencil(chain)
     for t in range(1, horizon + 1):
-        _advance(chain, src, dst, 1, horizon)
+        _advance(chain, stencil, src, dst, 1, horizon)
         bucket += dst[horizon + 1]  # crossed the barrier: survives surely
         dst[0] = dst[horizon + 1] = 0.0  # and the origin absorbs
         src, dst = dst, src

@@ -326,6 +326,35 @@ def evolve_fancy_index(chain: ChainParams, start, t: int):
     return lo, mass
 
 
+def hitting_pmf_fancy_index(chain: ChainParams, n: int, k_max: int) -> np.ndarray:
+    """P(tau = k | Y_0 = n), k <= k_max: one evolve_fancy_index step per k on
+    the carried block, whose mass on state 0 is absorbed."""
+    lo, mass = n, np.ones(1)
+    pmf = np.zeros(k_max + 1)
+    for k in range(1, k_max + 1):
+        lo, mass = evolve_fancy_index(chain, (lo, mass), 1)
+        if lo == 0:
+            pmf[k], lo, mass = mass[0], 1, mass[1:]
+    return pmf
+
+
+def stationary_survival_fancy_index(chain: ChainParams, horizon: int) -> np.ndarray:
+    """P(tau > t), t <= horizon, for Y_0 stationary: one evolve_fancy_index
+    step per t on states 1..horizon, the mass on 0 absorbed and the mass on
+    horizon + 1 moved to a bucket that survives surely."""
+    rev = reversibility(chain)
+    mass = np.asarray(rev.nu(np.arange(1, horizon + 1)), dtype=float)
+    bucket = rev.nu_tail(horizon)
+    surv = np.zeros(horizon + 1)
+    surv[0] = 1.0 - rev.nu(0)
+    for t in range(1, horizon + 1):
+        new = evolve_fancy_index(chain, (1, mass), 1)[1]  # on 0..horizon + 1
+        bucket += new[-1]
+        mass = new[1:-1]
+        surv[t] = mass.sum() + bucket
+    return surv
+
+
 def tv_by_fraction(p: Fraction, q: Fraction, r: Fraction, t: int) -> Fraction:
     """TV distance at time t, started at the origin, of the chain with the
     rational parameters (p, q, r), exactly.  The DP runs in integers: with D a

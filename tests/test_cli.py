@@ -549,6 +549,56 @@ class TestVerify:
         assert all(c["passed"] for c in checks.values())  # no other row reads the contour
 
 
+VERIFY_ROWS = ["detailed_balance_n_le_100", "evolve_mass_conservation_t300",
+               "tv_oracle_nonincreasing_t120", "psi_normalization", "ac_mass_p_over_q_plus_r",
+               "orthogonality_deg_le_8", "kernel_vs_oracle_t20", "tv_exact_vs_oracle_t40",
+               "quadrature_bound_k_vs_2k", "tv_sandwich_t60", "drift_identity_x_le_50",
+               "residues_equal_atom_weights", "resolvent_stieltjes_consistency",
+               "spectral_integral_route_equivalence", "atom_weight_summability"]
+
+
+class TestVerifyRowsRunOnTheirOwn:
+    def test_a_quadrature_past_the_node_cap_fails_only_its_rows(self, capsys):
+        # the density quadrature needs 80515 nodes here, past NODE_CAP: each
+        # row that integrates against psi fails, and every row is reported
+        argv = ("--p", "0.30826502840687187", "--q", "0.30843997332416306",
+                "--r", "0.383294998268965")
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(capsys, "verify", *argv, "--format", fmt)
+            assert code == 1
+            if fmt == "json":
+                rows = json.loads(out)["results"]["checks"]
+                names = [row["name"] for row in rows]
+                failed = {row["name"] for row in rows if math.isnan(row["worst"])}
+                assert not any(row["passed"] for row in rows if row["name"] in failed)
+            else:
+                lines = out.splitlines()
+                assert lines[0] == "name,passed,worst"
+                names = [line.split(",")[0] for line in lines[1:]]
+                assert {line.split(",")[0] for line in lines[1:] if line.endswith(",false,nan")} \
+                    == failed
+            assert names == VERIFY_ROWS
+            assert {"psi_normalization", "ac_mass_p_over_q_plus_r"} <= failed
+            logged = err.splitlines()
+            assert [line.split(":")[1].removeprefix(" verify ") for line in logged] == \
+                [name for name in VERIFY_ROWS if name in failed]
+            assert all("past the cap of 65536" in line for line in logged), logged
+
+    def test_a_shared_value_that_raises_fails_each_row_that_reads_it(self, capsys, monkeypatch):
+        def raises(*args, **kwargs):
+            raise mixing.ConvergenceError("no cutoff", 0.5)
+        monkeypatch.setattr(cli, "tv_oracle_curve", raises)
+        code, out, err = run_cli(capsys, "verify", "--p", "1/11", "--q", "9/11")
+        rows = {row["name"]: row for row in json.loads(out)["results"]["checks"]}
+        failed = ["tv_oracle_nonincreasing_t120", "tv_exact_vs_oracle_t40"]
+        assert code == 1 and list(rows) == VERIFY_ROWS
+        assert err.splitlines() == [f"kmmix: verify {name}: no cutoff (achieved bound 5.000e-01)"
+                                    for name in failed]
+        for name in failed:
+            assert not rows[name]["passed"] and math.isnan(rows[name]["worst"])
+        assert all(row["passed"] for name, row in rows.items() if name not in failed)
+
+
 # Chains at the edges of the wedge: p far below q, whose powers of q/p leave
 # the double range; q - p down to 1e-5; r = 1e-300, where the negative atom
 # rounds to -1; and p = 1e-8 against q = 0.9999 (r = 1 - p - q, about 1e-4).
